@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exact, forms, golden, stability
-from .forms import SpanView, full_view
+from .forms import full_view
 from .gluing import GlueMap, eigenlattices, glue, glue_involution
 from .lattice import (
     EMPTY,
@@ -506,10 +506,8 @@ def glue_t_pair(pair: TPair):
     v = forms.anti_iso_root(f2_1, f2_2)
     if v is None:
         raise ValueError(f"stage a: no root element for pair {pair.table_ref}")
-    perp = [x for x in f2_2.elements() if f2_2.b(x, v) == 0 and any(x)]
-    basis = forms._independent_subset(f2_2, perp, 2)
     src_view = full_view(f2_1, 2)
-    tgt_view = SpanView(f2_2, basis, 2)
+    tgt_view = forms._complement_of(full_view(f2_2, 2), [v])
     match = forms.build_anti_iso(src_view, tgt_view)
     if match is None:
         raise ValueError(f"stage a: no anti-isomorphism onto the root complement ({pair.table_ref})")

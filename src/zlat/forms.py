@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,8 +31,7 @@ def _mod1(x: Fraction) -> Fraction:
 
 
 def _mod2(x: Fraction) -> Fraction:
-    f = _mod1(x / 2) * 2
-    return f
+    return _mod1(x / 2) * 2
 
 
 @dataclass(frozen=True)
@@ -47,22 +47,13 @@ class FiniteQuadraticForm:
 
     @property
     def size(self) -> int:
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
-
-    def reduce(self, x) -> Element:
-        return tuple(int(c) % d for c, d in zip(x, self.orders))
+        return math.prod(self.orders)
 
     def zero(self) -> Element:
         return (0,) * self.ngens
 
     def add(self, x, y) -> Element:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
-
-    def neg(self, x) -> Element:
-        return tuple((-a) % d for a, d in zip(x, self.orders))
 
     def smul(self, n: int, x) -> Element:
         return tuple((n * a) % d for a, d in zip(x, self.orders))
@@ -110,13 +101,6 @@ class FiniteQuadraticForm:
                 for j in range(n):
                     out[j] += c * lift[j]
         return out
-
-    def is_nondegenerate(self) -> bool:
-        gens = [tuple(int(i == j) for j in range(self.ngens)) for i in range(self.ngens)]
-        for x in self.elements():
-            if any(x) and all(self.b(x, g) == 0 for g in gens):
-                return False
-        return True
 
 
 TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
@@ -303,20 +287,9 @@ class SpanView:
     p: int
 
     def elements(self):
-        seen = {self.form.zero()}
-        yield self.form.zero()
-        frontier = [self.form.zero()]
-        for g in self.gens:
-            new = []
-            for mult in range(1, self.p):
-                step = self.form.smul(mult, g)
-                for e in frontier:
-                    s = self.form.add(e, step)
-                    if s not in seen:
-                        seen.add(s)
-                        new.append(s)
-                        yield s
-            frontier.extend(new)
+        """Every element of the span, the first generator's coefficient running fastest."""
+        for coeffs in itertools.product(range(self.p), repeat=self.dim):
+            yield _combine(self, coeffs[::-1])
 
     @property
     def dim(self) -> int:
@@ -330,30 +303,100 @@ def full_view(f: FiniteQuadraticForm, p: int) -> SpanView:
     return SpanView(f, gens, p)
 
 
+def _view(f_or_view, p: int) -> SpanView:
+    return f_or_view if isinstance(f_or_view, SpanView) else full_view(f_or_view, p)
+
+
+def _combine(view: SpanView, coeffs) -> Element:
+    """The element sum(c_a * gens[a]) of the view."""
+    out = [0] * view.form.ngens
+    for c, g in zip(coeffs, view.gens):
+        if c:
+            for i, x in enumerate(g):
+                out[i] += c * x
+    return tuple(x % view.p for x in out)
+
+
 def _complement_of(view: SpanView, block: list[Element]) -> SpanView:
-    """Basis of the orthogonal complement of a nondegenerate block inside view."""
-    f = view.form
-    p = view.p
-    block_elems = set()
-    sub = SpanView(f, list(block), p)
-    block_elems = set(sub.elements())
-    out: list[Element] = []
-    span = {f.zero()}
-    for x in view.elements():
-        if x in block_elems or x in span:
+    """Basis of the orthogonal complement of a nondegenerate block inside view (a kernel mod p)."""
+    f, p, m = view.form, view.p, len(block)
+    rows = [[(p * f.b(x, h)).numerator for h in block] + [int(a == c) for c in range(view.dim)]
+            for a, x in enumerate(view.gens)]
+    for col in range(m):
+        piv = next((t for t in range(col, len(rows)) if rows[t][col]), None)
+        if piv is None:
+            raise ValueError("degenerate block")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        for t in range(col + 1, len(rows)):
+            c = rows[t][col] * inv % p
+            if c:
+                rows[t] = [(x - c * y) % p for x, y in zip(rows[t], rows[col])]
+    return SpanView(view.form, [_combine(view, row[m:]) for row in rows[m:]], p)
+
+
+# Gram reduction mod p ----------------------------------------------------------
+
+_RANK1_KIND = {(2, 1): "e+", (2, 3): "e-", (3, 2): "t+", (3, 1): "t-"}
+
+
+def _reduce(view: SpanView):
+    """Orthogonal splitting of an elementary 2- or 3-subspace by Gram-Schmidt mod p.
+
+    Tracks coefficient vectors over the view's generators, their pairings
+    p*b mod p and, for p = 2, their squares 2q mod 4 (q is fixed by b for p = 3).
+    A vector with b(x, x) != 0 splits off alone: "e+"/"e-" for 2q = 1/3,
+    "t+"/"t-" for 3b(x, x) = 2/1.  When none is left, p = 2 splits off a pair
+    with b(x, y) = 1/2 as "v2" (both squares 1) or "u2", and p = 3 turns x
+    into x + y, whose b(x + y, x + y) = 2b(x, y) is nonzero.  Returns the
+    vectors and the (kind, vector indices) blocks, rank-1 blocks first.
+    """
+    f, p, r = view.form, view.p, view.dim
+    bil = [[v.numerator * (p // v.denominator) for v in row] for row in f.bil]
+    supp = [[(i, c) for i, c in enumerate(x) if c] for x in view.gens]
+    b = [[sum(c * d * bil[i][j] for i, c in sx for j, d in sy) % p for sy in supp] for sx in supp]
+    q = [(2 * f.q(g)).numerator % 4 for g in view.gens] if p == 2 else None
+    vecs = [[int(a == c) for c in range(r)] for a in range(r)]
+
+    def add(t, s, c=1):  # vector t += c * vector s, keeping b and q in step
+        if q is not None:
+            q[t] = (q[t] + c * c * q[s] + 2 * c * b[t][s]) % 4
+        row = [(x + c * y) % p for x, y in zip(b[t], b[s])]
+        row[t] = (b[t][t] + 2 * c * b[t][s] + c * c * b[s][s]) % p
+        b[t] = row
+        for u, x in enumerate(row):
+            b[u][t] = x
+        vecs[t] = [(x + c * y) % p for x, y in zip(vecs[t], vecs[s])]
+
+    live = list(range(r))
+    blocks = []
+    while live:
+        i = next((t for t in live if b[t][t]), None)
+        if i is not None:
+            live.remove(i)
+            for t in live:
+                c = -b[i][t] * b[i][i] % p  # b(x, x) is its own inverse mod 2 and 3
+                if c:
+                    add(t, i, c)
+            blocks.append((_RANK1_KIND[p, q[i] if p == 2 else b[i][i]], [i]))
             continue
-        if any(f.b(x, g) != 0 for g in block):
+        i = live[0]
+        j = next((t for t in live if b[i][t]), None)
+        if j is None:
+            raise ValueError(f"degenerate {p}-subspace")
+        if p == 3:
+            add(i, j)
             continue
-        out.append(x)
-        grown = set(span)
-        for mult in range(1, p):
-            step = f.smul(mult, x)
-            for e in list(span):
-                grown.add(f.add(e, step))
-        span = grown
-        if len(out) == view.dim - len(block):
-            break
-    return SpanView(f, out, p)
+        live.remove(i)
+        live.remove(j)
+        for t in live:
+            by, bx = b[j][t], b[i][t]
+            if by:
+                add(t, i)
+            if bx:
+                add(t, j)
+        blocks.append(("v2" if q[i] == q[j] == 2 else "u2", [i, j]))
+    return vecs, blocks
 
 
 HALF = Fraction(1, 2)
@@ -362,7 +405,12 @@ TWO3 = Fraction(2, 3)
 FOUR3 = Fraction(4, 3)
 
 _Q_OF_KIND = {"e+": HALF, "e-": THALF, "t+": TWO3, "t-": FOUR3}
+_BROWN_OF_KIND = {"e+": 1, "e-": -1, "u2": 0, "v2": 4, "t+": 2, "t-": -2}
 ANTI_KIND = {"e+": "e-", "e-": "e+", "u2": "u2", "v2": "v2", "t+": "t-", "t-": "t+"}
+
+
+def _is_odd(blocks) -> int:
+    return int(any(kind in ("e+", "e-") for kind, _ in blocks))
 
 
 def _normalize_2block(f: FiniteQuadraticForm, x, y):
@@ -376,37 +424,24 @@ def _normalize_2block(f: FiniteQuadraticForm, x, y):
 
 
 def decompose2(view: SpanView):
-    """Split an elementary 2-subspace into blocks.
+    """Split an elementary 2-subspace into mutually orthogonal blocks.
 
     Returns (delta2, blocks) with blocks a list of (kind, gens): kinds are
     "e+" = <1/2>, "e-" = <-1/2>, "u2", "v2".  Rank-2 block bases are
     normalized (u2: both squares 0; v2: both squares 1).
     """
-    f = view.form
-    if view.dim == 0:
-        return 0, []
-    odd = next((x for x in view.elements() if f.q(x) in (HALF, THALF)), None)
-    if odd is not None:
-        kind = "e+" if f.q(odd) == HALF else "e-"
-        _rest_d2, rest = decompose2(_complement_of(view, [odd]))
-        return 1, [(kind, [odd])] + rest
-    x = next(e for e in view.elements() if any(e))
-    y = next(e for e in view.elements() if f.b(x, e) != 0)
-    kind, gens = _normalize_2block(f, x, y)
-    _d2, rest = decompose2(_complement_of(view, gens))
-    return 0, [(kind, gens)] + rest
+    vecs, blocks = _reduce(view)
+    out = []
+    for kind, idx in blocks:
+        gens = [_combine(view, vecs[i]) for i in idx]
+        out.append(_normalize_2block(view.form, *gens) if len(gens) == 2 else (kind, gens))
+    return _is_odd(blocks), out
 
 
 def decompose3(view: SpanView):
     """Split an elementary 3-subspace into rank-1 blocks ("t+" = <2/3>, "t-" = <-2/3>)."""
-    f = view.form
-    if view.dim == 0:
-        return []
-    x = next((e for e in view.elements() if f.q(e) in (TWO3, FOUR3)), None)
-    if x is None:
-        raise ValueError("degenerate 3-subspace")
-    kind = "t+" if f.q(x) == TWO3 else "t-"
-    return [(kind, [x])] + decompose3(_complement_of(view, [x]))
+    vecs, blocks = _reduce(view)
+    return [(kind, [_combine(view, vecs[i]) for i in idx]) for kind, idx in blocks]
 
 
 def present_with(view: SpanView, kinds: list[str]):
@@ -453,16 +488,16 @@ def normal_form2(f_or_view) -> tuple[str, int, int]:
     Even kind: a*u2 + b*v2 with b reduced mod 2.  Odd kind:
     a*<1/2> + b*<-1/2> with a reduced mod 4.
     """
-    view = f_or_view if isinstance(f_or_view, SpanView) else full_view(f_or_view, 2)
-    d2, blocks = decompose2(view)
+    view = _view(f_or_view, 2)
+    _vecs, blocks = _reduce(view)
     rank = view.dim
-    contrib = {"e+": 1, "e-": -1, "u2": 0, "v2": 4}
-    br = sum(contrib[k] for k, _ in blocks) % 8
-    if d2 == 0:
+    br = sum(_BROWN_OF_KIND[k] for k, _ in blocks) % 8
+    if not _is_odd(blocks):
         b = 1 if br == 4 else 0
         return "even", rank // 2 - b, b
     # a - b = br (mod 8), a + b = rank, a reduced mod 4
-    assert (rank + br) % 2 == 0
+    if (rank + br) % 2:
+        raise ValueError("Brown invariant and rank of an odd 2-group differ in parity")
     a = ((rank + br) // 2) % 4
     return "odd", a, rank - a
 
@@ -473,28 +508,32 @@ def iso2(f: FiniteQuadraticForm, g: FiniteQuadraticForm) -> bool:
 
 def normal_form3(f_or_view) -> tuple[int, int]:
     """Canonical (p, q) of an elementary inner-product 3-group: p*<2/3> + q*<-2/3>, p in {0,1}."""
-    view = f_or_view if isinstance(f_or_view, SpanView) else full_view(f_or_view, 3)
-    blocks = decompose3(view)
-    a0 = sum(1 for k, _ in blocks if k == "t+")
-    p = a0 % 2
+    _vecs, blocks = _reduce(_view(f_or_view, 3))
+    p = sum(1 for k, _ in blocks if k == "t+") % 2
     return p, len(blocks) - p
 
 
 def parity2(f_or_view) -> int:
-    """delta_2: 0 when the elementary 2-group's inner product is even, 1 otherwise."""
-    view = f_or_view if isinstance(f_or_view, SpanView) else full_view(f_or_view, 2)
-    f = view.form
-    return 0 if all(f.b(x, x) == 0 for x in view.elements()) else 1
+    """delta_2: 0 when the elementary 2-group's inner product is even, 1 otherwise.
+
+    x -> b(x, x) = q(x) mod Z is additive on an elementary 2-group, so one
+    generator with q not in Z decides."""
+    view = _view(f_or_view, 2)
+    return int(any(view.form.q(g).denominator != 1 for g in view.gens))
 
 
 def characteristic_element(f_or_view) -> Element:
-    """The unique v with v.x = x^2 (mod Z) for all x in an elementary 2-group."""
-    view = f_or_view if isinstance(f_or_view, SpanView) else full_view(f_or_view, 2)
-    f = view.form
-    for v in view.elements():
-        if all(f.b(v, g) == _mod1(f.q(g)) for g in view.gens):
-            return v
-    raise ValueError("no characteristic element (degenerate input)")
+    """The unique v with v.x = x^2 (mod Z) for all x in an elementary 2-group.
+
+    Over an orthogonal splitting, odd blocks pair to 1/2 with themselves and
+    even blocks have integral squares, so v is the sum of the odd blocks."""
+    view = _view(f_or_view, 2)
+    vecs, blocks = _reduce(view)
+    v = [0] * view.dim
+    for kind, idx in blocks:
+        if kind in ("e+", "e-"):
+            v = [a + c for a, c in zip(v, vecs[idx[0]])]
+    return _combine(view, v)
 
 
 # Brown invariant -------------------------------------------------------------
@@ -569,39 +608,14 @@ def _brown_elementary(part: FiniteQuadraticForm, p: int) -> int:
 
 def _brown_elementary3(part: FiniteQuadraticForm) -> int:
     """Br of an elementary 3-group by symmetric diagonalization mod 3."""
-    k = part.ngens
-    b = [[int(3 * part.bil[i][j]) % 3 for j in range(k)] for i in range(k)]
+    _vecs, blocks = _reduce(full_view(part, 3))
+    return sum(_BROWN_OF_KIND[k] for k, _ in blocks) % 8
 
-    def swap(i, j):
-        b[i], b[j] = b[j], b[i]
-        for row in b:
-            row[i], row[j] = row[j], row[i]
 
-    total = 0
-    for i in range(k):
-        if b[i][i] == 0:
-            j = next((t for t in range(i + 1, k) if b[t][t] != 0), None)
-            if j is not None:
-                swap(i, j)
-            else:
-                j = next(t for t in range(i + 1, k) if b[i][t] != 0)
-                for c in range(k):
-                    b[i][c] = (b[i][c] + b[j][c]) % 3
-                for r in range(k):
-                    b[r][i] = (b[r][i] + b[r][j]) % 3
-        piv = b[i][i]
-        assert piv != 0, "degenerate 3-part"
-        inv = piv  # 1 and 2 are self-inverse mod 3
-        for j in range(i + 1, k):
-            fct = (b[i][j] * inv) % 3
-            if fct:
-                for c in range(k):
-                    b[j][c] = (b[j][c] - fct * b[i][c]) % 3
-                for r in range(k):
-                    b[r][j] = (b[r][j] - fct * b[r][i]) % 3
-        # <1/3> is the enhanced <-2/3>, <2/3> the enhanced <2/3>
-        total += 2 if piv == 2 else -2
-    return total % 8
+def _q_numerators(f: FiniteQuadraticForm):
+    """(m, quad_n, bil2_n) with q(e_i) = quad_n[i] / m and 2b(e_i, e_j) = bil2_n[i][j] / m."""
+    m = math.lcm(*[v.denominator for v in f.quad], *[(2 * v).denominator for row in f.bil for v in row])
+    return m, [int(v * m) for v in f.quad], [[int(2 * v * m) for v in row] for row in f.bil]
 
 
 def brown_numeric(f: FiniteQuadraticForm) -> int:
@@ -616,17 +630,8 @@ def brown_numeric(f: FiniteQuadraticForm) -> int:
         raise ValueError("group too large for the numeric Gauss sum")
     if size == 1:
         return 0
-    den = 1
-    for v in f.quad:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    for row in f.bil:
-        for v in row:
-            d = (2 * v).denominator
-            den = den * d // math.gcd(den, d)
-    m = den  # q(x) = n_x / m with n_x an integer mod 2m
+    m, quad_n, bil2_n = _q_numerators(f)  # q(x) = n_x / m with n_x an integer mod 2m
     counts = [0] * (2 * m)
-    quad_n = [int(v * m) for v in f.quad]
-    bil2_n = [[int(2 * v * m) for v in row] for row in f.bil]
     k = f.ngens
     for x in f.elements():
         n = 0
@@ -657,17 +662,34 @@ def brown_numeric(f: FiniteQuadraticForm) -> int:
 # element census and subgroup machinery ----------------------------------------
 
 def q_value_census(f: FiniteQuadraticForm) -> dict[Fraction, int]:
-    census: dict[Fraction, int] = {}
-    for x in f.elements():
-        if any(x):
-            v = f.q(x)
-            census[v] = census.get(v, 0) + 1
-    return census
+    """How many nonzero elements take each square."""
+    return dict(Counter(v for order, v in fingerprint(f) if order > 1))
 
 
 def fingerprint(f: FiniteQuadraticForm):
-    """Multiset of (element order, square); complete for elementary 2/3 sums."""
-    return tuple(sorted((f.element_order(x), f.q(x)) for x in f.elements()))
+    """Multiset of (element order, square) over all elements, as a sorted
+    tuple; complete for elementary 2/3 sums.
+
+    An integer recursion over the coordinates counts the elements by
+    (order, m*q mod 2m); the histogram is then expanded.
+    """
+    m, quad_n, bil2_n = _q_numerators(f)
+    k = f.ngens
+    order_of = [[d // math.gcd(c, d) for c in range(d)] for d in f.orders]
+    counts = Counter() if k else Counter({(1, 0): 1})
+
+    def rec(j, order, n_acc, row_acc):
+        qj, rj, last = quad_n[j], row_acc[j], j == k - 1
+        for c, oc in enumerate(order_of[j]):
+            o, n = math.lcm(order, oc), n_acc + c * (c * qj + rj)
+            if last:
+                counts[o, n % (2 * m)] += 1
+            else:
+                rec(j + 1, o, n, [r + c * x for r, x in zip(row_acc, bil2_n[j])])
+
+    if k:
+        rec(0, 1, 0, [0] * k)
+    return tuple(entry for o, n in sorted(counts) for entry in [(o, Fraction(n, m))] * counts[o, n])
 
 
 def subgroup_elements(f: FiniteQuadraticForm, gens) -> frozenset:
@@ -707,7 +729,6 @@ def isotropic_subgroups(f: FiniteQuadraticForm) -> list[frozenset]:
         raise ValueError("group too large")
     per_p: list[list[frozenset]] = []
     primes = prime_factors_of_order(f)
-    gens_of = {p: [] for p in primes}
     for p in primes:
         subs = {frozenset({f.zero()})}
         frontier = [frozenset({f.zero()})]
@@ -753,7 +774,7 @@ def _is_p_torsion(f: FiniteQuadraticForm, x, p: int) -> bool:
 def coset_fingerprint(f: FiniteQuadraticForm, h_gens):
     """Fingerprint of H^perp / H for an isotropic subgroup H."""
     h = subgroup_elements(f, h_gens)
-    perp = orthogonal_of_subgroup(f, list(h))
+    perp = orthogonal_of_subgroup(f, list(h_gens))
     seen = set()
     rows = []
     hs = sorted(h)
@@ -931,68 +952,39 @@ def anti_iso_root(f2_target: FiniteQuadraticForm, f2_source: FiniteQuadraticForm
     """
     if f2_source.ngens and not is_elementary(f2_source, 2):
         raise ValueError("elementary 2-group required")
-    want_char = parity2(f2_target) == 0 if f2_target.ngens else True
+    want_char = parity2(f2_target) == 0
     view = full_view(f2_source, 2)
     char = characteristic_element(view)
-    tgt_rank = f2_target.ngens
-    tgt_kind = normal_form2(f2_target) if f2_target.ngens else ("even", 0, 0)
+    tgt_kind = normal_form2(f2_target)
     for v in sorted(view.elements()):
         if f2_source.q(v) != THALF:
             continue
         if (v == char) != want_char:
             continue
-        perp = [x for x in view.elements() if f2_source.b(x, v) == 0 and x != f2_source.zero()]
-        basis = _independent_subset(f2_source, perp, 2)
-        if len(basis) != tgt_rank:
-            continue
-        perp_view = SpanView(f2_source, basis, 2)
-        if _anti_classes_match(perp_view, tgt_kind):
+        if _anti_normal_form2(normal_form2(_complement_of(view, [v]))) == tgt_kind:
             return v
     return None
 
 
-def _independent_subset(f: FiniteQuadraticForm, elems, p: int):
-    basis = []
-    span = {f.zero()}
-    for x in elems:
-        if x in span:
-            continue
-        basis.append(x)
-        grown = set(span)
-        for m in range(1, p):
-            step = f.smul(m, x)
-            for e in list(span):
-                grown.add(f.add(e, step))
-        span = grown
-    return basis
-
-
-def _anti_classes_match(view: SpanView, tgt_kind) -> bool:
-    kind, a, b = normal_form2(view)
-    tk, ta, tb = tgt_kind
-    if kind != tk:
-        return False
-    if kind == "even":
-        # anti of a*u2+b*v2 is itself (q-values sit in Z/2Z)
-        return (a + b, b % 2) == (ta + tb, tb % 2)
-    # anti of a<1/2>+b<-1/2> is b<1/2>+a<-1/2>
-    anti_a = b % 4
-    return (a + b == ta + tb) and (anti_a == ta)
+def _anti_normal_form2(nf):
+    """Normal form of the 2-group with q negated: a<1/2>+b<-1/2> becomes
+    b<1/2>+a<-1/2>; a*u2+b*v2 is its own anti (q-values sit in Z/2Z)."""
+    kind, a, b = nf
+    return nf if kind == "even" else ("odd", b % 4, a + b - b % 4)
 
 
 def render_form(f: FiniteQuadraticForm, ascii_mode: bool = False) -> str:
-    """Canonical text: 2-part blocks then 3-part then residual orders."""
+    """Canonical text: 2-part then 3-part normal form, then residual orders."""
     parts = []
     for p in prime_factors_of_order(f):
         part = p_part(f, p)
         if p == 2 and is_elementary(part, 2):
-            _d2, blocks = decompose2(full_view(part, 2))
-            names = {"u2": "u2", "v2": "v2", "e+": "⟨1/2⟩", "e-": "⟨-1/2⟩"}
-            parts.extend(names[k] for k, _ in sorted(blocks, key=lambda kb: kb[0]))
+            kind, a, b = normal_form2(part)
+            names = ("u2", "v2") if kind == "even" else ("⟨1/2⟩", "⟨-1/2⟩")
+            parts += [names[0]] * a + [names[1]] * b
         elif p == 3 and is_elementary(part, 3):
-            blocks = decompose3(full_view(part, 3))
-            names = {"t+": "⟨2/3⟩", "t-": "⟨-2/3⟩"}
-            parts.extend(names[k] for k, _ in sorted(blocks, key=lambda kb: kb[0]))
+            a, b = normal_form3(part)
+            parts += ["⟨2/3⟩"] * a + ["⟨-2/3⟩"] * b
         else:
             parts.append("+".join(f"Z/{d}" for d in part.orders))
     text = "+".join(parts) if parts else "0"

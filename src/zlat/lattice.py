@@ -283,8 +283,6 @@ def divide(l: Lattice, p: int) -> Lattice:
 #   expr := term ('+' term)* ; term := [UINT] atom [ '(' INT ')' ]
 #   atom := 'U' | 'A'UINT | 'D'UINT | 'E'UINT | '<' INT '>'
 
-_TOKEN = re.compile(r"\s*(\d+|[UADE]|<-?\d+>|[+()]|-)")
-
 
 class ExprError(ValueError):
     def __init__(self, message: str, pos: int):

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import forms_oracle as oracle
+from forms_oracle import change_generators, random_basis_change
+
 from zlat import exact
 from zlat.forms import (
+    _complement_of,
     anti_iso_root,
     aut_order,
     brown,
@@ -13,6 +17,7 @@ from zlat.forms import (
     direct_sum_forms,
     discriminant_form,
     fingerprint,
+    form_on_generators,
     full_view,
     is_elementary,
     isotropic_subgroups,
@@ -306,3 +311,112 @@ def test_elementary_checks():
     assert not is_elementary(f, 2)
     assert is_elementary(p_part(f, 2), 2)
     assert is_elementary(p_part(f, 3), 3)
+
+
+# fast elementary paths against the brute-force oracles ------------------------
+
+_ATOM_RANK = {"u2": 2, "v2": 2, "<1/2>": 1, "<-1/2>": 1, "<2/3>": 1, "<-2/3>": 1}
+_KIND_ATOM = {"u2": "u2", "v2": "v2", "e+": "<1/2>", "e-": "<-1/2>", "t+": "<2/3>", "t-": "<-2/3>"}
+
+
+@st.composite
+def elementary_forms(draw, p):
+    """A direct sum of standard atoms (|G| <= 2^8 or 3^5) on randomly changed generators."""
+    atoms = ["u2", "v2", "<1/2>", "<-1/2>"] if p == 2 else ["<2/3>", "<-2/3>"]
+    max_rank = 8 if p == 2 else 5
+    spec, rank = [], 0
+    for atom in draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=max_rank)):
+        if rank + _ATOM_RANK[atom] <= max_rank:
+            spec.append(atom)
+            rank += _ATOM_RANK[atom]
+    ops = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1),
+                                  st.integers(1, p - 1)), max_size=3 * rank))
+    return change_generators(standard_form("+".join(spec)), p, ops)
+
+
+def _check_blocks(f, blocks):
+    """Blocks realize their kinds, are mutually orthogonal and span the group;
+    returns the standard form with the blocks' kinds."""
+    for kind, gens in blocks:
+        if kind in ("u2", "v2"):
+            x, y = gens
+            assert f.b(x, y) == F(1, 2)
+            assert f.q(x) == f.q(y) == (0 if kind == "u2" else 1)
+        else:
+            assert f.q(gens[0]) == {"e+": F(1, 2), "e-": F(3, 2), "t+": F(2, 3), "t-": F(4, 3)}[kind]
+    for a, (_k, gens_a) in enumerate(blocks):
+        for _k2, gens_b in blocks[a + 1:]:
+            assert all(f.b(x, y) == 0 for x in gens_a for y in gens_b)
+    assert len(subgroup_elements(f, [g for _k, gens in blocks for g in gens])) == f.size
+    return standard_form("+".join(_KIND_ATOM[k] for k, _ in blocks))
+
+
+def _check_complement(f, p, block):
+    view = full_view(f, p)
+    comp = _complement_of(view, block)
+    assert comp.dim == view.dim - len(block)
+    assert all(f.b(x, g) == 0 for x in comp.gens for g in block)
+    span = subgroup_elements(f, comp.gens)
+    assert len(span) == p ** comp.dim
+    assert span == subgroup_elements(f, oracle.complement_of(view, block).gens)
+
+
+@given(elementary_forms(2))
+@settings(max_examples=60, deadline=None)
+def test_elementary2_matches_oracles(f):
+    assert normal_form2(f) == oracle.normal_form2(f)
+    assert parity2(f) == oracle.parity2(f)
+    assert characteristic_element(f) == oracle.characteristic_element(f)
+    assert fingerprint(f) == oracle.fingerprint(f)
+    d2, blocks = decompose2(full_view(f, 2))
+    assert d2 == parity2(f)
+    assert normal_form2(_check_blocks(f, blocks)) == normal_form2(f)
+    _check_complement(f, 2, blocks[0][1])
+
+
+@given(elementary_forms(3))
+@settings(max_examples=40, deadline=None)
+def test_elementary3_matches_oracles(f):
+    assert normal_form3(f) == oracle.normal_form3(f)
+    assert fingerprint(f) == oracle.fingerprint(f)
+    blocks = decompose3(full_view(f, 3))
+    assert normal_form3(_check_blocks(f, blocks)) == normal_form3(f)
+    _check_complement(f, 3, blocks[0][1])
+
+
+@given(
+    st.lists(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
+             min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_fingerprint_matches_oracle(m):
+    # non-elementary groups: discriminants of random even rank-3 lattices
+    from zlat.lattice import make_lattice
+
+    g = [[m[i][j] + m[j][i] for j in range(3)] for i in range(3)]
+    det = exact.determinant(g)
+    if det == 0 or abs(det) > 3000:
+        return
+    f = discriminant_form(make_lattice(g))
+    assert fingerprint(f) == oracle.fingerprint(f)
+
+
+def test_degenerate_inputs_raise():
+    zero2 = form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0])
+    zero3 = form_on_generators([3], [[0]], [0])
+    for call in (lambda: normal_form2(zero2), lambda: characteristic_element(zero2),
+                 lambda: normal_form3(zero3), lambda: decompose3(full_view(zero3, 3)),
+                 lambda: _complement_of(full_view(zero2, 2), [(1, 0)])):
+        try:
+            call()
+        except ValueError:
+            continue
+        raise AssertionError("degenerate input accepted")
+
+
+def test_render_form_basis_invariant():
+    rng = random.Random(5)
+    for expr, want in (("U+2A1+<2>", "⟨1/2⟩+⟨-1/2⟩+⟨-1/2⟩"), ("U+8A1", "⟨-1/2⟩+" * 7 + "⟨-1/2⟩")):
+        l = parse_lattice_expr(expr)
+        for _ in range(6):
+            assert render_form(discriminant_form(random_basis_change(l, rng, 2 * l.rank))) == want

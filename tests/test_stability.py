@@ -118,3 +118,17 @@ def test_presentations_of_t():
     assert isomorphic_in_genus(t, L("<6>+U+3A2")) == "yes"
     assert isomorphic_in_genus(t, L("A2(-1)+3A2+A1")) == "yes"
     assert isomorphic_in_genus(L("2U+U(3)+2A2"), t) == "no"  # that one is T'
+
+
+def test_genus_tag_invariant_under_basis_change_large():
+    # elementary parts of size 2^12 and 3^8 go through Gram reduction mod p
+    import random
+
+    from forms_oracle import random_basis_change
+
+    rng = random.Random(3)
+    for expr in ("U+12A1", "U+8A2"):
+        l = L(expr)
+        tag = genus_tag(l)
+        for _ in range(3):
+            assert genus_tag(random_basis_change(l, rng, 2 * l.rank)) == tag
