@@ -6,6 +6,7 @@ realization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -356,7 +357,7 @@ def find_reversion_root(pair: TPair) -> tuple[int, ...] | None:
                 v.extend(combo[i][0])
             g = 0
             for c in v:
-                g = exact._gcd(g, c)
+                g = math.gcd(g, c)
             if g != 1:
                 continue  # not primitive (also rejects the zero vector)
             if _half_class_is_characteristic(f, t2, v, gens2) == want_char:
@@ -419,16 +420,19 @@ def _two_part_generators(f: forms.FiniteQuadraticForm):
 
 
 def _half_class_is_characteristic(f, l: Lattice, v, gens2) -> bool:
-    """Whether [v/2] pairs as x -> q(x) mod Z on the 2-part of discr."""
-    from fractions import Fraction
+    """Whether [v/2] pairs as x -> q(x) mod Z on the 2-part of discr.
 
-    g = exact.frac_matrix(l.gram_rows())
-    half = [Fraction(c, 2) for c in v]
+    With lift(h) = w/e (w integral) and q(h) = a/c, the test
+    v.G.w / (2e) = a/c mod Z is made over m = lcm(2e, c) in integers.
+    """
+    vg = exact.mat_mul([list(v)], l.gram_rows())[0]
     for h in gens2:
         lift = f.lift_vector(h)
-        pairing = sum(half[i] * g[i][j] * lift[j] for i in range(l.rank) for j in range(l.rank))
+        e = math.lcm(*(x.denominator for x in lift))
+        pairing = sum(a * x.numerator * (e // x.denominator) for a, x in zip(vg, lift))
         qh = f.q(h)
-        if (pairing - qh) % 1 != 0:
+        m = math.lcm(2 * e, qh.denominator)
+        if (pairing * (m // (2 * e)) - qh.numerator * (m // qh.denominator)) % m:
             return False
     return True
 
@@ -533,19 +537,24 @@ def realize_pair(pair: TPair) -> dict:
 
     inv = glue_involution(pair.witness_plus, pair.witness_minus, phi)
     lp, lm = eigenlattices(inv)
-    assert stability.isomorphic_in_genus(lp.as_lattice(), pair.witness_plus) == "yes"
-    assert stability.isomorphic_in_genus(lm.as_lattice(), pair.witness_minus) == "yes"
+    if stability.isomorphic_in_genus(lp.as_lattice(), pair.witness_plus) != "yes":
+        raise ValueError(f"involution: L+ not in the genus of the plus half ({pair.table_ref})")
+    if stability.isomorphic_in_genus(lm.as_lattice(), pair.witness_minus) != "yes":
+        raise ValueError(f"involution: L- not in the genus of the minus half ({pair.table_ref})")
     f_glued = forms.discriminant_form(glued)
     f2g = forms.p_part(f_glued, 2)
-    assert forms.normal_form2(f2g) == ("odd", 0, 1)  # discr_2 T = <-1/2>
-    assert abs(pair.t_plus.r2 - pair.t_minus.r2) == 1
+    if forms.normal_form2(f2g) != ("odd", 0, 1):  # discr_2 T = <-1/2>
+        raise ValueError(f"involution: discr_2 of the glued lattice is not <-1/2> ({pair.table_ref})")
+    if abs(pair.t_plus.r2 - pair.t_minus.r2) != 1:
+        raise ValueError(f"involution: r2 of the halves differ by other than 1 ({pair.table_ref})")
     report["involution"] = "ok"
 
     two = named("<2>")
     f2_t = f2g
     f_two = forms.discriminant_form(two)
     gen_t = (1,)
-    assert f2_t.q(gen_t) == forms.THALF
+    if f2_t.q(gen_t) != forms.THALF:
+        raise ValueError(f"stage b: generator of discr_2 T has q != 3/2 ({pair.table_ref})")
     psi = GlueMap(f2_t, f_two, (gen_t,), ((1,),))
     t_prime = glue(glued, two, psi)
     verdict = stability.isomorphic_in_genus(t_prime, parse_lattice_expr(T_PRIME_EXPR))

@@ -1,13 +1,12 @@
-"""Exact integer and rational matrix kernel.
+"""Exact integer matrix kernel.
 
-Everything here works on plain lists of Python ints (or Fractions where
-noted), so all arithmetic is arbitrary precision.  Matrices are lists of
-rows.  No floating point anywhere.
+Everything here works on plain lists of Python ints, so all arithmetic is
+arbitrary precision.  Matrices are lists of rows.  Rational matrices are
+handled by their callers as an integer matrix over one common denominator.
+No floating point anywhere.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 Matrix = list[list[int]]
 
@@ -285,66 +284,3 @@ def inertia(g) -> tuple[int, int, int]:
     n_minus = _sign_variations(q)
     assert n_plus + n_minus + n_zero == n
     return n_plus, n_zero, n_minus
-
-
-# ---------------------------------------------------------------------------
-# rational helpers
-
-FracMatrix = list[list[Fraction]]
-
-
-def frac_matrix(m) -> FracMatrix:
-    return [[Fraction(x) for x in row] for row in m]
-
-
-def frac_inverse(m) -> FracMatrix:
-    """Inverse of a square matrix over Q (Gauss-Jordan)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
-def frac_mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            av = a[i][k]
-            if av:
-                for j in range(cols):
-                    out[i][j] += av * b[k][j]
-    return out
-
-
-def frac_solve_left(rows_matrix, target_rows):
-    """Solve X * rows_matrix = target_rows over Q (rows_matrix square invertible)."""
-    inv = frac_inverse(rows_matrix)
-    return frac_mat_mul(target_rows, inv)
-
-
-def clear_denominators(frac_rows):
-    """Scale rational rows by one common denominator; return (int_rows, den)."""
-    den = 1
-    for row in frac_rows:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-    out = [[int(x * den) for x in row] for row in frac_rows]
-    return out, den
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -709,6 +709,15 @@ def subgroup_elements(f: FiniteQuadraticForm, gens) -> frozenset:
     return frozenset(seen)
 
 
+def subgroup_order(f: FiniteQuadraticForm, gens) -> int:
+    """|<gens>|: prod(d_i) / det(HNF of the gens stacked on diag(orders))."""
+    k = f.ngens
+    rows = [list(g) for g in gens] + [[d if i == j else 0 for j in range(k)]
+                                      for i, d in enumerate(f.orders)]
+    h = exact.hermite_normal_form(rows)
+    return f.size // math.prod(h[i][i] for i in range(k))
+
+
 def is_isotropic_subgroup(f: FiniteQuadraticForm, gens) -> bool:
     return all(f.q(x) == 0 for x in subgroup_elements(f, gens))
 
@@ -906,19 +915,21 @@ def aut_g_delta_orders() -> tuple[int, int]:
 # anti-isomorphisms ------------------------------------------------------------
 
 def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> bool:
-    """Exhaustively check q_tgt(phi x) = -q_src(x) on the subgroup spanned by src_gens."""
-    pairs = list(zip(src_gens, tgt_gens))
-    orders = [fsrc.element_order(g) for g, _ in pairs]
-    for coeffs in itertools.product(*[range(o) for o in orders]):
-        x = fsrc.zero()
-        y = ftgt.zero()
-        for c, (g, t) in zip(coeffs, pairs):
-            x = fsrc.add(x, fsrc.smul(c, g))
-            y = ftgt.add(y, ftgt.smul(c, t))
-        if _mod2(fsrc.q(x) + ftgt.q(y)) != 0:
+    """Whether src_gens -> tgt_gens negates q on the span of src_gens, onto a span of equal order.
+
+    Since q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j)
+    mod 2, q is negated on the whole span exactly when it is on each
+    generator and b is on each pair.  A generator of source order 1 only
+    enters the span with coefficient 0, so it is skipped.
+    """
+    pairs = [(g, t) for g, t in zip(src_gens, tgt_gens) if fsrc.element_order(g) > 1]
+    for i, (g, t) in enumerate(pairs):
+        if _mod2(fsrc.q(g) + ftgt.q(t)) != 0:
             return False
-    gen_count = len(subgroup_elements(fsrc, src_gens))
-    return gen_count == len(subgroup_elements(ftgt, tgt_gens))
+        for g2, t2 in pairs[i + 1:]:
+            if _mod1(fsrc.b(g, g2) + ftgt.b(t, t2)) != 0:
+                return False
+    return subgroup_order(fsrc, src_gens) == subgroup_order(ftgt, tgt_gens)
 
 
 def build_anti_iso(src_view: SpanView, tgt_view: SpanView):

@@ -5,11 +5,11 @@ involutions obtained by gluing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exact, forms
+from .exact import Matrix
 from .forms import FiniteQuadraticForm
-from .lattice import Lattice, SublatticeRef, direct_sum, overlattice, sublattice
+from .lattice import Lattice, SublatticeRef, _overlattice, direct_sum, overlattice, sublattice
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class GlueMap:
 
     @property
     def subgroup_order(self) -> int:
-        return len(forms.subgroup_elements(self.source_form, list(self.source_gens)))
+        return forms.subgroup_order(self.source_form, list(self.source_gens))
 
 
 def trivial_glue_map(l1: Lattice, l2: Lattice) -> GlueMap:
@@ -69,66 +69,53 @@ def extend(l: Lattice, h_gens) -> Lattice:
         raise ValueError("subgroup is not isotropic")
     vectors = [f.lift_vector(g) for g in h_gens]
     out = overlattice(l, vectors)
-    h_order = len(forms.subgroup_elements(f, list(h_gens)))
-    assert abs(out.det()) * h_order * h_order == abs(l.det())
+    h_order = forms.subgroup_order(f, list(h_gens))
+    if abs(out.det()) * h_order * h_order != abs(l.det()):
+        raise ValueError("extension violates det(L_H) |H|^2 = det(L)")
     return out
 
 
 def glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> Lattice:
     """Gluing l1 +_phi l2: the extension of l1 + l2 by the graph of phi."""
+    return _glue(l1, l2, phi)[0]
+
+
+def _glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> tuple[Lattice, Matrix]:
+    """`glue` together with the integer HNF rows H of its basis (see `lattice._overlattice`)."""
     f1, f2 = phi.source_form, phi.target_form
-    n1, n2 = l1.rank, l2.rank
-    vectors = []
-    for g_src, g_tgt in zip(phi.source_gens, phi.target_gens):
-        v1 = f1.lift_vector(g_src)
-        v2 = f2.lift_vector(g_tgt)
-        vectors.append(list(v1) + list(v2))
-    ambient = direct_sum(l1, l2)
-    out = overlattice(ambient, vectors)
+    vectors = [list(f1.lift_vector(g_src)) + list(f2.lift_vector(g_tgt))
+               for g_src, g_tgt in zip(phi.source_gens, phi.target_gens)]
+    out, h = _overlattice(direct_sum(l1, l2), vectors)
     k = phi.subgroup_order
-    assert abs(out.det()) * k * k == abs(l1.det()) * abs(l2.det())
-    return out
-
-
-def _glued_basis(l1: Lattice, l2: Lattice, phi: GlueMap):
-    """The canonical HNF basis of the gluing, as rational rows in l1+l2 coords."""
-    f1, f2 = phi.source_form, phi.target_form
-    n = l1.rank + l2.rank
-    vectors = []
-    for g_src, g_tgt in zip(phi.source_gens, phi.target_gens):
-        vectors.append(list(f1.lift_vector(g_src)) + list(f2.lift_vector(g_tgt)))
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows += [[Fraction(x) for x in v] for v in vectors]
-    int_rows, den = exact.clear_denominators(rows)
-    h = exact.hermite_normal_form(int_rows)
-    return [[Fraction(x, den) for x in row] for row in h]
+    if abs(out.det()) * k * k != abs(l1.det()) * abs(l2.det()):
+        raise ValueError("gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)")
+    return out, h
 
 
 def glue_involution(l1: Lattice, l2: Lattice, phi: GlueMap) -> LatticeInvolution:
     """The involution on l1 +_phi l2 acting as +1 on l1 and -1 on l2.
 
     Requires the glued subgroups to be 2-elementary (otherwise the graph is
-    not preserved by (+1, -1)).
+    not preserved by (+1, -1)).  On the glued basis H/den the action X solves
+    X*H = H*D with D = diag(+1, -1); H is upper triangular, so X is found by
+    back substitution, and a remainder means X is not integral.
     """
     for g in phi.source_gens:
         if phi.source_form.element_order(g) > 2:
             raise ValueError("glued subgroup is not 2-elementary")
-    glued = glue(l1, l2, phi)
-    basis = _glued_basis(l1, l2, phi)
+    glued, h = _glue(l1, l2, phi)
     n1 = l1.rank
-    n = n1 + l2.rank
-    d = [[Fraction(int(i == j)) * (1 if i < n1 else -1) for j in range(n)] for i in range(n)]
-    image = exact.frac_mat_mul(basis, d)
-    action_f = exact.frac_solve_left(basis, image)
     action = []
-    for row in action_f:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
+    for row in h:
+        target = row[:n1] + [-x for x in row[n1:]]
+        x = []
+        for j, t in enumerate(target):
+            c, r = divmod(t - sum(x[i] * h[i][j] for i in range(j)), h[j][j])
+            if r:
                 raise ValueError("involution does not preserve the glued lattice")
-            out_row.append(int(x))
-        action.append(out_row)
-    return LatticeInvolution(glued, tuple(tuple(r) for r in action))
+            x.append(c)
+        action.append(tuple(x))
+    return LatticeInvolution(glued, tuple(action))
 
 
 def eigenlattices(inv: LatticeInvolution) -> tuple[SublatticeRef, SublatticeRef]:
@@ -157,7 +144,8 @@ def glue_index_r2(inv: LatticeInvolution) -> int:
     while index % 2 == 0:
         index //= 2
         r2 += 1
-    assert index == 1, "index of L+ + L- must be a power of 2"
+    if index != 1:
+        raise ValueError("index of L+ + L- is not a power of 2")
     return r2
 
 

@@ -7,6 +7,7 @@ equality here is basis-dependent on purpose.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +19,6 @@ from .exact import Matrix
 @dataclass(frozen=True)
 class Lattice:
     gram: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
     expr: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -53,8 +53,8 @@ class Lattice:
         return self.expr if self.expr else f"lattice(rank {self.rank})"
 
 
-def make_lattice(gram: Matrix, expr: str | None = None, labels=None) -> Lattice:
-    return Lattice(tuple(tuple(row) for row in gram), labels, expr)
+def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
+    return Lattice(tuple(tuple(row) for row in gram), expr)
 
 
 @dataclass(frozen=True)
@@ -200,28 +200,31 @@ def overlattice(l: Lattice, extra_frac_rows) -> Lattice:
     The result is recomputed on a canonical HNF basis.  Raises when the
     generated lattice is not integral or not even.
     """
+    return _overlattice(l, extra_frac_rows)[0]
+
+
+def _overlattice(l: Lattice, extra_frac_rows) -> tuple[Lattice, Matrix]:
+    """`overlattice` together with its basis as the integer HNF rows H.
+
+    With den the common denominator of the extra rows, the basis is H/den,
+    where H is the HNF of den*I stacked on den*v; its Gram matrix is
+    H*G*H^T / den^2, integral exactly when den^2 divides every entry.
+    """
     n = l.rank
-    frac_rows = [[Fraction(x) for x in row] for row in extra_frac_rows]
-    all_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] + frac_rows
-    int_rows, den = exact.clear_denominators(all_rows)
-    h = exact.hermite_normal_form(int_rows)
+    den = math.lcm(*(x.denominator for row in extra_frac_rows for x in row))
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    rows += [[x.numerator * (den // x.denominator) for x in row] for row in extra_frac_rows]
+    h = exact.hermite_normal_form(rows)
     if len(h) != n:
         raise ValueError("overlattice generators do not span")
-    basis = [[Fraction(x, den) for x in row] for row in h]
-    g0 = exact.frac_matrix(l.gram_rows())
-    gram_f = exact.frac_mat_mul(exact.frac_mat_mul(basis, g0), [list(c) for c in zip(*basis)])
-    gram = []
-    for i, row in enumerate(gram_f):
-        out_row = []
-        for j, x in enumerate(row):
-            if x.denominator != 1:
-                raise ValueError("overlattice is not integral")
-            out_row.append(int(x))
-        gram.append(out_row)
-    for i in range(n):
-        if gram[i][i] % 2 != 0:
-            raise ValueError("overlattice is not even")
-    return make_lattice(gram)
+    scaled = exact.mat_mul(exact.mat_mul(h, l.gram_rows()), exact.transpose(h))
+    den2 = den * den
+    if any(x % den2 for row in scaled for x in row):
+        raise ValueError("overlattice is not integral")
+    gram = [[x // den2 for x in row] for row in scaled]
+    if any(gram[i][i] % 2 for i in range(n)):
+        raise ValueError("overlattice is not even")
+    return make_lattice(gram), h
 
 
 def extension_by_fraction(l: Lattice, v, d: int) -> Lattice:

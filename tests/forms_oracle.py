@@ -1,13 +1,16 @@
-"""Brute-force oracles for the elementary-group routines of `zlat.forms`.
+"""Brute-force oracles for the elementary-group routines of `zlat.forms`
+and for `is_anti_isomorphism`.
 
 Each walks every element of the (sub)group it is given, with `Fraction`
 arithmetic, exactly as the package did before it switched to Gram reduction
-mod p.  They are exponential in the rank, so tests call them on groups of
+mod p (for `is_anti_isomorphism`: to q on the generators and b on their
+pairs).  They are exponential in the rank, so tests call them on groups of
 size at most 2^8 or 3^5 only.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from zlat.exact import identity, mat_mul, transpose
@@ -21,6 +24,7 @@ from zlat.forms import (
     _normalize_2block,
     _view,
     form_on_generators,
+    subgroup_elements,
 )
 from zlat.lattice import make_lattice
 
@@ -143,3 +147,18 @@ def random_basis_change(l, rng, steps: int):
             c = rng.choice((-1, 1))
             m[i] = [a + c * b for a, b in zip(m[i], m[j])]
     return make_lattice(mat_mul(mat_mul(m, l.gram_rows()), transpose(m)))
+
+
+def is_anti_isomorphism(fsrc, src_gens, ftgt, tgt_gens) -> bool:
+    """q_tgt(phi x) = -q_src(x) on every element of the span, and equal span orders."""
+    pairs = list(zip(src_gens, tgt_gens))
+    orders = [fsrc.element_order(g) for g, _ in pairs]
+    for coeffs in itertools.product(*[range(o) for o in orders]):
+        x = fsrc.zero()
+        y = ftgt.zero()
+        for c, (g, t) in zip(coeffs, pairs):
+            x = fsrc.add(x, fsrc.smul(c, g))
+            y = ftgt.add(y, ftgt.smul(c, t))
+        if (fsrc.q(x) + ftgt.q(y)) % 2 != 0:
+            return False
+    return len(subgroup_elements(fsrc, src_gens)) == len(subgroup_elements(ftgt, tgt_gens))

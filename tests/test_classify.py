@@ -185,3 +185,49 @@ def test_all_table5_lattices_stable():
                 if cell in ("-", "*"):
                     continue
                 assert stability.stability_certificate(parse_lattice_expr(cell)) is not None, cell
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+from zlat import classify, forms, stability
+from zlat.lattice import named
+from zlat.gluing import GlueMap, glue
+
+assert not __debug__, "run under python -O"
+real = stability.isomorphic_in_genus
+calls = []
+
+def fewer_yes(a, b):  # stage a passes, the involution's L+ check then fails
+    calls.append(1)
+    return real(a, b) if len(calls) == 1 else "no"
+
+stability.isomorphic_in_genus = fewer_yes
+try:
+    classify.realize_pair(classify.pair_by_ref("8B:1"))
+except ValueError as e:
+    print("realize:", e)
+stability.isomorphic_in_genus = real
+
+l1, l2 = named("<2>"), named("<-2>")
+phi = GlueMap(forms.discriminant_form(l1), forms.discriminant_form(l2), ((1,),), ((1,),))
+forms.subgroup_order = lambda f, gens: 1  # breaks det(l1 +_phi l2) |H|^2 = det(l1) det(l2)
+try:
+    glue(l1, l2, phi)
+except ValueError as e:
+    print("glue:", e)
+"""
+
+
+def test_result_checks_survive_python_O():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines == ["realize: involution: L+ not in the genus of the plus half (8B:1)",
+                     "glue: gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)"]

@@ -19,6 +19,7 @@ from zlat.forms import (
     fingerprint,
     form_on_generators,
     full_view,
+    is_anti_isomorphism,
     is_elementary,
     isotropic_subgroups,
     iso2,
@@ -33,6 +34,7 @@ from zlat.forms import (
     render_form,
     standard_form,
     subgroup_elements,
+    subgroup_order,
 )
 from zlat.lattice import extension_by_fraction, named, parse_lattice_expr, signature
 
@@ -420,3 +422,60 @@ def test_render_form_basis_invariant():
         l = parse_lattice_expr(expr)
         for _ in range(6):
             assert render_form(discriminant_form(random_basis_change(l, rng, 2 * l.rank))) == want
+
+
+# generator maps: subgroup orders and anti-isomorphisms against enumeration ----
+
+
+@st.composite
+def generator_maps(draw):
+    """The discriminant f of a sum of catalog blocks, its negative on the same
+    generators, and a map src -> tgt of up to 3 unreduced generators: the
+    identity (an anti-isomorphism) with some images redrawn, at random or
+    among the elements with the same q (which negates q on the generators but
+    maybe not b on their pairs), some sources of order 1."""
+    from zlat.classify import CATALOG
+
+    f = discriminant_form(parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(CATALOG),
+                                                                     min_size=1, max_size=2)))))
+    neg = form_on_generators(f.orders, [[-x for x in row] for row in f.bil], [-x for x in f.quad])
+    elem = st.tuples(*[st.integers(-d, 2 * d) for d in f.orders])
+    trivial = st.tuples(*[st.sampled_from([0, d, -d]) for d in f.orders])
+    src = draw(st.lists(st.one_of(elem, trivial), max_size=3))
+    tgt = []
+    for x in src:
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            x = draw(elem)
+        elif how == 1:
+            x = draw(st.sampled_from([y for y in f.elements() if f.q(y) == f.q(x)]))
+        tgt.append(x)
+    return f, src, neg, tgt
+
+
+@given(generator_maps())
+@settings(max_examples=150, deadline=None)
+def test_subgroup_order_matches_enumeration(case):
+    f, src, neg, tgt = case
+    assert subgroup_order(f, src) == len(subgroup_elements(f, src))
+    assert subgroup_order(neg, tgt) == len(subgroup_elements(neg, tgt))
+
+
+@given(generator_maps())
+@settings(max_examples=150, deadline=None)
+def test_is_anti_isomorphism_matches_oracle(case):
+    f, src, neg, tgt = case
+    assert is_anti_isomorphism(f, src, neg, tgt) == oracle.is_anti_isomorphism(f, src, neg, tgt)
+
+
+def test_is_anti_isomorphism_checks_pairings():
+    # on <1/2>+u2 = <e, x, y>: (e, e+x) -> (e+x, e+y) keeps q on both generators
+    # and the span order, but b(e, e+x) = 1/2 while b(e+x, e+y) = 0
+    f = standard_form("<1/2>+u2")
+    neg = form_on_generators(f.orders, [[-x for x in row] for row in f.bil], [-x for x in f.quad])
+    src, tgt = [(1, 0, 0), (1, 1, 0)], [(1, 1, 0), (1, 0, 1)]
+    assert [f.q(x) for x in src] == [f.q(x) for x in tgt]
+    assert subgroup_order(f, src) == subgroup_order(f, tgt) == 4
+    assert not is_anti_isomorphism(f, src, neg, tgt)
+    assert not oracle.is_anti_isomorphism(f, src, neg, tgt)
+    assert is_anti_isomorphism(f, src, neg, src)

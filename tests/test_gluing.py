@@ -1,8 +1,13 @@
 from fractions import Fraction
 
+import gluing_oracle
 import pytest
+from forms_oracle import random_basis_change
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlat import exact, forms
+from zlat.classify import CATALOG
 from zlat.gluing import (
     GlueMap,
     eigenlattices,
@@ -15,9 +20,11 @@ from zlat.gluing import (
     LatticeInvolution,
 )
 from zlat.lattice import (
+    EMPTY,
     direct_sum,
     extension_by_fraction,
     named,
+    overlattice,
     parse_lattice_expr,
     signature,
 )
@@ -202,3 +209,88 @@ def test_determinant_identity_for_glue():
     phi = GlueMap(f1, f2, (g1,), (g2,))
     glued = glue(l1, l2, phi)
     assert abs(glued.det()) * 4 == abs(l1.det()) * abs(l2.det())
+
+
+# integer overlattice and involution against the Fraction oracles ------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def lattices_with_rows(draw):
+    """A sum of catalog blocks (and <-4>, whose half vector is integral but odd)
+    in a random basis, with rows from its dual lattice, some moved off it."""
+    l = parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(CATALOG + ["<-4>"]),
+                                                   min_size=1, max_size=3))))
+    l = random_basis_change(l, draw(st.randoms(use_true_random=False)), 2 * l.rank if l.rank > 1 else 0)
+    f = forms.discriminant_form(l)
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        x = tuple(draw(st.integers(0, d - 1)) for d in f.orders)
+        v = f.lift_vector(x) if f.ngens else [F(0)] * l.rank
+        v = [c + draw(st.integers(-2, 2)) for c in v]
+        if draw(st.integers(0, 3)) == 0:
+            v[draw(st.integers(0, l.rank - 1))] += F(1, draw(st.integers(2, 5)))
+        rows.append(v)
+    return l, rows
+
+
+@given(lattices_with_rows())
+@settings(max_examples=120, deadline=None)
+def test_overlattice_matches_fraction_oracle(case):
+    l, rows = case
+    assert _outcome(overlattice, l, rows) == _outcome(gluing_oracle.overlattice, l, rows)
+
+
+def test_overlattice_errors_match_fraction_oracle():
+    cases = [
+        (EMPTY, [[F(1, 2)]], "overlattice generators do not span"),
+        (named("A1"), [[F(1, 2)]], "overlattice is not integral"),
+        (named("<-4>"), [[F(1, 2)]], "overlattice is not even"),
+        (parse_lattice_expr("6A2"), [[F(1, 3), F(-1, 3)] * 6], None),
+    ]
+    for l, rows, message in cases:
+        got = _outcome(overlattice, l, rows)
+        assert got == _outcome(gluing_oracle.overlattice, l, rows)
+        assert got == message if message else abs(got.det()) == 81
+
+
+@st.composite
+def two_elementary_glue_maps(draw):
+    """Sums l1, l2 of catalog blocks with even determinant and a glue map
+    between 2-torsion elements, grown greedily from randomly ordered candidates."""
+    blocks = [b for b in CATALOG if parse_lattice_expr(b).det() % 2 == 0]
+    l1, l2 = (parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=2))))
+              for _ in range(2))
+    f1, f2 = forms.discriminant_form(l1), forms.discriminant_form(l2)
+    rng = draw(st.randoms(use_true_random=False))
+    t1, t2 = ([x for x in f.elements() if f.element_order(x) == 2] for f in (f1, f2))
+    rng.shuffle(t1)
+    rng.shuffle(t2)
+    want = draw(st.integers(1, 3))
+    src, tgt = [], []
+    for x in t1:
+        if len(src) == want:
+            break
+        if forms.subgroup_order(f1, src + [x]) == forms.subgroup_order(f1, src):
+            continue
+        for y in t2:
+            if forms.is_anti_isomorphism(f1, src + [x], f2, tgt + [y]):
+                src.append(x)
+                tgt.append(y)
+                break
+    return l1, l2, GlueMap(f1, f2, tuple(src), tuple(tgt))
+
+
+@given(two_elementary_glue_maps())
+@settings(max_examples=60, deadline=None)
+def test_glue_involution_matches_fraction_oracle(case):
+    l1, l2, phi = case
+    inv = glue_involution(l1, l2, phi)
+    assert inv.action_rows() == gluing_oracle.glue_involution_action(l1, l2, phi)
+    assert 2 ** glue_index_r2(inv) == phi.subgroup_order
