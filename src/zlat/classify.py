@@ -26,6 +26,8 @@ from .lattice import (
 )
 
 CATALOG = ["U", "U(2)", "U(3)", "U(6)", "<2>", "<6>", "<-6>", "A1", "A2", "A2(2)", "D4", "E6"]
+BLOCK_RANK = {"U": 2, "U(2)": 2, "U(3)": 2, "U(6)": 2, "<2>": 1, "<6>": 1,
+              "<-6>": 1, "A1": 1, "A2": 2, "A2(2)": 2, "D4": 4, "E6": 6}
 HYPERBOLIC_BLOCKS = ("U", "U(2)", "U(3)", "U(6)", "<2>", "<6>")
 
 
@@ -185,26 +187,32 @@ def _combined_invariants(names: list[str]):
     return rank, n_plus, r2, d2, p, q
 
 
+def block_multisets(names: list[str], max_rank: int) -> list[list[str]]:
+    """Every multiset of the named catalog blocks of total rank <= max_rank.
+
+    Grown one name at a time (base first, then base + c copies), so the
+    empty multiset comes first and the last name's count runs fastest."""
+    sets: list[list[str]] = [[]]
+    for name in names:
+        grown = []
+        for base in sets:
+            used = sum(BLOCK_RANK[b] for b in base)
+            c = 0
+            grown.append(base)
+            while used + BLOCK_RANK[name] * (c + 1) <= max_rank:
+                c += 1
+                grown.append(base + [name] * c)
+        sets = grown
+    return sets
+
+
 def _candidate_multisets(max_rank: int):
     """All 'one hyperbolic block + negative blocks' multisets, by rank."""
-    negatives = ["<-6>", "A1", "A2", "A2(2)", "D4", "E6"]
-    neg_rank = {"<-6>": 1, "A1": 1, "A2": 2, "A2(2)": 2, "D4": 4, "E6": 6}
-    neg_sets: list[list[str]] = [[]]
-    for name in negatives:
-        grown = []
-        for base in neg_sets:
-            used = sum(neg_rank[n] for n in base)
-            count = 0
-            while used + neg_rank[name] * (count + 1) <= max_rank:
-                count += 1
-            for c in range(count + 1):
-                grown.append(base + [name] * c)
-        neg_sets = grown
+    neg_sets = block_multisets(["<-6>", "A1", "A2", "A2(2)", "D4", "E6"], max_rank)
     out = []
     for hyp in HYPERBOLIC_BLOCKS:
-        hrank = 1 if hyp.startswith("<") else 2
         for tail in neg_sets:
-            total = hrank + sum(neg_rank[n] for n in tail)
+            total = BLOCK_RANK[hyp] + sum(BLOCK_RANK[n] for n in tail)
             if total <= max_rank:
                 out.append([hyp] + tail)
     out.sort(key=lambda names: (len(names), tuple(CATALOG.index(n) for n in names)))
@@ -233,7 +241,8 @@ def witness_lattice(inv: THalfInvariants) -> Lattice:
     for names in _candidate_multisets(8):
         if _combined_invariants(names) == target:
             l = parse_lattice_expr(render_blocks(names))
-            assert stability.invariants(l) == inv.key(), "witness recomputation mismatch"
+            if stability.invariants(l) != inv.key():
+                raise ValueError(f"witness recomputation mismatch for {inv.key()}")
             return l
     raise ValueError(f"no witness lattice for invariants {inv.key()}")
 
@@ -324,10 +333,10 @@ def reversion_partner(pair: TPair) -> TPair | None:
         raise ValueError(f"census says reversible but no root found for pair {pair.table_ref}")
     t2 = pair.witness_minus
     comp = orthogonal_complement(sublattice(t2, [list(root)]))
-    t2v = comp.as_lattice()
-    assert stability.invariants(t2v) == partner.t_plus.key()
-    new_second = direct_sum(named("A1"), pair.witness_plus)
-    assert stability.invariants(new_second) == partner.t_minus.key()
+    if stability.invariants(comp.as_lattice()) != partner.t_plus.key():
+        raise ValueError(f"pair {pair.table_ref}: the root complement is not the partner's plus half")
+    if stability.invariants(direct_sum(named("A1"), pair.witness_plus)) != partner.t_minus.key():
+        raise ValueError(f"pair {pair.table_ref}: A1 + plus half is not the partner's minus half")
     return partner
 
 
@@ -422,17 +431,13 @@ def _two_part_generators(f: forms.FiniteQuadraticForm):
 def _half_class_is_characteristic(f, l: Lattice, v, gens2) -> bool:
     """Whether [v/2] pairs as x -> q(x) mod Z on the 2-part of discr.
 
-    With lift(h) = w/e (w integral) and q(h) = a/c, the test
-    v.G.w / (2e) = a/c mod Z is made over m = lcm(2e, c) in integers.
+    With lift(h) = w/n and q(h) = a/n, the test v.G.w / (2n) = a/n mod Z
+    reads v.G.w = 2a mod 2n.
     """
     vg = exact.mat_mul([list(v)], l.gram_rows())[0]
     for h in gens2:
-        lift = f.lift_vector(h)
-        e = math.lcm(*(x.denominator for x in lift))
-        pairing = sum(a * x.numerator * (e // x.denominator) for a, x in zip(vg, lift))
-        qh = f.q(h)
-        m = math.lcm(2 * e, qh.denominator)
-        if (pairing * (m // (2 * e)) - qh.numerator * (m // qh.denominator)) % m:
+        w, n = f.lift_vector(h)
+        if (sum(a * x for a, x in zip(vg, w)) - 2 * f.q_numer(h)) % (2 * n):
             return False
     return True
 
@@ -490,9 +495,12 @@ def _check_s_pair(nu_i, o, s_plus, s_minus):
     p_plus, q_plus = _s_half_pq(s_plus)
     p_minus, q_minus = _s_half_pq(s_minus)
     want_p = 1 if o == "+" else 0
-    assert p_plus == want_p, "S+ sign mismatch"
-    assert (p_minus, q_minus) == (1 - p_plus, 3 - q_plus), "S-pair 3-parts not complementary"
-    assert nu_i == (3 - q_plus if o == "+" else q_plus), "nu_i mismatch"
+    if p_plus != want_p:
+        raise ValueError("S+ sign mismatch")
+    if (p_minus, q_minus) != (1 - p_plus, 3 - q_plus):
+        raise ValueError("S-pair 3-parts not complementary")
+    if nu_i != (3 - q_plus if o == "+" else q_plus):
+        raise ValueError("nu_i mismatch")
 
 
 # ---------------------------------------------------------------------------

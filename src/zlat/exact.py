@@ -252,7 +252,8 @@ def char_poly(m) -> list[int]:
     for k in range(1, n + 1):
         mk = mat_mul(m, mk)
         tr = sum(mk[i][i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
         c = -tr // k
         coeffs.append(c)
         for i in range(n):
@@ -282,5 +283,6 @@ def inertia(g) -> tuple[int, int, int]:
     n_plus = _sign_variations(p)
     q = [c if (len(p) - 1 - i) % 2 == 0 else -c for i, c in enumerate(p)]
     n_minus = _sign_variations(q)
-    assert n_plus + n_minus + n_zero == n
+    if n_plus + n_minus + n_zero != n:
+        raise ArithmeticError("characteristic polynomial is not real-rooted")
     return n_plus, n_zero, n_minus

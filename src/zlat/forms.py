@@ -1,11 +1,15 @@
 """Finite inner-product groups with quadratic refinement (enhanced groups).
 
 A FiniteQuadraticForm is presented by generators of orders d_1 | ... | d_k
-with a Q/Z-valued pairing matrix and Q/2Z-valued squares on the generators.
+with a Q/Z-valued pairing and Q/2Z-valued squares on the generators.
 Elements are coefficient tuples mod the orders.
 
-Values are always kept canonically reduced: squares into [0, 2), pairings
-into [0, 1).
+Every value lies in (1/n)Z for the exponent n = lcm(orders): b(e_i, e_j) has
+order dividing gcd(d_i, d_j) and q(e_i) = b(e_i, e_i) mod 1.  So a form is
+kept as integers over n: b(e_i, e_j) = b_num[i][j] / n with b_num reduced
+mod n, q(e_i) = q_num[i] / n with q_num reduced mod 2n, and (for a
+discriminant form) the lift of e_i to the lattice is lift_cols[i] / d_i.
+`b` and `q` return reduced `Fraction`s; everything else reads the integers.
 """
 
 from __future__ import annotations
@@ -26,20 +30,13 @@ GAUSS_SIZE_CAP = 10**6
 Element = tuple[int, ...]
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _mod2(x: Fraction) -> Fraction:
-    return _mod1(x / 2) * 2
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
     orders: tuple[int, ...]
-    bil: tuple[tuple[Fraction, ...], ...]
-    quad: tuple[Fraction, ...]
-    lifts: tuple[tuple[Fraction, ...], ...] | None = field(default=None, compare=False)
+    n: int
+    b_num: tuple[tuple[int, ...], ...]
+    q_num: tuple[int, ...]
+    lift_cols: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
 
     @property
     def ngens(self) -> int:
@@ -69,124 +66,119 @@ class FiniteQuadraticForm:
                 o = o * od // math.gcd(o, od)
         return o
 
-    def b(self, x, y) -> Fraction:
-        total = Fraction(0)
+    def b_numer(self, x, y) -> int:
+        """n * b(x, y), reduced mod n."""
+        total = 0
+        for xi, row in zip(x, self.b_num):
+            if xi:
+                total += xi * sum(yj * bij for yj, bij in zip(y, row))
+        return total % self.n
+
+    def q_numer(self, x) -> int:
+        """n * q(x), reduced mod 2n."""
+        total = 0
         for i, xi in enumerate(x):
             if xi:
-                row = self.bil[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += xi * yj * row[j]
-        return _mod1(total)
+                row = self.b_num[i]
+                total += xi * (xi * self.q_num[i] + 2 * sum(x[j] * row[j] for j in range(i + 1, len(x))))
+        return total % (2 * self.n)
+
+    def b(self, x, y) -> Fraction:
+        return Fraction(self.b_numer(x, y), self.n)
 
     def q(self, x) -> Fraction:
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                total += xi * xi * self.quad[i]
-                row = self.bil[i]
-                for j in range(i + 1, self.ngens):
-                    if x[j]:
-                        total += 2 * xi * x[j] * row[j]
-        return _mod2(total)
+        return Fraction(self.q_numer(x), self.n)
 
-    def lift_vector(self, x):
-        """Rational coordinates in the source lattice basis (when lifts are recorded)."""
-        if self.lifts is None:
+    def lift_vector(self, x) -> tuple[list[int], int]:
+        """(w, n): the lift of x to the source lattice is w / n (when lifts are recorded)."""
+        if self.lift_cols is None:
             raise ValueError("form carries no lattice lifts")
-        n = len(self.lifts[0]) if self.lifts else 0
-        out = [Fraction(0)] * n
-        for c, lift in zip(x, self.lifts):
+        w = [0] * (len(self.lift_cols[0]) if self.lift_cols else 0)
+        for c, col, d in zip(x, self.lift_cols, self.orders):
             if c:
-                for j in range(n):
-                    out[j] += c * lift[j]
-        return out
+                k = c * (self.n // d)
+                w = [a + k * v for a, v in zip(w, col)]
+        return w, self.n
 
 
-TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
+TRIVIAL_FORM = FiniteQuadraticForm((), 1, (), ())
 
 
-def form_on_generators(orders, bil, quad, lifts=None) -> FiniteQuadraticForm:
+def form_on_generators(orders, bil, quad) -> FiniteQuadraticForm:
+    """The form with b(e_i, e_j) = bil[i][j] and q(e_i) = quad[i] (rationals).
+
+    Raises when a value does not lie in (1/n)Z for n the exponent."""
     orders = tuple(int(d) for d in orders)
-    bil_t = tuple(tuple(_mod1(Fraction(x)) for x in row) for row in bil)
-    quad_t = tuple(_mod2(Fraction(x)) for x in quad)
-    lifts_t = tuple(tuple(Fraction(x) for x in row) for row in lifts) if lifts else None
-    return FiniteQuadraticForm(orders, bil_t, quad_t, lifts_t)
+    n = math.lcm(*orders)
+
+    def numerator(value, mod):
+        value = Fraction(value)
+        if n % value.denominator:
+            raise ValueError(f"value {value} does not lie in (1/{n})Z")
+        return value.numerator * (n // value.denominator) % mod
+
+    return FiniteQuadraticForm(orders, n, tuple(tuple(numerator(x, n) for x in row) for row in bil),
+                               tuple(numerator(x, 2 * n) for x in quad))
 
 
 def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     """The discriminant L*/L with Q/Z pairing and Q/2Z quadratic refinement.
 
     Generators come from the Smith transform of the Gram matrix: the i-th
-    generator lifts to (column i of V) / d_i, which makes all lifts
-    deterministic.
+    generator lifts to c_i / d_i with c_i column i of V, which makes all
+    lifts deterministic (a unimodular lattice records none).  c_i G / d_i
+    is an integer row, so b(e_i, e_j) = (c_i G / d_i) c_j / d_j over one
+    integer product.
     """
     if not l.is_even:
         raise ValueError("lattice is not even")
     g = l.gram_rows()
-    n = l.rank
-    if n == 0:
+    r = l.rank
+    if r == 0:
         return TRIVIAL_FORM
     _u, d, v = exact.smith_normal_form(g)
     cols = []
     orders = []
-    for i in range(n):
+    for i in range(r):
         di = d[i][i]
         if di == 0:
             raise ValueError("degenerate lattice")
         if di > 1:
             orders.append(di)
-            cols.append([v[k][i] for k in range(n)])
-    # generator i lifts to col_i / d_i; pairings via one integer triple product
-    bil = []
-    quad = []
-    gcols = [exact.mat_mul([c], g)[0] for c in cols]
-    for i, ci in enumerate(cols):
-        row = []
-        for j, cj in enumerate(cols):
-            numer = sum(gcols[i][k] * cj[k] for k in range(n))
-            row.append(_mod1(Fraction(numer, orders[i] * orders[j])))
-        bil.append(row)
-        quad.append(_mod2(Fraction(sum(gcols[i][k] * ci[k] for k in range(n)),
-                                   orders[i] * orders[i])))
-    gens = [[Fraction(c, o) for c in col] for col, o in zip(cols, orders)]
-    return form_on_generators(orders, bil, quad, gens)
+            cols.append(tuple(v[k][i] for k in range(r)))
+    n = math.lcm(*orders)
+    duals = [[x // di for x in row] for row, di in zip(exact.mat_mul(cols, g), orders)] if cols else []
+    b_num = tuple(tuple(sum(a * c for a, c in zip(dual, cj)) * (n // dj) % n for cj, dj in zip(cols, orders))
+                  for dual in duals)
+    q_num = tuple(sum(a * c for a, c in zip(dual, ci)) * (n // di) % (2 * n)
+                  for dual, ci, di in zip(duals, cols, orders))
+    return FiniteQuadraticForm(tuple(orders), n, b_num, q_num, tuple(cols) or None)
 
 
 def direct_sum_forms(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    orders = []
-    quad = []
-    lifts_ok = all(f.lifts is not None for f in forms) and forms
-    widths = [len(f.lifts[0]) if f.lifts else 0 for f in forms] if lifts_ok else []
+    """Orthogonal sum; each summand's numerators are rescaled by n / n_f."""
+    n = math.lcm(*(f.n for f in forms))
+    k = sum(f.ngens for f in forms)
+    orders, b_num, q_num = [], [], []
     for f in forms:
-        orders.extend(f.orders)
-        quad.extend(f.quad)
-    k = len(orders)
-    bil = [[Fraction(0)] * k for _ in range(k)]
-    off = 0
-    for f in forms:
-        m = f.ngens
-        for i in range(m):
-            for j in range(m):
-                bil[off + i][off + j] = f.bil[i][j]
-        off += m
-    lifts = None
-    if lifts_ok:
-        lifts = []
-        for fi, f in enumerate(forms):
-            pad_l = sum(widths[:fi])
-            pad_r = sum(widths[fi + 1:])
-            for row in f.lifts:
-                lifts.append([Fraction(0)] * pad_l + list(row) + [Fraction(0)] * pad_r)
-    return form_on_generators(orders, bil, quad, lifts)
+        s = n // f.n
+        q_num += [x * s for x in f.q_num]
+        b_num += [(0,) * len(orders) + tuple(x * s for x in row) + (0,) * (k - len(orders) - f.ngens)
+                  for row in f.b_num]
+        orders += f.orders
+    lift_cols = None
+    if forms and all(f.lift_cols is not None for f in forms):
+        widths = [len(f.lift_cols[0]) if f.lift_cols else 0 for f in forms]
+        lift_cols = tuple((0,) * sum(widths[:fi]) + col + (0,) * sum(widths[fi + 1:])
+                          for fi, f in enumerate(forms) for col in f.lift_cols)
+    return FiniteQuadraticForm(tuple(orders), n, tuple(b_num), tuple(q_num), lift_cols)
 
 
 # standard small forms -------------------------------------------------------
 
 def q_cyclic(n: int, value: Fraction) -> FiniteQuadraticForm:
     """<value> on Z/n: q(gen) = value mod 2, b(gen, gen) = value mod 1."""
-    value = Fraction(value)
-    return form_on_generators([n], [[_mod1(value)]], [value])
+    return form_on_generators([n], [[value]], [value])
 
 
 def u2_form() -> FiniteQuadraticForm:
@@ -228,7 +220,10 @@ def standard_form(spec: str) -> FiniteQuadraticForm:
 # p-parts ---------------------------------------------------------------------
 
 def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
-    """The restriction of the form to the maximal p-subgroup."""
+    """The restriction of the form to the maximal p-subgroup.
+
+    Its generators are m_i e_i of order p^k = d_i / m_i; they lift to
+    c_i / p^k, so the lift columns are kept."""
     idx = []
     mults = []
     new_orders = []
@@ -241,15 +236,12 @@ def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
             idx.append(i)
             mults.append(f.orders[i] // pk)
             new_orders.append(pk)
-    bil = [
-        [_mod1(mults[a] * mults[b] * f.bil[idx[a]][idx[b]]) for b in range(len(idx))]
-        for a in range(len(idx))
-    ]
-    quad = [_mod2(mults[a] * mults[a] * f.quad[idx[a]]) for a in range(len(idx))]
-    lifts = None
-    if f.lifts is not None:
-        lifts = [[mults[a] * x for x in f.lifts[idx[a]]] for a in range(len(idx))]
-    return form_on_generators(new_orders, bil, quad, lifts)
+    n = math.lcm(*new_orders)
+    b_num = tuple(tuple(ma * mb * f.b_num[i][j] * n // f.n % n for j, mb in zip(idx, mults))
+                  for i, ma in zip(idx, mults))
+    q_num = tuple(ma * ma * f.q_num[i] * n // f.n % (2 * n) for i, ma in zip(idx, mults))
+    lift_cols = None if f.lift_cols is None else tuple(f.lift_cols[i] for i in idx)
+    return FiniteQuadraticForm(tuple(new_orders), n, b_num, q_num, lift_cols)
 
 
 def p_rank(f: FiniteQuadraticForm, p: int) -> int:
@@ -280,7 +272,8 @@ def is_elementary(f: FiniteQuadraticForm, p: int) -> bool:
 
 @dataclass
 class SpanView:
-    """An independent list of generators spanning a subgroup of an elementary p-part."""
+    """An independent list of generators spanning a subgroup of an elementary
+    p-group (whose exponent n is p, so n*b and n*q are p*b and p*q)."""
 
     form: FiniteQuadraticForm
     gens: list[Element]
@@ -320,7 +313,7 @@ def _combine(view: SpanView, coeffs) -> Element:
 def _complement_of(view: SpanView, block: list[Element]) -> SpanView:
     """Basis of the orthogonal complement of a nondegenerate block inside view (a kernel mod p)."""
     f, p, m = view.form, view.p, len(block)
-    rows = [[(p * f.b(x, h)).numerator for h in block] + [int(a == c) for c in range(view.dim)]
+    rows = [[f.b_numer(x, h) for h in block] + [int(a == c) for c in range(view.dim)]
             for a, x in enumerate(view.gens)]
     for col in range(m):
         piv = next((t for t in range(col, len(rows)) if rows[t][col]), None)
@@ -344,7 +337,8 @@ def _reduce(view: SpanView):
     """Orthogonal splitting of an elementary 2- or 3-subspace by Gram-Schmidt mod p.
 
     Tracks coefficient vectors over the view's generators, their pairings
-    p*b mod p and, for p = 2, their squares 2q mod 4 (q is fixed by b for p = 3).
+    p*b mod p and, for p = 2, their squares 2q mod 4 (q is fixed by b for p = 3):
+    the form is elementary, so n = p and these are b_num and q_num.
     A vector with b(x, x) != 0 splits off alone: "e+"/"e-" for 2q = 1/3,
     "t+"/"t-" for 3b(x, x) = 2/1.  When none is left, p = 2 splits off a pair
     with b(x, y) = 1/2 as "v2" (both squares 1) or "u2", and p = 3 turns x
@@ -352,10 +346,10 @@ def _reduce(view: SpanView):
     vectors and the (kind, vector indices) blocks, rank-1 blocks first.
     """
     f, p, r = view.form, view.p, view.dim
-    bil = [[v.numerator * (p // v.denominator) for v in row] for row in f.bil]
+    bil = f.b_num
     supp = [[(i, c) for i, c in enumerate(x) if c] for x in view.gens]
     b = [[sum(c * d * bil[i][j] for i, c in sx for j, d in sy) % p for sy in supp] for sx in supp]
-    q = [(2 * f.q(g)).numerator % 4 for g in view.gens] if p == 2 else None
+    q = [f.q_numer(g) for g in view.gens] if p == 2 else None
     vecs = [[int(a == c) for c in range(r)] for a in range(r)]
 
     def add(t, s, c=1):  # vector t += c * vector s, keeping b and q in step
@@ -404,7 +398,7 @@ THALF = Fraction(3, 2)
 TWO3 = Fraction(2, 3)
 FOUR3 = Fraction(4, 3)
 
-_Q_OF_KIND = {"e+": HALF, "e-": THALF, "t+": TWO3, "t-": FOUR3}
+_Q_NUM_OF_KIND = {"e+": 1, "e-": 3, "t+": 2, "t-": 4}  # n*q of the rank-1 kinds, n = p
 _BROWN_OF_KIND = {"e+": 1, "e-": -1, "u2": 0, "v2": 4, "t+": 2, "t-": -2}
 ANTI_KIND = {"e+": "e-", "e-": "e+", "u2": "u2", "v2": "v2", "t+": "t-", "t-": "t+"}
 
@@ -416,10 +410,9 @@ def _is_odd(blocks) -> int:
 def _normalize_2block(f: FiniteQuadraticForm, x, y):
     """Canonical basis of a rank-2 even block: u2 gens have q = 0, v2 gens q = 1."""
     elems = sorted({x, y, f.add(x, y)})
-    vals = {f.q(e) for e in elems}
-    if vals == {Fraction(1)}:
+    if all(f.q_numer(e) == 2 for e in elems):  # q = 1
         return "v2", [elems[0], elems[1]]
-    gens = [e for e in elems if f.q(e) == 0]
+    gens = [e for e in elems if f.q_numer(e) == 0]
     return "u2", gens[:2]
 
 
@@ -455,9 +448,9 @@ def present_with(view: SpanView, kinds: list[str]):
         return [] if view.dim == 0 else None
     kind, rest = kinds[0], kinds[1:]
     if kind in ("e+", "e-", "t+", "t-"):
-        want = _Q_OF_KIND[kind]
+        want = _Q_NUM_OF_KIND[kind]
         for x in view.elements():
-            if f.q(x) == want:
+            if f.q_numer(x) == want:
                 sub = present_with(_complement_of(view, [x]), rest)
                 if sub is not None:
                     return [(kind, [x])] + sub
@@ -465,10 +458,10 @@ def present_with(view: SpanView, kinds: list[str]):
     if kind in ("u2", "v2"):
         elems = [e for e in view.elements() if any(e)]
         for x in elems:
-            if f.q(x) not in (0, 1):
+            if f.q_numer(x) % 2:  # q not in Z
                 continue
             for y in elems:
-                if y == x or f.b(x, y) == 0 or f.q(y) not in (0, 1):
+                if y == x or f.b_numer(x, y) == 0 or f.q_numer(y) % 2:
                     continue
                 found_kind, gens = _normalize_2block(f, x, y)
                 if found_kind != kind:
@@ -519,7 +512,7 @@ def parity2(f_or_view) -> int:
     x -> b(x, x) = q(x) mod Z is additive on an elementary 2-group, so one
     generator with q not in Z decides."""
     view = _view(f_or_view, 2)
-    return int(any(view.form.q(g).denominator != 1 for g in view.gens))
+    return int(any(view.form.q_numer(g) % 2 for g in view.gens))
 
 
 def characteristic_element(f_or_view) -> Element:
@@ -555,67 +548,62 @@ def brown(f: FiniteQuadraticForm) -> int:
     return total % 8
 
 
-def _phase_histogram(f: FiniteQuadraticForm, m: int) -> list[int]:
-    """counts[n] = #{x : m*q(x) = n mod 2m}, by integer recursion."""
-    two_m = 2 * m
-    quad_n = [int(v * m) % two_m for v in f.quad]
-    bil2_n = [[int(2 * v * m) % two_m for v in row] for row in f.bil]
-    counts = [0] * two_m
-    k = f.ngens
-    orders = f.orders
+def _phase_histogram(f: FiniteQuadraticForm) -> list[int]:
+    """counts[t] = #{x : n*q(x) = t mod 2n}, by integer recursion over the coordinates."""
+    k, two_n = f.ngens, 2 * f.n
+    bil2 = [[2 * x for x in row] for row in f.b_num]
+    counts = [0] * two_n
 
-    def rec(j, n_acc, row_acc):
-        if j == k:
-            counts[n_acc % two_m] += 1
+    def rec(j, acc, row_acc):
+        qj, rj = f.q_num[j], row_acc[j]
+        if j == k - 1:
+            for c in range(f.orders[j]):
+                counts[(acc + c * (c * qj + rj)) % two_n] += 1
             return
-        brow = bil2_n[j]
-        for val in range(orders[j]):
-            n = n_acc + val * val * quad_n[j] + val * row_acc[j]
-            rec(j + 1, n, [r + val * b for r, b in zip(row_acc, brow)])
+        for c in range(f.orders[j]):
+            rec(j + 1, acc + c * (c * qj + rj), [r + c * x for r, x in zip(row_acc, bil2[j])])
 
-    rec(0, 0, [0] * k)
+    if k:
+        rec(0, 0, [0] * k)
+    else:
+        counts[0] = 1
     return counts
 
 
 def _brown_elementary(part: FiniteQuadraticForm, p: int) -> int:
-    """Exact Brown invariant of an elementary 2- or 3-group via the Gauss
-    sum accumulated as an integer phase histogram.
+    """Exact Brown invariant of an elementary 2- or 3-group.
 
-    For p = 3 the refinement is determined by the inner product (wholly by
-    <1/3> -> q = -2/3, <2/3> -> q = 2/3), so a symmetric diagonalization
-    mod 3 gives the answer without enumerating the group.
+    For p = 2 the Gauss sum is read off the integer phase histogram (n = 2,
+    so it counts 2q mod 4).  For p = 3 the refinement is determined by the
+    inner product (wholly by <1/3> -> q = -2/3, <2/3> -> q = 2/3), so a
+    symmetric diagonalization mod 3 gives the answer without enumerating the
+    group.
     """
     if part.ngens == 0:
         return 0
     if p == 3:
         return _brown_elementary3(part)
-    counts = _phase_histogram(part, p)
-    size = part.size
-    if p == 2:
-        re = counts[0] - counts[2]
-        im = counts[1] - counts[3]
-        assert re * re + im * im == size, "Gauss magnitude check failed"
-        ray = {
-            (1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
-            (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7,
-        }
-        key = ((re > 0) - (re < 0), (im > 0) - (im < 0))
-        if key == (0, 0) or (key[0] and key[1] and abs(re) != abs(im)):
-            raise ValueError("degenerate Gauss sum")
-        return ray[key]
-    raise ValueError(f"no exact elementary path for p = {p}")
+    if p != 2:
+        raise ValueError(f"no exact elementary path for p = {p}")
+    counts = _phase_histogram(part)
+    re = counts[0] - counts[2]
+    im = counts[1] - counts[3]
+    if re * re + im * im != part.size:
+        raise ValueError("Gauss magnitude check failed")
+    ray = {
+        (1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
+        (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7,
+    }
+    key = ((re > 0) - (re < 0), (im > 0) - (im < 0))
+    if key == (0, 0) or (key[0] and key[1] and abs(re) != abs(im)):
+        raise ValueError("degenerate Gauss sum")
+    return ray[key]
 
 
 def _brown_elementary3(part: FiniteQuadraticForm) -> int:
     """Br of an elementary 3-group by symmetric diagonalization mod 3."""
     _vecs, blocks = _reduce(full_view(part, 3))
     return sum(_BROWN_OF_KIND[k] for k, _ in blocks) % 8
-
-
-def _q_numerators(f: FiniteQuadraticForm):
-    """(m, quad_n, bil2_n) with q(e_i) = quad_n[i] / m and 2b(e_i, e_j) = bil2_n[i][j] / m."""
-    m = math.lcm(*[v.denominator for v in f.quad], *[(2 * v).denominator for row in f.bil for v in row])
-    return m, [int(v * m) for v in f.quad], [[int(2 * v * m) for v in row] for row in f.bil]
 
 
 def brown_numeric(f: FiniteQuadraticForm) -> int:
@@ -630,24 +618,10 @@ def brown_numeric(f: FiniteQuadraticForm) -> int:
         raise ValueError("group too large for the numeric Gauss sum")
     if size == 1:
         return 0
-    m, quad_n, bil2_n = _q_numerators(f)  # q(x) = n_x / m with n_x an integer mod 2m
-    counts = [0] * (2 * m)
-    k = f.ngens
-    for x in f.elements():
-        n = 0
-        for i in range(k):
-            xi = x[i]
-            if xi:
-                n += xi * xi * quad_n[i]
-                row = bil2_n[i]
-                for j in range(i + 1, k):
-                    if x[j]:
-                        n += xi * x[j] * row[j]
-        counts[n % (2 * m)] += 1
     s = 0j
-    for n, c in enumerate(counts):
+    for t, c in enumerate(_phase_histogram(f)):
         if c:
-            s += c * cmath.exp(1j * math.pi * n / m)
+            s += c * cmath.exp(1j * math.pi * t / f.n)
     mag = abs(s)
     root = math.sqrt(size)
     if abs(mag - root) > GAUSS_TOL * root:
@@ -671,25 +645,25 @@ def fingerprint(f: FiniteQuadraticForm):
     tuple; complete for elementary 2/3 sums.
 
     An integer recursion over the coordinates counts the elements by
-    (order, m*q mod 2m); the histogram is then expanded.
+    (order, n*q mod 2n); the histogram is then expanded.
     """
-    m, quad_n, bil2_n = _q_numerators(f)
-    k = f.ngens
+    n, k = f.n, f.ngens
+    bil2 = [[2 * x for x in row] for row in f.b_num]
     order_of = [[d // math.gcd(c, d) for c in range(d)] for d in f.orders]
     counts = Counter() if k else Counter({(1, 0): 1})
 
-    def rec(j, order, n_acc, row_acc):
-        qj, rj, last = quad_n[j], row_acc[j], j == k - 1
+    def rec(j, order, acc, row_acc):
+        qj, rj, last = f.q_num[j], row_acc[j], j == k - 1
         for c, oc in enumerate(order_of[j]):
-            o, n = math.lcm(order, oc), n_acc + c * (c * qj + rj)
+            o, t = math.lcm(order, oc), acc + c * (c * qj + rj)
             if last:
-                counts[o, n % (2 * m)] += 1
+                counts[o, t % (2 * n)] += 1
             else:
-                rec(j + 1, o, n, [r + c * x for r, x in zip(row_acc, bil2_n[j])])
+                rec(j + 1, o, t, [r + c * x for r, x in zip(row_acc, bil2[j])])
 
     if k:
         rec(0, 1, 0, [0] * k)
-    return tuple(entry for o, n in sorted(counts) for entry in [(o, Fraction(n, m))] * counts[o, n])
+    return tuple(entry for o, t in sorted(counts) for entry in [(o, Fraction(t, n))] * counts[o, t])
 
 
 def subgroup_elements(f: FiniteQuadraticForm, gens) -> frozenset:
@@ -719,12 +693,16 @@ def subgroup_order(f: FiniteQuadraticForm, gens) -> int:
 
 
 def is_isotropic_subgroup(f: FiniteQuadraticForm, gens) -> bool:
-    return all(f.q(x) == 0 for x in subgroup_elements(f, gens))
+    return all(f.q_numer(x) == 0 for x in subgroup_elements(f, gens))
 
 
 def orthogonal_of_subgroup(f: FiniteQuadraticForm, gens) -> list[Element]:
-    """All x with b(x, H) = 0, as an element list."""
-    return [x for x in f.elements() if all(f.b(x, g) == 0 for g in gens)]
+    """All x with b(x, H) = 0, as an element list: x.w_g = 0 mod n for the
+    integer rows w_g = B g of the generators g."""
+    n = f.n
+    rows = [w for w in ([sum(bij * c for bij, c in zip(row, g)) % n for row in f.b_num] for g in gens)
+            if any(w)]
+    return [x for x in f.elements() if all(sum(a * c for a, c in zip(x, w)) % n == 0 for w in rows)]
 
 
 def isotropic_subgroups(f: FiniteQuadraticForm) -> list[frozenset]:
@@ -746,9 +724,9 @@ def isotropic_subgroups(f: FiniteQuadraticForm) -> list[frozenset]:
             nxt = []
             for sub in frontier:
                 for x in part_elems:
-                    if x in sub or f.q(x) != 0:
+                    if x in sub or f.q_numer(x):
                         continue
-                    if any(f.b(x, y) != 0 for y in sub):
+                    if any(f.b_numer(x, y) for y in sub):
                         continue
                     grown = set(sub)
                     order = f.element_order(x)
@@ -756,7 +734,7 @@ def isotropic_subgroups(f: FiniteQuadraticForm) -> list[frozenset]:
                         step = f.smul(mult, x)
                         for e in list(sub):
                             grown.add(f.add(e, step))
-                    if any(f.q(e) != 0 for e in grown):
+                    if any(f.q_numer(e) for e in grown):
                         continue
                     fz = frozenset(grown)
                     if fz not in subs:
@@ -814,7 +792,7 @@ def aut_order(f: FiniteQuadraticForm) -> int:
 def _count_maps(f: FiniteQuadraticForm, basis: list[Element]) -> int:
     """Backtracking count of q-preserving automorphisms by images of `basis`."""
     all_elems = [x for x in f.elements()]
-    q_of = {x: f.q(x) for x in all_elems}
+    q_of = {x: f.q_numer(x) for x in all_elems}
     orders_of = {x: f.element_order(x) for x in all_elems}
     n = len(basis)
     count = 0
@@ -825,7 +803,7 @@ def _count_maps(f: FiniteQuadraticForm, basis: list[Element]) -> int:
         for x in all_elems:
             if orders_of[x] != orders_of[target] or q_of[x] != q_of[target]:
                 continue
-            if any(f.b(x, images[j]) != f.b(target, basis[j]) for j in range(k)):
+            if any(f.b_numer(x, images[j]) != f.b_numer(target, basis[j]) for j in range(k)):
                 continue
             opts.append(x)
         return opts
@@ -880,14 +858,10 @@ def aut_g_delta_orders() -> tuple[int, int]:
     # basis adapted to delta: (delta, u, w1..w4), u non-orthogonal to delta,
     # the w_i spanning a complement of (delta, u)
     u = (1, 0, 0, 0, 0, 0)
-    assert dot(delta, u) != 0
     ws = [(1, 2, 0, 0, 0, 0), (1, 0, 2, 0, 0, 0), (1, 0, 0, 2, 0, 0), (1, 0, 0, 0, 2, 0)]
-    for w in ws:
-        assert dot(w, delta) == 0
     mat = [list(delta), list(u)] + [list(w) for w in ws]
-    from . import exact as _exact
-
-    assert _exact.determinant(mat) % 3 != 0  # really a basis of (Z/3)^6
+    if dot(delta, u) == 0 or any(dot(w, delta) for w in ws) or exact.determinant(mat) % 3 == 0:
+        raise ValueError("(delta, u, w1..w4) is not a basis of (Z/3)^6 adapted to delta")
 
     elems = list(it.product(range(3), repeat=n))
     q_code = {x: dot(x, x) for x in elems}
@@ -924,10 +898,10 @@ def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadrat
     """
     pairs = [(g, t) for g, t in zip(src_gens, tgt_gens) if fsrc.element_order(g) > 1]
     for i, (g, t) in enumerate(pairs):
-        if _mod2(fsrc.q(g) + ftgt.q(t)) != 0:
+        if (fsrc.q(g) + ftgt.q(t)) % 2:
             return False
         for g2, t2 in pairs[i + 1:]:
-            if _mod1(fsrc.b(g, g2) + ftgt.b(t, t2)) != 0:
+            if (fsrc.b(g, g2) + ftgt.b(t, t2)) % 1:
                 return False
     return subgroup_order(fsrc, src_gens) == subgroup_order(ftgt, tgt_gens)
 

@@ -4,6 +4,7 @@ involutions obtained by gluing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import exact, forms
@@ -67,8 +68,7 @@ def extend(l: Lattice, h_gens) -> Lattice:
     f = forms.discriminant_form(l)
     if not forms.is_isotropic_subgroup(f, list(h_gens)):
         raise ValueError("subgroup is not isotropic")
-    vectors = [f.lift_vector(g) for g in h_gens]
-    out = overlattice(l, vectors)
+    out = overlattice(l, [f.lift_vector(g)[0] for g in h_gens], f.n)
     h_order = forms.subgroup_order(f, list(h_gens))
     if abs(out.det()) * h_order * h_order != abs(l.det()):
         raise ValueError("extension violates det(L_H) |H|^2 = det(L)")
@@ -83,9 +83,11 @@ def glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> Lattice:
 def _glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> tuple[Lattice, Matrix]:
     """`glue` together with the integer HNF rows H of its basis (see `lattice._overlattice`)."""
     f1, f2 = phi.source_form, phi.target_form
-    vectors = [list(f1.lift_vector(g_src)) + list(f2.lift_vector(g_tgt))
-               for g_src, g_tgt in zip(phi.source_gens, phi.target_gens)]
-    out, h = _overlattice(direct_sum(l1, l2), vectors)
+    den = math.lcm(f1.n, f2.n)
+    rows = [[x * (den // f1.n) for x in f1.lift_vector(g_src)[0]]
+            + [x * (den // f2.n) for x in f2.lift_vector(g_tgt)[0]]
+            for g_src, g_tgt in zip(phi.source_gens, phi.target_gens)]
+    out, h = _overlattice(direct_sum(l1, l2), rows, den)
     k = phi.subgroup_order
     if abs(out.det()) * k * k != abs(l1.det()) * abs(l2.det()):
         raise ValueError("gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)")

@@ -7,10 +7,8 @@ equality here is basis-dependent on purpose.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import exact
 from .exact import Matrix
@@ -20,13 +18,16 @@ from .exact import Matrix
 class Lattice:
     gram: tuple[tuple[int, ...], ...]
     expr: str | None = field(default=None, compare=False)
+    _det: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         g = self.gram_rows()
         if not exact.is_symmetric(g):
             raise ValueError("gram matrix not symmetric")
-        if self.rank and exact.determinant(g) == 0:
+        det = exact.determinant(g)
+        if det == 0:
             raise ValueError("degenerate gram matrix")
+        object.__setattr__(self, "_det", det)
 
     @property
     def rank(self) -> int:
@@ -40,7 +41,7 @@ class Lattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def det(self) -> int:
-        return exact.determinant(self.gram_rows())
+        return self._det
 
     def inner(self, x, y) -> int:
         g = self.gram
@@ -194,27 +195,26 @@ def hyperbolic_branch(l: Lattice) -> str | None:
 # ---------------------------------------------------------------------------
 # overlattices and fractional extensions
 
-def overlattice(l: Lattice, extra_frac_rows) -> Lattice:
-    """Lattice generated by l and the given rational vectors (coords in l's basis).
+def overlattice(l: Lattice, rows, den: int) -> Lattice:
+    """Lattice generated by l and the rational vectors w/den for the integer
+    rows w (coords in l's basis).
 
     The result is recomputed on a canonical HNF basis.  Raises when the
     generated lattice is not integral or not even.
     """
-    return _overlattice(l, extra_frac_rows)[0]
+    return _overlattice(l, rows, den)[0]
 
 
-def _overlattice(l: Lattice, extra_frac_rows) -> tuple[Lattice, Matrix]:
+def _overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, Matrix]:
     """`overlattice` together with its basis as the integer HNF rows H.
 
-    With den the common denominator of the extra rows, the basis is H/den,
-    where H is the HNF of den*I stacked on den*v; its Gram matrix is
-    H*G*H^T / den^2, integral exactly when den^2 divides every entry.
+    The basis is H/den, where H is the HNF of den*I stacked on the rows; its
+    Gram matrix is H*G*H^T / den^2, integral exactly when den^2 divides
+    every entry.
     """
     n = l.rank
-    den = math.lcm(*(x.denominator for row in extra_frac_rows for x in row))
-    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    rows += [[x.numerator * (den // x.denominator) for x in row] for row in extra_frac_rows]
-    h = exact.hermite_normal_form(rows)
+    h = exact.hermite_normal_form([[den if i == j else 0 for j in range(n)] for i in range(n)]
+                                  + [list(w) for w in rows])
     if len(h) != n:
         raise ValueError("overlattice generators do not span")
     scaled = exact.mat_mul(exact.mat_mul(h, l.gram_rows()), exact.transpose(h))
@@ -247,8 +247,7 @@ def extension_by_fraction(l: Lattice, v, d: int) -> Lattice:
         raise ValueError(f"square {nv} is not divisible by {d * d}")
     if nv % (2 * d * d) != 0:
         raise ValueError(f"square {nv} is not divisible by {2 * d * d} (evenness)")
-    out = overlattice(l, [[Fraction(c, d) for c in v]])
-    return out
+    return overlattice(l, [list(v)], d)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,8 @@ def topology_from_t_half(inv) -> tuple[int, tuple, str, str, int]:
     beta = (r - r2) // 2
     curve_type = "I" if d2 == 0 else "II"
     o, nu_r = ("+", q) if p == 1 else ("-", 3 - q)
-    assert ell == alpha + beta + 1 and alpha >= 0 and beta >= 0 and alpha + beta <= 4
+    if not (ell == alpha + beta + 1 and alpha >= 0 and beta >= 0 and alpha + beta <= 4):
+        raise ValueError(f"oval count {ell} does not match the code ({alpha}, {beta})")
     if (alpha, beta) == (1, 1) and curve_type == "I" and nu_r == 0:
         return 3, ("nest3",), curve_type, o, 0
     return ell, ("general", alpha, beta), curve_type, o, nu_r
@@ -365,7 +366,8 @@ def cubic_topology(sid: SexticID, nu_r: int) -> CubicTopology:
         else:
             chi = 1 + 2 * (beta - alpha) - 2 * nu_r
     handles = (1 - chi) // 2
-    assert chi == 1 - 2 * handles and -1 <= handles <= 3
+    if not (chi == 1 - 2 * handles and -1 <= handles <= 3):
+        raise ValueError(f"Euler characteristic {chi} gives no handle count in -1..3")
     return CubicTopology(chi, handles)
 
 

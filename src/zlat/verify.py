@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from . import exact, forms, golden, stability, tables
 from .classify import (
+    CATALOG,
     admissible_rr2_pairs,
+    block_multisets,
     enumerate_ascending_t_pairs,
     find_reversion_root,
     pair_by_ref,
@@ -36,33 +38,13 @@ from .sextic import cusp_distributions, id_from_t_pair, reversion_code, topology
 
 SUITES = ("forms", "gluing", "stability", "census", "ids")
 
-CATALOG_BLOCKS = ["U", "U(2)", "U(3)", "U(6)", "<2>", "<6>", "<-6>", "A1", "A2", "A2(2)", "D4", "E6"]
-_BLOCK_RANK = {"U": 2, "U(2)": 2, "U(3)": 2, "U(6)": 2, "<2>": 1, "<6>": 1,
-               "<-6>": 1, "A1": 1, "A2": 2, "A2(2)": 2, "D4": 4, "E6": 6}
-
-
-def _catalog_multisets(max_rank: int):
-    """All block multisets of total rank <= max_rank (at least one block)."""
-    sets = [[]]
-    for name in CATALOG_BLOCKS:
-        grown = []
-        for base in sets:
-            used = sum(_BLOCK_RANK[b] for b in base)
-            c = 0
-            grown.append(base)
-            while used + _BLOCK_RANK[name] * (c + 1) <= max_rank:
-                c += 1
-                grown.append(base + [name] * c)
-        sets = grown
-    return [s for s in sets if s]
-
 
 # ---------------------------------------------------------------------------
 # forms suite
 
 def check_van_der_blij_catalog():
     count = 0
-    for blocks in _catalog_multisets(10):
+    for blocks in block_multisets(CATALOG, 10)[1:]:  # [1:] drops the empty multiset
         l = direct_sum(*[parse_lattice_expr(b) for b in blocks])
         np_, nm = signature(l)
         if forms.brown(forms.discriminant_form(l)) != (np_ - nm) % 8:
@@ -112,7 +94,7 @@ def check_brown_additivity():
 
 
 def check_r2_congruence():
-    for blocks in _catalog_multisets(8):
+    for blocks in block_multisets(CATALOG, 8)[1:]:
         l = direct_sum(*[parse_lattice_expr(b) for b in blocks])
         if forms.p_rank(forms.discriminant_form(l), 2) % 2 != l.rank % 2:
             return False, f"failed on {'+'.join(blocks)}"

@@ -1,18 +1,25 @@
-"""Brute-force oracles for the elementary-group routines of `zlat.forms`
-and for `is_anti_isomorphism`.
+"""Brute-force oracles for the elementary-group routines of `zlat.forms`,
+for `is_anti_isomorphism`, and the `Fraction` representation of finite
+quadratic forms.
 
-Each walks every element of the (sub)group it is given, with `Fraction`
-arithmetic, exactly as the package did before it switched to Gram reduction
-mod p (for `is_anti_isomorphism`: to q on the generators and b on their
-pairs).  They are exponential in the rank, so tests call them on groups of
-size at most 2^8 or 3^5 only.
+The element walkers go through every element of the (sub)group they are
+given, with `Fraction` arithmetic, exactly as the package did before it
+switched to Gram reduction mod p (for `is_anti_isomorphism`: to q on the
+generators and b on their pairs).  They are exponential in the rank, so
+tests call them on groups of size at most 2^8 or 3^5 only.
+
+`FractionForm` with `discriminant_form`, `p_part` and `direct_sum_forms`
+below is the storage the package used before it kept integer numerators
+over the exponent: pairings, squares and lifts as reduced `Fraction`s.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from zlat import exact
 from zlat.exact import identity, mat_mul, transpose
 from zlat.forms import (
     FOUR3,
@@ -20,7 +27,6 @@ from zlat.forms import (
     THALF,
     TWO3,
     SpanView,
-    _mod1,
     _normalize_2block,
     _view,
     form_on_generators,
@@ -28,6 +34,149 @@ from zlat.forms import (
 )
 from zlat.lattice import make_lattice
 
+
+# the Fraction representation -------------------------------------------------
+
+@dataclass(frozen=True)
+class FractionForm:
+    """Generators of the given orders, b on their pairs reduced into [0, 1),
+    q on them reduced into [0, 2), and the lift of each as a rational row."""
+
+    orders: tuple[int, ...]
+    bil: tuple[tuple[Fraction, ...], ...]
+    quad: tuple[Fraction, ...]
+    lifts: tuple[tuple[Fraction, ...], ...] | None = field(default=None, compare=False)
+
+    @property
+    def ngens(self) -> int:
+        return len(self.orders)
+
+    def b(self, x, y) -> Fraction:
+        total = Fraction(0)
+        for i, xi in enumerate(x):
+            if xi:
+                row = self.bil[i]
+                for j, yj in enumerate(y):
+                    if yj:
+                        total += xi * yj * row[j]
+        return total % 1
+
+    def q(self, x) -> Fraction:
+        total = Fraction(0)
+        for i, xi in enumerate(x):
+            if xi:
+                total += xi * xi * self.quad[i]
+                row = self.bil[i]
+                for j in range(i + 1, self.ngens):
+                    if x[j]:
+                        total += 2 * xi * x[j] * row[j]
+        return total % 2
+
+    def lift_vector(self, x):
+        """Rational coordinates in the source lattice basis (when lifts are recorded)."""
+        if self.lifts is None:
+            raise ValueError("form carries no lattice lifts")
+        n = len(self.lifts[0]) if self.lifts else 0
+        out = [Fraction(0)] * n
+        for c, lift in zip(x, self.lifts):
+            if c:
+                for j in range(n):
+                    out[j] += c * lift[j]
+        return out
+
+
+def fraction_form(orders, bil, quad, lifts=None) -> FractionForm:
+    orders = tuple(int(d) for d in orders)
+    bil_t = tuple(tuple(Fraction(x) % 1 for x in row) for row in bil)
+    quad_t = tuple(Fraction(x) % 2 for x in quad)
+    lifts_t = tuple(tuple(Fraction(x) for x in row) for row in lifts) if lifts else None
+    return FractionForm(orders, bil_t, quad_t, lifts_t)
+
+
+def discriminant_form(l) -> FractionForm:
+    if not l.is_even:
+        raise ValueError("lattice is not even")
+    g = l.gram_rows()
+    n = l.rank
+    if n == 0:
+        return fraction_form((), (), ())
+    _u, d, v = exact.smith_normal_form(g)
+    cols = []
+    orders = []
+    for i in range(n):
+        di = d[i][i]
+        if di == 0:
+            raise ValueError("degenerate lattice")
+        if di > 1:
+            orders.append(di)
+            cols.append([v[k][i] for k in range(n)])
+    bil = []
+    quad = []
+    gcols = [mat_mul([c], g)[0] for c in cols]
+    for i, ci in enumerate(cols):
+        row = []
+        for j, cj in enumerate(cols):
+            numer = sum(gcols[i][k] * cj[k] for k in range(n))
+            row.append(Fraction(numer, orders[i] * orders[j]) % 1)
+        bil.append(row)
+        quad.append(Fraction(sum(gcols[i][k] * ci[k] for k in range(n)), orders[i] * orders[i]) % 2)
+    gens = [[Fraction(c, o) for c in col] for col, o in zip(cols, orders)]
+    return fraction_form(orders, bil, quad, gens)
+
+
+def direct_sum_forms(*forms: FractionForm) -> FractionForm:
+    orders = []
+    quad = []
+    lifts_ok = all(f.lifts is not None for f in forms) and forms
+    widths = [len(f.lifts[0]) if f.lifts else 0 for f in forms] if lifts_ok else []
+    for f in forms:
+        orders.extend(f.orders)
+        quad.extend(f.quad)
+    k = len(orders)
+    bil = [[Fraction(0)] * k for _ in range(k)]
+    off = 0
+    for f in forms:
+        m = f.ngens
+        for i in range(m):
+            for j in range(m):
+                bil[off + i][off + j] = f.bil[i][j]
+        off += m
+    lifts = None
+    if lifts_ok:
+        lifts = []
+        for fi, f in enumerate(forms):
+            pad_l = sum(widths[:fi])
+            pad_r = sum(widths[fi + 1:])
+            for row in f.lifts:
+                lifts.append([Fraction(0)] * pad_l + list(row) + [Fraction(0)] * pad_r)
+    return fraction_form(orders, bil, quad, lifts)
+
+
+def p_part(f: FractionForm, p: int) -> FractionForm:
+    idx = []
+    mults = []
+    new_orders = []
+    for i, d in enumerate(f.orders):
+        pk = 1
+        while d % p == 0:
+            d //= p
+            pk *= p
+        if pk > 1:
+            idx.append(i)
+            mults.append(f.orders[i] // pk)
+            new_orders.append(pk)
+    bil = [
+        [mults[a] * mults[b] * f.bil[idx[a]][idx[b]] % 1 for b in range(len(idx))]
+        for a in range(len(idx))
+    ]
+    quad = [mults[a] * mults[a] * f.quad[idx[a]] % 2 for a in range(len(idx))]
+    lifts = None
+    if f.lifts is not None:
+        lifts = [[mults[a] * x for x in f.lifts[idx[a]]] for a in range(len(idx))]
+    return fraction_form(new_orders, bil, quad, lifts)
+
+
+# element walkers ---------------------------------------------------------------
 
 def complement_of(view: SpanView, block) -> SpanView:
     """Basis of the orthogonal complement of a nondegenerate block inside view."""
@@ -109,9 +258,13 @@ def characteristic_element(f_or_view):
     view = _view(f_or_view, 2)
     f = view.form
     for v in view.elements():
-        if all(f.b(v, g) == _mod1(f.q(g)) for g in view.gens):
+        if all(f.b(v, g) == f.q(g) % 1 for g in view.gens):
             return v
     raise ValueError("no characteristic element (degenerate input)")
+
+
+def orthogonal_of_subgroup(f, gens):
+    return [x for x in f.elements() if all(f.b(x, g) == 0 for g in gens)]
 
 
 def fingerprint(f) -> tuple[tuple[int, Fraction], ...]:

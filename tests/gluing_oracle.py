@@ -60,11 +60,16 @@ def overlattice(l, extra_frac_rows):
     return make_lattice(gram)
 
 
+def lift_row(f, x):
+    """The lift of x as a `Fraction` row."""
+    w, n = f.lift_vector(x)
+    return [Fraction(c, n) for c in w]
+
+
 def glue_involution_action(l1, l2, phi):
     """Matrix of (+1 on l1, -1 on l2) on the glued basis B: B*D*B^-1."""
     f1, f2 = phi.source_form, phi.target_form
-    vectors = [list(f1.lift_vector(s)) + list(f2.lift_vector(t))
-               for s, t in zip(phi.source_gens, phi.target_gens)]
+    vectors = [lift_row(f1, s) + lift_row(f2, t) for s, t in zip(phi.source_gens, phi.target_gens)]
     n1 = l1.rank
     basis = overlattice_basis(n1 + l2.rank, vectors)
     image = [[x if j < n1 else -x for j, x in enumerate(row)] for row in basis]

@@ -194,6 +194,22 @@ from zlat.lattice import named
 from zlat.gluing import GlueMap, glue
 
 assert not __debug__, "run under python -O"
+real_invariants = stability.invariants
+stability.invariants = lambda l: ()  # no candidate survives the recomputation
+try:
+    classify.witness_lattice(classify.admissible_invariants()[0][0])
+except ValueError as e:
+    print("witness:", e)
+stability.invariants = real_invariants
+
+real_s_half_pq = classify._s_half_pq
+classify._s_half_pq = lambda l: (0, 0)  # S+ of an o = + row must have p = 1
+try:
+    classify.s_pair(0, "+")
+except ValueError as e:
+    print("s-pair:", e)
+classify._s_half_pq = real_s_half_pq
+
 real = stability.isomorphic_in_genus
 calls = []
 
@@ -229,5 +245,7 @@ def test_result_checks_survive_python_O():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines == ["realize: involution: L+ not in the genus of the plus half (8B:1)",
+    assert lines == ["witness: witness recomputation mismatch for (2, 0, 0, 0, 0)",
+                     "s-pair: S+ sign mismatch",
+                     "realize: involution: L+ not in the genus of the plus half (8B:1)",
                      "glue: gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)"]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import forms_oracle as oracle
+import pytest
 from forms_oracle import change_generators, random_basis_change
 
 from zlat import exact
@@ -29,6 +30,7 @@ from zlat.forms import (
     p_part,
     p_rank,
     parity2,
+    prime_factors_of_order,
     q_cyclic,
     q_value_census,
     render_form,
@@ -275,7 +277,7 @@ def test_render_form():
     assert render_form(discriminant_form(named("U"))) == "0"
 
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 
@@ -427,6 +429,12 @@ def test_render_form_basis_invariant():
 # generator maps: subgroup orders and anti-isomorphisms against enumeration ----
 
 
+def _negated(f):
+    """f with b and q negated, on the same generators."""
+    gens = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
+    return form_on_generators(f.orders, [[-f.b(x, y) for y in gens] for x in gens], [-f.q(x) for x in gens])
+
+
 @st.composite
 def generator_maps(draw):
     """The discriminant f of a sum of catalog blocks, its negative on the same
@@ -438,7 +446,7 @@ def generator_maps(draw):
 
     f = discriminant_form(parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(CATALOG),
                                                                      min_size=1, max_size=2)))))
-    neg = form_on_generators(f.orders, [[-x for x in row] for row in f.bil], [-x for x in f.quad])
+    neg = _negated(f)
     elem = st.tuples(*[st.integers(-d, 2 * d) for d in f.orders])
     trivial = st.tuples(*[st.sampled_from([0, d, -d]) for d in f.orders])
     src = draw(st.lists(st.one_of(elem, trivial), max_size=3))
@@ -468,14 +476,83 @@ def test_is_anti_isomorphism_matches_oracle(case):
     assert is_anti_isomorphism(f, src, neg, tgt) == oracle.is_anti_isomorphism(f, src, neg, tgt)
 
 
+@given(generator_maps())
+@settings(max_examples=100, deadline=None)
+def test_orthogonal_of_subgroup_matches_oracle(case):
+    f, src, _neg, tgt = case
+    assert orthogonal_of_subgroup(f, src + tgt) == oracle.orthogonal_of_subgroup(f, src + tgt)
+
+
 def test_is_anti_isomorphism_checks_pairings():
     # on <1/2>+u2 = <e, x, y>: (e, e+x) -> (e+x, e+y) keeps q on both generators
     # and the span order, but b(e, e+x) = 1/2 while b(e+x, e+y) = 0
     f = standard_form("<1/2>+u2")
-    neg = form_on_generators(f.orders, [[-x for x in row] for row in f.bil], [-x for x in f.quad])
+    neg = _negated(f)
     src, tgt = [(1, 0, 0), (1, 1, 0)], [(1, 1, 0), (1, 0, 1)]
     assert [f.q(x) for x in src] == [f.q(x) for x in tgt]
     assert subgroup_order(f, src) == subgroup_order(f, tgt) == 4
     assert not is_anti_isomorphism(f, src, neg, tgt)
     assert not oracle.is_anti_isomorphism(f, src, neg, tgt)
     assert is_anti_isomorphism(f, src, neg, src)
+
+
+# the integer representation against the Fraction oracle ----------------------
+
+
+@st.composite
+def oracle_lattices(draw):
+    """A sum of 1-3 catalog blocks, or a random even lattice of rank <= 4 with
+    |det| <= 3000 (often with a non-elementary discriminant)."""
+    from zlat.classify import CATALOG
+    from zlat.lattice import make_lattice
+
+    if draw(st.booleans()):
+        return parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(CATALOG), min_size=1, max_size=3))))
+    n = draw(st.integers(1, 4))
+    m = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+    g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    det = exact.determinant(g)
+    assume(det != 0 and abs(det) <= 3000)
+    return make_lattice(g)
+
+
+def _assert_same_form(f, o, data):
+    """Equal orders, and equal b, q and lifts on the generators and on random elements."""
+    assert f.orders == o.orders
+    units = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
+    elem = st.tuples(*[st.integers(0, d - 1) for d in f.orders])
+    picks = units + [data.draw(elem) for _ in range(6)]
+    for x in picks:
+        y = data.draw(st.sampled_from(picks))
+        assert f.b(x, y) == o.b(x, y)
+        assert f.q(x) == o.q(x)
+        assert (f.lift_cols is None) == (o.lifts is None)
+        if o.lifts is not None:  # a unimodular lattice, or a sum with one, records no lifts
+            w, n = f.lift_vector(x)
+            assert [F(c, n) for c in w] == o.lift_vector(x)
+
+
+@given(oracle_lattices(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_discriminant_form_matches_fraction_oracle(l, data):
+    f, o = discriminant_form(l), oracle.discriminant_form(l)
+    _assert_same_form(f, o, data)
+    for p in prime_factors_of_order(f):
+        _assert_same_form(p_part(f, p), oracle.p_part(o, p), data)
+
+
+@given(oracle_lattices(), oracle_lattices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_matches_fraction_oracle(l1, l2, data):
+    f1, f2 = discriminant_form(l1), discriminant_form(l2)
+    o1, o2 = oracle.discriminant_form(l1), oracle.discriminant_form(l2)
+    _assert_same_form(direct_sum_forms(f1, f2), oracle.direct_sum_forms(o1, o2), data)
+    _assert_same_form(direct_sum_forms(f1), oracle.direct_sum_forms(o1), data)
+
+
+def test_form_on_generators_rejects_values_off_the_exponent():
+    # exponent 6: thirds and halves fit, quarters and fifths do not
+    assert form_on_generators([2, 6], [[F(1, 2), 0], [0, F(1, 3)]], [F(1, 2), F(5, 3)]).n == 6
+    for bil, quad in (([[F(1, 4), 0], [0, 0]], [0, 0]), ([[0, 0], [0, 0]], [0, F(1, 5)])):
+        with pytest.raises(ValueError, match="does not lie in"):
+            form_on_generators([2, 6], bil, quad)
