@@ -9,6 +9,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import exact, forms, golden, stability
 from .forms import full_view
@@ -229,6 +230,15 @@ def render_blocks(names: list[str]) -> str:
     return "+".join(terms)
 
 
+@lru_cache(maxsize=1)
+def _witness_index() -> MappingProxyType:
+    """Combined invariants -> the first candidate multiset that has them."""
+    index = {}
+    for names in _candidate_multisets(8):
+        index.setdefault(_combined_invariants(names), tuple(names))
+    return MappingProxyType(index)
+
+
 @lru_cache(maxsize=None)
 def witness_lattice(inv: THalfInvariants) -> Lattice:
     """A hyperbolic even lattice over the block catalog with the given
@@ -237,14 +247,13 @@ def witness_lattice(inv: THalfInvariants) -> Lattice:
     The winning candidate's invariants are recomputed from its Gram matrix
     before it is returned.
     """
-    target = (inv.r, 1, inv.r2, inv.delta2, inv.p, inv.q)
-    for names in _candidate_multisets(8):
-        if _combined_invariants(names) == target:
-            l = parse_lattice_expr(render_blocks(names))
-            if stability.invariants(l) != inv.key():
-                raise ValueError(f"witness recomputation mismatch for {inv.key()}")
-            return l
-    raise ValueError(f"no witness lattice for invariants {inv.key()}")
+    names = _witness_index().get((inv.r, 1, inv.r2, inv.delta2, inv.p, inv.q))
+    if names is None:
+        raise ValueError(f"no witness lattice for invariants {inv.key()}")
+    l = parse_lattice_expr(render_blocks(names))
+    if stability.invariants(l) != inv.key():
+        raise ValueError(f"witness recomputation mismatch for {inv.key()}")
+    return l
 
 
 def witness_blocks(l: Lattice) -> list[str]:

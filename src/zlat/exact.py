@@ -8,6 +8,9 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 Matrix = list[list[int]]
 
 
@@ -48,9 +51,7 @@ def mat_eq(a, b) -> bool:
 
 def is_symmetric(m) -> bool:
     n = len(m)
-    return all(len(r) == n for r in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(n)
-    )
+    return all(len(r) == n for r in m) and [tuple(r) for r in m] == list(zip(*m))
 
 
 def determinant(m) -> int:
@@ -241,48 +242,42 @@ def saturate(b) -> Matrix:
     return sat
 
 
-def char_poly(m) -> list[int]:
-    """Characteristic polynomial det(tI - M), coefficients from t^n down to t^0.
-
-    Faddeev-LeVerrier; all divisions are exact over Z.
-    """
-    n = len(m)
-    coeffs = [1]
-    mk = identity(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        tr = sum(mk[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
-        c = -tr // k
-        coeffs.append(c)
-        for i in range(n):
-            mk[i][i] += c
-    return coeffs
-
-
-def _sign_variations(coeffs) -> int:
-    signs = [c for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
 def inertia(g) -> tuple[int, int, int]:
     """Exact (n_plus, n_zero, n_minus) of a symmetric integer matrix.
 
-    Counts eigenvalue signs by Descartes' rule on the (real-rooted)
-    characteristic polynomial.
+    Sylvester's law of inertia by symmetric elimination over Z.  A nonzero
+    diagonal pivot d counts its sign and leaves |d| times its Schur
+    complement, sign(d) * (d*A' - a*a^T), divided by its content.  With no
+    nonzero diagonal entry, adding row and column r into c for some
+    a_rc != 0 (a congruence) makes a_cc = 2*a_rc.  n_zero is the size of
+    the remainder once it is zero.
     """
     if not is_symmetric(g):
         raise ValueError("matrix not symmetric")
-    n = len(g)
-    p = char_poly(g)
-    n_zero = 0
-    while p[-1] == 0 and len(p) > 1:
-        p = p[:-1]
-        n_zero += 1
-    n_plus = _sign_variations(p)
-    q = [c if (len(p) - 1 - i) % 2 == 0 else -c for i, c in enumerate(p)]
-    n_minus = _sign_variations(q)
-    if n_plus + n_minus + n_zero != n:
-        raise ArithmeticError("characteristic polynomial is not real-rooted")
-    return n_plus, n_zero, n_minus
+    a = copy_matrix(g)
+    n_plus = n_minus = 0
+    while a:
+        k = min((i for i in range(len(a)) if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
+        if k is None:
+            r, k = next(((r, c) for r, row in enumerate(a) for c, x in enumerate(row) if x),
+                        (None, None))
+            if r is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[r])]
+            for row in a:
+                row[k] += row[r]
+        d = a[k][k]
+        if d > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        s = 1 if d > 0 else -1
+        pivot = a.pop(k)
+        del pivot[k]
+        col = [row.pop(k) for row in a]
+        a = [[s * (d * x - ai * aj) for x, aj in zip(row, pivot)] if ai else [abs(d) * x for x in row]
+             for row, ai in zip(a, col)]
+        content = math.gcd(*itertools.chain.from_iterable(a))
+        if content > 1:
+            a = [[x // content for x in row] for row in a]
+    return n_plus, len(a), n_minus

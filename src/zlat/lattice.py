@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import exact
 from .exact import Matrix
@@ -113,6 +114,7 @@ def _en_gram(n: int) -> Matrix:
     return g
 
 
+@lru_cache(maxsize=256)
 def named(spec: str) -> Lattice:
     """Catalog lattice by name: U, An (n>=1), Dn (n>=4), E6/E7/E8, <n> (n != 0)."""
     spec = spec.strip()
@@ -142,18 +144,22 @@ def named(spec: str) -> Lattice:
     raise ValueError(f"unknown lattice name {spec!r}")
 
 
+def _block_gram(grams) -> Matrix:
+    """Block-diagonal matrix of the given square Gram matrices."""
+    n = sum(len(g) for g in grams)
+    out = []
+    off = 0
+    for g in grams:
+        for row in g:
+            out.append([0] * off + list(row) + [0] * (n - off - len(g)))
+        off += len(g)
+    return out
+
+
 def direct_sum(*lattices: Lattice) -> Lattice:
     parts = [l for l in lattices if l.rank > 0]
-    n = sum(l.rank for l in parts)
-    g = [[0] * n for _ in range(n)]
-    off = 0
-    for l in parts:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                g[off + i][off + j] = l.gram[i][j]
-        off += l.rank
     expr = "+".join(l.expr for l in parts) if all(l.expr for l in parts) else None
-    return make_lattice(g, expr)
+    return make_lattice(_block_gram([l.gram for l in parts]), expr)
 
 
 EMPTY = make_lattice([], "0")
@@ -175,6 +181,8 @@ def signature(l: Lattice) -> tuple[int, int]:
     np_, nz, nm = exact.inertia(l.gram_rows())
     if nz:
         raise ValueError("degenerate lattice")
+    if (-1) ** nm != (1 if l.det() > 0 else -1):
+        raise ArithmeticError(f"signature {(np_, nm)} disagrees with det {l.det()}")
     return np_, nm
 
 
@@ -296,7 +304,6 @@ def parse_lattice_expr(text: str) -> Lattice:
     """Evaluate a lattice expression like "U(3)+2A2+A1" or "<2>+3<-6>"."""
     pos = 0
     n = len(text)
-    terms: list[Lattice] = []
 
     def skip_ws():
         nonlocal pos
@@ -344,13 +351,14 @@ def parse_lattice_expr(text: str) -> Lattice:
             return named(f"<{-val if neg else val}>")
         raise ExprError(f"unexpected character {ch!r}", pos)
 
-    def parse_term() -> Lattice:
+    def parse_term() -> list:
+        """The term's atoms as Gram matrices, one per repetition."""
         nonlocal pos
         skip_ws()
         count = parse_uint()
         if count is not None and count == 0:
             raise ExprError("zero repetition count", pos)
-        atom = parse_atom()
+        gram = parse_atom().gram
         if pos < n and text[pos] == "(":
             pos += 1
             neg = False
@@ -366,23 +374,21 @@ def parse_lattice_expr(text: str) -> Lattice:
             scale = -scale if neg else scale
             if scale == 0:
                 raise ExprError("zero scale", pos)
-            atom = rescale(atom, scale)
-        reps = count if count is not None else 1
-        return direct_sum(*([atom] * reps))
+            gram = [[scale * x for x in row] for row in gram]
+        return [gram] * (count if count is not None else 1)
 
     skip_ws()
     if pos >= n:
         raise ExprError("empty expression", 0)
-    terms.append(parse_term())
+    atoms = parse_term()
     skip_ws()
     while pos < n:
         if text[pos] != "+":
             raise ExprError(f"unexpected character {text[pos]!r}", pos)
         pos += 1
-        terms.append(parse_term())
+        atoms += parse_term()
         skip_ws()
-    result = direct_sum(*terms)
-    return make_lattice(result.gram_rows(), render_expr(text))
+    return make_lattice(_block_gram(atoms), render_expr(text))
 
 
 def render_expr(text: str) -> str:

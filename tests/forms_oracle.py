@@ -8,6 +8,10 @@ switched to Gram reduction mod p (for `is_anti_isomorphism`: to q on the
 generators and b on their pairs).  They are exponential in the rank, so
 tests call them on groups of size at most 2^8 or 3^5 only.
 
+`brown_elementary2` is the Brown invariant of an elementary 2-group read
+off the histogram of squares over all 2^r elements, as the package computed
+it before it used the blocks of the Gram reduction mod 2.
+
 `FractionForm` with `discriminant_form`, `p_part` and `direct_sum_forms`
 below is the storage the package used before it kept integer numerators
 over the exponent: pairings, squares and lifts as reduced `Fraction`s.
@@ -28,6 +32,7 @@ from zlat.forms import (
     TWO3,
     SpanView,
     _normalize_2block,
+    _phase_histogram,
     _view,
     form_on_generators,
     subgroup_elements,
@@ -315,3 +320,25 @@ def is_anti_isomorphism(fsrc, src_gens, ftgt, tgt_gens) -> bool:
         if (fsrc.q(x) + ftgt.q(y)) % 2 != 0:
             return False
     return len(subgroup_elements(fsrc, src_gens)) == len(subgroup_elements(ftgt, tgt_gens))
+
+
+def brown_elementary2(f) -> int:
+    """Br of an elementary 2-group from the integer histogram of 2q mod 4.
+
+    With n = 2 the Gauss sum sum_x exp(i*pi*q(x)) is re + i*im for
+    re = #{2q = 0} - #{2q = 2} and im = #{2q = 1} - #{2q = 3}; its magnitude
+    is sqrt|G| and its direction a multiple of pi/4, read off the signs.
+    """
+    counts = _phase_histogram(f)
+    re = counts[0] - counts[2]
+    im = counts[1] - counts[3]
+    if re * re + im * im != f.size:
+        raise ValueError("Gauss magnitude check failed")
+    ray = {
+        (1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
+        (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7,
+    }
+    key = ((re > 0) - (re < 0), (im > 0) - (im < 0))
+    if key == (0, 0) or (key[0] and key[1] and abs(re) != abs(im)):
+        raise ValueError("degenerate Gauss sum")
+    return ray[key]

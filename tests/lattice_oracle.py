@@ -1,0 +1,105 @@
+"""Direct-sum oracle for `zlat.lattice.parse_lattice_expr`.
+
+This is the parser as the package had it before it built one block-diagonal
+Gram matrix per expression: every atom is a `Lattice`, a term is the
+`direct_sum` of its repetitions (after `rescale`), and the expression is the
+`direct_sum` of its terms, renamed.  Positions and messages of `ExprError`
+are the reference for the one-construction parser.
+"""
+
+from __future__ import annotations
+
+from zlat.lattice import ExprError, Lattice, direct_sum, make_lattice, named, render_expr, rescale
+
+
+def parse_lattice_expr(text: str) -> Lattice:
+    """Evaluate a lattice expression like "U(3)+2A2+A1" or "<2>+3<-6>"."""
+    pos = 0
+    n = len(text)
+    terms: list[Lattice] = []
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_uint() -> int | None:
+        nonlocal pos
+        start = pos
+        while pos < n and text[pos].isdigit():
+            pos += 1
+        return int(text[start:pos]) if pos > start else None
+
+    def parse_atom() -> Lattice:
+        nonlocal pos
+        if pos >= n:
+            raise ExprError("expected lattice atom", pos)
+        ch = text[pos]
+        if ch == "U":
+            pos += 1
+            return named("U")
+        if ch in "ADE":
+            pos += 1
+            idx = parse_uint()
+            if idx is None:
+                raise ExprError(f"expected index after '{ch}'", pos)
+            try:
+                return named(f"{ch}{idx}")
+            except ValueError as e:
+                raise ExprError(str(e), pos) from None
+        if ch == "<":
+            pos += 1
+            neg = False
+            if pos < n and text[pos] == "-":
+                neg = True
+                pos += 1
+            val = parse_uint()
+            if val is None:
+                raise ExprError("expected integer inside <>", pos)
+            if pos >= n or text[pos] != ">":
+                raise ExprError("expected '>'", pos)
+            pos += 1
+            if val == 0:
+                raise ExprError("<0> is degenerate", pos)
+            return named(f"<{-val if neg else val}>")
+        raise ExprError(f"unexpected character {ch!r}", pos)
+
+    def parse_term() -> Lattice:
+        nonlocal pos
+        skip_ws()
+        count = parse_uint()
+        if count is not None and count == 0:
+            raise ExprError("zero repetition count", pos)
+        atom = parse_atom()
+        if pos < n and text[pos] == "(":
+            pos += 1
+            neg = False
+            if pos < n and text[pos] == "-":
+                neg = True
+                pos += 1
+            scale = parse_uint()
+            if scale is None:
+                raise ExprError("expected scale integer", pos)
+            if pos >= n or text[pos] != ")":
+                raise ExprError("expected ')'", pos)
+            pos += 1
+            scale = -scale if neg else scale
+            if scale == 0:
+                raise ExprError("zero scale", pos)
+            atom = rescale(atom, scale)
+        reps = count if count is not None else 1
+        return direct_sum(*([atom] * reps))
+
+    skip_ws()
+    if pos >= n:
+        raise ExprError("empty expression", 0)
+    terms.append(parse_term())
+    skip_ws()
+    while pos < n:
+        if text[pos] != "+":
+            raise ExprError(f"unexpected character {text[pos]!r}", pos)
+        pos += 1
+        terms.append(parse_term())
+        skip_ws()
+    result = direct_sum(*terms)
+    return make_lattice(result.gram_rows(), render_expr(text))

@@ -1,6 +1,6 @@
 import pytest
 
-from zlat import forms, golden, stability
+from zlat import classify, forms, golden, stability
 from zlat.classify import (
     THalfInvariants,
     admissible_invariants,
@@ -189,8 +189,8 @@ def test_all_table5_lattices_stable():
 
 _OPTIMIZED_CHECKS = """
 import sys
-from zlat import classify, forms, stability
-from zlat.lattice import named
+from zlat import classify, exact, forms, stability
+from zlat.lattice import named, signature
 from zlat.gluing import GlueMap, glue
 
 assert not __debug__, "run under python -O"
@@ -224,6 +224,14 @@ except ValueError as e:
     print("realize:", e)
 stability.isomorphic_in_genus = real
 
+real_inertia = exact.inertia
+exact.inertia = lambda g: (len(g), 0, 0)  # <-2> read as positive definite
+try:
+    signature(named("<-2>"))
+except ArithmeticError as e:
+    print("signature:", e)
+exact.inertia = real_inertia
+
 l1, l2 = named("<2>"), named("<-2>")
 phi = GlueMap(forms.discriminant_form(l1), forms.discriminant_form(l2), ((1,),), ((1,),))
 forms.subgroup_order = lambda f, gens: 1  # breaks det(l1 +_phi l2) |H|^2 = det(l1) det(l2)
@@ -248,4 +256,36 @@ def test_result_checks_survive_python_O():
     assert lines == ["witness: witness recomputation mismatch for (2, 0, 0, 0, 0)",
                      "s-pair: S+ sign mismatch",
                      "realize: involution: L+ not in the genus of the plus half (8B:1)",
+                     "signature: signature (1, 0) disagrees with det -2",
                      "glue: gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)"]
+
+
+def _linear_scan_witness(inv):
+    """The first candidate multiset with the invariants, in candidate order."""
+    target = (inv.r, 1, inv.r2, inv.delta2, inv.p, inv.q)
+    for names in classify._candidate_multisets(8):
+        if classify._combined_invariants(names) == target:
+            return classify.render_blocks(names)
+    return None
+
+
+def test_witness_index_matches_linear_scan():
+    invariants = {inv for pair in admissible_invariants() for inv in pair}
+    assert len(invariants) == 88
+    for inv in invariants:
+        assert witness_lattice(inv).expr == _linear_scan_witness(inv)
+
+
+def test_cold_census_builds_candidates_once(monkeypatch):
+    calls = []
+    real = classify._candidate_multisets
+
+    def counted(max_rank):
+        calls.append(max_rank)
+        return real(max_rank)
+
+    monkeypatch.setattr(classify, "_candidate_multisets", counted)
+    for cached in (classify.enumerate_ascending_t_pairs, classify.witness_lattice, classify._witness_index):
+        cached.cache_clear()
+    assert len(classify.enumerate_ascending_t_pairs()) == 68
+    assert calls == [8]

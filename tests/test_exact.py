@@ -1,5 +1,8 @@
 import random
 
+import exact_oracle
+import pytest
+from forms_oracle import random_basis_change
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from zlat.exact import (
     smith_normal_form,
     transpose,
 )
+from zlat.lattice import parse_lattice_expr
 
 A2 = [[-2, 1], [1, -2]]
 U = [[0, 1], [1, 0]]
@@ -187,3 +191,48 @@ def test_determinant_matches_snf():
             prod *= x
         assert abs(determinant(m)) == prod
         assert determinant(transpose(m)) == determinant(m)
+
+
+# symmetric elimination against the characteristic-polynomial oracle ----------
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of size <= 12: plain entries (often
+    singular), all-zero diagonals, or B^T D B with zero and negative D."""
+    n = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("entries", "zero-diagonal", "congruence")))
+    cells = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
+    if kind == "congruence":
+        b = draw(cells)
+        d = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        return [[sum(b[k * n + i] * d[k] * b[k * n + j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+    m = draw(cells)
+    return [[0 if kind == "zero-diagonal" and i == j else m[min(i, j) * n + max(i, j)]
+             for j in range(n)] for i in range(n)]
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_inertia_matches_char_poly_oracle(g):
+    assert inertia(g) == exact_oracle.inertia(g)
+
+
+def test_inertia_negative_pivot_keeps_remainder_sign():
+    assert inertia([[-2, 1], [1, 1]]) == (1, 0, 1)
+    assert inertia([[0, 0], [0, 0]]) == (0, 2, 0)
+    assert inertia([[0, 3, 0], [3, 0, 0], [0, 0, 0]]) == (1, 1, 1)
+
+
+def test_inertia_rejects_non_symmetric():
+    with pytest.raises(ValueError):
+        inertia([[0, 1], [2, 0]])
+
+
+def test_inertia_of_large_catalog_sums_under_basis_change():
+    rng = random.Random(22)
+    for expr, sig in (("3U+2E8", (3, 0, 19)), ("U(3)+E8(-1)+2E8+A1+<6>", (10, 0, 18)),
+                      ("2U+U(2)+4D4+A2(2)+A1+2<-6>+<6>", (4, 0, 24))):
+        l = random_basis_change(parse_lattice_expr(expr), rng, 3 * len(expr))
+        g = l.gram_rows()
+        assert inertia(g) == exact_oracle.inertia(g) == sig

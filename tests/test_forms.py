@@ -7,6 +7,7 @@ from forms_oracle import change_generators, random_basis_change
 
 from zlat import exact
 from zlat.forms import (
+    _brown_elementary,
     _complement_of,
     anti_iso_root,
     aut_order,
@@ -376,6 +377,17 @@ def test_elementary2_matches_oracles(f):
     assert d2 == parity2(f)
     assert normal_form2(_check_blocks(f, blocks)) == normal_form2(f)
     _check_complement(f, 2, blocks[0][1])
+
+
+@given(elementary_forms(2))
+@settings(max_examples=80, deadline=None)
+def test_brown_elementary2_matches_histogram(f):
+    assert _brown_elementary(f, 2) == oracle.brown_elementary2(f) == brown(f)
+
+
+def test_brown_elementary_rejects_degenerate():
+    with pytest.raises(ValueError):
+        _brown_elementary(form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0]), 2)
 
 
 @given(elementary_forms(3))

@@ -1,4 +1,9 @@
+import re
+
+import lattice_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlat import exact
 from zlat.lattice import (
@@ -204,3 +209,37 @@ def test_parse_errors_with_position():
         parse_lattice_expr("")
     with pytest.raises(ExprError):
         parse_lattice_expr("<0>")
+
+
+# one-construction parsing against the direct-sum oracle ------------------------
+
+_TERMS = st.builds(
+    lambda count, atom, scale, ws: f"{ws}{count}{atom}{scale}{ws}",
+    st.sampled_from(("", "1", "2", "3")),
+    st.sampled_from(("U", "A1", "A2", "A5", "D4", "D6", "E6", "E7", "E8", "<2>", "<-6>", "<3>")),
+    st.sampled_from(("", "(2)", "(-1)", "(3)", "(-6)")),
+    st.sampled_from(("", " ")),
+)
+_FRAGMENTS = ("U", "A", "D", "E", "0", "1", "2", "3", "6", "<", ">", "-", "(", ")", "+", " ",
+              "A2", "D4", "E6", "<-6>", "U(3)")
+
+
+def _parse_outcome(parse, text):
+    try:
+        l = parse(text)
+    except ExprError as e:
+        return "error", str(e), e.pos
+    return "ok", l.gram, l.expr
+
+
+@given(st.lists(_TERMS, min_size=1, max_size=5).map("+".join))
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_direct_sum_oracle(text):
+    assert _parse_outcome(parse_lattice_expr, text) == _parse_outcome(lattice_oracle.parse_lattice_expr, text)
+
+
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=8).map("".join)
+       .filter(lambda text: not re.search(r"\d\d", text)))
+@settings(max_examples=300, deadline=None)
+def test_parse_errors_match_direct_sum_oracle(text):
+    assert _parse_outcome(parse_lattice_expr, text) == _parse_outcome(lattice_oracle.parse_lattice_expr, text)
