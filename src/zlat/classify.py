@@ -161,31 +161,27 @@ def _block_data(name: str):
     f = forms.discriminant_form(l)
     f2 = forms.p_part(f, 2)
     f3 = forms.p_part(f, 3)
-    d2, blocks2 = forms.decompose2(full_view(f2, 2))
-    contrib = {"e+": 1, "e-": -1, "u2": 0, "v2": 4}
-    br2 = sum(contrib[k] for k, _ in blocks2) % 8
-    blocks3 = forms.decompose3(full_view(f3, 3))
-    x3 = sum(1 for k, _ in blocks3 if k == "t+")
-    y3 = len(blocks3) - x3
+    p3, q3 = forms.normal_form3(f3)
     n_plus, _n_minus = signature(l)
-    return l.rank, n_plus, f2.ngens, br2, d2, x3, y3
+    return l.rank, n_plus, f2.ngens, forms.parity2(f2), p3, p3 + q3
 
 
 def _combined_invariants(names: list[str]):
-    rank = r2 = br2 = d2 = x3 = y3 = 0
+    """Invariants of a sum of catalog blocks from those of the blocks: the 2-
+    and 3-parts of a sum are the sums of the blocks' parts, and since
+    2<2/3> = 2<-2/3> the sum's p is the blocks' total p mod 2."""
+    rank = r2 = d2 = p3 = r3 = 0
     n_plus = 0
     for name in names:
-        rk, np_, nr2, b2, dd2, xx3, yy3 = _block_data(name)
+        rk, np_, nr2, dd2, pp3, rr3 = _block_data(name)
         rank += rk
         n_plus += np_
         r2 += nr2
-        br2 = (br2 + b2) % 8
         d2 = max(d2, dd2)
-        x3 += xx3
-        y3 += yy3
-    p = x3 % 2
-    q = x3 + y3 - p
-    return rank, n_plus, r2, d2, p, q
+        p3 += pp3
+        r3 += rr3
+    p = p3 % 2
+    return rank, n_plus, r2, d2, p, r3 - p
 
 
 def block_multisets(names: list[str], max_rank: int) -> list[list[str]]:

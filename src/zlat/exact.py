@@ -22,10 +22,6 @@ def copy_matrix(m) -> Matrix:
     return [list(row) for row in m]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[0] * cols for _ in range(rows)]

@@ -670,7 +670,11 @@ def subgroup_order(f: FiniteQuadraticForm, gens) -> int:
 
 
 def is_isotropic_subgroup(f: FiniteQuadraticForm, gens) -> bool:
-    return all(f.q_numer(x) == 0 for x in subgroup_elements(f, gens))
+    """Whether q vanishes on <gens>: since q(sum c_i g_i) = sum c_i^2 q(g_i)
+    + 2 sum_{i<j} c_i c_j b(g_i, g_j) mod 2, exactly when q does on each
+    generator and b on each pair."""
+    return all(f.q_numer(g) == 0 for g in gens) and all(
+        f.b_numer(g, h) == 0 for g, h in itertools.combinations(gens, 2))
 
 
 def orthogonal_of_subgroup(f: FiniteQuadraticForm, gens) -> list[Element]:
@@ -680,59 +684,6 @@ def orthogonal_of_subgroup(f: FiniteQuadraticForm, gens) -> list[Element]:
     rows = [w for w in ([sum(bij * c for bij, c in zip(row, g)) % n for row in f.b_num] for g in gens)
             if any(w)]
     return [x for x in f.elements() if all(sum(a * c for a, c in zip(x, w)) % n == 0 for w in rows)]
-
-
-def isotropic_subgroups(f: FiniteQuadraticForm) -> list[frozenset]:
-    """Every isotropic subgroup, enumerated p-part by p-part.
-
-    The p-components are mutually orthogonal, so every isotropic subgroup
-    is the direct sum of its p-parts; isotropic subgroups of each part are
-    grown one generator at a time.
-    """
-    if f.size > 2**6 * 3**6:
-        raise ValueError("group too large")
-    per_p: list[list[frozenset]] = []
-    primes = prime_factors_of_order(f)
-    for p in primes:
-        subs = {frozenset({f.zero()})}
-        frontier = [frozenset({f.zero()})]
-        part_elems = [x for x in f.elements() if _is_p_torsion(f, x, p)]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for x in part_elems:
-                    if x in sub or f.q_numer(x):
-                        continue
-                    if any(f.b_numer(x, y) for y in sub):
-                        continue
-                    grown = set(sub)
-                    order = f.element_order(x)
-                    for mult in range(1, order):
-                        step = f.smul(mult, x)
-                        for e in list(sub):
-                            grown.add(f.add(e, step))
-                    if any(f.q_numer(e) for e in grown):
-                        continue
-                    fz = frozenset(grown)
-                    if fz not in subs:
-                        subs.add(fz)
-                        nxt.append(fz)
-            frontier = nxt
-        per_p.append(sorted(subs, key=lambda s: (len(s), sorted(s))))
-    out = []
-    for combo in itertools.product(*per_p) if per_p else [()]:
-        total = {f.zero()}
-        for sub in combo:
-            total = {f.add(a, b) for a in total for b in sub}
-        out.append(frozenset(total))
-    return sorted(set(out), key=lambda s: (len(s), sorted(s)))
-
-
-def _is_p_torsion(f: FiniteQuadraticForm, x, p: int) -> bool:
-    o = f.element_order(x)
-    while o % p == 0:
-        o //= p
-    return o == 1
 
 
 def coset_fingerprint(f: FiniteQuadraticForm, h_gens):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .classify import TPair, enumerate_ascending_t_pairs, reversion_partner
+from .classify import TPair, admissible_invariants, reversion_partner
 
 OvalGroups = tuple[tuple[int, int], ...]  # (count, signed pair count)
 
@@ -165,7 +165,7 @@ def topology_from_t_half(inv) -> tuple[int, tuple, str, str, int]:
 
     shape is ("null",), ("nest3",) or ("general", alpha, beta).
     """
-    first_halves = {pair[0] for pair in _census_invariant_pairs()}
+    first_halves = {pair[0] for pair in admissible_invariants()}
     if inv not in first_halves:
         raise ValueError(f"invariants {inv} are outside the enumerated census")
     r, r2, d2, p, q = inv.r, inv.r2, inv.delta2, inv.p, inv.q
@@ -182,12 +182,6 @@ def topology_from_t_half(inv) -> tuple[int, tuple, str, str, int]:
     if (alpha, beta) == (1, 1) and curve_type == "I" and nu_r == 0:
         return 3, ("nest3",), curve_type, o, 0
     return ell, ("general", alpha, beta), curve_type, o, nu_r
-
-
-def _census_invariant_pairs():
-    from .classify import admissible_invariants
-
-    return admissible_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +363,3 @@ def cubic_topology(sid: SexticID, nu_r: int) -> CubicTopology:
     if not (chi == 1 - 2 * handles and -1 <= handles <= 3):
         raise ValueError(f"Euler characteristic {chi} gives no handle count in -1..3")
     return CubicTopology(chi, handles)
-
-
-def census_ids() -> list[tuple[TPair, SexticID]]:
-    return [(pair, id_from_t_pair(pair)) for pair in enumerate_ascending_t_pairs()]

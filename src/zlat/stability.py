@@ -82,9 +82,9 @@ def nikulin_stable(l: Lattice) -> bool:
 
 
 def miranda_morrison_stable(l: Lattice) -> bool:
-    """The Miranda-Morrison special case: 2/3-elementary, rank >= 3, indefinite."""
+    """The Miranda-Morrison special case: even, 2/3-elementary, rank >= 3, indefinite."""
     np_, nm = signature(l)
-    if np_ == 0 or nm == 0 or l.rank < 3:
+    if np_ == 0 or nm == 0 or l.rank < 3 or not l.is_even:
         return False
     _f, primes, ranks, elem = _discr_profile(l)
     if any(p not in (2, 3) for p in primes):

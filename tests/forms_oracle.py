@@ -12,6 +12,10 @@ tests call them on groups of size at most 2^8 or 3^5 only.
 off the histogram of squares over all 2^r elements, as the package computed
 it before it used the blocks of the Gram reduction mod 2.
 
+`is_isotropic_subgroup` tests q on every element of the span, as the
+package did before it looked at q on the generators and b on their pairs;
+`isotropic_subgroups` enumerates every isotropic subgroup.
+
 `FractionForm` with `discriminant_form`, `p_part` and `direct_sum_forms`
 below is the storage the package used before it kept integer numerators
 over the exponent: pairings, squares and lifts as reduced `Fraction`s.
@@ -35,6 +39,7 @@ from zlat.forms import (
     _phase_histogram,
     _view,
     form_on_generators,
+    prime_factors_of_order,
     subgroup_elements,
 )
 from zlat.lattice import make_lattice
@@ -342,3 +347,60 @@ def brown_elementary2(f) -> int:
     if key == (0, 0) or (key[0] and key[1] and abs(re) != abs(im)):
         raise ValueError("degenerate Gauss sum")
     return ray[key]
+
+
+def is_isotropic_subgroup(f, gens) -> bool:
+    return all(f.q(x) == 0 for x in subgroup_elements(f, gens))
+
+
+def isotropic_subgroups(f) -> list[frozenset]:
+    """Every isotropic subgroup, enumerated p-part by p-part.
+
+    The p-components are mutually orthogonal, so every isotropic subgroup
+    is the direct sum of its p-parts; isotropic subgroups of each part are
+    grown one generator at a time.
+    """
+    if f.size > 2**6 * 3**6:
+        raise ValueError("group too large")
+    per_p: list[list[frozenset]] = []
+    primes = prime_factors_of_order(f)
+    for p in primes:
+        subs = {frozenset({f.zero()})}
+        frontier = [frozenset({f.zero()})]
+        part_elems = [x for x in f.elements() if _is_p_torsion(f, x, p)]
+        while frontier:
+            nxt = []
+            for sub in frontier:
+                for x in part_elems:
+                    if x in sub or f.q_numer(x):
+                        continue
+                    if any(f.b_numer(x, y) for y in sub):
+                        continue
+                    grown = set(sub)
+                    order = f.element_order(x)
+                    for mult in range(1, order):
+                        step = f.smul(mult, x)
+                        for e in list(sub):
+                            grown.add(f.add(e, step))
+                    if any(f.q_numer(e) for e in grown):
+                        continue
+                    fz = frozenset(grown)
+                    if fz not in subs:
+                        subs.add(fz)
+                        nxt.append(fz)
+            frontier = nxt
+        per_p.append(sorted(subs, key=lambda s: (len(s), sorted(s))))
+    out = []
+    for combo in itertools.product(*per_p) if per_p else [()]:
+        total = {f.zero()}
+        for sub in combo:
+            total = {f.add(a, b) for a in total for b in sub}
+        out.append(frozenset(total))
+    return sorted(set(out), key=lambda s: (len(s), sorted(s)))
+
+
+def _is_p_torsion(f, x, p: int) -> bool:
+    o = f.element_order(x)
+    while o % p == 0:
+        o //= p
+    return o == 1

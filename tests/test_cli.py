@@ -18,6 +18,12 @@ def test_lattice_command(capsys):
     assert "Brown invariant" in out
 
 
+def test_lattice_even_with_odd_half(capsys):
+    code, out, _err = run(capsys, "lattice", "U(4)+<4>", "--show", "invariants")
+    assert code == 0
+    assert "stability certificate: small-rank:divide-2:criterion" in out
+
+
 def test_lattice_ascii_flag(capsys):
     code, out, _ = run(capsys, "--ascii", "lattice", "<2>+3<-6>", "--show", "discr")
     assert code == 0

@@ -23,7 +23,7 @@ from zlat.forms import (
     full_view,
     is_anti_isomorphism,
     is_elementary,
-    isotropic_subgroups,
+    is_isotropic_subgroup,
     iso2,
     normal_form2,
     normal_form3,
@@ -199,7 +199,7 @@ def test_anti_iso_root_none_for_3half_odd_target():
 
 def test_isotropic_subgroups_cyclic3():
     f = q_cyclic(3, F(-2, 3))
-    subs = isotropic_subgroups(f)
+    subs = oracle.isotropic_subgroups(f)
     assert subs == [frozenset({(0,)})]
 
 
@@ -493,6 +493,27 @@ def test_is_anti_isomorphism_matches_oracle(case):
 def test_orthogonal_of_subgroup_matches_oracle(case):
     f, src, _neg, tgt = case
     assert orthogonal_of_subgroup(f, src + tgt) == oracle.orthogonal_of_subgroup(f, src + tgt)
+
+
+@st.composite
+def subgroup_generators(draw):
+    """The discriminant f of a sum of catalog blocks and up to 3 unreduced
+    generators, each drawn at random or among the elements with q = 0 (whose
+    spans are isotropic unless b pairs two of them nontrivially)."""
+    from zlat.classify import CATALOG
+
+    f = discriminant_form(parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(CATALOG),
+                                                                     min_size=1, max_size=2)))))
+    elem = st.tuples(*[st.integers(-d, 2 * d) for d in f.orders])
+    isotropic = st.sampled_from([x for x in f.elements() if f.q(x) == 0])
+    return f, draw(st.lists(st.one_of(elem, isotropic, isotropic), max_size=3))
+
+
+@given(subgroup_generators())
+@settings(max_examples=200, deadline=None)
+def test_is_isotropic_subgroup_matches_oracle(case):
+    f, gens = case
+    assert is_isotropic_subgroup(f, gens) == oracle.is_isotropic_subgroup(f, gens)
 
 
 def test_is_anti_isomorphism_checks_pairings():

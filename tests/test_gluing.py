@@ -68,6 +68,9 @@ def test_extend_rejects_non_isotropic():
     l = parse_lattice_expr("A2")
     with pytest.raises(ValueError, match="isotropic"):
         extend(l, [(1,)])
+    # on U(2) both generators have q = 0, but b pairs them to 1/2
+    with pytest.raises(ValueError, match="subgroup is not isotropic"):
+        extend(parse_lattice_expr("U(2)"), [(1, 0), (0, 1)])
 
 
 def test_glue_2_minus2_is_u():

@@ -41,6 +41,39 @@ def test_small_rank():
     assert not small_rank_stable(L("U+3A2"))  # no divisibility; nikulin's job
 
 
+def test_odd_quotient_of_even_lattice():
+    # U(4)+<4> halves to U(2)+<2> and again to the odd U+<1>, which has no
+    # discriminant form: the criteria must decline it, not raise
+    l = L("U(4)+<4>")
+    assert not miranda_morrison_stable(L("U+<1>"))
+    assert stability_certificate(l) == "small-rank:divide-2:criterion"
+    assert isomorphic_in_genus(l, l) == "yes"
+
+
+def test_certificate_never_raises_on_random_even_indefinite():
+    import random
+
+    from zlat.exact import determinant
+    from zlat.lattice import make_lattice, signature
+
+    rng = random.Random(1)
+    drawn = 0
+    while drawn < 400:
+        n = rng.randint(3, 6)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = 2 * rng.randint(-5, 5) if i == j else rng.randint(-10, 10)
+        if not 0 < abs(determinant(g)) <= 5000:
+            continue
+        l = make_lattice(g)
+        if 0 in signature(l):
+            continue
+        drawn += 1
+        cert = stability_certificate(l)
+        assert cert is None or isinstance(cert, str)
+
+
 def test_gauss_reduction_lands_diagonal():
     # indefinite |det| 3 forms land on <+-1>+<-+3> with b = 0 ("0 <= b <= sqrt 3")
     for a, b, c in ((1, 0, -3), (3, 1, -2), (-1, 1, 2), (1, 2, 1)):

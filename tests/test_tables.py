@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +81,24 @@ def test_prettify():
 def test_unknown_table():
     with pytest.raises(ValueError):
         computed_table("6A")
+    with pytest.raises(ValueError):
+        diff_golden("6A")
+
+
+def test_outputs_match_recorded_digests():
+    # the classification benchmark records the sha256 of every emitted table
+    # and of every golden diff report; this file is read, never written
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "classification_golden.json"
+    recorded = json.loads(path.read_text())["tables"]
+    assert sorted(recorded) == sorted(TABLE_IDS)
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    for tid in TABLE_IDS:
+        for fmt in ("md", "csv", "json"):
+            assert digest(emit_table(tid, fmt)) == recorded[tid][fmt], (tid, fmt)
+        assert digest(json.dumps(diff_golden(tid), sort_keys=True)) == recorded[tid]["diff"], tid
 
 
 @pytest.mark.parametrize("suite", ["stability", "ids"])
