@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -409,20 +410,46 @@ def _norm_assemblies(per_block, order, target):
 
 @lru_cache(maxsize=None)
 def _root_components(name: str, cap: int = 8, box: int = 2):
-    """Block vectors u with u.(block) in 2Z and |u^2| <= cap, |coords| <= box."""
-    l = parse_lattice_expr(name)
-    g = l.gram_rows()
-    n = l.rank
+    """Block vectors u with u.(block) in 2Z and |u^2| <= cap, |coords| <= box.
+
+    u.(block) in 2Z depends on u mod 2 only: the walk visits the parity
+    patterns in the kernel of the Gram matrix mod 2, each coordinate
+    stepping by 2 through the box.
+    """
+    g = parse_lattice_expr(name).gram
+    n = len(g)
     out = []
-    for coords in itertools.product(range(-box, box + 1), repeat=n):
-        prods = [sum(coords[i] * g[i][j] for i in range(n)) for j in range(n)]
-        if any(p % 2 for p in prods):
-            continue
-        norm = sum(prods[j] * coords[j] for j in range(n))
-        if -cap <= norm <= cap:
-            out.append((coords, norm))
+    for parity in _kernel_mod2(g):
+        for coords in itertools.product(*(range(-box + (box + s) % 2, box + 1, 2) for s in parity)):
+            norm = sum(c * sum(map(operator.mul, row, coords)) for c, row in zip(coords, g))
+            if -cap <= norm <= cap:
+                out.append((coords, norm))
     out.sort(key=lambda cn: (cn[1] != -2, cn[0] != tuple([0] * n), cn[0]))
     return tuple(out)
+
+
+def _kernel_mod2(g) -> list[tuple[int, ...]]:
+    """Every u in F_2^n with u*G = 0 mod 2 (G symmetric), from the reduced echelon form of G mod 2."""
+    n = len(g)
+    rows = [[x % 2 for x in row] for row in g]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows = [[a ^ b for a, b in zip(row, rows[r])] if i != r and row[c] else row
+                for i, row in enumerate(rows)]
+        pivots.append(c)
+    kernel = [(0,) * n]
+    for f in (c for c in range(n) if c not in pivots):
+        u = [0] * n
+        u[f] = 1
+        for row, c in zip(rows, pivots):
+            u[c] = row[f]
+        kernel += [tuple(a ^ b for a, b in zip(k, u)) for k in kernel]
+    return kernel
 
 
 def _two_part_generators(f: forms.FiniteQuadraticForm):
@@ -587,7 +614,9 @@ def realize_pair(pair: TPair) -> dict:
         raise ValueError(f"stage c: glued lattice not unimodular ({pair.table_ref})")
     if not k3.is_even:
         raise ValueError(f"stage c: glued lattice not even ({pair.table_ref})")
-    if signature(k3) != (3, 19):
+    # inertia directly: each rank-22 K3 Gram matrix is read once, and the
+    # `signature` memo would only keep it alive
+    if exact.inertia(k3.gram_rows()) != (3, 0, 19):
         raise ValueError(f"stage c: wrong signature ({pair.table_ref})")
     report["stage_c"] = "ok"
     return report

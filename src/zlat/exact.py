@@ -122,85 +122,51 @@ def hermite_normal_form(m) -> Matrix:
 def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, D, V) with U*M*V = D, U and V unimodular.
 
-    D is diagonal with nonnegative entries d_i | d_{i+1}.
+    D is diagonal with nonnegative entries d_i | d_{i+1}.  The work matrix
+    holds the rows of [M | U] followed by the rows of V: a row operation is
+    one comprehension over a zipped pair of rows (M and U together), and a
+    column operation one pass over all rows (M and V together).
     """
-    a = copy_matrix(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        for k in range(cols):
-            a[i][k] -= q * a[j][k]
-        for k in range(rows):
-            u[i][k] -= q * u[j][k]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for k in range(rows):
-            a[k][i] -= q * a[k][j]
-        for k in range(cols):
-            v[k][i] -= q * v[k][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for k in range(rows):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(cols):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
-
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    w = [list(r) + e for r, e in zip(m, identity(rows))] + identity(cols)
     t = 0
     while t < min(rows, cols):
-        # find a nonzero pivot
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+        piv = next(((i, j) for i in range(t, rows) for j in range(t, cols) if w[i][j]), None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        i, j = piv
+        w[t], w[i] = w[i], w[t]
+        for row in w:
+            row[t], row[j] = row[j], row[t]
         while True:
             for i in range(t + 1, rows):
-                while a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
+                while w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t]:
+                        w[t], w[i] = w[i], w[t]
             for j in range(t + 1, cols):
-                while a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-            if any(a[i][t] != 0 for i in range(t + 1, rows)):
+                while w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    for row in w:
+                        row[j] -= q * row[t]
+                    if w[t][j]:
+                        for row in w:
+                            row[t], row[j] = row[j], row[t]
+            if any(w[i][t] for i in range(t + 1, rows)):
                 continue
             # pivot must divide the rest of the block for the chain d_i | d_{i+1}
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            d = abs(w[t][t])
+            below = range(t + 1, rows) if d > 1 else ()
+            bad = next((i for i in below if any(x % d for x in w[i][t + 1:cols])), None)
             if bad is None:
                 break
-            row_op(t, bad, -1)  # row_t += row_bad, then re-eliminate
-        if a[t][t] < 0:
-            for k in range(cols):
-                a[t][k] = -a[t][k]
-            for k in range(rows):
-                u[t][k] = -u[t][k]
+            w[t] = [x + y for x, y in zip(w[t], w[bad])]  # row_t += row_bad, then re-eliminate
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
         t += 1
-    return u, a, v
+    return [r[cols:] for r in w[:rows]], [r[:cols] for r in w[:rows]], w[rows:]
 
 
 def integer_kernel(m) -> Matrix:

@@ -20,9 +20,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exact
-from .lattice import Lattice
+from .lattice import MEMO_SIZE, Lattice
 
 GAUSS_TOL = 1e-6
 GAUSS_SIZE_CAP = 10**6
@@ -121,6 +122,7 @@ def form_on_generators(orders, bil, quad) -> FiniteQuadraticForm:
                                tuple(numerator(x, 2 * n) for x in quad))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     """The discriminant L*/L with Q/Z pairing and Q/2Z quadratic refinement.
 

@@ -7,12 +7,17 @@ equality here is basis-dependent on purpose.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import exact
 from .exact import Matrix
+
+
+# entries of each per-value memo of a lattice invariant (keyed on the Gram matrix)
+MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -22,10 +27,14 @@ class Lattice:
     _det: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        g = self.gram_rows()
-        if not exact.is_symmetric(g):
+        self._validate(None)
+
+    def _validate(self, det: int | None) -> None:
+        """Check symmetry and nondegeneracy; Bareiss only when det is not known."""
+        if not exact.is_symmetric(self.gram):
             raise ValueError("gram matrix not symmetric")
-        det = exact.determinant(g)
+        if det is None:
+            det = exact.determinant(self.gram)
         if det == 0:
             raise ValueError("degenerate gram matrix")
         object.__setattr__(self, "_det", det)
@@ -57,6 +66,15 @@ class Lattice:
 
 def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
     return Lattice(tuple(tuple(row) for row in gram), expr)
+
+
+def _with_det(gram: Matrix, det: int, expr: str | None = None) -> Lattice:
+    """A Lattice whose determinant its constructor already knows (no Bareiss)."""
+    l = object.__new__(Lattice)
+    object.__setattr__(l, "gram", tuple(tuple(row) for row in gram))
+    object.__setattr__(l, "expr", expr)
+    l._validate(det)
+    return l
 
 
 @dataclass(frozen=True)
@@ -159,7 +177,7 @@ def _block_gram(grams) -> Matrix:
 def direct_sum(*lattices: Lattice) -> Lattice:
     parts = [l for l in lattices if l.rank > 0]
     expr = "+".join(l.expr for l in parts) if all(l.expr for l in parts) else None
-    return make_lattice(_block_gram([l.gram for l in parts]), expr)
+    return _with_det(_block_gram([l.gram for l in parts]), math.prod(l.det() for l in parts), expr)
 
 
 EMPTY = make_lattice([], "0")
@@ -168,15 +186,26 @@ EMPTY = make_lattice([], "0")
 def rescale(l: Lattice, n: int) -> Lattice:
     if n == 0:
         raise ValueError("scale factor must be nonzero")
-    g = [[n * x for x in row] for row in l.gram_rows()]
-    expr = None
-    if l.expr and n != 1:
-        expr = f"{l.expr}({n})" if "+" not in l.expr else f"({l.expr})({n})"
-    elif n == 1:
-        expr = l.expr
-    return make_lattice(g, expr)
+    g = [[n * x for x in row] for row in l.gram]
+    return _with_det(g, n**l.rank * l.det(), l.expr if n == 1 else _rescale_expr(l.expr, n))
 
 
+_TERM = re.compile(r"(\d*)(U|[ADE]\d+|<-?\d+>)(?:\((-?\d+)\))?")
+
+
+def _rescale_expr(expr: str | None, n: int) -> str | None:
+    """expr with every term's scale multiplied by n; None outside the grammar."""
+    terms = []
+    for term in (expr or "").split("+"):
+        m = _TERM.fullmatch(term)
+        if m is None:
+            return None
+        scale = int(m[3] or 1) * n
+        terms.append(m[1] + m[2] + (f"({scale})" if scale != 1 else ""))
+    return "+".join(terms)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def signature(l: Lattice) -> tuple[int, int]:
     np_, nz, nm = exact.inertia(l.gram_rows())
     if nz:
@@ -232,7 +261,9 @@ def _overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, Matrix]:
     gram = [[x // den2 for x in row] for row in scaled]
     if any(gram[i][i] % 2 for i in range(n)):
         raise ValueError("overlattice is not even")
-    return make_lattice(gram), h
+    # H is upper triangular, so det(gram) = det(l) * (prod diag H)^2 / den^(2n)
+    det_h = math.prod(h[i][i] for i in range(n))
+    return _with_det(gram, l.det() * det_h * det_h // den2**n), h
 
 
 def extension_by_fraction(l: Lattice, v, d: int) -> Lattice:
@@ -284,7 +315,7 @@ def is_divisible_by(l: Lattice, p: int) -> bool:
 def divide(l: Lattice, p: int) -> Lattice:
     if not is_divisible_by(l, p):
         raise ValueError(f"lattice not divisible by {p}")
-    return make_lattice([[x // p for x in row] for row in l.gram_rows()])
+    return _with_det([[x // p for x in row] for row in l.gram], l.det() // p**l.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +383,14 @@ def parse_lattice_expr(text: str) -> Lattice:
         raise ExprError(f"unexpected character {ch!r}", pos)
 
     def parse_term() -> list:
-        """The term's atoms as Gram matrices, one per repetition."""
+        """The term's atoms as (Gram matrix, det), one per repetition."""
         nonlocal pos
         skip_ws()
         count = parse_uint()
         if count is not None and count == 0:
             raise ExprError("zero repetition count", pos)
-        gram = parse_atom().gram
+        atom = parse_atom()
+        gram, det = atom.gram, atom.det()
         if pos < n and text[pos] == "(":
             pos += 1
             neg = False
@@ -375,7 +407,8 @@ def parse_lattice_expr(text: str) -> Lattice:
             if scale == 0:
                 raise ExprError("zero scale", pos)
             gram = [[scale * x for x in row] for row in gram]
-        return [gram] * (count if count is not None else 1)
+            det *= scale**atom.rank
+        return [(gram, det)] * (count if count is not None else 1)
 
     skip_ws()
     if pos >= n:
@@ -388,7 +421,7 @@ def parse_lattice_expr(text: str) -> Lattice:
         pos += 1
         atoms += parse_term()
         skip_ws()
-    return make_lattice(_block_gram(atoms), render_expr(text))
+    return _with_det(_block_gram([g for g, _d in atoms]), math.prod(d for _g, d in atoms), render_expr(text))
 
 
 def render_expr(text: str) -> str:

@@ -8,9 +8,10 @@ verdict and the classification pipeline treats it as a hard failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import forms
-from .lattice import Lattice, divide, is_divisible_by, signature
+from .lattice import MEMO_SIZE, Lattice, divide, is_divisible_by, signature
 
 _RAW_CAP = 20000
 
@@ -34,6 +35,7 @@ def _part_descriptor(f: forms.FiniteQuadraticForm, p: int):
     return ("big", tuple(sorted(part.orders)))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def genus_tag(l: Lattice) -> GenusTag:
     f = forms.discriminant_form(l)
     parts = tuple((p, _part_descriptor(f, p)) for p in forms.prime_factors_of_order(f))

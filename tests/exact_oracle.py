@@ -1,15 +1,20 @@
-"""Characteristic-polynomial oracle for `zlat.exact.inertia`.
+"""Oracles for `zlat.exact`.
 
-This is the signature computation the package used before it switched to
-symmetric elimination: Faddeev-LeVerrier gives det(tI - M) with exact
+`inertia` is the signature computation the package used before it switched
+to symmetric elimination: Faddeev-LeVerrier gives det(tI - M) with exact
 divisions over Z, and Descartes' rule of signs on the (real-rooted)
 polynomial counts positive and negative eigenvalues.  It costs n products
 of integer matrices with growing entries.
+
+`smith_normal_form` is the Smith form as the package had it before it
+worked on whole row lists: entry-by-entry row and column operations and
+swaps through closures, in the same pivot order, so (U, D, V) must agree
+exactly.
 """
 
 from __future__ import annotations
 
-from zlat.exact import identity, is_symmetric, mat_mul
+from zlat.exact import Matrix, copy_matrix, identity, is_symmetric, mat_mul
 
 
 def char_poly(m) -> list[int]:
@@ -50,3 +55,87 @@ def inertia(g) -> tuple[int, int, int]:
     if n_plus + n_minus + n_zero != n:
         raise ArithmeticError("characteristic polynomial is not real-rooted")
     return n_plus, n_zero, n_minus
+
+
+def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
+    """Return (U, D, V) with U*M*V = D, U and V unimodular.
+
+    D is diagonal with nonnegative entries d_i | d_{i+1}.
+    """
+    a = copy_matrix(m)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = identity(rows)
+    v = identity(cols)
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        for k in range(cols):
+            a[i][k] -= q * a[j][k]
+        for k in range(rows):
+            u[i][k] -= q * u[j][k]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for k in range(rows):
+            a[k][i] -= q * a[k][j]
+        for k in range(cols):
+            v[k][i] -= q * v[k][j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for k in range(rows):
+            a[k][i], a[k][j] = a[k][j], a[k][i]
+        for k in range(cols):
+            v[k][i], v[k][j] = v[k][j], v[k][i]
+
+    t = 0
+    while t < min(rows, cols):
+        # find a nonzero pivot
+        piv = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] != 0:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            for i in range(t + 1, rows):
+                while a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    row_op(i, t, q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+            for j in range(t + 1, cols):
+                while a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    col_op(j, t, q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+            if any(a[i][t] != 0 for i in range(t + 1, rows)):
+                continue
+            # pivot must divide the rest of the block for the chain d_i | d_{i+1}
+            bad = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % a[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_op(t, bad, -1)  # row_t += row_bad, then re-eliminate
+        if a[t][t] < 0:
+            for k in range(cols):
+                a[t][k] = -a[t][k]
+            for k in range(rows):
+                u[t][k] = -u[t][k]
+        t += 1
+    return u, a, v

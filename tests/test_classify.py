@@ -1,3 +1,6 @@
+import itertools
+
+import classify_oracle
 import pytest
 
 from zlat import classify, forms, golden, stability
@@ -14,6 +17,7 @@ from zlat.classify import (
     realize_pair,
     reversion_partner,
     s_pair,
+    witness_blocks,
     witness_lattice,
 )
 from zlat.lattice import parse_lattice_expr
@@ -115,6 +119,32 @@ def test_reversion_root_found_constructively():
     root = find_reversion_root(pair)
     assert root is not None
     assert pair.witness_minus.norm(list(root)) == -2
+
+
+def test_root_components_match_box_walk():
+    # every window of find_reversion_root whose box has at most 4*10^5 points
+    blocks = {name for pair in enumerate_ascending_t_pairs()
+              for w in (pair.witness_plus, pair.witness_minus) for name in witness_blocks(w)}
+    checked = 0
+    for name in sorted(blocks):
+        rank = parse_lattice_expr(name).rank
+        for cap, box in ((8, 2), (24, 3), (48, 4)):
+            if (2 * box + 1) ** rank <= 4 * 10**5:
+                want = classify_oracle.root_components(name, cap, box)
+                assert classify._root_components(name, cap, box) == want, (name, cap, box)
+                checked += 1
+    assert {"D4", "E6"} <= blocks and checked == 3 * len(blocks) - 1  # E6 at box 4 has 9^6 points
+
+
+def test_kernel_mod2():
+    assert classify._kernel_mod2(parse_lattice_expr("E6").gram) == [(0,) * 6]
+    d4 = classify._kernel_mod2(parse_lattice_expr("D4").gram)
+    assert len(d4) == 4 and len(set(d4)) == 4
+    assert sorted(classify._kernel_mod2(parse_lattice_expr("U(2)").gram)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    g = parse_lattice_expr("U+A1+D4+A2(2)").gram
+    everything = [u for u in itertools.product((0, 1), repeat=len(g))
+                  if all(sum(a * b for a, b in zip(u, col)) % 2 == 0 for col in zip(*g))]
+    assert sorted(classify._kernel_mod2(g)) == everything
 
 
 def test_pair_invariant_properties():
@@ -226,6 +256,7 @@ stability.isomorphic_in_genus = real
 
 real_inertia = exact.inertia
 exact.inertia = lambda g: (len(g), 0, 0)  # <-2> read as positive definite
+signature.cache_clear()  # realize_pair already memoized the true signature of <-2>
 try:
     signature(named("<-2>"))
 except ArithmeticError as e:

@@ -236,3 +236,36 @@ def test_inertia_of_large_catalog_sums_under_basis_change():
         l = random_basis_change(parse_lattice_expr(expr), rng, 3 * len(expr))
         g = l.gram_rows()
         assert inertia(g) == exact_oracle.inertia(g) == sig
+
+
+# whole-row Smith form against the closure version ---------------------------
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of up to 6 x 6: plain entries, products B*C through a
+    smaller inner dimension (rank deficient), all zero, or with no rows."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("entries", "low-rank", "zero")))
+    if kind == "low-rank" and rows and cols:
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        b = [draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)) for _ in range(rows)]
+        c = [draw(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols)) for _ in range(k)]
+        return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+    cell = st.just(0) if kind == "zero" else st.integers(-30, 30)
+    return [draw(st.lists(cell, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@given(integer_matrices())
+@settings(max_examples=400, deadline=None)
+def test_snf_matches_closure_oracle(m):
+    assert smith_normal_form(m) == exact_oracle.smith_normal_form(m)
+
+
+def test_snf_matches_closure_oracle_on_grams():
+    rng = random.Random(31)
+    for expr in ("U(6)+A2(2)+2<-6>", "2U+U(3)+2A2+6A2+E6", "U(2)+4D4+A1+<6>"):
+        g = random_basis_change(parse_lattice_expr(expr), rng, 2 * len(expr)).gram_rows()
+        assert smith_normal_form(g) == exact_oracle.smith_normal_form(g)
+    assert smith_normal_form([]) == exact_oracle.smith_normal_form([]) == ([], [], [])
+    assert smith_normal_form([[], []]) == exact_oracle.smith_normal_form([[], []])

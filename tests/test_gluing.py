@@ -304,3 +304,32 @@ def test_glue_involution_matches_fraction_oracle(case):
     inv = glue_involution(l1, l2, phi)
     assert inv.action_rows() == gluing_oracle.glue_involution_action(l1, l2, phi)
     assert 2 ** glue_index_r2(inv) == phi.subgroup_order
+
+
+# determinants carried through overlattice, glue and extend ------------------
+
+
+@given(lattices_with_rows())
+@settings(max_examples=120, deadline=None)
+def test_overlattice_det_matches_bareiss(case):
+    l, rows = case
+    out = _outcome(_integer_overlattice, l, rows)
+    if not isinstance(out, str):
+        assert out.det() == exact.determinant(out.gram_rows())
+
+
+@given(two_elementary_glue_maps())
+@settings(max_examples=60, deadline=None)
+def test_glue_det_matches_bareiss(case):
+    glued = glue(*case)
+    assert glued.det() == exact.determinant(glued.gram_rows())
+
+
+@given(st.lists(st.sampled_from(CATALOG), min_size=1, max_size=4), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_extend_det_matches_bareiss(blocks, rng):
+    l = parse_lattice_expr("+".join(blocks))
+    f = forms.discriminant_form(l)
+    isotropic = [x for x in f.elements() if f.q_numer(x) == 0] if f.size <= 5000 else [f.zero()]
+    out = extend(l, [rng.choice(isotropic)] if f.ngens else [])
+    assert out.det() == exact.determinant(out.gram_rows())

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlat import exact
+from zlat import exact, forms, lattice, stability
+from zlat.classify import CATALOG
 from zlat.lattice import (
+    MEMO_SIZE,
     ExprError,
     direct_sum,
     divide,
@@ -14,8 +16,10 @@ from zlat.lattice import (
     hyperbolic_branch,
     is_divisible_by,
     is_hyperbolic,
+    make_lattice,
     named,
     orthogonal_complement,
+    overlattice,
     parse_lattice_expr,
     primitive_closure,
     rescale,
@@ -243,3 +247,134 @@ def test_parse_matches_direct_sum_oracle(text):
 @settings(max_examples=300, deadline=None)
 def test_parse_errors_match_direct_sum_oracle(text):
     assert _parse_outcome(parse_lattice_expr, text) == _parse_outcome(lattice_oracle.parse_lattice_expr, text)
+
+
+# determinants carried through the constructors -------------------------------
+
+_CATALOG_TERMS = st.builds(lambda count, block: f"{count}{block}", st.sampled_from(("", "2", "3")),
+                           st.sampled_from(CATALOG + ["E8", "D5", "<-1>", "A3(-2)"]))
+_CATALOG_EXPRS = st.lists(_CATALOG_TERMS, min_size=1, max_size=4).map("+".join)
+_SCALES = st.integers(-6, 6).filter(bool)
+
+
+def _bareiss_agrees(l):
+    return l.det() == exact.determinant(l.gram_rows())
+
+
+@given(_CATALOG_EXPRS, _CATALOG_EXPRS, _SCALES)
+@settings(max_examples=150, deadline=None)
+def test_threaded_det_matches_bareiss(text1, text2, n):
+    l1, l2 = parse_lattice_expr(text1), parse_lattice_expr(text2)
+    assert _bareiss_agrees(l1) and _bareiss_agrees(l2)
+    assert _bareiss_agrees(direct_sum(l1, l2))
+    assert _bareiss_agrees(rescale(l1, n))
+    assert _bareiss_agrees(divide(rescale(l2, n), n))
+    for p in (2, 3, 6):
+        if is_divisible_by(l1, p):
+            assert _bareiss_agrees(divide(l1, p))
+
+
+def test_threaded_det_matches_bareiss_on_extensions():
+    for expr, v, d in (("6A2", [1, -1] * 6, 3), ("3A2(2)", [1, -1] * 3, 3), ("8A1", [1] * 8, 2),
+                       ("U(6)+A2", [0, 1, 0, 0], 6), ("D4+4A1", [0, 0, 0, 0, 1, 1, 1, 1], 2)):
+        l = parse_lattice_expr(expr)
+        ext = extension_by_fraction(l, v, d)
+        assert _bareiss_agrees(ext) and abs(ext.det()) * d * d == abs(l.det())
+    assert _bareiss_agrees(overlattice(parse_lattice_expr("U(4)"), [[1, 0], [0, 2]], 2))
+
+
+def test_constructors_skip_bareiss(monkeypatch):
+    from zlat import gluing
+
+    exprs = ("6A2", "U(6)+A2(2)+<-6>", "<2>+A1", "<-2>+<2>")
+    six, mixed, l1, l2 = (parse_lattice_expr(e) for e in exprs)  # catalog atoms built before the patch
+    f1, f2 = forms.discriminant_form(l1), forms.discriminant_form(l2)
+
+    def bareiss(m):
+        raise AssertionError("Bareiss determinant called")
+
+    monkeypatch.setattr(exact, "determinant", bareiss)
+    with pytest.raises(AssertionError):
+        make_lattice([[2, 1], [1, 2]])
+    for e in exprs:
+        assert parse_lattice_expr(e).det()
+    assert direct_sum(six, mixed).det() == six.det() * mixed.det()
+    assert rescale(mixed, -2).det() == (-2)**5 * mixed.det()
+    assert divide(mixed, 2).det() * 2**5 == mixed.det()
+    assert abs(extension_by_fraction(six, [1, -1] * 6, 3).det()) == 81
+    assert abs(gluing.extend(six, [(1,) * 6]).det()) == 81
+    g1 = next(x for x in f1.elements() if f1.q_numer(x) * 2 == f1.n)
+    g2 = next(x for x in f2.elements() if f2.q_numer(x) * 2 == 3 * f2.n)
+    assert abs(gluing.glue(l1, l2, gluing.GlueMap(f1, f2, (g1,), (g2,))).det()) == 4
+
+
+_RAW_GRAM_CHECKS = """
+from zlat.lattice import Lattice, _with_det, make_lattice
+
+assert not __debug__, "run under python -O"
+for gram in ([[0, 1], [2, 0]], [[1, 2]], [[2, 2], [2, 2]], [[0]]):
+    for build in (make_lattice, lambda g: Lattice(tuple(map(tuple, g))), lambda g: _with_det(g, 0)):
+        try:
+            build(gram)
+        except ValueError as e:
+            print(e)
+try:
+    _with_det([[0, 1], [2, 0]], -2)
+except ValueError as e:
+    print(e)
+"""
+
+
+def test_raw_gram_checks_survive_python_O():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-O", "-c", _RAW_GRAM_CHECKS], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["gram matrix not symmetric"] * 6 + ["degenerate gram matrix"] * 6 \
+        + ["gram matrix not symmetric"]
+
+
+# per-value memo of the invariants ---------------------------------------------
+
+def test_memo_keys_on_gram_only():
+    gram = parse_lattice_expr("U(2)+A2+<-6>").gram_rows()
+    a, b = make_lattice(gram, "first"), make_lattice(gram, "second")
+    assert a == b and hash(a) == hash(b) and a.expr != b.expr
+    fa, fb = forms.discriminant_form(a), forms.discriminant_form(b)
+    assert fa == fb and fa.lift_cols == fb.lift_cols
+    assert stability.genus_tag(a) == stability.genus_tag(b)
+    assert signature(a) == signature(b) == (1, 4)
+
+
+def test_memo_does_not_cache_errors():
+    odd = parse_lattice_expr("U+<1>")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lattice is not even"):
+            forms.discriminant_form(odd)
+
+
+def test_memos_are_bounded():
+    for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature):
+        assert fn.cache_info().maxsize == MEMO_SIZE == 1024
+
+
+# rescaled expressions stay in the grammar -------------------------------------
+
+def test_rescale_expr():
+    assert rescale(parse_lattice_expr("A2(3)"), 2).expr == "A2(6)"
+    assert rescale(parse_lattice_expr("U+A2"), -1).expr == "U(-1)+A2(-1)"
+    assert rescale(parse_lattice_expr("2A2(-1)+U"), -1).expr == "2A2+U(-1)"
+    assert rescale(parse_lattice_expr("U+A2"), 1).expr == "U+A2"
+    assert rescale(make_lattice([[2]], "custom"), 2).expr is None
+    assert rescale(make_lattice([[2]]), 2).expr is None
+
+
+@given(_CATALOG_EXPRS, _SCALES)
+@settings(max_examples=150, deadline=None)
+def test_rescale_expr_round_trips(text, n):
+    r = rescale(parse_lattice_expr(text), n)
+    assert parse_lattice_expr(r.expr).gram == r.gram
