@@ -13,10 +13,11 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import exact, forms, golden, stability
-from .forms import full_view
-from .gluing import GlueMap, eigenlattices, glue, glue_involution
+from .forms import GlueMap, full_view
+from .gluing import eigenlattices, glue, glue_involution
 from .lattice import (
     EMPTY,
+    MEMO_SIZE,
     Lattice,
     direct_sum,
     extension_by_fraction,
@@ -477,8 +478,10 @@ def _half_class_is_characteristic(f, l: Lattice, v, gens2) -> bool:
 # ---------------------------------------------------------------------------
 # S-pairs
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _master_extension(expr: str) -> Lattice:
-    """[expr]_{sigma/3} with sigma the master element of the block sum."""
+    """[expr]_{sigma/3} with sigma the master element of the block sum (a frozen
+    Lattice per expression: S0 = [6A2]_{sigma/3} serves all 68 realizations)."""
     l = parse_lattice_expr(expr)
     sigma = []
     for name in witness_blocks(l):
@@ -542,23 +545,24 @@ T_EXPR = "U+U(3)+2A2+A1"
 T_PRIME_EXPR = "2U+U(3)+2A2"
 
 
-def glue_t_pair(pair: TPair):
-    """Stage (a): glue the two halves along the root anti-isomorphism."""
-    l1, l2 = pair.witness_plus, pair.witness_minus
-    f2_1 = forms.p_part(forms.discriminant_form(l1), 2)
-    f2_2 = forms.p_part(forms.discriminant_form(l2), 2)
+def t_glue_map(pair: TPair) -> GlueMap:
+    """The root anti-isomorphism along which stage (a) glues the two halves."""
+    f2_1 = forms.p_part(forms.discriminant_form(pair.witness_plus), 2)
+    f2_2 = forms.p_part(forms.discriminant_form(pair.witness_minus), 2)
     v = forms.anti_iso_root(f2_1, f2_2)
     if v is None:
         raise ValueError(f"stage a: no root element for pair {pair.table_ref}")
-    src_view = full_view(f2_1, 2)
     tgt_view = forms._complement_of(full_view(f2_2, 2), [v])
-    match = forms.build_anti_iso(src_view, tgt_view)
-    if match is None:
+    phi = forms.build_anti_iso(full_view(f2_1, 2), tgt_view)
+    if phi is None:
         raise ValueError(f"stage a: no anti-isomorphism onto the root complement ({pair.table_ref})")
-    src_gens, tgt_gens = match
-    phi = GlueMap(f2_1, f2_2, tuple(src_gens), tuple(tgt_gens))
-    glued = glue(l1, l2, phi)
-    return glued, phi
+    return phi
+
+
+def glue_t_pair(pair: TPair):
+    """Stage (a): glue the two halves along the root anti-isomorphism."""
+    phi = t_glue_map(pair)
+    return glue(pair.witness_plus, pair.witness_minus, phi), phi
 
 
 def realize_pair(pair: TPair) -> dict:
@@ -569,13 +573,14 @@ def realize_pair(pair: TPair) -> dict:
     unimodular lattice of signature (3, 19).
     """
     report = {"pair": pair.table_ref}
-    glued, phi = glue_t_pair(pair)
+    # one glue serves stage (a) and the involution: inv.lattice is the glued lattice
+    inv = glue_involution(pair.witness_plus, pair.witness_minus, t_glue_map(pair))
+    glued = inv.lattice
     verdict = stability.isomorphic_in_genus(glued, parse_lattice_expr(T_EXPR))
     if verdict != "yes":
         raise ValueError(f"stage a: glued lattice not in the genus of T ({pair.table_ref}: {verdict})")
     report["stage_a"] = "ok"
 
-    inv = glue_involution(pair.witness_plus, pair.witness_minus, phi)
     lp, lm = eigenlattices(inv)
     if stability.isomorphic_in_genus(lp.as_lattice(), pair.witness_plus) != "yes":
         raise ValueError(f"involution: L+ not in the genus of the plus half ({pair.table_ref})")
@@ -605,10 +610,9 @@ def realize_pair(pair: TPair) -> dict:
     s0 = _master_extension("6A2")
     f_s0 = forms.discriminant_form(s0)
     f_tp = forms.discriminant_form(t_prime)
-    match = forms.build_anti_iso(full_view(f_s0, 3), full_view(f_tp, 3))
-    if match is None:
+    phi_full = forms.build_anti_iso(full_view(f_s0, 3), full_view(f_tp, 3))
+    if phi_full is None:
         raise ValueError(f"stage c: no full anti-isomorphism ({pair.table_ref})")
-    phi_full = GlueMap(f_s0, f_tp, tuple(match[0]), tuple(match[1]))
     k3 = glue(s0, t_prime, phi_full)
     if abs(k3.det()) != 1:
         raise ValueError(f"stage c: glued lattice not unimodular ({pair.table_ref})")

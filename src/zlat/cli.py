@@ -12,7 +12,7 @@ import sys
 
 from . import forms, stability, tables, verify
 from .classify import enumerate_ascending_t_pairs, pair_by_ref, reversion_partner
-from .gluing import GlueMap, glue
+from .gluing import glue
 from .lattice import ExprError, parse_lattice_expr, signature
 
 
@@ -109,20 +109,18 @@ def _cmd_glue(args) -> int:
         return 2
     f1 = forms.discriminant_form(l1)
     f2 = forms.discriminant_form(l2)
-    match = None
+    phi = None
     for p in (2, 3):
         part1, part2 = forms.p_part(f1, p), forms.p_part(f2, p)
         if part1.ngens == 0 or not forms.is_elementary(part1, p) or not forms.is_elementary(part2, p):
             continue
-        found = forms.build_anti_iso(forms.full_view(part1, p), forms.full_view(part2, p))
-        if found is not None:
-            match = (part1, part2, found)
+        phi = forms.build_anti_iso(forms.full_view(part1, p), forms.full_view(part2, p))
+        if phi is not None:
             break
-    if match is None:
+    if phi is None:
         print("no full elementary anti-isomorphism between the discriminant p-parts", file=sys.stderr)
         return 1
-    part1, part2, (src, tgt) = match
-    glued = glue(l1, l2, GlueMap(part1, part2, tuple(src), tuple(tgt)))
+    glued = glue(l1, l2, phi)
     np_, nm = signature(glued)
     print(f"glued lattice: rank {glued.rank}, det {glued.det()}, signature ({np_},{nm}), even: {glued.is_even}")
     for row in glued.gram_rows():

@@ -119,6 +119,46 @@ def hermite_normal_form(m) -> Matrix:
     return [row for row in h[:pivot_row]]
 
 
+def hermite_normal_form_mod(rows, den: int, n: int) -> Matrix:
+    """`hermite_normal_form` of den*I_n stacked on the rows (each of width n).
+
+    den*Z^n lies in the row span, so the work starts from den*I, already in
+    Hermite form, and inserts only the given rows (Cohen, GTM 138, 2.4.2).
+    A row, reduced mod den, meets the pivot row h_j of each column j where
+    it is nonzero: with d = h_jj, a = w_j, g = gcd(d, a) and s*d + t*a = g,
+    (h_j, w) <- (s*h_j + t*w, (d/g)*w - (a/g)*h_j) is unimodular and clears
+    w_j.  Rows h_c with c > j are not yet touched by this insertion and span
+    den*e_c, so the entries right of column j stay reduced mod den.  A last
+    pass reduces the entries above each pivot into [0, pivot).
+    """
+    h = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    for w in rows:
+        w = [x % den for x in w]
+        for j in range(n):
+            a = w[j]
+            if not a:
+                continue
+            p = h[j]
+            d = p[j]
+            if a % d == 0:
+                q = a // d
+                w = [(x - q * y) % den for x, y in zip(w, p)]
+                continue
+            g = math.gcd(d, a)
+            d1, a1 = d // g, a // g
+            t = pow(a1, -1, d1)
+            s = (1 - t * a1) // d1
+            h[j] = [(s * y + t * x) % den for x, y in zip(w, p)]
+            w = [(d1 * x - a1 * y) % den for x, y in zip(w, p)]
+    for k in range(n):
+        pk = h[k]
+        for i in range(k):
+            q = h[i][k] // pk[k]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], pk)]
+    return h
+
+
 def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, D, V) with U*M*V = D, U and V unimodular.
 
@@ -207,19 +247,32 @@ def saturate(b) -> Matrix:
 def inertia(g) -> tuple[int, int, int]:
     """Exact (n_plus, n_zero, n_minus) of a symmetric integer matrix.
 
-    Sylvester's law of inertia by symmetric elimination over Z.  A nonzero
-    diagonal pivot d counts its sign and leaves |d| times its Schur
-    complement, sign(d) * (d*A' - a*a^T), divided by its content.  With no
-    nonzero diagonal entry, adding row and column r into c for some
-    a_rc != 0 (a congruence) makes a_cc = 2*a_rc.  n_zero is the size of
-    the remainder once it is zero.
+    Sylvester's law of inertia by symmetric elimination over Z: each pivot
+    d on the diagonal counts its sign, and the remainder is congruent to its
+    Schur complement.  A step rewrites only the rows that meet the pivot:
+    with a_i = a_ip != 0 and g = gcd(d, a_i), the congruence
+    e_i <- (|d|/g) e_i - sign(d) (a_i/g) e_p makes e_i orthogonal to e_p and
+    leaves every other row alone; each rewritten row and its column are then
+    divided by the largest c of its content with c^2 dividing its diagonal
+    entry, so entries stay bounded.  When most rows meet the pivot (a dense
+    remainder), every row is rewritten at once: |d| times the Schur
+    complement, sign(d) * (d*A' - a*a^T), divided by its content.  Pivots
+    on a sparse remainder have the fewest nonzero entries in their row, on a
+    dense one the smallest |d|.  With no nonzero diagonal entry, adding row
+    and column r into c for some a_rc != 0 (a congruence) makes
+    a_cc = 2*a_rc.  n_zero is the size of the remainder once it is zero.
     """
     if not is_symmetric(g):
         raise ValueError("matrix not symmetric")
     a = copy_matrix(g)
     n_plus = n_minus = 0
+    dense = False
     while a:
-        k = min((i for i in range(len(a)) if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
+        if dense:
+            k = min((i for i in range(len(a)) if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
+        else:
+            best = min(((-row.count(0), abs(row[i]), i) for i, row in enumerate(a) if row[i]), default=None)
+            k = best[2] if best else None
         if k is None:
             r, k = next(((r, c) for r, row in enumerate(a) for c, x in enumerate(row) if x),
                         (None, None))
@@ -237,9 +290,37 @@ def inertia(g) -> tuple[int, int, int]:
         pivot = a.pop(k)
         del pivot[k]
         col = [row.pop(k) for row in a]
-        a = [[s * (d * x - ai * aj) for x, aj in zip(row, pivot)] if ai else [abs(d) * x for x in row]
-             for row, ai in zip(a, col)]
-        content = math.gcd(*itertools.chain.from_iterable(a))
-        if content > 1:
-            a = [[x // content for x in row] for row in a]
+        dense = 2 * (len(col) - col.count(0)) > len(col)
+        if dense:
+            a = [[s * (d * x - ai * aj) for x, aj in zip(row, pivot)] if ai else [abs(d) * x for x in row]
+                 for row, ai in zip(a, col)]
+            content = math.gcd(*itertools.chain.from_iterable(a))
+            if content > 1:
+                a = [[x // content for x in row] for row in a]
+            continue
+        touched = [i for i, ai in enumerate(col) if ai]
+        # new a_ij = alpha_i * (alpha_j * a_ij - a_i * beta_j); alpha = 1, beta = 0 off the touched rows
+        alpha = [1] * len(a)
+        beta = [0] * len(a)
+        for i in touched:
+            gi = math.gcd(d, col[i])
+            alpha[i] = abs(d) // gi
+            beta[i] = s * col[i] // gi
+        for i in touched:
+            ai, al = col[i], alpha[i]
+            a[i] = [al * (aj * x - ai * bj) for x, aj, bj in zip(a[i], alpha, beta)]
+        for i in touched:
+            content = math.gcd(*a[i])
+            c = math.gcd(content, a[i][i] // content) if content > 1 else 1
+            if c > 1:
+                a[i] = [x // c for x in a[i]]
+                a[i][i] //= c
+                for j in touched:
+                    if j != i:
+                        a[j][i] //= c
+        for j, aj in enumerate(col):
+            if not aj:
+                row = a[j]
+                for i in touched:
+                    row[i] = a[i][j]
     return n_plus, len(a), n_minus

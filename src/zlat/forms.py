@@ -818,6 +818,28 @@ def aut_g_delta_orders() -> tuple[int, int]:
 
 # anti-isomorphisms ------------------------------------------------------------
 
+@dataclass(frozen=True)
+class GlueMap:
+    """Anti-isomorphism between subgroups of two discriminant forms, on generators."""
+
+    source_form: FiniteQuadraticForm
+    target_form: FiniteQuadraticForm
+    source_gens: tuple
+    target_gens: tuple
+
+    def __post_init__(self):
+        if len(self.source_gens) != len(self.target_gens):
+            raise ValueError("generator lists differ in length")
+        if not is_anti_isomorphism(
+            self.source_form, list(self.source_gens), self.target_form, list(self.target_gens)
+        ):
+            raise ValueError("not an anti-isomorphism")
+
+    @property
+    def subgroup_order(self) -> int:
+        return subgroup_order(self.source_form, list(self.source_gens))
+
+
 def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> bool:
     """Whether src_gens -> tgt_gens negates q on the span of src_gens, onto a span of equal order.
 
@@ -836,11 +858,11 @@ def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadrat
     return subgroup_order(fsrc, src_gens) == subgroup_order(ftgt, tgt_gens)
 
 
-def build_anti_iso(src_view: SpanView, tgt_view: SpanView):
+def build_anti_iso(src_view: SpanView, tgt_view: SpanView) -> GlueMap | None:
     """Explicit anti-isomorphism between elementary p-subspaces, on generators.
 
     Decomposes the source into blocks and re-presents the target with the
-    anti-matched block kinds.  Returns (src_gens, tgt_gens) or None.
+    anti-matched block kinds.  Returns the validated GlueMap, or None.
     """
     p = src_view.p
     if p == 2:
@@ -851,12 +873,13 @@ def build_anti_iso(src_view: SpanView, tgt_view: SpanView):
     tgt_blocks = present_with(tgt_view, kinds)
     if tgt_blocks is None:
         return None
-    src_gens = [g for _k, gs in blocks for g in gs]
-    tgt_gens = [g for _k, gs in tgt_blocks for g in gs]
+    src_gens = tuple(g for _k, gs in blocks for g in gs)
+    tgt_gens = tuple(g for _k, gs in tgt_blocks for g in gs)
     # u2 and v2 carry q-values in Z/2Z, where -q = q, so identity pairing works
-    if not is_anti_isomorphism(src_view.form, src_gens, tgt_view.form, tgt_gens):
+    try:
+        return GlueMap(src_view.form, tgt_view.form, src_gens, tgt_gens)
+    except ValueError:
         return None
-    return src_gens, tgt_gens
 
 
 def anti_iso_root(f2_target: FiniteQuadraticForm, f2_source: FiniteQuadraticForm):

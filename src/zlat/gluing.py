@@ -9,30 +9,8 @@ from dataclasses import dataclass
 
 from . import exact, forms
 from .exact import Matrix
-from .forms import FiniteQuadraticForm
+from .forms import GlueMap
 from .lattice import Lattice, SublatticeRef, _overlattice, direct_sum, overlattice, sublattice
-
-
-@dataclass(frozen=True)
-class GlueMap:
-    """Anti-isomorphism between subgroups of two discriminant forms, on generators."""
-
-    source_form: FiniteQuadraticForm
-    target_form: FiniteQuadraticForm
-    source_gens: tuple
-    target_gens: tuple
-
-    def __post_init__(self):
-        if len(self.source_gens) != len(self.target_gens):
-            raise ValueError("generator lists differ in length")
-        if not forms.is_anti_isomorphism(
-            self.source_form, list(self.source_gens), self.target_form, list(self.target_gens)
-        ):
-            raise ValueError("not an anti-isomorphism")
-
-    @property
-    def subgroup_order(self) -> int:
-        return forms.subgroup_order(self.source_form, list(self.source_gens))
 
 
 def trivial_glue_map(l1: Lattice, l2: Lattice) -> GlueMap:

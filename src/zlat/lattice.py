@@ -245,16 +245,17 @@ def overlattice(l: Lattice, rows, den: int) -> Lattice:
 def _overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, Matrix]:
     """`overlattice` together with its basis as the integer HNF rows H.
 
-    The basis is H/den, where H is the HNF of den*I stacked on the rows; its
-    Gram matrix is H*G*H^T / den^2, integral exactly when den^2 divides
-    every entry.
+    The basis is H/den, where H is the HNF of den*I stacked on the rows
+    (computed modulo den); its Gram matrix is H*G*H^T / den^2, integral
+    exactly when den^2 divides every entry.  Rows of another width than the
+    rank do not lie in l (x) Q.
     """
     n = l.rank
-    h = exact.hermite_normal_form([[den if i == j else 0 for j in range(n)] for i in range(n)]
-                                  + [list(w) for w in rows])
-    if len(h) != n:
+    if any(len(w) != n for w in rows):
         raise ValueError("overlattice generators do not span")
-    scaled = exact.mat_mul(exact.mat_mul(h, l.gram_rows()), exact.transpose(h))
+    h = exact.hermite_normal_form_mod(rows, den, n)
+    # H*G*H^T = H*(H*G)^T for symmetric G: both products run over the sparse rows of H
+    scaled = exact.mat_mul(h, exact.transpose(exact.mat_mul(h, l.gram_rows())))
     den2 = den * den
     if any(x % den2 for row in scaled for x in row):
         raise ValueError("overlattice is not integral")

@@ -42,6 +42,7 @@ def genus_tag(l: Lattice) -> GenusTag:
     return GenusTag(signature(l), parts)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def invariants(l: Lattice):
     """(r, r2, delta2, p, q) of an even lattice with elementary 2/3 discriminant."""
     f = forms.discriminant_form(l)

@@ -21,6 +21,7 @@ from .classify import (
     realize_pair,
     reversion_partner,
     s_pair,
+    t_glue_map,
 )
 from .gluing import GlueMap, eigenlattices, extend, glue, glue_involution
 from .lattice import (
@@ -184,10 +185,7 @@ def check_glue_two_minus_two():
 def check_eigenlattice_roundtrip():
     for ref in ("8B:1", "8B:4", "8C:9", "8A:3"):
         pair = pair_by_ref(ref)
-        from .classify import glue_t_pair
-
-        glued, phi = glue_t_pair(pair)
-        inv = glue_involution(pair.witness_plus, pair.witness_minus, phi)
+        inv = glue_involution(pair.witness_plus, pair.witness_minus, t_glue_map(pair))
         lp, lm = eigenlattices(inv)
         if stability.isomorphic_in_genus(lp.as_lattice(), pair.witness_plus) != "yes":
             return False, f"plus eigenlattice mismatch for {ref}"

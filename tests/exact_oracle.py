@@ -6,6 +6,10 @@ divisions over Z, and Descartes' rule of signs on the (real-rooted)
 polynomial counts positive and negative eigenvalues.  It costs n products
 of integer matrices with growing entries.
 
+`dense_inertia` is the symmetric elimination the package used before its
+steps touched only the rows meeting the pivot: every step rebuilds the whole
+remainder as |d| times the Schur complement and divides it by its content.
+
 `smith_normal_form` is the Smith form as the package had it before it
 worked on whole row lists: entry-by-entry row and column operations and
 swaps through closures, in the same pivot order, so (U, D, V) must agree
@@ -13,6 +17,9 @@ exactly.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from zlat.exact import Matrix, copy_matrix, identity, is_symmetric, mat_mul
 
@@ -55,6 +62,39 @@ def inertia(g) -> tuple[int, int, int]:
     if n_plus + n_minus + n_zero != n:
         raise ArithmeticError("characteristic polynomial is not real-rooted")
     return n_plus, n_zero, n_minus
+
+
+def dense_inertia(g) -> tuple[int, int, int]:
+    """(n_plus, n_zero, n_minus) by symmetric elimination, rebuilding the whole remainder each step."""
+    if not is_symmetric(g):
+        raise ValueError("matrix not symmetric")
+    a = copy_matrix(g)
+    n_plus = n_minus = 0
+    while a:
+        k = min((i for i in range(len(a)) if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
+        if k is None:
+            r, k = next(((r, c) for r, row in enumerate(a) for c, x in enumerate(row) if x),
+                        (None, None))
+            if r is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[r])]
+            for row in a:
+                row[k] += row[r]
+        d = a[k][k]
+        if d > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        s = 1 if d > 0 else -1
+        pivot = a.pop(k)
+        del pivot[k]
+        col = [row.pop(k) for row in a]
+        a = [[s * (d * x - ai * aj) for x, aj in zip(row, pivot)] if ai else [abs(d) * x for x in row]
+             for row, ai in zip(a, col)]
+        content = math.gcd(*itertools.chain.from_iterable(a))
+        if content > 1:
+            a = [[x // content for x in row] for row in a]
+    return n_plus, len(a), n_minus
 
 
 def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 
 import classify_oracle
+import exact_oracle
 import pytest
 
-from zlat import classify, forms, golden, stability
+from zlat import classify, exact, forms, gluing, golden, stability
 from zlat.classify import (
     THalfInvariants,
     admissible_invariants,
@@ -199,6 +201,51 @@ def test_realize_rejects_invalid_glue_map():
     bad = next(x for x in f2.elements() if any(x) and f2.q(x) != (2 - f1.q(g1)) % 2)
     with pytest.raises(ValueError, match="anti-isomorphism"):
         GlueMap(f1, f2, (g1,), (bad,))
+
+
+def test_realize_glues_once_per_stage(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    real_extension = classify.extension_by_fraction
+
+    def extension(l, v, d):
+        counts["S0"] += l.expr == "6A2"
+        return real_extension(l, v, d)
+
+    monkeypatch.setattr(gluing, "_glue", counted("glue", gluing._glue))
+    monkeypatch.setattr(forms, "subgroup_order", counted("subgroup_order", forms.subgroup_order))
+    monkeypatch.setattr(classify, "extension_by_fraction", extension)
+    classify._master_extension.cache_clear()
+    pairs = enumerate_ascending_t_pairs()
+    for pair in pairs:
+        realize_pair(pair)
+    assert len(pairs) == 68
+    assert counts["glue"] == 3 * 68
+    assert counts["subgroup_order"] <= 9 * 68
+    assert counts["S0"] == 1
+
+
+def test_stage_c_k3_grams_have_signature_3_19(monkeypatch):
+    grams = []
+    real_inertia = exact.inertia
+
+    def recorded(g):
+        if len(g) == 22:
+            grams.append(g)
+        return real_inertia(g)
+
+    monkeypatch.setattr(exact, "inertia", recorded)
+    for pair in enumerate_ascending_t_pairs():
+        realize_pair(pair)
+    assert len(grams) == 68
+    for g in grams:
+        assert real_inertia(g) == exact_oracle.dense_inertia(g) == exact_oracle.inertia(g) == (3, 0, 19)
 
 
 def test_stage_a_genus_for_every_pair():

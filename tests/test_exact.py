@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zlat.exact import (
     determinant,
     hermite_normal_form,
+    hermite_normal_form_mod,
     identity,
     inertia,
     integer_kernel,
@@ -218,6 +219,38 @@ def test_inertia_matches_char_poly_oracle(g):
     assert inertia(g) == exact_oracle.inertia(g)
 
 
+@st.composite
+def sparse_symmetric_matrices(draw):
+    """Symmetric integer matrices of size <= 28 with entries in [-3, 3], each
+    pair (i, j) nonzero with probability 0.05-0.5, the diagonal sometimes all zero."""
+    n = draw(st.integers(0, 28))
+    density = draw(st.floats(0.05, 0.5))
+    zero_diagonal = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            if rng.random() < density:
+                a[i][j] = a[j][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return a
+
+
+@st.composite
+def dense_congruent_matrices(draw):
+    """B^T D B of size 6-22 with B in [-3, 3] and D in [-4, 4] (zeros allowed): dense remainders."""
+    n = draw(st.integers(6, 22))
+    rng = draw(st.randoms(use_true_random=False))
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    d = [rng.randint(-4, 4) for _ in range(n)]
+    return [[sum(b[k][i] * d[k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@given(st.one_of(sparse_symmetric_matrices(), dense_congruent_matrices()))
+@settings(max_examples=150, deadline=None)
+def test_inertia_matches_dense_elimination_and_char_poly(g):
+    assert inertia(g) == exact_oracle.dense_inertia(g) == exact_oracle.inertia(g)
+
+
 def test_inertia_negative_pivot_keeps_remainder_sign():
     assert inertia([[-2, 1], [1, 1]]) == (1, 0, 1)
     assert inertia([[0, 0], [0, 0]]) == (0, 2, 0)
@@ -269,3 +302,29 @@ def test_snf_matches_closure_oracle_on_grams():
         assert smith_normal_form(g) == exact_oracle.smith_normal_form(g)
     assert smith_normal_form([]) == exact_oracle.smith_normal_form([]) == ([], [], [])
     assert smith_normal_form([[], []]) == exact_oracle.smith_normal_form([[], []])
+
+
+# Hermite form modulo den against the HNF of den*I stacked on the rows ---------
+
+@st.composite
+def rows_over_den(draw):
+    """0-4 rows of width n <= 12 with den in 1..12: entries of either sign,
+    entries >= den, sparse rows and zero rows."""
+    n = draw(st.integers(0, 12))
+    den = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("entries", "sparse", "zero")))
+        cell = {"entries": st.integers(-3 * den, 3 * den),
+                "sparse": st.sampled_from((0, 0, 0, 1, -1, den, den + 1, -den - 2)),
+                "zero": st.just(0)}[kind]
+        rows.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return rows, den, n
+
+
+@given(rows_over_den())
+@settings(max_examples=400, deadline=None)
+def test_hnf_mod_matches_hnf_of_stacked_rows(case):
+    rows, den, n = case
+    stacked = [[den if i == j else 0 for j in range(n)] for i in range(n)] + rows
+    assert hermite_normal_form_mod(rows, den, n) == hermite_normal_form(stacked)

@@ -348,6 +348,7 @@ def test_memo_keys_on_gram_only():
     assert fa == fb and fa.lift_cols == fb.lift_cols
     assert stability.genus_tag(a) == stability.genus_tag(b)
     assert signature(a) == signature(b) == (1, 4)
+    assert stability.invariants(a) == stability.invariants(b) == (5, 3, 1, 0, 2)
 
 
 def test_memo_does_not_cache_errors():
@@ -357,8 +358,17 @@ def test_memo_does_not_cache_errors():
             forms.discriminant_form(odd)
 
 
+def test_invariants_memo_does_not_cache_errors():
+    odd, non_elementary = parse_lattice_expr("U+<1>"), parse_lattice_expr("U+<-4>")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lattice is not even"):
+            stability.invariants(odd)
+        with pytest.raises(ValueError, match="not elementary at 2 and 3"):
+            stability.invariants(non_elementary)
+
+
 def test_memos_are_bounded():
-    for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature):
+    for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
 
 
