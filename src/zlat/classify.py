@@ -145,6 +145,12 @@ def admissible_invariants() -> tuple[tuple[THalfInvariants, THalfInvariants], ..
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
+def admissible_first_halves() -> frozenset[THalfInvariants]:
+    """The first halves of `admissible_invariants`, as a set."""
+    return frozenset(pair[0] for pair in admissible_invariants())
+
+
 def admissible_rr2_pairs() -> list[tuple[int, int]]:
     """Distinct (r, r2) of admissible first halves (the Table 3A geography)."""
     seen = []

@@ -163,22 +163,37 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, D, V) with U*M*V = D, U and V unimodular.
 
     D is diagonal with nonnegative entries d_i | d_{i+1}.  The work matrix
-    holds the rows of [M | U] followed by the rows of V: a row operation is
-    one comprehension over a zipped pair of rows (M and U together), and a
-    column operation one pass over all rows (M and V together).
+    holds the rows of [M | U], and V is kept as the rows of V^T: a row
+    operation is one comprehension over a zipped pair of rows (M and U
+    together), a column operation one pass over the rows of M with a
+    nonzero entry in the pivot column plus one comprehension over a pair
+    of rows of V^T, and a column swap swaps two rows of V^T.  A caller that
+    reads only one transform runs `_smith` without the other (Cohen, GTM
+    138, 2.4.4): the pivots depend on M alone, so D and that transform are
+    the same.
     """
+    u, d, vt = _smith(m, True, True)
+    return u, d, transpose(vt)
+
+
+def _smith(m, with_u: bool, with_v: bool) -> tuple[Matrix | None, Matrix, Matrix | None]:
+    """(U, D, V^T) of `smith_normal_form`, with U only when with_u and V^T only when with_v (else None)."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    w = [list(r) + e for r, e in zip(m, identity(rows))] + identity(cols)
+    w = [list(r) + e for r, e in zip(m, identity(rows))] if with_u else copy_matrix(m)
+    vt = identity(cols) if with_v else None
     t = 0
     while t < min(rows, cols):
-        piv = next(((i, j) for i in range(t, rows) for j in range(t, cols) if w[i][j]), None)
-        if piv is None:
+        i = next((i for i in range(t, rows) if any(w[i][t:cols])), None)  # row-major first nonzero
+        if i is None:
             break
-        i, j = piv
+        j = next(j for j in range(t, cols) if w[i][j])
         w[t], w[i] = w[i], w[t]
-        for row in w:
-            row[t], row[j] = row[j], row[t]
+        if j != t:
+            for row in w:
+                row[t], row[j] = row[j], row[t]
+            if with_v:
+                vt[t], vt[j] = vt[j], vt[t]
         while True:
             for i in range(t + 1, rows):
                 while w[i][t]:
@@ -186,33 +201,41 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
                     w[i] = [x - q * y for x, y in zip(w[i], w[t])]
                     if w[i][t]:
                         w[t], w[i] = w[i], w[t]
+            swapped = False  # column t below the pivot is zero until a column swap
             for j in range(t + 1, cols):
                 while w[t][j]:
                     q = w[t][j] // w[t][t]
                     for row in w:
-                        row[j] -= q * row[t]
+                        if row[t]:
+                            row[j] -= q * row[t]
+                    if with_v:
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
                     if w[t][j]:
+                        swapped = True
                         for row in w:
                             row[t], row[j] = row[j], row[t]
-            if any(w[i][t] for i in range(t + 1, rows)):
+                        if with_v:
+                            vt[t], vt[j] = vt[j], vt[t]
+            if swapped and any(w[i][t] for i in range(t + 1, rows)):
                 continue
             # pivot must divide the rest of the block for the chain d_i | d_{i+1}
             d = abs(w[t][t])
             below = range(t + 1, rows) if d > 1 else ()
-            bad = next((i for i in below if any(x % d for x in w[i][t + 1:cols])), None)
+            bad = next((i for i in below if math.gcd(d, *w[i][t + 1:cols]) != d), None)
             if bad is None:
                 break
             w[t] = [x + y for x, y in zip(w[t], w[bad])]  # row_t += row_bad, then re-eliminate
         if w[t][t] < 0:
             w[t] = [-x for x in w[t]]
         t += 1
-    return [r[cols:] for r in w[:rows]], [r[:cols] for r in w[:rows]], w[rows:]
+    u = [r[cols:] for r in w] if with_u else None
+    return u, [r[:cols] for r in w], vt
 
 
 def integer_kernel(m) -> Matrix:
     """Saturated basis of {x : x*M = 0} as rows (left kernel)."""
     rows = len(m)
-    u, d, _v = smith_normal_form(m)
+    u, d, _v = _smith(m, True, False)
     cols = len(m[0]) if rows else 0
     ker = []
     for i in range(rows):

@@ -129,8 +129,9 @@ def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     Generators come from the Smith transform of the Gram matrix: the i-th
     generator lifts to c_i / d_i with c_i column i of V, which makes all
     lifts deterministic (a unimodular lattice records none).  c_i G / d_i
-    is an integer row, so b(e_i, e_j) = (c_i G / d_i) c_j / d_j over one
-    integer product.
+    is an integer row, so all pairings b(e_i, e_j) = (c_i G / d_i) c_j / d_j
+    come from one integer product; the squares are its diagonal.  Only D
+    and V of the Smith form are read, so U is not carried.
     """
     if not l.is_even:
         raise ValueError("lattice is not even")
@@ -138,7 +139,7 @@ def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     r = l.rank
     if r == 0:
         return TRIVIAL_FORM
-    _u, d, v = exact.smith_normal_form(g)
+    _u, d, vt = exact._smith(g, False, True)
     cols = []
     orders = []
     for i in range(r):
@@ -147,13 +148,13 @@ def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
             raise ValueError("degenerate lattice")
         if di > 1:
             orders.append(di)
-            cols.append(tuple(v[k][i] for k in range(r)))
+            cols.append(tuple(vt[i]))
     n = math.lcm(*orders)
-    duals = [[x // di for x in row] for row, di in zip(exact.mat_mul(cols, g), orders)] if cols else []
-    b_num = tuple(tuple(sum(a * c for a, c in zip(dual, cj)) * (n // dj) % n for cj, dj in zip(cols, orders))
-                  for dual in duals)
-    q_num = tuple(sum(a * c for a, c in zip(dual, ci)) * (n // di) % (2 * n)
-                  for dual, ci, di in zip(duals, cols, orders))
+    duals = [[x // di for x in row] for row, di in zip(exact.mat_mul(cols, g), orders)]
+    pairs = exact.mat_mul(duals, exact.transpose(cols))
+    scale = [n // di for di in orders]
+    b_num = tuple(tuple(x * s % n for x, s in zip(row, scale)) for row in pairs)
+    q_num = tuple(row[i] * s % (2 * n) for i, (row, s) in enumerate(zip(pairs, scale)))
     return FiniteQuadraticForm(tuple(orders), n, b_num, q_num, tuple(cols) or None)
 
 
@@ -225,7 +226,7 @@ def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     """The restriction of the form to the maximal p-subgroup.
 
     Its generators are m_i e_i of order p^k = d_i / m_i; they lift to
-    c_i / p^k, so the lift columns are kept."""
+    c_i / p^k, so the lift columns are kept.  A p-group is its own p-part."""
     idx = []
     mults = []
     new_orders = []
@@ -238,10 +239,14 @@ def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
             idx.append(i)
             mults.append(f.orders[i] // pk)
             new_orders.append(pk)
+    if len(idx) == f.ngens and all(m == 1 for m in mults):
+        return f
     n = math.lcm(*new_orders)
-    b_num = tuple(tuple(ma * mb * f.b_num[i][j] * n // f.n % n for j, mb in zip(idx, mults))
-                  for i, ma in zip(idx, mults))
-    q_num = tuple(ma * ma * f.q_num[i] * n // f.n % (2 * n) for i, ma in zip(idx, mults))
+    r = f.n // n  # n * x / f.n = x / r
+    picked = list(zip(idx, mults))
+    b_num = tuple(tuple(ma * mb * row[j] // r % n for j, mb in picked)
+                  for row, ma in zip((f.b_num[i] for i in idx), mults))
+    q_num = tuple(ma * ma * f.q_num[i] // r % (2 * n) for i, ma in picked)
     lift_cols = None if f.lift_cols is None else tuple(f.lift_cols[i] for i in idx)
     return FiniteQuadraticForm(tuple(new_orders), n, b_num, q_num, lift_cols)
 
@@ -280,6 +285,7 @@ class SpanView:
     form: FiniteQuadraticForm
     gens: list[Element]
     p: int
+    full: bool = field(default=False, init=False, repr=False, compare=False)  # set by `full_view`
 
     def elements(self):
         """Every element of the span, the first generator's coefficient running fastest."""
@@ -294,8 +300,10 @@ class SpanView:
 def full_view(f: FiniteQuadraticForm, p: int) -> SpanView:
     if not is_elementary(f, p):
         raise ValueError(f"form is not an elementary {p}-group")
-    gens = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
-    return SpanView(f, gens, p)
+    k = f.ngens
+    view = SpanView(f, [(0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k)], p)
+    view.full = True  # the generators are the form's own, so `_reduce` reads b_num and q_num
+    return view
 
 
 def _view(f_or_view, p: int) -> SpanView:
@@ -340,7 +348,9 @@ def _reduce(view: SpanView):
 
     Tracks coefficient vectors over the view's generators, their pairings
     p*b mod p and, for p = 2, their squares 2q mod 4 (q is fixed by b for p = 3):
-    the form is elementary, so n = p and these are b_num and q_num.
+    the form is elementary, so n = p and these are b_num and q_num.  On a
+    full view they are the form's own b_num and q_num; on a subspace with
+    generator rows X the pairings are X*B*X^T mod p.
     A vector with b(x, x) != 0 splits off alone: "e+"/"e-" for 2q = 1/3,
     "t+"/"t-" for 3b(x, x) = 2/1.  When none is left, p = 2 splits off a pair
     with b(x, y) = 1/2 as "v2" (both squares 1) or "u2", and p = 3 turns x
@@ -348,10 +358,13 @@ def _reduce(view: SpanView):
     vectors and the (kind, vector indices) blocks, rank-1 blocks first.
     """
     f, p, r = view.form, view.p, view.dim
-    bil = f.b_num
-    supp = [[(i, c) for i, c in enumerate(x) if c] for x in view.gens]
-    b = [[sum(c * d * bil[i][j] for i, c in sx for j, d in sy) % p for sy in supp] for sx in supp]
-    q = [f.q_numer(g) for g in view.gens] if p == 2 else None
+    if view.full:
+        b = [[x % p for x in row] for row in f.b_num]
+        q = [x % 4 for x in f.q_num] if p == 2 else None
+    else:
+        xb = exact.mat_mul(view.gens, f.b_num)
+        b = [[x % p for x in row] for row in exact.mat_mul(xb, exact.transpose(view.gens))]
+        q = [f.q_numer(g) for g in view.gens] if p == 2 else None
     vecs = [[int(a == c) for c in range(r)] for a in range(r)]
 
     def add(t, s, c=1):  # vector t += c * vector s, keeping b and q in step

@@ -207,12 +207,47 @@ def _rescale_expr(expr: str | None, n: int) -> str | None:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def signature(l: Lattice) -> tuple[int, int]:
-    np_, nz, nm = exact.inertia(l.gram_rows())
+    """(n_plus, n_minus), the sum of the inertias of the orthogonal blocks of the Gram matrix.
+
+    The blocks are the connected components of its nonzero pattern; each
+    block's inertia is memoized on its Gram matrix, so the shared blocks of
+    many direct sums are eliminated once.  A lattice of one block (or
+    none) goes straight to `exact.inertia`.
+    """
+    blocks = _orthogonal_blocks(l.gram)
+    if len(blocks) < 2:
+        np_, nz, nm = exact.inertia(l.gram_rows())
+    else:
+        parts = [_block_inertia(tuple(tuple(l.gram[i][j] for j in b) for i in b)) for b in blocks]
+        np_, nz, nm = (sum(col) for col in zip(*parts))
     if nz:
         raise ValueError("degenerate lattice")
     if (-1) ** nm != (1 if l.det() > 0 else -1):
         raise ArithmeticError(f"signature {(np_, nm)} disagrees with det {l.det()}")
     return np_, nm
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _block_inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
+    return exact.inertia([list(row) for row in gram])
+
+
+def _orthogonal_blocks(gram) -> list[list[int]]:
+    """Index sets of the connected components of the nonzero pattern, each ascending."""
+    seen = [False] * len(gram)
+    blocks = []
+    for start in range(len(gram)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:  # grows while it is walked
+            for j, x in enumerate(gram[i]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        blocks.append(sorted(block))
+    return blocks
 
 
 def is_hyperbolic(l: Lattice) -> bool:

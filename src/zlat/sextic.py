@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .classify import TPair, admissible_invariants, reversion_partner
+from .classify import TPair, admissible_first_halves, reversion_partner
 
 OvalGroups = tuple[tuple[int, int], ...]  # (count, signed pair count)
 
@@ -165,8 +165,7 @@ def topology_from_t_half(inv) -> tuple[int, tuple, str, str, int]:
 
     shape is ("null",), ("nest3",) or ("general", alpha, beta).
     """
-    first_halves = {pair[0] for pair in admissible_invariants()}
-    if inv not in first_halves:
+    if inv not in admissible_first_halves():
         raise ValueError(f"invariants {inv} are outside the enumerated census")
     r, r2, d2, p, q = inv.r, inv.r2, inv.delta2, inv.p, inv.q
     if (r, r2, d2) == (4, 4, 0) and (p, q) in ((1, 0), (0, 3)):

@@ -6,7 +6,9 @@ from forms_oracle import random_basis_change
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zlat.classify import BLOCK_RANK, CATALOG, block_multisets
 from zlat.exact import (
+    _smith,
     determinant,
     hermite_normal_form,
     hermite_normal_form_mod,
@@ -302,6 +304,38 @@ def test_snf_matches_closure_oracle_on_grams():
         assert smith_normal_form(g) == exact_oracle.smith_normal_form(g)
     assert smith_normal_form([]) == exact_oracle.smith_normal_form([]) == ([], [], [])
     assert smith_normal_form([[], []]) == exact_oracle.smith_normal_form([[], []])
+
+
+# one-transform Smith form against the full one -------------------------------
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    """`integer_matrices` with a drawn subset of rows set to zero."""
+    m = draw(integer_matrices())
+    zero = draw(st.sets(st.integers(0, max(len(m) - 1, 0)), max_size=len(m)))
+    return [[0] * len(row) if i in zero else row for i, row in enumerate(m)]
+
+
+def _assert_one_transform_matches(m):
+    u, d, v = smith_normal_form(m)
+    assert _smith(m, False, True) == (None, d, transpose(v))
+    assert _smith(m, True, False) == (u, d, None)
+
+
+@given(st.one_of(integer_matrices(), matrices_with_zero_rows()))
+@settings(max_examples=300, deadline=None)
+def test_one_transform_snf_matches_full(m):
+    _assert_one_transform_matches(m)
+
+
+def test_one_transform_snf_matches_full_on_catalog_sums():
+    # every 97th of the 15646 nonempty sums, and all of rank <= 3
+    sums = [blocks for i, blocks in enumerate(block_multisets(CATALOG, 10)[1:])
+            if i % 97 == 0 or sum(BLOCK_RANK[b] for b in blocks) <= 3]
+    grams = [parse_lattice_expr("+".join(blocks)).gram_rows() for blocks in sums]
+    assert {len(g) for g in grams} == set(range(1, 11))
+    for g in grams:
+        _assert_one_transform_matches(g)
 
 
 # Hermite form modulo den against the HNF of den*I stacked on the rows ---------

@@ -7,8 +7,10 @@ from forms_oracle import change_generators, random_basis_change
 
 from zlat import exact
 from zlat.forms import (
+    SpanView,
     _brown_elementary,
     _complement_of,
+    _reduce,
     anti_iso_root,
     aut_order,
     brown,
@@ -388,6 +390,16 @@ def test_brown_elementary2_matches_histogram(f):
 def test_brown_elementary_rejects_degenerate():
     with pytest.raises(ValueError):
         _brown_elementary(form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0]), 2)
+
+
+@given(st.one_of(elementary_forms(2), elementary_forms(3)))
+@settings(max_examples=80, deadline=None)
+def test_reduce_full_view_matches_explicit_unit_generators(f):
+    p = f.n
+    units = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
+    explicit = SpanView(f, units, p)
+    assert not explicit.full and full_view(f, p).full
+    assert _reduce(full_view(f, p)) == _reduce(explicit)
 
 
 @given(elementary_forms(3))

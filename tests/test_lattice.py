@@ -1,5 +1,6 @@
 import re
 
+import exact_oracle
 import lattice_oracle
 import pytest
 from hypothesis import given, settings
@@ -368,8 +369,43 @@ def test_invariants_memo_does_not_cache_errors():
 
 
 def test_memos_are_bounded():
-    for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants):
+    for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants,
+               lattice._block_inertia):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
+
+
+# signatures summed over orthogonal blocks -------------------------------------
+
+def _permuted(gram, perm):
+    return [[gram[i][j] for j in perm] for i in perm]
+
+
+@given(_CATALOG_EXPRS, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_signature_of_interleaved_blocks_matches_dense_inertia(text, rng):
+    gram = parse_lattice_expr(text).gram_rows()
+    perm = list(range(len(gram)))
+    rng.shuffle(perm)
+    moved = make_lattice(_permuted(gram, perm))
+    np_, nz, nm = exact_oracle.dense_inertia(moved.gram_rows())
+    assert nz == 0
+    assert signature(moved) == (np_, nm)
+
+
+def test_signature_raises_on_a_degenerate_block():
+    gram = lattice._block_gram([named("A2").gram, ((2, 2), (2, 2)), named("U").gram])
+    fake = lattice._with_det(_permuted(gram, [4, 0, 2, 5, 1, 3]), 1)  # no Bareiss to reject it
+    with pytest.raises(ValueError, match="degenerate lattice"):
+        signature(fake)
+
+
+def test_signature_of_a_block_and_of_a_sum_containing_it():
+    signature.cache_clear()
+    assert signature(parse_lattice_expr("U+<-2>+A2")) == (1, 4)
+    assert signature(named("<-2>")) == (0, 1)
+    signature.cache_clear()
+    assert signature(named("<-2>")) == (0, 1)
+    assert signature(parse_lattice_expr("2<-2>+U(3)")) == (1, 3)
 
 
 # rescaled expressions stay in the grammar -------------------------------------

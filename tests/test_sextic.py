@@ -1,7 +1,14 @@
 import pytest
 
 from zlat import golden
-from zlat.classify import THalfInvariants, enumerate_ascending_t_pairs, pair_by_ref, reversion_partner
+from zlat.classify import (
+    THalfInvariants,
+    admissible_first_halves,
+    admissible_invariants,
+    enumerate_ascending_t_pairs,
+    pair_by_ref,
+    reversion_partner,
+)
 from zlat.sextic import (
     NEST3_CODE,
     NULL_CODE,
@@ -43,6 +50,15 @@ def test_topology_nest3():
 def test_topology_rejects_outside_census():
     with pytest.raises(ValueError, match="outside"):
         topology_from_t_half(THalfInvariants(8, 0, 0, 1, 0))
+    first = admissible_first_halves()
+    assert first == {pair[0] for pair in admissible_invariants()} and len(first) == 68
+    # second halves that are no first half, and invariants no pair has
+    outside = sorted({pair[1] for pair in admissible_invariants()} - first)
+    assert outside
+    for inv in outside + [THalfInvariants(9, 0, 0, 0, 0), THalfInvariants(2, 0, 1, 1, 3)]:
+        assert inv not in first
+        with pytest.raises(ValueError, match="outside the enumerated census"):
+            topology_from_t_half(inv)
 
 
 def test_cusp_distribution_singletons_from_the_paper():
