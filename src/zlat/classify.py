@@ -13,7 +13,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import exact, forms, golden, stability
-from .forms import GlueMap, full_view
+from .forms import GlueMap
 from .gluing import eigenlattices, glue, glue_involution
 from .lattice import (
     EMPTY,
@@ -552,17 +552,15 @@ T_PRIME_EXPR = "2U+U(3)+2A2"
 
 
 def t_glue_map(pair: TPair) -> GlueMap:
-    """The root anti-isomorphism along which stage (a) glues the two halves."""
+    """The root anti-isomorphism along which stage (a) glues the two halves:
+    an anti-isomorphism of <1/2> + discr_2 T+ onto discr_2 T- restricted to
+    discr_2 T+, whose image is the complement of the root (the image of <1/2>)."""
     f2_1 = forms.p_part(forms.discriminant_form(pair.witness_plus), 2)
     f2_2 = forms.p_part(forms.discriminant_form(pair.witness_minus), 2)
-    v = forms.anti_iso_root(f2_1, f2_2)
-    if v is None:
+    images = forms.anti_iso_images(forms.direct_sum_forms(forms.q_cyclic(2, forms.HALF), f2_1), f2_2, 2)
+    if images is None:
         raise ValueError(f"stage a: no root element for pair {pair.table_ref}")
-    tgt_view = forms._complement_of(full_view(f2_2, 2), [v])
-    phi = forms.build_anti_iso(full_view(f2_1, 2), tgt_view)
-    if phi is None:
-        raise ValueError(f"stage a: no anti-isomorphism onto the root complement ({pair.table_ref})")
-    return phi
+    return GlueMap(f2_1, f2_2, f2_1.units, tuple(images[1:]))
 
 
 def glue_t_pair(pair: TPair):
@@ -616,7 +614,7 @@ def realize_pair(pair: TPair) -> dict:
     s0 = _master_extension("6A2")
     f_s0 = forms.discriminant_form(s0)
     f_tp = forms.discriminant_form(t_prime)
-    phi_full = forms.build_anti_iso(full_view(f_s0, 3), full_view(f_tp, 3))
+    phi_full = forms.build_anti_iso(f_s0, f_tp, 3)
     if phi_full is None:
         raise ValueError(f"stage c: no full anti-isomorphism ({pair.table_ref})")
     k3 = glue(s0, t_prime, phi_full)

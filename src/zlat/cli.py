@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_glue.add_argument("--l1", required=True)
     p_glue.add_argument("--l2", required=True)
     p_glue.add_argument("--auto", action="store_true",
-                        help="search for a full anti-isomorphism of the discriminants")
+                        help="construct a full anti-isomorphism of the discriminants")
 
     p_pair = sub.add_parser("pair", help="look up a census pair by its first half")
     p_pair.add_argument("--t-plus", required=True, dest="t_plus")
@@ -105,7 +105,7 @@ def _cmd_glue(args) -> int:
     l1 = parse_lattice_expr(args.l1)
     l2 = parse_lattice_expr(args.l2)
     if not args.auto:
-        print("only --auto gluing is supported: the map is searched, not entered", file=sys.stderr)
+        print("only --auto gluing is supported: the map is constructed, not entered", file=sys.stderr)
         return 2
     f1 = forms.discriminant_form(l1)
     f2 = forms.discriminant_form(l2)
@@ -114,7 +114,7 @@ def _cmd_glue(args) -> int:
         part1, part2 = forms.p_part(f1, p), forms.p_part(f2, p)
         if part1.ngens == 0 or not forms.is_elementary(part1, p) or not forms.is_elementary(part2, p):
             continue
-        phi = forms.build_anti_iso(forms.full_view(part1, p), forms.full_view(part2, p))
+        phi = forms.build_anti_iso(part1, part2, p)
         if phi is not None:
             break
     if phi is None:

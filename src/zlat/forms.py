@@ -50,6 +50,12 @@ class FiniteQuadraticForm:
     def zero(self) -> Element:
         return (0,) * self.ngens
 
+    @property
+    def units(self) -> tuple[Element, ...]:
+        """The generators, as elements."""
+        k = self.ngens
+        return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
     def add(self, x, y) -> Element:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
@@ -275,96 +281,29 @@ def is_elementary(f: FiniteQuadraticForm, p: int) -> bool:
     return all(d == p for d in f.orders)
 
 
-# views on F_p-subspaces ------------------------------------------------------
-
-@dataclass
-class SpanView:
-    """An independent list of generators spanning a subgroup of an elementary
-    p-group (whose exponent n is p, so n*b and n*q are p*b and p*q)."""
-
-    form: FiniteQuadraticForm
-    gens: list[Element]
-    p: int
-    full: bool = field(default=False, init=False, repr=False, compare=False)  # set by `full_view`
-
-    def elements(self):
-        """Every element of the span, the first generator's coefficient running fastest."""
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            yield _combine(self, coeffs[::-1])
-
-    @property
-    def dim(self) -> int:
-        return len(self.gens)
-
-
-def full_view(f: FiniteQuadraticForm, p: int) -> SpanView:
-    if not is_elementary(f, p):
-        raise ValueError(f"form is not an elementary {p}-group")
-    k = f.ngens
-    view = SpanView(f, [(0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k)], p)
-    view.full = True  # the generators are the form's own, so `_reduce` reads b_num and q_num
-    return view
-
-
-def _view(f_or_view, p: int) -> SpanView:
-    return f_or_view if isinstance(f_or_view, SpanView) else full_view(f_or_view, p)
-
-
-def _combine(view: SpanView, coeffs) -> Element:
-    """The element sum(c_a * gens[a]) of the view."""
-    out = [0] * view.form.ngens
-    for c, g in zip(coeffs, view.gens):
-        if c:
-            for i, x in enumerate(g):
-                out[i] += c * x
-    return tuple(x % view.p for x in out)
-
-
-def _complement_of(view: SpanView, block: list[Element]) -> SpanView:
-    """Basis of the orthogonal complement of a nondegenerate block inside view (a kernel mod p)."""
-    f, p, m = view.form, view.p, len(block)
-    rows = [[f.b_numer(x, h) for h in block] + [int(a == c) for c in range(view.dim)]
-            for a, x in enumerate(view.gens)]
-    for col in range(m):
-        piv = next((t for t in range(col, len(rows)) if rows[t][col]), None)
-        if piv is None:
-            raise ValueError("degenerate block")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, p)
-        for t in range(col + 1, len(rows)):
-            c = rows[t][col] * inv % p
-            if c:
-                rows[t] = [(x - c * y) % p for x, y in zip(rows[t], rows[col])]
-    return SpanView(view.form, [_combine(view, row[m:]) for row in rows[m:]], p)
-
-
 # Gram reduction mod p ----------------------------------------------------------
 
 _RANK1_KIND = {(2, 1): "e+", (2, 3): "e-", (3, 2): "t+", (3, 1): "t-"}
 
 
-def _reduce(view: SpanView):
-    """Orthogonal splitting of an elementary 2- or 3-subspace by Gram-Schmidt mod p.
+def _reduce(f: FiniteQuadraticForm, p: int):
+    """Orthogonal splitting of an elementary 2- or 3-group by Gram-Schmidt mod p.
 
-    Tracks coefficient vectors over the view's generators, their pairings
-    p*b mod p and, for p = 2, their squares 2q mod 4 (q is fixed by b for p = 3):
-    the form is elementary, so n = p and these are b_num and q_num.  On a
-    full view they are the form's own b_num and q_num; on a subspace with
-    generator rows X the pairings are X*B*X^T mod p.
+    Tracks vectors over the form's generators, their pairings p*b mod p and,
+    for p = 2, their squares 2q mod 4 (q is fixed by b for p = 3): the form
+    is elementary, so n = p and these start as b_num and q_num.
     A vector with b(x, x) != 0 splits off alone: "e+"/"e-" for 2q = 1/3,
     "t+"/"t-" for 3b(x, x) = 2/1.  When none is left, p = 2 splits off a pair
-    with b(x, y) = 1/2 as "v2" (both squares 1) or "u2", and p = 3 turns x
-    into x + y, whose b(x + y, x + y) = 2b(x, y) is nonzero.  Returns the
-    vectors and the (kind, vector indices) blocks, rank-1 blocks first.
+    with b(x, y) = 1/2 as "v2" (both squares 1) or "u2" (both squares 0, after
+    x + y replaces the one of square 1), and p = 3 turns x into x + y, whose
+    b(x + y, x + y) = 2b(x, y) is nonzero.  Returns the vectors and the
+    (kind, vector indices) blocks, rank-1 blocks first.
     """
-    f, p, r = view.form, view.p, view.dim
-    if view.full:
-        b = [[x % p for x in row] for row in f.b_num]
-        q = [x % 4 for x in f.q_num] if p == 2 else None
-    else:
-        xb = exact.mat_mul(view.gens, f.b_num)
-        b = [[x % p for x in row] for row in exact.mat_mul(xb, exact.transpose(view.gens))]
-        q = [f.q_numer(g) for g in view.gens] if p == 2 else None
+    if not is_elementary(f, p):
+        raise ValueError(f"form is not an elementary {p}-group")
+    r = f.ngens
+    b = [[x % p for x in row] for row in f.b_num]
+    q = [x % 4 for x in f.q_num] if p == 2 else None
     vecs = [[int(a == c) for c in range(r)] for a in range(r)]
 
     def add(t, s, c=1):  # vector t += c * vector s, keeping b and q in step
@@ -392,10 +331,15 @@ def _reduce(view: SpanView):
         i = live[0]
         j = next((t for t in live if b[i][t]), None)
         if j is None:
-            raise ValueError(f"degenerate {p}-subspace")
+            raise ValueError(f"degenerate {p}-group")
         if p == 3:
             add(i, j)
             continue
+        if q[i] != q[j]:  # squares 0 and 1: x + y, of square 0, replaces the one of square 1
+            if q[i]:
+                add(i, j)
+            else:
+                add(j, i)
         live.remove(i)
         live.remove(j)
         for t in live:
@@ -404,7 +348,7 @@ def _reduce(view: SpanView):
                 add(t, i)
             if bx:
                 add(t, j)
-        blocks.append(("v2" if q[i] == q[j] == 2 else "u2", [i, j]))
+        blocks.append(("v2" if q[i] == 2 else "u2", [i, j]))
     return vecs, blocks
 
 
@@ -413,7 +357,6 @@ THALF = Fraction(3, 2)
 TWO3 = Fraction(2, 3)
 FOUR3 = Fraction(4, 3)
 
-_Q_NUM_OF_KIND = {"e+": 1, "e-": 3, "t+": 2, "t-": 4}  # n*q of the rank-1 kinds, n = p
 _BROWN_OF_KIND = {"e+": 1, "e-": -1, "u2": 0, "v2": 4, "t+": 2, "t-": -2}
 ANTI_KIND = {"e+": "e-", "e-": "e+", "u2": "u2", "v2": "v2", "t+": "t-", "t-": "t+"}
 
@@ -422,83 +365,83 @@ def _is_odd(blocks) -> int:
     return int(any(kind in ("e+", "e-") for kind, _ in blocks))
 
 
-def _normalize_2block(f: FiniteQuadraticForm, x, y):
-    """Canonical basis of a rank-2 even block: u2 gens have q = 0, v2 gens q = 1."""
-    elems = sorted({x, y, f.add(x, y)})
-    if all(f.q_numer(e) == 2 for e in elems):  # q = 1
-        return "v2", [elems[0], elems[1]]
-    gens = [e for e in elems if f.q_numer(e) == 0]
-    return "u2", gens[:2]
+def _blocks(f: FiniteQuadraticForm, p: int):
+    """The `_reduce` splitting as (kind, generators) blocks."""
+    vecs, blocks = _reduce(f, p)
+    return [(kind, [tuple(vecs[i]) for i in idx]) for kind, idx in blocks]
 
 
-def decompose2(view: SpanView):
-    """Split an elementary 2-subspace into mutually orthogonal blocks.
+def decompose2(f: FiniteQuadraticForm):
+    """Split an elementary 2-group into mutually orthogonal blocks.
 
     Returns (delta2, blocks) with blocks a list of (kind, gens): kinds are
     "e+" = <1/2>, "e-" = <-1/2>, "u2", "v2".  Rank-2 block bases are
     normalized (u2: both squares 0; v2: both squares 1).
     """
-    vecs, blocks = _reduce(view)
-    out = []
-    for kind, idx in blocks:
-        gens = [_combine(view, vecs[i]) for i in idx]
-        out.append(_normalize_2block(view.form, *gens) if len(gens) == 2 else (kind, gens))
-    return _is_odd(blocks), out
+    blocks = _blocks(f, 2)
+    return _is_odd(blocks), blocks
 
 
-def decompose3(view: SpanView):
-    """Split an elementary 3-subspace into rank-1 blocks ("t+" = <2/3>, "t-" = <-2/3>)."""
-    vecs, blocks = _reduce(view)
-    return [(kind, [_combine(view, vecs[i]) for i in idx]) for kind, idx in blocks]
+def decompose3(f: FiniteQuadraticForm):
+    """Split an elementary 3-group into rank-1 blocks ("t+" = <2/3>, "t-" = <-2/3>)."""
+    return _blocks(f, 3)
 
 
-def present_with(view: SpanView, kinds: list[str]):
-    """Find generators presenting the view as the given ordered block kinds.
+def normal_basis(f: FiniteQuadraticForm, p: int):
+    """Mutually orthogonal blocks spanning an elementary 2- or 3-group, of the
+    kinds its normal form names, as (kind, gens) sorted by kind.
 
-    Returns a list of (kind, gens) or None.  Used to build explicit
-    (anti-)isomorphisms block by block.
+    The `_reduce` splitting is rewritten by basis changes that send
+    orthogonal blocks to orthogonal blocks (e, t a rank-1 kind, e', t' the
+    other): t(x) + t(y) -> t'(x+y) + t'(x-y) leaves at most one t+; with a
+    rank-1 block present, u2(x, y) + e(z) -> e(x+z) + e(y+z) + e'(x+y+z) and
+    v2(x, y) + e(z) -> e'(x+z) + e'(y+z) + e'(x+y+z) leave rank-1 blocks
+    only, and 4e+ -> 4e- (each new vector the sum of three old ones) leaves
+    fewer than four e+; otherwise v2(x, y) + v2(z, w) -> u2(x+z, y+z) +
+    u2(x+y+w, x+y+z+w) leaves at most one v2.
     """
-    f = view.form
-    if not kinds:
-        return [] if view.dim == 0 else None
-    kind, rest = kinds[0], kinds[1:]
-    if kind in ("e+", "e-", "t+", "t-"):
-        want = _Q_NUM_OF_KIND[kind]
-        for x in view.elements():
-            if f.q_numer(x) == want:
-                sub = present_with(_complement_of(view, [x]), rest)
-                if sub is not None:
-                    return [(kind, [x])] + sub
-        return None
-    if kind in ("u2", "v2"):
-        elems = [e for e in view.elements() if any(e)]
-        for x in elems:
-            if f.q_numer(x) % 2:  # q not in Z
-                continue
-            for y in elems:
-                if y == x or f.b_numer(x, y) == 0 or f.q_numer(y) % 2:
-                    continue
-                found_kind, gens = _normalize_2block(f, x, y)
-                if found_kind != kind:
-                    continue
-                sub = present_with(_complement_of(view, gens), rest)
-                if sub is not None:
-                    return [(kind, gens)] + sub
-        return None
-    raise ValueError(f"unknown block kind {kind}")
+    bases = {kind: [] for kind in ANTI_KIND}
+    for kind, gens in _blocks(f, p):
+        bases[kind].append(gens)
+
+    def s(*xs):
+        return tuple(sum(c) % p for c in zip(*xs))
+
+    if p == 3:
+        plus = bases["t+"]
+        while len(plus) > 1:
+            (x,), (y,) = plus.pop(), plus.pop()
+            bases["t-"] += [[s(x, y)], [s(x, y, y)]]
+    elif bases["e+"] or bases["e-"]:
+        for pair in ("u2", "v2"):
+            for x, y in bases[pair]:
+                e = "e+" if bases["e+"] else "e-"
+                (z,) = bases[e].pop()
+                bases[e if pair == "u2" else ANTI_KIND[e]] += [[s(x, z)], [s(y, z)]]
+                bases[ANTI_KIND[e]].append([s(x, y, z)])
+            bases[pair] = []
+        plus = bases["e+"]
+        while len(plus) > 3:
+            four = [plus.pop()[0] for _ in range(4)]
+            bases["e-"] += [[s(*four[:i], *four[i + 1:])] for i in range(4)]
+    else:
+        v = bases["v2"]
+        while len(v) > 1:
+            (x, y), (z, w) = v.pop(), v.pop()
+            bases["u2"] += [[s(x, z), s(y, z)], [s(x, y, w), s(x, y, z, w)]]
+    return [(kind, gens) for kind in sorted(bases) for gens in bases[kind]]
 
 
 # normal forms ----------------------------------------------------------------
 
-def normal_form2(f_or_view) -> tuple[str, int, int]:
+def normal_form2(f: FiniteQuadraticForm) -> tuple[str, int, int]:
     """Canonical (kind, a, b) of an elementary enhanced 2-group.
 
     Even kind: a*u2 + b*v2 with b reduced mod 2.  Odd kind:
     a*<1/2> + b*<-1/2> with a reduced mod 4.
     """
-    view = _view(f_or_view, 2)
-    _vecs, blocks = _reduce(view)
-    rank = view.dim
+    _vecs, blocks = _reduce(f, 2)
+    rank = f.ngens
     br = sum(_BROWN_OF_KIND[k] for k, _ in blocks) % 8
     if not _is_odd(blocks):
         b = 1 if br == 4 else 0
@@ -514,34 +457,34 @@ def iso2(f: FiniteQuadraticForm, g: FiniteQuadraticForm) -> bool:
     return normal_form2(f) == normal_form2(g)
 
 
-def normal_form3(f_or_view) -> tuple[int, int]:
+def normal_form3(f: FiniteQuadraticForm) -> tuple[int, int]:
     """Canonical (p, q) of an elementary inner-product 3-group: p*<2/3> + q*<-2/3>, p in {0,1}."""
-    _vecs, blocks = _reduce(_view(f_or_view, 3))
+    _vecs, blocks = _reduce(f, 3)
     p = sum(1 for k, _ in blocks if k == "t+") % 2
     return p, len(blocks) - p
 
 
-def parity2(f_or_view) -> int:
+def parity2(f: FiniteQuadraticForm) -> int:
     """delta_2: 0 when the elementary 2-group's inner product is even, 1 otherwise.
 
     x -> b(x, x) = q(x) mod Z is additive on an elementary 2-group, so one
-    generator with q not in Z decides."""
-    view = _view(f_or_view, 2)
-    return int(any(view.form.q_numer(g) % 2 for g in view.gens))
+    generator with q not in Z (an odd q_num, as n = 2) decides."""
+    if not is_elementary(f, 2):
+        raise ValueError("form is not an elementary 2-group")
+    return int(any(x % 2 for x in f.q_num))
 
 
-def characteristic_element(f_or_view) -> Element:
+def characteristic_element(f: FiniteQuadraticForm) -> Element:
     """The unique v with v.x = x^2 (mod Z) for all x in an elementary 2-group.
 
     Over an orthogonal splitting, odd blocks pair to 1/2 with themselves and
     even blocks have integral squares, so v is the sum of the odd blocks."""
-    view = _view(f_or_view, 2)
-    vecs, blocks = _reduce(view)
-    v = [0] * view.dim
+    vecs, blocks = _reduce(f, 2)
+    v = [0] * f.ngens
     for kind, idx in blocks:
         if kind in ("e+", "e-"):
             v = [a + c for a, c in zip(v, vecs[idx[0]])]
-    return _combine(view, v)
+    return tuple(x % 2 for x in v)
 
 
 # Brown invariant -------------------------------------------------------------
@@ -594,7 +537,7 @@ def _brown_elementary(part: FiniteQuadraticForm, p: int) -> int:
     """
     if p not in (2, 3):
         raise ValueError(f"no exact elementary path for p = {p}")
-    _vecs, blocks = _reduce(full_view(part, p))
+    _vecs, blocks = _reduce(part, p)
     return sum(_BROWN_OF_KIND[k] for k, _ in blocks) % 8
 
 
@@ -728,8 +671,7 @@ def aut_order(f: FiniteQuadraticForm) -> int:
     """Exhaustive count of quadratic-form-preserving group automorphisms."""
     if f.size > 81:
         raise ValueError("group too large")
-    gens = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
-    return _count_maps(f, gens)
+    return _count_maps(f, list(f.units))
 
 
 def _count_maps(f: FiniteQuadraticForm, basis: list[Element]) -> int:
@@ -778,8 +720,6 @@ def aut_g_delta_orders() -> tuple[int, int]:
     fixing every class of G^delta/(delta) -- is scanned exhaustively through
     its complete parametrization f(w) = w + lambda(w) delta on delta-perp.
     """
-    import itertools as it
-
     n = 6
     delta = (1,) * n
 
@@ -790,8 +730,8 @@ def aut_g_delta_orders() -> tuple[int, int]:
 
     # coordinatewise maps (signed permutations) with f(delta) = +-delta
     comp_count = 0
-    for perm in it.permutations(range(n)):
-        for signs in it.product((1, 2), repeat=n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, 2), repeat=n):
             image_of_delta = [0] * n
             for i in range(n):
                 image_of_delta[perm[i]] = signs[i]
@@ -806,12 +746,12 @@ def aut_g_delta_orders() -> tuple[int, int]:
     if dot(delta, u) == 0 or any(dot(w, delta) for w in ws) or exact.determinant(mat) % 3 == 0:
         raise ValueError("(delta, u, w1..w4) is not a basis of (Z/3)^6 adapted to delta")
 
-    elems = list(it.product(range(3), repeat=n))
+    elems = list(itertools.product(range(3), repeat=n))
     q_code = {x: dot(x, x) for x in elems}
     kernel = 0
     for eps in (1, 2):
         f_delta = tuple(eps % 3 for _ in range(n))
-        for lambdas in it.product(range(3), repeat=4):
+        for lambdas in itertools.product(range(3), repeat=4):
             f_ws = [
                 tuple((wc + lam) % 3 for wc in w) for w, lam in zip(ws, lambdas)
             ]
@@ -871,57 +811,55 @@ def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadrat
     return subgroup_order(fsrc, src_gens) == subgroup_order(ftgt, tgt_gens)
 
 
-def build_anti_iso(src_view: SpanView, tgt_view: SpanView) -> GlueMap | None:
-    """Explicit anti-isomorphism between elementary p-subspaces, on generators.
+def _negated(f: FiniteQuadraticForm) -> FiniteQuadraticForm:
+    """f with b and q negated, on the same generators."""
+    return FiniteQuadraticForm(f.orders, f.n, tuple(tuple(-x % f.n for x in row) for row in f.b_num),
+                               tuple(-x % (2 * f.n) for x in f.q_num))
 
-    Decomposes the source into blocks and re-presents the target with the
-    anti-matched block kinds.  Returns the validated GlueMap, or None.
+
+def anti_iso_images(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -> list[Element] | None:
+    """Images of the source's generators under an anti-isomorphism of
+    elementary p-groups (p = 2, 3) onto the target; None when there is none.
+
+    Normal forms are complete invariants, so one exists exactly when the
+    kind lists of `normal_basis` of the negated source and of the target
+    agree; then the i-th source block goes to the i-th target block.  A
+    generator u has dual-basis coordinates p*b(u, x) * p*b(x, x) on a rank-1
+    block x (p*b(x, x) is its own inverse mod 2 and 3), and 2b(u, y) on x and
+    2b(u, x) on y for a pair (x, y), where b(x, y) = 1/2 and b(x, x) =
+    b(y, y) = 0.  O(r^3) for p-rank r.
     """
-    p = src_view.p
-    if p == 2:
-        _d2, blocks = decompose2(src_view)
-    else:
-        blocks = decompose3(src_view)
-    kinds = [ANTI_KIND[k] for k, _ in blocks]
-    tgt_blocks = present_with(tgt_view, kinds)
-    if tgt_blocks is None:
+    neg = _negated(src)
+    src_blocks, tgt_blocks = normal_basis(neg, p), normal_basis(tgt, p)
+    if [k for k, _ in src_blocks] != [k for k, _ in tgt_blocks]:
         return None
-    src_gens = tuple(g for _k, gs in blocks for g in gs)
-    tgt_gens = tuple(g for _k, gs in tgt_blocks for g in gs)
-    # u2 and v2 carry q-values in Z/2Z, where -q = q, so identity pairing works
-    try:
-        return GlueMap(src_view.form, tgt_view.form, src_gens, tgt_gens)
-    except ValueError:
+    cols, ws = [], []  # cols[i][k]: coordinate of generator k on the i-th basis vector, sent to ws[i]
+    for (_kind, xs), (_kind, block_ws) in zip(src_blocks, tgt_blocks):
+        bx = exact.mat_mul(xs, neg.b_num)  # rows p*b(x, e_k) over k
+        cols += [[c * neg.b_numer(xs[0], xs[0]) for c in bx[0]]] if len(xs) == 1 else bx[::-1]
+        ws += block_ws
+    return [tuple(x % p for x in row) for row in exact.mat_mul(exact.transpose(cols), ws)]
+
+
+def build_anti_iso(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -> GlueMap | None:
+    """Explicit anti-isomorphism between elementary p-groups on the source's
+    own generators, validated once; None when there is none."""
+    images = anti_iso_images(src, tgt, p)
+    if images is None:
         return None
+    return GlueMap(src, tgt, src.units, tuple(images))
 
 
 def anti_iso_root(f2_target: FiniteQuadraticForm, f2_source: FiniteQuadraticForm):
     """An element v of the source 2-group with square -1/2 whose complement
     is anti-isomorphic to the target; None when no such v exists.
 
-    v must be characteristic exactly when the target parity is 0.
+    v is the image of the generator of <1/2> under an anti-isomorphism of
+    <1/2> + target onto the source, so it is characteristic exactly when the
+    target is even.
     """
-    if f2_source.ngens and not is_elementary(f2_source, 2):
-        raise ValueError("elementary 2-group required")
-    want_char = parity2(f2_target) == 0
-    view = full_view(f2_source, 2)
-    char = characteristic_element(view)
-    tgt_kind = normal_form2(f2_target)
-    for v in sorted(view.elements()):
-        if f2_source.q(v) != THALF:
-            continue
-        if (v == char) != want_char:
-            continue
-        if _anti_normal_form2(normal_form2(_complement_of(view, [v]))) == tgt_kind:
-            return v
-    return None
-
-
-def _anti_normal_form2(nf):
-    """Normal form of the 2-group with q negated: a<1/2>+b<-1/2> becomes
-    b<1/2>+a<-1/2>; a*u2+b*v2 is its own anti (q-values sit in Z/2Z)."""
-    kind, a, b = nf
-    return nf if kind == "even" else ("odd", b % 4, a + b - b % 4)
+    images = anti_iso_images(direct_sum_forms(q_cyclic(2, HALF), f2_target), f2_source, 2)
+    return None if images is None else images[0]
 
 
 def render_form(f: FiniteQuadraticForm, ascii_mode: bool = False) -> str:

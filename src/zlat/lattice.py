@@ -60,9 +60,6 @@ class Lattice:
     def norm(self, x) -> int:
         return self.inner(x, x)
 
-    def describe(self) -> str:
-        return self.expr if self.expr else f"lattice(rank {self.rank})"
-
 
 def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
     return Lattice(tuple(tuple(row) for row in gram), expr)

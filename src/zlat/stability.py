@@ -121,10 +121,10 @@ def _small_rank_certificate(l: Lattice, depth: int = 0) -> str | None:
         return None
     for p, name in ((6, "divide-6"), (2, "divide-2"), (3, "divide-3")):
         if is_divisible_by(l, p):
-            sub = _small_rank_certificate(divide(l, p), depth + 1)
+            quotient = divide(l, p)
+            sub = _small_rank_certificate(quotient, depth + 1)
             if sub is not None:
                 return f"{name}:{sub}"
-            quotient = divide(l, p)
             if nikulin_stable(quotient) or miranda_morrison_stable(quotient):
                 return f"{name}:criterion"
             if quotient.rank == 2 and _binary_reducible(quotient):

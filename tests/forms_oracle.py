@@ -8,6 +8,11 @@ switched to Gram reduction mod p (for `is_anti_isomorphism`: to q on the
 generators and b on their pairs).  They are exponential in the rank, so
 tests call them on groups of size at most 2^8 or 3^5 only.
 
+`present_with` and `build_anti_iso` find an anti-isomorphism of elementary
+groups by backtracking over elements for blocks of the anti kinds, and
+`anti_iso_root` walks the source for a root element, as the package did
+before it paired normal bases; `Span` is their minimal subgroup helper.
+
 `brown_elementary2` is the Brown invariant of an elementary 2-group read
 off the histogram of squares over all 2^r elements, as the package computed
 it before it used the blocks of the Gram reduction mod 2.
@@ -24,22 +29,23 @@ over the exponent: pairings, squares and lifts as reduced `Fraction`s.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from zlat import exact
 from zlat.exact import identity, mat_mul, transpose
 from zlat.forms import (
+    ANTI_KIND,
     FOUR3,
     HALF,
     THALF,
     TWO3,
-    SpanView,
-    _normalize_2block,
     _phase_histogram,
-    _view,
     form_on_generators,
+    is_elementary,
     prime_factors_of_order,
+    standard_form,
     subgroup_elements,
 )
 from zlat.lattice import make_lattice
@@ -186,33 +192,71 @@ def p_part(f: FractionForm, p: int) -> FractionForm:
     return fraction_form(new_orders, bil, quad, lifts)
 
 
-# element walkers ---------------------------------------------------------------
+# spans and element walkers -----------------------------------------------------
 
-def complement_of(view: SpanView, block) -> SpanView:
+@dataclass
+class Span:
+    """Independent generators spanning a subgroup of an elementary p-group."""
+
+    form: object
+    gens: list
+    p: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.gens)
+
+    def elements(self):
+        f = self.form
+        for coeffs in itertools.product(range(self.p), repeat=self.dim):
+            x = f.zero()
+            for c, g in zip(coeffs, self.gens):
+                x = f.add(x, f.smul(c, g))
+            yield x
+
+
+def span(f_or_span, p: int) -> Span:
+    """A span as given, or the whole of an elementary p-group on its generators."""
+    if isinstance(f_or_span, Span):
+        return f_or_span
+    if not is_elementary(f_or_span, p):
+        raise ValueError(f"form is not an elementary {p}-group")
+    return Span(f_or_span, list(f_or_span.units), p)
+
+
+def complement_of(view: Span, block) -> Span:
     """Basis of the orthogonal complement of a nondegenerate block inside view."""
     f = view.form
     p = view.p
-    block_elems = set(SpanView(f, list(block), p).elements())
+    block_elems = set(Span(f, list(block), p).elements())
     out = []
-    span = {f.zero()}
+    grown_span = {f.zero()}
     for x in view.elements():
-        if x in block_elems or x in span:
+        if x in block_elems or x in grown_span:
             continue
         if any(f.b(x, g) != 0 for g in block):
             continue
         out.append(x)
-        grown = set(span)
+        grown = set(grown_span)
         for mult in range(1, p):
             step = f.smul(mult, x)
-            for e in list(span):
+            for e in list(grown_span):
                 grown.add(f.add(e, step))
-        span = grown
+        grown_span = grown
         if len(out) == view.dim - len(block):
             break
-    return SpanView(f, out, p)
+    return Span(f, out, p)
 
 
-def decompose2(view: SpanView):
+def normalize_2block(f, x, y):
+    """Canonical basis of a rank-2 even block: u2 gens have q = 0, v2 gens q = 1."""
+    elems = sorted({x, y, f.add(x, y)})
+    if all(f.q(e) == 1 for e in elems):
+        return "v2", [elems[0], elems[1]]
+    return "u2", [e for e in elems if f.q(e) == 0][:2]
+
+
+def decompose2(view: Span):
     f = view.form
     if view.dim == 0:
         return 0, []
@@ -223,12 +267,12 @@ def decompose2(view: SpanView):
         return 1, [(kind, [odd])] + rest
     x = next(e for e in view.elements() if any(e))
     y = next(e for e in view.elements() if f.b(x, e) != 0)
-    kind, gens = _normalize_2block(f, x, y)
+    kind, gens = normalize_2block(f, x, y)
     _d2, rest = decompose2(complement_of(view, gens))
     return 0, [(kind, gens)] + rest
 
 
-def decompose3(view: SpanView):
+def decompose3(view: Span):
     f = view.form
     if view.dim == 0:
         return []
@@ -239,8 +283,8 @@ def decompose3(view: SpanView):
     return [(kind, [x])] + decompose3(complement_of(view, [x]))
 
 
-def normal_form2(f_or_view):
-    view = _view(f_or_view, 2)
+def normal_form2(f_or_span):
+    view = span(f_or_span, 2)
     d2, blocks = decompose2(view)
     rank = view.dim
     contrib = {"e+": 1, "e-": -1, "u2": 0, "v2": 4}
@@ -252,25 +296,104 @@ def normal_form2(f_or_view):
     return "odd", a, rank - a
 
 
-def normal_form3(f_or_view):
-    blocks = decompose3(_view(f_or_view, 3))
+def anti_normal_form2(nf):
+    """Normal form of the 2-group with q negated: a<1/2>+b<-1/2> becomes
+    b<1/2>+a<-1/2>; a*u2+b*v2 is its own anti (q-values sit in Z/2Z)."""
+    kind, a, b = nf
+    return nf if kind == "even" else ("odd", b % 4, a + b - b % 4)
+
+
+def normal_form3(f_or_span):
+    blocks = decompose3(span(f_or_span, 3))
     p = sum(1 for k, _ in blocks if k == "t+") % 2
     return p, len(blocks) - p
 
 
-def parity2(f_or_view) -> int:
-    view = _view(f_or_view, 2)
+def parity2(f_or_span) -> int:
+    view = span(f_or_span, 2)
     f = view.form
     return 0 if all(f.b(x, x) == 0 for x in view.elements()) else 1
 
 
-def characteristic_element(f_or_view):
-    view = _view(f_or_view, 2)
+def characteristic_element(f_or_span):
+    view = span(f_or_span, 2)
     f = view.form
     for v in view.elements():
         if all(f.b(v, g) == f.q(g) % 1 for g in view.gens):
             return v
     raise ValueError("no characteristic element (degenerate input)")
+
+
+# anti-isomorphisms by search ---------------------------------------------------
+
+_Q_OF_KIND = {"e+": HALF, "e-": THALF, "t+": TWO3, "t-": FOUR3}
+_ATOM_OF_KIND = {"u2": "u2", "v2": "v2", "e+": "<1/2>", "e-": "<-1/2>", "t+": "<2/3>", "t-": "<-2/3>"}
+
+
+def _census(view: Span) -> Counter:
+    return Counter(view.form.q(x) for x in view.elements())
+
+
+def present_with(view: Span, kinds: list[str]):
+    """Blocks presenting the span as the given ordered kinds, found by
+    backtracking over its elements; None when the search finds none.
+
+    A branch is cut when the span's census of squares differs from that of
+    the sum of the kinds still to place: an isomorphism keeps the census, so
+    no presentation is lost.
+    """
+    f = view.form
+    if _census(view) != _census(span(standard_form("+".join(_ATOM_OF_KIND[k] for k in kinds)), view.p)):
+        return None
+    if not kinds:
+        return []
+    kind, rest = kinds[0], kinds[1:]
+    if kind in _Q_OF_KIND:
+        for x in view.elements():
+            if f.q(x) == _Q_OF_KIND[kind]:
+                sub = present_with(complement_of(view, [x]), rest)
+                if sub is not None:
+                    return [(kind, [x])] + sub
+        return None
+    elems = [e for e in view.elements() if any(e) and f.q(e) % 1 == 0]
+    for x in elems:
+        for y in elems:
+            if y == x or f.b(x, y) == 0:
+                continue
+            found_kind, gens = normalize_2block(f, x, y)
+            if found_kind != kind:
+                continue
+            sub = present_with(complement_of(view, gens), rest)
+            if sub is not None:
+                return [(kind, gens)] + sub
+    return None
+
+
+def build_anti_iso(src, tgt, p: int):
+    """(source gens, target gens) of an anti-isomorphism of elementary
+    p-groups: the source split into blocks, the target searched for blocks of
+    the anti kinds; None when the search finds none."""
+    blocks = decompose2(span(src, 2))[1] if p == 2 else decompose3(span(src, 3))
+    tgt_blocks = present_with(span(tgt, p), [ANTI_KIND[k] for k, _ in blocks])
+    if tgt_blocks is None:
+        return None
+    return [g for _k, gs in blocks for g in gs], [g for _k, gs in tgt_blocks for g in gs]
+
+
+def anti_iso_root(target, source):
+    """The first v (in sorted order) of the source 2-group with q(v) = 3/2,
+    characteristic exactly when the target is even, whose complement is
+    anti-isomorphic to the target; None when there is none."""
+    view = span(source, 2)
+    want_char = parity2(target) == 0
+    char = characteristic_element(view)
+    want = normal_form2(target)
+    for v in sorted(view.elements()):
+        if source.q(v) != THALF or (v == char) != want_char:
+            continue
+        if anti_normal_form2(normal_form2(complement_of(view, [v]))) == want:
+            return v
+    return None
 
 
 def orthogonal_of_subgroup(f, gens):

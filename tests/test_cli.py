@@ -48,6 +48,12 @@ def test_glue_auto(capsys):
     assert "signature (1,1)" in out
 
 
+def test_glue_auto_reports_no_anti_isomorphism(capsys):
+    code, _out, err = run(capsys, "glue", "--l1", "5A2", "--l2", "5A2", "--auto")
+    assert code == 1
+    assert "no full elementary anti-isomorphism" in err
+
+
 def test_pair_lookup(capsys):
     code, out, _ = run(capsys, "pair", "--t-plus", "U")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import forms_oracle as oracle
@@ -7,14 +8,12 @@ from forms_oracle import change_generators, random_basis_change
 
 from zlat import exact
 from zlat.forms import (
-    SpanView,
     _brown_elementary,
-    _complement_of,
-    _reduce,
     anti_iso_root,
     aut_order,
     brown,
     brown_numeric,
+    build_anti_iso,
     characteristic_element,
     decompose2,
     decompose3,
@@ -22,11 +21,11 @@ from zlat.forms import (
     discriminant_form,
     fingerprint,
     form_on_generators,
-    full_view,
     is_anti_isomorphism,
     is_elementary,
     is_isotropic_subgroup,
     iso2,
+    normal_basis,
     normal_form2,
     normal_form3,
     orthogonal_of_subgroup,
@@ -158,7 +157,7 @@ def test_normal_form3():
 
 def test_decompositions_are_orthogonal():
     f = standard_form("u2+v2+<1/2>+<-1/2>")
-    d2, blocks = decompose2(full_view(f, 2))
+    d2, blocks = decompose2(f)
     assert d2 == 1
     gens = [g for _k, gs in blocks for g in gs]
     for i, x in enumerate(gens):
@@ -167,7 +166,7 @@ def test_decompositions_are_orthogonal():
             if not same_block:
                 assert f.b(x, y) == 0
     f3 = standard_form("2<2/3>+2<-2/3>")
-    blocks3 = decompose3(full_view(f3, 3))
+    blocks3 = decompose3(f3)
     assert sorted(k for k, _ in blocks3) in (["t+", "t+", "t-", "t-"], ["t+", "t-", "t-", "t-"], ["t+", "t+", "t+", "t-"])
     assert normal_form3(f3) == (0, 4)
 
@@ -327,15 +326,19 @@ _KIND_ATOM = {"u2": "u2", "v2": "v2", "e+": "<1/2>", "e-": "<-1/2>", "t+": "<2/3
 
 
 @st.composite
-def elementary_forms(draw, p):
-    """A direct sum of standard atoms (|G| <= 2^8 or 3^5) on randomly changed generators."""
+def elementary_forms(draw, p, exact_rank=None):
+    """A direct sum of standard atoms (|G| <= 2^8 or 3^5, or of the exact
+    rank given) on randomly changed generators."""
     atoms = ["u2", "v2", "<1/2>", "<-1/2>"] if p == 2 else ["<2/3>", "<-2/3>"]
-    max_rank = 8 if p == 2 else 5
+    max_rank = exact_rank or (8 if p == 2 else 5)
     spec, rank = [], 0
     for atom in draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=max_rank)):
         if rank + _ATOM_RANK[atom] <= max_rank:
             spec.append(atom)
             rank += _ATOM_RANK[atom]
+    if exact_rank:  # fill with rank-1 atoms
+        spec += [draw(st.sampled_from(atoms[-2:])) for _ in range(exact_rank - rank)]
+        rank = exact_rank
     ops = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1),
                                   st.integers(1, p - 1)), max_size=3 * rank))
     return change_generators(standard_form("+".join(spec)), p, ops)
@@ -358,16 +361,6 @@ def _check_blocks(f, blocks):
     return standard_form("+".join(_KIND_ATOM[k] for k, _ in blocks))
 
 
-def _check_complement(f, p, block):
-    view = full_view(f, p)
-    comp = _complement_of(view, block)
-    assert comp.dim == view.dim - len(block)
-    assert all(f.b(x, g) == 0 for x in comp.gens for g in block)
-    span = subgroup_elements(f, comp.gens)
-    assert len(span) == p ** comp.dim
-    assert span == subgroup_elements(f, oracle.complement_of(view, block).gens)
-
-
 @given(elementary_forms(2))
 @settings(max_examples=60, deadline=None)
 def test_elementary2_matches_oracles(f):
@@ -375,10 +368,9 @@ def test_elementary2_matches_oracles(f):
     assert parity2(f) == oracle.parity2(f)
     assert characteristic_element(f) == oracle.characteristic_element(f)
     assert fingerprint(f) == oracle.fingerprint(f)
-    d2, blocks = decompose2(full_view(f, 2))
+    d2, blocks = decompose2(f)
     assert d2 == parity2(f)
     assert normal_form2(_check_blocks(f, blocks)) == normal_form2(f)
-    _check_complement(f, 2, blocks[0][1])
 
 
 @given(elementary_forms(2))
@@ -392,24 +384,89 @@ def test_brown_elementary_rejects_degenerate():
         _brown_elementary(form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0]), 2)
 
 
-@given(st.one_of(elementary_forms(2), elementary_forms(3)))
-@settings(max_examples=80, deadline=None)
-def test_reduce_full_view_matches_explicit_unit_generators(f):
-    p = f.n
-    units = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
-    explicit = SpanView(f, units, p)
-    assert not explicit.full and full_view(f, p).full
-    assert _reduce(full_view(f, p)) == _reduce(explicit)
-
-
 @given(elementary_forms(3))
 @settings(max_examples=40, deadline=None)
 def test_elementary3_matches_oracles(f):
     assert normal_form3(f) == oracle.normal_form3(f)
     assert fingerprint(f) == oracle.fingerprint(f)
-    blocks = decompose3(full_view(f, 3))
+    blocks = decompose3(f)
     assert normal_form3(_check_blocks(f, blocks)) == normal_form3(f)
-    _check_complement(f, 3, blocks[0][1])
+
+
+@given(st.one_of(elementary_forms(2), elementary_forms(3)))
+@settings(max_examples=80, deadline=None)
+def test_normal_basis_presents_the_normal_form(f):
+    p = f.n
+    blocks = normal_basis(f, p)
+    _check_blocks(f, blocks)
+    counts = Counter(k for k, _ in blocks)
+    if p == 3:
+        assert (counts["t+"], counts["t-"]) == normal_form3(f)
+    elif counts["e+"] + counts["e-"]:
+        assert ("odd", counts["e+"], counts["e-"]) == normal_form2(f)
+    else:
+        assert ("even", counts["u2"], counts["v2"]) == normal_form2(f)
+
+
+@st.composite
+def elementary_pairs(draw, p):
+    """Two elementary p-groups: independent (often of unequal rank),
+    independent of equal rank, or the second the first with q negated on
+    changed generators."""
+    src = draw(elementary_forms(p))
+    rank = src.ngens
+    how = draw(st.integers(0, 2))
+    if how < 2:
+        return src, draw(elementary_forms(p, rank if how else None))
+    ops = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1),
+                                  st.integers(1, p - 1)), max_size=3 * rank))
+    return src, change_generators(_negated(src), p, ops)
+
+
+@given(st.one_of(elementary_pairs(2), elementary_pairs(3)))
+@settings(max_examples=80, deadline=None)
+def test_build_anti_iso_matches_search_oracle(pair):
+    src, tgt = pair
+    p = src.n
+    phi = build_anti_iso(src, tgt, p)
+    assert (phi is None) == (oracle.build_anti_iso(src, tgt, p) is None)
+    if phi is not None:
+        assert oracle.is_anti_isomorphism(src, list(phi.source_gens), tgt, list(phi.target_gens))
+        assert phi.subgroup_order == src.size == tgt.size
+
+
+@st.composite
+def root_pairs(draw):
+    """A target 2-group and a source: independent, or <1/2> + target with q
+    negated on changed generators (|source| <= 2^8)."""
+    target = draw(elementary_forms(2))
+    if target.ngens == 8 or draw(st.booleans()):
+        return target, draw(elementary_forms(2))
+    plus = direct_sum_forms(q_cyclic(2, F(1, 2)), target)
+    rank = plus.ngens
+    ops = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1), st.just(1)),
+                        max_size=3 * rank))
+    return target, change_generators(_negated(plus), 2, ops)
+
+
+@given(root_pairs())
+@settings(max_examples=60, deadline=None)
+def test_anti_iso_root_matches_walk_oracle(pair):
+    target, source = pair
+    v = anti_iso_root(target, source)
+    assert (v is None) == (oracle.anti_iso_root(target, source) is None)
+    if v is not None:
+        assert source.q(v) == F(3, 2)
+        complement = oracle.complement_of(oracle.span(source, 2), [v])
+        assert oracle.anti_normal_form2(oracle.normal_form2(complement)) == normal_form2(target)
+        assert (v == characteristic_element(source)) == (parity2(target) == 0)
+
+
+def test_build_anti_iso_none_reproducers():
+    # 5<-2/3> against itself (normal forms (1, 4) negated, (0, 5)), and 3-ranks 4 and 5
+    for e1, e2 in (("5A2", "5A2"), ("U+E6+3A2", "U(3)+3A2")):
+        f1, f2 = (p_part(discriminant_form(parse_lattice_expr(e)), 3) for e in (e1, e2))
+        assert build_anti_iso(f1, f2, 3) is None
 
 
 @given(
@@ -433,8 +490,7 @@ def test_degenerate_inputs_raise():
     zero2 = form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0])
     zero3 = form_on_generators([3], [[0]], [0])
     for call in (lambda: normal_form2(zero2), lambda: characteristic_element(zero2),
-                 lambda: normal_form3(zero3), lambda: decompose3(full_view(zero3, 3)),
-                 lambda: _complement_of(full_view(zero2, 2), [(1, 0)])):
+                 lambda: normal_form3(zero3), lambda: decompose3(zero3)):
         try:
             call()
         except ValueError:

@@ -1,4 +1,5 @@
-"""The representation of finite quadratic forms is decided in `zlat.forms` alone."""
+"""The representation of finite quadratic forms is decided in `zlat.forms`
+alone, and only a listed few functions walk the elements of a group."""
 
 import ast
 import os
@@ -17,3 +18,38 @@ def test_no_fractions_import(module):
     imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module and not node.level}
     assert "fractions" not in imported
+
+
+# functions whose walk over all elements of a form is their point (or a
+# verification's brute-force side); everything else works on generators
+ENUMERATING = {"forms.orthogonal_of_subgroup", "forms._count_maps", "verify._extension_cases",
+               "verify.check_glue_determinant"}
+
+
+def _element_walkers(module, tree):
+    """module.function (top-level function or class.method) of every `.elements()` call."""
+    out = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{module}.{child.name}"
+            elif isinstance(node, ast.ClassDef) and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{owner}.{child.name}"
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "elements"):
+                out.add(name or module)
+            visit(child, name)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_listed_functions_enumerate_elements():
+    walkers = set()
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                walkers |= _element_walkers(fname[:-3], ast.parse(fh.read()))
+    assert walkers <= ENUMERATING, sorted(walkers - ENUMERATING)
