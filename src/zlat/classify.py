@@ -563,12 +563,6 @@ def t_glue_map(pair: TPair) -> GlueMap:
     return GlueMap(f2_1, f2_2, f2_1.units, tuple(images[1:]))
 
 
-def glue_t_pair(pair: TPair):
-    """Stage (a): glue the two halves along the root anti-isomorphism."""
-    phi = t_glue_map(pair)
-    return glue(pair.witness_plus, pair.witness_minus, phi), phi
-
-
 def realize_pair(pair: TPair) -> dict:
     """Run the three-stage construction and verify each stage.
 

@@ -14,7 +14,6 @@ discriminant form) the lift of e_i to the lattice is lift_cols[i] / d_i.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections import Counter
@@ -24,9 +23,6 @@ from functools import lru_cache
 
 from . import exact
 from .lattice import MEMO_SIZE, Lattice
-
-GAUSS_TOL = 1e-6
-GAUSS_SIZE_CAP = 10**6
 
 Element = tuple[int, ...]
 
@@ -281,75 +277,137 @@ def is_elementary(f: FiniteQuadraticForm, p: int) -> bool:
     return all(d == p for d in f.orders)
 
 
-# Gram reduction mod p ----------------------------------------------------------
+# Jordan splitting ---------------------------------------------------------------
 
-_RANK1_KIND = {(2, 1): "e+", (2, 3): "e-", (3, 2): "t+", (3, 1): "t-"}
+def _split(f: FiniteQuadraticForm, p: int):
+    """Jordan splitting of a p-group by Gram-Schmidt over Z/p^k, scale by scale.
 
+    Tracks vectors over the form's generators, their pairings n*b mod n and,
+    for p = 2, their squares n*q mod 2n (q is fixed by b for odd p): these
+    start as b_num and q_num.  At scale m, from the exponent n down to p,
+    every live pairing has order dividing m, so its numerator is a multiple
+    of s = n/m.  A vector x with b(x, x) of order m splits off alone, each
+    other t becoming t - b(t, x) b(x, x)^-1 x.  When none is left, odd p
+    turns x into x + y for a pair with b(x, y) of order m, whose
+    b(x + y, x + y) = b(x, x) + b(y, y) + 2b(x, y) then has order m; p = 2
+    splits off the pair, after x + y replaces the one of x, y whose square
+    has an odd numerator over 2/m (x + y has an even one), and projects the
+    others by the adjugate of the pair's Gram block, whose determinant is
+    odd.  When no pair of order m is left either, the scale drops to m/p.
 
-def _reduce(f: FiniteQuadraticForm, p: int):
-    """Orthogonal splitting of an elementary 2- or 3-group by Gram-Schmidt mod p.
-
-    Tracks vectors over the form's generators, their pairings p*b mod p and,
-    for p = 2, their squares 2q mod 4 (q is fixed by b for p = 3): the form
-    is elementary, so n = p and these start as b_num and q_num.
-    A vector with b(x, x) != 0 splits off alone: "e+"/"e-" for 2q = 1/3,
-    "t+"/"t-" for 3b(x, x) = 2/1.  When none is left, p = 2 splits off a pair
-    with b(x, y) = 1/2 as "v2" (both squares 1) or "u2" (both squares 0, after
-    x + y replaces the one of square 1), and p = 3 turns x into x + y, whose
-    b(x + y, x + y) = 2b(x, y) is nonzero.  Returns the vectors and the
-    (kind, vector indices) blocks, rank-1 blocks first.
+    Returns the vectors and the blocks (k, u, vector indices) of scale p^k
+    in the order split off: <u/p^k> of rank 1, with q(x) = u/2^k for p = 2
+    and b(x, x) = u/p^k for odd p, or the pair u_k ("u": 2^(k-1) q(x) and
+    2^(k-1) q(y) even) or v_k ("v": both odd).  Raises on a degenerate form.
     """
-    if not is_elementary(f, p):
-        raise ValueError(f"form is not an elementary {p}-group")
-    r = f.ngens
-    b = [[x % p for x in row] for row in f.b_num]
-    q = [x % 4 for x in f.q_num] if p == 2 else None
+    n, r = f.n, f.ngens
+    b = [list(row) for row in f.b_num]
+    q = list(f.q_num) if p == 2 else None
     vecs = [[int(a == c) for c in range(r)] for a in range(r)]
 
     def add(t, s, c=1):  # vector t += c * vector s, keeping b and q in step
         if q is not None:
-            q[t] = (q[t] + c * c * q[s] + 2 * c * b[t][s]) % 4
-        row = [(x + c * y) % p for x, y in zip(b[t], b[s])]
-        row[t] = (b[t][t] + 2 * c * b[t][s] + c * c * b[s][s]) % p
+            q[t] = (q[t] + c * c * q[s] + 2 * c * b[t][s]) % (2 * n)
+        row = [(x + c * y) % n for x, y in zip(b[t], b[s])]
+        row[t] = (b[t][t] + 2 * c * b[t][s] + c * c * b[s][s]) % n
         b[t] = row
         for u, x in enumerate(row):
             b[u][t] = x
-        vecs[t] = [(x + c * y) % p for x, y in zip(vecs[t], vecs[s])]
+        vecs[t] = [(x + c * y) % n for x, y in zip(vecs[t], vecs[s])]
 
+    k, m = 0, 1
+    while m < n:
+        k, m = k + 1, m * p
     live = list(range(r))
     blocks = []
     while live:
-        i = next((t for t in live if b[t][t]), None)
+        s = n // m
+        sp = s * p  # a live numerator off the multiples of sp has order m
+        i = next((t for t in live if b[t][t] % sp), None)
         if i is not None:
             live.remove(i)
+            inv = pow(b[i][i] // s, -1, m)
             for t in live:
-                c = -b[i][t] * b[i][i] % p  # b(x, x) is its own inverse mod 2 and 3
+                c = -(b[i][t] // s) * inv % m
                 if c:
                     add(t, i, c)
-            blocks.append((_RANK1_KIND[p, q[i] if p == 2 else b[i][i]], [i]))
+            blocks.append((k, q[i] // s if p == 2 else b[i][i] // s, [i]))
             continue
-        i = live[0]
-        j = next((t for t in live if b[i][t]), None)
-        if j is None:
-            raise ValueError(f"degenerate {p}-group")
-        if p == 3:
+        i, j = next(((i, j) for i in live for j in live if b[i][j] % sp), (None, None))
+        if i is None:
+            if m == p:
+                raise ValueError(f"degenerate {p}-group")
+            k, m = k - 1, m // p
+            continue
+        if p != 2:
             add(i, j)
             continue
-        if q[i] != q[j]:  # squares 0 and 1: x + y, of square 0, replaces the one of square 1
-            if q[i]:
+        odd_i, odd_j = q[i] % (2 * sp) != 0, q[j] % (2 * sp) != 0
+        if odd_i != odd_j:
+            if odd_i:
                 add(i, j)
             else:
                 add(j, i)
         live.remove(i)
         live.remove(j)
+        a, w, d = b[i][i] // s, b[i][j] // s, b[j][j] // s
+        inv = pow(a * d - w * w, -1, m)
         for t in live:
-            by, bx = b[j][t], b[i][t]
-            if by:
-                add(t, i)
-            if bx:
-                add(t, j)
-        blocks.append(("v2" if q[i] == 2 else "u2", [i, j]))
+            ti, tj = b[i][t] // s, b[j][t] // s
+            ci, cj = (w * tj - d * ti) * inv % m, (w * ti - a * tj) * inv % m
+            if ci:
+                add(t, i, ci)
+            if cj:
+                add(t, j, cj)
+        blocks.append((k, "v" if q[i] % (2 * sp) else "u", [i, j]))
+    if math.prod(p ** (k * len(idx)) for k, _u, idx in blocks) != f.size:
+        raise ValueError(f"degenerate {p}-group")
     return vecs, blocks
+
+
+def _legendre(a: int, p: int) -> int:
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def _block_brown(p: int, k: int, u) -> int:
+    """Brown invariant of a `_split` block of scale p^k, in closed form:
+    <u/2^k> gives u, plus 4 when k is odd and u = +-3 mod 8; u_k gives 0 and
+    v_k 4 when k is odd; an odd <u/p^k> gives 0 when k is even, else 2 when
+    p = 3 mod 4, plus 4 when (2u/p) = -1 (Gauss sums over Z/p^k)."""
+    odd = k % 2
+    if p == 2:
+        if u in ("u", "v"):
+            return 4 * odd * (u == "v")
+        return u + 4 * odd * (u % 8 in (3, 5))
+    return odd * (2 * (p % 4 == 3) + 4 * (_legendre(2 * u, p) == -1))
+
+
+def jordan_symbol(f: FiniteQuadraticForm, p: int) -> tuple:
+    """(p^k, n_k, eps_k) for each scale p^k of the p-part of f, largest
+    first: n_k is the rank of the Jordan constituent and eps_k the Legendre
+    symbol of the product of its units.  A complete invariant for odd p
+    (Conway-Sloane, SPLAG ch. 15 §7); the 2-adic symbol needs more."""
+    if p == 2:
+        raise ValueError("the Jordan symbol is complete for odd p only")
+    symbol = {}
+    for k, u, _idx in _split(p_part(f, p), p)[1]:
+        rank, unit = symbol.get(k, (0, 1))
+        symbol[k] = (rank + 1, unit * u % p)
+    return tuple((p ** k, rank, _legendre(unit, p)) for k, (rank, unit) in symbol.items())
+
+
+_KIND = {(2, 1): "e+", (2, 3): "e-", (2, "u"): "u2", (2, "v"): "v2", (3, 2): "t+", (3, 1): "t-"}
+
+
+def _reduce(f: FiniteQuadraticForm, p: int):
+    """The `_split` of an elementary 2- or 3-group with its blocks named by
+    kind: "e+"/"e-" for 2q = 1/3, "u2"/"v2" for a pair with both squares 0/1,
+    "t+"/"t-" for 3b(x, x) = 2/1.  Returns the vectors and the (kind, vector
+    indices) blocks, rank-1 blocks first."""
+    if not is_elementary(f, p):
+        raise ValueError(f"form is not an elementary {p}-group")
+    vecs, blocks = _split(f, p)
+    return vecs, [(_KIND[p, u], idx) for _k, u, idx in blocks]
 
 
 HALF = Fraction(1, 2)
@@ -357,12 +415,7 @@ THALF = Fraction(3, 2)
 TWO3 = Fraction(2, 3)
 FOUR3 = Fraction(4, 3)
 
-_BROWN_OF_KIND = {"e+": 1, "e-": -1, "u2": 0, "v2": 4, "t+": 2, "t-": -2}
 ANTI_KIND = {"e+": "e-", "e-": "e+", "u2": "u2", "v2": "v2", "t+": "t-", "t-": "t+"}
-
-
-def _is_odd(blocks) -> int:
-    return int(any(kind in ("e+", "e-") for kind, _ in blocks))
 
 
 def _blocks(f: FiniteQuadraticForm, p: int):
@@ -379,7 +432,7 @@ def decompose2(f: FiniteQuadraticForm):
     normalized (u2: both squares 0; v2: both squares 1).
     """
     blocks = _blocks(f, 2)
-    return _is_odd(blocks), blocks
+    return int(any(kind in ("e+", "e-") for kind, _ in blocks)), blocks
 
 
 def decompose3(f: FiniteQuadraticForm):
@@ -440,10 +493,12 @@ def normal_form2(f: FiniteQuadraticForm) -> tuple[str, int, int]:
     Even kind: a*u2 + b*v2 with b reduced mod 2.  Odd kind:
     a*<1/2> + b*<-1/2> with a reduced mod 4.
     """
-    _vecs, blocks = _reduce(f, 2)
+    if not is_elementary(f, 2):
+        raise ValueError("form is not an elementary 2-group")
+    blocks = _split(f, 2)[1]
     rank = f.ngens
-    br = sum(_BROWN_OF_KIND[k] for k, _ in blocks) % 8
-    if not _is_odd(blocks):
+    br = sum(_block_brown(2, k, u) for k, u, _idx in blocks) % 8
+    if all(len(idx) == 2 for _k, _u, idx in blocks):
         b = 1 if br == 4 else 0
         return "even", rank // 2 - b, b
     # a - b = br (mod 8), a + b = rank, a reduced mod 4
@@ -451,10 +506,6 @@ def normal_form2(f: FiniteQuadraticForm) -> tuple[str, int, int]:
         raise ValueError("Brown invariant and rank of an odd 2-group differ in parity")
     a = ((rank + br) // 2) % 4
     return "odd", a, rank - a
-
-
-def iso2(f: FiniteQuadraticForm, g: FiniteQuadraticForm) -> bool:
-    return normal_form2(f) == normal_form2(g)
 
 
 def normal_form3(f: FiniteQuadraticForm) -> tuple[int, int]:
@@ -490,82 +541,10 @@ def characteristic_element(f: FiniteQuadraticForm) -> Element:
 # Brown invariant -------------------------------------------------------------
 
 def brown(f: FiniteQuadraticForm) -> int:
-    """The Brown invariant in Z/8.
-
-    Exact (Gram reduction mod p) whenever every p-part is an elementary 2-
-    or 3-group; otherwise the Gauss sum of the offending p-part is summed
-    numerically at high precision with hard tolerances.
-    """
-    total = 0
-    for p in prime_factors_of_order(f):
-        part = p_part(f, p)
-        if p in (2, 3) and is_elementary(part, p):
-            total += _brown_elementary(part, p)
-        else:
-            total += brown_numeric(part)
-    return total % 8
-
-
-def _phase_histogram(f: FiniteQuadraticForm) -> list[int]:
-    """counts[t] = #{x : n*q(x) = t mod 2n}, by integer recursion over the coordinates."""
-    k, two_n = f.ngens, 2 * f.n
-    bil2 = [[2 * x for x in row] for row in f.b_num]
-    counts = [0] * two_n
-
-    def rec(j, acc, row_acc):
-        qj, rj = f.q_num[j], row_acc[j]
-        if j == k - 1:
-            for c in range(f.orders[j]):
-                counts[(acc + c * (c * qj + rj)) % two_n] += 1
-            return
-        for c in range(f.orders[j]):
-            rec(j + 1, acc + c * (c * qj + rj), [r + c * x for r, x in zip(row_acc, bil2[j])])
-
-    if k:
-        rec(0, 0, [0] * k)
-    else:
-        counts[0] = 1
-    return counts
-
-
-def _brown_elementary(part: FiniteQuadraticForm, p: int) -> int:
-    """Exact Brown invariant of an elementary 2- or 3-group.
-
-    `_reduce` splits the group into orthogonal blocks of known Brown
-    invariant ("e+" 1, "e-" 7, "u2" 0, "v2" 4, "t+" 2, "t-" 6) in O(r^3),
-    without enumerating the group; it raises on a degenerate form.
-    """
-    if p not in (2, 3):
-        raise ValueError(f"no exact elementary path for p = {p}")
-    _vecs, blocks = _reduce(part, p)
-    return sum(_BROWN_OF_KIND[k] for k, _ in blocks) % 8
-
-
-def brown_numeric(f: FiniteQuadraticForm) -> int:
-    """Gauss-sum phase of exp(i*pi*q) summed over the group, divided by pi/4.
-
-    The sum is accumulated exactly as a histogram of rational phases, and
-    verified: |S| within GAUSS_TOL relative of sqrt|G| and the phase within
-    GAUSS_TOL of a multiple of pi/4.
-    """
-    size = f.size
-    if size > GAUSS_SIZE_CAP:
-        raise ValueError("group too large for the numeric Gauss sum")
-    if size == 1:
-        return 0
-    s = 0j
-    for t, c in enumerate(_phase_histogram(f)):
-        if c:
-            s += c * cmath.exp(1j * math.pi * t / f.n)
-    mag = abs(s)
-    root = math.sqrt(size)
-    if abs(mag - root) > GAUSS_TOL * root:
-        raise ValueError("degenerate Gauss sum")
-    phase = cmath.phase(s) / (math.pi / 4)
-    nearest = round(phase)
-    if abs(phase - nearest) > GAUSS_TOL:
-        raise ValueError("degenerate Gauss sum")
-    return nearest % 8
+    """The Brown invariant in Z/8, exact for every finite form: the sum of the
+    closed forms `_block_brown` over the Jordan splitting of each p-part."""
+    return sum(_block_brown(p, k, u) for p in prime_factors_of_order(f)
+               for k, u, _idx in _split(p_part(f, p), p)[1]) % 8
 
 
 # element census and subgroup machinery ----------------------------------------
@@ -848,18 +827,6 @@ def build_anti_iso(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -
     if images is None:
         return None
     return GlueMap(src, tgt, src.units, tuple(images))
-
-
-def anti_iso_root(f2_target: FiniteQuadraticForm, f2_source: FiniteQuadraticForm):
-    """An element v of the source 2-group with square -1/2 whose complement
-    is anti-isomorphic to the target; None when no such v exists.
-
-    v is the image of the generator of <1/2> under an anti-isomorphism of
-    <1/2> + target onto the source, so it is characteristic exactly when the
-    target is even.
-    """
-    images = anti_iso_images(direct_sum_forms(q_cyclic(2, HALF), f2_target), f2_source, 2)
-    return None if images is None else images[0]
 
 
 def render_form(f: FiniteQuadraticForm, ascii_mode: bool = False) -> str:

@@ -13,12 +13,6 @@ from .forms import GlueMap
 from .lattice import Lattice, SublatticeRef, _overlattice, direct_sum, overlattice, sublattice
 
 
-def trivial_glue_map(l1: Lattice, l2: Lattice) -> GlueMap:
-    f1 = forms.discriminant_form(l1)
-    f2 = forms.discriminant_form(l2)
-    return GlueMap(f1, f2, (), ())
-
-
 @dataclass(frozen=True)
 class LatticeInvolution:
     lattice: Lattice

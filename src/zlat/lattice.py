@@ -247,10 +247,6 @@ def _orthogonal_blocks(gram) -> list[list[int]]:
     return blocks
 
 
-def is_hyperbolic(l: Lattice) -> bool:
-    return hyperbolic_branch(l) is not None
-
-
 def hyperbolic_branch(l: Lattice) -> str | None:
     """Which reading of "hyperbolic" fired: "strict" (n+ = 1) or "abuse" (n- = 0)."""
     np_, nm = signature(l)

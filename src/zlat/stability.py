@@ -23,13 +23,15 @@ class GenusTag:
 
 
 def _part_descriptor(f: forms.FiniteQuadraticForm, p: int):
-    part = forms.p_part(f, p)
-    if p == 2 and forms.is_elementary(part, 2):
+    """The p-part in a genus tag: its Jordan symbol for odd p, the normal
+    form of an elementary 2-part; the fingerprint of another small 2-part
+    and the orders of a large one are not complete invariants."""
+    if p != 2:
+        return ("jordan", forms.jordan_symbol(f, p))
+    part = forms.p_part(f, 2)
+    if forms.is_elementary(part, 2):
         kind, a, b = forms.normal_form2(part)
         return ("elem2", kind, a, b)
-    if p == 3 and forms.is_elementary(part, 3):
-        pp, qq = forms.normal_form3(part)
-        return ("elem3", pp, qq)
     if part.size <= _RAW_CAP:
         return ("raw", tuple(sorted(part.orders)), forms.fingerprint(part))
     return ("big", tuple(sorted(part.orders)))
@@ -106,13 +108,9 @@ def _is_unimodular_hyperbolic(l: Lattice) -> bool:
     return np_ == 1 or nm == 0
 
 
-def small_rank_stable(l: Lattice) -> bool:
-    """Divisibility reductions to the unimodular-hyperbolic list, plus the
-    rank-2 binary (Gaussian) reduction."""
-    return _small_rank_certificate(l) is not None
-
-
 def _small_rank_certificate(l: Lattice, depth: int = 0) -> str | None:
+    """Divisibility reductions to the unimodular-hyperbolic list, plus the
+    rank-2 binary (Gaussian) reduction: the name of the rule that fired."""
     if l.rank == 1:
         return "rank-1"
     if _is_unimodular_hyperbolic(l):

@@ -6,6 +6,8 @@ they surface documented tensions in the source material.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 import time
 from fractions import Fraction
@@ -66,6 +68,40 @@ def _random_even_lattice(rng, max_rank=6, bound=10, det_cap=4000):
             return make_lattice(g)
 
 
+def _phase_histogram(f: forms.FiniteQuadraticForm) -> list[int]:
+    """counts[t] = #{x : n*q(x) = t mod 2n}, by integer recursion over the coordinates."""
+    k, two_n = f.ngens, 2 * f.n
+    bil2 = [[2 * x for x in row] for row in f.b_num]
+    counts = [0] * two_n
+
+    def rec(j, acc, row_acc):
+        qj, rj = f.q_num[j], row_acc[j]
+        if j == k - 1:
+            for c in range(f.orders[j]):
+                counts[(acc + c * (c * qj + rj)) % two_n] += 1
+            return
+        for c in range(f.orders[j]):
+            rec(j + 1, acc + c * (c * qj + rj), [r + c * x for r, x in zip(row_acc, bil2[j])])
+
+    if k:
+        rec(0, 0, [0] * k)
+    else:
+        counts[0] = 1
+    return counts
+
+
+def _gauss_brown(f: forms.FiniteQuadraticForm) -> int:
+    """Brown as the phase of the Gauss sum of exp(i*pi*q) over the group, in
+    multiples of pi/4, summed in floats over the histogram of squares; its
+    magnitude must be sqrt|G| and its phase a multiple of pi/4, to 1e-6."""
+    s = sum(c * cmath.exp(1j * math.pi * t / f.n) for t, c in enumerate(_phase_histogram(f)) if c)
+    phase = cmath.phase(s) / (math.pi / 4)
+    root = math.sqrt(f.size)
+    if abs(abs(s) - root) > 1e-6 * root or abs(phase - round(phase)) > 1e-6:
+        raise ValueError("degenerate Gauss sum")
+    return round(phase) % 8
+
+
 def check_van_der_blij_random():
     rng = random.Random(20260808)
     numeric_hits = 0
@@ -75,8 +111,8 @@ def check_van_der_blij_random():
         f = forms.discriminant_form(l)
         if forms.brown(f) != (np_ - nm) % 8:
             return False, f"failed on random lattice #{i}: {l.gram}"
-        if f.size > 1 and f.size <= forms.GAUSS_SIZE_CAP:
-            if forms.brown_numeric(f) != forms.brown(f):
+        if f.size > 1:
+            if _gauss_brown(f) != forms.brown(f):
                 return False, f"numeric Gauss path disagreed on #{i}"
             numeric_hits += 1
     return True, f"110 random even lattices, numeric Gauss path exercised {numeric_hits} times within 1e-6"
@@ -259,6 +295,12 @@ def check_rewriting_rules():
     return True, "U(2)+L and U(6)+L rewriting rules certified for odd discr2 tails"
 
 
+# pairs in different genera with equal signatures, groups and Brown
+# invariants: the Z/5^8 parts carry the units -2 and -6, which lie in
+# different square classes mod 5
+_DISTINCT_GENERA = [("U+<-781250>+<-6>", "U+<-2343750>+<-2>")]
+
+
 def check_no_false_yes():
     exprs = ["U", "U(2)", "U(3)", "<2>", "<6>", "A2", "U+A2", "<2>+A2", "U(4)+<4>"]
     for a in exprs:
@@ -267,7 +309,12 @@ def check_no_false_yes():
             verdict = stability.isomorphic_in_genus(la, lb)
             if verdict == "yes" and stability.genus_tag(la) != stability.genus_tag(lb):
                 return False, f"yes with differing genus tags: {a} vs {b}"
-    return True, "never yes with differing genus tags on the sample grid"
+    for a, b in _DISTINCT_GENERA:
+        verdict = stability.isomorphic_in_genus(parse_lattice_expr(a), parse_lattice_expr(b))
+        if verdict != "no":
+            return False, f"{verdict} for {a} vs {b}, which lie in different genera"
+    return True, ("never yes with differing genus tags on the sample grid, no on "
+                  + "; ".join(f"{a} vs {b}" for a, b in _DISTINCT_GENERA))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ before it paired normal bases; `Span` is their minimal subgroup helper.
 off the histogram of squares over all 2^r elements, as the package computed
 it before it used the blocks of the Gram reduction mod 2.
 
+`isometric` searches for an isometry between two forms by backtracking
+over the images of generators, as `forms._count_maps` counts automorphisms.
+
 `is_isotropic_subgroup` tests q on every element of the span, as the
 package did before it looked at q on the generators and b on their pairs;
 `isotropic_subgroups` enumerates every isotropic subgroup.
@@ -41,7 +44,6 @@ from zlat.forms import (
     HALF,
     THALF,
     TWO3,
-    _phase_histogram,
     form_on_generators,
     is_elementary,
     prime_factors_of_order,
@@ -49,6 +51,7 @@ from zlat.forms import (
     subgroup_elements,
 )
 from zlat.lattice import make_lattice
+from zlat.verify import _phase_histogram
 
 
 # the Fraction representation -------------------------------------------------
@@ -404,21 +407,53 @@ def fingerprint(f) -> tuple[tuple[int, Fraction], ...]:
     return tuple(sorted((f.element_order(x), f.q(x)) for x in f.elements()))
 
 
+def isometric(f, g) -> bool:
+    """Whether some group isomorphism f -> g preserves q (|G| <= 243).
+
+    Backtracks over the images of f's generators as `forms._count_maps`
+    does over automorphisms: an image keeps its generator's order and square
+    and its pairings with the earlier images, and the images must span g.
+    An isometry keeps the fingerprint, so unequal fingerprints answer first.
+    """
+    if f.size > 243:
+        raise ValueError("group too large")
+    if fingerprint(f) != fingerprint(g):
+        return False
+    basis = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
+    elems = [(x, g.element_order(x), g.q(x)) for x in g.elements()]
+
+    def rec(images):
+        if len(images) == len(basis):
+            return len(subgroup_elements(g, images)) == g.size
+        e = basis[len(images)]
+        order, q = f.element_order(e), f.q(e)
+        return any(rec(images + [x]) for x, ox, qx in elems
+                   if ox == order and qx == q and all(g.b(x, y) == f.b(e, z) for y, z in zip(images, basis)))
+
+    return rec([])
+
+
 # random changes of generators and of lattice bases ---------------------------
 
 def change_generators(f, p: int, ops):
-    """f presented on new generators: the rows of the identity after the
-    elementary operations ops, each (i, j, c) adding c * row j to row i, or
-    for i == j scaling row i by c (c prime to p).  The matrix stays
-    invertible mod p, so the result is isomorphic to f."""
+    """f, a p-group, presented on new generators: the rows of the identity
+    after the elementary operations ops, each (i, j, c) adding c * row j to
+    row i (c times d_j / d_i when the order d_j of generator j exceeds the
+    order d_i of generator i, so that row i keeps order d_i), or for i == j
+    scaling row i by c (c prime to p).  Each operation is an automorphism of
+    the group, so the result is isomorphic to f."""
+    d = f.orders
     rows = [[int(i == j) for j in range(f.ngens)] for i in range(f.ngens)]
     for i, j, c in ops:
         if i == j:
-            rows[i] = [c * x % p for x in rows[i]]
+            if c % p == 0:
+                raise ValueError("scaling by a multiple of p")
+            rows[i] = [c * x % o for x, o in zip(rows[i], d)]
         else:
-            rows[i] = [(x + c * y) % p for x, y in zip(rows[i], rows[j])]
+            c *= max(1, d[j] // d[i])
+            rows[i] = [(x + c * y) % o for x, y, o in zip(rows[i], rows[j], d)]
     gens = [tuple(r) for r in rows]
-    return form_on_generators([p] * f.ngens, [[f.b(x, y) for y in gens] for x in gens], [f.q(x) for x in gens])
+    return form_on_generators(d, [[f.b(x, y) for y in gens] for x in gens], [f.q(x) for x in gens])
 
 
 def random_basis_change(l, rng, steps: int):

@@ -12,16 +12,17 @@ from zlat.classify import (
     admissible_rr2_pairs,
     enumerate_ascending_t_pairs,
     find_reversion_root,
-    glue_t_pair,
     half_violation,
     pair_by_ref,
     pair_violation,
     realize_pair,
     reversion_partner,
     s_pair,
+    t_glue_map,
     witness_blocks,
     witness_lattice,
 )
+from zlat.gluing import glue
 from zlat.lattice import parse_lattice_expr
 
 
@@ -251,7 +252,7 @@ def test_stage_c_k3_grams_have_signature_3_19(monkeypatch):
 def test_stage_a_genus_for_every_pair():
     t = parse_lattice_expr("U+U(3)+2A2+A1")
     for pair in enumerate_ascending_t_pairs()[:10]:
-        glued, _phi = glue_t_pair(pair)
+        glued = glue(pair.witness_plus, pair.witness_minus, t_glue_map(pair))
         assert stability.isomorphic_in_genus(glued, t) == "yes"
 
 

@@ -30,6 +30,13 @@ def test_lattice_ascii_flag(capsys):
     assert "q(" in out and "⟨" not in out
 
 
+def test_lattice_brown_of_a_large_p_part(capsys):
+    # the 5-part of the discriminant group has order 5^9
+    code, out, _err = run(capsys, "lattice", "U+<-3906250>+<-6>", "--show", "discr")
+    assert code == 0
+    assert "Brown invariant: 6" in out
+
+
 def test_lattice_bad_expression(capsys):
     code, _out, err = run(capsys, "lattice", "A0")
     assert code == 2

@@ -8,11 +8,10 @@ from forms_oracle import change_generators, random_basis_change
 
 from zlat import exact
 from zlat.forms import (
-    _brown_elementary,
-    anti_iso_root,
+    _split,
+    anti_iso_images,
     aut_order,
     brown,
-    brown_numeric,
     build_anti_iso,
     characteristic_element,
     decompose2,
@@ -24,7 +23,7 @@ from zlat.forms import (
     is_anti_isomorphism,
     is_elementary,
     is_isotropic_subgroup,
-    iso2,
+    jordan_symbol,
     normal_basis,
     normal_form2,
     normal_form3,
@@ -41,8 +40,17 @@ from zlat.forms import (
     subgroup_order,
 )
 from zlat.lattice import extension_by_fraction, named, parse_lattice_expr, signature
+from zlat.verify import _gauss_brown
 
 F = Fraction
+
+
+def anti_iso_root(target, source):
+    """The image of <1/2> under an anti-isomorphism of <1/2> + target onto
+    the source 2-group (the root along which stage (a) of the K3 realization
+    glues); None when there is none."""
+    images = anti_iso_images(direct_sum_forms(q_cyclic(2, F(1, 2)), target), source, 2)
+    return None if images is None else images[0]
 
 
 def test_discr_a2():
@@ -107,7 +115,15 @@ def test_brown_three_groups():
 def test_brown_numeric_matches_exact():
     for expr in ("U(2)", "D4", "A2", "A5", "<2>+A2", "U(6)"):
         f = discriminant_form(parse_lattice_expr(expr))
-        assert brown_numeric(f) == brown(f)
+        assert _gauss_brown(f) == brown(f)
+
+
+def test_brown_of_large_p_parts():
+    # p-parts of size 5^9, 5^10 and 2^23
+    for expr in ("U+<-3906250>+<-6>", "U+<-19531250>+<-2>", "U+<-8388608>+<-6>"):
+        l = parse_lattice_expr(expr)
+        np_, nm = signature(l)
+        assert brown(discriminant_form(l)) == (np_ - nm) % 8
 
 
 def test_van_der_blij_spot():
@@ -141,9 +157,9 @@ def test_characteristic_defines_brown_mod4():
 def test_normal_form2():
     assert normal_form2(standard_form("2v2")) == normal_form2(standard_form("2u2")) == ("even", 2, 0)
     assert normal_form2(standard_form("4<1/2>")) == normal_form2(standard_form("4<-1/2>")) == ("odd", 0, 4)
-    assert not iso2(standard_form("<1/2>"), standard_form("<-1/2>"))
-    assert iso2(standard_form("3<1/2>"), standard_form("v2+<-1/2>"))
-    assert iso2(standard_form("u2+<1/2>"), standard_form("2<1/2>+<-1/2>"))
+    assert normal_form2(standard_form("<1/2>")) != normal_form2(standard_form("<-1/2>"))
+    assert normal_form2(standard_form("3<1/2>")) == normal_form2(standard_form("v2+<-1/2>"))
+    assert normal_form2(standard_form("u2+<1/2>")) == normal_form2(standard_form("2<1/2>+<-1/2>"))
 
 
 def test_normal_form3():
@@ -376,12 +392,12 @@ def test_elementary2_matches_oracles(f):
 @given(elementary_forms(2))
 @settings(max_examples=80, deadline=None)
 def test_brown_elementary2_matches_histogram(f):
-    assert _brown_elementary(f, 2) == oracle.brown_elementary2(f) == brown(f)
+    assert oracle.brown_elementary2(f) == brown(f)
 
 
 def test_brown_elementary_rejects_degenerate():
-    with pytest.raises(ValueError):
-        _brown_elementary(form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0]), 2)
+    with pytest.raises(ValueError, match="degenerate"):
+        brown(form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0]))
 
 
 @given(elementary_forms(3))
@@ -657,3 +673,138 @@ def test_form_on_generators_rejects_values_off_the_exponent():
     for bil, quad in (([[F(1, 4), 0], [0, 0]], [0, 0]), ([[0, 0], [0, 0]], [0, F(1, 5)])):
         with pytest.raises(ValueError, match="does not lie in"):
             form_on_generators([2, 6], bil, quad)
+
+
+# Jordan splittings of p-groups against the brute-force oracles ---------------
+
+
+def _pair_block(pk, v):
+    """(Z/pk)^2 with b(x, y) = 1/pk and both squares v: u_k for v = 0, v_k for v = 2/pk."""
+    return form_on_generators([pk, pk], [[v, F(1, pk)], [F(1, pk), v]], [v, v])
+
+
+def _block(draw, p, k, pair):
+    """<u/p^k> for a drawn unit u, or for p = 2 and pair the pair u_k or v_k."""
+    pk = p ** k
+    if pair:
+        return _pair_block(pk, F(2 * draw(st.integers(0, 1)), pk))
+    if p == 2:
+        return q_cyclic(pk, F(2 * draw(st.integers(0, pk - 1)) + 1, pk))
+    return q_cyclic(pk, F(2 * draw(st.integers(1, pk - 1).filter(lambda u: u % p)), pk))
+
+
+def _regenerate(draw, f, p):
+    """f on randomly changed generators."""
+    r = f.ngens
+    ops = draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), st.integers(1, p ** 3)),
+                        max_size=3 * r))
+    return change_generators(f, p, [(i, j, c if i != j or c % p else c + 1) for i, j, c in ops])
+
+
+def _scales(draw, p, max_size, pairs):
+    """(k, pair) of the blocks of a p-group of size <= max_size, p^k <= p^3."""
+    out, size = [], 1
+    for k in draw(st.lists(st.integers(1, 3), min_size=1, max_size=6)):
+        pair = pairs and draw(st.booleans())
+        if size * p ** (k * (1 + pair)) <= max_size:
+            size *= p ** (k * (1 + pair))
+            out.append((k, pair))
+    assume(out)
+    return out
+
+
+@st.composite
+def pgroup_forms(draw, p, max_size):
+    """An orthogonal sum of blocks <u/p^k> and, for p = 2, of pairs u_k and
+    v_k (|G| <= max_size), on changed generators: Z/9, Z/27, Z/25 and the
+    like, not only elementary groups."""
+    blocks = [_block(draw, p, k, pair) for k, pair in _scales(draw, p, max_size, p == 2)]
+    return _regenerate(draw, direct_sum_forms(*blocks), p)
+
+
+@st.composite
+def odd_pgroup_pairs(draw):
+    """Two forms on the same odd p-group (|G| <= 243): the second the first
+    on changed generators, or the same scales with every unit drawn anew."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    scales = _scales(draw, p, 243, False)
+    f = _regenerate(draw, direct_sum_forms(*(_block(draw, p, k, False) for k, _ in scales)), p)
+    if draw(st.booleans()):
+        return p, f, _regenerate(draw, f, p)
+    return p, f, _regenerate(draw, direct_sum_forms(*(_block(draw, p, k, False) for k, _ in scales)), p)
+
+
+_MAX_SIZE = {2: 2 ** 8, 3: 3 ** 5, 5: 5 ** 3, 7: 7 ** 3}
+_PGROUPS = st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: pgroup_forms(p, _MAX_SIZE[p]))
+
+
+@given(_PGROUPS)
+@settings(max_examples=150, deadline=None)
+def test_split_blocks_are_orthogonal_and_span(f):
+    (p,) = prime_factors_of_order(f)
+    vecs, blocks = _split(f, p)
+    for k, u, idx in blocks:
+        xs = [vecs[i] for i in idx]
+        assert all(f.element_order(x) == p ** k for x in xs)
+        if len(xs) == 2:
+            x, y = xs
+            assert f.b(x, y).denominator == p ** k == 2 ** k
+            assert all(f.q(z) * 2 ** (k - 1) % 2 == (u == "v") for z in xs)
+        elif p == 2:
+            assert f.q(xs[0]) == F(u, p ** k) % 2
+        else:
+            assert f.b(xs[0], xs[0]) == F(u, p ** k) % 1
+    for a, (_k, _u, idx_a) in enumerate(blocks):
+        for _k2, _u2, idx_b in blocks[a + 1:]:
+            assert all(f.b(vecs[i], vecs[j]) == 0 for i in idx_a for j in idx_b)
+    assert len(subgroup_elements(f, [tuple(v) for v in vecs])) == f.size
+
+
+@given(_PGROUPS)
+@settings(max_examples=150, deadline=None)
+def test_brown_matches_gauss_sum(f):
+    assert brown(f) == _gauss_brown(f)
+
+
+def test_brown_of_every_block_matches_gauss_sum():
+    # every <u/p^k> with p^k <= 343, and u_k, v_k for 2^k <= 8
+    for p in (2, 3, 5, 7):
+        for k in (1, 2, 3):
+            pk = p ** k
+            values = range(1, 2 * pk, 2) if p == 2 else range(2, 2 * pk, 2)
+            blocks = [q_cyclic(pk, F(v, pk)) for v in values if v % p]
+            if p == 2:
+                blocks += [_pair_block(pk, F(0)), _pair_block(pk, F(2, pk))]
+            for f in blocks:
+                assert brown(f) == _gauss_brown(f), (f.orders, f.q_num)
+
+
+def test_split_rejects_degenerate_p_groups():
+    # b(x, x) has order 2 on Z/4 and order 3 on Z/9: x of order 4 or 9 pairs to 0 with 2x or 3x
+    for f in (form_on_generators([4], [[F(1, 2)]], [F(1, 2)]), form_on_generators([9], [[F(1, 3)]], [F(4, 3)])):
+        with pytest.raises(ValueError, match="degenerate"):
+            brown(f)
+
+
+@given(st.sampled_from((3, 5, 7)).flatmap(lambda p: pgroup_forms(p, _MAX_SIZE[p])), st.data())
+@settings(max_examples=100, deadline=None)
+def test_jordan_symbol_invariant_under_change_of_generators(f, data):
+    (p,) = prime_factors_of_order(f)
+    assert jordan_symbol(_regenerate(data.draw, f, p), p) == jordan_symbol(f, p)
+
+
+@given(oracle_lattices(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_jordan_symbol_invariant_under_basis_change_of_the_lattice(l, rng):
+    assume(l.rank > 1)
+    f, g = discriminant_form(l), discriminant_form(random_basis_change(l, rng, 2 * l.rank))
+    for p in prime_factors_of_order(f):
+        if p != 2:
+            assert jordan_symbol(f, p) == jordan_symbol(g, p)
+
+
+@given(odd_pgroup_pairs())
+@settings(max_examples=100, deadline=None)
+def test_jordan_symbols_equal_exactly_for_isometric_forms(case):
+    p, f, g = case
+    assert (jordan_symbol(f, p) == jordan_symbol(g, p)) == oracle.isometric(f, g)

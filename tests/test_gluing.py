@@ -16,7 +16,6 @@ from zlat.gluing import (
     glue,
     glue_index_r2,
     glue_involution,
-    trivial_glue_map,
     twist_parity,
     LatticeInvolution,
 )
@@ -31,6 +30,10 @@ from zlat.lattice import (
 )
 
 F = Fraction
+
+
+def trivial_glue_map(l1, l2):
+    return GlueMap(forms.discriminant_form(l1), forms.discriminant_form(l2), (), ())
 
 
 def test_extend_trivial_subgroup():

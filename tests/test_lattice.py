@@ -16,7 +16,6 @@ from zlat.lattice import (
     extension_by_fraction,
     hyperbolic_branch,
     is_divisible_by,
-    is_hyperbolic,
     make_lattice,
     named,
     orthogonal_complement,
@@ -178,10 +177,10 @@ def test_divisibility():
 
 def test_signature_and_hyperbolic():
     assert signature(named("U")) == (1, 1)
-    assert is_hyperbolic(named("U"))
+    assert hyperbolic_branch(named("U")) is not None
     assert hyperbolic_branch(named("U")) == "strict"
     assert signature(named("E6")) == (0, 6)
-    assert not is_hyperbolic(named("E6"))
+    assert hyperbolic_branch(named("E6")) is None
     assert signature(named("<2>")) == (1, 0)
     assert hyperbolic_branch(named("<2>")) == "strict"
 

@@ -1,5 +1,6 @@
 """The representation of finite quadratic forms is decided in `zlat.forms`
-alone, and only a listed few functions walk the elements of a group."""
+alone, only a listed few functions walk the elements of a group, and no
+module but `verify` uses floating point."""
 
 import ast
 import os
@@ -53,3 +54,19 @@ def test_only_listed_functions_enumerate_elements():
             with open(os.path.join(SRC, fname)) as fh:
                 walkers |= _element_walkers(fname[:-3], ast.parse(fh.read()))
     assert walkers <= ENUMERATING, sorted(walkers - ENUMERATING)
+
+
+# `verify` keeps a floating-point Gauss sum as the second side of a check
+EXACT_MODULES = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py") and f != "verify.py")
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_no_floating_point(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    nodes = list(ast.walk(tree))
+    imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    assert "cmath" not in imported | {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+    assert not [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, (float, complex))]
+    assert not [n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id == "math" and n.attr in ("sqrt", "pi", "exp", "log")]

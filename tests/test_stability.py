@@ -1,18 +1,22 @@
 from zlat.lattice import parse_lattice_expr
 from zlat.stability import (
+    _small_rank_certificate,
     gauss_reduce_binary,
     genus_tag,
     invariants,
     isomorphic_in_genus,
     miranda_morrison_stable,
     nikulin_stable,
-    small_rank_stable,
     stability_certificate,
 )
 
 
 def L(expr):
     return parse_lattice_expr(expr)
+
+
+def small_rank_stable(l):
+    return _small_rank_certificate(l) is not None
 
 
 def test_nikulin():
@@ -106,6 +110,13 @@ def test_no_when_genus_differs():
     assert isomorphic_in_genus(L("U"), L("U(3)")) == "no"
     assert isomorphic_in_genus(L("<2>"), L("<-2>")) == "no"
     assert isomorphic_in_genus(L("U(2)"), L("D4")) == "no"  # Brown 0 vs 4
+
+
+def test_no_when_units_lie_in_different_square_classes():
+    # the Z/5^8 parts carry the units -2 and -6, a non-square and a square mod 5
+    a, b = L("U+<-781250>+<-6>"), L("U+<-2343750>+<-2>")
+    assert isomorphic_in_genus(a, b) == "no"
+    assert dict(genus_tag(a).parts)[5] != dict(genus_tag(b).parts)[5]
 
 
 def test_symmetric_and_reflexive():
