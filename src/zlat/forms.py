@@ -383,68 +383,80 @@ def _block_brown(p: int, k: int, u) -> int:
 
 
 def jordan_symbol(f: FiniteQuadraticForm, p: int) -> tuple:
-    """(p^k, n_k, eps_k) for each scale p^k of the p-part of f, largest
-    first: n_k is the rank of the Jordan constituent and eps_k the Legendre
-    symbol of the product of its units.  A complete invariant for odd p
-    (Conway-Sloane, SPLAG ch. 15 §7); the 2-adic symbol needs more."""
-    if p == 2:
-        raise ValueError("the Jordan symbol is complete for odd p only")
-    symbol = {}
-    for k, u, _idx in _split(p_part(f, p), p)[1]:
-        rank, unit = symbol.get(k, (0, 1))
-        symbol[k] = (rank + 1, unit * u % p)
-    return tuple((p ** k, rank, _legendre(unit, p)) for k, (rank, unit) in symbol.items())
+    """The canonical p-adic symbol of the p-part of f, a complete invariant
+    of it (Conway-Sloane, SPLAG ch. 15 §7), one entry per scale p^k,
+    smallest first.
 
+    Odd p: (p^k, n_k, eps_k), the rank of the Jordan constituent and the
+    Legendre symbol of the product of its units.
 
-_KIND = {(2, 1): "e+", (2, 3): "e-", (2, "u"): "u2", (2, "v"): "v2", (3, 2): "t+", (3, 1): "t-"}
-
-
-def _reduce(f: FiniteQuadraticForm, p: int):
-    """The `_split` of an elementary 2- or 3-group with its blocks named by
-    kind: "e+"/"e-" for 2q = 1/3, "u2"/"v2" for a pair with both squares 0/1,
-    "t+"/"t-" for 3b(x, x) = 2/1.  Returns the vectors and the (kind, vector
-    indices) blocks, rank-1 blocks first."""
-    if not is_elementary(f, p):
-        raise ValueError(f"form is not an elementary {p}-group")
-    vecs, blocks = _split(f, p)
-    return vecs, [(_KIND[p, u], idx) for _k, u, idx in blocks]
+    p = 2: (2^k, n_k, eps_k, odd_k, t_k).  Of the `_split` blocks of scale
+    2^k, each <u/2^k> makes the constituent odd, multiplies eps_k by (2/u)
+    and adds u to the oddity t_k (mod 8); each v_k multiplies eps_k by -1.
+    An even entry of scale 1 with a free sign stands in front for the
+    unimodular part of a lattice with this form.  Oddity fusion puts the
+    total oddity of each compartment (a run of odd constituents of
+    consecutive scales) on its first entry.  Sign walking then moves each
+    eps = -1, last entry first, to the entry before when the two share a
+    train (adjacent scales with one of them odd, or one scale apart and both
+    odd), adding 4 to each compartment holding either.  The scale-1 entry
+    is dropped at the end."""
+    blocks = _split(p_part(f, p), p)[1]
+    if p != 2:
+        symbol = {}
+        for k, u, _idx in blocks:
+            rank, unit = symbol.get(k, (0, 1))
+            symbol[k] = (rank + 1, unit * u % p)
+        return tuple((p ** k, rank, _legendre(unit, p)) for k, (rank, unit) in sorted(symbol.items()))
+    scales = {}
+    for k, u, idx in blocks:
+        entry = scales.setdefault(k, [k, 0, 1, 0, 0])
+        entry[1] += len(idx)
+        if u == "v":
+            entry[2] = -entry[2]
+        elif u != "u":
+            entry[2] *= 1 if u % 8 in (1, 7) else -1
+            entry[3] = 1
+            entry[4] = (entry[4] + u) % 8
+    sym = [[0, 0, 1, 0, 0]] + [scales[k] for k in sorted(scales)]
+    head = {}  # odd entry -> first entry of its compartment, which holds the oddity
+    for i in range(1, len(sym)):
+        if sym[i][3]:
+            head[i] = head[i - 1] if i - 1 in head and sym[i - 1][0] == sym[i][0] - 1 else i
+            if head[i] != i:
+                sym[head[i]][4], sym[i][4] = (sym[head[i]][4] + sym[i][4]) % 8, 0
+    for i in range(len(sym) - 1, 0, -1):
+        prev, cur = sym[i - 1], sym[i]
+        gap = cur[0] - prev[0]
+        if cur[2] == -1 and (gap == 1 and (prev[3] or cur[3]) or gap == 2 and prev[3] and cur[3]):
+            prev[2], cur[2] = -prev[2], 1
+            for h in {head.get(i - 1), head.get(i)} - {None}:
+                sym[h][4] = (sym[h][4] + 4) % 8
+    return tuple((2 ** k, n, eps, odd, t) for k, n, eps, odd, t in sym[1:])
 
 
 HALF = Fraction(1, 2)
 THALF = Fraction(3, 2)
-TWO3 = Fraction(2, 3)
-FOUR3 = Fraction(4, 3)
 
 ANTI_KIND = {"e+": "e-", "e-": "e+", "u2": "u2", "v2": "v2", "t+": "t-", "t-": "t+"}
 
 
 def _blocks(f: FiniteQuadraticForm, p: int):
-    """The `_reduce` splitting as (kind, generators) blocks."""
-    vecs, blocks = _reduce(f, p)
-    return [(kind, [tuple(vecs[i]) for i in idx]) for kind, idx in blocks]
-
-
-def decompose2(f: FiniteQuadraticForm):
-    """Split an elementary 2-group into mutually orthogonal blocks.
-
-    Returns (delta2, blocks) with blocks a list of (kind, gens): kinds are
-    "e+" = <1/2>, "e-" = <-1/2>, "u2", "v2".  Rank-2 block bases are
-    normalized (u2: both squares 0; v2: both squares 1).
-    """
-    blocks = _blocks(f, 2)
-    return int(any(kind in ("e+", "e-") for kind, _ in blocks)), blocks
-
-
-def decompose3(f: FiniteQuadraticForm):
-    """Split an elementary 3-group into rank-1 blocks ("t+" = <2/3>, "t-" = <-2/3>)."""
-    return _blocks(f, 3)
+    """The `_split` of an elementary 2- or 3-group as (kind, generators)
+    blocks, rank-1 blocks first: "e+"/"e-" for 2q = 1/3, "u2"/"v2" for a pair
+    with both squares 0/1, "t+"/"t-" for 3b(x, x) = 2/1."""
+    if not is_elementary(f, p):
+        raise ValueError(f"form is not an elementary {p}-group")
+    vecs, blocks = _split(f, p)
+    kind = {(2, 1): "e+", (2, 3): "e-", (2, "u"): "u2", (2, "v"): "v2", (3, 2): "t+", (3, 1): "t-"}
+    return [(kind[p, u], [tuple(vecs[i]) for i in idx]) for _k, u, idx in blocks]
 
 
 def normal_basis(f: FiniteQuadraticForm, p: int):
     """Mutually orthogonal blocks spanning an elementary 2- or 3-group, of the
     kinds its normal form names, as (kind, gens) sorted by kind.
 
-    The `_reduce` splitting is rewritten by basis changes that send
+    The `_blocks` splitting is rewritten by basis changes that send
     orthogonal blocks to orthogonal blocks (e, t a rank-1 kind, e', t' the
     other): t(x) + t(y) -> t'(x+y) + t'(x-y) leaves at most one t+; with a
     rank-1 block present, u2(x, y) + e(z) -> e(x+z) + e(y+z) + e'(x+y+z) and
@@ -488,31 +500,31 @@ def normal_basis(f: FiniteQuadraticForm, p: int):
 # normal forms ----------------------------------------------------------------
 
 def normal_form2(f: FiniteQuadraticForm) -> tuple[str, int, int]:
-    """Canonical (kind, a, b) of an elementary enhanced 2-group.
+    """Canonical (kind, a, b) of an elementary enhanced 2-group, read off its
+    2-adic symbol (2, n, eps, odd, t).
 
-    Even kind: a*u2 + b*v2 with b reduced mod 2.  Odd kind:
-    a*<1/2> + b*<-1/2> with a reduced mod 4.
+    Even kind: a*u2 + b*v2 with a + b = n/2 and b = 1 exactly when eps = -1.
+    Odd kind: a*<1/2> + b*<-1/2> with a + b = n, a - b = t mod 8 and a
+    reduced mod 4.
     """
     if not is_elementary(f, 2):
         raise ValueError("form is not an elementary 2-group")
-    blocks = _split(f, 2)[1]
-    rank = f.ngens
-    br = sum(_block_brown(2, k, u) for k, u, _idx in blocks) % 8
-    if all(len(idx) == 2 for _k, _u, idx in blocks):
-        b = 1 if br == 4 else 0
-        return "even", rank // 2 - b, b
-    # a - b = br (mod 8), a + b = rank, a reduced mod 4
-    if (rank + br) % 2:
-        raise ValueError("Brown invariant and rank of an odd 2-group differ in parity")
-    a = ((rank + br) // 2) % 4
-    return "odd", a, rank - a
+    _q, n, eps, odd, t = (jordan_symbol(f, 2) or ((2, 0, 1, 0, 0),))[0]
+    if not odd:
+        b = int(eps == -1)
+        return "even", n // 2 - b, b
+    a = (n + t) // 2 % 4
+    return "odd", a, n - a
 
 
 def normal_form3(f: FiniteQuadraticForm) -> tuple[int, int]:
-    """Canonical (p, q) of an elementary inner-product 3-group: p*<2/3> + q*<-2/3>, p in {0,1}."""
-    _vecs, blocks = _reduce(f, 3)
-    p = sum(1 for k, _ in blocks if k == "t+") % 2
-    return p, len(blocks) - p
+    """Canonical (p, q) of an elementary inner-product 3-group: p*<2/3> + q*<-2/3>,
+    read off its 3-adic symbol (3, n, eps): p + q = n and p = 1 exactly when eps = -1."""
+    if not is_elementary(f, 3):
+        raise ValueError("form is not an elementary 3-group")
+    _q, n, eps = (jordan_symbol(f, 3) or ((3, 0, 1),))[0]
+    p = int(eps == -1)
+    return p, n - p
 
 
 def parity2(f: FiniteQuadraticForm) -> int:
@@ -525,19 +537,6 @@ def parity2(f: FiniteQuadraticForm) -> int:
     return int(any(x % 2 for x in f.q_num))
 
 
-def characteristic_element(f: FiniteQuadraticForm) -> Element:
-    """The unique v with v.x = x^2 (mod Z) for all x in an elementary 2-group.
-
-    Over an orthogonal splitting, odd blocks pair to 1/2 with themselves and
-    even blocks have integral squares, so v is the sum of the odd blocks."""
-    vecs, blocks = _reduce(f, 2)
-    v = [0] * f.ngens
-    for kind, idx in blocks:
-        if kind in ("e+", "e-"):
-            v = [a + c for a, c in zip(v, vecs[idx[0]])]
-    return tuple(x % 2 for x in v)
-
-
 # Brown invariant -------------------------------------------------------------
 
 def brown(f: FiniteQuadraticForm) -> int:
@@ -548,11 +547,6 @@ def brown(f: FiniteQuadraticForm) -> int:
 
 
 # element census and subgroup machinery ----------------------------------------
-
-def q_value_census(f: FiniteQuadraticForm) -> dict[Fraction, int]:
-    """How many nonzero elements take each square."""
-    return dict(Counter(v for order, v in fingerprint(f) if order > 1))
-
 
 def fingerprint(f: FiniteQuadraticForm):
     """Multiset of (element order, square) over all elements, as a sorted

@@ -1,8 +1,10 @@
 """Deciding isomorphism of even lattices in the genus.
 
-A GenusTag is (signature, canonical discriminant description).  "yes" needs
-a stability certificate on top of equal tags; "unknown" is a first-class
-verdict and the classification pipeline treats it as a hard failure.
+A GenusTag is the signature and the canonical p-adic symbol of each p-part
+of the discriminant form (`forms.jordan_symbol`), a complete invariant of
+the genus.  "yes" needs a stability certificate on top of equal tags;
+"unknown" is a first-class verdict and the classification pipeline treats it
+as a hard failure.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from functools import lru_cache
 from . import forms
 from .lattice import MEMO_SIZE, Lattice, divide, is_divisible_by, signature
 
-_RAW_CAP = 20000
-
 
 @dataclass(frozen=True)
 class GenusTag:
@@ -22,25 +22,13 @@ class GenusTag:
     parts: tuple
 
 
-def _part_descriptor(f: forms.FiniteQuadraticForm, p: int):
-    """The p-part in a genus tag: its Jordan symbol for odd p, the normal
-    form of an elementary 2-part; the fingerprint of another small 2-part
-    and the orders of a large one are not complete invariants."""
-    if p != 2:
-        return ("jordan", forms.jordan_symbol(f, p))
-    part = forms.p_part(f, 2)
-    if forms.is_elementary(part, 2):
-        kind, a, b = forms.normal_form2(part)
-        return ("elem2", kind, a, b)
-    if part.size <= _RAW_CAP:
-        return ("raw", tuple(sorted(part.orders)), forms.fingerprint(part))
-    return ("big", tuple(sorted(part.orders)))
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def genus_tag(l: Lattice) -> GenusTag:
+    """The signature and the canonical p-adic symbol of each p-part of the
+    discriminant form: complete, as the two fix the genus of an even lattice
+    (Nikulin 1979, Cor. 1.9.4)."""
     f = forms.discriminant_form(l)
-    parts = tuple((p, _part_descriptor(f, p)) for p in forms.prime_factors_of_order(f))
+    parts = tuple((p, forms.jordan_symbol(f, p)) for p in forms.prime_factors_of_order(f))
     return GenusTag(signature(l), parts)
 
 

@@ -10,6 +10,7 @@ import cmath
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import exact, forms, golden, stability, tables
@@ -150,10 +151,15 @@ def check_p_part_orthogonality():
     return True, "p-parts recombine to the whole group on 30 random lattices"
 
 
+def q_value_census(f: forms.FiniteQuadraticForm) -> dict[Fraction, int]:
+    """How many nonzero elements take each square, read off the fingerprint."""
+    return dict(Counter(v for order, v in forms.fingerprint(f) if order > 1))
+
+
 def check_element_census():
     s0 = extension_by_fraction(parse_lattice_expr("6A2"), [1, -1] * 6, 3)
     quot = forms.discriminant_form(s0)
-    census = forms.q_value_census(quot)
+    census = q_value_census(quot)
     want = {Fraction(2, 3): 30, Fraction(4, 3): 30, Fraction(0): 20}
     if census != want:
         return False, f"census {census}"
@@ -296,9 +302,15 @@ def check_rewriting_rules():
 
 
 # pairs in different genera with equal signatures, groups and Brown
-# invariants: the Z/5^8 parts carry the units -2 and -6, which lie in
-# different square classes mod 5
-_DISTINCT_GENERA = [("U+<-781250>+<-6>", "U+<-2343750>+<-2>")]
+# invariants, as expressions or Gram matrices: the Z/5^8 parts carry the
+# units -2 and -6, which lie in different square classes mod 5, and the
+# Z/2^15 parts the units 7 and 3, which differ by a non-square mod 8
+_DISTINCT_GENERA = [("U+<-781250>+<-6>", "U+<-2343750>+<-2>"),
+                    ("U+<-32768>", [[-386, 1, 0], [1, -2, 1], [0, 1, 42]])]
+
+
+def _lattice(spec):
+    return parse_lattice_expr(spec) if isinstance(spec, str) else make_lattice(spec)
 
 
 def check_no_false_yes():
@@ -310,7 +322,7 @@ def check_no_false_yes():
             if verdict == "yes" and stability.genus_tag(la) != stability.genus_tag(lb):
                 return False, f"yes with differing genus tags: {a} vs {b}"
     for a, b in _DISTINCT_GENERA:
-        verdict = stability.isomorphic_in_genus(parse_lattice_expr(a), parse_lattice_expr(b))
+        verdict = stability.isomorphic_in_genus(_lattice(a), _lattice(b))
         if verdict != "no":
             return False, f"{verdict} for {a} vs {b}, which lie in different genera"
     return True, ("never yes with differing genus tags on the sample grid, no on "

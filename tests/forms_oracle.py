@@ -40,10 +40,8 @@ from zlat import exact
 from zlat.exact import identity, mat_mul, transpose
 from zlat.forms import (
     ANTI_KIND,
-    FOUR3,
     HALF,
     THALF,
-    TWO3,
     form_on_generators,
     is_elementary,
     prime_factors_of_order,
@@ -52,6 +50,9 @@ from zlat.forms import (
 )
 from zlat.lattice import make_lattice
 from zlat.verify import _phase_histogram
+
+TWO3 = Fraction(2, 3)
+FOUR3 = Fraction(4, 3)
 
 
 # the Fraction representation -------------------------------------------------
@@ -408,14 +409,14 @@ def fingerprint(f) -> tuple[tuple[int, Fraction], ...]:
 
 
 def isometric(f, g) -> bool:
-    """Whether some group isomorphism f -> g preserves q (|G| <= 243).
+    """Whether some group isomorphism f -> g preserves q (|G| <= 256).
 
     Backtracks over the images of f's generators as `forms._count_maps`
     does over automorphisms: an image keeps its generator's order and square
     and its pairings with the earlier images, and the images must span g.
     An isometry keeps the fingerprint, so unequal fingerprints answer first.
     """
-    if f.size > 243:
+    if f.size > 256:
         raise ValueError("group too large")
     if fingerprint(f) != fingerprint(g):
         return False

@@ -8,14 +8,12 @@ from forms_oracle import change_generators, random_basis_change
 
 from zlat import exact
 from zlat.forms import (
+    _blocks,
     _split,
     anti_iso_images,
     aut_order,
     brown,
     build_anti_iso,
-    characteristic_element,
-    decompose2,
-    decompose3,
     direct_sum_forms,
     discriminant_form,
     fingerprint,
@@ -33,14 +31,13 @@ from zlat.forms import (
     parity2,
     prime_factors_of_order,
     q_cyclic,
-    q_value_census,
     render_form,
     standard_form,
     subgroup_elements,
     subgroup_order,
 )
 from zlat.lattice import extension_by_fraction, named, parse_lattice_expr, signature
-from zlat.verify import _gauss_brown
+from zlat.verify import _gauss_brown, q_value_census
 
 F = Fraction
 
@@ -136,20 +133,20 @@ def test_van_der_blij_spot():
 def test_parity_and_characteristic():
     f = p_part(discriminant_form(parse_lattice_expr("U(2)")), 2)
     assert parity2(f) == 0
-    assert characteristic_element(f) == (0, 0)
+    assert oracle.characteristic_element(f) == _characteristic(f) == (0, 0)
     g = standard_form("<1/2>+<-1/2>")
     assert parity2(g) == 1
-    assert characteristic_element(g) == (1, 1)
+    assert oracle.characteristic_element(g) == _characteristic(g) == (1, 1)
     triv = discriminant_form(named("U"))
     assert parity2(triv) == 0
-    assert characteristic_element(triv) == ()
+    assert oracle.characteristic_element(triv) == _characteristic(triv) == ()
 
 
 def test_characteristic_defines_brown_mod4():
     # Wu-even (3): q(v) != 0 and v characteristic => 2q(v) = Br mod 4
     for spec in ("<1/2>", "<-1/2>", "3<1/2>", "<1/2>+2<-1/2>", "v2+<1/2>"):
         f = standard_form(spec)
-        v = characteristic_element(f)
+        v = oracle.characteristic_element(f)
         if f.q(v) != 0:
             assert (2 * f.q(v)) % 4 == brown(f) % 4
 
@@ -173,8 +170,8 @@ def test_normal_form3():
 
 def test_decompositions_are_orthogonal():
     f = standard_form("u2+v2+<1/2>+<-1/2>")
-    d2, blocks = decompose2(f)
-    assert d2 == 1
+    blocks = _blocks(f, 2)
+    assert any(k in ("e+", "e-") for k, _ in blocks)  # delta2 = 1
     gens = [g for _k, gs in blocks for g in gs]
     for i, x in enumerate(gens):
         for y in gens[i + 1:]:
@@ -182,7 +179,7 @@ def test_decompositions_are_orthogonal():
             if not same_block:
                 assert f.b(x, y) == 0
     f3 = standard_form("2<2/3>+2<-2/3>")
-    blocks3 = decompose3(f3)
+    blocks3 = _blocks(f3, 3)
     assert sorted(k for k, _ in blocks3) in (["t+", "t+", "t-", "t-"], ["t+", "t-", "t-", "t-"], ["t+", "t+", "t+", "t-"])
     assert normal_form3(f3) == (0, 4)
 
@@ -194,7 +191,7 @@ def test_anti_iso_root_a1_class():
     v = anti_iso_root(target, source)
     assert v is not None
     assert source.q(v) == F(3, 2)
-    assert v == characteristic_element(source)
+    assert v == oracle.characteristic_element(source)
 
 
 def test_anti_iso_root_noncharacteristic():
@@ -203,7 +200,7 @@ def test_anti_iso_root_noncharacteristic():
     v = anti_iso_root(p_part(target, 2), source)
     assert v is not None
     assert source.q(v) == F(3, 2)
-    assert v != characteristic_element(source)
+    assert v != oracle.characteristic_element(source)
 
 
 def test_anti_iso_root_none_for_3half_odd_target():
@@ -360,6 +357,16 @@ def elementary_forms(draw, p, exact_rank=None):
     return change_generators(standard_form("+".join(spec)), p, ops)
 
 
+def _characteristic(f):
+    """The characteristic element of an elementary 2-group: v.x = x^2 (mod Z)
+    for all x, so v is the sum of the odd blocks of an orthogonal splitting."""
+    v = [0] * f.ngens
+    for kind, gens in _blocks(f, 2):
+        if kind in ("e+", "e-"):
+            v = [a + c for a, c in zip(v, gens[0])]
+    return tuple(x % 2 for x in v)
+
+
 def _check_blocks(f, blocks):
     """Blocks realize their kinds, are mutually orthogonal and span the group;
     returns the standard form with the blocks' kinds."""
@@ -382,10 +389,10 @@ def _check_blocks(f, blocks):
 def test_elementary2_matches_oracles(f):
     assert normal_form2(f) == oracle.normal_form2(f)
     assert parity2(f) == oracle.parity2(f)
-    assert characteristic_element(f) == oracle.characteristic_element(f)
+    assert _characteristic(f) == oracle.characteristic_element(f)
     assert fingerprint(f) == oracle.fingerprint(f)
-    d2, blocks = decompose2(f)
-    assert d2 == parity2(f)
+    blocks = _blocks(f, 2)
+    assert any(k in ("e+", "e-") for k, _ in blocks) == parity2(f)
     assert normal_form2(_check_blocks(f, blocks)) == normal_form2(f)
 
 
@@ -405,7 +412,7 @@ def test_brown_elementary_rejects_degenerate():
 def test_elementary3_matches_oracles(f):
     assert normal_form3(f) == oracle.normal_form3(f)
     assert fingerprint(f) == oracle.fingerprint(f)
-    blocks = decompose3(f)
+    blocks = _blocks(f, 3)
     assert normal_form3(_check_blocks(f, blocks)) == normal_form3(f)
 
 
@@ -475,7 +482,7 @@ def test_anti_iso_root_matches_walk_oracle(pair):
         assert source.q(v) == F(3, 2)
         complement = oracle.complement_of(oracle.span(source, 2), [v])
         assert oracle.anti_normal_form2(oracle.normal_form2(complement)) == normal_form2(target)
-        assert (v == characteristic_element(source)) == (parity2(target) == 0)
+        assert (v == _characteristic(source)) == (parity2(target) == 0)
 
 
 def test_build_anti_iso_none_reproducers():
@@ -505,8 +512,8 @@ def test_fingerprint_matches_oracle(m):
 def test_degenerate_inputs_raise():
     zero2 = form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0])
     zero3 = form_on_generators([3], [[0]], [0])
-    for call in (lambda: normal_form2(zero2), lambda: characteristic_element(zero2),
-                 lambda: normal_form3(zero3), lambda: decompose3(zero3)):
+    for call in (lambda: normal_form2(zero2), lambda: _blocks(zero2, 2),
+                 lambda: normal_form3(zero3), lambda: _blocks(zero3, 3)):
         try:
             call()
         except ValueError:
@@ -723,15 +730,17 @@ def pgroup_forms(draw, p, max_size):
 
 
 @st.composite
-def odd_pgroup_pairs(draw):
-    """Two forms on the same odd p-group (|G| <= 243): the second the first
-    on changed generators, or the same scales with every unit drawn anew."""
-    p = draw(st.sampled_from((3, 5, 7)))
-    scales = _scales(draw, p, 243, False)
-    f = _regenerate(draw, direct_sum_forms(*(_block(draw, p, k, False) for k, _ in scales)), p)
+def pgroup_pairs(draw):
+    """Two forms on the same p-group (|G| <= 256 for p = 2, <= 243 for odd
+    p): the second the first on changed generators, or the same scales, and
+    for p = 2 the same pairs, with every unit and each pair's u_k/v_k drawn
+    anew."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    scales = _scales(draw, p, 256 if p == 2 else 243, p == 2)
+    f = _regenerate(draw, direct_sum_forms(*(_block(draw, p, k, pair) for k, pair in scales)), p)
     if draw(st.booleans()):
         return p, f, _regenerate(draw, f, p)
-    return p, f, _regenerate(draw, direct_sum_forms(*(_block(draw, p, k, False) for k, _ in scales)), p)
+    return p, f, _regenerate(draw, direct_sum_forms(*(_block(draw, p, k, pair) for k, pair in scales)), p)
 
 
 _MAX_SIZE = {2: 2 ** 8, 3: 3 ** 5, 5: 5 ** 3, 7: 7 ** 3}
@@ -786,7 +795,7 @@ def test_split_rejects_degenerate_p_groups():
             brown(f)
 
 
-@given(st.sampled_from((3, 5, 7)).flatmap(lambda p: pgroup_forms(p, _MAX_SIZE[p])), st.data())
+@given(_PGROUPS, st.data())
 @settings(max_examples=100, deadline=None)
 def test_jordan_symbol_invariant_under_change_of_generators(f, data):
     (p,) = prime_factors_of_order(f)
@@ -799,12 +808,41 @@ def test_jordan_symbol_invariant_under_basis_change_of_the_lattice(l, rng):
     assume(l.rank > 1)
     f, g = discriminant_form(l), discriminant_form(random_basis_change(l, rng, 2 * l.rank))
     for p in prime_factors_of_order(f):
-        if p != 2:
-            assert jordan_symbol(f, p) == jordan_symbol(g, p)
+        assert jordan_symbol(f, p) == jordan_symbol(g, p)
 
 
-@given(odd_pgroup_pairs())
+@given(pgroup_pairs())
 @settings(max_examples=100, deadline=None)
 def test_jordan_symbols_equal_exactly_for_isometric_forms(case):
     p, f, g = case
     assert (jordan_symbol(f, p) == jordan_symbol(g, p)) == oracle.isometric(f, g)
+
+
+def test_2adic_symbols_equal_exactly_for_isometric_forms_up_to_64():
+    # every sum of <u/2^k> (u = 1, 3, 5, 7 mod 2^(k+1)), u_k and v_k with |G| <= 64:
+    # each form is isometric to the first of its symbol, and no two symbols' firsts are
+    atoms = []
+    for k in range(1, 7):
+        pk = 2 ** k
+        atoms += [(pk, q_cyclic(pk, F(u, pk))) for u in range(1, min(2 * pk, 8), 2)]
+        if k <= 3:
+            atoms += [(pk * pk, _pair_block(pk, F(0))), (pk * pk, _pair_block(pk, F(2, pk)))]
+    sums = []
+
+    def grow(start, size, chosen):
+        if chosen:
+            sums.append(direct_sum_forms(*chosen))
+        for i in range(start, len(atoms)):
+            if size * atoms[i][0] <= 64:
+                grow(i, size * atoms[i][0], chosen + [atoms[i][1]])
+
+    grow(0, 1, [])
+    classes = {}
+    for f in sums:
+        classes.setdefault(jordan_symbol(f, 2), []).append(f)
+    assert (len(sums), len(classes)) == (511, 200)
+    for first, *rest in classes.values():
+        assert all(oracle.isometric(first, g) for g in rest)
+    firsts = [fs[0] for fs in classes.values()]
+    for i, f in enumerate(firsts):
+        assert not any(sorted(f.orders) == sorted(g.orders) and oracle.isometric(f, g) for g in firsts[i + 1:])

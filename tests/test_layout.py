@@ -1,6 +1,6 @@
 """The representation of finite quadratic forms is decided in `zlat.forms`
-alone, only a listed few functions walk the elements of a group, and no
-module but `verify` uses floating point."""
+alone, only a listed few functions walk the elements of a group, no module
+but `verify` calls the element fingerprints or uses floating point."""
 
 import ast
 import os
@@ -54,6 +54,32 @@ def test_only_listed_functions_enumerate_elements():
             with open(os.path.join(SRC, fname)) as fh:
                 walkers |= _element_walkers(fname[:-3], ast.parse(fh.read()))
     assert walkers <= ENUMERATING, sorted(walkers - ENUMERATING)
+
+
+# element walks that only a verification may read: a verdict path (a genus
+# tag, a normal form) never decides by enumerating a group
+FINGERPRINTS = {"fingerprint", "coset_fingerprint", "q_value_census"}
+
+
+def _callers_of(names, tree):
+    """The names in `names` that some call in the tree reaches, as f(...) or x.f(...)."""
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    return called & names
+
+
+def test_only_verify_calls_the_fingerprints():
+    callers = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py") and fname != "verify.py":
+            with open(os.path.join(SRC, fname)) as fh:
+                found = _callers_of(FINGERPRINTS, ast.parse(fh.read()))
+            if found:
+                callers[fname[:-3]] = sorted(found)
+    assert not callers, callers
 
 
 # `verify` keeps a floating-point Gauss sum as the second side of a check

@@ -1,4 +1,4 @@
-from zlat.lattice import parse_lattice_expr
+from zlat.lattice import make_lattice, parse_lattice_expr, signature
 from zlat.stability import (
     _small_rank_certificate,
     gauss_reduce_binary,
@@ -58,7 +58,6 @@ def test_certificate_never_raises_on_random_even_indefinite():
     import random
 
     from zlat.exact import determinant
-    from zlat.lattice import make_lattice, signature
 
     rng = random.Random(1)
     drawn = 0
@@ -119,6 +118,16 @@ def test_no_when_units_lie_in_different_square_classes():
     assert dict(genus_tag(a).parts)[5] != dict(genus_tag(b).parts)[5]
 
 
+def test_no_when_2adic_units_differ_by_a_non_square():
+    # both Z/2^15 with Brown 7 and certified by nikulin: the units 7 and 3
+    # differ by a non-square mod 8, which only the 2-adic symbol sees
+    a, b = L("U+<-32768>"), make_lattice([[-386, 1, 0], [1, -2, 1], [0, 1, 42]])
+    assert signature(a) == signature(b) == (1, 2)
+    assert isomorphic_in_genus(a, b) == "no"
+    assert dict(genus_tag(a).parts)[2] == ((32768, 1, 1, 1, 7),)
+    assert dict(genus_tag(b).parts)[2] == ((32768, 1, -1, 1, 3),)
+
+
 def test_symmetric_and_reflexive():
     exprs = ["U", "U(3)+A1", "<6>+A2", "U+3A2", "<2>+<-6>"]
     for a in exprs:
@@ -165,13 +174,14 @@ def test_presentations_of_t():
 
 
 def test_genus_tag_invariant_under_basis_change_large():
-    # elementary parts of size 2^12 and 3^8 go through Gram reduction mod p
+    # elementary parts of size 2^12 and 3^8, and non-elementary 2-parts
+    # (Z/4 + Z/8^2, Z/2 + Z/4^4, Z/2^15) go through the Jordan splitting
     import random
 
     from forms_oracle import random_basis_change
 
     rng = random.Random(3)
-    for expr in ("U+12A1", "U+8A2"):
+    for expr in ("U+12A1", "U+8A2", "U+U(8)+<-4>", "U+2U(4)+A1", "U+<-32768>"):
         l = L(expr)
         tag = genus_tag(l)
         for _ in range(3):
