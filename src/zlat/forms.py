@@ -1,7 +1,8 @@
 """Finite inner-product groups with quadratic refinement (enhanced groups).
 
-A FiniteQuadraticForm is presented by generators of orders d_1 | ... | d_k
-with a Q/Z-valued pairing and Q/2Z-valued squares on the generators.
+A FiniteQuadraticForm is presented by generators of orders d_1, ..., d_k
+(for a discriminant form, a divisor chain per orthogonal block of the
+lattice) with a Q/Z-valued pairing and Q/2Z-valued squares on the generators.
 Elements are coefficient tuples mod the orders.
 
 Every value lies in (1/n)Z for the exponent n = lcm(orders): b(e_i, e_j) has
@@ -128,23 +129,38 @@ def form_on_generators(orders, bil, quad) -> FiniteQuadraticForm:
 def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     """The discriminant L*/L with Q/Z pairing and Q/2Z quadratic refinement.
 
-    Generators come from the Smith transform of the Gram matrix: the i-th
-    generator lifts to c_i / d_i with c_i column i of V, which makes all
-    lifts deterministic (a unimodular lattice records none).  c_i G / d_i
-    is an integer row, so all pairings b(e_i, e_j) = (c_i G / d_i) c_j / d_j
-    come from one integer product; the squares are its diagonal.  Only D
-    and V of the Smith form are read, so U is not carried.
+    The orthogonal sum of the `_block_form`s of the blocks of
+    `Lattice.orthogonal_split` (Nikulin 1979, §1), the split that also
+    serves the determinant and `signature`: generators are taken per block,
+    in block order, and each block's lift columns are scattered back to its
+    indices.  A unimodular block adds no generator; the sum records lifts
+    whenever it is nontrivial.  A lattice of one block is the base case.
     """
     if not l.is_even:
         raise ValueError("lattice is not even")
-    g = l.gram_rows()
-    r = l.rank
-    if r == 0:
-        return TRIVIAL_FORM
+    blocks = l.orthogonal_split()
+    if len(blocks) == 1:
+        return _block_form(blocks[0][1])
+    return _orthogonal_sum([_block_form(g) for _idx, g in blocks], [idx for idx, _g in blocks])
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
+    """The discriminant form of one Gram matrix from its Smith transform,
+    memoized, so that the blocks many direct sums share are reduced once.
+
+    The i-th generator lifts to c_i / d_i with c_i column i of V, which
+    makes all lifts deterministic (a unimodular block records none).
+    c_i G / d_i is an integer row, so all pairings b(e_i, e_j) =
+    (c_i G / d_i) c_j / d_j come from one integer product; the squares are
+    its diagonal.  Only D and V of the Smith form are read, so U is not
+    carried.
+    """
+    g = [list(row) for row in gram]
     _u, d, vt = exact._smith(g, False, True)
     cols = []
     orders = []
-    for i in range(r):
+    for i in range(len(g)):
         di = d[i][i]
         if di == 0:
             raise ValueError("degenerate lattice")
@@ -161,22 +177,35 @@ def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
 
 
 def direct_sum_forms(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    """Orthogonal sum; each summand's numerators are rescaled by n / n_f."""
+    """Orthogonal sum; the lifts are kept, side by side, when every summand records them."""
+    places = None
+    if forms and all(f.lift_cols is not None for f in forms):
+        widths = [len(f.lift_cols[0]) if f.lift_cols else 0 for f in forms]
+        places = [range(a, a + w) for a, w in zip(itertools.accumulate(widths, initial=0), widths)]
+    return _orthogonal_sum(forms, places)
+
+
+def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
+    """The orthogonal sum of the forms, each summand's numerators rescaled by
+    n / n_f.  places[i] lists the lattice indices of summand i's lift
+    columns (together they index the whole lattice), and each column is
+    scattered to them; without places no lifts are recorded."""
     n = math.lcm(*(f.n for f in forms))
     k = sum(f.ngens for f in forms)
-    orders, b_num, q_num = [], [], []
-    for f in forms:
+    rank = sum(map(len, places)) if places else 0
+    orders, b_num, q_num, cols = [], [], [], []
+    for f, place in zip(forms, places or itertools.repeat(())):
         s = n // f.n
         q_num += [x * s for x in f.q_num]
         b_num += [(0,) * len(orders) + tuple(x * s for x in row) + (0,) * (k - len(orders) - f.ngens)
                   for row in f.b_num]
         orders += f.orders
-    lift_cols = None
-    if forms and all(f.lift_cols is not None for f in forms):
-        widths = [len(f.lift_cols[0]) if f.lift_cols else 0 for f in forms]
-        lift_cols = tuple((0,) * sum(widths[:fi]) + col + (0,) * sum(widths[fi + 1:])
-                          for fi, f in enumerate(forms) for col in f.lift_cols)
-    return FiniteQuadraticForm(tuple(orders), n, tuple(b_num), tuple(q_num), lift_cols)
+        for col in (f.lift_cols or ()) if places else ():
+            w = [0] * rank
+            for i, x in zip(place, col):
+                w[i] = x
+            cols.append(tuple(w))
+    return FiniteQuadraticForm(tuple(orders), n, tuple(b_num), tuple(q_num), tuple(cols) or None)
 
 
 # standard small forms -------------------------------------------------------
@@ -836,7 +865,7 @@ def render_form(f: FiniteQuadraticForm, ascii_mode: bool = False) -> str:
             a, b = normal_form3(part)
             parts += ["⟨2/3⟩"] * a + ["⟨-2/3⟩"] * b
         else:
-            parts.append("+".join(f"Z/{d}" for d in part.orders))
+            parts.append("+".join(f"Z/{d}" for d in sorted(part.orders)))
     text = "+".join(parts) if parts else "0"
     if ascii_mode:
         text = text.replace("⟨", "q(").replace("⟩", ")")

@@ -25,19 +25,47 @@ class Lattice:
     gram: tuple[tuple[int, ...], ...]
     expr: str | None = field(default=None, compare=False)
     _det: int = field(default=0, init=False, compare=False, repr=False)
+    _orthogonal: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._validate(None)
 
     def _validate(self, det: int | None) -> None:
-        """Check symmetry and nondegeneracy; Bareiss only when det is not known."""
+        """Check symmetry and nondegeneracy; when det is not known, it is the
+        product of the Bareiss determinants of the orthogonal blocks."""
         if not exact.is_symmetric(self.gram):
             raise ValueError("gram matrix not symmetric")
         if det is None:
-            det = exact.determinant(self.gram)
+            det = math.prod(exact.determinant(g) for _idx, g in self.orthogonal_split())
         if det == 0:
             raise ValueError("degenerate gram matrix")
         object.__setattr__(self, "_det", det)
+
+    def orthogonal_split(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+        """The (indices, block Gram matrix) of the connected components of the
+        nonzero pattern of the Gram matrix, ascending indices, by smallest
+        index; blocks need not be contiguous, and a single block is the Gram
+        matrix itself.  Computed once per lattice, for the determinant,
+        `signature` and `forms.discriminant_form`."""
+        if self._orthogonal is None:
+            g, n = self.gram, self.rank
+            seen = [False] * n
+            blocks = []
+            for start in range(n):
+                if seen[start]:
+                    continue
+                seen[start] = True
+                block = [start]
+                for i in block:  # grows while it is walked
+                    for j, x in enumerate(g[i]):
+                        if x and not seen[j]:
+                            seen[j] = True
+                            block.append(j)
+                blocks.append(sorted(block))
+            split = ((tuple(range(n)), g),) if len(blocks) == 1 else tuple(
+                (tuple(b), tuple(tuple(g[i][j] for j in b) for i in b)) for b in blocks)
+            object.__setattr__(self, "_orthogonal", split)
+        return self._orthogonal
 
     @property
     def rank(self) -> int:
@@ -206,17 +234,16 @@ def _rescale_expr(expr: str | None, n: int) -> str | None:
 def signature(l: Lattice) -> tuple[int, int]:
     """(n_plus, n_minus), the sum of the inertias of the orthogonal blocks of the Gram matrix.
 
-    The blocks are the connected components of its nonzero pattern; each
-    block's inertia is memoized on its Gram matrix, so the shared blocks of
-    many direct sums are eliminated once.  A lattice of one block (or
-    none) goes straight to `exact.inertia`.
+    The blocks are those of `Lattice.orthogonal_split`; each block's inertia
+    is memoized on its Gram matrix, so the shared blocks of many direct sums
+    are eliminated once.  A lattice of one block (or none) goes straight to
+    `exact.inertia`.
     """
-    blocks = _orthogonal_blocks(l.gram)
+    blocks = l.orthogonal_split()
     if len(blocks) < 2:
         np_, nz, nm = exact.inertia(l.gram_rows())
     else:
-        parts = [_block_inertia(tuple(tuple(l.gram[i][j] for j in b) for i in b)) for b in blocks]
-        np_, nz, nm = (sum(col) for col in zip(*parts))
+        np_, nz, nm = (sum(col) for col in zip(*(_block_inertia(g) for _idx, g in blocks)))
     if nz:
         raise ValueError("degenerate lattice")
     if (-1) ** nm != (1 if l.det() > 0 else -1):
@@ -227,24 +254,6 @@ def signature(l: Lattice) -> tuple[int, int]:
 @lru_cache(maxsize=MEMO_SIZE)
 def _block_inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
     return exact.inertia([list(row) for row in gram])
-
-
-def _orthogonal_blocks(gram) -> list[list[int]]:
-    """Index sets of the connected components of the nonzero pattern, each ascending."""
-    seen = [False] * len(gram)
-    blocks = []
-    for start in range(len(gram)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        for i in block:  # grows while it is walked
-            for j, x in enumerate(gram[i]):
-                if x and not seen[j]:
-                    seen[j] = True
-                    block.append(j)
-        blocks.append(sorted(block))
-    return blocks
 
 
 def hyperbolic_branch(l: Lattice) -> str | None:

@@ -27,6 +27,9 @@ package did before it looked at q on the generators and b on their pairs;
 `FractionForm` with `discriminant_form`, `p_part` and `direct_sum_forms`
 below is the storage the package used before it kept integer numerators
 over the exponent: pairings, squares and lifts as reduced `Fraction`s.
+`discriminant_form` applies the package's block rule on its own: its own
+component search over the Gram matrix, a Smith form per block, lifts
+scattered back to the block's indices.
 """
 
 from __future__ import annotations
@@ -114,12 +117,50 @@ def fraction_form(orders, bil, quad, lifts=None) -> FractionForm:
 
 
 def discriminant_form(l) -> FractionForm:
+    """The orthogonal sum of the forms of the blocks of the Gram matrix (the
+    components of its nonzero pattern, by `_components`), in block order,
+    each from the Smith form of its block with `Fraction` values, and its
+    lifts scattered back to the block's indices.  A unimodular block adds
+    no generator, and the sum records lifts whenever it is nontrivial."""
     if not l.is_even:
         raise ValueError("lattice is not even")
     g = l.gram_rows()
-    n = l.rank
-    if n == 0:
-        return fraction_form((), (), ())
+    parts = [(block, _smith_form([[g[i][j] for j in block] for i in block])) for block in _components(g)]
+    summed = direct_sum_forms(*(f for _block, f in parts))
+    lifts = []
+    for block, f in parts:
+        for lift in f.lifts or ():
+            row = [Fraction(0)] * l.rank
+            for i, x in zip(block, lift):
+                row[i] = x
+            lifts.append(row)
+    return fraction_form(summed.orders, summed.bil, summed.quad, lifts)
+
+
+def _components(g) -> list[list[int]]:
+    """The index sets of the connected components of the nonzero pattern of
+    g, each ascending, by smallest index: union-find over the nonzero entries."""
+    parent = list(range(len(g)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            if x:
+                parent[root(j)] = root(i)
+    comps = {}
+    for i in range(len(g)):
+        comps.setdefault(root(i), []).append(i)
+    return sorted(comps.values())
+
+
+def _smith_form(g) -> FractionForm:
+    """The discriminant form of the Gram matrix g from its Smith form: the
+    i-th generator lifts to column i of V over d_i."""
+    n = len(g)
     _u, d, v = exact.smith_normal_form(g)
     cols = []
     orders = []

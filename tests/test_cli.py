@@ -37,6 +37,13 @@ def test_lattice_brown_of_a_large_p_part(capsys):
     assert "Brown invariant: 6" in out
 
 
+def test_lattice_discr_lists_orders_ascending(capsys):
+    # the blocks <-4> and <2> give the 2-part generators of orders 4 and 2
+    code, out, _err = run(capsys, "lattice", "<-4>+<2>+U", "--show", "discr")
+    assert code == 0
+    assert "|discr| = 8   form: Z/2+Z/4" in out
+
+
 def test_lattice_bad_expression(capsys):
     code, _out, err = run(capsys, "lattice", "A0")
     assert code == 2

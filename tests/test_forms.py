@@ -651,7 +651,7 @@ def _assert_same_form(f, o, data):
         assert f.b(x, y) == o.b(x, y)
         assert f.q(x) == o.q(x)
         assert (f.lift_cols is None) == (o.lifts is None)
-        if o.lifts is not None:  # a unimodular lattice, or a sum with one, records no lifts
+        if o.lifts is not None:  # a trivial form, or a `direct_sum_forms` with one, records no lifts
             w, n = f.lift_vector(x)
             assert [F(c, n) for c in w] == o.lift_vector(x)
 
@@ -672,6 +672,68 @@ def test_direct_sum_matches_fraction_oracle(l1, l2, data):
     o1, o2 = oracle.discriminant_form(l1), oracle.discriminant_form(l2)
     _assert_same_form(direct_sum_forms(f1, f2), oracle.direct_sum_forms(o1, o2), data)
     _assert_same_form(direct_sum_forms(f1), oracle.direct_sum_forms(o1), data)
+
+
+# the orthogonal split against the Smith form of the whole Gram matrix --------
+
+
+@st.composite
+def interleaved_sums(draw):
+    """A sum of 1-4 blocks of the catalog and E8, often with U or E8 among
+    them, its indices interleaved by a random permutation, and its block names."""
+    from zlat.classify import CATALOG
+    from zlat.lattice import make_lattice
+
+    unimodular = draw(st.sampled_from([[], ["U"], ["E8"]]))
+    names = draw(st.lists(st.sampled_from(CATALOG + ["E8"]), min_size=1, max_size=4 - len(unimodular)))
+    gram = parse_lattice_expr("+".join(names + unimodular)).gram_rows()
+    perm = draw(st.permutations(range(len(gram))))
+    return make_lattice([[gram[i][j] for j in perm] for i in perm]), names + unimodular
+
+
+def _assert_lifts_exact(f, l):
+    """Each lift w_i/n lies in L* with d_i w_i/n in L, and the lifts give b and q exactly."""
+    assert (f.lift_cols is None) == (f.ngens == 0)
+    g = l.gram_rows()
+    for x, d in zip(f.units, f.orders):
+        w, n = f.lift_vector(x)
+        wg = exact.mat_mul([w], g)[0]
+        assert all(c % n == 0 for c in wg) and all(d * c % n == 0 for c in w)
+        assert (F(sum(a * c for a, c in zip(wg, w)), n * n) - f.q(x)) % 2 == 0
+        for y in f.units:
+            v, _n = f.lift_vector(y)
+            assert (F(sum(a * c for a, c in zip(wg, v)), n * n) - f.b(x, y)) % 1 == 0
+
+
+@given(interleaved_sums())
+@settings(max_examples=120, deadline=None)
+def test_block_form_matches_whole_matrix_smith_form(case):
+    from zlat import gluing
+    from zlat.forms import _block_form
+
+    l, names = case
+    assert l.det() == exact.determinant(l.gram_rows())
+    f, whole = discriminant_form(l), _block_form(l.gram)
+    assert f.size == whole.size == abs(l.det())
+    for p in prime_factors_of_order(f):
+        assert jordan_symbol(f, p) == jordan_symbol(whole, p)
+    assert brown(f) == brown(whole)
+    if f.size <= 256:
+        assert oracle.isometric(f, whole)
+    _assert_lifts_exact(f, l)
+    _assert_lifts_exact(whole, l)
+    if f.size <= 256 and {"U", "E8"} & set(names):
+        h = next((x for x in f.elements() if any(x) and f.q_numer(x) == 0), None)
+        if h is not None:
+            ext = gluing.extend(l, [h])
+            assert discriminant_form(ext).size * f.element_order(h) ** 2 == f.size
+
+
+def test_block_form_memo_is_bounded():
+    from zlat.forms import _block_form
+    from zlat.lattice import MEMO_SIZE
+
+    assert _block_form.cache_info().maxsize == MEMO_SIZE
 
 
 def test_form_on_generators_rejects_values_off_the_exponent():
