@@ -670,105 +670,26 @@ def coset_fingerprint(f: FiniteQuadraticForm, h_gens):
 # automorphisms ----------------------------------------------------------------
 
 def aut_order(f: FiniteQuadraticForm) -> int:
-    """Exhaustive count of quadratic-form-preserving group automorphisms."""
-    if f.size > 81:
-        raise ValueError("group too large")
-    return _count_maps(f, list(f.units))
+    """|O(f)|, the order of the group of q-preserving automorphisms of an
+    elementary p-group f for odd p, read off its p-adic symbol (p, n, eps).
 
-
-def _count_maps(f: FiniteQuadraticForm, basis: list[Element]) -> int:
-    """Backtracking count of q-preserving automorphisms by images of `basis`."""
-    all_elems = [x for x in f.elements()]
-    q_of = {x: f.q_numer(x) for x in all_elems}
-    orders_of = {x: f.element_order(x) for x in all_elems}
-    n = len(basis)
-    count = 0
-
-    def candidates(k, images):
-        target = basis[k]
-        opts = []
-        for x in all_elems:
-            if orders_of[x] != orders_of[target] or q_of[x] != q_of[target]:
-                continue
-            if any(f.b_numer(x, images[j]) != f.b_numer(target, basis[j]) for j in range(k)):
-                continue
-            opts.append(x)
-        return opts
-
-    def rec(k, images, span):
-        nonlocal count
-        if k == n:
-            if len(span) == f.size:
-                count += 1
-            return
-        for x in candidates(k, images):
-            if x in span:
-                continue
-            new_span = span | {f.add(s, f.smul(m, x)) for s in span for m in range(1, orders_of[x])}
-            rec(k + 1, images + [x], frozenset(new_span))
-
-    rec(0, [], frozenset({f.zero()}))
-    return count
-
-
-def aut_g_delta_orders() -> tuple[int, int]:
-    """(|Aut(G, delta)|, |Aut_comp(G, delta)|) for G = 6<-2/3>, delta the diagonal.
-
-    Aut_comp is enumerated directly (signed coordinate permutations fixing
-    {+-delta}).  The full stabilizer order is |image| * |kernel| of the
-    reduction to Aut(G^delta/(delta)): the image is everything because the
-    coordinatewise maps already surject (their reduction is injective and
-    hits all 1440 = |Aut(<-2/3>+3<2/3>)| elements), and the kernel -- maps
-    fixing every class of G^delta/(delta) -- is scanned exhaustively through
-    its complete parametrization f(w) = w + lambda(w) delta on delta-perp.
+    b = B/p for a nondegenerate symmetric form B over F_p of rank n and
+    discriminant class eps, so O(f) = O(B) (Taylor, The Geometry of the
+    Classical Groups): for n = 2m + 1 its order is 2 p^(m^2) prod_{i=1..m}
+    (p^2i - 1); for n = 2m it is 2 p^(m(m-1)) (p^m - e) prod_{i=1..m-1}
+    (p^2i - 1), where e = eps (-1/p)^m is +1 exactly when B is hyperbolic.
+    The trivial form gives 1.  Raises on p = 2 and on a group that is not
+    elementary.
     """
-    n = 6
-    delta = (1,) * n
-
-    # On 6<-2/3> both q and b reduce to integer data mod 3: q(x) is fixed by
-    # sum(x_i^2) mod 3 and 3*b(x, y) = sum(x_i y_i) mod 3.
-    def dot(x, y):
-        return sum(a * b for a, b in zip(x, y)) % 3
-
-    # coordinatewise maps (signed permutations) with f(delta) = +-delta
-    comp_count = 0
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, 2), repeat=n):
-            image_of_delta = [0] * n
-            for i in range(n):
-                image_of_delta[perm[i]] = signs[i]
-            if len(set(image_of_delta)) == 1:
-                comp_count += 1
-
-    # basis adapted to delta: (delta, u, w1..w4), u non-orthogonal to delta,
-    # the w_i spanning a complement of (delta, u)
-    u = (1, 0, 0, 0, 0, 0)
-    ws = [(1, 2, 0, 0, 0, 0), (1, 0, 2, 0, 0, 0), (1, 0, 0, 2, 0, 0), (1, 0, 0, 0, 2, 0)]
-    mat = [list(delta), list(u)] + [list(w) for w in ws]
-    if dot(delta, u) == 0 or any(dot(w, delta) for w in ws) or exact.determinant(mat) % 3 == 0:
-        raise ValueError("(delta, u, w1..w4) is not a basis of (Z/3)^6 adapted to delta")
-
-    elems = list(itertools.product(range(3), repeat=n))
-    q_code = {x: dot(x, x) for x in elems}
-    kernel = 0
-    for eps in (1, 2):
-        f_delta = tuple(eps % 3 for _ in range(n))
-        for lambdas in itertools.product(range(3), repeat=4):
-            f_ws = [
-                tuple((wc + lam) % 3 for wc in w) for w, lam in zip(ws, lambdas)
-            ]
-            targets = [dot(u, delta)] + [dot(u, w) for w in ws]
-            quc = q_code[u]
-            for cand in elems:
-                if q_code[cand] != quc:
-                    continue
-                if dot(cand, f_delta) != targets[0]:
-                    continue
-                if any(dot(cand, fw) != t for fw, t in zip(f_ws, targets[1:])):
-                    continue
-                kernel += 1
-    image = 1440  # = |Aut(<-2/3>+3<2/3>)|, attained already by Aut_comp
-    return image * kernel, comp_count
+    if not f.orders:
+        return 1
+    p = f.orders[0]
+    if p == 2 or prime_factors_of_order(f) != [p] or not is_elementary(f, p):
+        raise ValueError("form is not an elementary p-group for an odd prime p")
+    ((_q, n, eps),) = jordan_symbol(f, p)
+    m, odd = divmod(n, 2)
+    order = 2 * p ** (m * m if odd else m * (m - 1)) * math.prod(p ** (2 * i) - 1 for i in range(1, m + odd))
+    return order if odd else order * (p ** m - eps * _legendre(-1, p) ** m)
 
 
 # anti-isomorphisms ------------------------------------------------------------

@@ -69,33 +69,13 @@ def _random_even_lattice(rng, max_rank=6, bound=10, det_cap=4000):
             return make_lattice(g)
 
 
-def _phase_histogram(f: forms.FiniteQuadraticForm) -> list[int]:
-    """counts[t] = #{x : n*q(x) = t mod 2n}, by integer recursion over the coordinates."""
-    k, two_n = f.ngens, 2 * f.n
-    bil2 = [[2 * x for x in row] for row in f.b_num]
-    counts = [0] * two_n
-
-    def rec(j, acc, row_acc):
-        qj, rj = f.q_num[j], row_acc[j]
-        if j == k - 1:
-            for c in range(f.orders[j]):
-                counts[(acc + c * (c * qj + rj)) % two_n] += 1
-            return
-        for c in range(f.orders[j]):
-            rec(j + 1, acc + c * (c * qj + rj), [r + c * x for r, x in zip(row_acc, bil2[j])])
-
-    if k:
-        rec(0, 0, [0] * k)
-    else:
-        counts[0] = 1
-    return counts
-
-
 def _gauss_brown(f: forms.FiniteQuadraticForm) -> int:
     """Brown as the phase of the Gauss sum of exp(i*pi*q) over the group, in
-    multiples of pi/4, summed in floats over the histogram of squares; its
-    magnitude must be sqrt|G| and its phase a multiple of pi/4, to 1e-6."""
-    s = sum(c * cmath.exp(1j * math.pi * t / f.n) for t, c in enumerate(_phase_histogram(f)) if c)
+    multiples of pi/4, summed in floats over the histogram of squares that
+    the fingerprint counts; its magnitude must be sqrt|G| and its phase a
+    multiple of pi/4, to 1e-6."""
+    squares = Counter(q for _o, q in forms.fingerprint(f))
+    s = sum(c * cmath.exp(1j * math.pi * q) for q, c in squares.items())
     phase = cmath.phase(s) / (math.pi / 4)
     root = math.sqrt(f.size)
     if abs(abs(s) - root) > 1e-6 * root or abs(phase - round(phase)) > 1e-6:
@@ -167,15 +147,30 @@ def check_element_census():
 
 
 def check_aut_order_1440():
-    got = forms.aut_order(forms.standard_form("<-2/3>+3<2/3>"))
+    """|Aut| by the orders of O_n(3), against orbit-stabilizer: O(f) is
+    transitive on the x with q(x) = q(e_1) (Witt), counted by the census,
+    and the stabilizer of e_1 is O(e_1-perp) = O(3<2/3>)."""
+    f = forms.standard_form("<-2/3>+3<2/3>")
+    got = forms.aut_order(f)
+    orbit = q_value_census(f)[f.q(f.units[0])]
     sub = forms.aut_order(forms.standard_form("3<2/3>"))
-    if (got, sub) != (1440, 48):
-        return False, f"aut orders {got}, {sub}"
+    if got != orbit * sub or (got, sub) != (1440, 48):
+        return False, f"aut orders {got}, {sub}, orbit {orbit}"
     return True, "|Aut(<-2/3>+3<2/3>)| = 1440 = 30 * 48"
 
 
+def aut_g_delta_orders() -> tuple[int, int]:
+    """(|Aut(G, delta)|, |Aut_comp(G, delta)|) for G = 6<-2/3>, delta the
+    diagonal: the stabilizer of {+-delta} in O(G), of order 2|O(G)| / #{x !=
+    0 : q(x) = q(delta)} since O(G) is transitive on that set (Witt), and its
+    signed coordinate permutations, 2 * 6!."""
+    g = forms.standard_form("6<-2/3>")
+    orbit = q_value_census(g)[g.q((1,) * 6)]
+    return 2 * forms.aut_order(g) // orbit, 2 * math.factorial(6)
+
+
 def diagnostic_remark_aut_comp():
-    full, comp = forms.aut_g_delta_orders()
+    full, comp = aut_g_delta_orders()
     return (
         f"|Aut(G,delta)| = {full} vs |Aut_comp(G,delta)| = {comp} for G = 6<-2/3>: "
         "the source's unproven remark asserting equality is refuted; only the "

@@ -17,8 +17,12 @@ before it paired normal bases; `Span` is their minimal subgroup helper.
 off the histogram of squares over all 2^r elements, as the package computed
 it before it used the blocks of the Gram reduction mod 2.
 
-`isometric` searches for an isometry between two forms by backtracking
-over the images of generators, as `forms._count_maps` counts automorphisms.
+`isometries` yields every isometry between two forms by backtracking over
+the images of generators, as the package counted automorphisms before it
+read the orders of the orthogonal groups off the p-adic symbol; `isometric`
+asks for one, and `sum(1 for _ in isometries(f, f))` is |Aut(f)|.
+`aut_g_delta_orders` scans the kernel of Aut(G, delta) for G = 6<-2/3>, as
+the package did before it applied Witt's theorem.
 
 `is_isotropic_subgroup` tests q on every element of the span, as the
 package did before it looked at q on the generators and b on their pairs;
@@ -52,7 +56,6 @@ from zlat.forms import (
     subgroup_elements,
 )
 from zlat.lattice import make_lattice
-from zlat.verify import _phase_histogram
 
 TWO3 = Fraction(2, 3)
 FOUR3 = Fraction(4, 3)
@@ -449,30 +452,100 @@ def fingerprint(f) -> tuple[tuple[int, Fraction], ...]:
     return tuple(sorted((f.element_order(x), f.q(x)) for x in f.elements()))
 
 
-def isometric(f, g) -> bool:
-    """Whether some group isomorphism f -> g preserves q (|G| <= 256).
+def isometries(f, g):
+    """Every isometry f -> g, as the tuple of images of f's generators.
 
-    Backtracks over the images of f's generators as `forms._count_maps`
-    does over automorphisms: an image keeps its generator's order and square
-    and its pairings with the earlier images, and the images must span g.
-    An isometry keeps the fingerprint, so unequal fingerprints answer first.
+    Backtracks over the images: an image keeps its generator's order and
+    square and its pairings with the earlier images, and the images must
+    span g, so that (for |f| = |g|) the map is a group isomorphism.
     """
-    if f.size > 256:
-        raise ValueError("group too large")
-    if fingerprint(f) != fingerprint(g):
-        return False
     basis = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
     elems = [(x, g.element_order(x), g.q(x)) for x in g.elements()]
 
     def rec(images):
         if len(images) == len(basis):
-            return len(subgroup_elements(g, images)) == g.size
+            if len(subgroup_elements(g, images)) == g.size:
+                yield tuple(images)
+            return
         e = basis[len(images)]
         order, q = f.element_order(e), f.q(e)
-        return any(rec(images + [x]) for x, ox, qx in elems
-                   if ox == order and qx == q and all(g.b(x, y) == f.b(e, z) for y, z in zip(images, basis)))
+        for x, ox, qx in elems:
+            if ox == order and qx == q and all(g.b(x, y) == f.b(e, z) for y, z in zip(images, basis)):
+                yield from rec(images + [x])
 
     return rec([])
+
+
+def isometric(f, g) -> bool:
+    """Whether some group isomorphism f -> g preserves q (|G| <= 256).
+
+    An isometry keeps the fingerprint, so unequal fingerprints answer
+    first; otherwise `isometries` searches for one."""
+    if f.size > 256:
+        raise ValueError("group too large")
+    if fingerprint(f) != fingerprint(g):
+        return False
+    return any(True for _ in isometries(f, g))
+
+
+def aut_g_delta_orders() -> tuple[int, int]:
+    """(|Aut(G, delta)|, |Aut_comp(G, delta)|) for G = 6<-2/3>, delta the diagonal.
+
+    Aut_comp is enumerated directly (signed coordinate permutations fixing
+    {+-delta}).  The full stabilizer order is |image| * |kernel| of the
+    reduction to Aut(G^delta/(delta)): the image is everything because the
+    coordinatewise maps already surject (their reduction is injective and
+    hits all 1440 = |Aut(<-2/3>+3<2/3>)| elements), and the kernel -- maps
+    fixing every class of G^delta/(delta) -- is scanned exhaustively through
+    its complete parametrization f(w) = w + lambda(w) delta on delta-perp.
+    """
+    n = 6
+    delta = (1,) * n
+
+    # On 6<-2/3> both q and b reduce to integer data mod 3: q(x) is fixed by
+    # sum(x_i^2) mod 3 and 3*b(x, y) = sum(x_i y_i) mod 3.
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y)) % 3
+
+    # coordinatewise maps (signed permutations) with f(delta) = +-delta
+    comp_count = 0
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, 2), repeat=n):
+            image_of_delta = [0] * n
+            for i in range(n):
+                image_of_delta[perm[i]] = signs[i]
+            if len(set(image_of_delta)) == 1:
+                comp_count += 1
+
+    # basis adapted to delta: (delta, u, w1..w4), u non-orthogonal to delta,
+    # the w_i spanning a complement of (delta, u)
+    u = (1, 0, 0, 0, 0, 0)
+    ws = [(1, 2, 0, 0, 0, 0), (1, 0, 2, 0, 0, 0), (1, 0, 0, 2, 0, 0), (1, 0, 0, 0, 2, 0)]
+    mat = [list(delta), list(u)] + [list(w) for w in ws]
+    if dot(delta, u) == 0 or any(dot(w, delta) for w in ws) or exact.determinant(mat) % 3 == 0:
+        raise ValueError("(delta, u, w1..w4) is not a basis of (Z/3)^6 adapted to delta")
+
+    elems = list(itertools.product(range(3), repeat=n))
+    q_code = {x: dot(x, x) for x in elems}
+    kernel = 0
+    for eps in (1, 2):
+        f_delta = tuple(eps % 3 for _ in range(n))
+        for lambdas in itertools.product(range(3), repeat=4):
+            f_ws = [
+                tuple((wc + lam) % 3 for wc in w) for w, lam in zip(ws, lambdas)
+            ]
+            targets = [dot(u, delta)] + [dot(u, w) for w in ws]
+            quc = q_code[u]
+            for cand in elems:
+                if q_code[cand] != quc:
+                    continue
+                if dot(cand, f_delta) != targets[0]:
+                    continue
+                if any(dot(cand, fw) != t for fw, t in zip(f_ws, targets[1:])):
+                    continue
+                kernel += 1
+    image = 1440  # = |Aut(<-2/3>+3<2/3>)|, attained already by Aut_comp
+    return image * kernel, comp_count
 
 
 # random changes of generators and of lattice bases ---------------------------
@@ -528,13 +601,14 @@ def is_anti_isomorphism(fsrc, src_gens, ftgt, tgt_gens) -> bool:
 
 
 def brown_elementary2(f) -> int:
-    """Br of an elementary 2-group from the integer histogram of 2q mod 4.
+    """Br of an elementary 2-group from the histogram of 2q mod 4 over all
+    its elements.
 
     With n = 2 the Gauss sum sum_x exp(i*pi*q(x)) is re + i*im for
     re = #{2q = 0} - #{2q = 2} and im = #{2q = 1} - #{2q = 3}; its magnitude
     is sqrt|G| and its direction a multiple of pi/4, read off the signs.
     """
-    counts = _phase_histogram(f)
+    counts = Counter(2 * f.q(x) for x in f.elements())
     re = counts[0] - counts[2]
     im = counts[1] - counts[3]
     if re * re + im * im != f.size:

@@ -8,6 +8,7 @@ from forms_oracle import change_generators, random_basis_change
 
 from zlat import exact
 from zlat.forms import (
+    TRIVIAL_FORM,
     _blocks,
     _split,
     anti_iso_images,
@@ -37,7 +38,7 @@ from zlat.forms import (
     subgroup_order,
 )
 from zlat.lattice import extension_by_fraction, named, parse_lattice_expr, signature
-from zlat.verify import _gauss_brown, q_value_census
+from zlat.verify import _gauss_brown, aut_g_delta_orders, q_value_census
 
 F = Fraction
 
@@ -243,6 +244,36 @@ def test_aut_orders():
     assert aut_order(standard_form("<2/3>")) == 2
     assert aut_order(standard_form("3<2/3>")) == 48
     assert aut_order(standard_form("<-2/3>+3<2/3>")) == 1440
+
+
+def _elementary_classes(p: int, max_rank: int):
+    """One elementary p-group of each rank <= max_rank and each sign class:
+    (n - 1)<2/p> + <2a/p> for a = 1 and a non-square a mod p."""
+    nonsquare = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
+    yield TRIVIAL_FORM
+    for n in range(1, max_rank + 1):
+        for a in (1, nonsquare):
+            yield direct_sum_forms(*[q_cyclic(p, F(2, p))] * (n - 1), q_cyclic(p, F(2 * a, p)))
+
+
+@pytest.mark.parametrize("p, max_rank", [(3, 4), (5, 3), (7, 2)])
+def test_aut_order_matches_isometry_count(p, max_rank):
+    classes = list(_elementary_classes(p, max_rank))
+    assert len({(f.ngens, jordan_symbol(f, p)) for f in classes}) == len(classes) == 2 * max_rank + 1
+    for f in classes:
+        assert aut_order(f) == sum(1 for _ in oracle.isometries(f, f)), jordan_symbol(f, p)
+
+
+def test_aut_g_delta_orders_match_kernel_scan():
+    assert aut_g_delta_orders() == oracle.aut_g_delta_orders() == (233280, 1440)
+
+
+def test_aut_order_domain():
+    assert aut_order(TRIVIAL_FORM) == 1
+    with pytest.raises(ValueError, match="elementary"):
+        aut_order(standard_form("u2"))
+    with pytest.raises(ValueError, match="elementary"):
+        aut_order(q_cyclic(9, F(2, 9)))
 
 
 def test_p_parts_orthogonal_and_sum():
