@@ -29,9 +29,8 @@ from .lattice import (
 )
 
 CATALOG = ["U", "U(2)", "U(3)", "U(6)", "<2>", "<6>", "<-6>", "A1", "A2", "A2(2)", "D4", "E6"]
-BLOCK_RANK = {"U": 2, "U(2)": 2, "U(3)": 2, "U(6)": 2, "<2>": 1, "<6>": 1,
-              "<-6>": 1, "A1": 1, "A2": 2, "A2(2)": 2, "D4": 4, "E6": 6}
-HYPERBOLIC_BLOCKS = ("U", "U(2)", "U(3)", "U(6)", "<2>", "<6>")
+BLOCK_RANK = {name: parse_lattice_expr(name).rank for name in CATALOG}
+HYPERBOLIC_BLOCKS = tuple(name for name in CATALOG if signature(parse_lattice_expr(name))[0] == 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -113,19 +112,14 @@ def half_violation(inv: THalfInvariants) -> str | None:
 
 
 def pair_violation(inv: THalfInvariants) -> str | None:
-    """Reject an ascending-pair first half: both halves must pass, plus the
-    geography bounds of the 2-rank estimates."""
+    """Reject an ascending-pair first half: both halves must pass.  The r2
+    estimates of the geography follow on the census (`pair-properties`)."""
     v = half_violation(inv)
     if v is not None:
         return f"first half: {v}"
-    comp = inv.complement()
-    v = half_violation(comp)
+    v = half_violation(inv.complement())
     if v is not None:
         return f"complement: {v}"
-    if inv.r2 > min(inv.r, 8 - inv.r):
-        return "r2 estimate (first half)"
-    if comp.r2 > min(comp.r, 10 - comp.r):
-        return "r2 estimate (second half)"
     return None
 
 
@@ -264,22 +258,11 @@ def witness_blocks(l: Lattice) -> list[str]:
     """Block names of a witness built by witness_lattice / render_blocks."""
     out = []
     for term in l.expr.split("+"):
-        if term.startswith("<"):
-            out.append(term)
-            continue
-        i = 0
-        while i < len(term) and term[i].isdigit():
-            i += 1
-        count = int(term[:i]) if i else 1
-        out.extend([term[i:]] * count)
-    # "<-6>" split across "+" never happens; counts like "3<-6>" do
-    fixed = []
-    for name in out:
-        if name.startswith("<") or name in CATALOG:
-            fixed.append(name)
-        else:
+        name = term.lstrip("0123456789")
+        if name not in CATALOG:
             raise ValueError(f"unknown block {name!r}")
-    return fixed
+        out += [name] * int(term[:len(term) - len(name)] or 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +406,11 @@ def _root_components(name: str, cap: int = 8, box: int = 2):
     patterns in the kernel of the Gram matrix mod 2, each coordinate
     stepping by 2 through the box.
     """
-    g = parse_lattice_expr(name).gram
+    l = parse_lattice_expr(name)
+    g = l.gram
     n = len(g)
     out = []
-    for parity in _kernel_mod2(g):
+    for parity in _kernel_mod2(l):
         for coords in itertools.product(*(range(-box + (box + s) % 2, box + 1, 2) for s in parity)):
             norm = sum(c * sum(map(operator.mul, row, coords)) for c, row in zip(coords, g))
             if -cap <= norm <= cap:
@@ -435,36 +419,21 @@ def _root_components(name: str, cap: int = 8, box: int = 2):
     return tuple(out)
 
 
-def _kernel_mod2(g) -> list[tuple[int, ...]]:
-    """Every u in F_2^n with u*G = 0 mod 2 (G symmetric), from the reduced echelon form of G mod 2."""
-    n = len(g)
-    rows = [[x % 2 for x in row] for row in g]
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        p = next((i for i in range(r, n) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows = [[a ^ b for a, b in zip(row, rows[r])] if i != r and row[c] else row
-                for i, row in enumerate(rows)]
-        pivots.append(c)
-    kernel = [(0,) * n]
-    for f in (c for c in range(n) if c not in pivots):
-        u = [0] * n
-        u[f] = 1
-        for row, c in zip(rows, pivots):
-            u[c] = row[f]
+def _kernel_mod2(l: Lattice) -> list[tuple[int, ...]]:
+    """Every u in F_2^n with u*G = 0 mod 2: u/2 then lies in L*, so u is
+    twice the lift of an element of the 2-torsion of discr(L) mod 2, and the
+    kernel is the F_2-span of twice the lifts of `_two_part_generators`."""
+    f = forms.discriminant_form(l)
+    kernel = [(0,) * l.rank]
+    for h in _two_part_generators(f):
+        w, m = f.lift_vector(h)
+        u = [2 * x // m % 2 for x in w]
         kernel += [tuple(a ^ b for a, b in zip(k, u)) for k in kernel]
     return kernel
 
 
 def _two_part_generators(f: forms.FiniteQuadraticForm):
-    gens = []
-    for i, d in enumerate(f.orders):
-        if d % 2 == 0:
-            gens.append(f.smul(d // 2, tuple(int(i == j) for j in range(f.ngens))))
-    return gens
+    return [f.smul(d // 2, e) for d, e in zip(f.orders, f.units) if d % 2 == 0]
 
 
 def _half_class_is_characteristic(f, l: Lattice, v, gens2) -> bool:

@@ -575,15 +575,18 @@ def brown(f: FiniteQuadraticForm) -> int:
                for k, u, _idx in _split(p_part(f, p), p)[1]) % 8
 
 
-# element census and subgroup machinery ----------------------------------------
+# element census and subgroups ---------------------------------------------------
 
-def fingerprint(f: FiniteQuadraticForm):
+def fingerprint(f: FiniteQuadraticForm, h_gens=()):
     """Multiset of (element order, square) over all elements, as a sorted
-    tuple; complete for elementary 2/3 sums.
+    tuple; complete for elementary 2/3 sums.  Given the generators of an
+    isotropic subgroup H, that of H^perp / H (`isotropic_quotient`).
 
     An integer recursion over the coordinates counts the elements by
     (order, n*q mod 2n); the histogram is then expanded.
     """
+    if h_gens:
+        f = isotropic_quotient(f, h_gens)
     n, k = f.n, f.ngens
     bil2 = [[2 * x for x in row] for row in f.b_num]
     order_of = [[d // math.gcd(c, d) for c in range(d)] for d in f.orders]
@@ -603,21 +606,7 @@ def fingerprint(f: FiniteQuadraticForm):
     return tuple(entry for o, t in sorted(counts) for entry in [(o, Fraction(t, n))] * counts[o, t])
 
 
-def subgroup_elements(f: FiniteQuadraticForm, gens) -> frozenset:
-    seen = {f.zero()}
-    frontier = [f.zero()]
-    for g in gens:
-        order = f.element_order(g)
-        new = []
-        for mult in range(1, order):
-            step = f.smul(mult, g)
-            for e in frontier:
-                s = f.add(e, step)
-                if s not in seen:
-                    seen.add(s)
-                    new.append(s)
-        frontier.extend(new)
-    return frozenset(seen)
+coset_fingerprint = fingerprint
 
 
 def subgroup_order(f: FiniteQuadraticForm, gens) -> int:
@@ -637,34 +626,37 @@ def is_isotropic_subgroup(f: FiniteQuadraticForm, gens) -> bool:
         f.b_numer(g, h) == 0 for g, h in itertools.combinations(gens, 2))
 
 
-def orthogonal_of_subgroup(f: FiniteQuadraticForm, gens) -> list[Element]:
-    """All x with b(x, H) = 0, as an element list: x.w_g = 0 mod n for the
-    integer rows w_g = B g of the generators g."""
-    n = f.n
-    rows = [w for w in ([sum(bij * c for bij, c in zip(row, g)) % n for row in f.b_num] for g in gens)
-            if any(w)]
-    return [x for x in f.elements() if all(sum(a * c for a, c in zip(x, w)) % n == 0 for w in rows)]
+def isotropic_quotient(f: FiniteQuadraticForm, h_gens) -> FiniteQuadraticForm:
+    """H^perp / H for an isotropic H = <h_gens>, the discriminant form of the
+    extension of a lattice by H (Nikulin 1979, §1.4), by integer linear algebra.
 
-
-def coset_fingerprint(f: FiniteQuadraticForm, h_gens):
-    """Fingerprint of H^perp / H for an isotropic subgroup H."""
-    h = subgroup_elements(f, h_gens)
-    perp = orthogonal_of_subgroup(f, list(h_gens))
-    seen = set()
-    rows = []
-    hs = sorted(h)
-    for x in perp:
-        coset = frozenset(f.add(x, y) for y in hs)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        order = min(
-            k
-            for k in range(1, f.element_order(x) + 1)
-            if f.element_order(x) % k == 0 and f.smul(k, x) in h
-        )
-        rows.append((order, f.q(x)))
-    return tuple(sorted(rows))
+    H^perp lifts to M = {x in Z^k : x.(B h) = 0 mod n for each h}, projected
+    from the left kernel of [W^T; n I] for the rows W = B h, and H to
+    N = diag(orders) + <h_gens>.  Back substitution writes N = C M_H in the
+    Hermite basis M_H of M; with U C V = D the Smith form, row i of U N is
+    d_i g_i for a basis g of M, and the g_i with d_i > 1 generate H^perp / H
+    with orders d_i.  b and q are read off f on them.  Raises when H is not
+    isotropic.
+    """
+    if not is_isotropic_subgroup(f, h_gens):
+        raise ValueError("subgroup is not isotropic")
+    k, n = f.ngens, f.n
+    w = exact.mat_mul(list(h_gens) or [f.zero()], f.b_num)
+    eqs = exact.transpose(w) + [[n * (i == j) for j in range(len(w))] for i in range(len(w))]
+    basis = exact.hermite_normal_form([row[:k] for row in exact.integer_kernel(eqs)])
+    lifts = [[d * (i == j) for j in range(k)] for i, d in enumerate(f.orders)] + list(h_gens)
+    coords = []
+    for v in lifts:
+        c = []
+        for i, row in enumerate(basis):
+            c.append(v[i] // row[i])
+            v = [a - c[-1] * b for a, b in zip(v, row)]
+        coords.append(c)
+    u, d, _vt = exact._smith(coords, True, False)
+    orders = [d[i][i] for i in range(k)]
+    gens = [[x // di for x in row] for row, di in zip(exact.mat_mul(u[:k], lifts), orders) if di > 1]
+    return form_on_generators([di for di in orders if di > 1],
+                              [[f.b(x, y) for y in gens] for x in gens], [f.q(x) for x in gens])
 
 
 # automorphisms ----------------------------------------------------------------

@@ -206,6 +206,10 @@ def check_extension_identities():
         quot = forms.discriminant_form(ext)
         if forms.fingerprint(quot) != forms.coset_fingerprint(f, list(gens)):
             return False, f"discr(extension) != Hperp/H for {expr}"
+        hq = forms.isotropic_quotient(f, list(gens))
+        primes = set(forms.prime_factors_of_order(quot)) | set(forms.prime_factors_of_order(hq))
+        if any(forms.jordan_symbol(quot, p) != forms.jordan_symbol(hq, p) for p in primes):
+            return False, f"Jordan symbols of discr(extension) and Hperp/H differ for {expr}"
         if forms.brown(quot) != forms.brown(f):
             return False, f"Brown not preserved for {expr}"
     return True, f"discr = Hperp/H and Br preserved on {len(cases)} catalog extensions (incl. S0)"

@@ -27,6 +27,9 @@ the package did before it applied Witt's theorem.
 `is_isotropic_subgroup` tests q on every element of the span, as the
 package did before it looked at q on the generators and b on their pairs;
 `isotropic_subgroups` enumerates every isotropic subgroup.
+`subgroup_elements` spans a subgroup element by element, and
+`coset_fingerprint` walks H^perp and one frozenset per coset of H, as the
+package built H^perp / H before it took it by integer linear algebra.
 
 `FractionForm` with `discriminant_form`, `p_part` and `direct_sum_forms`
 below is the storage the package used before it kept integer numerators
@@ -53,7 +56,6 @@ from zlat.forms import (
     is_elementary,
     prime_factors_of_order,
     standard_form,
-    subgroup_elements,
 )
 from zlat.lattice import make_lattice
 
@@ -444,8 +446,30 @@ def anti_iso_root(target, source):
     return None
 
 
+def subgroup_elements(f, gens) -> frozenset:
+    """The span of gens, grown one generator at a time by all its multiples."""
+    seen = {f.zero()}
+    for g in gens:
+        steps = [f.smul(c, g) for c in range(1, f.element_order(g))]
+        seen |= {f.add(e, s) for e in seen for s in steps}
+    return frozenset(seen)
+
+
 def orthogonal_of_subgroup(f, gens):
     return [x for x in f.elements() if all(f.b(x, g) == 0 for g in gens)]
+
+
+def coset_fingerprint(f, h_gens) -> tuple[tuple[int, Fraction], ...]:
+    """(order, square) over the cosets of H = <h_gens> in H^perp, H isotropic:
+    one frozenset per coset, and the order of x + H the least k with kx in H."""
+    h = subgroup_elements(f, h_gens)
+    seen, rows = set(), []
+    for x in orthogonal_of_subgroup(f, h_gens):
+        coset = frozenset(f.add(x, y) for y in h)
+        if coset not in seen:
+            seen.add(coset)
+            rows.append((next(k for k in itertools.count(1) if f.smul(k, x) in h), f.q(x)))
+    return tuple(sorted(rows))
 
 
 def fingerprint(f) -> tuple[tuple[int, Fraction], ...]:

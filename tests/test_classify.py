@@ -4,6 +4,8 @@ from collections import Counter
 import classify_oracle
 import exact_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlat import classify, exact, forms, gluing, golden, stability
 from zlat.classify import (
@@ -23,7 +25,7 @@ from zlat.classify import (
     witness_lattice,
 )
 from zlat.gluing import glue
-from zlat.lattice import parse_lattice_expr
+from zlat.lattice import make_lattice, parse_lattice_expr
 
 
 def test_admissible_count_is_68():
@@ -139,15 +141,30 @@ def test_root_components_match_box_walk():
     assert {"D4", "E6"} <= blocks and checked == 3 * len(blocks) - 1  # E6 at box 4 has 9^6 points
 
 
+def _kernel_mod2_scan(g):
+    """Every u in F_2^n with u*G = 0 mod 2, by a scan of all of F_2^n."""
+    return [u for u in itertools.product((0, 1), repeat=len(g))
+            if all(sum(a * b for a, b in zip(u, col)) % 2 == 0 for col in zip(*g))]
+
+
 def test_kernel_mod2():
-    assert classify._kernel_mod2(parse_lattice_expr("E6").gram) == [(0,) * 6]
-    d4 = classify._kernel_mod2(parse_lattice_expr("D4").gram)
+    assert classify._kernel_mod2(parse_lattice_expr("E6")) == [(0,) * 6]
+    d4 = classify._kernel_mod2(parse_lattice_expr("D4"))
     assert len(d4) == 4 and len(set(d4)) == 4
-    assert sorted(classify._kernel_mod2(parse_lattice_expr("U(2)").gram)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    g = parse_lattice_expr("U+A1+D4+A2(2)").gram
-    everything = [u for u in itertools.product((0, 1), repeat=len(g))
-                  if all(sum(a * b for a, b in zip(u, col)) % 2 == 0 for col in zip(*g))]
-    assert sorted(classify._kernel_mod2(g)) == everything
+    assert sorted(classify._kernel_mod2(parse_lattice_expr("U(2)"))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    l = parse_lattice_expr("U+A1+D4+A2(2)")
+    assert sorted(classify._kernel_mod2(l)) == _kernel_mod2_scan(l.gram)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                                                     min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_kernel_mod2_matches_scan(m):
+    # random even Gram matrices M + M^T of rank <= 5
+    g = [[a + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
+    if exact.determinant(g) == 0:
+        return
+    assert sorted(classify._kernel_mod2(make_lattice(g))) == _kernel_mod2_scan(g)
 
 
 def test_pair_invariant_properties():

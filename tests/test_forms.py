@@ -15,6 +15,7 @@ from zlat.forms import (
     aut_order,
     brown,
     build_anti_iso,
+    coset_fingerprint,
     direct_sum_forms,
     discriminant_form,
     fingerprint,
@@ -22,11 +23,11 @@ from zlat.forms import (
     is_anti_isomorphism,
     is_elementary,
     is_isotropic_subgroup,
+    isotropic_quotient,
     jordan_symbol,
     normal_basis,
     normal_form2,
     normal_form3,
-    orthogonal_of_subgroup,
     p_part,
     p_rank,
     parity2,
@@ -34,7 +35,6 @@ from zlat.forms import (
     q_cyclic,
     render_form,
     standard_form,
-    subgroup_elements,
     subgroup_order,
 )
 from zlat.lattice import extension_by_fraction, named, parse_lattice_expr, signature
@@ -232,14 +232,6 @@ def test_diagonal_isotropic_and_census():
     assert normal_form3(quot) == (1, 3)
 
 
-def test_orthogonal_of_subgroup():
-    f = standard_form("2<2/3>")
-    h = [(1, 1)]
-    perp = orthogonal_of_subgroup(f, h)
-    assert len(perp) == 3
-    assert set(perp) == subgroup_elements(f, [(1, 2)])
-
-
 def test_aut_orders():
     assert aut_order(standard_form("<2/3>")) == 2
     assert aut_order(standard_form("3<2/3>")) == 48
@@ -411,7 +403,7 @@ def _check_blocks(f, blocks):
     for a, (_k, gens_a) in enumerate(blocks):
         for _k2, gens_b in blocks[a + 1:]:
             assert all(f.b(x, y) == 0 for x in gens_a for y in gens_b)
-    assert len(subgroup_elements(f, [g for _k, gens in blocks for g in gens])) == f.size
+    assert len(oracle.subgroup_elements(f, [g for _k, gens in blocks for g in gens])) == f.size
     return standard_form("+".join(_KIND_ATOM[k] for k, _ in blocks))
 
 
@@ -599,8 +591,8 @@ def generator_maps(draw):
 @settings(max_examples=150, deadline=None)
 def test_subgroup_order_matches_enumeration(case):
     f, src, neg, tgt = case
-    assert subgroup_order(f, src) == len(subgroup_elements(f, src))
-    assert subgroup_order(neg, tgt) == len(subgroup_elements(neg, tgt))
+    assert subgroup_order(f, src) == len(oracle.subgroup_elements(f, src))
+    assert subgroup_order(neg, tgt) == len(oracle.subgroup_elements(neg, tgt))
 
 
 @given(generator_maps())
@@ -610,22 +602,18 @@ def test_is_anti_isomorphism_matches_oracle(case):
     assert is_anti_isomorphism(f, src, neg, tgt) == oracle.is_anti_isomorphism(f, src, neg, tgt)
 
 
-@given(generator_maps())
-@settings(max_examples=100, deadline=None)
-def test_orthogonal_of_subgroup_matches_oracle(case):
-    f, src, _neg, tgt = case
-    assert orthogonal_of_subgroup(f, src + tgt) == oracle.orthogonal_of_subgroup(f, src + tgt)
-
-
 @st.composite
 def subgroup_generators(draw):
-    """The discriminant f of a sum of catalog blocks and up to 3 unreduced
-    generators, each drawn at random or among the elements with q = 0 (whose
-    spans are isotropic unless b pairs two of them nontrivially)."""
+    """The discriminant f of a sum of catalog blocks, or a p-group with
+    orders up to p^3 and no lattice lifts (`pgroup_forms`), and up to 3
+    unreduced generators, each drawn at random or among the elements with
+    q = 0 (whose spans are isotropic unless b pairs two of them nontrivially)."""
     from zlat.classify import CATALOG
 
-    f = discriminant_form(parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(CATALOG),
-                                                                     min_size=1, max_size=2)))))
+    catalog = st.lists(st.sampled_from(CATALOG), min_size=1, max_size=2).map(
+        lambda names: discriminant_form(parse_lattice_expr("+".join(names))))
+    pgroups = st.sampled_from((2, 3, 5)).flatmap(lambda p: pgroup_forms(p, {2: 2 ** 6, 3: 3 ** 4, 5: 5 ** 2}[p]))
+    f = draw(st.one_of(catalog, pgroups))
     elem = st.tuples(*[st.integers(-d, 2 * d) for d in f.orders])
     isotropic = st.sampled_from([x for x in f.elements() if f.q(x) == 0])
     return f, draw(st.lists(st.one_of(elem, isotropic, isotropic), max_size=3))
@@ -636,6 +624,33 @@ def subgroup_generators(draw):
 def test_is_isotropic_subgroup_matches_oracle(case):
     f, gens = case
     assert is_isotropic_subgroup(f, gens) == oracle.is_isotropic_subgroup(f, gens)
+
+
+@given(subgroup_generators(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_coset_fingerprint_matches_coset_walk(case, data):
+    # H: the drawn generators that keep the span isotropic, and one more
+    # nonzero element that does (when one is left and H has at most 2), else 0
+    f, gens = case
+    h = []
+    for g in gens:
+        if oracle.is_isotropic_subgroup(f, h + [g]):
+            h.append(g)
+    more = [x for x in f.elements() if any(x) and oracle.is_isotropic_subgroup(f, h + [x])]
+    if more and len(h) < 3:
+        h.append(data.draw(st.sampled_from(more)))
+    h = h or [f.zero()]
+    assert coset_fingerprint(f, h) == oracle.coset_fingerprint(f, h)
+
+
+def test_isotropic_quotient_rejects_non_isotropic_subgroups():
+    # on <2/3>+<-2/3>: (1, 1) and (1, 2) are isotropic, but b((1, 1), (1, 2)) = 1/3
+    f = standard_form("<2/3>+<-2/3>")
+    assert isotropic_quotient(f, [(1, 1)]).size == isotropic_quotient(f, [(1, 2)]).size == 1
+    assert fingerprint(isotropic_quotient(f, [])) == fingerprint(f)
+    for gens in ([(1, 0)], [(1, 1), (1, 2)]):
+        with pytest.raises(ValueError, match="not isotropic"):
+            isotropic_quotient(f, gens)
 
 
 def test_is_anti_isomorphism_checks_pairings():
@@ -859,7 +874,7 @@ def test_split_blocks_are_orthogonal_and_span(f):
     for a, (_k, _u, idx_a) in enumerate(blocks):
         for _k2, _u2, idx_b in blocks[a + 1:]:
             assert all(f.b(vecs[i], vecs[j]) == 0 for i in idx_a for j in idx_b)
-    assert len(subgroup_elements(f, [tuple(v) for v in vecs])) == f.size
+    assert len(oracle.subgroup_elements(f, [tuple(v) for v in vecs])) == f.size
 
 
 @given(_PGROUPS)

@@ -23,7 +23,7 @@ def test_no_fractions_import(module):
 
 # exactly the functions whose walk over all elements of a form is their point
 # (or a verification's brute-force side); everything else works on generators
-ENUMERATING = {"forms.orthogonal_of_subgroup", "verify._extension_cases", "verify.check_glue_determinant"}
+ENUMERATING = {"verify._extension_cases", "verify.check_glue_determinant"}
 
 
 def _element_walkers(module, tree):
