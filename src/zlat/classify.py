@@ -157,7 +157,7 @@ def admissible_rr2_pairs() -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # witness lattices
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _block_data(name: str):
     l = parse_lattice_expr(name)
     f = forms.discriminant_form(l)
@@ -237,7 +237,7 @@ def _witness_index() -> MappingProxyType:
     return MappingProxyType(index)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def witness_lattice(inv: THalfInvariants) -> Lattice:
     """A hyperbolic even lattice over the block catalog with the given
     invariants: fewest summands first, then lexicographic on catalog order.
@@ -398,7 +398,7 @@ def _norm_assemblies(per_block, order, target):
         yield out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _root_components(name: str, cap: int = 8, box: int = 2):
     """Block vectors u with u.(block) in 2Z and |u^2| <= cap, |coords| <= box.
 

@@ -11,6 +11,12 @@ kept as integers over n: b(e_i, e_j) = b_num[i][j] / n with b_num reduced
 mod n, q(e_i) = q_num[i] / n with q_num reduced mod 2n, and (for a
 discriminant form) the lift of e_i to the lattice is lift_cols[i] / d_i.
 `b` and `q` return reduced `Fraction`s; everything else reads the integers.
+A form computes two things on first use and keeps them as attributes that
+are not dataclass fields, so equality, hash and repr do not see them: the
+numerator matrix Q with n q(x) = x Q x^T (`_values`), and the `Fraction` of
+each numerator it has returned (`_fractions`).  They are set with
+`object.__setattr__`, never through the instance `__dict__`: on CPython 3.11
+reading `__dict__` slows every later attribute read of the instance.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import exact
 from .lattice import MEMO_SIZE, Lattice
@@ -75,23 +82,40 @@ class FiniteQuadraticForm:
         total = 0
         for xi, row in zip(x, self.b_num):
             if xi:
-                total += xi * sum(yj * bij for yj, bij in zip(y, row))
+                total += xi * sum(map(mul, row, y))
         return total % self.n
 
     def q_numer(self, x) -> int:
-        """n * q(x), reduced mod 2n."""
+        """n * q(x) = x Q x^T, reduced mod 2n, for Q with q_num on the diagonal
+        and b_num[min(i, j)][max(i, j)] off it (the upper triangle of b_num)."""
+        rows = getattr(self, "_values", None)
+        if rows is None:
+            k = self.ngens
+            rows = tuple(tuple(self.q_num[i] if i == j else self.b_num[min(i, j)][max(i, j)] for j in range(k))
+                         for i in range(k))
+            object.__setattr__(self, "_values", rows)
         total = 0
-        for i, xi in enumerate(x):
+        for xi, row in zip(x, rows):
             if xi:
-                row = self.b_num[i]
-                total += xi * (xi * self.q_num[i] + 2 * sum(x[j] * row[j] for j in range(i + 1, len(x))))
+                total += xi * sum(map(mul, row, x))
         return total % (2 * self.n)
 
+    def _fraction(self, k: int) -> Fraction:
+        """Fraction(k, n), made once per numerator: at most 2n entries, filled as asked."""
+        fractions = getattr(self, "_fractions", None)
+        if fractions is None:
+            fractions = {}
+            object.__setattr__(self, "_fractions", fractions)
+        value = fractions.get(k)
+        if value is None:
+            value = fractions[k] = Fraction(k, self.n)
+        return value
+
     def b(self, x, y) -> Fraction:
-        return Fraction(self.b_numer(x, y), self.n)
+        return self._fraction(self.b_numer(x, y))
 
     def q(self, x) -> Fraction:
-        return Fraction(self.q_numer(x), self.n)
+        return self._fraction(self.q_numer(x))
 
     def lift_vector(self, x) -> tuple[list[int], int]:
         """(w, n): the lift of x to the source lattice is w / n (when lifts are recorded)."""

@@ -102,30 +102,3 @@ def eigenlattices(inv: LatticeInvolution) -> tuple[SublatticeRef, SublatticeRef]
     l_plus = exact.integer_kernel(minus)
     l_minus = exact.integer_kernel(plus)
     return sublattice(inv.lattice, l_plus), sublattice(inv.lattice, l_minus)
-
-
-def glue_index_r2(inv: LatticeInvolution) -> int:
-    """r_2(L, c): the 2-rank of L/(L_+ + L_-)."""
-    lp, lm = eigenlattices(inv)
-    rows = lp.rows() + lm.rows()
-    h = exact.hermite_normal_form(rows)
-    n = inv.lattice.rank
-    if len(h) != n:
-        raise ValueError("eigenlattices do not span rationally")
-    det = exact.determinant(h)
-    index = abs(det)
-    r2 = 0
-    while index % 2 == 0:
-        index //= 2
-        r2 += 1
-    if index != 1:
-        raise ValueError("index of L+ + L- is not a power of 2")
-    return r2
-
-
-def twist_parity(inv: LatticeInvolution) -> str:
-    """"I" when the c-twisted product x.c(y) is even, "II" otherwise."""
-    g = inv.lattice.gram_rows()
-    c = inv.action_rows()
-    twisted = exact.mat_mul(g, exact.transpose(c))
-    return "I" if all(twisted[i][i] % 2 == 0 for i in range(len(twisted))) else "II"

@@ -32,11 +32,12 @@ class Lattice:
 
     def _validate(self, det: int | None) -> None:
         """Check symmetry and nondegeneracy; when det is not known, it is the
-        product of the Bareiss determinants of the orthogonal blocks."""
+        product of the memoized determinants (`_block_det`) of the orthogonal
+        blocks."""
         if not exact.is_symmetric(self.gram):
             raise ValueError("gram matrix not symmetric")
         if det is None:
-            det = math.prod(exact.determinant(g) for _idx, g in self.orthogonal_split())
+            det = math.prod(_block_det(g) for _idx, g in self.orthogonal_split())
         if det == 0:
             raise ValueError("degenerate gram matrix")
         object.__setattr__(self, "_det", det)
@@ -208,28 +209,6 @@ def direct_sum(*lattices: Lattice) -> Lattice:
 EMPTY = make_lattice([], "0")
 
 
-def rescale(l: Lattice, n: int) -> Lattice:
-    if n == 0:
-        raise ValueError("scale factor must be nonzero")
-    g = [[n * x for x in row] for row in l.gram]
-    return _with_det(g, n**l.rank * l.det(), l.expr if n == 1 else _rescale_expr(l.expr, n))
-
-
-_TERM = re.compile(r"(\d*)(U|[ADE]\d+|<-?\d+>)(?:\((-?\d+)\))?")
-
-
-def _rescale_expr(expr: str | None, n: int) -> str | None:
-    """expr with every term's scale multiplied by n; None outside the grammar."""
-    terms = []
-    for term in (expr or "").split("+"):
-        m = _TERM.fullmatch(term)
-        if m is None:
-            return None
-        scale = int(m[3] or 1) * n
-        terms.append(m[1] + m[2] + (f"({scale})" if scale != 1 else ""))
-    return "+".join(terms)
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def signature(l: Lattice) -> tuple[int, int]:
     """(n_plus, n_minus), the sum of the inertias of the orthogonal blocks of the Gram matrix.
@@ -252,18 +231,16 @@ def signature(l: Lattice) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
+def _block_det(gram: tuple[tuple[int, ...], ...]) -> int:
+    """The Bareiss determinant of one Gram matrix, memoized, so that a block
+    that many direct sums repeat, or a Gram matrix built again, is reduced
+    once."""
+    return exact.determinant(gram)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def _block_inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
     return exact.inertia([list(row) for row in gram])
-
-
-def hyperbolic_branch(l: Lattice) -> str | None:
-    """Which reading of "hyperbolic" fired: "strict" (n+ = 1) or "abuse" (n- = 0)."""
-    np_, nm = signature(l)
-    if np_ == 1:
-        return "strict"
-    if nm == 0:
-        return "abuse"
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ outward), and groups of empty ovals inside the ambient one.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .classify import TPair, admissible_first_halves, reversion_partner
@@ -91,53 +90,6 @@ def simple_code_text(code: CompleteCode) -> str:
     if beta == 0:
         return f"{alpha + 1}"
     return f"{alpha}+1<{beta}>" if alpha else f"1<{beta}>"
-
-
-_TERM = re.compile(r"(\d+)(?:_(-?\d+))?(?:<(.*)>)?$")
-
-
-def parse_code(text: str) -> CompleteCode:
-    """Parse a rendered complete code back into its structural form."""
-    text = text.replace(" ", "")
-    if text == "0":
-        return NULL_CODE
-    if text == "1<1<1>>":
-        return NEST3_CODE
-    outer = []
-    ambient = None
-    inner = []
-    depth = 0
-    term = ""
-    terms = []
-    for ch in text:
-        if ch == "+" and depth == 0:
-            terms.append(term)
-            term = ""
-            continue
-        depth += ch == "<"
-        depth -= ch == ">"
-        term += ch
-    terms.append(term)
-    for t in terms:
-        m = _TERM.match(t)
-        if not m:
-            raise ValueError(f"bad code term {t!r}")
-        count = int(m.group(1))
-        k = int(m.group(2)) if m.group(2) else 0
-        if m.group(3) is not None:
-            if ambient is not None or count != 1:
-                raise ValueError("more than one ambient oval")
-            ambient = k
-            for sub in m.group(3).split("+"):
-                if not sub:
-                    continue
-                sm = _TERM.match(sub)
-                if not sm or sm.group(3) is not None:
-                    raise ValueError(f"bad inner term {sub!r}")
-                inner.append((int(sm.group(1)), int(sm.group(2)) if sm.group(2) else 0))
-        else:
-            outer.append((count, k))
-    return general_code(tuple(outer), ambient, tuple(inner))
 
 
 @dataclass(frozen=True)

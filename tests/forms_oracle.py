@@ -31,6 +31,10 @@ package did before it looked at q on the generators and b on their pairs;
 `coset_fingerprint` walks H^perp and one frozenset per coset of H, as the
 package built H^perp / H before it took it by integer linear algebra.
 
+`q_numer` and `b_numer` are the package's loops over the upper triangle of
+`b_num` and over its full rows, as it evaluated a form before it kept one
+numerator matrix per form.
+
 `FractionForm` with `discriminant_form`, `p_part` and `direct_sum_forms`
 below is the storage the package used before it kept integer numerators
 over the exponent: pairings, squares and lifts as reduced `Fraction`s.
@@ -61,6 +65,27 @@ from zlat.lattice import make_lattice
 
 TWO3 = Fraction(2, 3)
 FOUR3 = Fraction(4, 3)
+
+
+# the integer representation, evaluated by loops --------------------------------
+
+def b_numer(f, x, y) -> int:
+    """n * b(x, y), reduced mod n."""
+    total = 0
+    for xi, row in zip(x, f.b_num):
+        if xi:
+            total += xi * sum(yj * bij for yj, bij in zip(y, row))
+    return total % f.n
+
+
+def q_numer(f, x) -> int:
+    """n * q(x), reduced mod 2n."""
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            row = f.b_num[i]
+            total += xi * (xi * f.q_num[i] + 2 * sum(x[j] * row[j] for j in range(i + 1, len(x))))
+    return total % (2 * f.n)
 
 
 # the Fraction representation -------------------------------------------------

@@ -4,6 +4,9 @@ These are the rational-matrix versions the package used before it switched
 to integer HNF rows over one common denominator: the basis H/den is kept as
 `Fraction` rows, its Gram matrix is formed over Q, and the involution is
 solved through a Gauss-Jordan inverse.
+
+`glue_index_r2` and `twist_parity` read invariants of a lattice involution
+that the package no longer calls; they live here for the tests.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from zlat import exact
 from zlat.exact import hermite_normal_form
+from zlat.gluing import LatticeInvolution, eigenlattices
 from zlat.lattice import make_lattice
 
 
@@ -77,3 +82,30 @@ def glue_involution_action(l1, l2, phi):
     if any(x.denominator != 1 for row in action for x in row):
         raise ValueError("involution does not preserve the glued lattice")
     return [[int(x) for x in row] for row in action]
+
+
+def glue_index_r2(inv: LatticeInvolution) -> int:
+    """r_2(L, c): the 2-rank of L/(L_+ + L_-)."""
+    lp, lm = eigenlattices(inv)
+    rows = lp.rows() + lm.rows()
+    h = hermite_normal_form(rows)
+    n = inv.lattice.rank
+    if len(h) != n:
+        raise ValueError("eigenlattices do not span rationally")
+    det = exact.determinant(h)
+    index = abs(det)
+    r2 = 0
+    while index % 2 == 0:
+        index //= 2
+        r2 += 1
+    if index != 1:
+        raise ValueError("index of L+ + L- is not a power of 2")
+    return r2
+
+
+def twist_parity(inv: LatticeInvolution) -> str:
+    """"I" when the c-twisted product x.c(y) is even, "II" otherwise."""
+    g = inv.lattice.gram_rows()
+    c = inv.action_rows()
+    twisted = exact.mat_mul(g, exact.transpose(c))
+    return "I" if all(twisted[i][i] % 2 == 0 for i in range(len(twisted))) else "II"

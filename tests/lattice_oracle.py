@@ -5,11 +5,48 @@ Gram matrix per expression: every atom is a `Lattice`, a term is the
 `direct_sum` of its repetitions (after `rescale`), and the expression is the
 `direct_sum` of its terms, renamed.  Positions and messages of `ExprError`
 are the reference for the one-construction parser.
+
+`rescale` (with its renamed expression) and `hyperbolic_branch` are lattice
+operations the package no longer calls; they live here for the tests.
 """
 
 from __future__ import annotations
 
-from zlat.lattice import ExprError, Lattice, direct_sum, make_lattice, named, render_expr, rescale
+import re
+
+from zlat.lattice import ExprError, Lattice, _with_det, direct_sum, make_lattice, named, render_expr, signature
+
+
+def rescale(l: Lattice, n: int) -> Lattice:
+    if n == 0:
+        raise ValueError("scale factor must be nonzero")
+    g = [[n * x for x in row] for row in l.gram]
+    return _with_det(g, n**l.rank * l.det(), l.expr if n == 1 else _rescale_expr(l.expr, n))
+
+
+_TERM = re.compile(r"(\d*)(U|[ADE]\d+|<-?\d+>)(?:\((-?\d+)\))?")
+
+
+def _rescale_expr(expr: str | None, n: int) -> str | None:
+    """expr with every term's scale multiplied by n; None outside the grammar."""
+    terms = []
+    for term in (expr or "").split("+"):
+        m = _TERM.fullmatch(term)
+        if m is None:
+            return None
+        scale = int(m[3] or 1) * n
+        terms.append(m[1] + m[2] + (f"({scale})" if scale != 1 else ""))
+    return "+".join(terms)
+
+
+def hyperbolic_branch(l: Lattice) -> str | None:
+    """Which reading of "hyperbolic" fired: "strict" (n+ = 1) or "abuse" (n- = 0)."""
+    np_, nm = signature(l)
+    if np_ == 1:
+        return "strict"
+    if nm == 0:
+        return "abuse"
+    return None
 
 
 def parse_lattice_expr(text: str) -> Lattice:

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from forms_oracle import change_generators, random_basis_change
 from zlat import exact
 from zlat.forms import (
     TRIVIAL_FORM,
+    FiniteQuadraticForm,
     _blocks,
     _split,
     anti_iso_images,
@@ -664,6 +666,59 @@ def test_is_anti_isomorphism_checks_pairings():
     assert not is_anti_isomorphism(f, src, neg, tgt)
     assert not oracle.is_anti_isomorphism(f, src, neg, tgt)
     assert is_anti_isomorphism(f, src, neg, src)
+
+
+# one numerator matrix per form, one Fraction per value ------------------------
+
+
+@st.composite
+def raw_numerators(draw):
+    """A form on up to 4 generators with unreduced numerators and a b_num
+    that need not be symmetric: q_numer reads its upper triangle only."""
+    orders = draw(st.lists(st.sampled_from((2, 3, 4, 6, 9)), max_size=4))
+    n, k = math.lcm(*orders), len(orders)
+    entries = st.integers(-3 * n, 3 * n)
+    b_num = tuple(tuple(draw(entries) for _ in range(k)) for _ in range(k))
+    return FiniteQuadraticForm(tuple(orders), n, b_num, tuple(draw(entries) for _ in range(k)))
+
+
+@st.composite
+def evaluated_forms(draw):
+    """The discriminant f of a sum of catalog blocks, a p-group with orders
+    up to p^3 (`pgroup_forms`) or raw numerators, and two elements with
+    negative and unreduced coefficients."""
+    from zlat.classify import CATALOG
+
+    catalog = st.lists(st.sampled_from(CATALOG), min_size=1, max_size=3).map(
+        lambda names: discriminant_form(parse_lattice_expr("+".join(names))))
+    pgroups = st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: pgroup_forms(p, _MAX_SIZE[p]))
+    f = draw(st.one_of(catalog, pgroups, raw_numerators()))
+    elem = st.tuples(*[st.integers(-2 * d, 3 * d) for d in f.orders])
+    return f, draw(elem), draw(elem)
+
+
+@given(evaluated_forms())
+@settings(max_examples=200, deadline=None)
+def test_numerators_match_loop_oracle(case):
+    f, x, y = case
+    assert f.q_numer(x) == oracle.q_numer(f, x)
+    assert f.b_numer(x, y) == oracle.b_numer(f, x, y)
+    assert f.q(x) == F(oracle.q_numer(f, x), f.n) and f.b(x, y) == F(oracle.b_numer(f, x, y), f.n)
+    assert f.q(x) == f.q(x) and f.b(y, x) == F(f.b_numer(y, x), f.n)
+
+
+@given(evaluated_forms())
+@settings(max_examples=50, deadline=None)
+def test_caches_leave_equality_hash_and_repr(case):
+    f, x, y = case
+    fresh = FiniteQuadraticForm(f.orders, f.n, f.b_num, f.q_num, f.lift_cols)
+    other = FiniteQuadraticForm(f.orders, f.n, f.b_num, f.q_num, f.lift_cols)
+    assert fresh == other and hash(fresh) == hash(other) and repr(fresh) == repr(other)
+    fresh.q(x), fresh.b(x, y)
+    assert fresh._values is not None and fresh._fractions is not None
+    assert not hasattr(other, "_values") and not hasattr(other, "_fractions")
+    assert fresh == other and hash(fresh) == hash(other) and repr(fresh) == repr(other)
+    assert {fresh: 1}[other] == 1
 
 
 # the integer representation against the Fraction oracle ----------------------

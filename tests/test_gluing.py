@@ -4,6 +4,7 @@ from fractions import Fraction
 import gluing_oracle
 import pytest
 from forms_oracle import random_basis_change
+from gluing_oracle import glue_index_r2, twist_parity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,7 @@ from zlat.gluing import (
     eigenlattices,
     extend,
     glue,
-    glue_index_r2,
     glue_involution,
-    twist_parity,
     LatticeInvolution,
 )
 from zlat.lattice import (

@@ -1,10 +1,13 @@
+import random
 import re
 
 import exact_oracle
 import lattice_oracle
 import pytest
+from forms_oracle import random_basis_change
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracle import hyperbolic_branch, rescale
 
 from zlat import exact, forms, lattice, stability
 from zlat.classify import CATALOG
@@ -14,7 +17,6 @@ from zlat.lattice import (
     direct_sum,
     divide,
     extension_by_fraction,
-    hyperbolic_branch,
     is_divisible_by,
     make_lattice,
     named,
@@ -22,7 +24,6 @@ from zlat.lattice import (
     overlattice,
     parse_lattice_expr,
     primitive_closure,
-    rescale,
     signature,
     sublattice,
 )
@@ -294,6 +295,7 @@ def test_constructors_skip_bareiss(monkeypatch):
         raise AssertionError("Bareiss determinant called")
 
     monkeypatch.setattr(exact, "determinant", bareiss)
+    lattice._block_det.cache_clear()  # a raw Gram matrix seen before would not reach Bareiss
     with pytest.raises(AssertionError):
         make_lattice([[2, 1], [1, 2]])
     for e in exprs:
@@ -306,6 +308,32 @@ def test_constructors_skip_bareiss(monkeypatch):
     g1 = next(x for x in f1.elements() if f1.q_numer(x) * 2 == f1.n)
     g2 = next(x for x in f2.elements() if f2.q_numer(x) * 2 == 3 * f2.n)
     assert abs(gluing.glue(l1, l2, gluing.GlueMap(f1, f2, (g1,), (g2,))).det()) == 4
+
+
+def test_one_bareiss_per_block_gram(monkeypatch):
+    calls, determinant = [], exact.determinant
+
+    def bareiss(m):
+        calls.append(m)
+        return determinant(m)
+
+    moved = random_basis_change(parse_lattice_expr("U+3A2+<-4>"), random.Random(5), 12)
+    monkeypatch.setattr(exact, "determinant", bareiss)
+    lattice._block_det.cache_clear()
+    built = [make_lattice(moved.gram_rows()) for _ in range(4)]  # as tag, iso, control and brown build it
+    assert len(calls) == 1 and len(moved.orthogonal_split()) == 1
+    assert all(l.det() == moved.det() == 3 ** 3 * -4 * -1 for l in built)
+    calls.clear()
+    twelve = make_lattice(parse_lattice_expr("12A1").gram_rows())  # twelve equal blocks
+    assert len(calls) == 1 and twelve.det() == 2 ** 12
+
+
+def test_degenerate_gram_raises_every_time():
+    lattice._block_det.cache_clear()
+    for gram in ([[2, 2], [2, 2]], lattice._block_gram([named("A2").gram, ((2, 2), (2, 2))])):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="degenerate gram matrix"):
+                make_lattice(gram)
 
 
 _RAW_GRAM_CHECKS = """
@@ -369,7 +397,7 @@ def test_invariants_memo_does_not_cache_errors():
 
 def test_memos_are_bounded():
     for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants,
-               lattice._block_inertia):
+               lattice._block_inertia, lattice._block_det):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
 
 

@@ -95,3 +95,34 @@ def test_no_floating_point(module):
     assert not [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, (float, complex))]
     assert not [n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                 and n.value.id == "math" and n.attr in ("sqrt", "pi", "exp", "log")]
+
+
+# every memo has an explicit bound: an int or `MEMO_SIZE`, never None
+def _unbounded_memos(module, tree):
+    """module:line of every `functools.cache` and of every `lru_cache` that is
+    not called with an int or `MEMO_SIZE` maxsize (None, or a bare decorator)."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [f"{module}:{node.lineno} cache" for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools" \
+                and node.attr == "cache":
+            out.append(f"{module}:{node.lineno} cache")
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            call = calls.get(id(node))
+            size = None if call is None else call.args[0] if call.args else next(
+                (k.value for k in call.keywords if k.arg == "maxsize"), None)
+            if not ((isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0)
+                    or (isinstance(size, ast.Name) and size.id == "MEMO_SIZE")):
+                out.append(f"{module}:{node.lineno} lru_cache")
+    return out
+
+
+def test_every_memo_is_bounded():
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                found += _unbounded_memos(fname[:-3], ast.parse(fh.read()))
+    assert not found, found
