@@ -160,12 +160,9 @@ def admissible_rr2_pairs() -> list[tuple[int, int]]:
 @lru_cache(maxsize=MEMO_SIZE)
 def _block_data(name: str):
     l = parse_lattice_expr(name)
-    f = forms.discriminant_form(l)
-    f2 = forms.p_part(f, 2)
-    f3 = forms.p_part(f, 3)
-    p3, q3 = forms.normal_form3(f3)
-    n_plus, _n_minus = signature(l)
-    return l.rank, n_plus, f2.ngens, forms.parity2(f2), p3, p3 + q3
+    tag = stability.genus_tag(l)
+    p3, q3 = tag.pq3
+    return l.rank, tag.sig[0], tag.p_rank(2), tag.delta2, p3, p3 + q3
 
 
 def _combined_invariants(names: list[str]):
@@ -493,10 +490,7 @@ def s_pair(nu_i: int, o: str) -> SPair:
 
 def _s_half_pq(l: Lattice) -> tuple[int, int]:
     """(p, q) of a 3-elementary S-half in <-2/3>-first convention."""
-    if l.rank == 0:
-        return (0, 0)
-    f3 = forms.p_part(forms.discriminant_form(l), 3)
-    a, b = forms.normal_form3(f3)
+    a, b = stability.genus_tag(l).pq3
     p = b % 2
     return p, a + b - p
 
@@ -553,16 +547,14 @@ def realize_pair(pair: TPair) -> dict:
         raise ValueError(f"involution: L+ not in the genus of the plus half ({pair.table_ref})")
     if stability.isomorphic_in_genus(lm.as_lattice(), pair.witness_minus) != "yes":
         raise ValueError(f"involution: L- not in the genus of the minus half ({pair.table_ref})")
-    f_glued = forms.discriminant_form(glued)
-    f2g = forms.p_part(f_glued, 2)
-    if forms.normal_form2(f2g) != ("odd", 0, 1):  # discr_2 T = <-1/2>
+    if stability.genus_tag(glued).symbol(2) != ((2, 1, 1, 1, 7),):  # discr_2 T = <-1/2>
         raise ValueError(f"involution: discr_2 of the glued lattice is not <-1/2> ({pair.table_ref})")
     if abs(pair.t_plus.r2 - pair.t_minus.r2) != 1:
         raise ValueError(f"involution: r2 of the halves differ by other than 1 ({pair.table_ref})")
     report["involution"] = "ok"
 
     two = named("<2>")
-    f2_t = f2g
+    f2_t = forms.p_part(forms.discriminant_form(glued), 2)
     f_two = forms.discriminant_form(two)
     gen_t = (1,)
     if f2_t.q(gen_t) != forms.THALF:

@@ -435,17 +435,32 @@ def _block_brown(p: int, k: int, u) -> int:
     return odd * (2 * (p % 4 == 3) + 4 * (_legendre(2 * u, p) == -1))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def jordan_constituents(gram: tuple[tuple[int, ...], ...]) -> tuple:
+    """(p, ((k, u, rank), ...)): the `_split` blocks of each p-part of the
+    discriminant form of one Gram matrix, memoized as `_block_form` is."""
+    f = _block_form(gram)
+    return tuple((p, tuple((k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p)[1]))
+                 for p in prime_factors_of_order(f))
+
+
 def jordan_symbol(f: FiniteQuadraticForm, p: int) -> tuple:
-    """The canonical p-adic symbol of the p-part of f, a complete invariant
-    of it (Conway-Sloane, SPLAG ch. 15 §7), one entry per scale p^k,
-    smallest first.
+    """The canonical p-adic symbol of the p-part of f: `canonical_symbol` of its `_split`."""
+    return canonical_symbol(p, [(k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p)[1]])
+
+
+def canonical_symbol(p: int, blocks) -> tuple:
+    """The canonical p-adic symbol of a finite form with the Jordan
+    constituents `blocks`, (k, u, rank) as `_split` makes them (in any
+    order), a complete invariant of the form (Conway-Sloane, SPLAG ch. 15
+    §7), one entry per scale p^k, smallest first.
 
     Odd p: (p^k, n_k, eps_k), the rank of the Jordan constituent and the
     Legendre symbol of the product of its units.
 
-    p = 2: (2^k, n_k, eps_k, odd_k, t_k).  Of the `_split` blocks of scale
-    2^k, each <u/2^k> makes the constituent odd, multiplies eps_k by (2/u)
-    and adds u to the oddity t_k (mod 8); each v_k multiplies eps_k by -1.
+    p = 2: (2^k, n_k, eps_k, odd_k, t_k).  Of the blocks of scale 2^k, each
+    <u/2^k> makes the constituent odd, multiplies eps_k by (2/u) and adds u
+    to the oddity t_k (mod 8); each v_k multiplies eps_k by -1.
     An even entry of scale 1 with a free sign stands in front for the
     unimodular part of a lattice with this form.  Oddity fusion puts the
     total oddity of each compartment (a run of odd constituents of
@@ -454,17 +469,16 @@ def jordan_symbol(f: FiniteQuadraticForm, p: int) -> tuple:
     train (adjacent scales with one of them odd, or one scale apart and both
     odd), adding 4 to each compartment holding either.  The scale-1 entry
     is dropped at the end."""
-    blocks = _split(p_part(f, p), p)[1]
     if p != 2:
         symbol = {}
-        for k, u, _idx in blocks:
+        for k, u, _rank in blocks:
             rank, unit = symbol.get(k, (0, 1))
             symbol[k] = (rank + 1, unit * u % p)
         return tuple((p ** k, rank, _legendre(unit, p)) for k, (rank, unit) in sorted(symbol.items()))
     scales = {}
-    for k, u, idx in blocks:
+    for k, u, rank in blocks:
         entry = scales.setdefault(k, [k, 0, 1, 0, 0])
-        entry[1] += len(idx)
+        entry[1] += rank
         if u == "v":
             entry[2] = -entry[2]
         elif u != "u":
@@ -578,16 +592,6 @@ def normal_form3(f: FiniteQuadraticForm) -> tuple[int, int]:
     _q, n, eps = (jordan_symbol(f, 3) or ((3, 0, 1),))[0]
     p = int(eps == -1)
     return p, n - p
-
-
-def parity2(f: FiniteQuadraticForm) -> int:
-    """delta_2: 0 when the elementary 2-group's inner product is even, 1 otherwise.
-
-    x -> b(x, x) = q(x) mod Z is additive on an elementary 2-group, so one
-    generator with q not in Z (an odd q_num, as n = 2) decides."""
-    if not is_elementary(f, 2):
-        raise ValueError("form is not an elementary 2-group")
-    return int(any(x % 2 for x in f.q_num))
 
 
 # Brown invariant -------------------------------------------------------------

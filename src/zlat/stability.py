@@ -1,10 +1,11 @@
 """Deciding isomorphism of even lattices in the genus.
 
 A GenusTag is the signature and the canonical p-adic symbol of each p-part
-of the discriminant form (`forms.jordan_symbol`), a complete invariant of
-the genus.  "yes" needs a stability certificate on top of equal tags;
-"unknown" is a first-class verdict and the classification pipeline treats it
-as a hard failure.
+of the discriminant form, assembled from the memoized Jordan constituents of
+the orthogonal blocks; it is a complete invariant of the genus, and every
+verdict reads it through its accessors.  "yes" needs a stability certificate
+on top of equal tags; "unknown" is a first-class verdict and the
+classification pipeline treats it as a hard failure.
 """
 
 from __future__ import annotations
@@ -21,72 +22,75 @@ class GenusTag:
     sig: tuple[int, int]
     parts: tuple
 
+    def symbol(self, p: int) -> tuple:
+        """The canonical p-adic symbol; () when p does not divide the discriminant."""
+        return next((sym for prime, sym in self.parts if prime == p), ())
+
+    def p_rank(self, p: int) -> int:
+        """l(A_p), the sum of the constituent ranks n_k."""
+        return sum(entry[1] for entry in self.symbol(p))
+
+    def is_elementary(self, p: int) -> bool:
+        """Whether p kills the p-part: every entry has scale p."""
+        return all(entry[0] == p for entry in self.symbol(p))
+
+    @property
+    def delta2(self) -> int:
+        """1 when the 2-part has an odd constituent, else 0."""
+        return int(any(entry[3] for entry in self.symbol(2)))
+
+    @property
+    def pq3(self) -> tuple[int, int]:
+        """(p, q) of the elementary 3-part p<2/3> + q<-2/3>: p = 1 exactly when eps = -1."""
+        if not self.is_elementary(3):
+            raise ValueError("discriminant is not elementary at 3")
+        p = int(any(entry[2] == -1 for entry in self.symbol(3)))
+        return p, self.p_rank(3) - p
+
 
 @lru_cache(maxsize=MEMO_SIZE)
 def genus_tag(l: Lattice) -> GenusTag:
     """The signature and the canonical p-adic symbol of each p-part of the
     discriminant form: complete, as the two fix the genus of an even lattice
-    (Nikulin 1979, Cor. 1.9.4)."""
-    f = forms.discriminant_form(l)
-    parts = tuple((p, forms.jordan_symbol(f, p)) for p in forms.prime_factors_of_order(f))
-    return GenusTag(signature(l), parts)
+    (Nikulin 1979, Cor. 1.9.4).  The Jordan splitting of an orthogonal sum
+    is the union of its blocks' splittings, so the symbols are read off the
+    constituents of the blocks of `Lattice.orthogonal_split`."""
+    if not l.is_even:
+        raise ValueError("lattice is not even")
+    union = {}
+    for _idx, g in l.orthogonal_split():
+        for p, blocks in forms.jordan_constituents(g):
+            union[p] = union.get(p, ()) + blocks
+    return GenusTag(signature(l), tuple((p, forms.canonical_symbol(p, union[p])) for p in sorted(union)))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def invariants(l: Lattice):
     """(r, r2, delta2, p, q) of an even lattice with elementary 2/3 discriminant."""
-    f = forms.discriminant_form(l)
-    r2 = forms.p_rank(f, 2)
-    f2 = forms.p_part(f, 2)
-    f3 = forms.p_part(f, 3)
-    d2 = forms.parity2(f2) if forms.is_elementary(f2, 2) else None
-    pq = forms.normal_form3(f3) if forms.is_elementary(f3, 3) else None
-    if d2 is None or pq is None:
+    tag = genus_tag(l)
+    if not (tag.is_elementary(2) and tag.is_elementary(3)):
         raise ValueError("discriminant is not elementary at 2 and 3")
-    return l.rank, r2, d2, pq[0], pq[1]
-
-
-def _discr_profile(l: Lattice):
-    f = forms.discriminant_form(l)
-    primes = forms.prime_factors_of_order(f)
-    ranks = {p: forms.p_rank(f, p) for p in primes}
-    elementary = {p: forms.is_elementary(forms.p_part(f, p), p) for p in primes}
-    return f, primes, ranks, elementary
+    return (l.rank, tag.p_rank(2), tag.delta2, *tag.pq3)
 
 
 def nikulin_stable(l: Lattice) -> bool:
-    """Nikulin's criterion: even indefinite with small p-ranks."""
-    np_, nm = signature(l)
-    if np_ == 0 or nm == 0 or not l.is_even:
+    """Nikulin's criterion: even indefinite, small p-ranks; r2 = r only for an even elementary 2-part."""
+    if not l.is_even:
         return False
-    r = l.rank
-    f, primes, ranks, _elem = _discr_profile(l)
-    for p in primes:
-        if p != 2 and ranks[p] > r - 2:
-            return False
-    r2 = ranks.get(2, 0)
-    if r2 < r:
-        return True
-    part2 = forms.p_part(f, 2)
-    if not forms.is_elementary(part2, 2):
+    tag = genus_tag(l)
+    if 0 in tag.sig or any(p != 2 and tag.p_rank(p) > l.rank - 2 for p, _sym in tag.parts):
         return False
-    kind, a, b = forms.normal_form2(part2)
-    return kind == "even" and a + b >= 1
+    return tag.p_rank(2) < l.rank or (tag.is_elementary(2) and not tag.delta2)
 
 
 def miranda_morrison_stable(l: Lattice) -> bool:
     """The Miranda-Morrison special case: even, 2/3-elementary, rank >= 3, indefinite."""
-    np_, nm = signature(l)
-    if np_ == 0 or nm == 0 or l.rank < 3 or not l.is_even:
+    if l.rank < 3 or not l.is_even:
         return False
-    _f, primes, ranks, elem = _discr_profile(l)
-    if any(p not in (2, 3) for p in primes):
+    tag = genus_tag(l)
+    if 0 in tag.sig or any(p not in (2, 3) or not tag.is_elementary(p) for p, _sym in tag.parts):
         return False
-    if not all(elem[p] for p in primes):
-        return False
-    r2 = ranks.get(2, 0)
-    r3 = ranks.get(3, 0)
-    return not (r2 == l.rank and r3 == l.rank)
+    return not (tag.p_rank(2) == l.rank and tag.p_rank(3) == l.rank)
 
 
 def _is_unimodular_hyperbolic(l: Lattice) -> bool:

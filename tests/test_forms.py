@@ -32,7 +32,6 @@ from zlat.forms import (
     normal_form3,
     p_part,
     p_rank,
-    parity2,
     prime_factors_of_order,
     q_cyclic,
     render_form,
@@ -40,6 +39,7 @@ from zlat.forms import (
     subgroup_order,
 )
 from zlat.lattice import extension_by_fraction, named, parse_lattice_expr, signature
+from zlat.stability import GenusTag, genus_tag
 from zlat.verify import _gauss_brown, aut_g_delta_orders, q_value_census
 
 F = Fraction
@@ -135,13 +135,13 @@ def test_van_der_blij_spot():
 
 def test_parity_and_characteristic():
     f = p_part(discriminant_form(parse_lattice_expr("U(2)")), 2)
-    assert parity2(f) == 0
+    assert oracle.parity2(f) == genus_tag(parse_lattice_expr("U(2)")).delta2 == 0
     assert oracle.characteristic_element(f) == _characteristic(f) == (0, 0)
     g = standard_form("<1/2>+<-1/2>")
-    assert parity2(g) == 1
+    assert oracle.parity2(g) == genus_tag(parse_lattice_expr("<2>+<-2>")).delta2 == 1
     assert oracle.characteristic_element(g) == _characteristic(g) == (1, 1)
     triv = discriminant_form(named("U"))
-    assert parity2(triv) == 0
+    assert oracle.parity2(triv) == genus_tag(named("U")).delta2 == 0
     assert oracle.characteristic_element(triv) == _characteristic(triv) == ()
 
 
@@ -409,15 +409,20 @@ def _check_blocks(f, blocks):
     return standard_form("+".join(_KIND_ATOM[k] for k, _ in blocks))
 
 
+def _tag(f):
+    """A GenusTag carrying the p-adic symbols of f (and a dummy signature), to read its accessors."""
+    return GenusTag((0, 0), tuple((p, jordan_symbol(f, p)) for p in prime_factors_of_order(f)))
+
+
 @given(elementary_forms(2))
 @settings(max_examples=60, deadline=None)
 def test_elementary2_matches_oracles(f):
     assert normal_form2(f) == oracle.normal_form2(f)
-    assert parity2(f) == oracle.parity2(f)
+    assert _tag(f).delta2 == oracle.parity2(f)
     assert _characteristic(f) == oracle.characteristic_element(f)
     assert fingerprint(f) == oracle.fingerprint(f)
     blocks = _blocks(f, 2)
-    assert any(k in ("e+", "e-") for k, _ in blocks) == parity2(f)
+    assert any(k in ("e+", "e-") for k, _ in blocks) == oracle.parity2(f)
     assert normal_form2(_check_blocks(f, blocks)) == normal_form2(f)
 
 
@@ -507,7 +512,7 @@ def test_anti_iso_root_matches_walk_oracle(pair):
         assert source.q(v) == F(3, 2)
         complement = oracle.complement_of(oracle.span(source, 2), [v])
         assert oracle.anti_normal_form2(oracle.normal_form2(complement)) == normal_form2(target)
-        assert (v == _characteristic(source)) == (parity2(target) == 0)
+        assert (v == _characteristic(source)) == (oracle.parity2(target) == 0)
 
 
 def test_build_anti_iso_none_reproducers():
@@ -818,6 +823,8 @@ def test_block_form_matches_whole_matrix_smith_form(case):
     assert f.size == whole.size == abs(l.det())
     for p in prime_factors_of_order(f):
         assert jordan_symbol(f, p) == jordan_symbol(whole, p)
+    # the tag, assembled from the blocks' constituents, against the whole form's symbols
+    assert genus_tag(l).parts == tuple((p, jordan_symbol(f, p)) for p in prime_factors_of_order(f))
     assert brown(f) == brown(whole)
     if f.size <= 256:
         assert oracle.isometric(f, whole)
@@ -908,6 +915,25 @@ def pgroup_pairs(draw):
 
 _MAX_SIZE = {2: 2 ** 8, 3: 3 ** 5, 5: 5 ** 3, 7: 7 ** 3}
 _PGROUPS = st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: pgroup_forms(p, _MAX_SIZE[p]))
+
+
+@given(st.one_of(elementary_forms(2), elementary_forms(3), _PGROUPS))
+@settings(max_examples=150, deadline=None)
+def test_tag_accessors_match_the_form(f):
+    # p-ranks and elementarity as the form's orders give them, delta2 and
+    # (p, q) as the element walks of the oracle do
+    tag = _tag(f)
+    for p in (2, 3, 5, 7):
+        assert tag.p_rank(p) == p_rank(f, p)
+        assert tag.is_elementary(p) == is_elementary(p_part(f, p), p)
+    f2, f3 = p_part(f, 2), p_part(f, 3)
+    if is_elementary(f2, 2):
+        assert tag.delta2 == oracle.parity2(f2)
+    if is_elementary(f3, 3):
+        assert tag.pq3 == normal_form3(f3) == oracle.normal_form3(f3)
+    else:
+        with pytest.raises(ValueError, match="not elementary at 3"):
+            tag.pq3
 
 
 @given(_PGROUPS)

@@ -8,7 +8,7 @@ from gluing_oracle import glue_index_r2, twist_parity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlat import exact, forms
+from zlat import exact, forms, stability
 from zlat.classify import CATALOG
 from zlat.gluing import (
     GlueMap,
@@ -197,8 +197,7 @@ def test_twist_parity_matches_delta2_of_plus_part():
         inv = LatticeInvolution(u, action)
         lp, _ = eigenlattices(inv)
         if lp.rank:
-            f2 = forms.p_part(forms.discriminant_form(lp.as_lattice()), 2)
-            d2 = forms.parity2(f2)
+            d2 = stability.genus_tag(lp.as_lattice()).delta2
         else:
             d2 = 0
         assert (twist_parity(inv) == "I") == (d2 == 0)

@@ -81,6 +81,34 @@ def test_only_verify_calls_the_fingerprints():
     assert not callers, callers
 
 
+# the verdicts and the census read the genus tag and its accessors, never
+# the symbols or ranks of a whole form (the glue maps still take p-parts)
+FORM_READERS = {"jordan_symbol", "normal_form2", "normal_form3", "p_rank", "is_elementary"}
+
+
+def _form_readers_called(tree):
+    """The names in FORM_READERS that some call in the tree reaches as
+    forms.f(...) or as f(...) after `from .forms import f`."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("forms")
+                for alias in node.names}
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "forms":
+                called.add(func.attr)
+            elif isinstance(func, ast.Name) and func.id in imported:
+                called.add(func.id)
+    return called & FORM_READERS
+
+
+@pytest.mark.parametrize("module", ["stability", "classify"])
+def test_verdicts_read_the_genus_tag(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        assert not _form_readers_called(ast.parse(fh.read()))
+
+
 # `verify` keeps a floating-point Gauss sum as the second side of a check
 EXACT_MODULES = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py") and f != "verify.py")
 

@@ -1,3 +1,12 @@
+import random
+from functools import lru_cache
+
+import pytest
+import stability_oracle
+
+from zlat import golden
+from zlat.classify import enumerate_ascending_t_pairs
+from zlat.exact import determinant
 from zlat.lattice import make_lattice, parse_lattice_expr, signature
 from zlat.stability import (
     _small_rank_certificate,
@@ -54,14 +63,12 @@ def test_odd_quotient_of_even_lattice():
     assert isomorphic_in_genus(l, l) == "yes"
 
 
-def test_certificate_never_raises_on_random_even_indefinite():
-    import random
-
-    from zlat.exact import determinant
-
+@lru_cache(maxsize=1)
+def _seeded_lattices():
+    """400 random even indefinite lattices of rank 3-6 with |det| <= 5000 (seed 1)."""
     rng = random.Random(1)
-    drawn = 0
-    while drawn < 400:
+    out = []
+    while len(out) < 400:
         n = rng.randint(3, 6)
         g = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -70,11 +77,53 @@ def test_certificate_never_raises_on_random_even_indefinite():
         if not 0 < abs(determinant(g)) <= 5000:
             continue
         l = make_lattice(g)
-        if 0 in signature(l):
-            continue
-        drawn += 1
+        if 0 not in signature(l):
+            out.append(l)
+    return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def _census_and_table5_lattices():
+    """The 136 witnesses of the 68 census pairs, then the 89 lattices that
+    the published Table 5 lists (every cell but "-" and "*")."""
+    witnesses = [l for pair in enumerate_ascending_t_pairs() for l in (pair.witness_plus, pair.witness_minus)]
+    cells = [L(cell) for _p, rows in golden.TABLE_5.values() for _d2, _rr2, row in rows
+             for cell in row if cell not in ("-", "*")]
+    return tuple(witnesses + cells)
+
+
+def test_certificate_never_raises_on_random_even_indefinite():
+    for l in _seeded_lattices():
         cert = stability_certificate(l)
         assert cert is None or isinstance(cert, str)
+
+
+def _invariants_or_raise(reader, l):
+    try:
+        return reader(l)
+    except ValueError:
+        return "raises"
+
+
+@pytest.mark.parametrize("lattices", [_seeded_lattices, _census_and_table5_lattices], ids=["seeded", "census"])
+def test_tag_readers_match_whole_form_oracle(lattices):
+    # invariants and certificates read off the genus tag, against the readers
+    # of the whole discriminant form they replace
+    for l in lattices():
+        assert _invariants_or_raise(invariants, l) == _invariants_or_raise(stability_oracle.invariants, l), l
+        assert stability_certificate(l) == stability_oracle.stability_certificate(l), l
+
+
+def test_genus_classes_of_census_and_table5():
+    # 225 lattices in 89 genera, and the invariants (r, r2, delta2, p, q)
+    # partition them as the genus tags do
+    lattices = _census_and_table5_lattices()
+    by_tag, by_invariants = {}, {}
+    for i, l in enumerate(lattices):
+        by_tag.setdefault(genus_tag(l), set()).add(i)
+        by_invariants.setdefault(invariants(l), set()).add(i)
+    assert len(lattices) == 225 and len(by_tag) == 89
+    assert sorted(map(sorted, by_tag.values())) == sorted(map(sorted, by_invariants.values()))
 
 
 def test_gauss_reduction_lands_diagonal():
