@@ -332,31 +332,33 @@ def is_elementary(f: FiniteQuadraticForm, p: int) -> bool:
 
 # Jordan splitting ---------------------------------------------------------------
 
-def _split(f: FiniteQuadraticForm, p: int):
+def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
     """Jordan splitting of a p-group by Gram-Schmidt over Z/p^k, scale by scale.
 
-    Tracks vectors over the form's generators, their pairings n*b mod n and,
-    for p = 2, their squares n*q mod 2n (q is fixed by b for odd p): these
-    start as b_num and q_num.  At scale m, from the exponent n down to p,
-    every live pairing has order dividing m, so its numerator is a multiple
-    of s = n/m.  A vector x with b(x, x) of order m splits off alone, each
-    other t becoming t - b(t, x) b(x, x)^-1 x.  When none is left, odd p
-    turns x into x + y for a pair with b(x, y) of order m, whose
-    b(x + y, x + y) = b(x, x) + b(y, y) + 2b(x, y) then has order m; p = 2
-    splits off the pair, after x + y replaces the one of x, y whose square
-    has an odd numerator over 2/m (x + y has an even one), and projects the
-    others by the adjugate of the pair's Gram block, whose determinant is
-    odd.  When no pair of order m is left either, the scale drops to m/p.
+    Tracks vectors over the form's generators (only `with_vectors`), their
+    pairings n*b mod n and, for p = 2, their squares n*q mod 2n (q is fixed
+    by b for odd p): these start as b_num and q_num.  At scale m, from the
+    exponent n down to p, every live pairing has order dividing m, so its
+    numerator is a multiple of s = n/m.  A vector x with b(x, x) of order m
+    splits off alone, each other t becoming t - b(t, x) b(x, x)^-1 x.  When
+    none is left, odd p turns x into x + y for a pair with b(x, y) of order
+    m, whose b(x + y, x + y) = b(x, x) + b(y, y) + 2b(x, y) then has order m;
+    p = 2 splits off the pair, after x + y replaces the one of x, y whose
+    square has an odd numerator over 2/m (x + y has an even one), and
+    projects the others by the adjugate of the pair's Gram block, whose
+    determinant is odd.  When no pair of order m is left either, the scale
+    drops to m/p.
 
-    Returns the vectors and the blocks (k, u, vector indices) of scale p^k
-    in the order split off: <u/p^k> of rank 1, with q(x) = u/2^k for p = 2
-    and b(x, x) = u/p^k for odd p, or the pair u_k ("u": 2^(k-1) q(x) and
-    2^(k-1) q(y) even) or v_k ("v": both odd).  Raises on a degenerate form.
+    Returns the vectors (None without `with_vectors`) and the blocks
+    (k, u, vector indices) of scale p^k in the order split off: <u/p^k> of
+    rank 1, with q(x) = u/2^k for p = 2 and b(x, x) = u/p^k for odd p, or
+    the pair u_k ("u": 2^(k-1) q(x) and 2^(k-1) q(y) even) or v_k ("v":
+    both odd).  Raises on a degenerate form.
     """
     n, r = f.n, f.ngens
     b = [list(row) for row in f.b_num]
     q = list(f.q_num) if p == 2 else None
-    vecs = [[int(a == c) for c in range(r)] for a in range(r)]
+    vecs = [[int(a == c) for c in range(r)] for a in range(r)] if with_vectors else None
 
     def add(t, s, c=1):  # vector t += c * vector s, keeping b and q in step
         if q is not None:
@@ -366,7 +368,8 @@ def _split(f: FiniteQuadraticForm, p: int):
         b[t] = row
         for u, x in enumerate(row):
             b[u][t] = x
-        vecs[t] = [(x + c * y) % n for x, y in zip(vecs[t], vecs[s])]
+        if vecs is not None:
+            vecs[t] = [(x + c * y) % n for x, y in zip(vecs[t], vecs[s])]
 
     k, m = 0, 1
     while m < n:
@@ -440,13 +443,13 @@ def jordan_constituents(gram: tuple[tuple[int, ...], ...]) -> tuple:
     """(p, ((k, u, rank), ...)): the `_split` blocks of each p-part of the
     discriminant form of one Gram matrix, memoized as `_block_form` is."""
     f = _block_form(gram)
-    return tuple((p, tuple((k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p)[1]))
+    return tuple((p, tuple((k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p, False)[1]))
                  for p in prime_factors_of_order(f))
 
 
 def jordan_symbol(f: FiniteQuadraticForm, p: int) -> tuple:
     """The canonical p-adic symbol of the p-part of f: `canonical_symbol` of its `_split`."""
-    return canonical_symbol(p, [(k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p)[1]])
+    return canonical_symbol(p, [(k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p, False)[1]])
 
 
 def canonical_symbol(p: int, blocks) -> tuple:
@@ -514,7 +517,7 @@ def _blocks(f: FiniteQuadraticForm, p: int):
     with both squares 0/1, "t+"/"t-" for 3b(x, x) = 2/1."""
     if not is_elementary(f, p):
         raise ValueError(f"form is not an elementary {p}-group")
-    vecs, blocks = _split(f, p)
+    vecs, blocks = _split(f, p, True)
     kind = {(2, 1): "e+", (2, 3): "e-", (2, "u"): "u2", (2, "v"): "v2", (3, 2): "t+", (3, 1): "t-"}
     return [(kind[p, u], [tuple(vecs[i]) for i in idx]) for _k, u, idx in blocks]
 
@@ -600,7 +603,7 @@ def brown(f: FiniteQuadraticForm) -> int:
     """The Brown invariant in Z/8, exact for every finite form: the sum of the
     closed forms `_block_brown` over the Jordan splitting of each p-part."""
     return sum(_block_brown(p, k, u) for p in prime_factors_of_order(f)
-               for k, u, _idx in _split(p_part(f, p), p)[1]) % 8
+               for k, u, _idx in _split(p_part(f, p), p, False)[1]) % 8
 
 
 # element census and subgroups ---------------------------------------------------
@@ -716,24 +719,23 @@ def aut_order(f: FiniteQuadraticForm) -> int:
 
 @dataclass(frozen=True)
 class GlueMap:
-    """Anti-isomorphism between subgroups of two discriminant forms, on generators."""
+    """Anti-isomorphism between subgroups of two discriminant forms, on
+    generators, with the order of the glued subgroup (found by the check)."""
 
     source_form: FiniteQuadraticForm
     target_form: FiniteQuadraticForm
     source_gens: tuple
     target_gens: tuple
+    subgroup_order: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.source_gens) != len(self.target_gens):
             raise ValueError("generator lists differ in length")
-        if not is_anti_isomorphism(
-            self.source_form, list(self.source_gens), self.target_form, list(self.target_gens)
-        ):
+        order = _anti_iso_order(self.source_form, list(self.source_gens),
+                                self.target_form, list(self.target_gens))
+        if order is None:
             raise ValueError("not an anti-isomorphism")
-
-    @property
-    def subgroup_order(self) -> int:
-        return subgroup_order(self.source_form, list(self.source_gens))
+        object.__setattr__(self, "subgroup_order", order)
 
 
 def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> bool:
@@ -744,14 +746,26 @@ def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadrat
     generator and b is on each pair.  A generator of source order 1 only
     enters the span with coefficient 0, so it is skipped.
     """
+    return _anti_iso_order(fsrc, src_gens, ftgt, tgt_gens) is not None
+
+
+def _anti_iso_order(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> int | None:
+    """The order of the span of src_gens when `is_anti_isomorphism` holds, else None.
+
+    With numerators a over n_s and c over n_t, a/n_s + c/n_t vanishes mod 2
+    (for q) or mod 1 (for b) exactly when a*n_t + c*n_s does mod 2*n_s*n_t
+    or mod n_s*n_t.
+    """
+    ns, nt = fsrc.n, ftgt.n
     pairs = [(g, t) for g, t in zip(src_gens, tgt_gens) if fsrc.element_order(g) > 1]
     for i, (g, t) in enumerate(pairs):
-        if (fsrc.q(g) + ftgt.q(t)) % 2:
-            return False
+        if (fsrc.q_numer(g) * nt + ftgt.q_numer(t) * ns) % (2 * ns * nt):
+            return None
         for g2, t2 in pairs[i + 1:]:
-            if (fsrc.b(g, g2) + ftgt.b(t, t2)) % 1:
-                return False
-    return subgroup_order(fsrc, src_gens) == subgroup_order(ftgt, tgt_gens)
+            if (fsrc.b_numer(g, g2) * nt + ftgt.b_numer(t, t2) * ns) % (ns * nt):
+                return None
+    order = subgroup_order(fsrc, src_gens)
+    return order if order == subgroup_order(ftgt, tgt_gens) else None
 
 
 def _negated(f: FiniteQuadraticForm) -> FiniteQuadraticForm:

@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 from . import exact
 from .exact import Matrix
@@ -47,7 +48,8 @@ class Lattice:
         nonzero pattern of the Gram matrix, ascending indices, by smallest
         index; blocks need not be contiguous, and a single block is the Gram
         matrix itself.  Computed once per lattice, for the determinant,
-        `signature` and `forms.discriminant_form`."""
+        `signature` and `forms.discriminant_form`, unless `direct_sum` or
+        `parse_lattice_expr` handed it over from the blocks they placed."""
         if self._orthogonal is None:
             g, n = self.gram, self.rank
             seen = [False] * n
@@ -94,12 +96,19 @@ def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
     return Lattice(tuple(tuple(row) for row in gram), expr)
 
 
-def _with_det(gram: Matrix, det: int, expr: str | None = None) -> Lattice:
-    """A Lattice whose determinant its constructor already knows (no Bareiss)."""
+def _with_det(gram: Matrix, det: int, expr: str | None = None, blocks=None) -> Lattice:
+    """A Lattice whose determinant its constructor already knows (no Bareiss).
+
+    A constructor that places connected blocks on the diagonal also hands
+    over their (indices, Gram matrix) as `blocks`, ascending, and the lattice
+    keeps them as its `orthogonal_split` instead of walking the components.
+    """
     l = object.__new__(Lattice)
     object.__setattr__(l, "gram", tuple(tuple(row) for row in gram))
     object.__setattr__(l, "expr", expr)
     l._validate(det)
+    if blocks is not None:
+        object.__setattr__(l, "_orthogonal", tuple(blocks))
     return l
 
 
@@ -200,10 +209,20 @@ def _block_gram(grams) -> Matrix:
     return out
 
 
+def _block_sum(parts, expr: str | None) -> Lattice:
+    """The lattice with the (Gram matrix, det, orthogonal split) parts on its
+    diagonal; its split is theirs, shifted, so no component walk runs."""
+    blocks, off, det = [], 0, 1
+    for gram, d, split in parts:
+        blocks += [(tuple(i + off for i in idx), g) for idx, g in split]
+        off, det = off + len(gram), det * d
+    return _with_det(_block_gram([gram for gram, _d, _s in parts]), det, expr, blocks)
+
+
 def direct_sum(*lattices: Lattice) -> Lattice:
     parts = [l for l in lattices if l.rank > 0]
     expr = "+".join(l.expr for l in parts) if all(l.expr for l in parts) else None
-    return _with_det(_block_gram([l.gram for l in parts]), math.prod(l.det() for l in parts), expr)
+    return _block_sum([(l.gram, l.det(), l.orthogonal_split()) for l in parts], expr)
 
 
 EMPTY = make_lattice([], "0")
@@ -261,19 +280,25 @@ def _overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, Matrix]:
 
     The basis is H/den, where H is the HNF of den*I stacked on the rows
     (computed modulo den); its Gram matrix is H*G*H^T / den^2, integral
-    exactly when den^2 divides every entry.  Rows of another width than the
-    rank do not lie in l (x) Q.
+    exactly when den^2 divides every entry.  Most rows of H stay den*e_i,
+    so the product starts from den^2*G and only the other (glue) rows h
+    recompute their row and column, from h*G.  Rows of another width than
+    the rank do not lie in l (x) Q.
     """
     n = l.rank
     if any(len(w) != n for w in rows):
         raise ValueError("overlattice generators do not span")
     h = exact.hermite_normal_form_mod(rows, den, n)
-    # H*G*H^T = H*(H*G)^T for symmetric G: both products run over the sparse rows of H
-    scaled = exact.mat_mul(h, exact.transpose(exact.mat_mul(h, l.gram_rows())))
     den2 = den * den
-    if any(x % den2 for row in scaled for x in row):
-        raise ValueError("overlattice is not integral")
-    gram = [[x // den2 for x in row] for row in scaled]
+    gram = l.gram_rows()
+    glue = {i: exact.mat_mul([h[i]], gram)[0] for i in range(n)
+            if h[i] != [den * (i == j) for j in range(n)]}
+    for i, hg in glue.items():
+        for j in range(n):
+            x = sum(map(mul, hg, h[j])) if j in glue else den * hg[j]
+            if x % den2:
+                raise ValueError("overlattice is not integral")
+            gram[i][j] = gram[j][i] = x // den2
     if any(gram[i][i] % 2 for i in range(n)):
         raise ValueError("overlattice is not even")
     # H is upper triangular, so det(gram) = det(l) * (prod diag H)^2 / den^(2n)
@@ -346,8 +371,13 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def parse_lattice_expr(text: str) -> Lattice:
-    """Evaluate a lattice expression like "U(3)+2A2+A1" or "<2>+3<-6>"."""
+    """Evaluate a lattice expression like "U(3)+2A2+A1" or "<2>+3<-6>".
+
+    Memoized on the text (a Lattice is immutable).  Each atom, scaled or
+    not, is connected, so the atoms are the blocks of the orthogonal split.
+    """
     pos = 0
     n = len(text)
 
@@ -398,7 +428,7 @@ def parse_lattice_expr(text: str) -> Lattice:
         raise ExprError(f"unexpected character {ch!r}", pos)
 
     def parse_term() -> list:
-        """The term's atoms as (Gram matrix, det), one per repetition."""
+        """The term's atoms as (Gram matrix, det, split), one per repetition."""
         nonlocal pos
         skip_ws()
         count = parse_uint()
@@ -421,9 +451,9 @@ def parse_lattice_expr(text: str) -> Lattice:
             scale = -scale if neg else scale
             if scale == 0:
                 raise ExprError("zero scale", pos)
-            gram = [[scale * x for x in row] for row in gram]
+            gram = tuple(tuple(scale * x for x in row) for row in gram)
             det *= scale**atom.rank
-        return [(gram, det)] * (count if count is not None else 1)
+        return [(gram, det, ((tuple(range(atom.rank)), gram),))] * (count if count is not None else 1)
 
     skip_ws()
     if pos >= n:
@@ -436,7 +466,7 @@ def parse_lattice_expr(text: str) -> Lattice:
         pos += 1
         atoms += parse_term()
         skip_ws()
-    return _with_det(_block_gram([g for g, _d in atoms]), math.prod(d for _g, d in atoms), render_expr(text))
+    return _block_sum(atoms, render_expr(text))
 
 
 def render_expr(text: str) -> str:

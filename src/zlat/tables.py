@@ -8,9 +8,11 @@ documented misprints of the source tables as whitelisted discrepancies.
 
 from __future__ import annotations
 
+import copy
 import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import golden, stability
 from .classify import (
@@ -23,7 +25,7 @@ from .classify import (
     witness_lattice,
     THalfInvariants,
 )
-from .lattice import parse_lattice_expr
+from .lattice import MEMO_SIZE, parse_lattice_expr
 from .sextic import cubic_topology, id_from_t_pair, render_code, simple_code_text
 
 _SUBSCRIPTS = str.maketrans("0123456789-", "₀₁₂₃₄₅₆₇₈₉₋")
@@ -407,34 +409,42 @@ def _table(table_id: str) -> Table:
         raise ValueError(f"unknown table id {table_id!r}") from None
 
 
-def computed_table(table_id: str) -> dict:
-    """Headers, display rows, and JSON payload for one table id."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _built(table_id: str) -> tuple:
+    """(headers, display rows, JSON payload) of one table id, built once for
+    every format.  Only read here and in `emit_table`; `computed_table`
+    hands out copies, so no caller can change it."""
     table = _table(table_id)
     rows, payload = table.build()
-    return {"headers": list(table.headers), "rows": rows, "json": payload}
+    return table.headers, tuple(map(tuple, rows)), payload
+
+
+def computed_table(table_id: str) -> dict:
+    """Headers, display rows, and JSON payload for one table id, as fresh lists and dicts."""
+    headers, rows, payload = _built(table_id)
+    return {"headers": list(headers), "rows": [list(row) for row in rows], "json": copy.deepcopy(payload)}
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 def emit_table(table_id: str, fmt: str = "md", ascii_mode: bool = False) -> str:
-    data = computed_table(table_id)
+    headers, rows, payload = _built(table_id)
     if fmt == "json":
-        return json.dumps({"table": table_id, "rows": data["json"]}, indent=2)
-    rows = data["rows"]
+        return json.dumps({"table": table_id, "rows": payload}, indent=2)
     if not ascii_mode:
         pretty = TABLES[table_id].pretty
         rows = [[pretty(c) for c in row] for row in rows]
     if fmt == "csv":
-        lines = [",".join(data["headers"])]
+        lines = [",".join(headers)]
         lines += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "md":
         widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(data["headers"])]
+                  for i, h in enumerate(headers)]
         def line(cells):
             return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-        out = [line(data["headers"]), line(["-" * w for w in widths])]
+        out = [line(headers), line(["-" * w for w in widths])]
         out += [line(row) for row in rows]
         return "\n".join(out) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

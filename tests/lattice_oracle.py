@@ -7,13 +7,16 @@ Gram matrix per expression: every atom is a `Lattice`, a term is the
 are the reference for the one-construction parser.
 
 `rescale` (with its renamed expression) and `hyperbolic_branch` are lattice
-operations the package no longer calls; they live here for the tests.
+operations the package no longer calls; they live here for the tests, with
+`dense_overlattice`, the full product H*G*H^T that `_overlattice` patches.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
+from zlat import exact
 from zlat.lattice import ExprError, Lattice, _with_det, direct_sum, make_lattice, named, render_expr, signature
 
 
@@ -37,6 +40,23 @@ def _rescale_expr(expr: str | None, n: int) -> str | None:
         scale = int(m[3] or 1) * n
         terms.append(m[1] + m[2] + (f"({scale})" if scale != 1 else ""))
     return "+".join(terms)
+
+
+def dense_overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, list]:
+    """`lattice._overlattice` with every entry of H*G*H^T computed."""
+    n = l.rank
+    if any(len(w) != n for w in rows):
+        raise ValueError("overlattice generators do not span")
+    h = exact.hermite_normal_form_mod(rows, den, n)
+    scaled = exact.mat_mul(h, exact.transpose(exact.mat_mul(h, l.gram_rows())))
+    den2 = den * den
+    if any(x % den2 for row in scaled for x in row):
+        raise ValueError("overlattice is not integral")
+    gram = [[x // den2 for x in row] for row in scaled]
+    if any(gram[i][i] % 2 for i in range(n)):
+        raise ValueError("overlattice is not even")
+    det_h = math.prod(h[i][i] for i in range(n))
+    return _with_det(gram, l.det() * det_h * det_h // den2**n), h
 
 
 def hyperbolic_branch(l: Lattice) -> str | None:

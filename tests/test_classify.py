@@ -329,8 +329,9 @@ except ArithmeticError as e:
 exact.inertia = real_inertia
 
 l1, l2 = named("<2>"), named("<-2>")
+# phi records this order, which breaks det(l1 +_phi l2) |H|^2 = det(l1) det(l2)
+forms.subgroup_order = lambda f, gens: 1
 phi = GlueMap(forms.discriminant_form(l1), forms.discriminant_form(l2), ((1,),), ((1,),))
-forms.subgroup_order = lambda f, gens: 1  # breaks det(l1 +_phi l2) |H|^2 = det(l1) det(l2)
 try:
     glue(l1, l2, phi)
 except ValueError as e:

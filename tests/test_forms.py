@@ -940,7 +940,8 @@ def test_tag_accessors_match_the_form(f):
 @settings(max_examples=150, deadline=None)
 def test_split_blocks_are_orthogonal_and_span(f):
     (p,) = prime_factors_of_order(f)
-    vecs, blocks = _split(f, p)
+    vecs, blocks = _split(f, p, True)
+    assert _split(f, p, False) == (None, blocks)
     for k, u, idx in blocks:
         xs = [vecs[i] for i in idx]
         assert all(f.element_order(x) == p ** k for x in xs)

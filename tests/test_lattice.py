@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lattice_oracle import hyperbolic_branch, rescale
 
-from zlat import exact, forms, lattice, stability
+from zlat import exact, forms, lattice, stability, tables
 from zlat.classify import CATALOG
 from zlat.lattice import (
+    EMPTY,
     MEMO_SIZE,
     ExprError,
     direct_sum,
@@ -397,7 +398,8 @@ def test_invariants_memo_does_not_cache_errors():
 
 def test_memos_are_bounded():
     for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants,
-               lattice._block_inertia, lattice._block_det, forms.jordan_constituents):
+               lattice._block_inertia, lattice._block_det, forms.jordan_constituents,
+               lattice.parse_lattice_expr, tables._built):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
 
 
@@ -417,6 +419,19 @@ def test_signature_of_interleaved_blocks_matches_dense_inertia(text, rng):
     np_, nz, nm = exact_oracle.dense_inertia(moved.gram_rows())
     assert nz == 0
     assert signature(moved) == (np_, nm)
+
+
+@given(_CATALOG_EXPRS, st.lists(_TERMS, min_size=1, max_size=3).map("+".join),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_handed_over_split_matches_component_walk(text1, text2, rng):
+    l1, l2 = parse_lattice_expr(text1), parse_lattice_expr(text2)
+    perm = list(range(l1.rank))
+    rng.shuffle(perm)
+    moved = make_lattice(_permuted(l1.gram_rows(), perm))  # its split is walked, blocks interleaved
+    for l in (l1, l2, direct_sum(l1, l2), direct_sum(l2, EMPTY, l1, l1), direct_sum(moved, l2)):
+        assert l._orthogonal is not None  # handed over by the constructor, not yet walked
+        assert l.orthogonal_split() == make_lattice(l.gram_rows()).orthogonal_split()
 
 
 def test_signature_raises_on_a_degenerate_block():
@@ -451,3 +466,51 @@ def test_rescale_expr():
 def test_rescale_expr_round_trips(text, n):
     r = rescale(parse_lattice_expr(text), n)
     assert parse_lattice_expr(r.expr).gram == r.gram
+
+
+# overlattice Gram matrices patched on the glue rows ---------------------------
+
+def _overlattice_outcome(fn, l, rows, den):
+    try:
+        out, h = fn(l, rows, den)
+    except ValueError as e:
+        return str(e)
+    return out.gram, out.det(), h
+
+
+@st.composite
+def _lifted_rows(draw):
+    """A sum of catalog blocks in a random basis, with lifts of elements of its
+    discriminant group over the exponent n, some moved by a vector or a
+    multiple of e_i."""
+    l = parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(CATALOG + ["<-4>", "A3(-2)"]),
+                                                   min_size=1, max_size=3))))
+    l = random_basis_change(l, draw(st.randoms(use_true_random=False)), 2 * l.rank if l.rank > 1 else 0)
+    f = forms.discriminant_form(l)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = tuple(draw(st.integers(0, d - 1)) for d in f.orders)
+        w = f.lift_vector(x)[0] if f.ngens else [0] * l.rank
+        w = [c + f.n * draw(st.integers(-1, 1)) for c in w]
+        if draw(st.integers(0, 3)) == 0:
+            w[draw(st.integers(0, l.rank - 1))] += draw(st.integers(1, f.n))
+        rows.append(w)
+    return l, rows, f.n
+
+
+@given(_lifted_rows())
+@settings(max_examples=150, deadline=None)
+def test_overlattice_matches_dense_product(case):
+    l, rows, den = case
+    assert _overlattice_outcome(lattice._overlattice, l, rows, den) \
+        == _overlattice_outcome(lattice_oracle.dense_overlattice, l, rows, den)
+
+
+def test_overlattice_patches_a_row_d_e_i_with_d_not_den():
+    # the extension of 2U(3) by an isotropic element whose lift is e_2 / 3
+    l = parse_lattice_expr("2U(3)")
+    out = _overlattice_outcome(lattice._overlattice, l, [[0, 0, 1, 0]], 3)
+    assert out == _overlattice_outcome(lattice_oracle.dense_overlattice, l, [[0, 0, 1, 0]], 3)
+    gram, det, h = out
+    assert h[2] == [0, 0, 1, 0] and det == 9  # U(3) + U
+    assert gram == ((0, 3, 0, 0), (3, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))

@@ -46,6 +46,20 @@ def test_formats_carry_identical_row_multisets():
         assert len(md) == len(csv) == len(payload) == len(data["rows"])
 
 
+def test_changing_computed_table_leaves_emit_table_alone():
+    for tid in ("8A", "4"):
+        emitted = {fmt: emit_table(tid, fmt) for fmt in ("md", "csv", "json")}
+        data = computed_table(tid)
+        data["headers"].append("extra")
+        data["rows"][0][0] = "changed"
+        data["rows"].append(["extra"])
+        record = data["json"][0]
+        next(v for v in record.values() if isinstance(v, (dict, list))).clear()
+        record["added"] = 1
+        assert {fmt: emit_table(tid, fmt) for fmt in ("md", "csv", "json")} == emitted
+        assert computed_table(tid) != data
+
+
 def test_t_pair_record_schema():
     rec = t_pair_record(pair_by_ref("8B:2"))
     assert set(rec) == {"tPlus", "tMinus", "reversible", "partnerIndex", "tableRef"}
