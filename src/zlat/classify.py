@@ -512,6 +512,7 @@ def _check_s_pair(nu_i, o, s_plus, s_minus):
 
 T_EXPR = "U+U(3)+2A2+A1"
 T_PRIME_EXPR = "2U+U(3)+2A2"
+ROOT_FORM = forms.q_cyclic(2, forms.HALF)  # <1/2>, the discriminant form of a root's half
 
 
 def t_glue_map(pair: TPair) -> GlueMap:
@@ -520,7 +521,7 @@ def t_glue_map(pair: TPair) -> GlueMap:
     discr_2 T+, whose image is the complement of the root (the image of <1/2>)."""
     f2_1 = forms.p_part(forms.discriminant_form(pair.witness_plus), 2)
     f2_2 = forms.p_part(forms.discriminant_form(pair.witness_minus), 2)
-    images = forms.anti_iso_images(forms.direct_sum_forms(forms.q_cyclic(2, forms.HALF), f2_1), f2_2, 2)
+    images = forms.anti_iso_images(forms.direct_sum_forms(ROOT_FORM, f2_1), f2_2, 2)
     if images is None:
         raise ValueError(f"stage a: no root element for pair {pair.table_ref}")
     return GlueMap(f2_1, f2_2, f2_1.units, tuple(images[1:]))

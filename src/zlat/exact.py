@@ -8,7 +8,6 @@ No floating point anywhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 Matrix = list[list[int]]
@@ -46,8 +45,13 @@ def mat_eq(a, b) -> bool:
 
 
 def is_symmetric(m) -> bool:
+    """Whether m is square and equal to its transpose; a tuple-of-tuples
+    matrix is compared with the transpose as it is, without a copy."""
     n = len(m)
-    return all(len(r) == n for r in m) and [tuple(r) for r in m] == list(zip(*m))
+    if not all(len(r) == n for r in m):
+        return False
+    t = tuple(zip(*m))
+    return m == t or [tuple(r) for r in m] == list(t)
 
 
 def determinant(m) -> int:
@@ -129,9 +133,14 @@ def hermite_normal_form_mod(rows, den: int, n: int) -> Matrix:
     (h_j, w) <- (s*h_j + t*w, (d/g)*w - (a/g)*h_j) is unimodular and clears
     w_j.  Rows h_c with c > j are not yet touched by this insertion and span
     den*e_c, so the entries right of column j stay reduced mod den.  A last
-    pass reduces the entries above each pivot into [0, pivot).
+    pass reduces the entries above each pivot into [0, pivot); a row still
+    den*e_i has none to reduce, so the pass visits only the rows that an
+    insertion replaced.
     """
-    h = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    h = [[0] * n for _ in range(n)]
+    for i in range(n):
+        h[i][i] = den
+    moved = set()
     for w in rows:
         w = [x % den for x in w]
         for j in range(n):
@@ -149,13 +158,16 @@ def hermite_normal_form_mod(rows, den: int, n: int) -> Matrix:
             t = pow(a1, -1, d1)
             s = (1 - t * a1) // d1
             h[j] = [(s * y + t * x) % den for x, y in zip(w, p)]
+            moved.add(j)
             w = [(d1 * x - a1 * y) % den for x, y in zip(w, p)]
-    for k in range(n):
-        pk = h[k]
-        for i in range(k):
-            q = h[i][k] // pk[k]
+            if not any(w):
+                break
+    for i in moved:  # in any order: each row ends reduced, and the Hermite form is unique
+        hi = h[i]
+        for k in range(i + 1, n):
+            q = hi[k] // h[k][k]
             if q:
-                h[i] = [x - q * y for x, y in zip(h[i], pk)]
+                hi = h[i] = [x - q * y for x, y in zip(hi, h[k])]
     return h
 
 
@@ -270,80 +282,89 @@ def saturate(b) -> Matrix:
 def inertia(g) -> tuple[int, int, int]:
     """Exact (n_plus, n_zero, n_minus) of a symmetric integer matrix.
 
-    Sylvester's law of inertia by symmetric elimination over Z: each pivot
-    d on the diagonal counts its sign, and the remainder is congruent to its
+    Sylvester's law of inertia by symmetric elimination over Z on sparse
+    rows (a dict of the nonzero entries of each remaining row): each pivot d
+    on the diagonal counts its sign, and the remainder is congruent to its
     Schur complement.  A step rewrites only the rows that meet the pivot:
     with a_i = a_ip != 0 and g = gcd(d, a_i), the congruence
     e_i <- (|d|/g) e_i - sign(d) (a_i/g) e_p makes e_i orthogonal to e_p and
     leaves every other row alone; each rewritten row and its column are then
     divided by the largest c of its content with c^2 dividing its diagonal
-    entry, so entries stay bounded.  When most rows meet the pivot (a dense
-    remainder), every row is rewritten at once: |d| times the Schur
-    complement, sign(d) * (d*A' - a*a^T), divided by its content.  Pivots
-    on a sparse remainder have the fewest nonzero entries in their row, on a
-    dense one the smallest |d|.  With no nonzero diagonal entry, adding row
-    and column r into c for some a_rc != 0 (a congruence) makes
-    a_cc = 2*a_rc.  n_zero is the size of the remainder once it is zero.
+    entry, so entries stay bounded.  A step costs the entries of the rows it
+    rewrites and a min over the stored pivot keys, not a pass over the whole
+    remainder.  The pivot has the fewest nonzero entries in its row, then
+    the smallest |d|.  With no nonzero
+    diagonal entry, adding row and column r into c for the first a_rc != 0
+    (a congruence) makes a_cc = 2*a_rc.  n_zero is the size of the
+    remainder once it is zero.
     """
     if not is_symmetric(g):
         raise ValueError("matrix not symmetric")
-    a = copy_matrix(g)
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(g)}
+    # the pivot key (nonzeros, |d|, i) of each row with a nonzero diagonal entry;
+    # a step changes only the keys of the rows it rewrites
+    keys = {i: (len(row), abs(row[i]), i) for i, row in rows.items() if i in row}
     n_plus = n_minus = 0
-    dense = False
-    while a:
-        if dense:
-            k = min((i for i in range(len(a)) if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
+    while rows:
+        if keys:
+            k = min(keys.values())[2]
+            del keys[k]
         else:
-            best = min(((-row.count(0), abs(row[i]), i) for i, row in enumerate(a) if row[i]), default=None)
-            k = best[2] if best else None
-        if k is None:
-            r, k = next(((r, c) for r, row in enumerate(a) for c, x in enumerate(row) if x),
-                        (None, None))
+            r = next((r for r, row in rows.items() if row), None)
             if r is None:
                 break
-            a[k] = [x + y for x, y in zip(a[k], a[r])]
-            for row in a:
-                row[k] += row[r]
-        d = a[k][k]
+            rr = rows[r]
+            k = min(rr)
+            rk = rows[k]
+            for j, x in list(rr.items()):
+                if j != k:
+                    y = rk.get(j, 0) + x
+                    if y:
+                        rk[j] = rows[j][k] = y
+                    else:
+                        del rk[j], rows[j][k]
+            rk[k] = 2 * rr[k]  # a_kk = a_rr = 0
+        pivot = rows.pop(k)
+        d = pivot.pop(k)
         if d > 0:
             n_plus += 1
         else:
             n_minus += 1
         s = 1 if d > 0 else -1
-        pivot = a.pop(k)
-        del pivot[k]
-        col = [row.pop(k) for row in a]
-        dense = 2 * (len(col) - col.count(0)) > len(col)
-        if dense:
-            a = [[s * (d * x - ai * aj) for x, aj in zip(row, pivot)] if ai else [abs(d) * x for x in row]
-                 for row, ai in zip(a, col)]
-            content = math.gcd(*itertools.chain.from_iterable(a))
-            if content > 1:
-                a = [[x // content for x in row] for row in a]
-            continue
-        touched = [i for i, ai in enumerate(col) if ai]
         # new a_ij = alpha_i * (alpha_j * a_ij - a_i * beta_j); alpha = 1, beta = 0 off the touched rows
-        alpha = [1] * len(a)
-        beta = [0] * len(a)
-        for i in touched:
-            gi = math.gcd(d, col[i])
-            alpha[i] = abs(d) // gi
-            beta[i] = s * col[i] // gi
-        for i in touched:
-            ai, al = col[i], alpha[i]
-            a[i] = [al * (aj * x - ai * bj) for x, aj, bj in zip(a[i], alpha, beta)]
-        for i in touched:
-            content = math.gcd(*a[i])
-            c = math.gcd(content, a[i][i] // content) if content > 1 else 1
+        coef = {}
+        for i, ai in pivot.items():
+            gi = math.gcd(d, ai)
+            coef[i] = (abs(d) // gi, s * ai // gi)
+        for i, ai in pivot.items():
+            old = rows[i]
+            del old[k]
+            al = coef[i][0]
+            row = {j: al * x for j, x in old.items()} if al != 1 else old
+            for j, (alj, bj) in coef.items():
+                y = al * (alj * old.get(j, 0) - ai * bj)
+                if y:
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+            rows[i] = row
+        for i in pivot:
+            row = rows[i]
+            content = math.gcd(*row.values())
+            c = math.gcd(content, row.get(i, 0) // content) if content > 1 else 1
             if c > 1:
-                a[i] = [x // c for x in a[i]]
-                a[i][i] //= c
-                for j in touched:
-                    if j != i:
-                        a[j][i] //= c
-        for j, aj in enumerate(col):
-            if not aj:
-                row = a[j]
-                for i in touched:
-                    row[i] = a[i][j]
-    return n_plus, len(a), n_minus
+                row = rows[i] = {j: x // c for j, x in row.items()}
+                if i in row:
+                    row[i] //= c
+                for j in row:
+                    if j != i and j in pivot:
+                        rows[j][i] //= c
+            if coef[i][0] > 1 or c > 1:  # else the entries off the touched rows are unchanged
+                for j, x in row.items():
+                    if j not in pivot:
+                        rows[j][i] = x
+            if i in row:
+                keys[i] = (len(row), abs(row[i]), i)
+            elif i in keys:
+                del keys[i]
+    return n_plus, len(rows), n_minus

@@ -522,9 +522,13 @@ def _blocks(f: FiniteQuadraticForm, p: int):
     return [(kind[p, u], [tuple(vecs[i]) for i in idx]) for _k, u, idx in blocks]
 
 
-def normal_basis(f: FiniteQuadraticForm, p: int):
+@lru_cache(maxsize=MEMO_SIZE)
+def normal_basis(f: FiniteQuadraticForm, p: int) -> tuple[tuple[str, tuple[Element, ...]], ...]:
     """Mutually orthogonal blocks spanning an elementary 2- or 3-group, of the
-    kinds its normal form names, as (kind, gens) sorted by kind.
+    kinds its normal form names, as (kind, gens) sorted by kind; memoized on
+    the form, so a form that recurs (the negated S0 form of every K3
+    realization, the 2-parts of witnesses shared by several pairs) is
+    reduced once.
 
     The `_blocks` splitting is rewritten by basis changes that send
     orthogonal blocks to orthogonal blocks (e, t a rank-1 kind, e', t' the
@@ -564,7 +568,7 @@ def normal_basis(f: FiniteQuadraticForm, p: int):
         while len(v) > 1:
             (x, y), (z, w) = v.pop(), v.pop()
             bases["u2"] += [[s(x, z), s(y, z)], [s(x, y, w), s(x, y, z, w)]]
-    return [(kind, gens) for kind in sorted(bases) for gens in bases[kind]]
+    return tuple((kind, tuple(gens)) for kind in sorted(bases) for gens in bases[kind])
 
 
 # normal forms ----------------------------------------------------------------
@@ -641,11 +645,15 @@ coset_fingerprint = fingerprint
 
 
 def subgroup_order(f: FiniteQuadraticForm, gens) -> int:
-    """|<gens>|: prod(d_i) / det(HNF of the gens stacked on diag(orders))."""
+    """|<gens>|: |G| when the gens are the form's own generators, else
+    prod(d_i) / det(H) for the Hermite form H of the gens stacked on
+    diag(orders), computed modulo n = lcm(orders): n*Z^k lies in that span."""
+    gens = [tuple(g) for g in gens]
+    if gens == list(f.units):
+        return f.size
     k = f.ngens
-    rows = [list(g) for g in gens] + [[d if i == j else 0 for j in range(k)]
-                                      for i, d in enumerate(f.orders)]
-    h = exact.hermite_normal_form(rows)
+    rows = gens + [[d if i == j else 0 for j in range(k)] for i, d in enumerate(f.orders)]
+    h = exact.hermite_normal_form_mod(rows, math.lcm(*f.orders), k)
     return f.size // math.prod(h[i][i] for i in range(k))
 
 

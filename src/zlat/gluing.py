@@ -19,12 +19,11 @@ class LatticeInvolution:
     action: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # with C^2 = I, (C^T)^-1 = C^T, so C G C^T = G exactly when C G = G C^T = (C G)^T
         c = self.action_rows()
-        n = self.lattice.rank
-        if not exact.mat_eq(exact.mat_mul(c, c), exact.identity(n)):
+        if not exact.mat_eq(exact.mat_mul(c, c), exact.identity(self.lattice.rank)):
             raise ValueError("action is not an involution")
-        g = self.lattice.gram_rows()
-        if not exact.mat_eq(exact.mat_mul(exact.mat_mul(c, g), exact.transpose(c)), g):
+        if not exact.is_symmetric(exact.mat_mul(c, self.lattice.gram)):
             raise ValueError("action does not preserve the inner product")
 
     def action_rows(self):
@@ -80,14 +79,18 @@ def glue_involution(l1: Lattice, l2: Lattice, phi: GlueMap) -> LatticeInvolution
     glued, h = _glue(l1, l2, phi)
     n1 = l1.rank
     action = []
-    for row in h:
+    for k, row in enumerate(h):
+        # row k of H, hence of its target, is 0 left of column k, and so is x;
+        # nonzero lists the (i, x_i) with x_i != 0, all i < j
         target = row[:n1] + [-x for x in row[n1:]]
-        x = []
-        for j, t in enumerate(target):
-            c, r = divmod(t - sum(x[i] * h[i][j] for i in range(j)), h[j][j])
+        x, nonzero = [0] * k, []
+        for j in range(k, len(row)):
+            c, r = divmod(target[j] - sum(c * h[i][j] for i, c in nonzero), h[j][j])
             if r:
                 raise ValueError("involution does not preserve the glued lattice")
             x.append(c)
+            if c:
+                nonzero.append((j, c))
         action.append(tuple(x))
     return LatticeInvolution(glued, tuple(action))
 

@@ -259,7 +259,7 @@ def _block_det(gram: tuple[tuple[int, ...], ...]) -> int:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _block_inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
-    return exact.inertia([list(row) for row in gram])
+    return exact.inertia(gram)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def _overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, Matrix]:
     den2 = den * den
     gram = l.gram_rows()
     glue = {i: exact.mat_mul([h[i]], gram)[0] for i in range(n)
-            if h[i] != [den * (i == j) for j in range(n)]}
+            if h[i][i] != den or h[i].count(0) != n - 1}
     for i, hg in glue.items():
         for j in range(n):
             x = sum(map(mul, hg, h[j])) if j in glue else den * hg[j]

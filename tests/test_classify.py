@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -264,6 +265,42 @@ def test_stage_c_k3_grams_have_signature_3_19(monkeypatch):
     assert len(grams) == 68
     for g in grams:
         assert real_inertia(g) == exact_oracle.dense_inertia(g) == exact_oracle.inertia(g) == (3, 0, 19)
+
+
+# sha256 of the repr of the tuple of the 68 Gram matrices (tuples of int
+# tuples, census order) that realize_pair builds: the glued T of stage (a),
+# with the action of its involution, and the K3 lattice of stage (c).  Any
+# change to the overlattice, Hermite form, gluing or involution code must
+# build these lattices on the same bases, byte for byte.
+REALIZED_SHA256 = {
+    "stage_a": "6b49974d935af5a8465cb0ba5a53a8b2dd9bb41312564bf78f5403501afa6c70",
+    "involution": "887ed5ed636100da71b1e55c5f663b5af50c4084edc8437974e8e7f7fe7c523f",
+    "k3": "fa4156be3a0a6d51f77b59d092b2518a5deeb26088967850fd2bc8f825ebba93",
+}
+
+
+def test_realized_lattices_are_pinned(monkeypatch):
+    built = {name: [] for name in REALIZED_SHA256}
+    real_glue_involution, real_inertia = classify.glue_involution, exact.inertia
+
+    def glue_involution(*args):
+        inv = real_glue_involution(*args)
+        built["stage_a"].append(inv.lattice.gram)
+        built["involution"].append(inv.action)
+        return inv
+
+    def inertia(g):
+        if len(g) == 22:
+            built["k3"].append(tuple(map(tuple, g)))
+        return real_inertia(g)
+
+    monkeypatch.setattr(classify, "glue_involution", glue_involution)
+    monkeypatch.setattr(exact, "inertia", inertia)
+    for pair in enumerate_ascending_t_pairs():
+        realize_pair(pair)
+    for name, grams in built.items():
+        assert len(grams) == 68
+        assert hashlib.sha256(repr(tuple(grams)).encode()).hexdigest() == REALIZED_SHA256[name], name
 
 
 def test_stage_a_genus_for_every_pair():

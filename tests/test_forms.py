@@ -317,7 +317,7 @@ def test_render_form():
     assert render_form(discriminant_form(named("U"))) == "0"
 
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 
@@ -594,8 +594,19 @@ def generator_maps(draw):
     return f, src, neg, tgt
 
 
+def _explicit_map(text, src, tgt):
+    f = discriminant_form(parse_lattice_expr(text))
+    return f, src(f), _negated(f), tgt(f)
+
+
 @given(generator_maps())
 @settings(max_examples=150, deadline=None)
+# the form's own generators (the |G| shortcut) and none at all
+@example(_explicit_map("U(6)+<2>", lambda f: f.units, lambda f: []))
+@example(_explicit_map("U(2)+A2+<6>", lambda f: list(f.units), lambda f: f.units[1:]))
+# mixed orders: the Hermite form modulo lcm(orders) = 12 > max(orders) = 6 on <6>+<4>
+@example(_explicit_map("<6>+<4>", lambda f: [(2, 1), (3, 2)], lambda f: [(8, -1), (0, 6), (3, 0)]))
+@example(_explicit_map("U(6)+<2>", lambda f: [(2, 3, 1), (4, 0, 1)], lambda f: [(3, 3, 0), (0, 2, 0), (6, -6, 2)]))
 def test_subgroup_order_matches_enumeration(case):
     f, src, neg, tgt = case
     assert subgroup_order(f, src) == len(oracle.subgroup_elements(f, src))

@@ -155,6 +155,15 @@ def test_swap_involution_on_u():
     assert glue_index_r2(inv) == 1
 
 
+def test_involution_check_rejects_a_non_involution_and_a_non_isometry():
+    with pytest.raises(ValueError, match="action is not an involution"):
+        LatticeInvolution(named("U"), ((1, 1), (0, 1)))
+    # the swap squares to I but exchanges the squares 2 and 4, so C G is not symmetric
+    with pytest.raises(ValueError, match="does not preserve the inner product"):
+        LatticeInvolution(parse_lattice_expr("<2>+<4>"), ((0, 1), (1, 0)))
+    assert LatticeInvolution(parse_lattice_expr("2<2>"), ((0, 1), (1, 0))).action == ((0, 1), (1, 0))
+
+
 def test_twist_parity_exact_evaluation():
     u = named("U")
     ident = LatticeInvolution(u, ((1, 0), (0, 1)))

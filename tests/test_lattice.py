@@ -399,7 +399,7 @@ def test_invariants_memo_does_not_cache_errors():
 def test_memos_are_bounded():
     for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants,
                lattice._block_inertia, lattice._block_det, forms.jordan_constituents,
-               lattice.parse_lattice_expr, tables._built):
+               lattice.parse_lattice_expr, tables._built, forms.normal_basis):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
 
 
