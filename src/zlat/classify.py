@@ -512,7 +512,7 @@ def _check_s_pair(nu_i, o, s_plus, s_minus):
 
 T_EXPR = "U+U(3)+2A2+A1"
 T_PRIME_EXPR = "2U+U(3)+2A2"
-ROOT_FORM = forms.q_cyclic(2, forms.HALF)  # <1/2>, the discriminant form of a root's half
+ROOT_FORM = forms.standard_form("<1/2>")  # the discriminant form of a root's half
 
 
 def t_glue_map(pair: TPair) -> GlueMap:
@@ -558,7 +558,7 @@ def realize_pair(pair: TPair) -> dict:
     f2_t = forms.p_part(forms.discriminant_form(glued), 2)
     f_two = forms.discriminant_form(two)
     gen_t = (1,)
-    if f2_t.q(gen_t) != forms.THALF:
+    if 2 * f2_t.q_numer(gen_t) != 3 * f2_t.n:
         raise ValueError(f"stage b: generator of discr_2 T has q != 3/2 ({pair.table_ref})")
     psi = GlueMap(f2_t, f_two, (gen_t,), ((1,),))
     t_prime = glue(glued, two, psi)

@@ -7,16 +7,12 @@ Elements are coefficient tuples mod the orders.
 
 Every value lies in (1/n)Z for the exponent n = lcm(orders): b(e_i, e_j) has
 order dividing gcd(d_i, d_j) and q(e_i) = b(e_i, e_i) mod 1.  So a form is
-kept as integers over n: b(e_i, e_j) = b_num[i][j] / n with b_num reduced
-mod n, q(e_i) = q_num[i] / n with q_num reduced mod 2n, and (for a
-discriminant form) the lift of e_i to the lattice is lift_cols[i] / d_i.
-`b` and `q` return reduced `Fraction`s; everything else reads the integers.
-A form computes two things on first use and keeps them as attributes that
-are not dataclass fields, so equality, hash and repr do not see them: the
-numerator matrix Q with n q(x) = x Q x^T (`_values`), and the `Fraction` of
-each numerator it has returned (`_fractions`).  They are set with
-`object.__setattr__`, never through the instance `__dict__`: on CPython 3.11
-reading `__dict__` slows every later attribute read of the instance.
+one symmetric integer matrix over n, its `gram`: n q(e_i) mod 2n on the
+diagonal and n b(e_i, e_j) mod n off it (Conway-Sloane, SPLAG ch. 15 §7).
+Then n b(x, y) = x gram y^T mod n and n q(x) = x gram x^T mod 2n.  For a
+discriminant form the lift of e_i to the lattice is lift_cols[i] / d_i.
+`Fraction`s enter only through `form_on_generators` and leave only through
+`b`, `q` and `fingerprint`; everything else reads the integers.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from . import exact
@@ -39,8 +35,7 @@ Element = tuple[int, ...]
 class FiniteQuadraticForm:
     orders: tuple[int, ...]
     n: int
-    b_num: tuple[tuple[int, ...], ...]
-    q_num: tuple[int, ...]
+    gram: tuple[tuple[int, ...], ...]
     lift_cols: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
 
     @property
@@ -77,45 +72,27 @@ class FiniteQuadraticForm:
                 o = o * od // math.gcd(o, od)
         return o
 
-    def b_numer(self, x, y) -> int:
-        """n * b(x, y), reduced mod n."""
+    def _pair(self, x, y) -> int:
+        """x gram y^T, unreduced, for integer vectors x and y."""
         total = 0
-        for xi, row in zip(x, self.b_num):
+        for xi, row in zip(x, self.gram):
             if xi:
                 total += xi * sum(map(mul, row, y))
-        return total % self.n
+        return total
+
+    def b_numer(self, x, y) -> int:
+        """n * b(x, y), reduced mod n."""
+        return self._pair(x, y) % self.n
 
     def q_numer(self, x) -> int:
-        """n * q(x) = x Q x^T, reduced mod 2n, for Q with q_num on the diagonal
-        and b_num[min(i, j)][max(i, j)] off it (the upper triangle of b_num)."""
-        rows = getattr(self, "_values", None)
-        if rows is None:
-            k = self.ngens
-            rows = tuple(tuple(self.q_num[i] if i == j else self.b_num[min(i, j)][max(i, j)] for j in range(k))
-                         for i in range(k))
-            object.__setattr__(self, "_values", rows)
-        total = 0
-        for xi, row in zip(x, rows):
-            if xi:
-                total += xi * sum(map(mul, row, x))
-        return total % (2 * self.n)
-
-    def _fraction(self, k: int) -> Fraction:
-        """Fraction(k, n), made once per numerator: at most 2n entries, filled as asked."""
-        fractions = getattr(self, "_fractions", None)
-        if fractions is None:
-            fractions = {}
-            object.__setattr__(self, "_fractions", fractions)
-        value = fractions.get(k)
-        if value is None:
-            value = fractions[k] = Fraction(k, self.n)
-        return value
+        """n * q(x), reduced mod 2n."""
+        return self._pair(x, x) % (2 * self.n)
 
     def b(self, x, y) -> Fraction:
-        return self._fraction(self.b_numer(x, y))
+        return _fraction(self.b_numer(x, y), self.n)
 
     def q(self, x) -> Fraction:
-        return self._fraction(self.q_numer(x))
+        return _fraction(self.q_numer(x), self.n)
 
     def lift_vector(self, x) -> tuple[list[int], int]:
         """(w, n): the lift of x to the source lattice is w / n (when lifts are recorded)."""
@@ -129,24 +106,43 @@ class FiniteQuadraticForm:
         return w, self.n
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _fraction(k: int, n: int) -> Fraction:
+    """Fraction(k, n), made once per pair while it stays in the memo."""
+    return Fraction(k, n)
+
+
+def _reduced(rows, n: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows as a form's gram over n: the diagonal mod 2n, the rest mod n."""
+    return tuple(tuple(x % (2 * n) if i == j else x % n for j, x in enumerate(row)) for i, row in enumerate(rows))
+
+
 TRIVIAL_FORM = FiniteQuadraticForm((), 1, (), ())
 
 
 def form_on_generators(orders, bil, quad) -> FiniteQuadraticForm:
     """The form with b(e_i, e_j) = bil[i][j] and q(e_i) = quad[i] (rationals).
 
-    Raises when a value does not lie in (1/n)Z for n the exponent."""
+    Raises when a value does not lie in (1/n)Z for n the exponent, when bil
+    is not symmetric mod 1, or when some bil[i][i] differs from quad[i] mod 1."""
     orders = tuple(int(d) for d in orders)
     n = math.lcm(*orders)
 
-    def numerator(value, mod):
+    def numerator(value):
         value = Fraction(value)
         if n % value.denominator:
             raise ValueError(f"value {value} does not lie in (1/{n})Z")
-        return value.numerator * (n // value.denominator) % mod
+        return value.numerator * (n // value.denominator)
 
-    return FiniteQuadraticForm(orders, n, tuple(tuple(numerator(x, n) for x in row) for row in bil),
-                               tuple(numerator(x, 2 * n) for x in quad))
+    gram = [[numerator(x) for x in row] for row in bil]
+    for i, value in enumerate(quad):
+        square = numerator(value)
+        if (square - gram[i][i]) % n:
+            raise ValueError(f"b(e_{i}, e_{i}) = {bil[i][i]} is not q(e_{i}) = {value} mod 1")
+        gram[i][i] = square
+    if any((x - gram[j][i]) % n for i, row in enumerate(gram) for j, x in enumerate(row)):
+        raise ValueError("pairing is not symmetric")
+    return FiniteQuadraticForm(orders, n, _reduced(gram, n))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -176,9 +172,9 @@ def _block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
     The i-th generator lifts to c_i / d_i with c_i column i of V, which
     makes all lifts deterministic (a unimodular block records none).
     c_i G / d_i is an integer row, so all pairings b(e_i, e_j) =
-    (c_i G / d_i) c_j / d_j come from one integer product; the squares are
-    its diagonal.  Only D and V of the Smith form are read, so U is not
-    carried.
+    (c_i G / d_i) c_j / d_j come from one integer product, whose diagonal
+    holds the squares; over n it is the form's gram.  Only D and V of the
+    Smith form are read, so U is not carried.
     """
     g = [list(row) for row in gram]
     _u, d, vt = exact._smith(g, False, True)
@@ -195,9 +191,8 @@ def _block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
     duals = [[x // di for x in row] for row, di in zip(exact.mat_mul(cols, g), orders)]
     pairs = exact.mat_mul(duals, exact.transpose(cols))
     scale = [n // di for di in orders]
-    b_num = tuple(tuple(x * s % n for x, s in zip(row, scale)) for row in pairs)
-    q_num = tuple(row[i] * s % (2 * n) for i, (row, s) in enumerate(zip(pairs, scale)))
-    return FiniteQuadraticForm(tuple(orders), n, b_num, q_num, tuple(cols) or None)
+    gram = _reduced([[x * s for x, s in zip(row, scale)] for row in pairs], n)
+    return FiniteQuadraticForm(tuple(orders), n, gram, tuple(cols) or None)
 
 
 def direct_sum_forms(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
@@ -210,26 +205,26 @@ def direct_sum_forms(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
 
 
 def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
-    """The orthogonal sum of the forms, each summand's numerators rescaled by
-    n / n_f.  places[i] lists the lattice indices of summand i's lift
-    columns (together they index the whole lattice), and each column is
-    scattered to them; without places no lifts are recorded."""
+    """The orthogonal sum of the forms, each summand's gram a diagonal block,
+    rescaled by n / n_f (which keeps it reduced).  places[i] lists the
+    lattice indices of summand i's lift columns (together they index the
+    whole lattice), and each column is scattered to them; without places no
+    lifts are recorded."""
     n = math.lcm(*(f.n for f in forms))
     k = sum(f.ngens for f in forms)
     rank = sum(map(len, places)) if places else 0
-    orders, b_num, q_num, cols = [], [], [], []
+    orders, gram, cols = [], [], []
     for f, place in zip(forms, places or itertools.repeat(())):
         s = n // f.n
-        q_num += [x * s for x in f.q_num]
-        b_num += [(0,) * len(orders) + tuple(x * s for x in row) + (0,) * (k - len(orders) - f.ngens)
-                  for row in f.b_num]
+        gram += [(0,) * len(orders) + tuple(x * s for x in row) + (0,) * (k - len(orders) - f.ngens)
+                 for row in f.gram]
         orders += f.orders
         for col in (f.lift_cols or ()) if places else ():
             w = [0] * rank
             for i, x in zip(place, col):
                 w[i] = x
             cols.append(tuple(w))
-    return FiniteQuadraticForm(tuple(orders), n, tuple(b_num), tuple(q_num), tuple(cols) or None)
+    return FiniteQuadraticForm(tuple(orders), n, tuple(gram), tuple(cols) or None)
 
 
 # standard small forms -------------------------------------------------------
@@ -239,27 +234,19 @@ def q_cyclic(n: int, value: Fraction) -> FiniteQuadraticForm:
     return form_on_generators([n], [[value]], [value])
 
 
-def u2_form() -> FiniteQuadraticForm:
-    h = Fraction(1, 2)
-    return form_on_generators([2, 2], [[0, h], [h, 0]], [0, 0])
-
-
-def v2_form() -> FiniteQuadraticForm:
-    h = Fraction(1, 2)
-    return form_on_generators([2, 2], [[1, h], [h, 1]], [1, 1])
+ATOMS = {  # n q(e_i) on the diagonal, n b(e_i, e_j) off it, over n = 2 or 3
+    "u2": FiniteQuadraticForm((2, 2), 2, ((0, 1), (1, 0))),
+    "v2": FiniteQuadraticForm((2, 2), 2, ((2, 1), (1, 2))),
+    "<1/2>": FiniteQuadraticForm((2,), 2, ((1,),)),
+    "<-1/2>": FiniteQuadraticForm((2,), 2, ((3,),)),
+    "<2/3>": FiniteQuadraticForm((3,), 3, ((2,),)),
+    "<-2/3>": FiniteQuadraticForm((3,), 3, ((4,),)),
+}
 
 
 def standard_form(spec: str) -> FiniteQuadraticForm:
-    """Sum expression over u2, v2, <1/2>, <-1/2>, <2/3>, <-2/3> joined with '+'."""
+    """Sum expression over the `ATOMS` u2, v2, <1/2>, <-1/2>, <2/3>, <-2/3> joined with '+'."""
     parts = []
-    table = {
-        "u2": u2_form,
-        "v2": v2_form,
-        "<1/2>": lambda: q_cyclic(2, Fraction(1, 2)),
-        "<-1/2>": lambda: q_cyclic(2, Fraction(-1, 2)),
-        "<2/3>": lambda: q_cyclic(3, Fraction(2, 3)),
-        "<-2/3>": lambda: q_cyclic(3, Fraction(-2, 3)),
-    }
     for term in spec.replace(" ", "").split("+"):
         if not term:
             continue
@@ -267,11 +254,11 @@ def standard_form(spec: str) -> FiniteQuadraticForm:
         i = 0
         while i < len(term) and term[i].isdigit():
             i += 1
-        if i and term[:i].isdigit() and term[i:] in table:
+        if i and term[:i].isdigit() and term[i:] in ATOMS:
             count, term = int(term[:i]), term[i:]
-        if term not in table:
+        if term not in ATOMS:
             raise ValueError(f"unknown form atom {term!r}")
-        parts.extend(table[term]() for _ in range(count))
+        parts += [ATOMS[term]] * count
     return direct_sum_forms(*parts) if parts else TRIVIAL_FORM
 
 
@@ -299,11 +286,9 @@ def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     n = math.lcm(*new_orders)
     r = f.n // n  # n * x / f.n = x / r
     picked = list(zip(idx, mults))
-    b_num = tuple(tuple(ma * mb * row[j] // r % n for j, mb in picked)
-                  for row, ma in zip((f.b_num[i] for i in idx), mults))
-    q_num = tuple(ma * ma * f.q_num[i] // r % (2 * n) for i, ma in picked)
+    gram = _reduced([[ma * mb * f.gram[i][j] // r for j, mb in picked] for i, ma in picked], n)
     lift_cols = None if f.lift_cols is None else tuple(f.lift_cols[i] for i in idx)
-    return FiniteQuadraticForm(tuple(new_orders), n, b_num, q_num, lift_cols)
+    return FiniteQuadraticForm(tuple(new_orders), n, gram, lift_cols)
 
 
 def p_rank(f: FiniteQuadraticForm, p: int) -> int:
@@ -335,9 +320,9 @@ def is_elementary(f: FiniteQuadraticForm, p: int) -> bool:
 def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
     """Jordan splitting of a p-group by Gram-Schmidt over Z/p^k, scale by scale.
 
-    Tracks vectors over the form's generators (only `with_vectors`), their
-    pairings n*b mod n and, for p = 2, their squares n*q mod 2n (q is fixed
-    by b for odd p): these start as b_num and q_num.  At scale m, from the
+    Tracks vectors over the form's generators (only `with_vectors`) and
+    their gram: pairings n*b mod n, squares n*q mod 2n on the diagonal (for
+    odd p only b(x, x), the diagonal mod n, is read).  At scale m, from the
     exponent n down to p, every live pairing has order dividing m, so its
     numerator is a multiple of s = n/m.  A vector x with b(x, x) of order m
     splits off alone, each other t becoming t - b(t, x) b(x, x)^-1 x.  When
@@ -356,18 +341,15 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
     both odd).  Raises on a degenerate form.
     """
     n, r = f.n, f.ngens
-    b = [list(row) for row in f.b_num]
-    q = list(f.q_num) if p == 2 else None
+    g = [list(row) for row in f.gram]
     vecs = [[int(a == c) for c in range(r)] for a in range(r)] if with_vectors else None
 
-    def add(t, s, c=1):  # vector t += c * vector s, keeping b and q in step
-        if q is not None:
-            q[t] = (q[t] + c * c * q[s] + 2 * c * b[t][s]) % (2 * n)
-        row = [(x + c * y) % n for x, y in zip(b[t], b[s])]
-        row[t] = (b[t][t] + 2 * c * b[t][s] + c * c * b[s][s]) % n
-        b[t] = row
+    def add(t, s, c=1):  # vector t += c * vector s, keeping the gram in step
+        row = [(x + c * y) % n for x, y in zip(g[t], g[s])]
+        row[t] = (g[t][t] + 2 * c * g[t][s] + c * c * g[s][s]) % (2 * n)
+        g[t] = row
         for u, x in enumerate(row):
-            b[u][t] = x
+            g[u][t] = x
         if vecs is not None:
             vecs[t] = [(x + c * y) % n for x, y in zip(vecs[t], vecs[s])]
 
@@ -379,17 +361,17 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
     while live:
         s = n // m
         sp = s * p  # a live numerator off the multiples of sp has order m
-        i = next((t for t in live if b[t][t] % sp), None)
+        i = next((t for t in live if g[t][t] % sp), None)
         if i is not None:
             live.remove(i)
-            inv = pow(b[i][i] // s, -1, m)
+            inv = pow(g[i][i] // s, -1, m)
             for t in live:
-                c = -(b[i][t] // s) * inv % m
+                c = -(g[i][t] // s) * inv % m
                 if c:
                     add(t, i, c)
-            blocks.append((k, q[i] // s if p == 2 else b[i][i] // s, [i]))
+            blocks.append((k, g[i][i] // s if p == 2 else g[i][i] % n // s, [i]))
             continue
-        i, j = next(((i, j) for i in live for j in live if b[i][j] % sp), (None, None))
+        i, j = next(((i, j) for i in live for j in live if g[i][j] % sp), (None, None))
         if i is None:
             if m == p:
                 raise ValueError(f"degenerate {p}-group")
@@ -398,7 +380,7 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
         if p != 2:
             add(i, j)
             continue
-        odd_i, odd_j = q[i] % (2 * sp) != 0, q[j] % (2 * sp) != 0
+        odd_i, odd_j = g[i][i] % (2 * sp) != 0, g[j][j] % (2 * sp) != 0
         if odd_i != odd_j:
             if odd_i:
                 add(i, j)
@@ -406,16 +388,16 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
                 add(j, i)
         live.remove(i)
         live.remove(j)
-        a, w, d = b[i][i] // s, b[i][j] // s, b[j][j] // s
+        a, w, d = g[i][i] // s, g[i][j] // s, g[j][j] // s
         inv = pow(a * d - w * w, -1, m)
         for t in live:
-            ti, tj = b[i][t] // s, b[j][t] // s
+            ti, tj = g[i][t] // s, g[j][t] // s
             ci, cj = (w * tj - d * ti) * inv % m, (w * ti - a * tj) * inv % m
             if ci:
                 add(t, i, ci)
             if cj:
                 add(t, j, cj)
-        blocks.append((k, "v" if q[i] % (2 * sp) else "u", [i, j]))
+        blocks.append((k, "v" if g[i][i] % (2 * sp) else "u", [i, j]))
     if math.prod(p ** (k * len(idx)) for k, _u, idx in blocks) != f.size:
         raise ValueError(f"degenerate {p}-group")
     return vecs, blocks
@@ -504,9 +486,6 @@ def canonical_symbol(p: int, blocks) -> tuple:
                 sym[h][4] = (sym[h][4] + 4) % 8
     return tuple((2 ** k, n, eps, odd, t) for k, n, eps, odd, t in sym[1:])
 
-
-HALF = Fraction(1, 2)
-THALF = Fraction(3, 2)
 
 ANTI_KIND = {"e+": "e-", "e-": "e+", "u2": "u2", "v2": "v2", "t+": "t-", "t-": "t+"}
 
@@ -623,12 +602,12 @@ def fingerprint(f: FiniteQuadraticForm, h_gens=()):
     if h_gens:
         f = isotropic_quotient(f, h_gens)
     n, k = f.n, f.ngens
-    bil2 = [[2 * x for x in row] for row in f.b_num]
+    bil2 = [[2 * x for x in row] for row in f.gram]
     order_of = [[d // math.gcd(c, d) for c in range(d)] for d in f.orders]
     counts = Counter() if k else Counter({(1, 0): 1})
 
     def rec(j, order, acc, row_acc):
-        qj, rj, last = f.q_num[j], row_acc[j], j == k - 1
+        qj, rj, last = f.gram[j][j], row_acc[j], j == k - 1
         for c, oc in enumerate(order_of[j]):
             o, t = math.lcm(order, oc), acc + c * (c * qj + rj)
             if last:
@@ -674,13 +653,13 @@ def isotropic_quotient(f: FiniteQuadraticForm, h_gens) -> FiniteQuadraticForm:
     N = diag(orders) + <h_gens>.  Back substitution writes N = C M_H in the
     Hermite basis M_H of M; with U C V = D the Smith form, row i of U N is
     d_i g_i for a basis g of M, and the g_i with d_i > 1 generate H^perp / H
-    with orders d_i.  b and q are read off f on them.  Raises when H is not
-    isotropic.
+    with orders d_i.  Their gram over n' = lcm(d_i), which divides n, is
+    x gram y^T / (n / n') on them.  Raises when H is not isotropic.
     """
     if not is_isotropic_subgroup(f, h_gens):
         raise ValueError("subgroup is not isotropic")
     k, n = f.ngens, f.n
-    w = exact.mat_mul(list(h_gens) or [f.zero()], f.b_num)
+    w = exact.mat_mul(list(h_gens) or [f.zero()], f.gram)
     eqs = exact.transpose(w) + [[n * (i == j) for j in range(len(w))] for i in range(len(w))]
     basis = exact.hermite_normal_form([row[:k] for row in exact.integer_kernel(eqs)])
     lifts = [[d * (i == j) for j in range(k)] for i, d in enumerate(f.orders)] + list(h_gens)
@@ -694,8 +673,9 @@ def isotropic_quotient(f: FiniteQuadraticForm, h_gens) -> FiniteQuadraticForm:
     u, d, _vt = exact._smith(coords, True, False)
     orders = [d[i][i] for i in range(k)]
     gens = [[x // di for x in row] for row, di in zip(exact.mat_mul(u[:k], lifts), orders) if di > 1]
-    return form_on_generators([di for di in orders if di > 1],
-                              [[f.b(x, y) for y in gens] for x in gens], [f.q(x) for x in gens])
+    orders = tuple(di for di in orders if di > 1)
+    m = math.lcm(*orders)
+    return FiniteQuadraticForm(orders, m, _reduced([[f._pair(x, y) // (n // m) for y in gens] for x in gens], m))
 
 
 # automorphisms ----------------------------------------------------------------
@@ -734,16 +714,16 @@ class GlueMap:
     target_form: FiniteQuadraticForm
     source_gens: tuple
     target_gens: tuple
-    subgroup_order: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.source_gens) != len(self.target_gens):
             raise ValueError("generator lists differ in length")
-        order = _anti_iso_order(self.source_form, list(self.source_gens),
-                                self.target_form, list(self.target_gens))
-        if order is None:
+        if self.subgroup_order is None:
             raise ValueError("not an anti-isomorphism")
-        object.__setattr__(self, "subgroup_order", order)
+
+    @cached_property
+    def subgroup_order(self) -> int | None:
+        return _anti_iso_order(self.source_form, list(self.source_gens), self.target_form, list(self.target_gens))
 
 
 def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> bool:
@@ -778,8 +758,7 @@ def _anti_iso_order(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticFo
 
 def _negated(f: FiniteQuadraticForm) -> FiniteQuadraticForm:
     """f with b and q negated, on the same generators."""
-    return FiniteQuadraticForm(f.orders, f.n, tuple(tuple(-x % f.n for x in row) for row in f.b_num),
-                               tuple(-x % (2 * f.n) for x in f.q_num))
+    return FiniteQuadraticForm(f.orders, f.n, _reduced([[-x for x in row] for row in f.gram], f.n))
 
 
 def anti_iso_images(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -> list[Element] | None:
@@ -800,7 +779,7 @@ def anti_iso_images(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) 
         return None
     cols, ws = [], []  # cols[i][k]: coordinate of generator k on the i-th basis vector, sent to ws[i]
     for (_kind, xs), (_kind, block_ws) in zip(src_blocks, tgt_blocks):
-        bx = exact.mat_mul(xs, neg.b_num)  # rows p*b(x, e_k) over k
+        bx = exact.mat_mul(xs, neg.gram)  # rows p*b(x, e_k) mod p over k
         cols += [[c * neg.b_numer(xs[0], xs[0]) for c in bx[0]]] if len(xs) == 1 else bx[::-1]
         ws += block_ws
     return [tuple(x % p for x in row) for row in exact.mat_mul(exact.transpose(cols), ws)]

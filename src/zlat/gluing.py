@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from . import exact, forms
 from .exact import Matrix
 from .forms import GlueMap
-from .lattice import Lattice, SublatticeRef, _overlattice, direct_sum, overlattice, sublattice
+from .lattice import Lattice, SublatticeRef, _overlattice, direct_sum, overlattice
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,5 @@ def eigenlattices(inv: LatticeInvolution) -> tuple[SublatticeRef, SublatticeRef]
     ident = exact.identity(n)
     minus = [[c[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
     plus = [[c[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
-    l_plus = exact.integer_kernel(minus)
-    l_minus = exact.integer_kernel(plus)
-    return sublattice(inv.lattice, l_plus), sublattice(inv.lattice, l_minus)
+    # kernel bases are independent by construction, so `sublattice`'s rank check is skipped
+    return tuple(SublatticeRef(inv.lattice, tuple(map(tuple, exact.integer_kernel(m)))) for m in (minus, plus))

@@ -338,8 +338,8 @@ def orthogonal_complement(sub: SublatticeRef) -> SublatticeRef:
     if sub.rank == 0:
         return sublattice(amb, exact.identity(amb.rank))
     m = exact.mat_mul(amb.gram_rows(), exact.transpose(sub.rows()))
-    ker = exact.integer_kernel(m)
-    return sublattice(amb, ker)
+    # a kernel basis is independent by construction, so `sublattice`'s rank check is skipped
+    return SublatticeRef(amb, tuple(map(tuple, exact.integer_kernel(m))))
 
 
 def primitive_closure(sub: SublatticeRef) -> SublatticeRef:

@@ -31,9 +31,9 @@ package did before it looked at q on the generators and b on their pairs;
 `coset_fingerprint` walks H^perp and one frozenset per coset of H, as the
 package built H^perp / H before it took it by integer linear algebra.
 
-`q_numer` and `b_numer` are the package's loops over the upper triangle of
-`b_num` and over its full rows, as it evaluated a form before it kept one
-numerator matrix per form.
+`q_numer` and `b_numer` are loops over the upper triangle of the form's
+`gram` and over its full rows, as the package evaluated a form before both
+went through one product x gram y^T.
 
 `FractionForm` with `discriminant_form`, `p_part` and `direct_sum_forms`
 below is the storage the package used before it kept integer numerators
@@ -54,8 +54,6 @@ from zlat import exact
 from zlat.exact import identity, mat_mul, transpose
 from zlat.forms import (
     ANTI_KIND,
-    HALF,
-    THALF,
     form_on_generators,
     is_elementary,
     prime_factors_of_order,
@@ -63,6 +61,8 @@ from zlat.forms import (
 )
 from zlat.lattice import make_lattice
 
+HALF = Fraction(1, 2)
+THALF = Fraction(3, 2)
 TWO3 = Fraction(2, 3)
 FOUR3 = Fraction(4, 3)
 
@@ -72,7 +72,7 @@ FOUR3 = Fraction(4, 3)
 def b_numer(f, x, y) -> int:
     """n * b(x, y), reduced mod n."""
     total = 0
-    for xi, row in zip(x, f.b_num):
+    for xi, row in zip(x, f.gram):
         if xi:
             total += xi * sum(yj * bij for yj, bij in zip(y, row))
     return total % f.n
@@ -83,8 +83,8 @@ def q_numer(f, x) -> int:
     total = 0
     for i, xi in enumerate(x):
         if xi:
-            row = f.b_num[i]
-            total += xi * (xi * f.q_num[i] + 2 * sum(x[j] * row[j] for j in range(i + 1, len(x))))
+            row = f.gram[i]
+            total += xi * (xi * row[i] + 2 * sum(x[j] * row[j] for j in range(i + 1, len(x))))
     return total % (2 * f.n)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -684,18 +685,21 @@ def test_is_anti_isomorphism_checks_pairings():
     assert is_anti_isomorphism(f, src, neg, src)
 
 
-# one numerator matrix per form, one Fraction per value ------------------------
+# one numerator matrix per form -------------------------------------------------
 
 
 @st.composite
 def raw_numerators(draw):
-    """A form on up to 4 generators with unreduced numerators and a b_num
-    that need not be symmetric: q_numer reads its upper triangle only."""
+    """A form on up to 4 generators with a symmetric gram of unreduced
+    entries: the loops of the oracle read it as it stands."""
     orders = draw(st.lists(st.sampled_from((2, 3, 4, 6, 9)), max_size=4))
     n, k = math.lcm(*orders), len(orders)
     entries = st.integers(-3 * n, 3 * n)
-    b_num = tuple(tuple(draw(entries) for _ in range(k)) for _ in range(k))
-    return FiniteQuadraticForm(tuple(orders), n, b_num, tuple(draw(entries) for _ in range(k)))
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = draw(entries)
+    return FiniteQuadraticForm(tuple(orders), n, tuple(map(tuple, gram)))
 
 
 @st.composite
@@ -725,16 +729,18 @@ def test_numerators_match_loop_oracle(case):
 
 @given(evaluated_forms())
 @settings(max_examples=50, deadline=None)
-def test_caches_leave_equality_hash_and_repr(case):
+def test_equality_hash_and_repr_read_the_four_fields(case):
     f, x, y = case
-    fresh = FiniteQuadraticForm(f.orders, f.n, f.b_num, f.q_num, f.lift_cols)
-    other = FiniteQuadraticForm(f.orders, f.n, f.b_num, f.q_num, f.lift_cols)
-    assert fresh == other and hash(fresh) == hash(other) and repr(fresh) == repr(other)
+    fields = ("orders", "n", "gram", "lift_cols")
+    assert tuple(fl.name for fl in dataclasses.fields(FiniteQuadraticForm)) == fields
+    fresh = FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols)
+    other = FiniteQuadraticForm(f.orders, f.n, f.gram, None)
     fresh.q(x), fresh.b(x, y)
-    assert fresh._values is not None and fresh._fractions is not None
-    assert not hasattr(other, "_values") and not hasattr(other, "_fractions")
-    assert fresh == other and hash(fresh) == hash(other) and repr(fresh) == repr(other)
-    assert {fresh: 1}[other] == 1
+    # evaluating leaves no state beside the fields; the lifts are not compared
+    assert sorted(vars(fresh)) == sorted(fields)
+    assert fresh == other and hash(fresh) == hash(other) and {fresh: 1}[other] == 1
+    assert repr(fresh) == (f"FiniteQuadraticForm(orders={f.orders!r}, n={f.n!r}, gram={f.gram!r}, "
+                           f"lift_cols={f.lift_cols!r})")
 
 
 # the integer representation against the Fraction oracle ----------------------
@@ -857,10 +863,22 @@ def test_block_form_memo_is_bounded():
 
 def test_form_on_generators_rejects_values_off_the_exponent():
     # exponent 6: thirds and halves fit, quarters and fifths do not
-    assert form_on_generators([2, 6], [[F(1, 2), 0], [0, F(1, 3)]], [F(1, 2), F(5, 3)]).n == 6
+    assert form_on_generators([2, 6], [[F(1, 2), 0], [0, F(1, 3)]], [F(1, 2), F(4, 3)]).n == 6
     for bil, quad in (([[F(1, 4), 0], [0, 0]], [0, 0]), ([[0, 0], [0, 0]], [0, F(1, 5)])):
         with pytest.raises(ValueError, match="does not lie in"):
             form_on_generators([2, 6], bil, quad)
+
+
+def test_form_on_generators_rejects_a_pairing_off_the_squares():
+    # b(e, e) = q(e) mod 1 and b(e_i, e_j) = b(e_j, e_i) mod 1 for a quadratic form
+    assert form_on_generators([2], [[F(1, 2)]], [F(3, 2)]).gram == ((3,),)
+    assert form_on_generators([2, 2], [[0, F(1, 2)], [F(-1, 2), 0]], [0, 0]) == standard_form("u2")
+    with pytest.raises(ValueError, match="is not q"):
+        form_on_generators([2], [[F(1, 2)]], [0])
+    with pytest.raises(ValueError, match="is not q"):
+        form_on_generators([3, 3], [[F(2, 3), 0], [0, F(1, 3)]], [F(2, 3), F(2, 3)])
+    with pytest.raises(ValueError, match="not symmetric"):
+        form_on_generators([2, 2], [[0, F(1, 2)], [0, 0]], [0, 0])
 
 
 # Jordan splittings of p-groups against the brute-force oracles ---------------
@@ -986,7 +1004,7 @@ def test_brown_of_every_block_matches_gauss_sum():
             if p == 2:
                 blocks += [_pair_block(pk, F(0)), _pair_block(pk, F(2, pk))]
             for f in blocks:
-                assert brown(f) == _gauss_brown(f), (f.orders, f.q_num)
+                assert brown(f) == _gauss_brown(f), (f.orders, f.gram)
 
 
 def test_split_rejects_degenerate_p_groups():

@@ -199,6 +199,24 @@ def test_glue_index_matches_subgroup_order():
     assert 2 ** glue_index_r2(inv) == phi.subgroup_order == 2
 
 
+def test_eigenlattices_take_kernel_bases_without_rank_checks(monkeypatch):
+    # integer_kernel's rows are independent by construction: neither the
+    # eigenlattices nor a complement runs `sublattice`'s HNF rank check
+    from zlat.classify import enumerate_ascending_t_pairs, t_glue_map
+    from zlat.lattice import orthogonal_complement, sublattice
+
+    pair = enumerate_ascending_t_pairs()[0]
+    inv = glue_involution(pair.witness_plus, pair.witness_minus, t_glue_map(pair))
+    calls = []
+    monkeypatch.setattr(exact, "rank", lambda m: calls.append(m))
+    lp, lm = eigenlattices(inv)
+    complement = orthogonal_complement(lp)
+    assert calls == []
+    monkeypatch.undo()
+    assert lp == sublattice(inv.lattice, lp.rows()) and lm == sublattice(inv.lattice, lm.rows())
+    assert lp.rank + lm.rank == inv.lattice.rank and complement == lm
+
+
 def test_twist_parity_matches_delta2_of_plus_part():
     # Prop even_twist(1): for odd |discr|, delta2(L+) = 0 iff type I
     u = named("U")

@@ -55,6 +55,16 @@ def test_only_listed_functions_enumerate_elements():
     assert walkers == ENUMERATING, (sorted(walkers - ENUMERATING), sorted(ENUMERATING - walkers))
 
 
+# a finite quadratic form is its fields: `forms` sets no attribute behind them
+def test_forms_sets_no_hidden_attributes():
+    with open(os.path.join(SRC, "forms.py")) as fh:
+        tree = ast.parse(fh.read())
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+             and getattr(node.func.value, "id", None) == "object"]
+    assert not found, found
+
+
 # element walks that only a verification may read: a verdict path (a genus
 # tag, a normal form) never decides by enumerating a group
 FINGERPRINTS = {"fingerprint", "coset_fingerprint", "q_value_census"}
