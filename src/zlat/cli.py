@@ -35,11 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lattice.add_argument("--show", default="gram,invariants",
                            help="comma list from gram,invariants,discr")
 
-    p_glue = sub.add_parser("glue", help="glue two lattices along an anti-isomorphism")
+    p_glue = sub.add_parser("glue", help="glue two lattices along a constructed anti-isomorphism")
     p_glue.add_argument("--l1", required=True)
     p_glue.add_argument("--l2", required=True)
-    p_glue.add_argument("--auto", action="store_true",
-                        help="construct a full anti-isomorphism of the discriminants")
 
     p_pair = sub.add_parser("pair", help="look up a census pair by its first half")
     p_pair.add_argument("--t-plus", required=True, dest="t_plus")
@@ -104,9 +102,6 @@ def _cmd_lattice(args) -> int:
 def _cmd_glue(args) -> int:
     l1 = parse_lattice_expr(args.l1)
     l2 = parse_lattice_expr(args.l2)
-    if not args.auto:
-        print("only --auto gluing is supported: the map is constructed, not entered", file=sys.stderr)
-        return 2
     f1 = forms.discriminant_form(l1)
     f2 = forms.discriminant_form(l2)
     phi = None

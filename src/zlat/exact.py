@@ -40,10 +40,6 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-def mat_eq(a, b) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
-
-
 def is_symmetric(m) -> bool:
     """Whether m is square and equal to its transpose; a tuple-of-tuples
     matrix is compared with the transpose as it is, without a copy."""
@@ -171,8 +167,9 @@ def hermite_normal_form_mod(rows, den: int, n: int) -> Matrix:
     return h
 
 
-def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U*M*V = D, U and V unimodular.
+def smith_normal_form(m, with_u: bool = True, with_v: bool = True) -> tuple[Matrix | None, Matrix, Matrix | None]:
+    """Return (U, D, V^T) with U*M*V = D, U and V unimodular; U is None
+    without with_u, V^T None without with_v.
 
     D is diagonal with nonnegative entries d_i | d_{i+1}.  The work matrix
     holds the rows of [M | U], and V is kept as the rows of V^T: a row
@@ -180,16 +177,9 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     together), a column operation one pass over the rows of M with a
     nonzero entry in the pivot column plus one comprehension over a pair
     of rows of V^T, and a column swap swaps two rows of V^T.  A caller that
-    reads only one transform runs `_smith` without the other (Cohen, GTM
-    138, 2.4.4): the pivots depend on M alone, so D and that transform are
-    the same.
+    reads only one transform skips the other (Cohen, GTM 138, 2.4.4): the
+    pivots depend on M alone, so D and that transform are the same.
     """
-    u, d, vt = _smith(m, True, True)
-    return u, d, transpose(vt)
-
-
-def _smith(m, with_u: bool, with_v: bool) -> tuple[Matrix | None, Matrix, Matrix | None]:
-    """(U, D, V^T) of `smith_normal_form`, with U only when with_u and V^T only when with_v (else None)."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     w = [list(r) + e for r, e in zip(m, identity(rows))] if with_u else copy_matrix(m)
@@ -247,7 +237,7 @@ def _smith(m, with_u: bool, with_v: bool) -> tuple[Matrix | None, Matrix, Matrix
 def integer_kernel(m) -> Matrix:
     """Saturated basis of {x : x*M = 0} as rows (left kernel)."""
     rows = len(m)
-    u, d, _v = _smith(m, True, False)
+    u, d, _vt = smith_normal_form(m, with_v=False)
     cols = len(m[0]) if rows else 0
     ker = []
     for i in range(rows):

@@ -11,8 +11,8 @@ one symmetric integer matrix over n, its `gram`: n q(e_i) mod 2n on the
 diagonal and n b(e_i, e_j) mod n off it (Conway-Sloane, SPLAG ch. 15 §7).
 Then n b(x, y) = x gram y^T mod n and n q(x) = x gram x^T mod 2n.  For a
 discriminant form the lift of e_i to the lattice is lift_cols[i] / d_i.
-`Fraction`s enter only through `form_on_generators` and leave only through
-`b`, `q` and `fingerprint`; everything else reads the integers.
+No `Fraction` enters: every form is built from integers.  Fractions leave
+only through `b`, `q` and `fingerprint`; everything else reads the integers.
 """
 
 from __future__ import annotations
@@ -120,31 +120,6 @@ def _reduced(rows, n: int) -> tuple[tuple[int, ...], ...]:
 TRIVIAL_FORM = FiniteQuadraticForm((), 1, (), ())
 
 
-def form_on_generators(orders, bil, quad) -> FiniteQuadraticForm:
-    """The form with b(e_i, e_j) = bil[i][j] and q(e_i) = quad[i] (rationals).
-
-    Raises when a value does not lie in (1/n)Z for n the exponent, when bil
-    is not symmetric mod 1, or when some bil[i][i] differs from quad[i] mod 1."""
-    orders = tuple(int(d) for d in orders)
-    n = math.lcm(*orders)
-
-    def numerator(value):
-        value = Fraction(value)
-        if n % value.denominator:
-            raise ValueError(f"value {value} does not lie in (1/{n})Z")
-        return value.numerator * (n // value.denominator)
-
-    gram = [[numerator(x) for x in row] for row in bil]
-    for i, value in enumerate(quad):
-        square = numerator(value)
-        if (square - gram[i][i]) % n:
-            raise ValueError(f"b(e_{i}, e_{i}) = {bil[i][i]} is not q(e_{i}) = {value} mod 1")
-        gram[i][i] = square
-    if any((x - gram[j][i]) % n for i, row in enumerate(gram) for j, x in enumerate(row)):
-        raise ValueError("pairing is not symmetric")
-    return FiniteQuadraticForm(orders, n, _reduced(gram, n))
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     """The discriminant L*/L with Q/Z pairing and Q/2Z quadratic refinement.
@@ -177,7 +152,7 @@ def _block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
     Smith form are read, so U is not carried.
     """
     g = [list(row) for row in gram]
-    _u, d, vt = exact._smith(g, False, True)
+    _u, d, vt = exact.smith_normal_form(g, with_u=False)
     cols = []
     orders = []
     for i in range(len(g)):
@@ -228,11 +203,6 @@ def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
 
 
 # standard small forms -------------------------------------------------------
-
-def q_cyclic(n: int, value: Fraction) -> FiniteQuadraticForm:
-    """<value> on Z/n: q(gen) = value mod 2, b(gen, gen) = value mod 1."""
-    return form_on_generators([n], [[value]], [value])
-
 
 ATOMS = {  # n q(e_i) on the diagonal, n b(e_i, e_j) off it, over n = 2 or 3
     "u2": FiniteQuadraticForm((2, 2), 2, ((0, 1), (1, 0))),
@@ -425,13 +395,17 @@ def jordan_constituents(gram: tuple[tuple[int, ...], ...]) -> tuple:
     """(p, ((k, u, rank), ...)): the `_split` blocks of each p-part of the
     discriminant form of one Gram matrix, memoized as `_block_form` is."""
     f = _block_form(gram)
-    return tuple((p, tuple((k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p, False)[1]))
-                 for p in prime_factors_of_order(f))
+    return tuple((p, tuple(_constituents(f, p))) for p in prime_factors_of_order(f))
+
+
+def _constituents(f: FiniteQuadraticForm, p: int) -> list[tuple]:
+    """The Jordan constituents (k, u, rank) of the p-part of f, as `_split` makes them."""
+    return [(k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p, False)[1]]
 
 
 def jordan_symbol(f: FiniteQuadraticForm, p: int) -> tuple:
-    """The canonical p-adic symbol of the p-part of f: `canonical_symbol` of its `_split`."""
-    return canonical_symbol(p, [(k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p, False)[1]])
+    """The canonical p-adic symbol of the p-part of f: `canonical_symbol` of its `_constituents`."""
+    return canonical_symbol(p, _constituents(f, p))
 
 
 def canonical_symbol(p: int, blocks) -> tuple:
@@ -550,43 +524,13 @@ def normal_basis(f: FiniteQuadraticForm, p: int) -> tuple[tuple[str, tuple[Eleme
     return tuple((kind, tuple(gens)) for kind in sorted(bases) for gens in bases[kind])
 
 
-# normal forms ----------------------------------------------------------------
-
-def normal_form2(f: FiniteQuadraticForm) -> tuple[str, int, int]:
-    """Canonical (kind, a, b) of an elementary enhanced 2-group, read off its
-    2-adic symbol (2, n, eps, odd, t).
-
-    Even kind: a*u2 + b*v2 with a + b = n/2 and b = 1 exactly when eps = -1.
-    Odd kind: a*<1/2> + b*<-1/2> with a + b = n, a - b = t mod 8 and a
-    reduced mod 4.
-    """
-    if not is_elementary(f, 2):
-        raise ValueError("form is not an elementary 2-group")
-    _q, n, eps, odd, t = (jordan_symbol(f, 2) or ((2, 0, 1, 0, 0),))[0]
-    if not odd:
-        b = int(eps == -1)
-        return "even", n // 2 - b, b
-    a = (n + t) // 2 % 4
-    return "odd", a, n - a
-
-
-def normal_form3(f: FiniteQuadraticForm) -> tuple[int, int]:
-    """Canonical (p, q) of an elementary inner-product 3-group: p*<2/3> + q*<-2/3>,
-    read off its 3-adic symbol (3, n, eps): p + q = n and p = 1 exactly when eps = -1."""
-    if not is_elementary(f, 3):
-        raise ValueError("form is not an elementary 3-group")
-    _q, n, eps = (jordan_symbol(f, 3) or ((3, 0, 1),))[0]
-    p = int(eps == -1)
-    return p, n - p
-
-
 # Brown invariant -------------------------------------------------------------
 
 def brown(f: FiniteQuadraticForm) -> int:
     """The Brown invariant in Z/8, exact for every finite form: the sum of the
     closed forms `_block_brown` over the Jordan splitting of each p-part."""
     return sum(_block_brown(p, k, u) for p in prime_factors_of_order(f)
-               for k, u, _idx in _split(p_part(f, p), p, False)[1]) % 8
+               for k, u, _rank in _constituents(f, p)) % 8
 
 
 # element census and subgroups ---------------------------------------------------
@@ -670,7 +614,7 @@ def isotropic_quotient(f: FiniteQuadraticForm, h_gens) -> FiniteQuadraticForm:
             c.append(v[i] // row[i])
             v = [a - c[-1] * b for a, b in zip(v, row)]
         coords.append(c)
-    u, d, _vt = exact._smith(coords, True, False)
+    u, d, _vt = exact.smith_normal_form(coords, with_v=False)
     orders = [d[i][i] for i in range(k)]
     gens = [[x // di for x in row] for row, di in zip(exact.mat_mul(u[:k], lifts), orders) if di > 1]
     orders = tuple(di for di in orders if di > 1)
@@ -726,23 +670,16 @@ class GlueMap:
         return _anti_iso_order(self.source_form, list(self.source_gens), self.target_form, list(self.target_gens))
 
 
-def is_anti_isomorphism(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> bool:
-    """Whether src_gens -> tgt_gens negates q on the span of src_gens, onto a span of equal order.
+def _anti_iso_order(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> int | None:
+    """The order of the span of src_gens when src_gens -> tgt_gens negates q
+    on that span, onto a span of equal order; else None.
 
     Since q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j)
     mod 2, q is negated on the whole span exactly when it is on each
     generator and b is on each pair.  A generator of source order 1 only
-    enters the span with coefficient 0, so it is skipped.
-    """
-    return _anti_iso_order(fsrc, src_gens, ftgt, tgt_gens) is not None
-
-
-def _anti_iso_order(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> int | None:
-    """The order of the span of src_gens when `is_anti_isomorphism` holds, else None.
-
-    With numerators a over n_s and c over n_t, a/n_s + c/n_t vanishes mod 2
-    (for q) or mod 1 (for b) exactly when a*n_t + c*n_s does mod 2*n_s*n_t
-    or mod n_s*n_t.
+    enters the span with coefficient 0, so it is skipped.  With numerators
+    a over n_s and c over n_t, a/n_s + c/n_t vanishes mod 2 (for q) or mod 1
+    (for b) exactly when a*n_t + c*n_s does mod 2*n_s*n_t or mod n_s*n_t.
     """
     ns, nt = fsrc.n, ftgt.n
     pairs = [(g, t) for g, t in zip(src_gens, tgt_gens) if fsrc.element_order(g) > 1]
@@ -795,17 +732,28 @@ def build_anti_iso(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -
 
 
 def render_form(f: FiniteQuadraticForm, ascii_mode: bool = False) -> str:
-    """Canonical text: 2-part then 3-part normal form, then residual orders."""
+    """Canonical text, prime by prime: an elementary 2- or 3-part as its
+    normal form, read off its p-adic symbol, else its orders, ascending.
+
+    (2, n, eps, 0, t) is a*u2 + b*v2 with a + b = n/2 and b = 1 exactly when
+    eps = -1; (2, n, eps, 1, t) is a*<1/2> + b*<-1/2> with a + b = n,
+    a - b = t mod 8 and a reduced mod 4; (3, n, eps) is a*<2/3> + b*<-2/3>
+    with a + b = n and a = 1 exactly when eps = -1.
+    """
     parts = []
     for p in prime_factors_of_order(f):
         part = p_part(f, p)
-        if p == 2 and is_elementary(part, 2):
-            kind, a, b = normal_form2(part)
-            names = ("u2", "v2") if kind == "even" else ("⟨1/2⟩", "⟨-1/2⟩")
+        if p in (2, 3) and is_elementary(part, p):
+            ((_q, n, eps, *odd_t),) = jordan_symbol(part, p)
+            minus = int(eps == -1)
+            if p == 3:
+                names, a, b = ("⟨2/3⟩", "⟨-2/3⟩"), minus, n - minus
+            elif not odd_t[0]:
+                names, a, b = ("u2", "v2"), n // 2 - minus, minus
+            else:
+                a = (n + odd_t[1]) // 2 % 4
+                names, b = ("⟨1/2⟩", "⟨-1/2⟩"), n - a
             parts += [names[0]] * a + [names[1]] * b
-        elif p == 3 and is_elementary(part, 3):
-            a, b = normal_form3(part)
-            parts += ["⟨2/3⟩"] * a + ["⟨-2/3⟩"] * b
         else:
             parts.append("+".join(f"Z/{d}" for d in sorted(part.orders)))
     text = "+".join(parts) if parts else "0"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from . import exact, forms
 from .exact import Matrix
 from .forms import GlueMap
-from .lattice import Lattice, SublatticeRef, _overlattice, direct_sum, overlattice
+from .lattice import Lattice, SublatticeRef, direct_sum, overlattice
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class LatticeInvolution:
     def __post_init__(self):
         # with C^2 = I, (C^T)^-1 = C^T, so C G C^T = G exactly when C G = G C^T = (C G)^T
         c = self.action_rows()
-        if not exact.mat_eq(exact.mat_mul(c, c), exact.identity(self.lattice.rank)):
+        if exact.mat_mul(c, c) != exact.identity(self.lattice.rank):
             raise ValueError("action is not an involution")
         if not exact.is_symmetric(exact.mat_mul(c, self.lattice.gram)):
             raise ValueError("action does not preserve the inner product")
@@ -39,7 +39,7 @@ def extend(l: Lattice, h_gens) -> Lattice:
     f = forms.discriminant_form(l)
     if not forms.is_isotropic_subgroup(f, list(h_gens)):
         raise ValueError("subgroup is not isotropic")
-    out = overlattice(l, [f.lift_vector(g)[0] for g in h_gens], f.n)
+    out = overlattice(l, [f.lift_vector(g)[0] for g in h_gens], f.n)[0]
     h_order = forms.subgroup_order(f, list(h_gens))
     if abs(out.det()) * h_order * h_order != abs(l.det()):
         raise ValueError("extension violates det(L_H) |H|^2 = det(L)")
@@ -52,13 +52,13 @@ def glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> Lattice:
 
 
 def _glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> tuple[Lattice, Matrix]:
-    """`glue` together with the integer HNF rows H of its basis (see `lattice._overlattice`)."""
+    """`glue` together with the integer HNF rows H of its basis (see `lattice.overlattice`)."""
     f1, f2 = phi.source_form, phi.target_form
     den = math.lcm(f1.n, f2.n)
     rows = [[x * (den // f1.n) for x in f1.lift_vector(g_src)[0]]
             + [x * (den // f2.n) for x in f2.lift_vector(g_tgt)[0]]
             for g_src, g_tgt in zip(phi.source_gens, phi.target_gens)]
-    out, h = _overlattice(direct_sum(l1, l2), rows, den)
+    out, h = overlattice(direct_sum(l1, l2), rows, den)
     k = phi.subgroup_order
     if abs(out.det()) * k * k != abs(l1.det()) * abs(l2.det()):
         raise ValueError("gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)")

@@ -265,18 +265,11 @@ def _block_inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # overlattices and fractional extensions
 
-def overlattice(l: Lattice, rows, den: int) -> Lattice:
+def overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, Matrix]:
     """Lattice generated by l and the rational vectors w/den for the integer
-    rows w (coords in l's basis).
-
-    The result is recomputed on a canonical HNF basis.  Raises when the
-    generated lattice is not integral or not even.
-    """
-    return _overlattice(l, rows, den)[0]
-
-
-def _overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, Matrix]:
-    """`overlattice` together with its basis as the integer HNF rows H.
+    rows w (coords in l's basis), together with its basis as the integer
+    HNF rows H.  Raises when the generated lattice is not integral or not
+    even.
 
     The basis is H/den, where H is the HNF of den*I stacked on the rows
     (computed modulo den); its Gram matrix is H*G*H^T / den^2, integral
@@ -326,7 +319,7 @@ def extension_by_fraction(l: Lattice, v, d: int) -> Lattice:
         raise ValueError(f"square {nv} is not divisible by {d * d}")
     if nv % (2 * d * d) != 0:
         raise ValueError(f"square {nv} is not divisible by {2 * d * d} (evenness)")
-    return overlattice(l, [list(v)], d)
+    return overlattice(l, [list(v)], d)[0]
 
 
 # ---------------------------------------------------------------------------

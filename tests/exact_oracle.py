@@ -12,8 +12,9 @@ remainder as |d| times the Schur complement and divides it by its content.
 
 `smith_normal_form` is the Smith form as the package had it before it
 worked on whole row lists: entry-by-entry row and column operations and
-swaps through closures, in the same pivot order, so (U, D, V) must agree
-exactly.
+swaps through closures, in the same pivot order.  It returns (U, D, V),
+and the package (U, D, V^T), so the two agree exactly once V^T is
+transposed, also when the package computes only one transform.
 """
 
 from __future__ import annotations

@@ -1,12 +1,18 @@
 """Brute-force oracles for the elementary-group routines of `zlat.forms`,
-for `is_anti_isomorphism`, and the `Fraction` representation of finite
+for its anti-isomorphism check, and the `Fraction` representation of finite
 quadratic forms.
+
+`form_on_generators` builds a form from rational values of b and q on its
+generators.  It is the only way a `Fraction` enters a form, and only tests
+build forms that way, so it lives here; the package builds every form from
+integers.
 
 The element walkers go through every element of the (sub)group they are
 given, with `Fraction` arithmetic, exactly as the package did before it
 switched to Gram reduction mod p (for `is_anti_isomorphism`: to q on the
-generators and b on their pairs).  They are exponential in the rank, so
-tests call them on groups of size at most 2^8 or 3^5 only.
+generators and b on their pairs, as `forms._anti_iso_order` checks now).
+They are exponential in the rank, so tests call them on groups of size at
+most 2^8 or 3^5 only.
 
 `present_with` and `build_anti_iso` find an anti-isomorphism of elementary
 groups by backtracking over elements for blocks of the anti kinds, and
@@ -46,6 +52,7 @@ scattered back to the block's indices.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,7 +61,8 @@ from zlat import exact
 from zlat.exact import identity, mat_mul, transpose
 from zlat.forms import (
     ANTI_KIND,
-    form_on_generators,
+    FiniteQuadraticForm,
+    _reduced,
     is_elementary,
     prime_factors_of_order,
     standard_form,
@@ -65,6 +73,31 @@ HALF = Fraction(1, 2)
 THALF = Fraction(3, 2)
 TWO3 = Fraction(2, 3)
 FOUR3 = Fraction(4, 3)
+
+
+def form_on_generators(orders, bil, quad) -> FiniteQuadraticForm:
+    """The form with b(e_i, e_j) = bil[i][j] and q(e_i) = quad[i] (rationals).
+
+    Raises when a value does not lie in (1/n)Z for n the exponent, when bil
+    is not symmetric mod 1, or when some bil[i][i] differs from quad[i] mod 1."""
+    orders = tuple(int(d) for d in orders)
+    n = math.lcm(*orders)
+
+    def numerator(value):
+        value = Fraction(value)
+        if n % value.denominator:
+            raise ValueError(f"value {value} does not lie in (1/{n})Z")
+        return value.numerator * (n // value.denominator)
+
+    gram = [[numerator(x) for x in row] for row in bil]
+    for i, value in enumerate(quad):
+        square = numerator(value)
+        if (square - gram[i][i]) % n:
+            raise ValueError(f"b(e_{i}, e_{i}) = {bil[i][i]} is not q(e_{i}) = {value} mod 1")
+        gram[i][i] = square
+    if any((x - gram[j][i]) % n for i, row in enumerate(gram) for j, x in enumerate(row)):
+        raise ValueError("pairing is not symmetric")
+    return FiniteQuadraticForm(orders, n, _reduced(gram, n))
 
 
 # the integer representation, evaluated by loops --------------------------------
@@ -189,9 +222,9 @@ def _components(g) -> list[list[int]]:
 
 def _smith_form(g) -> FractionForm:
     """The discriminant form of the Gram matrix g from its Smith form: the
-    i-th generator lifts to column i of V over d_i."""
+    i-th generator lifts to column i of V (row i of V^T) over d_i."""
     n = len(g)
-    _u, d, v = exact.smith_normal_form(g)
+    _u, d, vt = exact.smith_normal_form(g, with_u=False)
     cols = []
     orders = []
     for i in range(n):
@@ -200,7 +233,7 @@ def _smith_form(g) -> FractionForm:
             raise ValueError("degenerate lattice")
         if di > 1:
             orders.append(di)
-            cols.append([v[k][i] for k in range(n)])
+            cols.append(list(vt[i]))
     bil = []
     quad = []
     gcols = [mat_mul([c], g)[0] for c in cols]

@@ -8,7 +8,7 @@ are the reference for the one-construction parser.
 
 `rescale` (with its renamed expression) and `hyperbolic_branch` are lattice
 operations the package no longer calls; they live here for the tests, with
-`dense_overlattice`, the full product H*G*H^T that `_overlattice` patches.
+`dense_overlattice`, the full product H*G*H^T that `overlattice` patches.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _rescale_expr(expr: str | None, n: int) -> str | None:
 
 
 def dense_overlattice(l: Lattice, rows, den: int) -> tuple[Lattice, list]:
-    """`lattice._overlattice` with every entry of H*G*H^T computed."""
+    """`lattice.overlattice` with every entry of H*G*H^T computed."""
     n = l.rank
     if any(len(w) != n for w in rows):
         raise ValueError("overlattice generators do not span")

@@ -3,10 +3,11 @@
 These are the readers the package used before every verdict read the genus
 tag: the invariants (r, r2, delta2, p, q) and the criteria of Nikulin and of
 Miranda-Morrison re-derive ranks, elementarity, delta2 and (p, q) from the
-discriminant form of the whole lattice (`p_rank`, `p_part`, `is_elementary`,
-`normal_form2`, `normal_form3`), with delta2 from the element walk of
-`forms_oracle.parity2`.  `stability_certificate` is the package's rule
-order with these criteria, also on the quotients of the small-rank rules.
+discriminant form of the whole lattice (`p_rank`, `p_part`, `is_elementary`),
+with delta2 and the normal forms from the element walks of
+`forms_oracle.parity2`, `normal_form2` and `normal_form3`.
+`stability_certificate` is the package's rule order with these criteria,
+also on the quotients of the small-rank rules.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def invariants(l: Lattice):
     f2 = forms.p_part(f, 2)
     f3 = forms.p_part(f, 3)
     d2 = forms_oracle.parity2(f2) if forms.is_elementary(f2, 2) else None
-    pq = forms.normal_form3(f3) if forms.is_elementary(f3, 3) else None
+    pq = forms_oracle.normal_form3(f3) if forms.is_elementary(f3, 3) else None
     if d2 is None or pq is None:
         raise ValueError("discriminant is not elementary at 2 and 3")
     return l.rank, r2, d2, pq[0], pq[1]
@@ -54,7 +55,7 @@ def nikulin_stable(l: Lattice) -> bool:
     part2 = forms.p_part(f, 2)
     if not forms.is_elementary(part2, 2):
         return False
-    kind, a, b = forms.normal_form2(part2)
+    kind, a, b = forms_oracle.normal_form2(part2)
     return kind == "even" and a + b >= 1
 
 

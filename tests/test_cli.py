@@ -44,6 +44,25 @@ def test_lattice_discr_lists_orders_ascending(capsys):
     assert "|discr| = 8   form: Z/2+Z/4" in out
 
 
+def test_lattice_discr_output_is_pinned(capsys):
+    # byte for byte: a sum of <-2/3>, an elementary 2- and 3-part, a non-elementary 2-part
+    pinned = {
+        "6A2": "lattice 6A2 (rank 12)\n"
+               "  |discr| = 729   form: ⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩\n"
+               "  Brown invariant: 4\n",
+        "U(3)+3A2+2A2(2)": "lattice U(3)+3A2+2A2(2) (rank 12)\n"
+                           "  |discr| = 34992   form: u2+u2+⟨2/3⟩+"
+                           "⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩\n"
+                           "  Brown invariant: 6\n",
+        "<-32768>+U": "lattice ⟨-32768⟩+U (rank 3)\n"
+                      "  |discr| = 32768   form: Z/32768\n"
+                      "  Brown invariant: 7\n",
+    }
+    for expr, text in pinned.items():
+        code, out, _err = run(capsys, "lattice", expr, "--show", "discr")
+        assert (code, out) == (0, text)
+
+
 def test_lattice_bad_expression(capsys):
     code, _out, err = run(capsys, "lattice", "A0")
     assert code == 2
@@ -56,14 +75,14 @@ def test_lattice_bad_show_field(capsys):
 
 
 def test_glue_auto(capsys):
-    code, out, _ = run(capsys, "glue", "--l1", "<2>", "--l2", "<-2>", "--auto")
+    code, out, _ = run(capsys, "glue", "--l1", "<2>", "--l2", "<-2>")
     assert code == 0
     assert "det -1" in out
     assert "signature (1,1)" in out
 
 
 def test_glue_auto_reports_no_anti_isomorphism(capsys):
-    code, _out, err = run(capsys, "glue", "--l1", "5A2", "--l2", "5A2", "--auto")
+    code, _out, err = run(capsys, "glue", "--l1", "5A2", "--l2", "5A2")
     assert code == 1
     assert "no full elementary anti-isomorphism" in err
 

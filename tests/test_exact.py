@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from zlat.classify import BLOCK_RANK, CATALOG, block_multisets
 from zlat.exact import (
-    _smith,
     determinant,
     hermite_normal_form,
     hermite_normal_form_mod,
     identity,
     inertia,
     integer_kernel,
-    mat_eq,
     mat_mul,
     rank,
     saturate,
@@ -34,6 +32,12 @@ E6 = [
     [0, 0, 0, 1, -2, 0],
     [0, 0, 1, 0, 0, -2],
 ]
+
+
+def snf_uvd(m):
+    """(U, D, V) with U*M*V = D: `smith_normal_form` with V = transpose(V^T)."""
+    u, d, vt = smith_normal_form(m)
+    return u, d, transpose(vt)
 
 
 def snf_diag(m):
@@ -56,8 +60,8 @@ def test_snf_u_unimodular():
 
 
 def test_snf_transform_identity():
-    u, d, v = smith_normal_form(A2)
-    assert mat_eq(mat_mul(mat_mul(u, A2), v), d)
+    u, d, v = snf_uvd(A2)
+    assert mat_mul(mat_mul(u, A2), v) == d
     assert determinant(u) in (1, -1)
     assert determinant(v) in (1, -1)
 
@@ -132,8 +136,8 @@ def test_snf_random_sweep():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = rand_matrix(rng, rows, cols)
-        u, d, v = smith_normal_form(m)
-        assert mat_eq(mat_mul(mat_mul(u, m), v), d)
+        u, d, v = snf_uvd(m)
+        assert mat_mul(mat_mul(u, m), v) == d
         assert determinant(u) in (1, -1)
         assert determinant(v) in (1, -1)
         diag = [d[i][i] for i in range(min(rows, cols))]
@@ -294,19 +298,19 @@ def integer_matrices(draw):
 @given(integer_matrices())
 @settings(max_examples=400, deadline=None)
 def test_snf_matches_closure_oracle(m):
-    assert smith_normal_form(m) == exact_oracle.smith_normal_form(m)
+    assert snf_uvd(m) == exact_oracle.smith_normal_form(m)
 
 
 def test_snf_matches_closure_oracle_on_grams():
     rng = random.Random(31)
     for expr in ("U(6)+A2(2)+2<-6>", "2U+U(3)+2A2+6A2+E6", "U(2)+4D4+A1+<6>"):
         g = random_basis_change(parse_lattice_expr(expr), rng, 2 * len(expr)).gram_rows()
-        assert smith_normal_form(g) == exact_oracle.smith_normal_form(g)
-    assert smith_normal_form([]) == exact_oracle.smith_normal_form([]) == ([], [], [])
-    assert smith_normal_form([[], []]) == exact_oracle.smith_normal_form([[], []])
+        assert snf_uvd(g) == exact_oracle.smith_normal_form(g)
+    assert snf_uvd([]) == exact_oracle.smith_normal_form([]) == ([], [], [])
+    assert snf_uvd([[], []]) == exact_oracle.smith_normal_form([[], []])
 
 
-# one-transform Smith form against the full one -------------------------------
+# one-transform Smith form against the closure oracle ------------------------
 
 @st.composite
 def matrices_with_zero_rows(draw):
@@ -317,9 +321,9 @@ def matrices_with_zero_rows(draw):
 
 
 def _assert_one_transform_matches(m):
-    u, d, v = smith_normal_form(m)
-    assert _smith(m, False, True) == (None, d, transpose(v))
-    assert _smith(m, True, False) == (u, d, None)
+    u, d, v = exact_oracle.smith_normal_form(m)
+    assert smith_normal_form(m, with_u=False) == (None, d, transpose(v))
+    assert smith_normal_form(m, with_v=False) == (u, d, None)
 
 
 @given(st.one_of(integer_matrices(), matrices_with_zero_rows()))

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import forms_oracle as oracle
 import pytest
-from forms_oracle import change_generators, random_basis_change
+from forms_oracle import change_generators, form_on_generators, random_basis_change
 
 from zlat import exact
 from zlat.forms import (
     TRIVIAL_FORM,
     FiniteQuadraticForm,
+    GlueMap,
+    _anti_iso_order,
     _blocks,
     _split,
     anti_iso_images,
@@ -22,19 +24,14 @@ from zlat.forms import (
     direct_sum_forms,
     discriminant_form,
     fingerprint,
-    form_on_generators,
-    is_anti_isomorphism,
     is_elementary,
     is_isotropic_subgroup,
     isotropic_quotient,
     jordan_symbol,
     normal_basis,
-    normal_form2,
-    normal_form3,
     p_part,
     p_rank,
     prime_factors_of_order,
-    q_cyclic,
     render_form,
     standard_form,
     subgroup_order,
@@ -46,11 +43,28 @@ from zlat.verify import _gauss_brown, aut_g_delta_orders, q_value_census
 F = Fraction
 
 
+def cyclic(n: int, value) -> FiniteQuadraticForm:
+    """<value> on Z/n: q(gen) = value mod 2, b(gen, gen) = value mod 1."""
+    return form_on_generators([n], [[value]], [value])
+
+
+def normal_text(f, p: int) -> str:
+    """The `render_form` text of an elementary p-group (p = 2, 3), built from
+    the normal form of the element-walk oracle."""
+    if p == 3:
+        a, b = oracle.normal_form3(f)
+        names = ("⟨2/3⟩", "⟨-2/3⟩")
+    else:
+        kind, a, b = oracle.normal_form2(f)
+        names = ("u2", "v2") if kind == "even" else ("⟨1/2⟩", "⟨-1/2⟩")
+    return "+".join([names[0]] * a + [names[1]] * b) or "0"
+
+
 def anti_iso_root(target, source):
     """The image of <1/2> under an anti-isomorphism of <1/2> + target onto
     the source 2-group (the root along which stage (a) of the K3 realization
     glues); None when there is none."""
-    images = anti_iso_images(direct_sum_forms(q_cyclic(2, F(1, 2)), target), source, 2)
+    images = anti_iso_images(direct_sum_forms(cyclic(2, F(1, 2)), target), source, 2)
     return None if images is None else images[0]
 
 
@@ -58,12 +72,12 @@ def test_discr_a2():
     f = discriminant_form(named("A2"))
     assert f.orders == (3,)
     assert f.q((1,)) == F(4, 3)  # -2/3 mod 2
-    assert fingerprint(f) == fingerprint(q_cyclic(3, F(-2, 3)))
+    assert fingerprint(f) == fingerprint(cyclic(3, F(-2, 3)))
 
 
 def test_discr_rank1():
-    assert fingerprint(discriminant_form(named("<2>"))) == fingerprint(q_cyclic(2, F(1, 2)))
-    assert fingerprint(discriminant_form(named("<-2>"))) == fingerprint(q_cyclic(2, F(-1, 2)))
+    assert fingerprint(discriminant_form(named("<2>"))) == fingerprint(cyclic(2, F(1, 2)))
+    assert fingerprint(discriminant_form(named("<-2>"))) == fingerprint(cyclic(2, F(-1, 2)))
 
 
 def test_discr_a5_splits():
@@ -71,7 +85,7 @@ def test_discr_a5_splits():
     f = discriminant_form(named("A5"))
     assert f.orders == (6,)
     assert f.q((1,)) == F(-5, 6) % 2
-    split = direct_sum_forms(q_cyclic(2, F(1, 2)), q_cyclic(3, F(2, 3)))
+    split = direct_sum_forms(cyclic(2, F(1, 2)), cyclic(3, F(2, 3)))
     assert fingerprint(f) == fingerprint(split)
 
 
@@ -82,12 +96,12 @@ def test_p_part_u6():
     assert f3.size == 9
     census = q_value_census(f3)
     assert census == {F(2, 3): 2, F(4, 3): 2, F(0): 4}
-    assert normal_form3(f3) == (1, 1)
+    assert render_form(f3) == "⟨2/3⟩+⟨-2/3⟩"
 
 
 def test_p_part_a2_scaled():
     f3 = p_part(discriminant_form(parse_lattice_expr("A2(2)")), 3)
-    assert fingerprint(f3) == fingerprint(q_cyclic(3, F(2, 3)))
+    assert fingerprint(f3) == fingerprint(cyclic(3, F(2, 3)))
 
 
 def test_discr_e8_trivial():
@@ -156,20 +170,24 @@ def test_characteristic_defines_brown_mod4():
 
 
 def test_normal_form2():
-    assert normal_form2(standard_form("2v2")) == normal_form2(standard_form("2u2")) == ("even", 2, 0)
-    assert normal_form2(standard_form("4<1/2>")) == normal_form2(standard_form("4<-1/2>")) == ("odd", 0, 4)
-    assert normal_form2(standard_form("<1/2>")) != normal_form2(standard_form("<-1/2>"))
-    assert normal_form2(standard_form("3<1/2>")) == normal_form2(standard_form("v2+<-1/2>"))
-    assert normal_form2(standard_form("u2+<1/2>")) == normal_form2(standard_form("2<1/2>+<-1/2>"))
+    def text(spec):
+        return render_form(standard_form(spec))
+
+    assert text("2v2") == text("2u2") == "u2+u2"
+    assert text("4<1/2>") == text("4<-1/2>") == "⟨-1/2⟩+⟨-1/2⟩+⟨-1/2⟩+⟨-1/2⟩"
+    assert (text("<1/2>"), text("<-1/2>")) == ("⟨1/2⟩", "⟨-1/2⟩")
+    assert text("3<1/2>") == text("v2+<-1/2>") == "⟨1/2⟩+⟨1/2⟩+⟨1/2⟩"
+    assert text("u2+<1/2>") == text("2<1/2>+<-1/2>") == "⟨1/2⟩+⟨1/2⟩+⟨-1/2⟩"
+    assert text("u2+v2") == "u2+v2"
 
 
 def test_normal_form3():
     f = standard_form("2<2/3>+<-2/3>")
-    assert normal_form3(f) == (0, 3)
+    assert render_form(f) == "⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩"
     assert brown(f) == 2  # 2(a-b) for both presentations
     s0_discr = standard_form("<2/3>+3<-2/3>")
-    assert normal_form3(s0_discr) == (1, 3)
-    assert normal_form3(standard_form("")) == (0, 0)
+    assert render_form(s0_discr) == "⟨2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩"
+    assert render_form(standard_form("")) == "0"
 
 
 def test_decompositions_are_orthogonal():
@@ -185,7 +203,7 @@ def test_decompositions_are_orthogonal():
     f3 = standard_form("2<2/3>+2<-2/3>")
     blocks3 = _blocks(f3, 3)
     assert sorted(k for k, _ in blocks3) in (["t+", "t+", "t-", "t-"], ["t+", "t-", "t-", "t-"], ["t+", "t+", "t+", "t-"])
-    assert normal_form3(f3) == (0, 4)
+    assert render_form(f3) == "⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩"
 
 
 def test_anti_iso_root_a1_class():
@@ -216,7 +234,7 @@ def test_anti_iso_root_none_for_3half_odd_target():
 
 
 def test_isotropic_subgroups_cyclic3():
-    f = q_cyclic(3, F(-2, 3))
+    f = cyclic(3, F(-2, 3))
     subs = oracle.isotropic_subgroups(f)
     assert subs == [frozenset({(0,)})]
 
@@ -232,7 +250,7 @@ def test_diagonal_isotropic_and_census():
     assert quot.size == 81
     census = q_value_census(quot)
     assert census == {F(2, 3): 30, F(4, 3): 30, F(0): 20}
-    assert normal_form3(quot) == (1, 3)
+    assert render_form(quot) == "⟨2/3⟩+⟨-2/3⟩+⟨-2/3⟩+⟨-2/3⟩"
 
 
 def test_aut_orders():
@@ -248,7 +266,7 @@ def _elementary_classes(p: int, max_rank: int):
     yield TRIVIAL_FORM
     for n in range(1, max_rank + 1):
         for a in (1, nonsquare):
-            yield direct_sum_forms(*[q_cyclic(p, F(2, p))] * (n - 1), q_cyclic(p, F(2 * a, p)))
+            yield direct_sum_forms(*[cyclic(p, F(2, p))] * (n - 1), cyclic(p, F(2 * a, p)))
 
 
 @pytest.mark.parametrize("p, max_rank", [(3, 4), (5, 3), (7, 2)])
@@ -268,7 +286,7 @@ def test_aut_order_domain():
     with pytest.raises(ValueError, match="elementary"):
         aut_order(standard_form("u2"))
     with pytest.raises(ValueError, match="elementary"):
-        aut_order(q_cyclic(9, F(2, 9)))
+        aut_order(cyclic(9, F(2, 9)))
 
 
 def test_p_parts_orthogonal_and_sum():
@@ -418,13 +436,13 @@ def _tag(f):
 @given(elementary_forms(2))
 @settings(max_examples=60, deadline=None)
 def test_elementary2_matches_oracles(f):
-    assert normal_form2(f) == oracle.normal_form2(f)
+    assert render_form(f) == normal_text(f, 2)
     assert _tag(f).delta2 == oracle.parity2(f)
     assert _characteristic(f) == oracle.characteristic_element(f)
     assert fingerprint(f) == oracle.fingerprint(f)
     blocks = _blocks(f, 2)
     assert any(k in ("e+", "e-") for k, _ in blocks) == oracle.parity2(f)
-    assert normal_form2(_check_blocks(f, blocks)) == normal_form2(f)
+    assert render_form(_check_blocks(f, blocks)) == render_form(f)
 
 
 @given(elementary_forms(2))
@@ -441,10 +459,10 @@ def test_brown_elementary_rejects_degenerate():
 @given(elementary_forms(3))
 @settings(max_examples=40, deadline=None)
 def test_elementary3_matches_oracles(f):
-    assert normal_form3(f) == oracle.normal_form3(f)
+    assert render_form(f) == normal_text(f, 3)
     assert fingerprint(f) == oracle.fingerprint(f)
     blocks = _blocks(f, 3)
-    assert normal_form3(_check_blocks(f, blocks)) == normal_form3(f)
+    assert render_form(_check_blocks(f, blocks)) == render_form(f)
 
 
 @given(st.one_of(elementary_forms(2), elementary_forms(3)))
@@ -455,11 +473,11 @@ def test_normal_basis_presents_the_normal_form(f):
     _check_blocks(f, blocks)
     counts = Counter(k for k, _ in blocks)
     if p == 3:
-        assert (counts["t+"], counts["t-"]) == normal_form3(f)
+        assert (counts["t+"], counts["t-"]) == oracle.normal_form3(f)
     elif counts["e+"] + counts["e-"]:
-        assert ("odd", counts["e+"], counts["e-"]) == normal_form2(f)
+        assert ("odd", counts["e+"], counts["e-"]) == oracle.normal_form2(f)
     else:
-        assert ("even", counts["u2"], counts["v2"]) == normal_form2(f)
+        assert ("even", counts["u2"], counts["v2"]) == oracle.normal_form2(f)
 
 
 @st.composite
@@ -496,7 +514,7 @@ def root_pairs(draw):
     target = draw(elementary_forms(2))
     if target.ngens == 8 or draw(st.booleans()):
         return target, draw(elementary_forms(2))
-    plus = direct_sum_forms(q_cyclic(2, F(1, 2)), target)
+    plus = direct_sum_forms(cyclic(2, F(1, 2)), target)
     rank = plus.ngens
     ops = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1), st.just(1)),
                         max_size=3 * rank))
@@ -512,7 +530,7 @@ def test_anti_iso_root_matches_walk_oracle(pair):
     if v is not None:
         assert source.q(v) == F(3, 2)
         complement = oracle.complement_of(oracle.span(source, 2), [v])
-        assert oracle.anti_normal_form2(oracle.normal_form2(complement)) == normal_form2(target)
+        assert oracle.anti_normal_form2(oracle.normal_form2(complement)) == oracle.normal_form2(target)
         assert (v == _characteristic(source)) == (oracle.parity2(target) == 0)
 
 
@@ -543,8 +561,8 @@ def test_fingerprint_matches_oracle(m):
 def test_degenerate_inputs_raise():
     zero2 = form_on_generators([2, 2], [[0, 0], [0, 0]], [0, 0])
     zero3 = form_on_generators([3], [[0]], [0])
-    for call in (lambda: normal_form2(zero2), lambda: _blocks(zero2, 2),
-                 lambda: normal_form3(zero3), lambda: _blocks(zero3, 3)):
+    for call in (lambda: render_form(zero2), lambda: _blocks(zero2, 2),
+                 lambda: render_form(zero3), lambda: _blocks(zero3, 3)):
         try:
             call()
         except ValueError:
@@ -618,7 +636,10 @@ def test_subgroup_order_matches_enumeration(case):
 @settings(max_examples=150, deadline=None)
 def test_is_anti_isomorphism_matches_oracle(case):
     f, src, neg, tgt = case
-    assert is_anti_isomorphism(f, src, neg, tgt) == oracle.is_anti_isomorphism(f, src, neg, tgt)
+    order = _anti_iso_order(f, src, neg, tgt)
+    assert (order is not None) == oracle.is_anti_isomorphism(f, src, neg, tgt)
+    if order is not None:
+        assert GlueMap(f, neg, tuple(src), tuple(tgt)).subgroup_order == order == subgroup_order(f, src)
 
 
 @st.composite
@@ -680,9 +701,11 @@ def test_is_anti_isomorphism_checks_pairings():
     src, tgt = [(1, 0, 0), (1, 1, 0)], [(1, 1, 0), (1, 0, 1)]
     assert [f.q(x) for x in src] == [f.q(x) for x in tgt]
     assert subgroup_order(f, src) == subgroup_order(f, tgt) == 4
-    assert not is_anti_isomorphism(f, src, neg, tgt)
+    assert _anti_iso_order(f, src, neg, tgt) is None
     assert not oracle.is_anti_isomorphism(f, src, neg, tgt)
-    assert is_anti_isomorphism(f, src, neg, src)
+    with pytest.raises(ValueError, match="not an anti-isomorphism"):
+        GlueMap(f, neg, tuple(src), tuple(tgt))
+    assert GlueMap(f, neg, tuple(src), tuple(src)).subgroup_order == 4
 
 
 # one numerator matrix per form -------------------------------------------------
@@ -895,8 +918,8 @@ def _block(draw, p, k, pair):
     if pair:
         return _pair_block(pk, F(2 * draw(st.integers(0, 1)), pk))
     if p == 2:
-        return q_cyclic(pk, F(2 * draw(st.integers(0, pk - 1)) + 1, pk))
-    return q_cyclic(pk, F(2 * draw(st.integers(1, pk - 1).filter(lambda u: u % p)), pk))
+        return cyclic(pk, F(2 * draw(st.integers(0, pk - 1)) + 1, pk))
+    return cyclic(pk, F(2 * draw(st.integers(1, pk - 1).filter(lambda u: u % p)), pk))
 
 
 def _regenerate(draw, f, p):
@@ -959,7 +982,8 @@ def test_tag_accessors_match_the_form(f):
     if is_elementary(f2, 2):
         assert tag.delta2 == oracle.parity2(f2)
     if is_elementary(f3, 3):
-        assert tag.pq3 == normal_form3(f3) == oracle.normal_form3(f3)
+        assert tag.pq3 == oracle.normal_form3(f3)
+        assert render_form(f3) == normal_text(f3, 3)
     else:
         with pytest.raises(ValueError, match="not elementary at 3"):
             tag.pq3
@@ -1000,7 +1024,7 @@ def test_brown_of_every_block_matches_gauss_sum():
         for k in (1, 2, 3):
             pk = p ** k
             values = range(1, 2 * pk, 2) if p == 2 else range(2, 2 * pk, 2)
-            blocks = [q_cyclic(pk, F(v, pk)) for v in values if v % p]
+            blocks = [cyclic(pk, F(v, pk)) for v in values if v % p]
             if p == 2:
                 blocks += [_pair_block(pk, F(0)), _pair_block(pk, F(2, pk))]
             for f in blocks:
@@ -1043,7 +1067,7 @@ def test_2adic_symbols_equal_exactly_for_isometric_forms_up_to_64():
     atoms = []
     for k in range(1, 7):
         pk = 2 ** k
-        atoms += [(pk, q_cyclic(pk, F(u, pk))) for u in range(1, min(2 * pk, 8), 2)]
+        atoms += [(pk, cyclic(pk, F(u, pk))) for u in range(1, min(2 * pk, 8), 2)]
         if k <= 3:
             atoms += [(pk * pk, _pair_block(pk, F(0))), (pk * pk, _pair_block(pk, F(2, pk)))]
     sums = []

@@ -282,7 +282,7 @@ def test_threaded_det_matches_bareiss_on_extensions():
         l = parse_lattice_expr(expr)
         ext = extension_by_fraction(l, v, d)
         assert _bareiss_agrees(ext) and abs(ext.det()) * d * d == abs(l.det())
-    assert _bareiss_agrees(overlattice(parse_lattice_expr("U(4)"), [[1, 0], [0, 2]], 2))
+    assert _bareiss_agrees(overlattice(parse_lattice_expr("U(4)"), [[1, 0], [0, 2]], 2)[0])
 
 
 def test_constructors_skip_bareiss(monkeypatch):
@@ -502,14 +502,14 @@ def _lifted_rows(draw):
 @settings(max_examples=150, deadline=None)
 def test_overlattice_matches_dense_product(case):
     l, rows, den = case
-    assert _overlattice_outcome(lattice._overlattice, l, rows, den) \
+    assert _overlattice_outcome(lattice.overlattice, l, rows, den) \
         == _overlattice_outcome(lattice_oracle.dense_overlattice, l, rows, den)
 
 
 def test_overlattice_patches_a_row_d_e_i_with_d_not_den():
     # the extension of 2U(3) by an isotropic element whose lift is e_2 / 3
     l = parse_lattice_expr("2U(3)")
-    out = _overlattice_outcome(lattice._overlattice, l, [[0, 0, 1, 0]], 3)
+    out = _overlattice_outcome(lattice.overlattice, l, [[0, 0, 1, 0]], 3)
     assert out == _overlattice_outcome(lattice_oracle.dense_overlattice, l, [[0, 0, 1, 0]], 3)
     gram, det, h = out
     assert h[2] == [0, 0, 1, 0] and det == 9  # U(3) + U

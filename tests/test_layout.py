@@ -93,7 +93,7 @@ def test_only_verify_calls_the_fingerprints():
 
 # the verdicts and the census read the genus tag and its accessors, never
 # the symbols or ranks of a whole form (the glue maps still take p-parts)
-FORM_READERS = {"jordan_symbol", "normal_form2", "normal_form3", "p_rank", "is_elementary"}
+FORM_READERS = {"jordan_symbol", "p_rank", "is_elementary"}
 
 
 def _form_readers_called(tree):
