@@ -9,6 +9,7 @@ No floating point anywhere.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 Matrix = list[list[int]]
 
@@ -48,6 +49,28 @@ def is_symmetric(m) -> bool:
         return False
     t = tuple(zip(*m))
     return m == t or [tuple(r) for r in m] == list(t)
+
+
+def components(g) -> list[list[int]]:
+    """The connected components of the nonzero pattern of a symmetric matrix
+    g, as ascending index lists, by smallest index."""
+    n = len(g)
+    cols = range(n)
+    seen = [False] * n
+    found = []
+    for start in cols:
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:  # grows while it is walked
+            for j in compress(cols, g[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        block.sort()
+        found.append(block)
+    return found
 
 
 def determinant(m) -> int:

@@ -13,6 +13,7 @@ Then n b(x, y) = x gram y^T mod n and n q(x) = x gram x^T mod 2n.  For a
 discriminant form the lift of e_i to the lattice is lift_cols[i] / d_i.
 No `Fraction` enters: every form is built from integers.  Fractions leave
 only through `b`, `q` and `fingerprint`; everything else reads the integers.
+`brown` is read per orthogonal summand, a connected component of the gram.
 """
 
 from __future__ import annotations
@@ -65,12 +66,7 @@ class FiniteQuadraticForm:
         return itertools.product(*[range(d) for d in self.orders])
 
     def element_order(self, x) -> int:
-        o = 1
-        for c, d in zip(x, self.orders):
-            if c % d:
-                od = d // math.gcd(c, d)
-                o = o * od // math.gcd(o, od)
-        return o
+        return math.lcm(*[d // math.gcd(c, d) for c, d in zip(x, self.orders)])
 
     def _pair(self, x, y) -> int:
         """x gram y^T, unreduced, for integer vectors x and y."""
@@ -114,7 +110,7 @@ def _fraction(k: int, n: int) -> Fraction:
 
 def _reduced(rows, n: int) -> tuple[tuple[int, ...], ...]:
     """The integer rows as a form's gram over n: the diagonal mod 2n, the rest mod n."""
-    return tuple(tuple(x % (2 * n) if i == j else x % n for j, x in enumerate(row)) for i, row in enumerate(rows))
+    return tuple([tuple([x % (2 * n) if i == j else x % n for j, x in enumerate(row)]) for i, row in enumerate(rows)])
 
 
 TRIVIAL_FORM = FiniteQuadraticForm((), 1, (), ())
@@ -220,15 +216,10 @@ def standard_form(spec: str) -> FiniteQuadraticForm:
     for term in spec.replace(" ", "").split("+"):
         if not term:
             continue
-        count = 1
-        i = 0
-        while i < len(term) and term[i].isdigit():
-            i += 1
-        if i and term[:i].isdigit() and term[i:] in ATOMS:
-            count, term = int(term[:i]), term[i:]
-        if term not in ATOMS:
+        atom = term.lstrip("0123456789")
+        if atom not in ATOMS:
             raise ValueError(f"unknown form atom {term!r}")
-        parts += [ATOMS[term]] * count
+        parts += [ATOMS[atom]] * int(term[:len(term) - len(atom)] or 1)
     return direct_sum_forms(*parts) if parts else TRIVIAL_FORM
 
 
@@ -239,26 +230,16 @@ def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
 
     Its generators are m_i e_i of order p^k = d_i / m_i; they lift to
     c_i / p^k, so the lift columns are kept.  A p-group is its own p-part."""
-    idx = []
-    mults = []
-    new_orders = []
-    for i, d in enumerate(f.orders):
-        pk = 1
-        while d % p == 0:
-            d //= p
-            pk *= p
-        if pk > 1:
-            idx.append(i)
-            mults.append(f.orders[i] // pk)
-            new_orders.append(pk)
-    if len(idx) == f.ngens and all(m == 1 for m in mults):
+    pe = math.gcd(f.n, p ** f.n.bit_length())  # the p-part of n
+    idx = [i for i, d in enumerate(f.orders) if d % p == 0]
+    if f.n == pe and len(idx) == f.ngens:
         return f
-    n = math.lcm(*new_orders)
-    r = f.n // n  # n * x / f.n = x / r
-    picked = list(zip(idx, mults))
-    gram = _reduced([[ma * mb * f.gram[i][j] // r for j, mb in picked] for i, ma in picked], n)
+    orders = tuple([math.gcd(f.orders[i], pe) for i in idx])
+    r = f.n // pe  # pe * x / f.n = x / r
+    picked = [(i, f.orders[i] // pk) for i, pk in zip(idx, orders)]
+    gram = _reduced([[ma * mb * f.gram[i][j] // r for j, mb in picked] for i, ma in picked], pe)
     lift_cols = None if f.lift_cols is None else tuple(f.lift_cols[i] for i in idx)
-    return FiniteQuadraticForm(tuple(new_orders), n, gram, lift_cols)
+    return FiniteQuadraticForm(orders, pe, gram, lift_cols)
 
 
 def p_rank(f: FiniteQuadraticForm, p: int) -> int:
@@ -266,19 +247,22 @@ def p_rank(f: FiniteQuadraticForm, p: int) -> int:
 
 
 def prime_factors_of_order(f: FiniteQuadraticForm) -> list[int]:
-    primes = set()
-    for d in f.orders:
-        x = d
-        k = 2
-        while k * k <= x:
-            if x % k == 0:
-                primes.add(k)
-                while x % k == 0:
-                    x //= k
-            k += 1
-        if x > 1:
-            primes.add(x)
-    return sorted(primes)
+    return list(_primes(math.lcm(*f.orders)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _primes(n: int) -> tuple[int, ...]:
+    """The primes dividing n, ascending, by trial division."""
+    primes, k = [], 2
+    while k * k <= n:
+        if n % k == 0:
+            primes.append(k)
+            while n % k == 0:
+                n //= k
+        k += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
 
 
 def is_elementary(f: FiniteQuadraticForm, p: int) -> bool:
@@ -302,7 +286,8 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
     square has an odd numerator over 2/m (x + y has an even one), and
     projects the others by the adjugate of the pair's Gram block, whose
     determinant is odd.  When no pair of order m is left either, the scale
-    drops to m/p.
+    drops to m/p.  A projection t += c x rewrites row t alone: row t + c row
+    x pairs t + cx, which is orthogonal to x, with every projected u + c'x.
 
     Returns the vectors (None without `with_vectors`) and the blocks
     (k, u, vector indices) of scale p^k in the order split off: <u/p^k> of
@@ -311,27 +296,38 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
     both odd).  Raises on a degenerate form.
     """
     n, r = f.n, f.ngens
-    g = [list(row) for row in f.gram]
-    vecs = [[int(a == c) for c in range(r)] for a in range(r)] if with_vectors else None
-
-    def add(t, s, c=1):  # vector t += c * vector s, keeping the gram in step
-        row = [(x + c * y) % n for x, y in zip(g[t], g[s])]
-        row[t] = (g[t][t] + 2 * c * g[t][s] + c * c * g[s][s]) % (2 * n)
-        g[t] = row
-        for u, x in enumerate(row):
-            g[u][t] = x
-        if vecs is not None:
-            vecs[t] = [(x + c * y) % n for x, y in zip(vecs[t], vecs[s])]
-
     k, m = 0, 1
     while m < n:
         k, m = k + 1, m * p
+    a = f.gram[0][0] if r == 1 else 0
+    if a % p and f.orders[0] == m:  # <u/p^k>: one block, nothing to project
+        return ([[1]] if with_vectors else None), [(k, a if p == 2 else a % n, [0])]
+    g = [list(row) for row in f.gram]
+    vecs = [[int(a == c) for c in range(r)] for a in range(r)] if with_vectors else None
     live = list(range(r))
-    blocks = []
+
+    def add(t, s, c=1):  # vector t += c * vector s, with row t of the gram
+        gt, gs = g[t], g[s]
+        row = [(x + c * y) % n for x, y in zip(gt, gs)]
+        row[t] = (gt[t] + 2 * c * gt[s] + c * c * gs[s]) % (2 * n)
+        g[t] = row
+        if vecs is not None:
+            vecs[t] = [(x + c * y) % n for x, y in zip(vecs[t], vecs[s])]
+
+    def replace(t, s):  # vector t += vector s, with row and live column t
+        add(t, s)
+        for u in live:
+            g[u][t] = g[t][u]
+
+    blocks, e = [], 0  # e: the exponent of p in the order of the span of the blocks
     while live:
         s = n // m
         sp = s * p  # a live numerator off the multiples of sp has order m
-        i = next((t for t in live if g[t][t] % sp), None)
+        for i in live:
+            if g[i][i] % sp:
+                break
+        else:
+            i = None
         if i is not None:
             live.remove(i)
             inv = pow(g[i][i] // s, -1, m)
@@ -340,6 +336,7 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
                 if c:
                     add(t, i, c)
             blocks.append((k, g[i][i] // s if p == 2 else g[i][i] % n // s, [i]))
+            e += k
             continue
         i, j = next(((i, j) for i in live for j in live if g[i][j] % sp), (None, None))
         if i is None:
@@ -348,14 +345,11 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
             k, m = k - 1, m // p
             continue
         if p != 2:
-            add(i, j)
+            replace(i, j)
             continue
         odd_i, odd_j = g[i][i] % (2 * sp) != 0, g[j][j] % (2 * sp) != 0
         if odd_i != odd_j:
-            if odd_i:
-                add(i, j)
-            else:
-                add(j, i)
+            replace(*((i, j) if odd_i else (j, i)))
         live.remove(i)
         live.remove(j)
         a, w, d = g[i][i] // s, g[i][j] // s, g[j][j] // s
@@ -368,7 +362,8 @@ def _split(f: FiniteQuadraticForm, p: int, with_vectors: bool):
             if cj:
                 add(t, j, cj)
         blocks.append((k, "v" if g[i][i] % (2 * sp) else "u", [i, j]))
-    if math.prod(p ** (k * len(idx)) for k, _u, idx in blocks) != f.size:
+        e += 2 * k
+    if p ** e != f.size:
         raise ValueError(f"degenerate {p}-group")
     return vecs, blocks
 
@@ -528,9 +523,41 @@ def normal_basis(f: FiniteQuadraticForm, p: int) -> tuple[tuple[str, tuple[Eleme
 
 def brown(f: FiniteQuadraticForm) -> int:
     """The Brown invariant in Z/8, exact for every finite form: the sum of the
-    closed forms `_block_brown` over the Jordan splitting of each p-part."""
-    return sum(_block_brown(p, k, u) for p in prime_factors_of_order(f)
-               for k, u, _rank in _constituents(f, p)) % 8
+    memoized `_summand_brown` of its orthogonal summands, the components of
+    the gram (Brown is additive over orthogonal sums, Nikulin 1979, §1).
+    Each is restated over its own exponent n_c = lcm of its orders, its gram
+    divided by n/n_c (exactly, else ValueError), so that equal summands of
+    different sums share one memo entry; a form of one summand is its key."""
+    n, orders, gram = f.n, f.orders, f.gram
+    comps = exact.components(gram)
+    if len(comps) == 1:
+        return _summand_brown(orders, n, gram)
+    total = 0
+    for c in comps:
+        if len(c) == 1:  # <u/d>, the commonest summand
+            (i,) = c
+            d = orders[i]
+            s = n // d
+            if gram[i][i] % s:
+                raise ValueError(f"summand gram is not divisible by n/n_c = {s}")
+            total += _summand_brown((d,), d, ((gram[i][i] // s,),))
+            continue
+        sub = tuple([orders[i] for i in c])
+        s = n // math.lcm(*sub)
+        if s > 1 and math.gcd(*[gram[i][j] for i in c for j in c]) % s:
+            raise ValueError(f"summand gram is not divisible by n/n_c = {s}")
+        total += _summand_brown(sub, n // s, tuple([tuple([gram[i][j] // s for j in c]) for i in c]))
+    return total % 8
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _summand_brown(orders: tuple[int, ...], n: int, gram: tuple[tuple[int, ...], ...]) -> int:
+    """The Brown invariant of the form (orders, n, gram), memoized on that exact
+    value: `_block_brown` summed over the `_split` of each p-part (a p-group is its own)."""
+    f = FiniteQuadraticForm(orders, n, gram)
+    primes = _primes(n)
+    return sum([_block_brown(p, k, u) for p in primes
+                for k, u, _idx in _split(f if len(primes) == 1 else p_part(f, p), p, False)[1]]) % 8
 
 
 # element census and subgroups ---------------------------------------------------

@@ -44,28 +44,15 @@ class Lattice:
         object.__setattr__(self, "_det", det)
 
     def orthogonal_split(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-        """The (indices, block Gram matrix) of the connected components of the
-        nonzero pattern of the Gram matrix, ascending indices, by smallest
-        index; blocks need not be contiguous, and a single block is the Gram
-        matrix itself.  Computed once per lattice, for the determinant,
-        `signature` and `forms.discriminant_form`, unless `direct_sum` or
-        `parse_lattice_expr` handed it over from the blocks they placed."""
+        """The (indices, block Gram matrix) of the `exact.components` of the
+        Gram matrix; a single block is the Gram matrix itself.  Computed once
+        per lattice, for the determinant, `signature` and
+        `forms.discriminant_form`, unless `direct_sum` or `parse_lattice_expr`
+        handed it over from the blocks they placed."""
         if self._orthogonal is None:
-            g, n = self.gram, self.rank
-            seen = [False] * n
-            blocks = []
-            for start in range(n):
-                if seen[start]:
-                    continue
-                seen[start] = True
-                block = [start]
-                for i in block:  # grows while it is walked
-                    for j, x in enumerate(g[i]):
-                        if x and not seen[j]:
-                            seen[j] = True
-                            block.append(j)
-                blocks.append(sorted(block))
-            split = ((tuple(range(n)), g),) if len(blocks) == 1 else tuple(
+            g = self.gram
+            blocks = exact.components(g)
+            split = ((tuple(range(self.rank)), g),) if len(blocks) == 1 else tuple(
                 (tuple(b), tuple(tuple(g[i][j] for j in b) for i in b)) for b in blocks)
             object.__setattr__(self, "_orthogonal", split)
         return self._orthogonal

@@ -106,7 +106,9 @@ def check_brown_additivity():
     for _ in range(40):
         a = forms.standard_form(rng.choice(specs))
         b = forms.standard_form(rng.choice(specs))
-        if forms.brown(forms.direct_sum_forms(a, b)) != (forms.brown(a) + forms.brown(b)) % 8:
+        # `brown` adds up the summands, so the Gauss sum of the whole sum is the other side
+        total = forms.direct_sum_forms(a, b)
+        if not forms.brown(total) == _gauss_brown(total) == (forms.brown(a) + forms.brown(b)) % 8:
             return False, "additivity failed"
     return True, "Br additive over 40 random direct sums"
 

@@ -14,8 +14,11 @@ from zlat.forms import (
     FiniteQuadraticForm,
     GlueMap,
     _anti_iso_order,
+    _block_brown,
     _blocks,
+    _constituents,
     _split,
+    _summand_brown,
     anti_iso_images,
     aut_order,
     brown,
@@ -313,13 +316,19 @@ def test_p_parts_orthogonal_and_sum():
         assert total == f.size
 
 
+def _jordan_brown(f):
+    """Brown off the Jordan splitting of each whole p-part, without `brown`'s split into summands."""
+    return sum(_block_brown(p, k, u) for p in prime_factors_of_order(f) for k, u, _rank in _constituents(f, p)) % 8
+
+
 def test_brown_additivity_random():
     rng = random.Random(11)
     specs = ["<1/2>", "<-1/2>", "u2", "v2", "<2/3>", "<-2/3>", "2<2/3>"]
     for _ in range(20):
         a = standard_form(rng.choice(specs))
         b = standard_form(rng.choice(specs))
-        assert brown(direct_sum_forms(a, b)) == (brown(a) + brown(b)) % 8
+        total = direct_sum_forms(a, b)
+        assert brown(total) == _jordan_brown(total) == (brown(a) + brown(b)) % 8
 
 
 def test_r2_congruence():
@@ -1036,6 +1045,71 @@ def test_split_rejects_degenerate_p_groups():
     for f in (form_on_generators([4], [[F(1, 2)]], [F(1, 2)]), form_on_generators([9], [[F(1, 3)]], [F(4, 3)])):
         with pytest.raises(ValueError, match="degenerate"):
             brown(f)
+
+
+def _permuted(f, perm):
+    """f with its generators relabelled in the order perm (no change of basis)."""
+    return FiniteQuadraticForm(tuple(f.orders[i] for i in perm), f.n,
+                               tuple(tuple(f.gram[i][j] for j in perm) for i in perm))
+
+
+_SUMMAND_SIZE = {2: 2 ** 5, 3: 3 ** 3, 5: 5 ** 2, 7: 7 ** 2}
+
+
+@st.composite
+def interleaved_sums(draw):
+    """An orthogonal sum of 1-4 p-group forms of mixed primes and exponents,
+    each on changed generators, with the generators of the sum permuted so
+    that the summands interleave."""
+    parts = draw(st.lists(st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: pgroup_forms(p, _SUMMAND_SIZE[p])),
+                          min_size=1, max_size=4))
+    f = direct_sum_forms(*parts)
+    return _permuted(f, draw(st.permutations(range(f.ngens))))
+
+
+@given(interleaved_sums())
+@settings(max_examples=150, deadline=None)
+def test_brown_per_summand_matches_whole_form_splitting(f):
+    _summand_brown.cache_clear()
+    cold = brown(f)
+    assert brown(f) == cold == _jordan_brown(f)
+    if f.size <= 1024:
+        assert cold == _gauss_brown(f)
+
+
+def test_brown_rejects_a_degenerate_summand_of_a_sum():
+    good = standard_form("u2+<2/3>+<-1/2>")
+    brown(good)  # its summands are in the memo
+    for bad in (form_on_generators([4], [[F(1, 2)]], [F(1, 2)]), form_on_generators([9], [[F(1, 3)]], [F(4, 3)])):
+        f = direct_sum_forms(good, bad)
+        for perm in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
+            with pytest.raises(ValueError, match="degenerate"):
+                brown(_permuted(f, perm))
+
+
+_INDIVISIBLE_SUMMAND = """
+from zlat.forms import FiniteQuadraticForm, brown
+# each summand on Z/3 or (Z/3)^2 has n/n_c = 6/3 = 2, but an odd entry: the square 5, the pairing 1
+for f in (FiniteQuadraticForm((2, 3), 6, ((3, 0), (0, 5))),
+          FiniteQuadraticForm((2, 3, 3), 6, ((3, 0, 0), (0, 4, 1), (0, 1, 4)))):
+    try:
+        brown(f)
+    except ValueError as e:
+        print(e)
+"""
+
+
+def test_brown_rejects_a_summand_off_its_exponent_under_python_O():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", _INDIVISIBLE_SUMMAND], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "summand gram is not divisible by n/n_c = 2\n" * 2
 
 
 @given(_PGROUPS, st.data())
