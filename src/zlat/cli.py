@@ -88,8 +88,8 @@ def _cmd_lattice(args) -> int:
         try:
             r, r2, d2, p, q = stability.invariants(l)
             print(f"  r = {r}  r2 = {r2}  delta2 = {d2}  (p,q) = ({p},{q})")
-        except ValueError:
-            print("  discriminant not elementary at 2 and 3")
+        except ValueError as e:
+            print(f"  {e}")
         cert = stability.stability_certificate(l)
         print(f"  stability certificate: {cert if cert else 'none (verdicts may be unknown)'}")
     if "discr" in shows:

@@ -277,7 +277,8 @@ def rank(m) -> int:
 
 
 def saturate(b) -> Matrix:
-    """Primitive closure of the row span of b inside Z^n.
+    """Primitive closure of the row span of b inside Z^n: the vectors
+    orthogonal to everything orthogonal to the rows, Z^n at full rank.
 
     Raises ValueError("rank deficient") when the rows are dependent.
     """
@@ -287,9 +288,8 @@ def saturate(b) -> Matrix:
         raise ValueError("rank deficient")
     k1 = integer_kernel(transpose(b))
     if not k1:
-        return hermite_normal_form(b)
-    sat = integer_kernel(transpose(k1))
-    return sat
+        return identity(len(b[0]))
+    return integer_kernel(transpose(k1))
 
 
 def inertia(g) -> tuple[int, int, int]:

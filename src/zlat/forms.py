@@ -13,7 +13,9 @@ Then n b(x, y) = x gram y^T mod n and n q(x) = x gram x^T mod 2n.  For a
 discriminant form the lift of e_i to the lattice is lift_cols[i] / d_i.
 No `Fraction` enters: every form is built from integers.  Fractions leave
 only through `b`, `q` and `fingerprint`; everything else reads the integers.
-`brown` is read per orthogonal summand, a connected component of the gram.
+Brown and the Jordan constituents of each p-part come from one memoized
+`jordan_record` per form value; `brown` reads it per orthogonal summand, a
+connected component of the gram, and `jordan_symbol` on the whole form.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ TRIVIAL_FORM = FiniteQuadraticForm((), 1, (), ())
 def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     """The discriminant L*/L with Q/Z pairing and Q/2Z quadratic refinement.
 
-    The orthogonal sum of the `_block_form`s of the blocks of
+    The orthogonal sum of the `block_form`s of the blocks of
     `Lattice.orthogonal_split` (Nikulin 1979, §1), the split that also
     serves the determinant and `signature`: generators are taken per block,
     in block order, and each block's lift columns are scattered back to its
@@ -131,12 +133,12 @@ def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
         raise ValueError("lattice is not even")
     blocks = l.orthogonal_split()
     if len(blocks) == 1:
-        return _block_form(blocks[0][1])
-    return _orthogonal_sum([_block_form(g) for _idx, g in blocks], [idx for idx, _g in blocks])
+        return block_form(blocks[0][1])
+    return _orthogonal_sum([block_form(g) for _idx, g in blocks], [idx for idx, _g in blocks])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
+def block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
     """The discriminant form of one Gram matrix from its Smith transform,
     memoized, so that the blocks many direct sums share are reduced once.
 
@@ -386,21 +388,21 @@ def _block_brown(p: int, k: int, u) -> int:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def jordan_constituents(gram: tuple[tuple[int, ...], ...]) -> tuple:
-    """(p, ((k, u, rank), ...)): the `_split` blocks of each p-part of the
-    discriminant form of one Gram matrix, memoized as `_block_form` is."""
-    f = _block_form(gram)
-    return tuple((p, tuple(_constituents(f, p))) for p in prime_factors_of_order(f))
-
-
-def _constituents(f: FiniteQuadraticForm, p: int) -> list[tuple]:
-    """The Jordan constituents (k, u, rank) of the p-part of f, as `_split` makes them."""
-    return [(k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p, False)[1]]
+def jordan_record(orders: tuple[int, ...], n: int, gram: tuple[tuple[int, ...], ...]) -> tuple:
+    """(Brown, ((p, ((k, u, rank), ...)), ...)) of the form (orders, n, gram),
+    memoized on that exact value, the one memo of Jordan data: per prime of
+    n, ascending, the `_split` blocks of the p-part (a p-group is its own),
+    and the sum of their `_block_brown` in Z/8.  Raises on a degenerate form."""
+    f = FiniteQuadraticForm(orders, n, gram)
+    parts = tuple([(p, tuple([(k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p, False)[1]]))
+                   for p in _primes(n)])
+    return sum([_block_brown(p, k, u) for p, blocks in parts for k, u, _rank in blocks]) % 8, parts
 
 
 def jordan_symbol(f: FiniteQuadraticForm, p: int) -> tuple:
-    """The canonical p-adic symbol of the p-part of f: `canonical_symbol` of its `_constituents`."""
-    return canonical_symbol(p, _constituents(f, p))
+    """The canonical p-adic symbol of the p-part of f: `canonical_symbol` of
+    the constituents at p in the `jordan_record` of the whole form."""
+    return canonical_symbol(p, dict(jordan_record(f.orders, f.n, f.gram)[1]).get(p, ()))
 
 
 def canonical_symbol(p: int, blocks) -> tuple:
@@ -523,15 +525,16 @@ def normal_basis(f: FiniteQuadraticForm, p: int) -> tuple[tuple[str, tuple[Eleme
 
 def brown(f: FiniteQuadraticForm) -> int:
     """The Brown invariant in Z/8, exact for every finite form: the sum of the
-    memoized `_summand_brown` of its orthogonal summands, the components of
-    the gram (Brown is additive over orthogonal sums, Nikulin 1979, §1).
-    Each is restated over its own exponent n_c = lcm of its orders, its gram
-    divided by n/n_c (exactly, else ValueError), so that equal summands of
-    different sums share one memo entry; a form of one summand is its key."""
+    Brown fields of the `jordan_record`s of its orthogonal summands, the
+    components of the gram (Brown is additive over orthogonal sums, Nikulin
+    1979, §1).  Each is restated over its own exponent n_c = lcm of its
+    orders, its gram divided by n/n_c (exactly, else ValueError), so that
+    equal summands of different sums share one record; a form of one
+    summand is its own key."""
     n, orders, gram = f.n, f.orders, f.gram
     comps = exact.components(gram)
     if len(comps) == 1:
-        return _summand_brown(orders, n, gram)
+        return jordan_record(orders, n, gram)[0]
     total = 0
     for c in comps:
         if len(c) == 1:  # <u/d>, the commonest summand
@@ -540,24 +543,14 @@ def brown(f: FiniteQuadraticForm) -> int:
             s = n // d
             if gram[i][i] % s:
                 raise ValueError(f"summand gram is not divisible by n/n_c = {s}")
-            total += _summand_brown((d,), d, ((gram[i][i] // s,),))
+            total += jordan_record((d,), d, ((gram[i][i] // s,),))[0]
             continue
         sub = tuple([orders[i] for i in c])
         s = n // math.lcm(*sub)
         if s > 1 and math.gcd(*[gram[i][j] for i in c for j in c]) % s:
             raise ValueError(f"summand gram is not divisible by n/n_c = {s}")
-        total += _summand_brown(sub, n // s, tuple([tuple([gram[i][j] // s for j in c]) for i in c]))
+        total += jordan_record(sub, n // s, tuple([tuple([gram[i][j] // s for j in c]) for i in c]))[0]
     return total % 8
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _summand_brown(orders: tuple[int, ...], n: int, gram: tuple[tuple[int, ...], ...]) -> int:
-    """The Brown invariant of the form (orders, n, gram), memoized on that exact
-    value: `_block_brown` summed over the `_split` of each p-part (a p-group is its own)."""
-    f = FiniteQuadraticForm(orders, n, gram)
-    primes = _primes(n)
-    return sum([_block_brown(p, k, u) for p in primes
-                for k, u, _idx in _split(f if len(primes) == 1 else p_part(f, p), p, False)[1]]) % 8
 
 
 # element census and subgroups ---------------------------------------------------
@@ -771,7 +764,7 @@ def render_form(f: FiniteQuadraticForm, ascii_mode: bool = False) -> str:
     for p in prime_factors_of_order(f):
         part = p_part(f, p)
         if p in (2, 3) and is_elementary(part, p):
-            ((_q, n, eps, *odd_t),) = jordan_symbol(part, p)
+            ((_q, n, eps, *odd_t),) = jordan_symbol(f, p)
             minus = int(eps == -1)
             if p == 3:
                 names, a, b = ("⟨2/3⟩", "⟨-2/3⟩"), minus, n - minus

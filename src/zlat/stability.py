@@ -1,11 +1,12 @@
 """Deciding isomorphism of even lattices in the genus.
 
 A GenusTag is the signature and the canonical p-adic symbol of each p-part
-of the discriminant form, assembled from the memoized Jordan constituents of
-the orthogonal blocks; it is a complete invariant of the genus, and every
-verdict reads it through its accessors.  "yes" needs a stability certificate
-on top of equal tags; "unknown" is a first-class verdict and the
-classification pipeline treats it as a hard failure.
+of the discriminant form, assembled from the Jordan constituents in the
+`forms.jordan_record` of each orthogonal block's form; it is a complete
+invariant of the genus, and every verdict reads it through its accessors.
+"yes" needs a stability certificate on top of equal tags; "unknown" is a
+first-class verdict and the classification pipeline treats it as a hard
+failure.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ def genus_tag(l: Lattice) -> GenusTag:
     discriminant form: complete, as the two fix the genus of an even lattice
     (Nikulin 1979, Cor. 1.9.4).  The Jordan splitting of an orthogonal sum
     is the union of its blocks' splittings, so the symbols are read off the
-    constituents of the blocks of `Lattice.orthogonal_split`."""
+    constituents in the `forms.jordan_record` of the `forms.block_form` of
+    each block of `Lattice.orthogonal_split`."""
     if not l.is_even:
         raise ValueError("lattice is not even")
     union = {}
     for _idx, g in l.orthogonal_split():
-        for p, blocks in forms.jordan_constituents(g):
+        f = forms.block_form(g)
+        for p, blocks in forms.jordan_record(f.orders, f.n, f.gram)[1]:
             union[p] = union.get(p, ()) + blocks
     return GenusTag(signature(l), tuple((p, forms.canonical_symbol(p, union[p])) for p in sorted(union)))
 

@@ -41,6 +41,12 @@ package built H^perp / H before it took it by integer linear algebra.
 `gram` and over its full rows, as the package evaluated a form before both
 went through one product x gram y^T.
 
+`jordan_constituents`, `jordan_symbol` and `jordan_brown` read the Jordan
+splitting of each whole p-part (`forms.p_part`, then `forms._split`), with
+no memo and no split into orthogonal summands, as the package did before
+one `forms.jordan_record` per form value served `brown`, `jordan_symbol`
+and the genus tags.
+
 `FractionForm` with `discriminant_form`, `p_part` and `direct_sum_forms`
 below is the storage the package used before it kept integer numerators
 over the exponent: pairings, squares and lifts as reduced `Fraction`s.
@@ -57,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from zlat import exact
+from zlat import exact, forms
 from zlat.exact import identity, mat_mul, transpose
 from zlat.forms import (
     ANTI_KIND,
@@ -760,3 +766,18 @@ def _is_p_torsion(f, x, p: int) -> bool:
     while o % p == 0:
         o //= p
     return o == 1
+
+
+def jordan_constituents(f, p: int) -> list[tuple]:
+    """The Jordan constituents (k, u, rank) of the p-part of f, as `forms._split` makes them."""
+    return [(k, u, len(idx)) for k, u, idx in forms._split(forms.p_part(f, p), p, False)[1]]
+
+
+def jordan_symbol(f, p: int) -> tuple:
+    return forms.canonical_symbol(p, jordan_constituents(f, p))
+
+
+def jordan_brown(f) -> int:
+    """Brown off the Jordan splitting of each whole p-part."""
+    return sum(forms._block_brown(p, k, u) for p in prime_factors_of_order(f)
+               for k, u, _rank in jordan_constituents(f, p)) % 8

@@ -24,6 +24,15 @@ def test_lattice_even_with_odd_half(capsys):
     assert "stability certificate: small-rank:divide-2:criterion" in out
 
 
+def test_lattice_invariants_report_why_they_are_missing(capsys):
+    code, out, _err = run(capsys, "lattice", "<3>+A2", "--show", "invariants")
+    assert code == 0
+    assert "  lattice is not even" in out and "elementary" not in out
+    code, out, _err = run(capsys, "lattice", "U+<-4>", "--show", "invariants")
+    assert code == 0
+    assert "  discriminant is not elementary at 2 and 3" in out
+
+
 def test_lattice_ascii_flag(capsys):
     code, out, _ = run(capsys, "--ascii", "lattice", "<2>+3<-6>", "--show", "discr")
     assert code == 0

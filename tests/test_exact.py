@@ -102,6 +102,12 @@ def test_saturate_scaled_rows():
     assert saturate([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
 
 
+def test_saturate_full_rank_is_the_whole_lattice():
+    assert saturate([[2]]) == [[1]]
+    assert saturate([[1, 1], [1, -1]]) == [[1, 0], [0, 1]]
+    assert saturate([[3, 1, 0], [0, 2, 0], [5, 5, 7]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_saturate_rank_deficient():
     try:
         saturate([[1, 1], [2, 2]])

@@ -14,11 +14,8 @@ from zlat.forms import (
     FiniteQuadraticForm,
     GlueMap,
     _anti_iso_order,
-    _block_brown,
     _blocks,
-    _constituents,
     _split,
-    _summand_brown,
     anti_iso_images,
     aut_order,
     brown,
@@ -30,6 +27,7 @@ from zlat.forms import (
     is_elementary,
     is_isotropic_subgroup,
     isotropic_quotient,
+    jordan_record,
     jordan_symbol,
     normal_basis,
     p_part,
@@ -316,11 +314,6 @@ def test_p_parts_orthogonal_and_sum():
         assert total == f.size
 
 
-def _jordan_brown(f):
-    """Brown off the Jordan splitting of each whole p-part, without `brown`'s split into summands."""
-    return sum(_block_brown(p, k, u) for p in prime_factors_of_order(f) for k, u, _rank in _constituents(f, p)) % 8
-
-
 def test_brown_additivity_random():
     rng = random.Random(11)
     specs = ["<1/2>", "<-1/2>", "u2", "v2", "<2/3>", "<-2/3>", "2<2/3>"]
@@ -328,7 +321,7 @@ def test_brown_additivity_random():
         a = standard_form(rng.choice(specs))
         b = standard_form(rng.choice(specs))
         total = direct_sum_forms(a, b)
-        assert brown(total) == _jordan_brown(total) == (brown(a) + brown(b)) % 8
+        assert brown(total) == oracle.jordan_brown(total) == (brown(a) + brown(b)) % 8
 
 
 def test_r2_congruence():
@@ -864,11 +857,11 @@ def _assert_lifts_exact(f, l):
 @settings(max_examples=120, deadline=None)
 def test_block_form_matches_whole_matrix_smith_form(case):
     from zlat import gluing
-    from zlat.forms import _block_form
+    from zlat.forms import block_form
 
     l, names = case
     assert l.det() == exact.determinant(l.gram_rows())
-    f, whole = discriminant_form(l), _block_form(l.gram)
+    f, whole = discriminant_form(l), block_form(l.gram)
     assert f.size == whole.size == abs(l.det())
     for p in prime_factors_of_order(f):
         assert jordan_symbol(f, p) == jordan_symbol(whole, p)
@@ -887,10 +880,10 @@ def test_block_form_matches_whole_matrix_smith_form(case):
 
 
 def test_block_form_memo_is_bounded():
-    from zlat.forms import _block_form
+    from zlat.forms import block_form
     from zlat.lattice import MEMO_SIZE
 
-    assert _block_form.cache_info().maxsize == MEMO_SIZE
+    assert block_form.cache_info().maxsize == MEMO_SIZE
 
 
 def test_form_on_generators_rejects_values_off_the_exponent():
@@ -1040,9 +1033,12 @@ def test_brown_of_every_block_matches_gauss_sum():
                 assert brown(f) == _gauss_brown(f), (f.orders, f.gram)
 
 
+# b(x, x) has order 2 on Z/4 and order 3 on Z/9: x of order 4 or 9 pairs to 0 with 2x or 3x
+_DEGENERATE = (form_on_generators([4], [[F(1, 2)]], [F(1, 2)]), form_on_generators([9], [[F(1, 3)]], [F(4, 3)]))
+
+
 def test_split_rejects_degenerate_p_groups():
-    # b(x, x) has order 2 on Z/4 and order 3 on Z/9: x of order 4 or 9 pairs to 0 with 2x or 3x
-    for f in (form_on_generators([4], [[F(1, 2)]], [F(1, 2)]), form_on_generators([9], [[F(1, 3)]], [F(4, 3)])):
+    for f in _DEGENERATE:
         with pytest.raises(ValueError, match="degenerate"):
             brown(f)
 
@@ -1057,7 +1053,7 @@ _SUMMAND_SIZE = {2: 2 ** 5, 3: 3 ** 3, 5: 5 ** 2, 7: 7 ** 2}
 
 
 @st.composite
-def interleaved_sums(draw):
+def interleaved_form_sums(draw):
     """An orthogonal sum of 1-4 p-group forms of mixed primes and exponents,
     each on changed generators, with the generators of the sum permuted so
     that the summands interleave."""
@@ -1067,20 +1063,39 @@ def interleaved_sums(draw):
     return _permuted(f, draw(st.permutations(range(f.ngens))))
 
 
-@given(interleaved_sums())
+@given(interleaved_form_sums())
 @settings(max_examples=150, deadline=None)
 def test_brown_per_summand_matches_whole_form_splitting(f):
-    _summand_brown.cache_clear()
+    jordan_record.cache_clear()
     cold = brown(f)
-    assert brown(f) == cold == _jordan_brown(f)
+    assert brown(f) == cold == oracle.jordan_brown(f)
     if f.size <= 1024:
         assert cold == _gauss_brown(f)
+
+
+@given(interleaved_form_sums(), st.sampled_from(_DEGENERATE), st.data())
+@settings(max_examples=150, deadline=None)
+def test_jordan_record_matches_the_whole_form_route(f, bad, data):
+    primes = (2, 3, 5, 7)
+    expected = [oracle.jordan_brown(f)] + [oracle.jordan_symbol(f, p) for p in primes]
+    jordan_record.cache_clear()
+    for _memo in ("cold", "warm"):
+        assert [brown(f)] + [jordan_symbol(f, p) for p in primes] == expected
+    # a degenerate summand raises, next to memoized good ones
+    g = direct_sum_forms(f, bad)
+    g = _permuted(g, data.draw(st.permutations(range(g.ngens))))
+    (p,) = prime_factors_of_order(bad)
+    for _memo in ("cold", "warm"):
+        with pytest.raises(ValueError, match="degenerate"):
+            brown(g)
+        with pytest.raises(ValueError, match="degenerate"):
+            jordan_symbol(g, p)
 
 
 def test_brown_rejects_a_degenerate_summand_of_a_sum():
     good = standard_form("u2+<2/3>+<-1/2>")
     brown(good)  # its summands are in the memo
-    for bad in (form_on_generators([4], [[F(1, 2)]], [F(1, 2)]), form_on_generators([9], [[F(1, 3)]], [F(4, 3)])):
+    for bad in _DEGENERATE:
         f = direct_sum_forms(good, bad)
         for perm in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
             with pytest.raises(ValueError, match="degenerate"):

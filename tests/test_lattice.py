@@ -144,6 +144,8 @@ def test_primitive_closure():
     assert primitive_closure(s).rows() == [[1, 0]]
     prim = sublattice(u, [[1, 0]])
     assert primitive_closure(prim).rows() == [[1, 0]]
+    full = sublattice(u, [[2, 0], [0, 2]])
+    assert primitive_closure(full).rows() == [[1, 0], [0, 1]]
 
 
 def test_complement_involutive_on_primitive():
@@ -398,7 +400,7 @@ def test_invariants_memo_does_not_cache_errors():
 
 def test_memos_are_bounded():
     for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants,
-               lattice._block_inertia, lattice._block_det, forms.jordan_constituents,
+               lattice._block_inertia, lattice._block_det, forms.jordan_record,
                lattice.parse_lattice_expr, tables._built, forms.normal_basis):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
 

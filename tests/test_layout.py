@@ -1,6 +1,7 @@
 """The representation of finite quadratic forms is decided in `zlat.forms`
 alone, only a listed few functions walk the elements of a group, no module
-but `verify` calls the element fingerprints or uses floating point."""
+but `verify` calls the element fingerprints or uses floating point, and no
+module reads another module's private names."""
 
 import ast
 import os
@@ -164,3 +165,34 @@ def test_every_memo_is_bounded():
             with open(os.path.join(SRC, fname)) as fh:
                 found += _unbounded_memos(fname[:-3], ast.parse(fh.read()))
     assert not found, found
+
+
+# each module keeps its private names: no module reads another's `_name`,
+# as `from .m import _name` or `m._name` after `from . import m`
+def _foreign_private_names(tree):
+    """module._name for every private name of another package module read in the tree."""
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("zlat")):
+            package = node.module in (None, "zlat")
+            for alias in node.names:
+                if package:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.add(f"{node.module.split('.')[-1]}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+                and node.attr.startswith("_") and not node.attr.startswith("__")):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES + ["verify"])
+def test_no_module_reads_another_modules_private_names(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        assert not _foreign_private_names(ast.parse(fh.read()))
+
+
+def test_the_private_name_rule_sees_both_forms():
+    tree = ast.parse("from . import forms\nfrom .lattice import _block_det, Lattice\nforms._split(f, 2)\n")
+    assert _foreign_private_names(tree) == {"lattice._block_det", "forms._split"}
