@@ -50,6 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reason(e: Exception) -> str:
+    """The exception's own text; str() of a KeyError is the repr of its key."""
+    return e.args[0] if isinstance(e, KeyError) and e.args else str(e)
+
+
 def _maybe_pretty(text: str, ascii_mode: bool) -> str:
     return text if ascii_mode else tables.prettify_expr(text)
 
@@ -127,8 +132,8 @@ def _cmd_pair(args) -> int:
     probe = parse_lattice_expr(args.t_plus)
     try:
         key = stability.invariants(probe)
-    except ValueError:
-        print("the lattice is outside the census (non-elementary discriminant)", file=sys.stderr)
+    except ValueError as e:
+        print(f"the lattice is outside the census ({e})", file=sys.stderr)
         return 2
     for pair in enumerate_ascending_t_pairs():
         if pair.t_plus.key() == key:
@@ -144,7 +149,7 @@ def _cmd_partner(args) -> int:
     try:
         pair = pair_by_ref(args.row)
     except KeyError as e:
-        print(str(e), file=sys.stderr)
+        print(_reason(e), file=sys.stderr)
         return 2
     partner = reversion_partner(pair)
     record = {
@@ -181,7 +186,7 @@ def main(argv=None) -> int:
         print(f"expression error: {e}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_reason(e)}", file=sys.stderr)
         return 1
 
 

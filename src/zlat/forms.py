@@ -182,15 +182,18 @@ def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
     rescaled by n / n_f (which keeps it reduced).  places[i] lists the
     lattice indices of summand i's lift columns (together they index the
     whole lattice), and each column is scattered to them; without places no
-    lifts are recorded."""
-    n = math.lcm(*(f.n for f in forms))
-    k = sum(f.ngens for f in forms)
+    lifts are recorded.  Every row is a tuple, the summand's own row (or its
+    rescaled copy) between two slices of one zero row."""
+    n = math.lcm(*[f.n for f in forms])
+    k = sum([len(f.orders) for f in forms])
     rank = sum(map(len, places)) if places else 0
+    zeros = (0,) * k
     orders, gram, cols = [], [], []
     for f, place in zip(forms, places or itertools.repeat(())):
-        s = n // f.n
-        gram += [(0,) * len(orders) + tuple(x * s for x in row) + (0,) * (k - len(orders) - f.ngens)
-                 for row in f.gram]
+        s, at = n // f.n, len(orders)
+        left, right = zeros[:at], zeros[at + len(f.orders):]
+        for row in f.gram:
+            gram.append(left + (row if s == 1 else tuple([x * s for x in row])) + right)
         orders += f.orders
         for col in (f.lift_cols or ()) if places else ():
             w = [0] * rank

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
+from typing import NoReturn
 
 from . import exact
 from .exact import Matrix
@@ -89,9 +90,10 @@ def _with_det(gram: Matrix, det: int, expr: str | None = None, blocks=None) -> L
     A constructor that places connected blocks on the diagonal also hands
     over their (indices, Gram matrix) as `blocks`, ascending, and the lattice
     keeps them as its `orthogonal_split` instead of walking the components.
+    The rows become tuples; a row that is a tuple already is kept, not copied.
     """
     l = object.__new__(Lattice)
-    object.__setattr__(l, "gram", tuple(tuple(row) for row in gram))
+    object.__setattr__(l, "gram", tuple(map(tuple, gram)))
     object.__setattr__(l, "expr", expr)
     l._validate(det)
     if blocks is not None:
@@ -184,24 +186,29 @@ def named(spec: str) -> Lattice:
     raise ValueError(f"unknown lattice name {spec!r}")
 
 
-def _block_gram(grams) -> Matrix:
-    """Block-diagonal matrix of the given square Gram matrices."""
-    n = sum(len(g) for g in grams)
-    out = []
-    off = 0
+def _block_gram(grams) -> tuple[tuple[int, ...], ...]:
+    """Block-diagonal matrix of the given square Gram matrices (tuple rows),
+    each row the block's row between two slices of one zero row."""
+    n = sum(map(len, grams))
+    zeros = (0,) * n
+    out, off = [], 0
     for g in grams:
+        left, right = zeros[:off], zeros[off + len(g):]
         for row in g:
-            out.append([0] * off + list(row) + [0] * (n - off - len(g)))
+            out.append(left + row + right)
         off += len(g)
-    return out
+    return tuple(out)
 
 
 def _block_sum(parts, expr: str | None) -> Lattice:
     """The lattice with the (Gram matrix, det, orthogonal split) parts on its
-    diagonal; its split is theirs, shifted, so no component walk runs."""
+    diagonal; its split is theirs, shifted, so no component walk runs.  The
+    parts' Gram matrices have tuple rows, so `_block_gram` builds every row
+    as a tuple and `_with_det` keeps them without a copy."""
     blocks, off, det = [], 0, 1
     for gram, d, split in parts:
-        blocks += [(tuple(i + off for i in idx), g) for idx, g in split]
+        for idx, g in split:
+            blocks.append((tuple([i + off for i in idx]), g))
         off, det = off + len(gram), det * d
     return _with_det(_block_gram([gram for gram, _d, _s in parts]), det, expr, blocks)
 
@@ -343,6 +350,7 @@ def divide(l: Lattice, p: int) -> Lattice:
 #
 #   expr := term ('+' term)* ; term := [UINT] atom [ '(' INT ')' ]
 #   atom := 'U' | 'A'UINT | 'D'UINT | 'E'UINT | '<' INT '>'
+#   UINT := [0-9]+ ; INT := ['-'] UINT ; whitespace may surround each term
 
 
 class ExprError(ValueError):
@@ -351,13 +359,52 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+# one term with the whitespace around it and the '+' or the end that follows;
+# groups: count, atom, scale, separator
+_TERM = re.compile(r"\s*([0-9]*)(U|[ADE][0-9]+|<-?[0-9]+>)(?:\((-?[0-9]+)\))?\s*(\+|\Z)")
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def parse_lattice_expr(text: str) -> Lattice:
     """Evaluate a lattice expression like "U(3)+2A2+A1" or "<2>+3<-6>".
 
-    Memoized on the text (a Lattice is immutable).  Each atom, scaled or
-    not, is connected, so the atoms are the blocks of the orthogonal split.
+    Memoized on the text (a Lattice is immutable).  `_TERM` reads one term
+    at a time, and `_term` gives its parts, memoized on the term, so an
+    expression costs its block sum.  Each atom, scaled or not, is connected,
+    so the atoms are the blocks of the orthogonal split.  A text outside the
+    grammar, or with a term `_term` rejects, goes to `_reject`, which
+    raises the `ExprError` of its first fault.
     """
+    parts, pos, end = [], 0, None
+    while end != "":
+        m = _TERM.match(text, pos)
+        term = m and _term(*m.group(1, 2, 3))
+        if term is None:
+            _reject(text)
+        parts += term
+        pos, end = m.end(), m[4]
+    return _block_sum(parts, render_expr(text))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _term(count: str, atom: str, scale: str | None) -> tuple | None:
+    """The (Gram matrix, det, split) of a term's atom, scaled, once per
+    repetition; None for a zero count or scale, `<0>`, or an index outside
+    the catalog."""
+    reps, c = int(count or 1), int(scale or 1)
+    if reps == 0 or c == 0:
+        return None
+    try:
+        base = named(atom if atom[0] in "U<" else f"{atom[0]}{int(atom[1:])}")
+    except ValueError:
+        return None
+    gram = base.gram if c == 1 else tuple([tuple([c * x for x in row]) for row in base.gram])
+    return ((gram, base.det() * c**base.rank, ((tuple(range(base.rank)), gram),)),) * reps
+
+
+def _reject(text: str) -> NoReturn:
+    """Raise the `ExprError` of a text `parse_lattice_expr` does not read:
+    a walk over its characters finds the first fault and its position."""
     pos = 0
     n = len(text)
 
@@ -369,32 +416,28 @@ def parse_lattice_expr(text: str) -> Lattice:
     def parse_uint() -> int | None:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and "0" <= text[pos] <= "9":
             pos += 1
         return int(text[start:pos]) if pos > start else None
 
-    def parse_atom() -> Lattice:
+    def parse_atom() -> None:
         nonlocal pos
         if pos >= n:
             raise ExprError("expected lattice atom", pos)
         ch = text[pos]
-        if ch == "U":
-            pos += 1
-            return named("U")
+        if ch not in "UADE<":
+            raise ExprError(f"unexpected character {ch!r}", pos)
+        pos += 1
         if ch in "ADE":
-            pos += 1
             idx = parse_uint()
             if idx is None:
                 raise ExprError(f"expected index after '{ch}'", pos)
             try:
-                return named(f"{ch}{idx}")
+                named(f"{ch}{idx}")
             except ValueError as e:
                 raise ExprError(str(e), pos) from None
-        if ch == "<":
-            pos += 1
-            neg = False
+        elif ch == "<":
             if pos < n and text[pos] == "-":
-                neg = True
                 pos += 1
             val = parse_uint()
             if val is None:
@@ -404,23 +447,16 @@ def parse_lattice_expr(text: str) -> Lattice:
             pos += 1
             if val == 0:
                 raise ExprError("<0> is degenerate", pos)
-            return named(f"<{-val if neg else val}>")
-        raise ExprError(f"unexpected character {ch!r}", pos)
 
-    def parse_term() -> list:
-        """The term's atoms as (Gram matrix, det, split), one per repetition."""
+    def parse_term() -> None:
         nonlocal pos
         skip_ws()
-        count = parse_uint()
-        if count is not None and count == 0:
+        if parse_uint() == 0:
             raise ExprError("zero repetition count", pos)
-        atom = parse_atom()
-        gram, det = atom.gram, atom.det()
+        parse_atom()
         if pos < n and text[pos] == "(":
             pos += 1
-            neg = False
             if pos < n and text[pos] == "-":
-                neg = True
                 pos += 1
             scale = parse_uint()
             if scale is None:
@@ -428,25 +464,21 @@ def parse_lattice_expr(text: str) -> Lattice:
             if pos >= n or text[pos] != ")":
                 raise ExprError("expected ')'", pos)
             pos += 1
-            scale = -scale if neg else scale
             if scale == 0:
                 raise ExprError("zero scale", pos)
-            gram = tuple(tuple(scale * x for x in row) for row in gram)
-            det *= scale**atom.rank
-        return [(gram, det, ((tuple(range(atom.rank)), gram),))] * (count if count is not None else 1)
 
     skip_ws()
     if pos >= n:
         raise ExprError("empty expression", 0)
-    atoms = parse_term()
+    parse_term()
     skip_ws()
     while pos < n:
         if text[pos] != "+":
             raise ExprError(f"unexpected character {text[pos]!r}", pos)
         pos += 1
-        atoms += parse_term()
+        parse_term()
         skip_ws()
-    return _block_sum(atoms, render_expr(text))
+    raise AssertionError(f"the term pattern rejects {text!r}, which the walk reads")
 
 
 def render_expr(text: str) -> str:

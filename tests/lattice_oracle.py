@@ -83,7 +83,7 @@ def parse_lattice_expr(text: str) -> Lattice:
     def parse_uint() -> int | None:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and "0" <= text[pos] <= "9":
             pos += 1
         return int(text[start:pos]) if pos > start else None
 

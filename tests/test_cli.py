@@ -78,6 +78,13 @@ def test_lattice_bad_expression(capsys):
     assert "position" in err
 
 
+def test_lattice_numbers_are_ascii_digits(capsys):
+    for expr in ("\u00b2A2", "A\u0663"):
+        code, _out, err = run(capsys, "lattice", expr)
+        assert code == 2
+        assert err.startswith("expression error:")
+
+
 def test_lattice_bad_show_field(capsys):
     code, _out, err = run(capsys, "lattice", "U", "--show", "gram,nonsense")
     assert code == 2
@@ -112,6 +119,15 @@ def test_pair_lookup_by_isomorphic_presentation(capsys):
     assert json.loads(out)["tableRef"] == "8C:8"
 
 
+def test_pair_outside_census_names_the_reason(capsys):
+    code, _out, err = run(capsys, "pair", "--t-plus", "<3>+A2")
+    assert code == 2
+    assert err == "the lattice is outside the census (lattice is not even)\n"
+    code, _out, err = run(capsys, "pair", "--t-plus", "U+<-4>")
+    assert code == 2
+    assert err == "the lattice is outside the census (discriminant is not elementary at 2 and 3)\n"
+
+
 def test_partner_lookup(capsys):
     code, out, _ = run(capsys, "partner", "--row", "8B:1")
     assert code == 0
@@ -133,6 +149,18 @@ def test_partner_of_irreversible(capsys):
 def test_partner_bad_row(capsys):
     code, _out, err = run(capsys, "partner", "--row", "9Z:1")
     assert code == 2
+    assert err == "no census pair with table ref '9Z:1'\n"  # the KeyError's text, not its repr
+
+
+def test_key_error_reaches_the_user_unquoted(capsys, monkeypatch):
+    from zlat import tables
+
+    def missing(*_args):
+        raise KeyError("no table 'X'")
+
+    monkeypatch.setattr(tables, "emit_table", missing)
+    code, _out, err = run(capsys, "tables", "--id", "8A")
+    assert (code, err) == (1, "error: no table 'X'\n")
 
 
 def test_tables_markdown(capsys):

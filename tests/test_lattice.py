@@ -237,7 +237,7 @@ def _parse_outcome(parse, text):
         l = parse(text)
     except ExprError as e:
         return "error", str(e), e.pos
-    return "ok", l.gram, l.expr
+    return "ok", l.gram, l.expr, l.det(), l.orthogonal_split()
 
 
 @given(st.lists(_TERMS, min_size=1, max_size=5).map("+".join))
@@ -250,6 +250,27 @@ def test_parse_matches_direct_sum_oracle(text):
        .filter(lambda text: not re.search(r"\d\d", text)))
 @settings(max_examples=300, deadline=None)
 def test_parse_errors_match_direct_sum_oracle(text):
+    assert _parse_outcome(parse_lattice_expr, text) == _parse_outcome(lattice_oracle.parse_lattice_expr, text)
+
+
+# multi-digit numbers, leading zeros and whitespace other than ' ', which the
+# fragment strategy above never builds
+@pytest.mark.parametrize("text", ["A01", "02A2", "A2(03)", "A2(-0)", "<-0>", "<007>", "12A1", "A10", "D12", "E10",
+                                  "10U(2)", "2A2(2)(3)", "A2\t+\tU", "A2\n+\nU", " U\t+\n<-6>(2)\n", "E06",
+                                  "00A1", "D03"])
+def test_parse_edge_cases_match_direct_sum_oracle(text):
+    assert _parse_outcome(parse_lattice_expr, text) == _parse_outcome(lattice_oracle.parse_lattice_expr, text)
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("\u00b2A2", "unexpected character '\u00b2'", 0),
+    ("A\u00b2", "expected index after 'A'", 1),
+    ("A\u0663", "expected index after 'A'", 1),
+])
+def test_numbers_are_ascii_digits(text, message, pos):
+    with pytest.raises(ExprError) as err:
+        parse_lattice_expr(text)
+    assert (str(err.value), err.value.pos) == (f"{message} at position {pos}", pos)
     assert _parse_outcome(parse_lattice_expr, text) == _parse_outcome(lattice_oracle.parse_lattice_expr, text)
 
 
@@ -401,7 +422,7 @@ def test_invariants_memo_does_not_cache_errors():
 def test_memos_are_bounded():
     for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants,
                lattice._block_inertia, lattice._block_det, forms.jordan_record,
-               lattice.parse_lattice_expr, tables._built, forms.normal_basis):
+               lattice.parse_lattice_expr, lattice._term, tables._built, forms.normal_basis):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
 
 

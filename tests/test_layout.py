@@ -1,7 +1,8 @@
 """The representation of finite quadratic forms is decided in `zlat.forms`
-alone, only a listed few functions walk the elements of a group, no module
-but `verify` calls the element fingerprints or uses floating point, and no
-module reads another module's private names."""
+alone, only a listed few functions walk the elements of a group, every
+Lattice is validated, no module but `verify` calls the element fingerprints
+or uses floating point, and no module reads another module's private
+names."""
 
 import ast
 import os
@@ -27,8 +28,8 @@ def test_no_fractions_import(module):
 ENUMERATING = {"verify._extension_cases", "verify.check_glue_determinant"}
 
 
-def _element_walkers(module, tree):
-    """module.function (top-level function or class.method) of every `.elements()` call."""
+def _callers(module, tree, matches):
+    """module.function (top-level function or class.method) of every call that matches."""
     out = set()
 
     def visit(node, owner):
@@ -38,13 +39,17 @@ def _element_walkers(module, tree):
                 name = f"{module}.{child.name}"
             elif isinstance(node, ast.ClassDef) and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{owner}.{child.name}"
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "elements"):
+            if isinstance(child, ast.Call) and matches(child):
                 out.add(name or module)
             visit(child, name)
 
     visit(tree, None)
     return out
+
+
+def _element_walkers(module, tree):
+    """module.function of every `.elements()` call."""
+    return _callers(module, tree, lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == "elements")
 
 
 def test_only_listed_functions_enumerate_elements():
@@ -54,6 +59,40 @@ def test_only_listed_functions_enumerate_elements():
             with open(os.path.join(SRC, fname)) as fh:
                 walkers |= _element_walkers(fname[:-3], ast.parse(fh.read()))
     assert walkers == ENUMERATING, (sorted(walkers - ENUMERATING), sorted(ENUMERATING - walkers))
+
+
+# every Lattice is checked by `_validate` (symmetry, det != 0): past the
+# dataclass constructor only `lattice._with_det` makes one and sets its gram
+def _new_lattice(call):
+    """object.__new__(Lattice)"""
+    func, args = call.func, call.args
+    return (isinstance(func, ast.Attribute) and func.attr == "__new__" and getattr(func.value, "id", None) == "object"
+            and bool(args) and getattr(args[0], "id", getattr(args[0], "attr", None)) == "Lattice")
+
+
+def _sets_gram(call):
+    """object.__setattr__(x, "gram", ...)"""
+    func, args = call.func, call.args
+    return (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+            and getattr(func.value, "id", None) == "object"
+            and len(args) > 1 and isinstance(args[1], ast.Constant) and args[1].value == "gram")
+
+
+@pytest.mark.parametrize("matches", [_new_lattice, _sets_gram])
+def test_only_with_det_builds_a_lattice_past_its_constructor(matches):
+    found = set()
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                found |= _callers(fname[:-3], ast.parse(fh.read()), matches)
+    assert found == {"lattice._with_det"}, sorted(found)
+
+
+def test_the_construction_rule_sees_both_calls():
+    tree = ast.parse("def f():\n    l = object.__new__(lattice.Lattice)\n"
+                     "class C:\n    def g(self):\n        object.__setattr__(self, 'gram', ())\n")
+    assert _callers("m", tree, _new_lattice) == {"m.f"}
+    assert _callers("m", tree, _sets_gram) == {"m.C.g"}
 
 
 # a finite quadratic form is its fields: `forms` sets no attribute behind them
