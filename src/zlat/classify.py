@@ -524,7 +524,7 @@ def t_glue_map(pair: TPair) -> GlueMap:
     images = forms.anti_iso_images(forms.direct_sum_forms(ROOT_FORM, f2_1), f2_2, 2)
     if images is None:
         raise ValueError(f"stage a: no root element for pair {pair.table_ref}")
-    return GlueMap(f2_1, f2_2, f2_1.units, tuple(images[1:]))
+    return GlueMap(f2_1, f2_2, f2_1.units, images[1:])
 
 
 def realize_pair(pair: TPair) -> dict:

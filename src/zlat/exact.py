@@ -102,44 +102,45 @@ def hermite_normal_form(m) -> Matrix:
     """Canonical row-style Hermite normal form.
 
     Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and zero rows are dropped.
+    [0, pivot), and zero rows are dropped.  A column is cleared below the
+    pivot row by Euclid steps: the row whose entry there has the least
+    absolute value becomes the pivot row and reduces every row below it,
+    until it is the only one left with a nonzero entry (Cohen, GTM 138,
+    §2.4.2).  This keeps the cofactors small, also in the identity half of
+    an augmented [M | I]; then the rows above are reduced by the pivot row.
     """
     h = copy_matrix(m)
     rows = len(h)
     cols = len(h[0]) if rows else 0
     pivot_row = 0
     for col in range(cols):
-        # clear the column below pivot_row by gcd cascading
-        piv = None
-        for i in range(pivot_row, rows):
-            if h[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        h[pivot_row], h[piv] = h[piv], h[pivot_row]
         while True:
-            nz = [i for i in range(pivot_row + 1, rows) if h[i][col] != 0]
-            if not nz:
+            nz = [i for i in range(pivot_row, rows) if h[i][col]]
+            if len(nz) < 2:
                 break
-            for i in nz:
-                q = h[i][col] // h[pivot_row][col]
+            p = min(nz, key=lambda i: abs(h[i][col]))
+            h[pivot_row], h[p] = h[p], h[pivot_row]
+            prow = h[pivot_row]
+            d = prow[col]
+            for i in range(pivot_row + 1, rows):
+                q = h[i][col] // d
                 if q:
-                    for j in range(cols):
-                        h[i][j] -= q * h[pivot_row][j]
-                if h[i][col] != 0:
-                    h[pivot_row], h[i] = h[i], h[pivot_row]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
+                    h[i] = [x - q * y for x, y in zip(h[i], prow)]
+        if not nz:
+            continue
+        h[pivot_row], h[nz[0]] = h[nz[0]], h[pivot_row]
+        prow = h[pivot_row]
+        if prow[col] < 0:
+            prow = h[pivot_row] = [-x for x in prow]
+        d = prow[col]
         for i in range(pivot_row):
-            q = h[i][col] // h[pivot_row][col]
+            q = h[i][col] // d
             if q:
-                for j in range(cols):
-                    h[i][j] -= q * h[pivot_row][j]
+                h[i] = [x - q * y for x, y in zip(h[i], prow)]
         pivot_row += 1
         if pivot_row == rows:
             break
-    return [row for row in h[:pivot_row]]
+    return h[:pivot_row]
 
 
 def hermite_normal_form_mod(rows, den: int, n: int) -> Matrix:
@@ -258,16 +259,18 @@ def smith_normal_form(m, with_u: bool = True, with_v: bool = True) -> tuple[Matr
 
 
 def integer_kernel(m) -> Matrix:
-    """Saturated basis of {x : x*M = 0} as rows (left kernel)."""
-    rows = len(m)
-    u, d, _vt = smith_normal_form(m, with_v=False)
-    cols = len(m[0]) if rows else 0
-    ker = []
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di == 0:
-            ker.append(list(u[i]))
-    return hermite_normal_form(ker) if ker else []
+    """Saturated basis of {x : x*M = 0} as rows (left kernel), in Hermite
+    normal form.
+
+    One Hermite elimination of [M | I] gives [U*M | U] with U unimodular
+    (Cohen, GTM 138, 2.4.10): its rows whose M part is zero come last and
+    their U parts are a basis of the kernel.  Those rows are already in
+    Hermite form, since their pivots lie in the I part, positive, with the
+    entries above them reduced, so they are the kernel's canonical basis.
+    """
+    cols = len(m[0]) if m else 0
+    h = hermite_normal_form([list(r) + e for r, e in zip(m, identity(len(m)))])
+    return [row[cols:] for row in h if not any(row[:cols])]
 
 
 def rank(m) -> int:

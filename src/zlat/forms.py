@@ -16,6 +16,11 @@ only through `b`, `q` and `fingerprint`; everything else reads the integers.
 Brown and the Jordan constituents of each p-part come from one memoized
 `jordan_record` per form value; `brown` reads it per orthogonal summand, a
 connected component of the gram, and `jordan_symbol` on the whole form.
+Anti-isomorphisms are memoized per form value too: `anti_iso_images` and
+the `GlueMap` check `_anti_iso_order` read orders, n and gram, which form
+equality compares, never lift_cols, which it ignores; they return elements
+and an order, never a form, so a form that recurs with other lifts shares
+their entries while every glue keeps its own lattice's lifts.
 """
 
 from __future__ import annotations
@@ -690,12 +695,17 @@ class GlueMap:
 
     @cached_property
     def subgroup_order(self) -> int | None:
-        return _anti_iso_order(self.source_form, list(self.source_gens), self.target_form, list(self.target_gens))
+        return _anti_iso_order(self.source_form, tuple(map(tuple, self.source_gens)),
+                               self.target_form, tuple(map(tuple, self.target_gens)))
 
 
-def _anti_iso_order(fsrc: FiniteQuadraticForm, src_gens, ftgt: FiniteQuadraticForm, tgt_gens) -> int | None:
+@lru_cache(maxsize=MEMO_SIZE)
+def _anti_iso_order(fsrc: FiniteQuadraticForm, src_gens: tuple[Element, ...], ftgt: FiniteQuadraticForm,
+                    tgt_gens: tuple[Element, ...]) -> int | None:
     """The order of the span of src_gens when src_gens -> tgt_gens negates q
-    on that span, onto a span of equal order; else None.
+    on that span, onto a span of equal order; else None.  Memoized on the
+    forms' values and the generators: the check reads orders, n and gram,
+    never the lift columns, so forms that differ only in lifts share it.
 
     Since q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j)
     mod 2, q is negated on the whole span exactly when it is on each
@@ -721,9 +731,12 @@ def _negated(f: FiniteQuadraticForm) -> FiniteQuadraticForm:
     return FiniteQuadraticForm(f.orders, f.n, _reduced([[-x for x in row] for row in f.gram], f.n))
 
 
-def anti_iso_images(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -> list[Element] | None:
+@lru_cache(maxsize=MEMO_SIZE)
+def anti_iso_images(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -> tuple[Element, ...] | None:
     """Images of the source's generators under an anti-isomorphism of
     elementary p-groups (p = 2, 3) onto the target; None when there is none.
+    Memoized on the forms' values, so it reads no lift columns and returns
+    elements, never a form: a caller pairs the images with its own forms.
 
     Normal forms are complete invariants, so one exists exactly when the
     kind lists of `normal_basis` of the negated source and of the target
@@ -742,7 +755,7 @@ def anti_iso_images(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) 
         bx = exact.mat_mul(xs, neg.gram)  # rows p*b(x, e_k) mod p over k
         cols += [[c * neg.b_numer(xs[0], xs[0]) for c in bx[0]]] if len(xs) == 1 else bx[::-1]
         ws += block_ws
-    return [tuple(x % p for x in row) for row in exact.mat_mul(exact.transpose(cols), ws)]
+    return tuple([tuple(x % p for x in row) for row in exact.mat_mul(exact.transpose(cols), ws)])
 
 
 def build_anti_iso(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -> GlueMap | None:
@@ -751,7 +764,7 @@ def build_anti_iso(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -
     images = anti_iso_images(src, tgt, p)
     if images is None:
         return None
-    return GlueMap(src, tgt, src.units, tuple(images))
+    return GlueMap(src, tgt, src.units, images)
 
 
 def render_form(f: FiniteQuadraticForm, ascii_mode: bool = False) -> str:

@@ -15,6 +15,10 @@ worked on whole row lists: entry-by-entry row and column operations and
 swaps through closures, in the same pivot order.  It returns (U, D, V),
 and the package (U, D, V^T), so the two agree exactly once V^T is
 transposed, also when the package computes only one transform.
+
+`integer_kernel` is the left kernel as the package took it before one
+Hermite elimination of [M | I] replaced it: the rows of the Smith transform
+U whose diagonal entry of D is zero, put in Hermite normal form.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from zlat import exact
 from zlat.exact import Matrix, copy_matrix, identity, is_symmetric, mat_mul
 
 
@@ -180,3 +185,16 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
                 u[t][k] = -u[t][k]
         t += 1
     return u, a, v
+
+
+def integer_kernel(m) -> Matrix:
+    """Saturated basis of {x : x*M = 0} as rows, from the Smith form's U."""
+    rows = len(m)
+    u, d, _vt = exact.smith_normal_form(m, with_v=False)
+    cols = len(m[0]) if rows else 0
+    ker = []
+    for i in range(rows):
+        di = d[i][i] if i < min(rows, cols) else 0
+        if di == 0:
+            ker.append(list(u[i]))
+    return exact.hermite_normal_form(ker) if ker else []

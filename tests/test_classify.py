@@ -303,6 +303,79 @@ def test_realized_lattices_are_pinned(monkeypatch):
         assert hashlib.sha256(repr(tuple(grams)).encode()).hexdigest() == REALIZED_SHA256[name], name
 
 
+def _clear_anti_iso_memos():
+    forms.anti_iso_images.cache_clear()
+    forms._anti_iso_order.cache_clear()
+
+
+def test_anti_iso_memos_keep_lift_columns_apart(monkeypatch):
+    # T' of every pair, as stage (c) glues it to S0 (the second glue of a realization)
+    calls = []
+    real_glue = classify.glue
+    monkeypatch.setattr(classify, "glue", lambda *args: calls.append(args) or real_glue(*args))
+    for pair in enumerate_ascending_t_pairs():
+        realize_pair(pair)
+    s0 = calls[1][0]
+    by_value = {}
+    for _s0, t_prime, _phi in calls[1::2]:
+        by_value.setdefault(forms.discriminant_form(t_prime), []).append(t_prime)
+    assert len(calls) == 2 * 68 and len(by_value) == 27
+    # two T' whose discriminant forms are equal in value but lift differently
+    a, b = next((ts[0], t) for ts in by_value.values() for t in ts[1:]
+                if forms.discriminant_form(t).lift_cols != forms.discriminant_form(ts[0]).lift_cols)
+    f_s0 = forms.discriminant_form(s0)
+
+    def k3(t_prime):
+        phi = forms.build_anti_iso(f_s0, forms.discriminant_form(t_prime), 3)
+        assert phi.target_form.lift_cols == forms.discriminant_form(t_prime).lift_cols
+        return glue(s0, t_prime, phi).gram
+
+    for first, second in ((a, b), (b, a)):
+        _clear_anti_iso_memos()
+        k3(first)
+        warm = k3(second)  # on the memo entries of the first one's value
+        assert forms.anti_iso_images.cache_info().hits == 1 and forms._anti_iso_order.cache_info().hits == 1
+        _clear_anti_iso_memos()
+        assert k3(second) == warm
+
+
+def test_realization_does_not_depend_on_the_memo_order(monkeypatch):
+    # each order starts from empty memos, so the entry of a form value comes
+    # from the first pair of that value in census order, then from the last
+    built = []
+    real_inertia = exact.inertia
+
+    def inertia(g):
+        if len(g) == 22:
+            built.append(tuple(map(tuple, g)))
+        return real_inertia(g)
+
+    monkeypatch.setattr(exact, "inertia", inertia)
+    pairs = enumerate_ascending_t_pairs()
+    runs = []
+    for order in (pairs, pairs[::-1]):
+        _clear_anti_iso_memos()
+        done = {}
+        for pair in order:
+            report = realize_pair(pair)
+            (k3,) = built
+            built.clear()
+            done[pair.table_ref] = (report, k3)
+        reports, grams = zip(*(done[pair.table_ref] for pair in pairs))
+        runs.append((reports, hashlib.sha256(repr(grams).encode()).hexdigest()))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == REALIZED_SHA256["k3"]
+
+
+def test_eigenlattice_kernels_match_smith_oracle():
+    # the 136 matrices C - I and C + I of the 68 stage-(a) involutions
+    for pair in enumerate_ascending_t_pairs():
+        c = gluing.glue_involution(pair.witness_plus, pair.witness_minus, t_glue_map(pair)).action_rows()
+        for s in (-1, 1):
+            m = [[x + s * (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
+            assert exact.integer_kernel(m) == exact_oracle.integer_kernel(m)
+
+
 def test_stage_a_genus_for_every_pair():
     t = parse_lattice_expr("U+U(3)+2A2+A1")
     for pair in enumerate_ascending_t_pairs()[:10]:

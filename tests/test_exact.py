@@ -159,13 +159,27 @@ def test_snf_random_sweep():
                     assert d[i][j] == 0
 
 
-def test_kernel_rows_annihilate_and_saturated():
+def _kernel_cases():
+    """Random matrices of shape 1-10 x 1-10 with entries -5..5, every third
+    one a product through a narrower middle (rank below both sides), and the
+    zero matrices."""
     rng = random.Random(99)
-    for _ in range(80):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = rand_matrix(rng, rows, cols)
+    for i in range(240):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        if i % 3:
+            yield rand_matrix(rng, rows, cols, bound=5)
+        else:
+            inner = rng.randint(0, max(0, min(rows, cols) - 1))
+            yield mat_mul(rand_matrix(rng, rows, inner, 2), rand_matrix(rng, inner, cols, 2)) if inner \
+                else [[0] * cols for _ in range(rows)]
+    yield from ([[0] * cols for _ in range(rows)] for rows in (1, 3, 10) for cols in (1, 4, 10))
+
+
+def test_kernel_rows_annihilate_and_saturated():
+    for m in _kernel_cases():
+        rows = len(m)
         ker = integer_kernel(m)
+        assert ker == exact_oracle.integer_kernel(m)
         for row in ker:
             prod = mat_mul([row], m)
             assert all(x == 0 for x in prod[0])

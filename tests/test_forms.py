@@ -638,7 +638,7 @@ def test_subgroup_order_matches_enumeration(case):
 @settings(max_examples=150, deadline=None)
 def test_is_anti_isomorphism_matches_oracle(case):
     f, src, neg, tgt = case
-    order = _anti_iso_order(f, src, neg, tgt)
+    order = _anti_iso_order(f, tuple(src), neg, tuple(tgt))
     assert (order is not None) == oracle.is_anti_isomorphism(f, src, neg, tgt)
     if order is not None:
         assert GlueMap(f, neg, tuple(src), tuple(tgt)).subgroup_order == order == subgroup_order(f, src)
@@ -703,7 +703,7 @@ def test_is_anti_isomorphism_checks_pairings():
     src, tgt = [(1, 0, 0), (1, 1, 0)], [(1, 1, 0), (1, 0, 1)]
     assert [f.q(x) for x in src] == [f.q(x) for x in tgt]
     assert subgroup_order(f, src) == subgroup_order(f, tgt) == 4
-    assert _anti_iso_order(f, src, neg, tgt) is None
+    assert _anti_iso_order(f, tuple(src), neg, tuple(tgt)) is None
     assert not oracle.is_anti_isomorphism(f, src, neg, tgt)
     with pytest.raises(ValueError, match="not an anti-isomorphism"):
         GlueMap(f, neg, tuple(src), tuple(tgt))

@@ -316,7 +316,7 @@ def two_elementary_glue_maps(draw):
         if forms.subgroup_order(f1, src + [x]) == forms.subgroup_order(f1, src):
             continue
         for y in t2:
-            if forms._anti_iso_order(f1, src + [x], f2, tgt + [y]) is not None:
+            if forms._anti_iso_order(f1, (*src, x), f2, (*tgt, y)) is not None:
                 src.append(x)
                 tgt.append(y)
                 break

@@ -422,7 +422,8 @@ def test_invariants_memo_does_not_cache_errors():
 def test_memos_are_bounded():
     for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants,
                lattice._block_inertia, lattice._block_det, forms.jordan_record,
-               lattice.parse_lattice_expr, lattice._term, tables._built, forms.normal_basis):
+               lattice.parse_lattice_expr, lattice._term, tables._built, forms.normal_basis,
+               forms.anti_iso_images, forms._anti_iso_order):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
 
 

@@ -1,8 +1,8 @@
 """The representation of finite quadratic forms is decided in `zlat.forms`
 alone, only a listed few functions walk the elements of a group, every
 Lattice is validated, no module but `verify` calls the element fingerprints
-or uses floating point, and no module reads another module's private
-names."""
+or uses floating point, no memo of a form reads its lifts, and no module
+reads another module's private names."""
 
 import ast
 import os
@@ -103,6 +103,42 @@ def test_forms_sets_no_hidden_attributes():
              and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
              and getattr(node.func.value, "id", None) == "object"]
     assert not found, found
+
+
+# a memo keys a form on its value, which ignores the lift columns: a memo in
+# `forms` that takes a form neither reads `lift_cols` nor calls `lift_vector`
+FORM_MEMOS = {"normal_basis", "anti_iso_images", "_anti_iso_order"}
+
+
+def _form_memo_lift_reads(tree):
+    """{name: lines reading lift_cols or lift_vector} of every top-level
+    `lru_cache` function with an argument annotated FiniteQuadraticForm."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "lru_cache" for d in decorators) and any(
+                getattr(a.annotation, "id", None) == "FiniteQuadraticForm" for a in args):
+            found[node.name] = sorted(n.lineno for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                                      and n.attr in ("lift_cols", "lift_vector"))
+    return found
+
+
+def test_form_memos_never_read_lifts():
+    with open(os.path.join(SRC, "forms.py")) as fh:
+        found = _form_memo_lift_reads(ast.parse(fh.read()))
+    assert FORM_MEMOS <= set(found), sorted(FORM_MEMOS - set(found))
+    assert not {name: lines for name, lines in found.items() if lines}
+
+
+def test_the_lift_rule_sees_reads_and_calls():
+    tree = ast.parse("@lru_cache(maxsize=MEMO_SIZE)\ndef f(g: FiniteQuadraticForm):\n    return g.lift_cols\n"
+                     "@functools.lru_cache(8)\ndef h(n: int, g: FiniteQuadraticForm):\n    return g.lift_vector(n)\n"
+                     "@lru_cache(maxsize=MEMO_SIZE)\ndef k(l: Lattice):\n    return l.lift_cols\n"
+                     "def m(g: FiniteQuadraticForm):\n    return g.lift_cols\n")
+    assert _form_memo_lift_reads(tree) == {"f": [3], "h": [6]}
 
 
 # element walks that only a verification may read: a verdict path (a genus
