@@ -578,8 +578,8 @@ def realize_pair(pair: TPair) -> dict:
         raise ValueError(f"stage c: glued lattice not unimodular ({pair.table_ref})")
     if not k3.is_even:
         raise ValueError(f"stage c: glued lattice not even ({pair.table_ref})")
-    # inertia directly: each rank-22 K3 Gram matrix is read once, and the
-    # `signature` memo would only keep it alive
+    # inertia directly: each rank-22 K3 Gram matrix is read once, and
+    # `signature` would only keep it alive in the `_block_inertia` memo
     if exact.inertia(k3.gram_rows()) != (3, 0, 19):
         raise ValueError(f"stage c: wrong signature ({pair.table_ref})")
     report["stage_c"] = "ok"

@@ -14,8 +14,11 @@ discriminant form the lift of e_i to the lattice is lift_cols[i] / d_i.
 No `Fraction` enters: every form is built from integers.  Fractions leave
 only through `b`, `q` and `fingerprint`; everything else reads the integers.
 Brown and the Jordan constituents of each p-part come from one memoized
-`jordan_record` per form value; `brown` reads it per orthogonal summand, a
-connected component of the gram, and `jordan_symbol` on the whole form.
+`jordan_record` per form value.  A form built as an orthogonal sum
+(`discriminant_form`, `direct_sum_forms`) keeps its summand forms, and
+`brown` reads the record of each; a form without them (raw input, `p_part`,
+`isotropic_quotient`) is first split into the connected components of its
+gram.  `jordan_symbol` reads the record of the whole form.
 Anti-isomorphisms are memoized per form value too: `anti_iso_images` and
 the `GlueMap` check `_anti_iso_order` read orders, n and gram, which form
 equality compares, never lift_cols, which it ignores; they return elements
@@ -45,6 +48,9 @@ class FiniteQuadraticForm:
     n: int
     gram: tuple[tuple[int, ...], ...]
     lift_cols: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
+    # the forms it is the orthogonal sum of, in generator order, none a sum;
+    # () if not built as one.  Cached data: no comparison, hash or key reads it
+    summands: tuple[FiniteQuadraticForm, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def ngens(self) -> int:
@@ -132,13 +138,12 @@ def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     serves the determinant and `signature`: generators are taken per block,
     in block order, and each block's lift columns are scattered back to its
     indices.  A unimodular block adds no generator; the sum records lifts
-    whenever it is nontrivial.  A lattice of one block is the base case.
+    whenever it is nontrivial.  A lattice of one block is a sum of one, so
+    every discriminant form keeps its block forms as its summands.
     """
     if not l.is_even:
         raise ValueError("lattice is not even")
     blocks = l.orthogonal_split()
-    if len(blocks) == 1:
-        return block_form(blocks[0][1])
     return _orthogonal_sum([block_form(g) for _idx, g in blocks], [idx for idx, _g in blocks])
 
 
@@ -188,7 +193,8 @@ def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
     lattice indices of summand i's lift columns (together they index the
     whole lattice), and each column is scattered to them; without places no
     lifts are recorded.  Every row is a tuple, the summand's own row (or its
-    rescaled copy) between two slices of one zero row."""
+    rescaled copy) between two slices of one zero row.  The sum records its
+    summands, those of a summand that is a sum in its place."""
     n = math.lcm(*[f.n for f in forms])
     k = sum([len(f.orders) for f in forms])
     rank = sum(map(len, places)) if places else 0
@@ -205,7 +211,8 @@ def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
             for i, x in zip(place, col):
                 w[i] = x
             cols.append(tuple(w))
-    return FiniteQuadraticForm(tuple(orders), n, tuple(gram), tuple(cols) or None)
+    summands = tuple([s for f in forms for s in f.summands or (f,)])
+    return FiniteQuadraticForm(tuple(orders), n, tuple(gram), tuple(cols) or None, summands)
 
 
 # standard small forms -------------------------------------------------------
@@ -533,26 +540,21 @@ def normal_basis(f: FiniteQuadraticForm, p: int) -> tuple[tuple[str, tuple[Eleme
 
 def brown(f: FiniteQuadraticForm) -> int:
     """The Brown invariant in Z/8, exact for every finite form: the sum of the
-    Brown fields of the `jordan_record`s of its orthogonal summands, the
-    components of the gram (Brown is additive over orthogonal sums, Nikulin
-    1979, §1).  Each is restated over its own exponent n_c = lcm of its
-    orders, its gram divided by n/n_c (exactly, else ValueError), so that
-    equal summands of different sums share one record; a form of one
-    summand is its own key."""
+    Brown fields of the `jordan_record`s of its orthogonal summands (Brown is
+    additive over orthogonal sums, Nikulin 1979, §1).  A form built as a sum
+    names its summands, each its own key.  A form without them is split into
+    the components of its gram, each restated over its own exponent n_c =
+    lcm of its orders, its gram divided by n/n_c (exactly, else ValueError),
+    so that equal summands of different forms share one record; a form of
+    one component is its own key."""
+    if f.summands:
+        return sum([jordan_record(s.orders, s.n, s.gram)[0] for s in f.summands]) % 8
     n, orders, gram = f.n, f.orders, f.gram
     comps = exact.components(gram)
     if len(comps) == 1:
         return jordan_record(orders, n, gram)[0]
     total = 0
     for c in comps:
-        if len(c) == 1:  # <u/d>, the commonest summand
-            (i,) = c
-            d = orders[i]
-            s = n // d
-            if gram[i][i] % s:
-                raise ValueError(f"summand gram is not divisible by n/n_c = {s}")
-            total += jordan_record((d,), d, ((gram[i][i] // s,),))[0]
-            continue
         sub = tuple([orders[i] for i in c])
         s = n // math.lcm(*sub)
         if s > 1 and math.gcd(*[gram[i][j] for i in c for j in c]) % s:

@@ -32,11 +32,12 @@ class Lattice:
     def __post_init__(self):
         self._validate(None)
 
-    def _validate(self, det: int | None) -> None:
+    def _validate(self, det: int | None, summed: bool = False) -> None:
         """Check symmetry and nondegeneracy; when det is not known, it is the
         product of the memoized determinants (`_block_det`) of the orthogonal
-        blocks."""
-        if not exact.is_symmetric(self.gram):
+        blocks.  A block sum (`summed`) of validated lattices is symmetric by
+        construction."""
+        if not summed and not exact.is_symmetric(self.gram):
             raise ValueError("gram matrix not symmetric")
         if det is None:
             det = math.prod(_block_det(g) for _idx, g in self.orthogonal_split())
@@ -87,15 +88,15 @@ def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
 def _with_det(gram: Matrix, det: int, expr: str | None = None, blocks=None) -> Lattice:
     """A Lattice whose determinant its constructor already knows (no Bareiss).
 
-    A constructor that places connected blocks on the diagonal also hands
-    over their (indices, Gram matrix) as `blocks`, ascending, and the lattice
-    keeps them as its `orthogonal_split` instead of walking the components.
-    The rows become tuples; a row that is a tuple already is kept, not copied.
+    `_block_sum` also hands over the (indices, Gram matrix) of the connected
+    blocks it placed, ascending, as `blocks`: the lattice keeps them as its
+    `orthogonal_split`, and a sum of validated lattices skips the symmetry
+    check.  The rows become tuples; a tuple row is kept, not copied.
     """
     l = object.__new__(Lattice)
     object.__setattr__(l, "gram", tuple(map(tuple, gram)))
     object.__setattr__(l, "expr", expr)
-    l._validate(det)
+    l._validate(det, blocks is not None)
     if blocks is not None:
         object.__setattr__(l, "_orthogonal", tuple(blocks))
     return l
@@ -201,10 +202,10 @@ def _block_gram(grams) -> tuple[tuple[int, ...], ...]:
 
 
 def _block_sum(parts, expr: str | None) -> Lattice:
-    """The lattice with the (Gram matrix, det, orthogonal split) parts on its
-    diagonal; its split is theirs, shifted, so no component walk runs.  The
-    parts' Gram matrices have tuple rows, so `_block_gram` builds every row
-    as a tuple and `_with_det` keeps them without a copy."""
+    """The lattice with the (Gram matrix, det, orthogonal split) parts of
+    validated lattices on its diagonal; its split is theirs, shifted, so no
+    component walk or symmetry check runs.  `_block_gram` builds every row
+    as a tuple, which `_with_det` keeps without a copy."""
     blocks, off, det = [], 0, 1
     for gram, d, split in parts:
         for idx, g in split:
@@ -222,20 +223,16 @@ def direct_sum(*lattices: Lattice) -> Lattice:
 EMPTY = make_lattice([], "0")
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def signature(l: Lattice) -> tuple[int, int]:
     """(n_plus, n_minus), the sum of the inertias of the orthogonal blocks of the Gram matrix.
 
-    The blocks are those of `Lattice.orthogonal_split`; each block's inertia
-    is memoized on its Gram matrix, so the shared blocks of many direct sums
-    are eliminated once.  A lattice of one block (or none) goes straight to
-    `exact.inertia`.
+    The blocks are those of `Lattice.orthogonal_split`, a lattice of one
+    block its own.  Each block's inertia is memoized on its Gram matrix
+    (`_block_inertia`), so the shared blocks of many direct sums, and a Gram
+    matrix built again, are eliminated once; no memo is kept per lattice.
     """
-    blocks = l.orthogonal_split()
-    if len(blocks) < 2:
-        np_, nz, nm = exact.inertia(l.gram_rows())
-    else:
-        np_, nz, nm = (sum(col) for col in zip(*(_block_inertia(g) for _idx, g in blocks)))
+    inertias = [_block_inertia(g) for _idx, g in l.orthogonal_split()]
+    np_, nz, nm = map(sum, zip((0, 0, 0), *inertias))  # (0, 0, 0) for the empty lattice
     if nz:
         raise ValueError("degenerate lattice")
     if (-1) ** nm != (1 if l.det() > 0 else -1):
@@ -359,38 +356,39 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-# one term with the whitespace around it and the '+' or the end that follows;
-# groups: count, atom, scale, separator
-_TERM = re.compile(r"\s*([0-9]*)(U|[ADE][0-9]+|<-?[0-9]+>)(?:\((-?[0-9]+)\))?\s*(\+|\Z)")
+# one term with the whitespace around it; groups: count, atom, scale
+_TERM = re.compile(r"\s*([0-9]*)(U|[ADE][0-9]+|<-?[0-9]+>)(?:\((-?[0-9]+)\))?\s*")
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def parse_lattice_expr(text: str) -> Lattice:
     """Evaluate a lattice expression like "U(3)+2A2+A1" or "<2>+3<-6>".
 
-    Memoized on the text (a Lattice is immutable).  `_TERM` reads one term
-    at a time, and `_term` gives its parts, memoized on the term, so an
-    expression costs its block sum.  Each atom, scaled or not, is connected,
-    so the atoms are the blocks of the orthogonal split.  A text outside the
-    grammar, or with a term `_term` rejects, goes to `_reject`, which
-    raises the `ExprError` of its first fault.
+    Memoized on the text (a Lattice is immutable).  No term holds a '+': the
+    text splits into terms, and `_term` gives their parts, memoized per term,
+    so an expression costs its block sum.  Each atom, scaled or not, is
+    connected, so the atoms are the blocks of the orthogonal split.  A text
+    with a term `_term` rejects goes to `_reject`, which raises the
+    `ExprError` of its first fault.
     """
-    parts, pos, end = [], 0, None
-    while end != "":
-        m = _TERM.match(text, pos)
-        term = m and _term(*m.group(1, 2, 3))
+    parts = []
+    for piece in text.split("+"):
+        term = _term(piece)
         if term is None:
             _reject(text)
         parts += term
-        pos, end = m.end(), m[4]
     return _block_sum(parts, render_expr(text))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _term(count: str, atom: str, scale: str | None) -> tuple | None:
+def _term(text: str) -> tuple | None:
     """The (Gram matrix, det, split) of a term's atom, scaled, once per
-    repetition; None for a zero count or scale, `<0>`, or an index outside
-    the catalog."""
+    repetition; None for a text outside `_TERM`, a zero count or scale,
+    `<0>`, or an index outside the catalog."""
+    m = _TERM.fullmatch(text)
+    if m is None:
+        return None
+    count, atom, scale = m.groups()
     reps, c = int(count or 1), int(scale or 1)
     if reps == 0 or c == 0:
         return None
@@ -482,4 +480,5 @@ def _reject(text: str) -> NoReturn:
 
 
 def render_expr(text: str) -> str:
-    return re.sub(r"\s+", "", text)
+    """The text without its whitespace (`str.split` splits at every character `\\s` matches)."""
+    return "".join(text.split())

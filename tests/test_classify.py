@@ -394,7 +394,7 @@ def test_all_table5_lattices_stable():
 
 _OPTIMIZED_CHECKS = """
 import sys
-from zlat import classify, exact, forms, stability
+from zlat import classify, exact, forms, lattice, stability
 from zlat.lattice import named, signature
 from zlat.gluing import GlueMap, glue
 
@@ -431,12 +431,13 @@ stability.isomorphic_in_genus = real
 
 real_inertia = exact.inertia
 exact.inertia = lambda g: (len(g), 0, 0)  # <-2> read as positive definite
-signature.cache_clear()  # realize_pair already memoized the true signature of <-2>
+lattice._block_inertia.cache_clear()  # realize_pair already memoized the true inertia of <-2>
 try:
     signature(named("<-2>"))
 except ArithmeticError as e:
     print("signature:", e)
 exact.inertia = real_inertia
+lattice._block_inertia.cache_clear()  # drop the false inertia the patch left in the memo
 
 l1, l2 = named("<2>"), named("<-2>")
 # phi records this order, which breaks det(l1 +_phi l2) |H|^2 = det(l1) det(l2)

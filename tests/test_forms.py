@@ -9,7 +9,9 @@ import pytest
 from forms_oracle import change_generators, form_on_generators, random_basis_change
 
 from zlat import exact
+from zlat.classify import CATALOG
 from zlat.forms import (
+    ATOMS,
     TRIVIAL_FORM,
     FiniteQuadraticForm,
     GlueMap,
@@ -18,6 +20,7 @@ from zlat.forms import (
     _split,
     anti_iso_images,
     aut_order,
+    block_form,
     brown,
     build_anti_iso,
     coset_fingerprint,
@@ -596,7 +599,6 @@ def generator_maps(draw):
     identity (an anti-isomorphism) with some images redrawn, at random or
     among the elements with the same q (which negates q on the generators but
     maybe not b on their pairs), some sources of order 1."""
-    from zlat.classify import CATALOG
 
     f = discriminant_form(parse_lattice_expr("+".join(draw(st.lists(st.sampled_from(CATALOG),
                                                                      min_size=1, max_size=2)))))
@@ -650,7 +652,6 @@ def subgroup_generators(draw):
     orders up to p^3 and no lattice lifts (`pgroup_forms`), and up to 3
     unreduced generators, each drawn at random or among the elements with
     q = 0 (whose spans are isotropic unless b pairs two of them nontrivially)."""
-    from zlat.classify import CATALOG
 
     catalog = st.lists(st.sampled_from(CATALOG), min_size=1, max_size=2).map(
         lambda names: discriminant_form(parse_lattice_expr("+".join(names))))
@@ -732,7 +733,6 @@ def evaluated_forms(draw):
     """The discriminant f of a sum of catalog blocks, a p-group with orders
     up to p^3 (`pgroup_forms`) or raw numerators, and two elements with
     negative and unreduced coefficients."""
-    from zlat.classify import CATALOG
 
     catalog = st.lists(st.sampled_from(CATALOG), min_size=1, max_size=3).map(
         lambda names: discriminant_form(parse_lattice_expr("+".join(names))))
@@ -754,18 +754,25 @@ def test_numerators_match_loop_oracle(case):
 
 @given(evaluated_forms())
 @settings(max_examples=50, deadline=None)
-def test_equality_hash_and_repr_read_the_four_fields(case):
+def test_equality_hash_and_repr_read_the_five_fields(case):
     f, x, y = case
-    fields = ("orders", "n", "gram", "lift_cols")
+    fields = ("orders", "n", "gram", "lift_cols", "summands")
     assert tuple(fl.name for fl in dataclasses.fields(FiniteQuadraticForm)) == fields
     fresh = FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols)
     other = FiniteQuadraticForm(f.orders, f.n, f.gram, None)
-    fresh.q(x), fresh.b(x, y)
-    # evaluating leaves no state beside the fields; the lifts are not compared
-    assert sorted(vars(fresh)) == sorted(fields)
+    summed = direct_sum_forms(f, ATOMS["u2"])  # a sum that records its summands
+    plain = FiniteQuadraticForm(summed.orders, summed.n, summed.gram, summed.lift_cols)
+    assert summed.summands and not plain.summands
+    fresh.q(x), fresh.b(x, y), summed.q(x + (0, 0))
+    # evaluating leaves no state beside the fields; the lifts and summands are not compared
+    assert sorted(vars(fresh)) == sorted(vars(summed)) == sorted(fields)
     assert fresh == other and hash(fresh) == hash(other) and {fresh: 1}[other] == 1
+    assert summed == plain and hash(summed) == hash(plain) and {summed: 1}[plain] == 1
     assert repr(fresh) == (f"FiniteQuadraticForm(orders={f.orders!r}, n={f.n!r}, gram={f.gram!r}, "
                            f"lift_cols={f.lift_cols!r})")
+    assert repr(summed) == repr(plain) == (
+        f"FiniteQuadraticForm(orders={summed.orders!r}, n={summed.n!r}, gram={summed.gram!r}, "
+        f"lift_cols={summed.lift_cols!r})")
 
 
 # the integer representation against the Fraction oracle ----------------------
@@ -775,7 +782,6 @@ def test_equality_hash_and_repr_read_the_four_fields(case):
 def oracle_lattices(draw):
     """A sum of 1-3 catalog blocks, or a random even lattice of rank <= 4 with
     |det| <= 3000 (often with a non-elementary discriminant)."""
-    from zlat.classify import CATALOG
     from zlat.lattice import make_lattice
 
     if draw(st.booleans()):
@@ -829,7 +835,6 @@ def test_direct_sum_matches_fraction_oracle(l1, l2, data):
 def interleaved_sums(draw):
     """A sum of 1-4 blocks of the catalog and E8, often with U or E8 among
     them, its indices interleaved by a random permutation, and its block names."""
-    from zlat.classify import CATALOG
     from zlat.lattice import make_lattice
 
     unimodular = draw(st.sampled_from([[], ["U"], ["E8"]]))
@@ -1178,3 +1183,95 @@ def test_2adic_symbols_equal_exactly_for_isometric_forms_up_to_64():
     firsts = [fs[0] for fs in classes.values()]
     for i, f in enumerate(firsts):
         assert not any(sorted(f.orders) == sorted(g.orders) and oracle.isometric(f, g) for g in firsts[i + 1:])
+
+
+# a sum keeps its summands -------------------------------------------------------
+
+def _unsummed(f):
+    """The value of f as raw input gives it: no summands, so `brown` walks its gram."""
+    return FiniteQuadraticForm(f.orders, f.n, f.gram)
+
+
+def _assert_flat_summands(f):
+    """f names its summands, none of them a sum, and their generators are f's, in order."""
+    assert f.summands and all(not s.summands for s in f.summands)
+    assert tuple(d for s in f.summands for d in s.orders) == f.orders
+    assert not _unsummed(f).summands
+
+
+@given(st.lists(st.sampled_from(CATALOG + ["E8", "D5", "<-6>", "A2(2)", "U(3)"]), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_brown_of_a_parsed_sum_matches_the_raw_form(names):
+    l = parse_lattice_expr("+".join(names))
+    f = discriminant_form(l)
+    _assert_flat_summands(f)
+    assert len(f.summands) == len(l.orthogonal_split()) == len(names)
+    assert brown(f) == brown(_unsummed(f))
+
+
+def _block_forms_of_random_lattices():
+    return oracle_lattices().map(lambda l: block_form(l.gram))
+
+
+_NESTED_SUMS = st.recursive(
+    st.one_of(st.sampled_from(sorted(ATOMS.values(), key=repr)), _block_forms_of_random_lattices()),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda fs: direct_sum_forms(*fs)),
+    max_leaves=8)
+
+
+@given(_NESTED_SUMS)
+@settings(max_examples=150, deadline=None)
+def test_brown_of_nested_form_sums_matches_the_raw_form(f):
+    if f.summands:  # a leaf is an atom or a block form, which is no sum
+        _assert_flat_summands(f)
+    assert brown(f) == brown(_unsummed(f)) == oracle.jordan_brown(f)
+
+
+def test_brown_of_summands_of_different_exponents():
+    # A1 (Z/2), A2 (Z/3) and <-6> (Z/6): exponents 2, 3 and 6 in one sum over n = 6
+    l = parse_lattice_expr("A1+A2+<-6>")
+    parts = [discriminant_form(parse_lattice_expr(t)) for t in ("A1", "A2", "<-6>")]
+    for f in (discriminant_form(l), direct_sum_forms(*parts), direct_sum_forms(parts[0], direct_sum_forms(*parts[1:]))):
+        assert f.n == 6 and [s.n for s in f.summands] == [2, 3, 6]
+        assert brown(f) == brown(_unsummed(f)) == _gauss_brown(f) == 4  # signature (0, 4)
+
+
+def test_a_sum_walks_no_whole_matrix(monkeypatch):
+    """Parse, discriminant form, Brown, 2-rank and signature of catalog sums, as
+    the benchmark's sweep runs them, never walk or check a whole Gram matrix:
+    the blocks' memos answer.  Raw input is still checked in full."""
+    from zlat import lattice
+    from zlat.classify import block_multisets
+    from zlat.lattice import make_lattice
+
+    texts = list(CATALOG) + ["+".join(b) for b in block_multisets(CATALOG, 10)[1::97]] + ["2A2(2)+U(3)+<-6>"]
+
+    def sweep():
+        for text in texts:
+            l = parse_lattice_expr(text)
+            f = discriminant_form(l)
+            np_, nm = signature(l)
+            assert brown(f) == (np_ - nm) % 8 and p_rank(f, 2) % 2 == l.rank % 2
+
+    def counted(name):
+        real = getattr(exact, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    sweep()  # builds the catalog atoms, each validated once
+    calls = Counter()
+    for name in ("components", "is_symmetric"):
+        monkeypatch.setattr(exact, name, counted(name))
+    for memo in (lattice.parse_lattice_expr, discriminant_form, jordan_record):
+        memo.cache_clear()
+    sweep()
+    assert calls == Counter()
+    with pytest.raises(ValueError, match="gram matrix not symmetric"):
+        make_lattice([[2, 1], [0, 2]])
+    with pytest.raises(ValueError, match="degenerate gram matrix"):
+        make_lattice([[2, 2], [2, 2]])
+    assert calls["is_symmetric"] == 2

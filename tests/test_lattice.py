@@ -420,7 +420,7 @@ def test_invariants_memo_does_not_cache_errors():
 
 
 def test_memos_are_bounded():
-    for fn in (forms.discriminant_form, stability.genus_tag, lattice.signature, stability.invariants,
+    for fn in (forms.discriminant_form, stability.genus_tag, stability.invariants,
                lattice._block_inertia, lattice._block_det, forms.jordan_record,
                lattice.parse_lattice_expr, lattice._term, tables._built, forms.normal_basis,
                forms.anti_iso_images, forms._anti_iso_order):
@@ -465,11 +465,20 @@ def test_signature_raises_on_a_degenerate_block():
         signature(fake)
 
 
+@given(_CATALOG_EXPRS, _CATALOG_EXPRS)
+@settings(max_examples=100, deadline=None)
+def test_signature_of_parsed_and_summed_lattices_matches_dense_inertia(text1, text2):
+    l1, l2 = parse_lattice_expr(text1), parse_lattice_expr(text2)
+    for l in (l1, l2, direct_sum(l1, l2), direct_sum(l2, EMPTY, l1, l1), make_lattice(l1.gram_rows())):
+        np_, nz, nm = exact_oracle.dense_inertia(l.gram_rows())
+        assert nz == 0 and signature(l) == (np_, nm)
+
+
 def test_signature_of_a_block_and_of_a_sum_containing_it():
-    signature.cache_clear()
+    lattice._block_inertia.cache_clear()
     assert signature(parse_lattice_expr("U+<-2>+A2")) == (1, 4)
     assert signature(named("<-2>")) == (0, 1)
-    signature.cache_clear()
+    lattice._block_inertia.cache_clear()
     assert signature(named("<-2>")) == (0, 1)
     assert signature(parse_lattice_expr("2<-2>+U(3)")) == (1, 3)
 
