@@ -15,10 +15,11 @@ No `Fraction` enters: every form is built from integers.  Fractions leave
 only through `b`, `q` and `fingerprint`; everything else reads the integers.
 Brown and the Jordan constituents of each p-part come from one memoized
 `jordan_record` per form value.  A form built as an orthogonal sum
-(`discriminant_form`, `direct_sum_forms`) keeps its summand forms, and
-`brown` reads the record of each; a form without them (raw input, `p_part`,
-`isotropic_quotient`) is first split into the connected components of its
-gram.  `jordan_symbol` reads the record of the whole form.
+(`discriminant_form`, `direct_sum_forms`) keeps its summands and their lift
+places and builds its gram and lifts on first read; `brown` reads the
+record of each summand.  A form without summands (raw input, `p_part`,
+`isotropic_quotient`) is first split into the components of its gram.
+`jordan_symbol` reads the record of the whole form.
 Anti-isomorphisms are memoized per form value too: `anti_iso_images` and
 the `GlueMap` check `_anti_iso_order` read orders, n and gram, which form
 equality compares, never lift_cols, which it ignores; they return elements
@@ -47,10 +48,21 @@ class FiniteQuadraticForm:
     orders: tuple[int, ...]
     n: int
     gram: tuple[tuple[int, ...], ...]
-    lift_cols: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
+    # a factory, unlike a default, leaves no class attribute: a sum's lifts reach `__getattr__`
+    lift_cols: tuple[tuple[int, ...], ...] | None = field(default_factory=lambda: None, compare=False)
     # the forms it is the orthogonal sum of, in generator order, none a sum;
     # () if not built as one.  Cached data: no comparison, hash or key reads it
     summands: tuple[FiniteQuadraticForm, ...] = field(default=(), compare=False, repr=False)
+    # of a sum with lifts, the lattice indices of each summand's lift columns
+    places: tuple | None = field(default=None, compare=False, repr=False)
+
+    def __getattr__(self, name):
+        """A sum's gram and lift columns, both built by `_summed` on first read."""
+        if name not in ("gram", "lift_cols"):
+            raise AttributeError(name)
+        gram, lift_cols = _summed(self)
+        vars(self).update(gram=gram, lift_cols=lift_cols)
+        return vars(self)[name]
 
     @property
     def ngens(self) -> int:
@@ -129,17 +141,17 @@ def _reduced(rows, n: int) -> tuple[tuple[int, ...], ...]:
 TRIVIAL_FORM = FiniteQuadraticForm((), 1, (), ())
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     """The discriminant L*/L with Q/Z pairing and Q/2Z quadratic refinement.
 
     The orthogonal sum of the `block_form`s of the blocks of
     `Lattice.orthogonal_split` (Nikulin 1979, §1), the split that also
     serves the determinant and `signature`: generators are taken per block,
-    in block order, and each block's lift columns are scattered back to its
-    indices.  A unimodular block adds no generator; the sum records lifts
-    whenever it is nontrivial.  A lattice of one block is a sum of one, so
-    every discriminant form keeps its block forms as its summands.
+    in block order, and each block's lift columns go back to its indices.  A
+    unimodular block adds no generator; the sum records lifts whenever it is
+    nontrivial.  A lattice of one block is a sum of one, so every
+    discriminant form keeps its block forms as its summands.  Not memoized:
+    a form costs its blocks' `block_form` lookups until its gram is read.
     """
     if not l.is_even:
         raise ValueError("lattice is not even")
@@ -188,31 +200,41 @@ def direct_sum_forms(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
 
 
 def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
-    """The orthogonal sum of the forms, each summand's gram a diagonal block,
-    rescaled by n / n_f (which keeps it reduced).  places[i] lists the
-    lattice indices of summand i's lift columns (together they index the
-    whole lattice), and each column is scattered to them; without places no
-    lifts are recorded.  Every row is a tuple, the summand's own row (or its
-    rescaled copy) between two slices of one zero row.  The sum records its
-    summands, those of a summand that is a sum in its place."""
-    n = math.lcm(*[f.n for f in forms])
-    k = sum([len(f.orders) for f in forms])
+    """The orthogonal sum of the forms, held as its summands (those of a sum
+    in its place), their orders and n = lcm of theirs: `_summed` builds gram
+    and lifts on first read.  places[i] lists the lattice indices of form
+    i's lift columns (together they index the whole lattice), or is None."""
+    summands, where = [], []
+    for f, place in zip(forms, places or itertools.repeat(None)):
+        summands += f.summands or (f,)
+        where += [tuple([place[i] for i in p]) for p in f.places] if f.summands and places else [place]
+    s = object.__new__(FiniteQuadraticForm)
+    vars(s).update(orders=tuple([d for f in summands for d in f.orders]), n=math.lcm(*[f.n for f in summands]),
+                   summands=tuple(summands), places=tuple(where) if places else None)
+    return s
+
+
+def _summed(f: FiniteQuadraticForm):
+    """(gram, lift_cols) of a sum: each summand's gram a diagonal block,
+    rescaled by n / n_s (which keeps it reduced), every row a tuple, the
+    summand's own row (or its rescaled copy) between two slices of one zero
+    row; each lift column scattered to its summand's place.  A sum of one
+    summand in its own place shares the summand's gram and lift columns."""
+    n, zeros, places = f.n, (0,) * len(f.orders), f.places
     rank = sum(map(len, places)) if places else 0
-    zeros = (0,) * k
-    orders, gram, cols = [], [], []
-    for f, place in zip(forms, places or itertools.repeat(())):
-        s, at = n // f.n, len(orders)
-        left, right = zeros[:at], zeros[at + len(f.orders):]
-        for row in f.gram:
-            gram.append(left + (row if s == 1 else tuple([x * s for x in row])) + right)
-        orders += f.orders
-        for col in (f.lift_cols or ()) if places else ():
+    if len(f.summands) == 1 and (not places or tuple(places[0]) == tuple(range(rank))):
+        return f.summands[0].gram, places and f.summands[0].lift_cols or None
+    gram, cols = [], []
+    for s, place in zip(f.summands, places or itertools.repeat(())):
+        k, at = n // s.n, len(gram)
+        left, right = zeros[:at], zeros[at + len(s.orders):]
+        gram += [left + (row if k == 1 else tuple([x * k for x in row])) + right for row in s.gram]
+        for col in (s.lift_cols or ()) if places else ():
             w = [0] * rank
             for i, x in zip(place, col):
                 w[i] = x
             cols.append(tuple(w))
-    summands = tuple([s for f in forms for s in f.summands or (f,)])
-    return FiniteQuadraticForm(tuple(orders), n, tuple(gram), tuple(cols) or None, summands)
+    return tuple(gram), tuple(cols) or None
 
 
 # standard small forms -------------------------------------------------------

@@ -24,6 +24,8 @@ MEMO_SIZE = 1024
 
 @dataclass(frozen=True)
 class Lattice:
+    """Its value is its `gram`; a block sum holds its `orthogonal_split` and lays out `gram` on first read."""
+
     gram: tuple[tuple[int, ...], ...]
     expr: str | None = field(default=None, compare=False)
     _det: int = field(default=0, init=False, compare=False, repr=False)
@@ -31,6 +33,13 @@ class Lattice:
 
     def __post_init__(self):
         self._validate(None)
+
+    def __getattr__(self, name):
+        """A block sum's Gram matrix, laid out by `_block_gram` on first read."""
+        if name != "gram" or self._orthogonal is None:
+            raise AttributeError(name)
+        vars(self).update(gram=_block_gram(self._orthogonal))
+        return vars(self)["gram"]
 
     def _validate(self, det: int | None, summed: bool = False) -> None:
         """Check symmetry and nondegeneracy; when det is not known, it is the
@@ -49,8 +58,8 @@ class Lattice:
         """The (indices, block Gram matrix) of the `exact.components` of the
         Gram matrix; a single block is the Gram matrix itself.  Computed once
         per lattice, for the determinant, `signature` and
-        `forms.discriminant_form`, unless `direct_sum` or `parse_lattice_expr`
-        handed it over from the blocks they placed."""
+        `forms.discriminant_form`, unless the lattice is a block sum
+        (`direct_sum`, `parse_lattice_expr`), which holds the blocks it placed."""
         if self._orthogonal is None:
             g = self.gram
             blocks = exact.components(g)
@@ -61,14 +70,17 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        gram = vars(self).get("gram")
+        return len(gram) if gram is not None else sum([len(idx) for idx, _g in self._orthogonal])
 
     def gram_rows(self) -> Matrix:
         return [list(r) for r in self.gram]
 
     @property
     def is_even(self) -> bool:
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
+        if self._orthogonal is None:
+            return all(row[i] % 2 == 0 for i, row in enumerate(self.gram))
+        return all(row[i] % 2 == 0 for _idx, g in self._orthogonal for i, row in enumerate(g))
 
     def det(self) -> int:
         return self._det
@@ -85,20 +97,20 @@ def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
     return Lattice(tuple(tuple(row) for row in gram), expr)
 
 
-def _with_det(gram: Matrix, det: int, expr: str | None = None, blocks=None) -> Lattice:
+def _with_det(gram: Matrix | None, det: int, expr: str | None = None, blocks=None) -> Lattice:
     """A Lattice whose determinant its constructor already knows (no Bareiss).
 
-    `_block_sum` also hands over the (indices, Gram matrix) of the connected
-    blocks it placed, ascending, as `blocks`: the lattice keeps them as its
-    `orthogonal_split`, and a sum of validated lattices skips the symmetry
-    check.  The rows become tuples; a tuple row is kept, not copied.
+    `_block_sum` hands over, instead of a gram, the (indices, Gram matrix)
+    blocks it placed: the lattice keeps them as its `orthogonal_split`, lays
+    out its Gram matrix on first read and, a sum of validated lattices,
+    skips the symmetry check.  A gram's rows become tuples; a tuple is kept.
     """
     l = object.__new__(Lattice)
-    object.__setattr__(l, "gram", tuple(map(tuple, gram)))
+    if blocks is None:
+        object.__setattr__(l, "gram", tuple(map(tuple, gram)))
     object.__setattr__(l, "expr", expr)
+    object.__setattr__(l, "_orthogonal", None if blocks is None else tuple(blocks))
     l._validate(det, blocks is not None)
-    if blocks is not None:
-        object.__setattr__(l, "_orthogonal", tuple(blocks))
     return l
 
 
@@ -187,37 +199,42 @@ def named(spec: str) -> Lattice:
     raise ValueError(f"unknown lattice name {spec!r}")
 
 
-def _block_gram(grams) -> tuple[tuple[int, ...], ...]:
-    """Block-diagonal matrix of the given square Gram matrices (tuple rows),
-    each row the block's row between two slices of one zero row."""
-    n = sum(map(len, grams))
-    zeros = (0,) * n
-    out, off = [], 0
-    for g in grams:
-        left, right = zeros[:off], zeros[off + len(g):]
+def _block_gram(blocks) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix with the (ascending indices, Gram matrix) blocks of an
+    orthogonal split at their indices, zero elsewhere.  While the blocks lie
+    on consecutive indices in order, each row is the block's row between two
+    slices of one zero row; interleaved blocks are placed entry by entry."""
+    n = sum([len(idx) for idx, _g in blocks])
+    zeros, rows = (0,) * n, []
+    for idx, g in blocks:
+        a, b = idx[0], idx[-1] + 1
+        if b - a != len(idx) or a != len(rows):
+            at = {(i, j): x for ids, h in blocks for i, row in zip(ids, h) for j, x in zip(ids, row)}
+            return tuple([tuple([at.get((i, j), 0) for j in range(n)]) for i in range(n)])
+        left, right = zeros[:a], zeros[b:]
         for row in g:
-            out.append(left + row + right)
-        off += len(g)
-    return tuple(out)
+            rows.append(left + row + right)
+    return tuple(rows)
 
 
 def _block_sum(parts, expr: str | None) -> Lattice:
-    """The lattice with the (Gram matrix, det, orthogonal split) parts of
-    validated lattices on its diagonal; its split is theirs, shifted, so no
-    component walk or symmetry check runs.  `_block_gram` builds every row
-    as a tuple, which `_with_det` keeps without a copy."""
+    """The lattice with the (rank, det, orthogonal split) parts of validated
+    lattices on its diagonal; it holds their splits, shifted, as its blocks,
+    so no component walk or symmetry check runs, and its Gram matrix is built
+    only when something reads it."""
     blocks, off, det = [], 0, 1
-    for gram, d, split in parts:
+    for rank, d, split in parts:
         for idx, g in split:
             blocks.append((tuple([i + off for i in idx]), g))
-        off, det = off + len(gram), det * d
-    return _with_det(_block_gram([gram for gram, _d, _s in parts]), det, expr, blocks)
+        off, det = off + rank, det * d
+    return _with_det(None, det, expr, blocks)
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
+    """The block sum of the lattices: it holds their splits, not their Gram matrices."""
     parts = [l for l in lattices if l.rank > 0]
     expr = "+".join(l.expr for l in parts) if all(l.expr for l in parts) else None
-    return _block_sum([(l.gram, l.det(), l.orthogonal_split()) for l in parts], expr)
+    return _block_sum([(l.rank, l.det(), l.orthogonal_split()) for l in parts], expr)
 
 
 EMPTY = make_lattice([], "0")
@@ -382,7 +399,7 @@ def parse_lattice_expr(text: str) -> Lattice:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _term(text: str) -> tuple | None:
-    """The (Gram matrix, det, split) of a term's atom, scaled, once per
+    """The (rank, det, split) of a term's atom, scaled, once per
     repetition; None for a text outside `_TERM`, a zero count or scale,
     `<0>`, or an index outside the catalog."""
     m = _TERM.fullmatch(text)
@@ -397,7 +414,7 @@ def _term(text: str) -> tuple | None:
     except ValueError:
         return None
     gram = base.gram if c == 1 else tuple([tuple([c * x for x in row]) for row in base.gram])
-    return ((gram, base.det() * c**base.rank, ((tuple(range(base.rank)), gram),)),) * reps
+    return ((base.rank, base.det() * c**base.rank, ((tuple(range(base.rank)), gram),)),) * reps
 
 
 def _reject(text: str) -> NoReturn:

@@ -754,17 +754,18 @@ def test_numerators_match_loop_oracle(case):
 
 @given(evaluated_forms())
 @settings(max_examples=50, deadline=None)
-def test_equality_hash_and_repr_read_the_five_fields(case):
+def test_equality_hash_and_repr_read_the_six_fields(case):
     f, x, y = case
-    fields = ("orders", "n", "gram", "lift_cols", "summands")
+    fields = ("orders", "n", "gram", "lift_cols", "summands", "places")
     assert tuple(fl.name for fl in dataclasses.fields(FiniteQuadraticForm)) == fields
     fresh = FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols)
     other = FiniteQuadraticForm(f.orders, f.n, f.gram, None)
     summed = direct_sum_forms(f, ATOMS["u2"])  # a sum that records its summands
+    assert sorted(vars(summed)) == ["n", "orders", "places", "summands"]  # gram and lifts not built yet
     plain = FiniteQuadraticForm(summed.orders, summed.n, summed.gram, summed.lift_cols)
     assert summed.summands and not plain.summands
     fresh.q(x), fresh.b(x, y), summed.q(x + (0, 0))
-    # evaluating leaves no state beside the fields; the lifts and summands are not compared
+    # evaluating leaves no state beside the fields; the lifts, summands and places are not compared
     assert sorted(vars(fresh)) == sorted(vars(summed)) == sorted(fields)
     assert fresh == other and hash(fresh) == hash(other) and {fresh: 1}[other] == 1
     assert summed == plain and hash(summed) == hash(plain) and {summed: 1}[plain] == 1
@@ -773,6 +774,12 @@ def test_equality_hash_and_repr_read_the_five_fields(case):
     assert repr(summed) == repr(plain) == (
         f"FiniteQuadraticForm(orders={summed.orders!r}, n={summed.n!r}, gram={summed.gram!r}, "
         f"lift_cols={summed.lift_cols!r})")
+    # a sum read first by equality, hash, repr or either dense field is the same value
+    for read in (plain.__eq__, lambda g: g == plain, hash, repr, lambda g: g.gram, lambda g: g.lift_cols):
+        lazy = direct_sum_forms(f, ATOMS["u2"])
+        read(lazy)
+        assert (lazy, hash(lazy), repr(lazy), lazy.gram, lazy.lift_cols) == (
+            plain, hash(plain), repr(plain), plain.gram, plain.lift_cols)
 
 
 # the integer representation against the Fraction oracle ----------------------
@@ -1238,23 +1245,27 @@ def test_brown_of_summands_of_different_exponents():
 
 def test_a_sum_walks_no_whole_matrix(monkeypatch):
     """Parse, discriminant form, Brown, 2-rank and signature of catalog sums, as
-    the benchmark's sweep runs them, never walk or check a whole Gram matrix:
-    the blocks' memos answer.  Raw input is still checked in full."""
-    from zlat import lattice
+    the benchmark's sweep runs them, never walk, check or build a whole Gram
+    matrix, of the lattice or of its form, nor the form's lift columns: the
+    blocks' memos answer.  Raw input is still checked in full."""
+    from zlat import forms, lattice
     from zlat.classify import block_multisets
     from zlat.lattice import make_lattice
 
     texts = list(CATALOG) + ["+".join(b) for b in block_multisets(CATALOG, 10)[1::97]] + ["2A2(2)+U(3)+<-6>"]
 
     def sweep():
+        values = []
         for text in texts:
             l = parse_lattice_expr(text)
             f = discriminant_form(l)
             np_, nm = signature(l)
             assert brown(f) == (np_ - nm) % 8 and p_rank(f, 2) % 2 == l.rank % 2
+            values.append((l, f))
+        return values
 
-    def counted(name):
-        real = getattr(exact, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -1264,14 +1275,86 @@ def test_a_sum_walks_no_whole_matrix(monkeypatch):
 
     sweep()  # builds the catalog atoms, each validated once
     calls = Counter()
-    for name in ("components", "is_symmetric"):
-        monkeypatch.setattr(exact, name, counted(name))
-    for memo in (lattice.parse_lattice_expr, discriminant_form, jordan_record):
+    # _block_gram lays out a block-built lattice's Gram matrix, _summed a sum form's gram and lifts
+    for module, name in ((exact, "components"), (exact, "is_symmetric"), (lattice, "_block_gram"),
+                         (forms, "_summed")):
+        monkeypatch.setattr(module, name, counted(module, name))
+    for memo in (lattice.parse_lattice_expr, jordan_record):
         memo.cache_clear()
-    sweep()
+    values = sweep()
     assert calls == Counter()
+    # nor by any other route: no sum holds a dense field
+    assert not [l for l, f in values if "gram" in vars(l) or {"gram", "lift_cols"} & set(vars(f))]
     with pytest.raises(ValueError, match="gram matrix not symmetric"):
         make_lattice([[2, 1], [0, 2]])
     with pytest.raises(ValueError, match="degenerate gram matrix"):
         make_lattice([[2, 2], [2, 2]])
     assert calls["is_symmetric"] == 2
+
+
+def test_a_lazy_sum_is_a_value_like_any_other():
+    """A block-built lattice and a sum form hold their blocks and build their
+    dense fields on first read.  Read first by equality (on either side),
+    hash, repr or any field, each is the value the same dense data makes
+    directly; rank, evenness and det build nothing."""
+    from zlat.classify import block_multisets
+    from zlat.lattice import EMPTY, direct_sum, make_lattice
+
+    def same_whatever_is_read_first(build, dense, fields):
+        for read in (lambda v: v == dense, lambda v: dense == v, hash, repr) + fields:
+            value = build()
+            read(value)
+            assert [value, hash(value), repr(value)] + [field(value) for field in fields] == [
+                dense, hash(dense), repr(dense)] + [field(dense) for field in fields]
+
+    lattice_fields = (lambda l: l.gram, lambda l: l.rank, lambda l: l.is_even, lambda l: l.det())
+    form_fields = (lambda f: f.orders, lambda f: f.n, lambda f: f.gram, lambda f: f.lift_cols)
+    texts = ["+".join(b) for b in block_multisets(CATALOG, 10)[1::97]]
+    builds = [lambda t=t: direct_sum(parse_lattice_expr(t)) for t in texts] + [
+        lambda: direct_sum(parse_lattice_expr("U(2)+A2"), direct_sum(named("D4"), parse_lattice_expr("2<-6>"))),
+        lambda: direct_sum(EMPTY), lambda: direct_sum(parse_lattice_expr("E6")), lambda: direct_sum(named("A1"))]
+    for build in builds:
+        l = build()
+        l.rank, l.is_even, l.det()
+        assert "gram" not in vars(l)
+        same_whatever_is_read_first(build, make_lattice(build().gram, l.expr), lattice_fields)
+        f = discriminant_form(build())
+        assert "gram" not in vars(f) and "lift_cols" not in vars(f)
+        raw = FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols)
+        same_whatever_is_read_first(lambda: discriminant_form(build()), raw, form_fields)
+    # sums of forms, flat and nested, against the form of the lattice sum: lift places compose
+    for triple in zip(builds, builds[1:], builds[2:]):
+        for parts in (triple[:2], triple):
+            fs = [discriminant_form(part()) for part in parts]
+            g = discriminant_form(direct_sum(*[part() for part in parts]))
+            lifts = g.lift_cols if all(h.lift_cols is not None for h in fs) else None
+            for summed in (lambda: direct_sum_forms(*fs), lambda: direct_sum_forms(direct_sum_forms(*fs[:2]), *fs[2:])):
+                f = summed()
+                assert (f.orders, f.n, f.gram, f.lift_cols) == (g.orders, g.n, g.gram, lifts)
+                same_whatever_is_read_first(summed, FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols),
+                                            form_fields)
+
+
+# sha256 of the repr of the lists of Brown, signature, discriminant form
+# (orders, n, gram, lift_cols) and genus tag over every 31st catalog sum of
+# rank <= 10, as the dense sums computed them
+_SWEEP_DIGESTS = (
+    "0f6419331820bf6077ec8160ef3d64e320e35697491f592d20a20af7cbee851c",
+    "ee768ace5138c64738eb4d33f486be91acb74abae9c43f1d07e271ce4c51a36c",
+    "9060b06dcae735632b3f5f77e55118f5f47598e202869c48a404befeeb997329",
+    "b29879311eb8029511d01248602d151f6913af38c831b2f9f1c549170d591810",
+)
+
+
+def test_sweep_values_are_pinned():
+    import hashlib
+
+    from zlat.classify import block_multisets
+
+    values = ([], [], [], [])
+    for blocks in block_multisets(CATALOG, 10)[1::31]:
+        l = parse_lattice_expr("+".join(blocks))
+        f = discriminant_form(l)
+        for out, value in zip(values, (brown(f), signature(l), (f.orders, f.n, f.gram, f.lift_cols), genus_tag(l))):
+            out.append(value)
+    assert tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in values) == _SWEEP_DIGESTS

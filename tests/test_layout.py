@@ -62,7 +62,9 @@ def test_only_listed_functions_enumerate_elements():
 
 
 # every Lattice is checked by `_validate` (symmetry, det != 0): past the
-# dataclass constructor only `lattice._with_det` makes one and sets its gram
+# dataclass constructor only `lattice._with_det` makes one and sets its gram,
+# and only `Lattice.__getattr__` stores the gram a block sum lays out from
+# the blocks of validated lattices on first read
 def _new_lattice(call):
     """object.__new__(Lattice)"""
     func, args = call.func, call.args
@@ -78,14 +80,30 @@ def _sets_gram(call):
             and len(args) > 1 and isinstance(args[1], ast.Constant) and args[1].value == "gram")
 
 
-@pytest.mark.parametrize("matches", [_new_lattice, _sets_gram])
+def _vars_updates(call):
+    """vars(x).update(...) or x.__dict__.update(...)"""
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr == "update"
+            and (isinstance(func.value, ast.Call) and getattr(func.value.func, "id", None) == "vars"
+                 or isinstance(func.value, ast.Attribute) and func.value.attr == "__dict__"))
+
+
+def _stores_gram(call):
+    """A vars(x) or x.__dict__ update that may store a gram: gram=..., or an
+    argument whose keys the rule cannot read."""
+    return _vars_updates(call) and (bool(call.args) or any(k.arg in ("gram", None) for k in call.keywords))
+
+
+@pytest.mark.parametrize("matches", [_new_lattice, _sets_gram, _stores_gram])
 def test_only_with_det_builds_a_lattice_past_its_constructor(matches):
     found = set()
     for fname in sorted(os.listdir(SRC)):
         if fname.endswith(".py"):
             with open(os.path.join(SRC, fname)) as fh:
                 found |= _callers(fname[:-3], ast.parse(fh.read()), matches)
-    assert found == {"lattice._with_det"}, sorted(found)
+    # a form's lazy gram is stored by `FiniteQuadraticForm.__getattr__`
+    lazy = {"lattice.Lattice.__getattr__", "forms.FiniteQuadraticForm.__getattr__"}
+    assert found == (lazy if matches is _stores_gram else {"lattice._with_det"}), sorted(found)
 
 
 def test_the_construction_rule_sees_both_calls():
@@ -95,7 +113,15 @@ def test_the_construction_rule_sees_both_calls():
     assert _callers("m", tree, _sets_gram) == {"m.C.g"}
 
 
-# a finite quadratic form is its fields: `forms` sets no attribute behind them
+def test_the_gram_store_rule_sees_every_update():
+    tree = ast.parse("class C:\n    def h(self):\n        vars(self).update(gram=())\n"
+                     "def k(x):\n    x.__dict__.update({'gram': ()})\n"
+                     "def m(x):\n    vars(x).update(expr='')\n")
+    assert _callers("m", tree, _stores_gram) == {"m.C.h", "m.k"}
+
+
+# a finite quadratic form is its fields: `forms` sets no attribute behind
+# them, and what it stores into an instance (a lazy sum) names fields only
 def test_forms_sets_no_hidden_attributes():
     with open(os.path.join(SRC, "forms.py")) as fh:
         tree = ast.parse(fh.read())
@@ -103,6 +129,11 @@ def test_forms_sets_no_hidden_attributes():
              and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
              and getattr(node.func.value, "id", None) == "object"]
     assert not found, found
+    form = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "FiniteQuadraticForm")
+    fields = {node.target.id for node in form.body if isinstance(node, ast.AnnAssign)}
+    stores = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _vars_updates(node)]
+    assert stores and not [node.lineno for node in stores
+                           if node.args or not {k.arg for k in node.keywords} <= fields], fields
 
 
 # a memo keys a form on its value, which ignores the lift columns: a memo in
