@@ -16,10 +16,12 @@ only through `b`, `q` and `fingerprint`; everything else reads the integers.
 Brown and the Jordan constituents of each p-part come from one memoized
 `jordan_record` per form value.  A form built as an orthogonal sum
 (`discriminant_form`, `direct_sum_forms`) keeps its summands and their lift
-places and builds its gram and lifts on first read; `brown` reads the
-record of each summand.  A form without summands (raw input, `p_part`,
-`isotropic_quotient`) is first split into the components of its gram.
-`jordan_symbol` reads the record of the whole form.
+places and builds its gram and its lifts, each on first read (a
+`lattice.LazyField`, no attribute hook); `brown` and `jordan_symbol` read
+the record of each summand, and a sum's p-parts and lift vectors are read
+off its summands too.  `brown` first splits a form without summands (raw input,
+`isotropic_quotient`, a p-part of one) into the components of its gram;
+`jordan_symbol` reads such a form's own record.
 Anti-isomorphisms are memoized per form value too: `anti_iso_images` and
 the `GlueMap` check `_anti_iso_order` read orders, n and gram, which form
 equality compares, never lift_cols, which it ignores; they return elements
@@ -38,7 +40,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from . import exact
-from .lattice import MEMO_SIZE, Lattice
+from .lattice import MEMO_SIZE, LazyField, Lattice, keep_form
 
 Element = tuple[int, ...]
 
@@ -48,21 +50,12 @@ class FiniteQuadraticForm:
     orders: tuple[int, ...]
     n: int
     gram: tuple[tuple[int, ...], ...]
-    # a factory, unlike a default, leaves no class attribute: a sum's lifts reach `__getattr__`
-    lift_cols: tuple[tuple[int, ...], ...] | None = field(default_factory=lambda: None, compare=False)
+    lift_cols: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
     # the forms it is the orthogonal sum of, in generator order, none a sum;
     # () if not built as one.  Cached data: no comparison, hash or key reads it
     summands: tuple[FiniteQuadraticForm, ...] = field(default=(), compare=False, repr=False)
     # of a sum with lifts, the lattice indices of each summand's lift columns
     places: tuple | None = field(default=None, compare=False, repr=False)
-
-    def __getattr__(self, name):
-        """A sum's gram and lift columns, both built by `_summed` on first read."""
-        if name not in ("gram", "lift_cols"):
-            raise AttributeError(name)
-        gram, lift_cols = _summed(self)
-        vars(self).update(gram=gram, lift_cols=lift_cols)
-        return vars(self)[name]
 
     @property
     def ngens(self) -> int:
@@ -116,15 +109,22 @@ class FiniteQuadraticForm:
         return _fraction(self.q_numer(x), self.n)
 
     def lift_vector(self, x) -> tuple[list[int], int]:
-        """(w, n): the lift of x to the source lattice is w / n (when lifts are recorded)."""
-        if self.lift_cols is None:
+        """(w, n): the lift of x to the source lattice is w / n (when lifts are
+        recorded).  Each summand adds its lift columns at its place, a form
+        without summands being its own at range(width), so a sum builds no
+        dense lifts."""
+        width = _lift_width(self)
+        if width is None:
             raise ValueError("form carries no lattice lifts")
-        w = [0] * (len(self.lift_cols[0]) if self.lift_cols else 0)
-        for c, col, d in zip(x, self.lift_cols, self.orders):
-            if c:
-                k = c * (self.n // d)
-                w = [a + k * v for a, v in zip(w, col)]
-        return w, self.n
+        w, n, at = [0] * width, self.n, 0
+        for s, place in zip(self.summands or (self,), self.places if self.summands else (range(width),)):
+            for c, col, d in zip(x[at:at + len(s.orders)], s.lift_cols or (), s.orders):
+                if c:
+                    k = c * (n // d)
+                    for i, v in zip(place, col):
+                        w[i] += k * v
+            at += len(s.orders)
+        return w, n
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -150,9 +150,17 @@ def discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     in block order, and each block's lift columns go back to its indices.  A
     unimodular block adds no generator; the sum records lifts whenever it is
     nontrivial.  A lattice of one block is a sum of one, so every
-    discriminant form keeps its block forms as its summands.  Not memoized:
-    a form costs its blocks' `block_form` lookups until its gram is read.
+    discriminant form keeps its block forms as its summands.  Built once
+    per `Lattice` instance and kept on it (`lattice.keep_form`), never
+    keyed: a form costs its blocks' `block_form` lookups until its gram is
+    read.
     """
+    if l._form is None:
+        keep_form(l, _discriminant_form(l))
+    return l._form
+
+
+def _discriminant_form(l: Lattice) -> FiniteQuadraticForm:
     if not l.is_even:
         raise ValueError("lattice is not even")
     blocks = l.orthogonal_split()
@@ -193,48 +201,78 @@ def block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
 def direct_sum_forms(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
     """Orthogonal sum; the lifts are kept, side by side, when every summand records them."""
     places = None
-    if forms and all(f.lift_cols is not None for f in forms):
-        widths = [len(f.lift_cols[0]) if f.lift_cols else 0 for f in forms]
+    widths = [_lift_width(f) for f in forms]
+    if forms and None not in widths:
         places = [range(a, a + w) for a, w in zip(itertools.accumulate(widths, initial=0), widths)]
     return _orthogonal_sum(forms, places)
 
 
+def _lift_width(f: FiniteQuadraticForm) -> int | None:
+    """The length of f's lift columns, None when f records no lifts.  A sum's
+    is read off its places, so that no lifts are built: it has lift columns
+    exactly when it has places and a generator (see `_summed`)."""
+    if f.summands:
+        return sum(map(len, f.places)) if f.places is not None and f.orders else None
+    return None if f.lift_cols is None else len(f.lift_cols[0]) if f.lift_cols else 0
+
+
 def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
     """The orthogonal sum of the forms, held as its summands (those of a sum
-    in its place), their orders and n = lcm of theirs: `_summed` builds gram
-    and lifts on first read.  places[i] lists the lattice indices of form
-    i's lift columns (together they index the whole lattice), or is None."""
+    in its place), their orders and n = lcm of theirs: `_summed` builds the
+    gram and the lifts, each on its first read.  places[i] lists the lattice
+    indices of form i's lift columns (together they index the whole
+    lattice), or is None."""
     summands, where = [], []
     for f, place in zip(forms, places or itertools.repeat(None)):
         summands += f.summands or (f,)
         where += [tuple([place[i] for i in p]) for p in f.places] if f.summands and places else [place]
     s = object.__new__(FiniteQuadraticForm)
-    vars(s).update(orders=tuple([d for f in summands for d in f.orders]), n=math.lcm(*[f.n for f in summands]),
-                   summands=tuple(summands), places=tuple(where) if places else None)
+    object.__setattr__(s, "orders", tuple([d for f in summands for d in f.orders]))
+    object.__setattr__(s, "n", math.lcm(*[f.n for f in summands]))
+    object.__setattr__(s, "summands", tuple(summands))
+    object.__setattr__(s, "places", tuple(where) if places else None)
     return s
 
 
-def _summed(f: FiniteQuadraticForm):
-    """(gram, lift_cols) of a sum: each summand's gram a diagonal block,
-    rescaled by n / n_s (which keeps it reduced), every row a tuple, the
-    summand's own row (or its rescaled copy) between two slices of one zero
-    row; each lift column scattered to its summand's place.  A sum of one
-    summand in its own place shares the summand's gram and lift columns."""
-    n, zeros, places = f.n, (0,) * len(f.orders), f.places
+def _sum_gram(f: FiniteQuadraticForm) -> None:
+    object.__setattr__(f, "gram", _summed(f, False))
+
+
+def _sum_lifts(f: FiniteQuadraticForm) -> None:
+    object.__setattr__(f, "lift_cols", _summed(f, True))
+
+
+# a sum's gram and its lift columns are each built on first read (see `LazyField`)
+FiniteQuadraticForm.gram = LazyField("gram", _sum_gram)
+FiniteQuadraticForm.lift_cols = LazyField("lift_cols", _sum_lifts)
+
+
+def _summed(f: FiniteQuadraticForm, lifts: bool):
+    """The gram of a sum or, with `lifts`, its lift columns: each summand's
+    gram a diagonal block, rescaled by n / n_s (which keeps it reduced),
+    every row a tuple, the summand's own row (or its rescaled copy) between
+    two slices of one zero row; each lift column scattered to its summand's
+    place.  A sum of one summand in its own place shares the summand's gram
+    and lift columns."""
+    places = f.places
     rank = sum(map(len, places)) if places else 0
     if len(f.summands) == 1 and (not places or tuple(places[0]) == tuple(range(rank))):
-        return f.summands[0].gram, places and f.summands[0].lift_cols or None
-    gram, cols = [], []
-    for s, place in zip(f.summands, places or itertools.repeat(())):
+        return (places and f.summands[0].lift_cols or None) if lifts else f.summands[0].gram
+    if lifts:
+        cols = []
+        for s, place in zip(f.summands, places or ()):
+            for col in s.lift_cols or ():
+                w = [0] * rank
+                for i, x in zip(place, col):
+                    w[i] = x
+                cols.append(tuple(w))
+        return tuple(cols) or None
+    n, zeros, gram = f.n, (0,) * len(f.orders), []
+    for s in f.summands:
         k, at = n // s.n, len(gram)
         left, right = zeros[:at], zeros[at + len(s.orders):]
         gram += [left + (row if k == 1 else tuple([x * k for x in row])) + right for row in s.gram]
-        for col in (s.lift_cols or ()) if places else ():
-            w = [0] * rank
-            for i, x in zip(place, col):
-                w[i] = x
-            cols.append(tuple(w))
-    return tuple(gram), tuple(cols) or None
+    return tuple(gram)
 
 
 # standard small forms -------------------------------------------------------
@@ -268,16 +306,21 @@ def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     """The restriction of the form to the maximal p-subgroup.
 
     Its generators are m_i e_i of order p^k = d_i / m_i; they lift to
-    c_i / p^k, so the lift columns are kept.  A p-group is its own p-part."""
+    c_i / p^k, so the lift columns are kept.  A p-group is its own p-part,
+    and the p-part of a sum with a p-part is the sum of its summands' in
+    their places (a summand of order prime to p adds the trivial form), so
+    it builds no dense gram or lifts."""
     pe = math.gcd(f.n, p ** f.n.bit_length())  # the p-part of n
     idx = [i for i, d in enumerate(f.orders) if d % p == 0]
     if f.n == pe and len(idx) == f.ngens:
         return f
+    if f.summands and idx:
+        return _orthogonal_sum([p_part(s, p) if s.n % p == 0 else TRIVIAL_FORM for s in f.summands], f.places)
     orders = tuple([math.gcd(f.orders[i], pe) for i in idx])
     r = f.n // pe  # pe * x / f.n = x / r
     picked = [(i, f.orders[i] // pk) for i, pk in zip(idx, orders)]
     gram = _reduced([[ma * mb * f.gram[i][j] // r for j, mb in picked] for i, ma in picked], pe)
-    lift_cols = None if f.lift_cols is None else tuple(f.lift_cols[i] for i in idx)
+    lift_cols = None if _lift_width(f) is None else tuple(f.lift_cols[i] for i in idx)
     return FiniteQuadraticForm(orders, pe, gram, lift_cols)
 
 
@@ -438,8 +481,13 @@ def jordan_record(orders: tuple[int, ...], n: int, gram: tuple[tuple[int, ...], 
 
 def jordan_symbol(f: FiniteQuadraticForm, p: int) -> tuple:
     """The canonical p-adic symbol of the p-part of f: `canonical_symbol` of
-    the constituents at p in the `jordan_record` of the whole form."""
-    return canonical_symbol(p, dict(jordan_record(f.orders, f.n, f.gram)[1]).get(p, ()))
+    the constituents at p in the `jordan_record`s of its orthogonal summands
+    (the Jordan splitting of a sum is the union of theirs), or of the whole
+    form when it was not built as a sum."""
+    blocks = ()
+    for s in f.summands or (f,):
+        blocks += dict(jordan_record(s.orders, s.n, s.gram)[1]).get(p, ())
+    return canonical_symbol(p, blocks)
 
 
 def canonical_symbol(p: int, blocks) -> tuple:

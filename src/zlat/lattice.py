@@ -22,24 +22,62 @@ from .exact import Matrix
 MEMO_SIZE = 1024
 
 
+class LazyField:
+    """A dataclass field that `fill(obj)` stores into the instance on its first
+    read.  A non-data descriptor on the class: once the instance holds the
+    field, the instance's own entry is read and the descriptor is not called
+    again.  Only the lazy fields have one; the value types define no
+    `__getattr__`, so every other attribute stays a plain instance attribute
+    whose reads the interpreter specializes."""
+
+    def __init__(self, name: str, fill):
+        self.name, self.fill = name, fill
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        self.fill(obj)
+        return getattr(obj, self.name)
+
+
 @dataclass(frozen=True)
 class Lattice:
-    """Its value is its `gram`; a block sum holds its `orthogonal_split` and lays out `gram` on first read."""
+    """Its value is its `gram`.  A block sum holds its parts and its
+    `orthogonal_split` and lays out `gram` on first read; equality and the
+    hash read the split, which determines the Gram matrix."""
 
     gram: tuple[tuple[int, ...], ...]
     expr: str | None = field(default=None, compare=False)
+    rank: int = field(default=0, init=False, compare=False, repr=False)
     _det: int = field(default=0, init=False, compare=False, repr=False)
     _orthogonal: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # of a block sum not yet laid out, its (rank, det, split, source) parts, in
+    # order; its layout concatenates the Gram matrices of the sources, which
+    # are Gram matrices (parsed atoms) or lattices (`direct_sum`)
+    _parts: tuple = field(default=(), init=False, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    # its discriminant form (`keep_form`): cached data, never compared,
+    # hashed or a key, as `_orthogonal` is
+    _form: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", len(self.gram))
         self._validate(None)
 
-    def __getattr__(self, name):
-        """A block sum's Gram matrix, laid out by `_block_gram` on first read."""
-        if name != "gram" or self._orthogonal is None:
-            raise AttributeError(name)
-        vars(self).update(gram=_block_gram(self._orthogonal))
-        return vars(self)["gram"]
+    def __eq__(self, other):
+        """Equal Gram matrices: equal `orthogonal_split`s, which determine the
+        Gram matrix (its connected blocks, by smallest index), so no block sum
+        is laid out."""
+        if other.__class__ is not Lattice:
+            return NotImplemented
+        return (self._det == other._det and self.rank == other.rank
+                and self.orthogonal_split() == other.orthogonal_split())
+
+    def __hash__(self):
+        """The hash of `orthogonal_split`, computed once per instance."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.orthogonal_split()))
+        return self._hash
 
     def _validate(self, det: int | None, summed: bool = False) -> None:
         """Check symmetry and nondegeneracy; when det is not known, it is the
@@ -56,10 +94,11 @@ class Lattice:
 
     def orthogonal_split(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
         """The (indices, block Gram matrix) of the `exact.components` of the
-        Gram matrix; a single block is the Gram matrix itself.  Computed once
-        per lattice, for the determinant, `signature` and
-        `forms.discriminant_form`, unless the lattice is a block sum
-        (`direct_sum`, `parse_lattice_expr`), which holds the blocks it placed."""
+        Gram matrix, by smallest index; a single block is the Gram matrix
+        itself.  Computed once per lattice, for the determinant, `signature`,
+        equality, the hash and `forms.discriminant_form`, unless the lattice
+        is a block sum (`direct_sum`, `parse_lattice_expr`), which holds the
+        blocks it placed."""
         if self._orthogonal is None:
             g = self.gram
             blocks = exact.components(g)
@@ -67,11 +106,6 @@ class Lattice:
                 (tuple(b), tuple(tuple(g[i][j] for j in b) for i in b)) for b in blocks)
             object.__setattr__(self, "_orthogonal", split)
         return self._orthogonal
-
-    @property
-    def rank(self) -> int:
-        gram = vars(self).get("gram")
-        return len(gram) if gram is not None else sum([len(idx) for idx, _g in self._orthogonal])
 
     def gram_rows(self) -> Matrix:
         return [list(r) for r in self.gram]
@@ -93,24 +127,49 @@ class Lattice:
         return self.inner(x, x)
 
 
+def keep_form(l: Lattice, form) -> None:
+    """Keep `form` on l as its discriminant form (see `forms.discriminant_form`):
+    cached data, never compared, hashed or a key, as `_orthogonal` is."""
+    object.__setattr__(l, "_form", form)
+
+
+def _lay_out(l: Lattice) -> None:
+    """Store a block sum's Gram matrix, its parts' laid out by `_block_gram`,
+    and let go of the parts: a lattice without parts holds its gram (or is
+    the empty sum, whose layout is empty)."""
+    sources = [part[3] for part in l._parts]
+    object.__setattr__(l, "gram", _block_gram([s.gram if isinstance(s, Lattice) else s for s in sources]))
+    object.__setattr__(l, "_parts", ())
+
+
+Lattice.gram = LazyField("gram", _lay_out)
+
+
 def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
     return Lattice(tuple(tuple(row) for row in gram), expr)
 
 
-def _with_det(gram: Matrix | None, det: int, expr: str | None = None, blocks=None) -> Lattice:
+def _with_det(gram: Matrix | None, det: int, expr: str | None = None, summed=None) -> Lattice:
     """A Lattice whose determinant its constructor already knows (no Bareiss).
 
-    `_block_sum` hands over, instead of a gram, the (indices, Gram matrix)
-    blocks it placed: the lattice keeps them as its `orthogonal_split`, lays
-    out its Gram matrix on first read and, a sum of validated lattices,
-    skips the symmetry check.  A gram's rows become tuples; a tuple is kept.
+    `_block_sum` hands over, instead of a gram, `summed` = (rank, parts,
+    blocks): the parts it sums and their shifted (indices, Gram matrix)
+    blocks.  The lattice keeps the blocks as its `orthogonal_split`, lays
+    out its Gram matrix from the parts on first read and, a sum of
+    validated parts, skips the symmetry check.  A gram's rows become
+    tuples; a tuple is kept.
     """
     l = object.__new__(Lattice)
-    if blocks is None:
+    if summed is None:
         object.__setattr__(l, "gram", tuple(map(tuple, gram)))
+        object.__setattr__(l, "rank", len(l.gram))
+    else:
+        rank, parts, blocks = summed
+        object.__setattr__(l, "rank", rank)
+        object.__setattr__(l, "_parts", parts)
+        object.__setattr__(l, "_orthogonal", blocks)
     object.__setattr__(l, "expr", expr)
-    object.__setattr__(l, "_orthogonal", None if blocks is None else tuple(blocks))
-    l._validate(det, blocks is not None)
+    l._validate(det, summed is not None)
     return l
 
 
@@ -199,42 +258,36 @@ def named(spec: str) -> Lattice:
     raise ValueError(f"unknown lattice name {spec!r}")
 
 
-def _block_gram(blocks) -> tuple[tuple[int, ...], ...]:
-    """The Gram matrix with the (ascending indices, Gram matrix) blocks of an
-    orthogonal split at their indices, zero elsewhere.  While the blocks lie
-    on consecutive indices in order, each row is the block's row between two
-    slices of one zero row; interleaved blocks are placed entry by entry."""
-    n = sum([len(idx) for idx, _g in blocks])
+def _block_gram(grams) -> tuple[tuple[int, ...], ...]:
+    """Block-diagonal matrix of the given square Gram matrices (tuple rows),
+    in order, each row the block's row between two slices of one zero row."""
+    n = sum(map(len, grams))
     zeros, rows = (0,) * n, []
-    for idx, g in blocks:
-        a, b = idx[0], idx[-1] + 1
-        if b - a != len(idx) or a != len(rows):
-            at = {(i, j): x for ids, h in blocks for i, row in zip(ids, h) for j, x in zip(ids, row)}
-            return tuple([tuple([at.get((i, j), 0) for j in range(n)]) for i in range(n)])
-        left, right = zeros[:a], zeros[b:]
-        for row in g:
-            rows.append(left + row + right)
+    for g in grams:
+        left, right = zeros[:len(rows)], zeros[len(rows) + len(g):]
+        rows += [left + row + right for row in g]
     return tuple(rows)
 
 
 def _block_sum(parts, expr: str | None) -> Lattice:
-    """The lattice with the (rank, det, orthogonal split) parts of validated
-    lattices on its diagonal; it holds their splits, shifted, as its blocks,
-    so no component walk or symmetry check runs, and its Gram matrix is built
-    only when something reads it."""
+    """The lattice with the (rank, det, orthogonal split, source) parts of
+    validated lattices on its diagonal, a source being a part's Gram matrix
+    or the lattice itself.  It holds the parts, and their splits, shifted,
+    as its blocks, so no component walk or symmetry check runs, and its
+    Gram matrix is laid out from the sources only when something reads it."""
     blocks, off, det = [], 0, 1
-    for rank, d, split in parts:
+    for rank, d, split, _source in parts:
         for idx, g in split:
             blocks.append((tuple([i + off for i in idx]), g))
         off, det = off + rank, det * d
-    return _with_det(None, det, expr, blocks)
+    return _with_det(None, det, expr, (off, tuple(parts), tuple(blocks)))
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
-    """The block sum of the lattices: it holds their splits, not their Gram matrices."""
+    """The block sum of the lattices: it holds them and their splits, not a Gram matrix."""
     parts = [l for l in lattices if l.rank > 0]
     expr = "+".join(l.expr for l in parts) if all(l.expr for l in parts) else None
-    return _block_sum([(l.rank, l.det(), l.orthogonal_split()) for l in parts], expr)
+    return _block_sum([(l.rank, l._det, l.orthogonal_split(), l) for l in parts], expr)
 
 
 EMPTY = make_lattice([], "0")
@@ -399,7 +452,7 @@ def parse_lattice_expr(text: str) -> Lattice:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _term(text: str) -> tuple | None:
-    """The (rank, det, split) of a term's atom, scaled, once per
+    """The (rank, det, split, Gram matrix) of a term's atom, scaled, once per
     repetition; None for a text outside `_TERM`, a zero count or scale,
     `<0>`, or an index outside the catalog."""
     m = _TERM.fullmatch(text)
@@ -414,7 +467,7 @@ def _term(text: str) -> tuple | None:
     except ValueError:
         return None
     gram = base.gram if c == 1 else tuple([tuple([c * x for x in row]) for row in base.gram])
-    return ((base.rank, base.det() * c**base.rank, ((tuple(range(base.rank)), gram),)),) * reps
+    return ((base.rank, base.det() * c**base.rank, ((tuple(range(base.rank)), gram),), gram),) * reps
 
 
 def _reject(text: str) -> NoReturn:

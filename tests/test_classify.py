@@ -303,6 +303,87 @@ def test_realized_lattices_are_pinned(monkeypatch):
         assert hashlib.sha256(repr(tuple(grams)).encode()).hexdigest() == REALIZED_SHA256[name], name
 
 
+# the work of one cold census and the 68 realizations, counted in a fresh
+# interpreter (every memo cold, hash seed fixed)
+_WORK_COUNT = """
+import collections, json, operator
+from zlat import classify, forms, lattice
+
+calls, built, layouts = collections.Counter(), [], []
+
+
+def counted(module, name, record=None):
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        if record is not None:
+            record.append(args[0])
+        return real(*args)
+
+    setattr(module, name, wrapper)
+
+
+counted(lattice, "_block_gram", layouts)
+counted(forms, "_summed")
+build_form = forms._discriminant_form
+
+
+def form_built(l):
+    calls["_discriminant_form"] += 1
+    built.append(l)  # kept alive, so that no id is reused
+    return build_form(l)
+
+
+forms._discriminant_form = form_built
+lazy_gram = vars(lattice.Lattice)["gram"]
+fill = lazy_gram.fill
+
+
+def from_parts(l):
+    # a layout concatenates the Gram matrices of the parts themselves, one
+    # `_block_gram` call; any other is a layout entry by entry
+    grams = [s.gram if isinstance(s, lattice.Lattice) else s for *_part, s in l._parts]
+    before = len(layouts)
+    fill(l)
+    calls["entry_by_entry"] += layouts[before:] != [grams] or any(map(operator.is_not, layouts[-1], grams))
+
+
+lazy_gram.fill = from_parts
+pairs = classify.enumerate_ascending_t_pairs()
+census = dict(calls)
+for pair in pairs:
+    classify.realize_pair(pair)
+print(json.dumps({"pairs": len(pairs), "census": census, "total": dict(calls),
+                  "forms_per_lattice": max(collections.Counter(map(id, built)).values())}))
+"""
+
+# upper bounds on the layouts of block-sum Gram matrices, the dense builds
+# of a sum form's gram or lift columns, and the discriminant forms built, as
+# counted when pinned
+LAYOUTS, SUM_FORM_BUILDS, FORM_BUILDS = 293, 329, 226
+
+
+def test_census_and_realizations_lay_out_from_parts_and_keep_one_form_per_lattice():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", _WORK_COUNT], capture_output=True, text=True, timeout=600,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0"))
+    assert out.returncode == 0, out.stderr
+    work = json.loads(out.stdout)
+    assert work["pairs"] == 68
+    assert work["census"] == {}  # no witness laid out, no form built: the census reads splits and blocks
+    total = work["total"]
+    assert total.get("entry_by_entry", 0) == 0
+    assert 0 < total["_block_gram"] <= LAYOUTS and 0 < total["_summed"] <= SUM_FORM_BUILDS
+    assert 0 < total["_discriminant_form"] <= FORM_BUILDS
+    assert work["forms_per_lattice"] == 1
+
+
 def _clear_anti_iso_memos():
     forms.anti_iso_images.cache_clear()
     forms._anti_iso_order.cache_clear()

@@ -1358,3 +1358,85 @@ def test_sweep_values_are_pinned():
         for out, value in zip(values, (brown(f), signature(l), (f.orders, f.n, f.gram, f.lift_cols), genus_tag(l))):
             out.append(value)
     assert tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in values) == _SWEEP_DIGESTS
+
+
+def test_jordan_symbol_of_a_sum_reads_its_summands(monkeypatch):
+    """The symbol of a sum, parsed or built by `direct_sum_forms` (flat or
+    nested), is that of the whole form's own record and of the oracle's
+    splitting of the whole p-part, and reading it builds no dense gram."""
+    from zlat import forms
+    from zlat.classify import block_multisets
+
+    texts = ["+".join(b) for b in block_multisets(CATALOG, 10)[5::89]] + [
+        "2A2(2)+U(3)+<-6>", "A1+A2+<-6>", "U(4)+<12>+D5", "E8", "U"]
+
+    def sums():
+        parsed = [discriminant_form(parse_lattice_expr(t)) for t in texts]
+        flat = [direct_sum_forms(*parsed[i:i + 3]) for i in range(0, len(parsed) - 2, 5)]
+        nested = [direct_sum_forms(direct_sum_forms(parsed[i], ATOMS["v2"]), direct_sum_forms(parsed[i + 1], flat[0]))
+                  for i in range(0, len(parsed) - 1, 7)]
+        return parsed + flat + nested + [direct_sum_forms(nested[0], standard_form("<2/3>+u2"))]
+
+    summed = Counter()
+    real = forms._summed
+
+    def counted(f, lifts):
+        summed[len(f.orders), lifts] += 1
+        return real(f, lifts)
+
+    monkeypatch.setattr(forms, "_summed", counted)
+    jordan_record.cache_clear()
+    lazy = sums()
+    symbols = [{p: jordan_symbol(f, p) for p in (2, 3, 5, 7)} for f in lazy]
+    assert not summed and all(f.summands for f in lazy)
+    for f, got in zip(sums(), symbols):
+        whole = FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols)
+        assert not whole.summands
+        assert got == {p: jordan_symbol(whole, p) for p in got} == {p: oracle.jordan_symbol(whole, p) for p in got}
+
+
+def test_p_parts_and_lifts_of_a_sum_read_its_summands(monkeypatch):
+    """The p-part of a sum is the sum of its summands' p-parts in their
+    places, and a sum's lift vectors add its summands' lift columns at their
+    places: both equal the dense form's, and neither builds the sum's gram or
+    lift columns."""
+    from zlat import forms
+    from zlat.classify import block_multisets
+    from zlat.lattice import direct_sum, make_lattice
+
+    texts = ["+".join(b) for b in block_multisets(CATALOG, 10)[7::97]] + ["2A2(2)+U(3)+<-6>", "A1+A2+<-6>", "E8+U"]
+    lattices = [parse_lattice_expr(t) for t in texts]
+    lattices += [direct_sum(lattices[0], make_lattice([[2, 0, 1], [0, -2, 0], [1, 0, 2]]), lattices[-2])]
+
+    def sums():
+        fs = [discriminant_form(l) for l in lattices]
+        return fs + [direct_sum_forms(fs[0], direct_sum_forms(fs[1], fs[-1])), direct_sum_forms(fs[2], ATOMS["u2"])]
+
+    rng = random.Random(28)
+    lazy = sums()
+    elements = [[tuple(rng.randrange(d) for d in f.orders) for _ in range(3)] + list(f.units) for f in lazy]
+    summed = Counter()
+    real = forms._summed
+
+    def counted(f, lifts):
+        summed[lifts] += 1
+        return real(f, lifts)
+
+    def lifts(f, xs):
+        try:
+            return [f.lift_vector(x) for x in xs]
+        except ValueError as e:
+            return str(e)
+
+    monkeypatch.setattr(forms, "_summed", counted)
+    parts = [[p_part(f, p) for p in (2, 3, 5)] for f in lazy]
+    vectors = [lifts(f, xs) for f, xs in zip(lazy, elements)]
+    assert not summed and all(f.summands for f in lazy)
+    for f, got, xs, vs in zip(sums(), parts, elements, vectors):
+        raw = FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols)
+        for p, part in zip((2, 3, 5), got):
+            dense = p_part(raw, p)
+            assert (part.orders, part.n, part.gram, part.lift_cols) == (dense.orders, dense.n, dense.gram,
+                                                                        dense.lift_cols)
+            assert lifts(part, [x[:len(part.orders)] for x in xs]) == lifts(dense, [x[:len(dense.orders)] for x in xs])
+        assert vs == lifts(raw, xs)

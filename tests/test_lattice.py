@@ -354,7 +354,7 @@ def test_one_bareiss_per_block_gram(monkeypatch):
 
 def test_degenerate_gram_raises_every_time():
     lattice._block_det.cache_clear()
-    for gram in ([[2, 2], [2, 2]], lattice._block_gram([((0, 1), named("A2").gram), ((2, 3), ((2, 2), (2, 2)))])):
+    for gram in ([[2, 2], [2, 2]], lattice._block_gram([named("A2").gram, ((2, 2), (2, 2))])):
         for _ in range(2):
             with pytest.raises(ValueError, match="degenerate gram matrix"):
                 make_lattice(gram)
@@ -459,7 +459,7 @@ def test_handed_over_split_matches_component_walk(text1, text2, rng):
 
 
 def test_signature_raises_on_a_degenerate_block():
-    gram = lattice._block_gram([((0, 1), named("A2").gram), ((2, 3), ((2, 2), (2, 2))), ((4, 5), named("U").gram)])
+    gram = lattice._block_gram([named("A2").gram, ((2, 2), (2, 2)), named("U").gram])
     fake = lattice._with_det(_permuted(gram, [4, 0, 2, 5, 1, 3]), 1)  # no Bareiss to reject it
     with pytest.raises(ValueError, match="degenerate lattice"):
         signature(fake)
@@ -547,3 +547,80 @@ def test_overlattice_patches_a_row_d_e_i_with_d_not_den():
     gram, det, h = out
     assert h[2] == [0, 0, 1, 0] and det == 9  # U(3) + U
     assert gram == ((0, 3, 0, 0), (3, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+
+
+# block sums laid out from their parts ------------------------------------------
+
+def _interleaved():
+    """A raw lattice whose components {0, 2} and {1} interleave."""
+    return make_lattice([[2, 0, 1], [0, -2, 0], [1, 0, 2]], "X")
+
+
+def test_a_sum_of_interleaved_parts_is_its_dense_value():
+    """Sums of lattices whose components interleave, nested sums and sums of
+    one part are laid out from their parts: read first by any of gram, rank,
+    evenness, det, equality (either side), hash or repr, each is the value
+    `make_lattice` makes of its dense Gram matrix.  Comparing and hashing
+    lays out neither side."""
+    x, a2, u3 = _interleaved(), named("A2"), parse_lattice_expr("U(3)+<-6>")
+    moved = make_lattice(_permuted(parse_lattice_expr("A2+D4+<4>").gram_rows(), [3, 0, 6, 1, 4, 2, 5]))
+    builds = [lambda: direct_sum(x, x), lambda: direct_sum(a2, x, u3), lambda: direct_sum(x),
+              lambda: direct_sum(EMPTY, moved), lambda: direct_sum(direct_sum(x, moved), EMPTY, direct_sum(u3, x)),
+              lambda: direct_sum(direct_sum(direct_sum(x)), a2)]
+    reads = (lambda l: l.gram, lambda l: l.rank, lambda l: l.is_even, lambda l: l.det(), hash, repr)
+    for build in builds:
+        l = build()
+        assert "gram" not in vars(l) and l._parts
+        dense = make_lattice(build().gram, l.expr)
+        assert "gram" in vars(dense) and not dense._parts
+        expected = [dense.gram, dense.rank, dense.is_even, dense.det(), hash(dense), repr(dense)]
+        for first in reads + (lambda l: l == dense, lambda l: dense == l):
+            l = build()
+            first(l)
+            assert [read(l) for read in reads] == expected
+            assert l == dense and dense == l and {dense: 1}[l] == 1 and len({l, dense}) == 1
+        assert dense.gram == lattice._block_gram([source.gram for *_part, source in build()._parts])
+        # equality and hash read the splits: neither side of a comparison is laid out
+        a, b = build(), build()
+        assert a == b == dense and hash(a) == hash(b) == hash(dense) and a._parts and b._parts
+    # equal values whose splits were handed over or walked; different values stay apart
+    assert direct_sum(a2, x) != direct_sum(x, a2) and direct_sum(x, x) != direct_sum(x, _interleaved(), a2)
+    assert direct_sum(x, a2).orthogonal_split() == make_lattice(direct_sum(x, a2).gram).orthogonal_split()
+
+
+def test_one_discriminant_form_per_lattice(monkeypatch):
+    """`discriminant_form` builds a lattice's form once and keeps it on the
+    instance, a block sum's before it is laid out too; equal lattices held
+    by other instances get equal forms, built anew; a lattice that is not
+    even raises every time and keeps nothing."""
+    from collections import Counter
+
+    x = _interleaved()
+    built = Counter()
+    real = forms._discriminant_form
+
+    def counted(l):
+        built[id(l)] += 1
+        return real(l)
+
+    sums = [direct_sum(x, named("A2")), lattice.parse_lattice_expr.__wrapped__("U(3)+2A2(2)+<-6>")]
+    values = sums + [x] + [make_lattice(l.gram) for l in (direct_sum(x, named("A2")),
+                                                          parse_lattice_expr("U(3)+2A2(2)+<-6>"), x)]
+    monkeypatch.setattr(forms, "_discriminant_form", counted)
+    for l in values:
+        f = forms.discriminant_form(l)
+        assert forms.discriminant_form(l) is f is l._form and "gram" not in vars(f)
+    assert all(l._parts for l in sums)  # nothing above laid out a block sum
+    for l in sums:
+        l.gram
+        assert forms.discriminant_form(l) is l._form
+    assert sorted(built.values()) == [1] * len(values)
+    for a, b in zip(values[:3], values[3:]):
+        fa, fb = forms.discriminant_form(a), forms.discriminant_form(b)
+        assert fa is not fb and a == b
+        assert (fa, fa.orders, fa.n, fa.gram, fa.lift_cols) == (fb, fb.orders, fb.n, fb.gram, fb.lift_cols)
+    odd = direct_sum(x, make_lattice([[1]]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lattice is not even"):
+            forms.discriminant_form(odd)
+    assert odd._form is None

@@ -63,8 +63,9 @@ def test_only_listed_functions_enumerate_elements():
 
 # every Lattice is checked by `_validate` (symmetry, det != 0): past the
 # dataclass constructor only `lattice._with_det` makes one and sets its gram,
-# and only `Lattice.__getattr__` stores the gram a block sum lays out from
-# the blocks of validated lattices on first read
+# and only the fills of the lazy fields (LAZY_FILLS) set a gram after it:
+# `lattice._lay_out` the one a block sum lays out from its validated parts,
+# `forms._sum_gram` a sum form's.  Nothing stores one through an instance dict
 def _new_lattice(call):
     """object.__new__(Lattice)"""
     func, args = call.func, call.args
@@ -101,9 +102,66 @@ def test_only_with_det_builds_a_lattice_past_its_constructor(matches):
         if fname.endswith(".py"):
             with open(os.path.join(SRC, fname)) as fh:
                 found |= _callers(fname[:-3], ast.parse(fh.read()), matches)
-    # a form's lazy gram is stored by `FiniteQuadraticForm.__getattr__`
-    lazy = {"lattice.Lattice.__getattr__", "forms.FiniteQuadraticForm.__getattr__"}
-    assert found == (lazy if matches is _stores_gram else {"lattice._with_det"}), sorted(found)
+    gram_fills = {fill for fill, (_cls, names) in LAZY_FILLS.items() if "gram" in names}
+    expected = {_new_lattice: {"lattice._with_det"}, _sets_gram: {"lattice._with_det", *gram_fills},
+                _stores_gram: set()}
+    assert found == expected[matches], sorted(found)
+
+
+# the value types define no attribute hook: with a `__getattr__` the
+# interpreter stops specializing every attribute read of the type.  Only the
+# lazy dense fields are `LazyField`s, each filled by one of LAZY_FILLS
+LAZY_FILLS = {"lattice._lay_out": ("Lattice", {"gram"}), "forms._sum_gram": ("FiniteQuadraticForm", {"gram"}),
+              "forms._sum_lifts": ("FiniteQuadraticForm", {"lift_cols"})}
+HOOKS = ("__getattr__", "__getattribute__")
+
+
+def _attribute_hooks(module, tree):
+    """module.Class.hook of every hook a class body defines or assigns, and
+    module:line of every assignment to an attribute named like a hook."""
+
+    def targets(node):
+        return node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(
+            node, (ast.AnnAssign, ast.AugAssign)) else []
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                names = [item.name] if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) else [
+                    getattr(t, "id", None) for t in targets(item)]
+                found |= {f"{module}.{node.name}.{name}" for name in names if name in HOOKS}
+        found |= {f"{module}:{node.lineno}" for t in targets(node) if isinstance(t, ast.Attribute) and t.attr in HOOKS}
+    return found
+
+
+def test_value_types_define_no_attribute_hook():
+    from zlat.forms import FiniteQuadraticForm
+    from zlat.lattice import LazyField, Lattice
+
+    found = set()
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                found |= _attribute_hooks(fname[:-3], ast.parse(fh.read()))
+    assert not found, sorted(found)
+    lazy = {}
+    for cls in (Lattice, FiniteQuadraticForm):
+        assert not hasattr(cls, "__getattr__") and cls.__getattribute__ is object.__getattribute__, cls
+        for name, value in vars(cls).items():
+            if isinstance(value, LazyField):
+                assert value.name == name
+                fill = f"{value.fill.__module__.split('.')[-1]}.{value.fill.__name__}"
+                lazy.setdefault(fill, (cls.__name__, set()))[1].add(name)
+    assert lazy == LAZY_FILLS
+
+
+def test_the_hook_rule_sees_definitions_and_assignments():
+    tree = ast.parse("class C:\n    def __getattr__(self, name):\n        pass\n"
+                     "class D:\n    __getattribute__ = object.__getattribute__\n"
+                     "E.__getattr__ = lambda self, name: None\n"
+                     "class F:\n    def get(self):\n        pass\n")
+    assert _attribute_hooks("m", tree) == {"m.C.__getattr__", "m.D.__getattribute__", "m:6"}
 
 
 def test_the_construction_rule_sees_both_calls():
@@ -120,20 +178,44 @@ def test_the_gram_store_rule_sees_every_update():
     assert _callers("m", tree, _stores_gram) == {"m.C.h", "m.k"}
 
 
-# a finite quadratic form is its fields: `forms` sets no attribute behind
-# them, and what it stores into an instance (a lazy sum) names fields only
+# a finite quadratic form is its fields: what `forms` stores into an
+# instance past its constructor (a lazy sum) names one of them, by a
+# constant, and nothing stores through an instance dict
+def _object_setattrs(tree):
+    """Every object.__setattr__(...) call in the tree."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__" and getattr(node.func.value, "id", None) == "object"]
+
+
 def test_forms_sets_no_hidden_attributes():
     with open(os.path.join(SRC, "forms.py")) as fh:
         tree = ast.parse(fh.read())
-    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
-             and getattr(node.func.value, "id", None) == "object"]
-    assert not found, found
     form = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "FiniteQuadraticForm")
     fields = {node.target.id for node in form.body if isinstance(node, ast.AnnAssign)}
-    stores = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _vars_updates(node)]
-    assert stores and not [node.lineno for node in stores
-                           if node.args or not {k.arg for k in node.keywords} <= fields], fields
+    stores = _object_setattrs(tree)
+    assert stores and not [node.lineno for node in stores if len(node.args) != 3
+                           or not isinstance(node.args[1], ast.Constant) or node.args[1].value not in fields], fields
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _vars_updates(node)]
+
+
+# `lattice` and `forms` never read an instance's `vars()` or `__dict__`: that
+# turns the compact attribute storage of the instance into a dict, and every
+# later attribute read of it gets slower
+def _instance_dict_reads(tree):
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "vars"
+                  or isinstance(node, ast.Attribute) and node.attr == "__dict__")
+
+
+@pytest.mark.parametrize("module", ["lattice", "forms"])
+def test_value_modules_read_no_instance_dict(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        assert not _instance_dict_reads(ast.parse(fh.read()))
+
+
+def test_the_instance_dict_rule_sees_both_reads():
+    tree = ast.parse("def f(x):\n    return vars(x)\n\n\ndef g(x):\n    return x.__dict__.get('gram')\n")
+    assert _instance_dict_reads(tree) == [2, 6]
 
 
 # a memo keys a form on its value, which ignores the lift columns: a memo in
