@@ -29,8 +29,10 @@ from .lattice import (
 )
 
 CATALOG = ["U", "U(2)", "U(3)", "U(6)", "<2>", "<6>", "<-6>", "A1", "A2", "A2(2)", "D4", "E6"]
+CATALOG_POS = {name: i for i, name in enumerate(CATALOG)}
 BLOCK_RANK = {name: parse_lattice_expr(name).rank for name in CATALOG}
 HYPERBOLIC_BLOCKS = tuple(name for name in CATALOG if signature(parse_lattice_expr(name))[0] == 1)
+NEGATIVE_BLOCKS = tuple(name for name in CATALOG if name not in HYPERBOLIC_BLOCKS)
 
 
 @dataclass(frozen=True, order=True)
@@ -78,7 +80,11 @@ class SPair:
 
 def half_violation(inv: THalfInvariants) -> str | None:
     """First violated T-half restriction, or None when all pass."""
-    r, r2, d2, p, q = inv.key()
+    return _half_rule(*inv.key())
+
+
+def _half_rule(r: int, r2: int, d2: int, p: int, q: int) -> str | None:
+    """`half_violation` on the integer key (r, r2, delta2, p, q)."""
     if not (1 <= r <= 8):
         return "rank out of range"
     if r2 < 0 or r2 > r:
@@ -125,17 +131,18 @@ def pair_violation(inv: THalfInvariants) -> str | None:
 
 @lru_cache(maxsize=1)
 def admissible_invariants() -> tuple[tuple[THalfInvariants, THalfInvariants], ...]:
-    """All admissible ascending invariant pairs, canonically ordered."""
+    """All admissible ascending invariant pairs, by (r2, r, delta2, p, q): the
+    grid is walked in that order, the rules run on the integer keys of each
+    point and of its `complement`, and only admitted pairs become objects."""
     out = []
-    for r in range(1, 9):
-        for r2 in range(0, 9):
+    for r2 in range(0, 9):
+        for r in range(1, 9):
             for d2 in (0, 1):
                 for p in (0, 1):
                     for q in range(4):
-                        inv = THalfInvariants(r, r2, d2, p, q)
-                        if pair_violation(inv) is None:
+                        if _half_rule(r, r2, d2, p, q) is None and _half_rule(9 - r, r2 + 1, 1, 1 - p, 3 - q) is None:
+                            inv = THalfInvariants(r, r2, d2, p, q)
                             out.append((inv, inv.complement()))
-    out.sort(key=lambda pair: (pair[0].r2, pair[0].r, pair[0].delta2, pair[0].p, pair[0].q))
     return tuple(out)
 
 
@@ -165,59 +172,26 @@ def _block_data(name: str):
     return l.rank, tag.sig[0], tag.p_rank(2), tag.delta2, p3, p3 + q3
 
 
-def _combined_invariants(names: list[str]):
-    """Invariants of a sum of catalog blocks from those of the blocks: the 2-
-    and 3-parts of a sum are the sums of the blocks' parts, and since
-    2<2/3> = 2<-2/3> the sum's p is the blocks' total p mod 2."""
-    rank = r2 = d2 = p3 = r3 = 0
-    n_plus = 0
-    for name in names:
-        rk, np_, nr2, dd2, pp3, rr3 = _block_data(name)
-        rank += rk
-        n_plus += np_
-        r2 += nr2
-        d2 = max(d2, dd2)
-        p3 += pp3
-        r3 += rr3
-    p = p3 % 2
-    return rank, n_plus, r2, d2, p, r3 - p
-
-
 def block_multisets(names: list[str], max_rank: int) -> list[list[str]]:
     """Every multiset of the named catalog blocks of total rank <= max_rank.
 
     Grown one name at a time (base first, then base + c copies), so the
-    empty multiset comes first and the last name's count runs fastest."""
-    sets: list[list[str]] = [[]]
+    empty multiset comes first and the last name's count runs fastest; each
+    multiset carries its rank while it grows."""
+    sets: list[tuple[list[str], int]] = [([], 0)]
     for name in names:
         grown = []
-        for base in sets:
-            used = sum(BLOCK_RANK[b] for b in base)
-            c = 0
-            grown.append(base)
-            while used + BLOCK_RANK[name] * (c + 1) <= max_rank:
-                c += 1
-                grown.append(base + [name] * c)
+        for base, used in sets:
+            grown.append((base, used))
+            for c in range(1, (max_rank - used) // BLOCK_RANK[name] + 1):
+                grown.append((base + [name] * c, used + BLOCK_RANK[name] * c))
         sets = grown
-    return sets
+    return [base for base, _used in sets]
 
 
-def _candidate_multisets(max_rank: int):
-    """All 'one hyperbolic block + negative blocks' multisets, by rank."""
-    neg_sets = block_multisets(["<-6>", "A1", "A2", "A2(2)", "D4", "E6"], max_rank)
-    out = []
-    for hyp in HYPERBOLIC_BLOCKS:
-        for tail in neg_sets:
-            total = BLOCK_RANK[hyp] + sum(BLOCK_RANK[n] for n in tail)
-            if total <= max_rank:
-                out.append([hyp] + tail)
-    out.sort(key=lambda names: (len(names), tuple(CATALOG.index(n) for n in names)))
-    return out
-
-
-def render_blocks(names: list[str]) -> str:
-    """Canonical expression: catalog order, with repetition counts."""
-    ordered = sorted(names, key=CATALOG.index)
+def render_blocks(names) -> str:
+    """Canonical expression: catalog order (`CATALOG_POS`), with repetition counts."""
+    ordered = sorted(names, key=CATALOG_POS.__getitem__)
     terms = []
     for name, group in itertools.groupby(ordered):
         count = len(list(group))
@@ -227,10 +201,32 @@ def render_blocks(names: list[str]) -> str:
 
 @lru_cache(maxsize=1)
 def _witness_index() -> MappingProxyType:
-    """Combined invariants -> the first candidate multiset that has them."""
+    """Invariants (r, n_+, r2, delta2, p, q) -> the first 'one hyperbolic
+    block + negative blocks' multiset of rank <= 8 that has them: fewest
+    blocks first, then lexicographic on catalog order.
+
+    The 2- and 3-parts of a sum are the sums of the blocks' parts (delta2 is
+    1 when one of them is), and 2<2/3> = 2<-2/3> makes p the blocks' total p
+    mod 2; so each tail of negative blocks sums its `_block_data` once, and
+    a candidate adds its hyperbolic block's.  The walk meets the candidates
+    in key order, so the first with a key keeps it and nothing is sorted:
+    lengths ascending, then the hyperbolic blocks (all before the negative
+    ones in CATALOG), then the tails of that length in reversed
+    `block_multisets` order, which is lexicographic."""
+    by_length: dict[int, list] = {}
+    for tail in block_multisets(NEGATIVE_BLOCKS, 8):
+        sums = [sum(column) for column in zip(*map(_block_data, tail))] or [0] * 6
+        by_length.setdefault(len(tail), []).append((tuple(tail), sums))
     index = {}
-    for names in _candidate_multisets(8):
-        index.setdefault(_combined_invariants(names), tuple(names))
+    for length in sorted(by_length):
+        for name in HYPERBOLIC_BLOCKS:
+            rk, n_plus, r2, d2, p3, r3 = _block_data(name)
+            for tail, (t_rk, t_n_plus, t_r2, t_d2, t_p3, t_r3) in reversed(by_length[length]):
+                if rk + t_rk <= 8:
+                    p = (p3 + t_p3) % 2
+                    key = (rk + t_rk, n_plus + t_n_plus, r2 + t_r2, min(1, d2 + t_d2), p, r3 + t_r3 - p)
+                    if key not in index:
+                        index[key] = (name, *tail)
     return MappingProxyType(index)
 
 
@@ -256,7 +252,7 @@ def witness_blocks(l: Lattice) -> list[str]:
     out = []
     for term in l.expr.split("+"):
         name = term.lstrip("0123456789")
-        if name not in CATALOG:
+        if name not in CATALOG_POS:
             raise ValueError(f"unknown block {name!r}")
         out += [name] * int(term[:len(term) - len(name)] or 1)
     return out
@@ -266,13 +262,14 @@ def witness_blocks(l: Lattice) -> list[str]:
 # the census
 
 def _golden_row_lookup():
+    """Invariants of each golden T1 -> its row ref; equal invariants raise."""
     refs = {}
-    for i, (_d2, _rr2, _pq, _rr2c, _pqc, t1, _t2) in enumerate(golden.TABLE_8A, start=1):
-        refs[stability.invariants(parse_lattice_expr(t1))] = f"8A:{i}"
-    for i, (_rr2, _q, _d2, t1, _t2) in enumerate(golden.TABLE_8B, start=1):
-        refs[stability.invariants(parse_lattice_expr(t1))] = f"8B:{i}"
-    for i, (_rr2, t1, _t2) in enumerate(golden.TABLE_8C, start=1):
-        refs[stability.invariants(parse_lattice_expr(t1))] = f"8C:{i}"
+    for table, rows in (("8A", golden.TABLE_8A), ("8B", golden.TABLE_8B), ("8C", golden.TABLE_8C)):
+        for i, (*_row, t1, _t2) in enumerate(rows, start=1):
+            ref = f"{table}:{i}"
+            key = stability.invariants(parse_lattice_expr(t1))
+            if refs.setdefault(key, ref) != ref:
+                raise ValueError(f"golden T1 rows {refs[key]} and {ref} share the invariants {key}")
     return refs
 
 
@@ -284,8 +281,7 @@ def enumerate_ascending_t_pairs() -> tuple[TPair, ...]:
     by_key = {inv.key(): idx for idx, (inv, _comp) in enumerate(pairs)}
     out = []
     for idx, (inv, comp) in enumerate(pairs):
-        partner_key = THalfInvariants(8 - inv.r, inv.r2, inv.delta2, 1 - inv.p, 3 - inv.q).key()
-        partner_index = by_key.get(partner_key)
+        partner_index = by_key.get((8 - inv.r, inv.r2, inv.delta2, 1 - inv.p, 3 - inv.q))
         out.append(
             TPair(
                 index=idx,

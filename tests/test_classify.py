@@ -549,32 +549,113 @@ def test_result_checks_survive_python_O():
                      "glue: gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)"]
 
 
-def _linear_scan_witness(inv):
-    """The first candidate multiset with the invariants, in candidate order."""
-    target = (inv.r, 1, inv.r2, inv.delta2, inv.p, inv.q)
-    for names in classify._candidate_multisets(8):
-        if classify._combined_invariants(names) == target:
-            return classify.render_blocks(names)
-    return None
-
-
 def test_witness_index_matches_linear_scan():
+    # every key of the index, not only the census halves, against the sorted
+    # candidate list scanned in order; insertion order included
+    scanned = classify_oracle.witness_index()
+    assert list(classify._witness_index().items()) == list(scanned.items())
     invariants = {inv for pair in admissible_invariants() for inv in pair}
-    assert len(invariants) == 88
+    assert len(invariants) == 88 and len(scanned) == 229
     for inv in invariants:
-        assert witness_lattice(inv).expr == _linear_scan_witness(inv)
+        assert witness_lattice(inv).expr == classify.render_blocks(scanned[(inv.r, 1, inv.r2, inv.delta2, inv.p, inv.q)])
 
 
-def test_cold_census_builds_candidates_once(monkeypatch):
-    calls = []
-    real = classify._candidate_multisets
+def test_block_multisets_grow_in_count_order():
+    # every multiset of rank <= 10 once, ordered by its count vector with the
+    # last name's count running fastest
+    got = classify.block_multisets(classify.CATALOG, 10)
+    want = [names for size in range(11) for names in itertools.combinations_with_replacement(classify.CATALOG, size)
+            if sum(classify.BLOCK_RANK[n] for n in names) <= 10]
+    counts = [tuple(names.count(n) for n in classify.CATALOG) for names in got]
+    assert sorted(map(tuple, got)) == sorted(want) and len(got) == 15647
+    assert counts == sorted(counts)
 
-    def counted(max_rank):
-        calls.append(max_rank)
-        return real(max_rank)
 
-    monkeypatch.setattr(classify, "_candidate_multisets", counted)
-    for cached in (classify.enumerate_ascending_t_pairs, classify.witness_lattice, classify._witness_index):
-        cached.cache_clear()
-    assert len(classify.enumerate_ascending_t_pairs()) == 68
-    assert calls == [8]
+def test_admissible_invariants_match_the_object_loop():
+    assert admissible_invariants() == classify_oracle.admissible_invariants()
+    points = classify_oracle.grid()
+    assert len(points) == 1152
+    for inv in points:
+        assert half_violation(inv) == classify_oracle.half_violation(inv), inv
+        assert half_violation(inv.complement()) == classify_oracle.half_violation(inv.complement()), inv
+
+
+def test_golden_rows_with_equal_invariants_are_rejected(monkeypatch):
+    refs = classify._golden_row_lookup()
+    assert len(refs) == len(golden.TABLE_8A) + len(golden.TABLE_8B) + len(golden.TABLE_8C) == 68
+    assert len(set(refs.values())) == 68
+    # a later 8C row whose T1 has the invariants of 8A:1 (U+3A2 in another order)
+    ref = f"8C:{len(golden.TABLE_8C) + 1}"
+    monkeypatch.setattr(golden, "TABLE_8C", golden.TABLE_8C + [((8, 0), "3A2+U", "<6>")])
+    with pytest.raises(ValueError, match=f"rows 8A:1 and {ref} share"):
+        classify._golden_row_lookup()
+
+
+_IMPORT_ONLY = """
+import json
+import zlat.cli
+from zlat import classify
+memos = ("admissible_invariants", "_witness_index", "witness_lattice", "_block_data", "enumerate_ascending_t_pairs")
+print(json.dumps({name: getattr(classify, name).cache_info().currsize for name in memos}))
+"""
+
+
+def _fresh_interpreter_json(code):
+    """The JSON line `code` prints, run in a fresh interpreter (cold memos)."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_importing_the_cli_builds_no_census():
+    assert set(_fresh_interpreter_json(_IMPORT_ONLY).values()) == {0}
+
+
+_CENSUS_WORK = """
+import json
+from zlat import classify
+
+calls = {"block_multisets": [], "THalfInvariants": 0}
+real_multisets = classify.block_multisets
+
+
+def multisets(names, max_rank):
+    calls["block_multisets"].append([list(names), max_rank])
+    return real_multisets(names, max_rank)
+
+
+real_init = classify.THalfInvariants.__init__
+
+
+def init(self, *args):
+    calls["THalfInvariants"] += 1
+    real_init(self, *args)
+
+
+classify.block_multisets = multisets
+classify.THalfInvariants.__init__ = init
+pairs = classify.enumerate_ascending_t_pairs()
+calls["pairs"] = len(pairs)
+calls["index_builds"] = classify._witness_index.cache_info().misses
+calls["block_data"] = classify._block_data.cache_info().misses
+print(json.dumps(calls))
+"""
+
+
+def test_cold_census_builds_the_index_once_and_few_invariants():
+    work = _fresh_interpreter_json(_CENSUS_WORK)
+    assert work["pairs"] == 68
+    # one index, from one walk of the negative multisets, on one block datum per catalog block
+    assert work["index_builds"] == 1
+    assert work["block_multisets"] == [[list(classify.NEGATIVE_BLOCKS), 8]]
+    assert work["block_data"] == len(classify.CATALOG)
+    # the 68 admitted first halves and their complements, nothing for the
+    # other grid points
+    assert work["THalfInvariants"] == 2 * 68
