@@ -136,7 +136,7 @@ def admissible_invariants() -> tuple[tuple[THalfInvariants, THalfInvariants], ..
     point and of its `complement`, and only admitted pairs become objects."""
     out = []
     for r2 in range(0, 9):
-        for r in range(1, 9):
+        for r in range(r2 or 2, 9, 2):  # r2 <= r, r - r2 even: the range and parity rules reject the rest
             for d2 in (0, 1):
                 for p in (0, 1):
                     for q in range(4):
@@ -154,11 +154,7 @@ def admissible_first_halves() -> frozenset[THalfInvariants]:
 
 def admissible_rr2_pairs() -> list[tuple[int, int]]:
     """Distinct (r, r2) of admissible first halves (the Table 3A geography)."""
-    seen = []
-    for inv, _comp in admissible_invariants():
-        if (inv.r, inv.r2) not in seen:
-            seen.append((inv.r, inv.r2))
-    return seen
+    return list(dict.fromkeys((inv.r, inv.r2) for inv, _comp in admissible_invariants()))
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +188,8 @@ def block_multisets(names: list[str], max_rank: int) -> list[list[str]]:
 def render_blocks(names) -> str:
     """Canonical expression: catalog order (`CATALOG_POS`), with repetition counts."""
     ordered = sorted(names, key=CATALOG_POS.__getitem__)
-    terms = []
-    for name, group in itertools.groupby(ordered):
-        count = len(list(group))
-        terms.append(name if count == 1 else f"{count}{name}")
-    return "+".join(terms)
+    counts = {name: ordered.count(name) for name in dict.fromkeys(ordered)}
+    return "+".join(name if count == 1 else f"{count}{name}" for name, count in counts.items())
 
 
 @lru_cache(maxsize=1)
@@ -207,16 +200,18 @@ def _witness_index() -> MappingProxyType:
 
     The 2- and 3-parts of a sum are the sums of the blocks' parts (delta2 is
     1 when one of them is), and 2<2/3> = 2<-2/3> makes p the blocks' total p
-    mod 2; so each tail of negative blocks sums its `_block_data` once, and
-    a candidate adds its hyperbolic block's.  The walk meets the candidates
+    mod 2; so each tail of negative blocks adds its last block's `_block_data`
+    to the sums of its one-shorter prefix, met before it, and a candidate
+    adds its hyperbolic block's.  The walk meets the candidates
     in key order, so the first with a key keeps it and nothing is sorted:
     lengths ascending, then the hyperbolic blocks (all before the negative
     ones in CATALOG), then the tails of that length in reversed
     `block_multisets` order, which is lexicographic."""
+    sums = {}
     by_length: dict[int, list] = {}
-    for tail in block_multisets(NEGATIVE_BLOCKS, 8):
-        sums = [sum(column) for column in zip(*map(_block_data, tail))] or [0] * 6
-        by_length.setdefault(len(tail), []).append((tuple(tail), sums))
+    for tail in map(tuple, block_multisets(NEGATIVE_BLOCKS, 8)):
+        sums[tail] = tuple(map(operator.add, sums[tail[:-1]], _block_data(tail[-1]))) if tail else (0,) * 6
+        by_length.setdefault(len(tail), []).append((tail, sums[tail]))
     index = {}
     for length in sorted(by_length):
         for name in HYPERBOLIC_BLOCKS:
@@ -247,10 +242,10 @@ def witness_lattice(inv: THalfInvariants) -> Lattice:
     return l
 
 
-def witness_blocks(l: Lattice) -> list[str]:
-    """Block names of a witness built by witness_lattice / render_blocks."""
+def catalog_blocks(expr: str) -> list[str]:
+    """Block names of a catalog sum text: a witness's `render_blocks` text or a golden T1."""
     out = []
-    for term in l.expr.split("+"):
+    for term in expr.split("+"):
         name = term.lstrip("0123456789")
         if name not in CATALOG_POS:
             raise ValueError(f"unknown block {name!r}")
@@ -262,12 +257,20 @@ def witness_blocks(l: Lattice) -> list[str]:
 # the census
 
 def _golden_row_lookup():
-    """Invariants of each golden T1 -> its row ref; equal invariants raise."""
+    """Invariants of each golden T1 -> its row ref, summed from its blocks' `_block_data` as in
+    `_witness_index`; a term outside CATALOG, a key of no admissible first half, or one met twice raise."""
+    admissible = {inv.key() for inv, _comp in admissible_invariants()}
     refs = {}
     for table, rows in (("8A", golden.TABLE_8A), ("8B", golden.TABLE_8B), ("8C", golden.TABLE_8C)):
         for i, (*_row, t1, _t2) in enumerate(rows, start=1):
             ref = f"{table}:{i}"
-            key = stability.invariants(parse_lattice_expr(t1))
+            try:
+                rk, n_plus, r2, d2, p3, r3 = map(sum, zip(*map(_block_data, catalog_blocks(t1))))
+                key = (rk, r2, min(1, d2), p3 % 2, r3 - p3 % 2)
+                if n_plus != 1 or key not in admissible:
+                    raise ValueError(f"invariants {key} are no admissible first half")
+            except ValueError as e:
+                raise ValueError(f"golden T1 row {ref} ({t1}): {e}") from None
             if refs.setdefault(key, ref) != ref:
                 raise ValueError(f"golden T1 rows {refs[key]} and {ref} share the invariants {key}")
     return refs
@@ -281,6 +284,8 @@ def enumerate_ascending_t_pairs() -> tuple[TPair, ...]:
     by_key = {inv.key(): idx for idx, (inv, _comp) in enumerate(pairs)}
     out = []
     for idx, (inv, comp) in enumerate(pairs):
+        if inv.key() not in refs:
+            raise ValueError(f"census pair {inv.key()} matches no golden T1 row")
         partner_index = by_key.get((8 - inv.r, inv.r2, inv.delta2, 1 - inv.p, 3 - inv.q))
         out.append(
             TPair(
@@ -289,7 +294,7 @@ def enumerate_ascending_t_pairs() -> tuple[TPair, ...]:
                 t_minus=comp,
                 witness_plus=witness_lattice(inv),
                 witness_minus=witness_lattice(comp),
-                table_ref=refs.get(inv.key(), "?"),
+                table_ref=refs[inv.key()],
                 reversible=partner_index is not None,
                 partner_index=partner_index,
             )
@@ -339,7 +344,7 @@ def find_reversion_root(pair: TPair) -> tuple[int, ...] | None:
     """
     t2 = pair.witness_minus
     want_char = pair.t_plus.delta2 == 0
-    blocks = witness_blocks(t2)
+    blocks = catalog_blocks(t2.expr)
     f = forms.discriminant_form(t2)
     gens2 = _two_part_generators(f)
     for cap, box in ((8, 2), (24, 3), (48, 4)):
@@ -452,7 +457,7 @@ def _master_extension(expr: str) -> Lattice:
     Lattice per expression: S0 = [6A2]_{sigma/3} serves all 68 realizations)."""
     l = parse_lattice_expr(expr)
     sigma = []
-    for name in witness_blocks(l):
+    for name in catalog_blocks(l.expr):
         if name in ("A2", "A2(2)"):
             sigma.extend([1, -1])
         elif name == "<-6>":

@@ -13,12 +13,16 @@ multiset, sorted, with each candidate's invariants summed block by block.
 grid walk as the package ran them before the rules moved to integer keys:
 one `THalfInvariants` per grid point, checked through `pair_violation`,
 then sorted.
+
+`golden_row_lookup` keys the golden T1 rows as the package did before it
+summed their blocks' data: each T1 text parsed and genus-tagged.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from zlat import golden, stability
 from zlat.classify import (
     BLOCK_RANK,
     CATALOG,
@@ -132,3 +136,15 @@ def admissible_invariants():
     out = [(inv, inv.complement()) for inv in grid() if pair_violation(inv) is None]
     out.sort(key=lambda pair: (pair[0].r2, pair[0].r, pair[0].delta2, pair[0].p, pair[0].q))
     return tuple(out)
+
+
+def golden_row_lookup():
+    """Invariants of each golden T1 -> its row ref; equal invariants raise."""
+    refs = {}
+    for table, rows in (("8A", golden.TABLE_8A), ("8B", golden.TABLE_8B), ("8C", golden.TABLE_8C)):
+        for i, (*_row, t1, _t2) in enumerate(rows, start=1):
+            ref = f"{table}:{i}"
+            key = stability.invariants(parse_lattice_expr(t1))
+            if refs.setdefault(key, ref) != ref:
+                raise ValueError(f"golden T1 rows {refs[key]} and {ref} share the invariants {key}")
+    return refs

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from collections import Counter
 
 import classify_oracle
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlat import classify, exact, forms, gluing, golden, stability
+from zlat import classify, exact, forms, gluing, golden, stability, tables
 from zlat.classify import (
     THalfInvariants,
     admissible_invariants,
     admissible_rr2_pairs,
+    catalog_blocks,
     enumerate_ascending_t_pairs,
     find_reversion_root,
     half_violation,
@@ -22,7 +24,6 @@ from zlat.classify import (
     reversion_partner,
     s_pair,
     t_glue_map,
-    witness_blocks,
     witness_lattice,
 )
 from zlat.gluing import glue
@@ -130,7 +131,7 @@ def test_reversion_root_found_constructively():
 def test_root_components_match_box_walk():
     # every window of find_reversion_root whose box has at most 4*10^5 points
     blocks = {name for pair in enumerate_ascending_t_pairs()
-              for w in (pair.witness_plus, pair.witness_minus) for name in witness_blocks(w)}
+              for w in (pair.witness_plus, pair.witness_minus) for name in catalog_blocks(w.expr)}
     checked = 0
     for name in sorted(blocks):
         rank = parse_lattice_expr(name).rank
@@ -591,6 +592,51 @@ def test_golden_rows_with_equal_invariants_are_rejected(monkeypatch):
         classify._golden_row_lookup()
 
 
+def test_golden_rows_are_keyed_as_their_genus_tags_key_them():
+    # the block sums give each T1 the key the parsed, genus-tagged text has
+    assert list(classify._golden_row_lookup().items()) == list(classify_oracle.golden_row_lookup().items())
+
+
+def test_golden_t1_outside_the_catalog_is_rejected(monkeypatch):
+    ref = f"8C:{len(golden.TABLE_8C)}"
+    monkeypatch.setattr(golden, "TABLE_8C", golden.TABLE_8C[:-1] + [((4, 4), "U+E8", "<2>+A1+3<-6>")])
+    with pytest.raises(ValueError, match=f"golden T1 row {ref} \\(U\\+E8\\): unknown block 'E8'"):
+        classify._golden_row_lookup()
+
+
+@pytest.mark.parametrize("t1", ["U+D4", "A1+A2"])
+def test_golden_t1_of_no_admissible_first_half_is_rejected(monkeypatch, t1):
+    # U+D4 fails the rules; A1+A2 has admissible invariants but is not hyperbolic
+    ref = f"8C:{len(golden.TABLE_8C)}"
+    monkeypatch.setattr(golden, "TABLE_8C", golden.TABLE_8C[:-1] + [((4, 4), t1, "<2>+A1+3<-6>")])
+    with pytest.raises(ValueError, match=f"golden T1 row {ref} .*no admissible first half"):
+        classify._golden_row_lookup()
+
+
+def test_a_census_pair_without_a_golden_row_is_rejected(monkeypatch):
+    last = pair_by_ref(f"8C:{len(golden.TABLE_8C)}")
+    monkeypatch.setattr(golden, "TABLE_8C", golden.TABLE_8C[:-1])
+    # the unmemoized census, so the memo keeps the published rows
+    with pytest.raises(ValueError, match=re.escape(f"census pair {last.t_plus.key()} matches no golden T1 row")):
+        enumerate_ascending_t_pairs.__wrapped__()
+
+
+def test_diff_golden_still_checks_the_invariants_of_each_t1():
+    def mismatches():
+        return [(d["row"], d["detail"]) for d in tables.diff_golden("8B") if d["kind"] == "invariant-mismatch"]
+
+    enumerate_ascending_t_pairs()  # the census keeps the published rows
+    assert mismatches() == []
+    first = golden.TABLE_8B[0]
+    assert first[-2] == "U"
+    golden.TABLE_8B[0] = first[:-2] + ("U(3)", first[-1])  # the fixture list the table holds
+    try:
+        got = mismatches()
+    finally:
+        golden.TABLE_8B[0] = first
+    assert got == [(1, f"U(3): {stability.invariants(parse_lattice_expr('U(3)'))} vs (2, 0, 0, 0, 0)")]
+
+
 _IMPORT_ONLY = """
 import json
 import zlat.cli
@@ -620,9 +666,9 @@ def test_importing_the_cli_builds_no_census():
 
 _CENSUS_WORK = """
 import json
-from zlat import classify
+from zlat import classify, stability
 
-calls = {"block_multisets": [], "THalfInvariants": 0}
+calls = {"block_multisets": [], "THalfInvariants": 0, "half_rule": 0, "parsed": []}
 real_multisets = classify.block_multisets
 
 
@@ -639,12 +685,32 @@ def init(self, *args):
     real_init(self, *args)
 
 
+real_rule = classify._half_rule
+
+
+def rule(*key):
+    calls["half_rule"] += 1
+    return real_rule(*key)
+
+
+real_parse = classify.parse_lattice_expr
+
+
+def parse(text):
+    calls["parsed"].append(text)
+    return real_parse(text)
+
+
 classify.block_multisets = multisets
 classify.THalfInvariants.__init__ = init
+classify._half_rule = rule
+classify.parse_lattice_expr = parse
 pairs = classify.enumerate_ascending_t_pairs()
 calls["pairs"] = len(pairs)
 calls["index_builds"] = classify._witness_index.cache_info().misses
 calls["block_data"] = classify._block_data.cache_info().misses
+calls["invariants"] = stability.invariants.cache_info().misses
+calls["witnesses"] = sorted({w.expr for pair in pairs for w in (pair.witness_plus, pair.witness_minus)})
 print(json.dumps(calls))
 """
 
@@ -659,3 +725,11 @@ def test_cold_census_builds_the_index_once_and_few_invariants():
     # the 68 admitted first halves and their complements, nothing for the
     # other grid points
     assert work["THalfInvariants"] == 2 * 68
+    # the rules on the 16 points of each of the 24 (r, r2) cells with
+    # r2 <= r and r - r2 even, and on the complements of the 170 that pass
+    assert work["half_rule"] == 24 * 16 + 170 == 554
+    # one invariants recomputation per witness, none for the golden rows
+    assert len(work["witnesses"]) == work["invariants"] == 88
+    golden_t1 = {row[-2] for rows in (golden.TABLE_8A, golden.TABLE_8B, golden.TABLE_8C) for row in rows}
+    assert len(golden_t1 - set(work["witnesses"])) == 38
+    assert not (golden_t1 - set(work["witnesses"])) & set(work["parsed"])
