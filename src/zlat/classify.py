@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from . import exact, forms, golden, stability
 from .forms import GlueMap
-from .gluing import eigenlattices, glue, glue_involution
+from .gluing import eigenlattices, glue, glue_involution, glue_with_signature
 from .lattice import (
     EMPTY,
     MEMO_SIZE,
@@ -533,7 +533,8 @@ def realize_pair(pair: TPair) -> dict:
 
     (a) glue the halves and check the genus of T; (b) adjoin <2> and check
     the genus of T'; (c) glue with S0 and check the result is the even
-    unimodular lattice of signature (3, 19).
+    unimodular lattice of signature (3, 19), that of S0 + T' by the congruence
+    `glue_with_signature` checks (no rank-22 Gram matrix is eliminated).
     """
     report = {"pair": pair.table_ref}
     # one glue serves stage (a) and the involution: inv.lattice is the glued lattice
@@ -574,14 +575,15 @@ def realize_pair(pair: TPair) -> dict:
     phi_full = forms.build_anti_iso(f_s0, f_tp, 3)
     if phi_full is None:
         raise ValueError(f"stage c: no full anti-isomorphism ({pair.table_ref})")
-    k3 = glue(s0, t_prime, phi_full)
+    try:
+        k3, sig = glue_with_signature(s0, t_prime, phi_full)
+    except ValueError as e:
+        raise ValueError(f"stage c: {e} ({pair.table_ref})") from e
     if abs(k3.det()) != 1:
         raise ValueError(f"stage c: glued lattice not unimodular ({pair.table_ref})")
     if not k3.is_even:
         raise ValueError(f"stage c: glued lattice not even ({pair.table_ref})")
-    # inertia directly: each rank-22 K3 Gram matrix is read once, and
-    # `signature` would only keep it alive in the `_block_inertia` memo
-    if exact.inertia(k3.gram_rows()) != (3, 0, 19):
+    if sig != (3, 19):
         raise ValueError(f"stage c: wrong signature ({pair.table_ref})")
     report["stage_c"] = "ok"
     return report

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 from . import exact, forms
 from .exact import Matrix
 from .forms import GlueMap
-from .lattice import Lattice, SublatticeRef, direct_sum, overlattice
+from .lattice import Lattice, SublatticeRef, direct_sum, overlattice, signature
 
 
 @dataclass(frozen=True)
@@ -51,18 +52,56 @@ def glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> Lattice:
     return _glue(l1, l2, phi)[0]
 
 
-def _glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> tuple[Lattice, Matrix]:
-    """`glue` together with the integer HNF rows H of its basis (see `lattice.overlattice`)."""
+def _glue(l1: Lattice, l2: Lattice, phi: GlueMap) -> tuple[Lattice, Matrix, Lattice]:
+    """`glue`, the integer HNF rows H of its basis (see `lattice.overlattice`) and l1 + l2."""
     f1, f2 = phi.source_form, phi.target_form
     den = math.lcm(f1.n, f2.n)
     rows = [[x * (den // f1.n) for x in f1.lift_vector(g_src)[0]]
             + [x * (den // f2.n) for x in f2.lift_vector(g_tgt)[0]]
             for g_src, g_tgt in zip(phi.source_gens, phi.target_gens)]
-    out, h = overlattice(direct_sum(l1, l2), rows, den)
+    summed = direct_sum(l1, l2)
+    out, h = overlattice(summed, rows, den)
     k = phi.subgroup_order
     if abs(out.det()) * k * k != abs(l1.det()) * abs(l2.det()):
         raise ValueError("gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)")
-    return out, h
+    return out, h, summed
+
+
+def glue_with_signature(l1: Lattice, l2: Lattice, phi: GlueMap) -> tuple[Lattice, tuple[int, int]]:
+    """`glue` and the signature of l1 +_phi l2, proved by `overlattice_signature`."""
+    out, h, summed = _glue(l1, l2, phi)
+    return out, overlattice_signature(summed, out, h, math.lcm(phi.source_form.n, phi.target_form.n))
+
+
+def overlattice_signature(l: Lattice, k: Lattice, h: Matrix, den: int) -> tuple[int, int]:
+    """The signature of l, and by Sylvester's law of its overlattice k on the basis
+    H/den (`lattice.overlattice`), once M = den*H^-1 is integral and M*K*M^T =
+    Gram(l) for the Gram matrix K of k, entry by entry (else a ValueError); the
+    rows den*e_i of H give rows e_i of M, compared as slices of K."""
+    n, kg, lg = l.rank, k.gram, l.gram
+    plain = [i for i, row in enumerate(h) if row[i] == den and row.count(0) == n - 1]
+    m = {i: _solve(h, i, [den * (i == j) for j in range(n)]) for i in set(range(n)).difference(plain)}
+    if None in m.values():
+        raise ValueError("congruence certificate: den*H^-1 is not integral")
+    pick = itemgetter(*plain) if plain else None
+    mk = {i: [sum(map(mul, mi, row)) for row in kg] for i, mi in m.items()}  # m_i*K, as K is symmetric
+    if any(pick(kg[i]) != pick(lg[i]) for i in plain) or any(
+            tuple(sum(map(mul, r, m[j])) if j in m else x for j, x in enumerate(r)) != lg[i] for i, r in mk.items()):
+        raise ValueError("congruence certificate: M*K*M^T differs from the Gram matrix of the sublattice")
+    return signature(l)
+
+
+def _solve(h: Matrix, k: int, target) -> list[int] | None:
+    """x with x*H = target (0 left of column k) for the upper-triangular H; None if not integral."""
+    x, rest, n = [0] * k, list(target), len(target)  # rest: target - x*H
+    for j in range(k, n):
+        c, r = divmod(rest[j], h[j][j])
+        if r:
+            return None
+        x.append(c)
+        if c and h[j].count(0) < n - 1:  # a row of its pivot alone reaches no later column
+            rest = [a - c * b for a, b in zip(rest, h[j])]
+    return x
 
 
 def glue_involution(l1: Lattice, l2: Lattice, phi: GlueMap) -> LatticeInvolution:
@@ -76,23 +115,12 @@ def glue_involution(l1: Lattice, l2: Lattice, phi: GlueMap) -> LatticeInvolution
     for g in phi.source_gens:
         if phi.source_form.element_order(g) > 2:
             raise ValueError("glued subgroup is not 2-elementary")
-    glued, h = _glue(l1, l2, phi)
-    n1 = l1.rank
-    action = []
-    for k, row in enumerate(h):
-        # row k of H, hence of its target, is 0 left of column k, and so is x;
-        # nonzero lists the (i, x_i) with x_i != 0, all i < j
-        target = row[:n1] + [-x for x in row[n1:]]
-        x, nonzero = [0] * k, []
-        for j in range(k, len(row)):
-            c, r = divmod(target[j] - sum(c * h[i][j] for i, c in nonzero), h[j][j])
-            if r:
-                raise ValueError("involution does not preserve the glued lattice")
-            x.append(c)
-            if c:
-                nonzero.append((j, c))
-        action.append(tuple(x))
-    return LatticeInvolution(glued, tuple(action))
+    glued, h, _summed = _glue(l1, l2, phi)
+    n1 = l1.rank  # row k of H, hence of its target, is 0 left of column k
+    action = [_solve(h, k, row[:n1] + [-x for x in row[n1:]]) for k, row in enumerate(h)]
+    if None in action:
+        raise ValueError("involution does not preserve the glued lattice")
+    return LatticeInvolution(glued, tuple(map(tuple, action)))
 
 
 def eigenlattices(inv: LatticeInvolution) -> tuple[SublatticeRef, SublatticeRef]:

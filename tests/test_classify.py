@@ -251,20 +251,30 @@ def test_realize_glues_once_per_stage(monkeypatch):
     assert counts["S0"] == 1
 
 
+def _capture_stage_c(monkeypatch, built):
+    """Record (K3 Gram matrix, certified signature) of each stage (c) of `realize_pair`."""
+    real = classify.glue_with_signature
+
+    def recorded(*args):
+        k3, sig = real(*args)
+        built.append((k3.gram, sig))
+        return k3, sig
+
+    monkeypatch.setattr(classify, "glue_with_signature", recorded)
+
+
 def test_stage_c_k3_grams_have_signature_3_19(monkeypatch):
-    grams = []
+    # the certificate proves the signature; the elimination is its second side
+    built, eliminated = [], []
     real_inertia = exact.inertia
-
-    def recorded(g):
-        if len(g) == 22:
-            grams.append(g)
-        return real_inertia(g)
-
-    monkeypatch.setattr(exact, "inertia", recorded)
-    for pair in enumerate_ascending_t_pairs():
-        realize_pair(pair)
-    assert len(grams) == 68
-    for g in grams:
+    _capture_stage_c(monkeypatch, built)
+    monkeypatch.setattr(exact, "inertia", lambda g: eliminated.append(len(g)) or real_inertia(g))
+    reports = [realize_pair(pair) for pair in enumerate_ascending_t_pairs()]
+    assert len(reports) == len(built) == 68
+    assert all(report["stage_c"] == "ok" for report in reports)
+    assert 22 not in eliminated
+    for g, sig in built:
+        assert sig == (3, 19)
         assert real_inertia(g) == exact_oracle.dense_inertia(g) == exact_oracle.inertia(g) == (3, 0, 19)
 
 
@@ -282,7 +292,7 @@ REALIZED_SHA256 = {
 
 def test_realized_lattices_are_pinned(monkeypatch):
     built = {name: [] for name in REALIZED_SHA256}
-    real_glue_involution, real_inertia = classify.glue_involution, exact.inertia
+    real_glue_involution, stage_c = classify.glue_involution, []
 
     def glue_involution(*args):
         inv = real_glue_involution(*args)
@@ -290,15 +300,11 @@ def test_realized_lattices_are_pinned(monkeypatch):
         built["involution"].append(inv.action)
         return inv
 
-    def inertia(g):
-        if len(g) == 22:
-            built["k3"].append(tuple(map(tuple, g)))
-        return real_inertia(g)
-
     monkeypatch.setattr(classify, "glue_involution", glue_involution)
-    monkeypatch.setattr(exact, "inertia", inertia)
+    _capture_stage_c(monkeypatch, stage_c)
     for pair in enumerate_ascending_t_pairs():
         realize_pair(pair)
+    built["k3"] = [g for g, _sig in stage_c]
     for name, grams in built.items():
         assert len(grams) == 68
         assert hashlib.sha256(repr(tuple(grams)).encode()).hexdigest() == REALIZED_SHA256[name], name
@@ -391,17 +397,17 @@ def _clear_anti_iso_memos():
 
 
 def test_anti_iso_memos_keep_lift_columns_apart(monkeypatch):
-    # T' of every pair, as stage (c) glues it to S0 (the second glue of a realization)
+    # T' of every pair, as stage (c) glues it to S0
     calls = []
-    real_glue = classify.glue
-    monkeypatch.setattr(classify, "glue", lambda *args: calls.append(args) or real_glue(*args))
+    real_glue = classify.glue_with_signature
+    monkeypatch.setattr(classify, "glue_with_signature", lambda *args: calls.append(args) or real_glue(*args))
     for pair in enumerate_ascending_t_pairs():
         realize_pair(pair)
-    s0 = calls[1][0]
+    s0 = calls[0][0]
     by_value = {}
-    for _s0, t_prime, _phi in calls[1::2]:
+    for _s0, t_prime, _phi in calls:
         by_value.setdefault(forms.discriminant_form(t_prime), []).append(t_prime)
-    assert len(calls) == 2 * 68 and len(by_value) == 27
+    assert len(calls) == 68 and len(by_value) == 27
     # two T' whose discriminant forms are equal in value but lift differently
     a, b = next((ts[0], t) for ts in by_value.values() for t in ts[1:]
                 if forms.discriminant_form(t).lift_cols != forms.discriminant_form(ts[0]).lift_cols)
@@ -425,14 +431,7 @@ def test_realization_does_not_depend_on_the_memo_order(monkeypatch):
     # each order starts from empty memos, so the entry of a form value comes
     # from the first pair of that value in census order, then from the last
     built = []
-    real_inertia = exact.inertia
-
-    def inertia(g):
-        if len(g) == 22:
-            built.append(tuple(map(tuple, g)))
-        return real_inertia(g)
-
-    monkeypatch.setattr(exact, "inertia", inertia)
+    _capture_stage_c(monkeypatch, built)
     pairs = enumerate_ascending_t_pairs()
     runs = []
     for order in (pairs, pairs[::-1]):
@@ -440,7 +439,7 @@ def test_realization_does_not_depend_on_the_memo_order(monkeypatch):
         done = {}
         for pair in order:
             report = realize_pair(pair)
-            (k3,) = built
+            ((k3, _sig),) = built
             built.clear()
             done[pair.table_ref] = (report, k3)
         reports, grams = zip(*(done[pair.table_ref] for pair in pairs))
@@ -476,7 +475,7 @@ def test_all_table5_lattices_stable():
 
 _OPTIMIZED_CHECKS = """
 import sys
-from zlat import classify, exact, forms, lattice, stability
+from zlat import classify, exact, forms, gluing, lattice, stability
 from zlat.lattice import named, signature
 from zlat.gluing import GlueMap, glue
 
@@ -523,12 +522,31 @@ lattice._block_inertia.cache_clear()  # drop the false inertia the patch left in
 
 l1, l2 = named("<2>"), named("<-2>")
 # phi records this order, which breaks det(l1 +_phi l2) |H|^2 = det(l1) det(l2)
+real_subgroup_order = forms.subgroup_order
 forms.subgroup_order = lambda f, gens: 1
 phi = GlueMap(forms.discriminant_form(l1), forms.discriminant_form(l2), ((1,),), ((1,),))
 try:
     glue(l1, l2, phi)
 except ValueError as e:
     print("glue:", e)
+forms.subgroup_order = real_subgroup_order
+
+real_overlattice = gluing.overlattice
+
+def shifted(l, rows, den):  # the K3 Gram matrix with one entry pair off by 2, its det as claimed
+    k, h = real_overlattice(l, rows, den)
+    if k.rank == 22:
+        g = k.gram_rows()
+        g[0][1] = g[1][0] = g[0][1] + 2
+        k = lattice._with_det(g, k.det())
+    return k, h
+
+gluing.overlattice = shifted
+try:
+    classify.realize_pair(classify.pair_by_ref("8B:1"))
+except ValueError as e:
+    print("realize:", e)
+gluing.overlattice = real_overlattice
 """
 
 
@@ -547,7 +565,9 @@ def test_result_checks_survive_python_O():
                      "s-pair: S+ sign mismatch",
                      "realize: involution: L+ not in the genus of the plus half (8B:1)",
                      "signature: signature (1, 0) disagrees with det -2",
-                     "glue: gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)"]
+                     "glue: gluing violates det(l1 +_phi l2) |H|^2 = det(l1) det(l2)",
+                     "realize: stage c: congruence certificate: M*K*M^T differs from the Gram matrix"
+                     " of the sublattice (8B:1)"]
 
 
 def test_witness_index_matches_linear_scan():

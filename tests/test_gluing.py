@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import gluing_oracle
@@ -8,7 +9,7 @@ from gluing_oracle import glue_index_r2, twist_parity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlat import exact, forms, stability
+from zlat import classify, exact, forms, gluing, lattice, stability
 from zlat.classify import CATALOG
 from zlat.gluing import (
     GlueMap,
@@ -16,7 +17,9 @@ from zlat.gluing import (
     extend,
     glue,
     glue_involution,
+    glue_with_signature,
     LatticeInvolution,
+    overlattice_signature,
 )
 from zlat.lattice import (
     EMPTY,
@@ -359,3 +362,99 @@ def test_extend_det_matches_bareiss(blocks, rng):
     isotropic = [x for x in f.elements() if f.q_numer(x) == 0] if f.size <= 5000 else [f.zero()]
     out = extend(l, [rng.choice(isotropic)] if f.ngens else [])
     assert out.det() == exact.determinant(out.gram_rows())
+
+
+# the signature of an overlattice by the congruence certificate ------------
+
+
+def _eliminated_signature(l):
+    np_, nz, nm = exact.inertia(l.gram_rows())
+    assert nz == 0
+    return np_, nm
+
+
+@given(lattices_with_rows())
+@settings(max_examples=120, deadline=None)
+def test_overlattice_signature_matches_elimination(case):
+    l, frac_rows = case
+    den = math.lcm(*(x.denominator for row in frac_rows for x in row))
+    rows = [[int(x * den) for x in row] for row in frac_rows]
+    out = _outcome(overlattice, l, rows, den)
+    if not isinstance(out, str):
+        k, h = out
+        assert overlattice_signature(l, k, h, den) == _eliminated_signature(k)
+
+
+@given(st.lists(st.sampled_from(CATALOG), min_size=1, max_size=4), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_extension_signature_matches_elimination(blocks, rng):
+    # the overlattice of `extend`, on its isotropic subgroups of the catalog sums
+    l = parse_lattice_expr("+".join(blocks))
+    f = forms.discriminant_form(l)
+    isotropic = [x for x in f.elements() if f.q_numer(x) == 0] if f.size <= 5000 else [f.zero()]
+    gens = [rng.choice(isotropic)] if f.ngens else []
+    k, h = overlattice(l, [f.lift_vector(g)[0] for g in gens], f.n)
+    assert overlattice_signature(l, k, h, f.n) == _eliminated_signature(k) == signature(l)
+
+
+@given(two_elementary_glue_maps())
+@settings(max_examples=60, deadline=None)
+def test_glue_with_signature_matches_elimination(case):
+    k, sig = glue_with_signature(*case)
+    assert k == glue(*case)
+    assert sig == _eliminated_signature(k)
+
+
+def _stage_c_gluings():
+    """(K3 lattice, HNF rows, S0 + T') of the stage (c) of each of the 68 realizations."""
+    built, real = [], gluing._glue
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gluing, "_glue", lambda *args: built.append(real(*args)) or built[-1])
+        for pair in classify.enumerate_ascending_t_pairs():
+            classify.realize_pair(pair)
+    return [b for b in built if b[0].rank == 22]
+
+
+def test_certificate_rejects_k3_grams_off_by_two():
+    # one symmetric entry pair of each K3 Gram matrix shifted by +-2: still
+    # even, symmetric and of the same claimed det, so only the product sees it
+    rng = random.Random(31)
+    stage_c = _stage_c_gluings()
+    assert len(stage_c) == 68
+    rejected = 0
+    for k, h, summed in stage_c:
+        for _ in range(20):
+            i, j = rng.randrange(22), rng.randrange(22)
+            g = k.gram_rows()
+            g[i][j] += rng.choice((-2, 2))
+            g[j][i] = g[i][j]
+            with pytest.raises(ValueError, match=r"M\*K\*M\^T differs"):
+                overlattice_signature(summed, lattice._with_det(g, k.det()), h, 3)
+            rejected += 1
+    assert rejected == 68 * 20
+
+
+def test_certificate_rejects_a_non_integral_back_substitution():
+    # a glue row of H with its pivot doubled: den*H^-1 leaves Z in that row
+    for k, h, summed in _stage_c_gluings()[:10]:
+        glue_rows = [i for i, row in enumerate(h) if row.count(0) < 21]
+        assert len(glue_rows) == 4
+        for i in glue_rows:
+            bad = [list(row) for row in h]
+            bad[i][i] *= 2
+            with pytest.raises(ValueError, match=r"den\*H\^-1 is not integral"):
+                overlattice_signature(summed, k, bad, 3)
+
+
+def test_stage_c_rejects_a_wrong_block_signature(monkeypatch):
+    # the blocks of S0 + T' read with their inertia reversed: (19, 3), not (3, 19)
+    real = classify.glue_with_signature
+
+    def reversed_blocks(*args):
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "_block_inertia", lambda g: exact.inertia(g)[::-1])
+            return real(*args)
+
+    monkeypatch.setattr(classify, "glue_with_signature", reversed_blocks)
+    with pytest.raises(ValueError, match=r"stage c: wrong signature \(8B:1\)"):
+        classify.realize_pair(classify.pair_by_ref("8B:1"))

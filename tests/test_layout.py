@@ -1,8 +1,8 @@
 """The representation of finite quadratic forms is decided in `zlat.forms`
 alone, only a listed few functions walk the elements of a group, every
 Lattice is validated, no module but `verify` calls the element fingerprints
-or uses floating point, no memo of a form reads its lifts, and no module
-reads another module's private names."""
+or uses floating point, no memo of a form reads its lifts, no module
+reads another module's private names, and no check is an `assert`."""
 
 import ast
 import os
@@ -384,3 +384,20 @@ def test_no_module_reads_another_modules_private_names(module):
 def test_the_private_name_rule_sees_both_forms():
     tree = ast.parse("from . import forms\nfrom .lattice import _block_det, Lattice\nforms._split(f, 2)\n")
     assert _foreign_private_names(tree) == {"lattice._block_det", "forms._split"}
+
+
+# every check of the package survives `python -O`, which strips `assert`
+def _asserts(tree):
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES + ["verify"])
+def test_no_assert_statement(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        assert not _asserts(ast.parse(fh.read()))
+
+
+def test_the_assert_rule_sees_nested_asserts():
+    tree = ast.parse("assert x\nclass C:\n    def f(self):\n        if y:\n            assert y, 'm'\n"
+                     "def g():\n    return lambda: None\n")
+    assert _asserts(tree) == [1, 5]
