@@ -117,18 +117,6 @@ def _half_rule(r: int, r2: int, d2: int, p: int, q: int) -> str | None:
     return None
 
 
-def pair_violation(inv: THalfInvariants) -> str | None:
-    """Reject an ascending-pair first half: both halves must pass.  The r2
-    estimates of the geography follow on the census (`pair-properties`)."""
-    v = half_violation(inv)
-    if v is not None:
-        return f"first half: {v}"
-    v = half_violation(inv.complement())
-    if v is not None:
-        return f"complement: {v}"
-    return None
-
-
 @lru_cache(maxsize=1)
 def admissible_invariants() -> tuple[tuple[THalfInvariants, THalfInvariants], ...]:
     """All admissible ascending invariant pairs, by (r2, r, delta2, p, q): the

@@ -152,10 +152,11 @@ def hermite_normal_form_mod(rows, den: int, n: int) -> Matrix:
     it is nonzero: with d = h_jj, a = w_j, g = gcd(d, a) and s*d + t*a = g,
     (h_j, w) <- (s*h_j + t*w, (d/g)*w - (a/g)*h_j) is unimodular and clears
     w_j.  Rows h_c with c > j are not yet touched by this insertion and span
-    den*e_c, so the entries right of column j stay reduced mod den.  A last
-    pass reduces the entries above each pivot into [0, pivot); a row still
-    den*e_i has none to reduce, so the pass visits only the rows that an
-    insertion replaced.
+    den*e_c, so the entries right of column j stay reduced mod den.  On a
+    row h_j still den*e_j the step is h_j = t*w mod den (entry j is t*a = g)
+    and w <- (den/g)*w mod den.  A last pass reduces the entries above each
+    pivot into [0, pivot) in the rows an insertion replaced (a row den*e_i
+    has none), where a row den*e_k reduces entry k alone.
     """
     h = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -169,24 +170,31 @@ def hermite_normal_form_mod(rows, den: int, n: int) -> Matrix:
                 continue
             p = h[j]
             d = p[j]
-            if a % d == 0:
+            if j not in moved:  # p = den*e_j and 0 < a < den
+                g = math.gcd(den, a)
+                t = pow(a // g, -1, den // g)
+                h[j] = [t * x % den for x in w]
+                moved.add(j)
+                w = [den // g * x % den for x in w]
+            elif a % d == 0:
                 q = a // d
                 w = [(x - q * y) % den for x, y in zip(w, p)]
-                continue
-            g = math.gcd(d, a)
-            d1, a1 = d // g, a // g
-            t = pow(a1, -1, d1)
-            s = (1 - t * a1) // d1
-            h[j] = [(s * y + t * x) % den for x, y in zip(w, p)]
-            moved.add(j)
-            w = [(d1 * x - a1 * y) % den for x, y in zip(w, p)]
+            else:
+                g = math.gcd(d, a)
+                d1, a1 = d // g, a // g
+                t = pow(a1, -1, d1)
+                s = (1 - t * a1) // d1
+                h[j] = [(s * y + t * x) % den for x, y in zip(w, p)]
+                w = [(d1 * x - a1 * y) % den for x, y in zip(w, p)]
             if not any(w):
                 break
     for i in moved:  # in any order: each row ends reduced, and the Hermite form is unique
         hi = h[i]
         for k in range(i + 1, n):
             q = hi[k] // h[k][k]
-            if q:
+            if q and k not in moved:
+                hi[k] -= q * den
+            elif q:
                 hi = h[i] = [x - q * y for x, y in zip(hi, h[k])]
     return h
 
@@ -296,31 +304,39 @@ def saturate(b) -> Matrix:
 
 
 def inertia(g) -> tuple[int, int, int]:
-    """Exact (n_plus, n_zero, n_minus) of a symmetric integer matrix.
+    """Exact (n_plus, n_zero, n_minus) of a symmetric integer matrix (see
+    `inertia_det`); a matrix that is not symmetric raises ValueError."""
+    if not is_symmetric(g):
+        raise ValueError("matrix not symmetric")
+    return inertia_det(g)[:3]
+
+
+def inertia_det(g) -> tuple[int, int, int, int]:
+    """Exact (n_plus, n_zero, n_minus, det) of a symmetric integer matrix,
+    which the caller has checked to be symmetric.
 
     Sylvester's law of inertia by symmetric elimination over Z on sparse
     rows (a dict of the nonzero entries of each remaining row): each pivot d
     on the diagonal counts its sign, and the remainder is congruent to its
     Schur complement.  A step rewrites only the rows that meet the pivot:
     with a_i = a_ip != 0 and g = gcd(d, a_i), the congruence
-    e_i <- (|d|/g) e_i - sign(d) (a_i/g) e_p makes e_i orthogonal to e_p and
-    leaves every other row alone; each rewritten row and its column are then
-    divided by the largest c of its content with c^2 dividing its diagonal
-    entry, so entries stay bounded.  A step costs the entries of the rows it
-    rewrites and a min over the stored pivot keys, not a pass over the whole
-    remainder.  The pivot has the fewest nonzero entries in its row, then
-    the smallest |d|.  With no nonzero
-    diagonal entry, adding row and column r into c for the first a_rc != 0
-    (a congruence) makes a_cc = 2*a_rc.  n_zero is the size of the
-    remainder once it is zero.
+    e_i <- alpha_i e_i - sign(d) (a_i/g) e_p, alpha_i = |d|/g, makes e_i
+    orthogonal to e_p; each rewritten row and its column are then divided
+    by the largest c of its content with c^2 dividing its diagonal entry,
+    so entries stay bounded.  A step costs the entries of the rows it
+    rewrites and a min over the stored pivot keys: fewest nonzero entries,
+    then the smallest |d|.  With no nonzero diagonal entry, adding row and
+    column r into c for the first a_rc != 0 (a congruence of determinant 1)
+    makes a_cc = 2*a_rc.  n_zero is the size of the remainder once it is
+    zero, else det = prod(d) * prod(c^2) / prod(alpha_i^2), one exact
+    division at the end (an ArithmeticError if it is not).
     """
-    if not is_symmetric(g):
-        raise ValueError("matrix not symmetric")
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(g)}
     # the pivot key (nonzeros, |d|, i) of each row with a nonzero diagonal entry;
     # a step changes only the keys of the rows it rewrites
     keys = {i: (len(row), abs(row[i]), i) for i, row in rows.items() if i in row}
     n_plus = n_minus = 0
+    num = den = 1
     while rows:
         if keys:
             k = min(keys.values())[2]
@@ -342,6 +358,7 @@ def inertia(g) -> tuple[int, int, int]:
             rk[k] = 2 * rr[k]  # a_kk = a_rr = 0
         pivot = rows.pop(k)
         d = pivot.pop(k)
+        num *= d
         if d > 0:
             n_plus += 1
         else:
@@ -356,6 +373,7 @@ def inertia(g) -> tuple[int, int, int]:
             old = rows[i]
             del old[k]
             al = coef[i][0]
+            den *= al * al
             row = {j: al * x for j, x in old.items()} if al != 1 else old
             for j, (alj, bj) in coef.items():
                 y = al * (alj * old.get(j, 0) - ai * bj)
@@ -369,6 +387,7 @@ def inertia(g) -> tuple[int, int, int]:
             content = math.gcd(*row.values())
             c = math.gcd(content, row.get(i, 0) // content) if content > 1 else 1
             if c > 1:
+                num *= c * c
                 row = rows[i] = {j: x // c for j, x in row.items()}
                 if i in row:
                     row[i] //= c
@@ -383,4 +402,9 @@ def inertia(g) -> tuple[int, int, int]:
                 keys[i] = (len(row), abs(row[i]), i)
             elif i in keys:
                 del keys[i]
-    return n_plus, len(rows), n_minus
+    if rows:
+        return n_plus, len(rows), n_minus, 0
+    det, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"determinant {num}/{den} of the elimination is not an integer")
+    return n_plus, 0, n_minus, det

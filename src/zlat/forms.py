@@ -169,15 +169,16 @@ def _discriminant_form(l: Lattice) -> FiniteQuadraticForm:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
-    """The discriminant form of one Gram matrix from its Smith transform,
+    """The discriminant form of one even Gram matrix from its Smith transform,
     memoized, so that the blocks many direct sums share are reduced once.
 
     The i-th generator lifts to c_i / d_i with c_i column i of V, which
-    makes all lifts deterministic (a unimodular block records none).
-    c_i G / d_i is an integer row, so all pairings b(e_i, e_j) =
-    (c_i G / d_i) c_j / d_j come from one integer product, whose diagonal
-    holds the squares; over n it is the form's gram.  Only D and V of the
-    Smith form are read, so U is not carried.
+    makes all lifts deterministic (a unimodular block records none).  With
+    r_i = c_i mod d_i, all pairings b(e_i, e_j) = (r_i G / d_i) r_j / d_j
+    come from one integer product, whose diagonal holds the squares; over n
+    it is the form's gram.  On an even lattice (its callers check) a lift
+    moved by a lattice vector moves b by integers and q by even integers,
+    so r_i gives c_i's form.  Only D and V of the Smith form are read.
     """
     g = [list(row) for row in gram]
     _u, d, vt = exact.smith_normal_form(g, with_u=False)
@@ -191,8 +192,9 @@ def block_form(gram: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
             orders.append(di)
             cols.append(tuple(vt[i]))
     n = math.lcm(*orders)
-    duals = [[x // di for x in row] for row, di in zip(exact.mat_mul(cols, g), orders)]
-    pairs = exact.mat_mul(duals, exact.transpose(cols))
+    small = [[x % di for x in col] for col, di in zip(cols, orders)]
+    duals = [[x // di for x in row] for row, di in zip(exact.mat_mul(small, g), orders)]
+    pairs = exact.mat_mul(duals, exact.transpose(small))
     scale = [n // di for di in orders]
     gram = _reduced([[x * s for x, s in zip(row, scale)] for row in pairs], n)
     return FiniteQuadraticForm(tuple(orders), n, gram, tuple(cols) or None)

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import NoReturn
 
 from . import exact
@@ -81,13 +81,13 @@ class Lattice:
 
     def _validate(self, det: int | None, summed: bool = False) -> None:
         """Check symmetry and nondegeneracy; when det is not known, it is the
-        product of the memoized determinants (`_block_det`) of the orthogonal
-        blocks.  A block sum (`summed`) of validated lattices is symmetric by
+        product of the orthogonal blocks' determinants (`_block_elimination`).
+        A block sum (`summed`) of validated lattices is symmetric by
         construction."""
         if not summed and not exact.is_symmetric(self.gram):
             raise ValueError("gram matrix not symmetric")
         if det is None:
-            det = math.prod(_block_det(g) for _idx, g in self.orthogonal_split())
+            det = math.prod(_block_elimination(g)[3] for _idx, g in self.orthogonal_split())
         if det == 0:
             raise ValueError("degenerate gram matrix")
         object.__setattr__(self, "_det", det)
@@ -102,8 +102,8 @@ class Lattice:
         if self._orthogonal is None:
             g = self.gram
             blocks = exact.components(g)
-            split = ((tuple(range(self.rank)), g),) if len(blocks) == 1 else tuple(
-                (tuple(b), tuple(tuple(g[i][j] for j in b) for i in b)) for b in blocks)
+            split = ((tuple(range(self.rank)), g),) if len(blocks) == 1 else tuple((tuple(b), tuple(map(
+                itemgetter(*b), map(g.__getitem__, b))) if len(b) > 1 else ((g[b[0]][b[0]],),)) for b in blocks)
             object.__setattr__(self, "_orthogonal", split)
         return self._orthogonal
 
@@ -119,12 +119,9 @@ class Lattice:
     def det(self) -> int:
         return self._det
 
-    def inner(self, x, y) -> int:
-        g = self.gram
-        return sum(x[i] * g[i][j] * y[j] for i in range(self.rank) for j in range(self.rank))
-
     def norm(self, x) -> int:
-        return self.inner(x, x)
+        g = self.gram
+        return sum(x[i] * g[i][j] * x[j] for i in range(self.rank) for j in range(self.rank))
 
 
 def keep_form(l: Lattice, form) -> None:
@@ -146,11 +143,11 @@ Lattice.gram = LazyField("gram", _lay_out)
 
 
 def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
-    return Lattice(tuple(tuple(row) for row in gram), expr)
+    return Lattice(tuple(map(tuple, gram)), expr)
 
 
 def _with_det(gram: Matrix | None, det: int, expr: str | None = None, summed=None) -> Lattice:
-    """A Lattice whose determinant its constructor already knows (no Bareiss).
+    """A Lattice whose determinant its constructor already knows (no elimination).
 
     `_block_sum` hands over, instead of a gram, `summed` = (rank, parts,
     blocks): the parts it sums and their shifted (indices, Gram matrix)
@@ -297,30 +294,28 @@ def signature(l: Lattice) -> tuple[int, int]:
     """(n_plus, n_minus), the sum of the inertias of the orthogonal blocks of the Gram matrix.
 
     The blocks are those of `Lattice.orthogonal_split`, a lattice of one
-    block its own.  Each block's inertia is memoized on its Gram matrix
-    (`_block_inertia`), so the shared blocks of many direct sums, and a Gram
-    matrix built again, are eliminated once; no memo is kept per lattice.
+    block its own, each eliminated once (`_block_elimination`); no memo is
+    kept per lattice.  The product of the blocks' determinants must be
+    `det`, which a constructor may have handed over, of sign (-1)^n_minus.
     """
-    inertias = [_block_inertia(g) for _idx, g in l.orthogonal_split()]
-    np_, nz, nm = map(sum, zip((0, 0, 0), *inertias))  # (0, 0, 0) for the empty lattice
+    np_, nz, nm, det = 0, 0, 0, 1
+    for _idx, g in l.orthogonal_split():
+        p, z, m, d = _block_elimination(g)
+        np_, nz, nm, det = np_ + p, nz + z, nm + m, det * d
     if nz:
         raise ValueError("degenerate lattice")
-    if (-1) ** nm != (1 if l.det() > 0 else -1):
+    if det != l.det():
+        raise ArithmeticError(f"block determinants give {det}, not det {l.det()}")
+    if (-1) ** nm != (1 if det > 0 else -1):
         raise ArithmeticError(f"signature {(np_, nm)} disagrees with det {l.det()}")
     return np_, nm
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _block_det(gram: tuple[tuple[int, ...], ...]) -> int:
-    """The Bareiss determinant of one Gram matrix, memoized, so that a block
-    that many direct sums repeat, or a Gram matrix built again, is reduced
-    once."""
-    return exact.determinant(gram)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _block_inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
-    return exact.inertia(gram)
+def _block_elimination(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int]:
+    """`exact.inertia_det` of one Gram matrix, memoized for `Lattice._validate`
+    and `signature`: a block that sums repeat, or a Gram built again, once."""
+    return exact.inertia_det(gram)
 
 
 # ---------------------------------------------------------------------------

@@ -464,12 +464,3 @@ def diff_golden(table_id: str) -> list[dict]:
     Documented source-table misprints come back with documented = True.
     """
     return [_disc(table_id, row, kind, detail) for row, kind, detail in _table(table_id).diff()]
-
-
-def undocumented_discrepancies() -> list[dict]:
-    out = []
-    for tid in TABLE_IDS:
-        for d in diff_golden(tid):
-            if not d["documented"]:
-                out.append(d)
-    return out

@@ -14,6 +14,9 @@ grid walk as the package ran them before the rules moved to integer keys:
 one `THalfInvariants` per grid point, checked through `pair_violation`,
 then sorted.
 
+`pair_violation` checks both halves of an ascending pair with the package's
+rules, as the census does on integer keys.
+
 `golden_row_lookup` keys the golden T1 rows as the package did before it
 summed their blocks' data: each T1 text parsed and genus-tagged.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 
-from zlat import golden, stability
+from zlat import classify, golden, stability
 from zlat.classify import (
     BLOCK_RANK,
     CATALOG,
@@ -30,9 +33,17 @@ from zlat.classify import (
     THalfInvariants,
     _block_data,
     block_multisets,
-    pair_violation,
 )
 from zlat.lattice import parse_lattice_expr
+
+
+def pair_violation(inv: THalfInvariants) -> str | None:
+    """The first half's or its complement's `classify.half_violation`, or None."""
+    for name, half in (("first half", inv), ("complement", inv.complement())):
+        v = classify.half_violation(half)
+        if v is not None:
+            return f"{name}: {v}"
+    return None
 
 
 def root_components(name: str, cap: int = 8, box: int = 2):

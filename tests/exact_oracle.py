@@ -19,6 +19,11 @@ transposed, also when the package computes only one transform.
 `integer_kernel` is the left kernel as the package took it before one
 Hermite elimination of [M | I] replaced it: the rows of the Smith transform
 U whose diagonal entry of D is zero, put in Hermite normal form.
+
+`hermite_normal_form_mod` is the Hermite form of den*I stacked on rows as
+the package had it before a pivot row still den*e_j took closed forms:
+every insertion step and every reduction of the last pass is a
+comprehension over whole rows.
 """
 
 from __future__ import annotations
@@ -198,3 +203,39 @@ def integer_kernel(m) -> Matrix:
         if di == 0:
             ker.append(list(u[i]))
     return exact.hermite_normal_form(ker) if ker else []
+
+
+def hermite_normal_form_mod(rows, den: int, n: int) -> Matrix:
+    """`exact.hermite_normal_form_mod` with no closed form for den*e_j rows."""
+    h = [[0] * n for _ in range(n)]
+    for i in range(n):
+        h[i][i] = den
+    moved = set()
+    for w in rows:
+        w = [x % den for x in w]
+        for j in range(n):
+            a = w[j]
+            if not a:
+                continue
+            p = h[j]
+            d = p[j]
+            if a % d == 0:
+                q = a // d
+                w = [(x - q * y) % den for x, y in zip(w, p)]
+                continue
+            g = math.gcd(d, a)
+            d1, a1 = d // g, a // g
+            t = pow(a1, -1, d1)
+            s = (1 - t * a1) // d1
+            h[j] = [(s * y + t * x) % den for x, y in zip(w, p)]
+            moved.add(j)
+            w = [(d1 * x - a1 * y) % den for x, y in zip(w, p)]
+            if not any(w):
+                break
+    for i in moved:  # in any order: each row ends reduced, and the Hermite form is unique
+        hi = h[i]
+        for k in range(i + 1, n):
+            q = hi[k] // h[k][k]
+            if q:
+                hi = h[i] = [x - q * y for x, y in zip(hi, h[k])]
+    return h

@@ -53,6 +53,10 @@ over the exponent: pairings, squares and lifts as reduced `Fraction`s.
 `discriminant_form` applies the package's block rule on its own: its own
 component search over the Gram matrix, a Smith form per block, lifts
 scattered back to the block's indices.
+
+`block_form` is `forms.block_form` as the package had it before it took
+the pairings from the lift columns reduced mod their orders: the products
+run over the whole Smith columns.
 """
 
 from __future__ import annotations
@@ -781,3 +785,24 @@ def jordan_brown(f) -> int:
     """Brown off the Jordan splitting of each whole p-part."""
     return sum(forms._block_brown(p, k, u) for p in prime_factors_of_order(f)
                for k, u, _rank in jordan_constituents(f, p)) % 8
+
+
+def block_form(gram) -> FiniteQuadraticForm:
+    """`forms.block_form` with products over the unreduced lift columns."""
+    g = [list(row) for row in gram]
+    _u, d, vt = exact.smith_normal_form(g, with_u=False)
+    cols = []
+    orders = []
+    for i in range(len(g)):
+        di = d[i][i]
+        if di == 0:
+            raise ValueError("degenerate lattice")
+        if di > 1:
+            orders.append(di)
+            cols.append(tuple(vt[i]))
+    n = math.lcm(*orders)
+    duals = [[x // di for x in row] for row, di in zip(exact.mat_mul(cols, g), orders)]
+    pairs = exact.mat_mul(duals, exact.transpose(cols))
+    scale = [n // di for di in orders]
+    gram = _reduced([[x * s for x, s in zip(row, scale)] for row in pairs], n)
+    return FiniteQuadraticForm(tuple(orders), n, gram, tuple(cols) or None)

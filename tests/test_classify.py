@@ -6,10 +6,11 @@ from collections import Counter
 import classify_oracle
 import exact_oracle
 import pytest
+from classify_oracle import pair_violation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlat import classify, exact, forms, gluing, golden, stability, tables
+from zlat import classify, exact, forms, gluing, golden, lattice, stability, tables
 from zlat.classify import (
     THalfInvariants,
     admissible_invariants,
@@ -19,7 +20,6 @@ from zlat.classify import (
     find_reversion_root,
     half_violation,
     pair_by_ref,
-    pair_violation,
     realize_pair,
     reversion_partner,
     s_pair,
@@ -266,16 +266,29 @@ def _capture_stage_c(monkeypatch, built):
 def test_stage_c_k3_grams_have_signature_3_19(monkeypatch):
     # the certificate proves the signature; the elimination is its second side
     built, eliminated = [], []
-    real_inertia = exact.inertia
+    real_inertia, real_inertia_det = exact.inertia, exact.inertia_det
     _capture_stage_c(monkeypatch, built)
-    monkeypatch.setattr(exact, "inertia", lambda g: eliminated.append(len(g)) or real_inertia(g))
+    monkeypatch.setattr(exact, "inertia_det", lambda g: eliminated.append(len(g)) or real_inertia_det(g))
+    lattice._block_elimination.cache_clear()  # every block Gram of the realizations reaches the spy
     reports = [realize_pair(pair) for pair in enumerate_ascending_t_pairs()]
     assert len(reports) == len(built) == 68
     assert all(report["stage_c"] == "ok" for report in reports)
-    assert 22 not in eliminated
+    assert eliminated and 22 not in eliminated
     for g, sig in built:
         assert sig == (3, 19)
         assert real_inertia(g) == exact_oracle.dense_inertia(g) == exact_oracle.inertia(g) == (3, 0, 19)
+
+
+def test_realization_hnfs_match_the_whole_row_steps(monkeypatch):
+    # every Hermite form of the 68 realizations, closed forms against whole-row steps
+    real, calls = exact.hermite_normal_form_mod, []
+    monkeypatch.setattr(exact, "hermite_normal_form_mod",
+                        lambda rows, den, n: calls.append((rows, den, n)) or real(rows, den, n))
+    for pair in enumerate_ascending_t_pairs():
+        realize_pair(pair)
+    assert len(calls) >= 3 * 68
+    for rows, den, n in calls:
+        assert real(rows, den, n) == exact_oracle.hermite_normal_form_mod(rows, den, n)
 
 
 # sha256 of the repr of the tuple of the 68 Gram matrices (tuples of int
@@ -510,15 +523,15 @@ except ValueError as e:
     print("realize:", e)
 stability.isomorphic_in_genus = real
 
-real_inertia = exact.inertia
-exact.inertia = lambda g: (len(g), 0, 0)  # <-2> read as positive definite
-lattice._block_inertia.cache_clear()  # realize_pair already memoized the true inertia of <-2>
+real_inertia_det = exact.inertia_det
+exact.inertia_det = lambda g: (len(g), 0, 0, real_inertia_det(g)[3])  # <-2> read as positive definite
+lattice._block_elimination.cache_clear()  # realize_pair already memoized the true inertia of <-2>
 try:
     signature(named("<-2>"))
 except ArithmeticError as e:
     print("signature:", e)
-exact.inertia = real_inertia
-lattice._block_inertia.cache_clear()  # drop the false inertia the patch left in the memo
+exact.inertia_det = real_inertia_det
+lattice._block_elimination.cache_clear()  # drop the false inertia the patch left in the memo
 
 l1, l2 = named("<2>"), named("<-2>")
 # phi records this order, which breaks det(l1 +_phi l2) |H|^2 = det(l1) det(l2)

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 
 import exact_oracle
 import pytest
@@ -6,6 +8,7 @@ from forms_oracle import random_basis_change
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zlat import exact
 from zlat.classify import BLOCK_RANK, CATALOG, block_multisets
 from zlat.exact import (
     determinant,
@@ -13,6 +16,7 @@ from zlat.exact import (
     hermite_normal_form_mod,
     identity,
     inertia,
+    inertia_det,
     integer_kernel,
     mat_mul,
     rank,
@@ -297,6 +301,68 @@ def test_inertia_of_large_catalog_sums_under_basis_change():
         assert inertia(g) == exact_oracle.inertia(g) == sig
 
 
+# the determinant carried by the symmetric elimination -----------------------
+
+@st.composite
+def wide_symmetric_matrices(draw):
+    """Symmetric integer matrices of size <= 10 with entries up to 10^15 in
+    absolute value, some diagonals all zero, some with a repeated row and
+    column (degenerate)."""
+    n = draw(st.integers(0, 10))
+    bound = draw(st.sampled_from((3, 10**6, 10**15)))
+    zero_diagonal = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            if rng.random() < 0.6:
+                a[i][j] = a[j][i] = rng.randint(-bound, bound)
+    if n >= 2 and draw(st.booleans()):
+        for row in a:
+            row[-1] = row[0]
+        a[-1] = list(a[0])
+    return a
+
+
+@given(st.one_of(sparse_symmetric_matrices(), dense_congruent_matrices(), wide_symmetric_matrices()))
+@settings(max_examples=150, deadline=None)
+def test_inertia_det_matches_bareiss_and_dense_elimination(g):
+    np_, nz, nm, det = inertia_det(g)
+    assert (np_, nz, nm) == exact_oracle.dense_inertia(g)
+    assert det == determinant(g)
+    assert (det == 0) == (nz > 0)
+
+
+def _mutant(old: str, new: str):
+    """`inertia_det` with the line `old` of its source replaced by `new`."""
+    src = textwrap.dedent(inspect.getsource(inertia_det))
+    assert src.count(old) == 1
+    namespace = dict(vars(exact))
+    exec(compile(src.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace["inertia_det"]
+
+
+@pytest.mark.parametrize("old", ["den *= al * al", "num *= c * c"])
+def test_a_mutant_without_alpha_or_c_squared_fails(old):
+    rng = random.Random(32)
+    samples = []
+    for n in range(2, 9):
+        for _ in range(10):
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            d = [rng.choice((-4, -2, -1, 1, 2, 3, 4)) for _ in range(n)]
+            samples.append([[sum(b[k][i] * d[k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
+    assert all(inertia_det(g)[3] == determinant(g) for g in samples)
+    mutant = _mutant(old, "pass")
+
+    def agrees(g):
+        try:
+            return mutant(g)[3] == determinant(g)
+        except ArithmeticError:
+            return False
+
+    assert not all(agrees(g) for g in samples)
+
+
 # whole-row Smith form against the closure version ---------------------------
 
 @st.composite
@@ -386,3 +452,10 @@ def test_hnf_mod_matches_hnf_of_stacked_rows(case):
     rows, den, n = case
     stacked = [[den if i == j else 0 for j in range(n)] for i in range(n)] + rows
     assert hermite_normal_form_mod(rows, den, n) == hermite_normal_form(stacked)
+
+
+@given(rows_over_den())
+@settings(max_examples=400, deadline=None)
+def test_hnf_mod_closed_forms_match_the_whole_row_steps(case):
+    rows, den, n = case
+    assert hermite_normal_form_mod(rows, den, n) == exact_oracle.hermite_normal_form_mod(rows, den, n)

@@ -891,6 +891,29 @@ def test_block_form_matches_whole_matrix_smith_form(case):
             assert discriminant_form(ext).size * f.element_order(h) ** 2 == f.size
 
 
+def _same_block_form(f, o):
+    assert (f.orders, f.n, f.gram, f.lift_cols) == (o.orders, o.n, o.gram, o.lift_cols)
+
+
+def test_block_form_of_catalog_sums_matches_unreduced_products():
+    """Reduced lift columns give the form of the whole Smith columns, lifts
+    unchanged: every catalog sum of rank <= 8, every 11th of rank 9 and 10."""
+    from zlat.classify import block_multisets
+
+    sums = [parse_lattice_expr("+".join(b)) for b in block_multisets(CATALOG, 10) if b]
+    for l in [l for l in sums if l.rank <= 8] + [l for l in sums if l.rank > 8][::11]:
+        _same_block_form(block_form.__wrapped__(l.gram), oracle.block_form(l.gram))
+
+
+@given(st.one_of(oracle_lattices(), interleaved_sums().map(lambda case: case[0])), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_block_form_of_random_even_lattices_matches_unreduced_products(l, rng):
+    """The same on random even lattices, as drawn and after a basis change,
+    whose Smith columns carry large entries."""
+    for gram in (l.gram, random_basis_change(l, rng, 2 * l.rank).gram if l.rank > 1 else l.gram):
+        _same_block_form(block_form.__wrapped__(gram), oracle.block_form(gram))
+
+
 def test_block_form_memo_is_bounded():
     from zlat.forms import block_form
     from zlat.lattice import MEMO_SIZE

@@ -452,7 +452,7 @@ def test_stage_c_rejects_a_wrong_block_signature(monkeypatch):
 
     def reversed_blocks(*args):
         with monkeypatch.context() as m:
-            m.setattr(lattice, "_block_inertia", lambda g: exact.inertia(g)[::-1])
+            m.setattr(lattice, "_block_elimination", lambda g: (*exact.inertia(g)[::-1], exact.inertia_det(g)[3]))
             return real(*args)
 
     monkeypatch.setattr(classify, "glue_with_signature", reversed_blocks)

@@ -318,9 +318,13 @@ def test_constructors_skip_bareiss(monkeypatch):
     def bareiss(m):
         raise AssertionError("Bareiss determinant called")
 
+    def elimination(m):
+        raise AssertionError("elimination called")
+
     monkeypatch.setattr(exact, "determinant", bareiss)
-    lattice._block_det.cache_clear()  # a raw Gram matrix seen before would not reach Bareiss
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(exact, "inertia_det", elimination)
+    lattice._block_elimination.cache_clear()  # a raw Gram matrix seen before would not be eliminated
+    with pytest.raises(AssertionError, match="elimination called"):
         make_lattice([[2, 1], [1, 2]])
     for e in exprs:
         assert parse_lattice_expr(e).det()
@@ -335,25 +339,32 @@ def test_constructors_skip_bareiss(monkeypatch):
 
 
 def test_one_bareiss_per_block_gram(monkeypatch):
-    calls, determinant = [], exact.determinant
+    calls, inertia_det = [], exact.inertia_det
 
     def bareiss(m):
+        raise AssertionError("Bareiss determinant called")
+
+    def elimination(m):
         calls.append(m)
-        return determinant(m)
+        return inertia_det(m)
 
     moved = random_basis_change(parse_lattice_expr("U+3A2+<-4>"), random.Random(5), 12)
     monkeypatch.setattr(exact, "determinant", bareiss)
-    lattice._block_det.cache_clear()
+    monkeypatch.setattr(exact, "inertia_det", elimination)
+    lattice._block_elimination.cache_clear()
     built = [make_lattice(moved.gram_rows()) for _ in range(4)]  # as tag, iso, control and brown build it
     assert len(calls) == 1 and len(moved.orthogonal_split()) == 1
     assert all(l.det() == moved.det() == 3 ** 3 * -4 * -1 for l in built)
+    assert all(signature(l) == (1, 8) for l in built + [moved])  # the determinant's elimination serves it
+    assert len(calls) == 1
     calls.clear()
     twelve = make_lattice(parse_lattice_expr("12A1").gram_rows())  # twelve equal blocks
-    assert len(calls) == 1 and twelve.det() == 2 ** 12
+    assert len(calls) == 1 and twelve.det() == 2 ** 12 and signature(twelve) == (0, 12)
+    assert len(calls) == 1
 
 
 def test_degenerate_gram_raises_every_time():
-    lattice._block_det.cache_clear()
+    lattice._block_elimination.cache_clear()
     for gram in ([[2, 2], [2, 2]], lattice._block_gram([named("A2").gram, ((2, 2), (2, 2))])):
         for _ in range(2):
             with pytest.raises(ValueError, match="degenerate gram matrix"):
@@ -421,7 +432,7 @@ def test_invariants_memo_does_not_cache_errors():
 
 def test_memos_are_bounded():
     for fn in (stability.genus_tag, stability.invariants,
-               lattice._block_inertia, lattice._block_det, forms.jordan_record,
+               lattice._block_elimination, forms.jordan_record,
                lattice.parse_lattice_expr, lattice._term, tables._built, forms.normal_basis,
                forms.anti_iso_images, forms._anti_iso_order):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
@@ -465,6 +476,16 @@ def test_signature_raises_on_a_degenerate_block():
         signature(fake)
 
 
+def test_signature_raises_on_a_wrong_threaded_determinant():
+    # right sign, wrong value: the product of the blocks' determinants is 3 * -1
+    gram = lattice._block_gram([named("A2").gram, named("U").gram])
+    for det in (-6, -1, -9):
+        fake = lattice._with_det(gram, det)  # no elimination to check it
+        with pytest.raises(ArithmeticError, match=f"block determinants give -3, not det {det}"):
+            signature(fake)
+    assert signature(lattice._with_det(gram, -3)) == (1, 3)
+
+
 @given(_CATALOG_EXPRS, _CATALOG_EXPRS)
 @settings(max_examples=100, deadline=None)
 def test_signature_of_parsed_and_summed_lattices_matches_dense_inertia(text1, text2):
@@ -475,10 +496,10 @@ def test_signature_of_parsed_and_summed_lattices_matches_dense_inertia(text1, te
 
 
 def test_signature_of_a_block_and_of_a_sum_containing_it():
-    lattice._block_inertia.cache_clear()
+    lattice._block_elimination.cache_clear()
     assert signature(parse_lattice_expr("U+<-2>+A2")) == (1, 4)
     assert signature(named("<-2>")) == (0, 1)
-    lattice._block_inertia.cache_clear()
+    lattice._block_elimination.cache_clear()
     assert signature(named("<-2>")) == (0, 1)
     assert signature(parse_lattice_expr("2<-2>+U(3)")) == (1, 3)
 

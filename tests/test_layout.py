@@ -1,8 +1,9 @@
 """The representation of finite quadratic forms is decided in `zlat.forms`
 alone, only a listed few functions walk the elements of a group, every
 Lattice is validated, no module but `verify` calls the element fingerprints
-or uses floating point, no memo of a form reads its lifts, no module
-reads another module's private names, and no check is an `assert`."""
+or uses floating point, no memo of a form reads its lifts, the memos stay
+under a ceiling, no module reads another module's private names, and no
+check is an `assert`."""
 
 import ast
 import os
@@ -353,6 +354,36 @@ def test_every_memo_is_bounded():
             with open(os.path.join(SRC, fname)) as fh:
                 found += _unbounded_memos(fname[:-3], ast.parse(fh.read()))
     assert not found, found
+
+
+# the package's memos are counted: a change may lower the count, never raise it unnoticed
+MEMO_CEILING = 22
+
+
+def _memo_count(tree) -> int:
+    """The `lru_cache` memos in the tree (`functools.cache` the rule above
+    bans): each use of the name `lru_cache` or of `functools.lru_cache`,
+    called or bare; an import names it without using it."""
+    return sum(1 for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "lru_cache"
+               or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+
+def test_memo_count_stays_under_the_ceiling():
+    count = 0
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                count += _memo_count(ast.parse(fh.read()))
+    assert count <= MEMO_CEILING, f"{count} memos in src/zlat, at most {MEMO_CEILING}"
+
+
+def test_the_memo_count_sees_every_spelling():
+    tree = ast.parse("from functools import lru_cache\nimport functools\n"
+                     "@lru_cache(maxsize=MEMO_SIZE)\ndef f(x):\n    return x\n"
+                     "@functools.lru_cache(8)\ndef g(x):\n    def h(y):\n        return y\n"
+                     "    return functools.lru_cache(4)(h)(x)\n"
+                     "@lru_cache\ndef k(x):\n    return x\n")
+    assert _memo_count(tree) == 4
 
 
 # each module keeps its private names: no module reads another's `_name`,

@@ -15,8 +15,12 @@ from zlat.tables import (
     prettify_code,
     prettify_expr,
     t_pair_record,
-    undocumented_discrepancies,
 )
+
+
+def undocumented_discrepancies() -> list[dict]:
+    """Every `diff_golden` report of every table id that no note documents."""
+    return [d for tid in TABLE_IDS for d in diff_golden(tid) if not d["documented"]]
 
 
 def test_all_ids_emit_all_formats():
