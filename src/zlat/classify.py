@@ -33,6 +33,8 @@ CATALOG_POS = {name: i for i, name in enumerate(CATALOG)}
 BLOCK_RANK = {name: parse_lattice_expr(name).rank for name in CATALOG}
 HYPERBOLIC_BLOCKS = tuple(name for name in CATALOG if signature(parse_lattice_expr(name))[0] == 1)
 NEGATIVE_BLOCKS = tuple(name for name in CATALOG if name not in HYPERBOLIC_BLOCKS)
+# built once, so each keeps one discriminant form (`lattice.keep_form`)
+A1, TWO = named("A1"), named("<2>")
 
 
 @dataclass(frozen=True, order=True)
@@ -317,7 +319,7 @@ def reversion_partner(pair: TPair) -> TPair | None:
     comp = orthogonal_complement(sublattice(t2, [list(root)]))
     if stability.invariants(comp.as_lattice()) != partner.t_plus.key():
         raise ValueError(f"pair {pair.table_ref}: the root complement is not the partner's plus half")
-    if stability.invariants(direct_sum(named("A1"), pair.witness_plus)) != partner.t_minus.key():
+    if stability.invariants(direct_sum(A1, pair.witness_plus)) != partner.t_minus.key():
         raise ValueError(f"pair {pair.table_ref}: A1 + plus half is not the partner's minus half")
     return partner
 
@@ -544,14 +546,13 @@ def realize_pair(pair: TPair) -> dict:
         raise ValueError(f"involution: r2 of the halves differ by other than 1 ({pair.table_ref})")
     report["involution"] = "ok"
 
-    two = named("<2>")
     f2_t = forms.p_part(forms.discriminant_form(glued), 2)
-    f_two = forms.discriminant_form(two)
+    f_two = forms.discriminant_form(TWO)
     gen_t = (1,)
     if 2 * f2_t.q_numer(gen_t) != 3 * f2_t.n:
         raise ValueError(f"stage b: generator of discr_2 T has q != 3/2 ({pair.table_ref})")
     psi = GlueMap(f2_t, f_two, (gen_t,), ((1,),))
-    t_prime = glue(glued, two, psi)
+    t_prime = glue(glued, TWO, psi)
     verdict = stability.isomorphic_in_genus(t_prime, parse_lattice_expr(T_PRIME_EXPR))
     if verdict != "yes":
         raise ValueError(f"stage b: extension not in the genus of T' ({pair.table_ref}: {verdict})")

@@ -303,14 +303,6 @@ def saturate(b) -> Matrix:
     return integer_kernel(transpose(k1))
 
 
-def inertia(g) -> tuple[int, int, int]:
-    """Exact (n_plus, n_zero, n_minus) of a symmetric integer matrix (see
-    `inertia_det`); a matrix that is not symmetric raises ValueError."""
-    if not is_symmetric(g):
-        raise ValueError("matrix not symmetric")
-    return inertia_det(g)[:3]
-
-
 def inertia_det(g) -> tuple[int, int, int, int]:
     """Exact (n_plus, n_zero, n_minus, det) of a symmetric integer matrix,
     which the caller has checked to be symmetric.

@@ -331,11 +331,10 @@ def p_rank(f: FiniteQuadraticForm, p: int) -> int:
 
 
 def prime_factors_of_order(f: FiniteQuadraticForm) -> list[int]:
-    return list(_primes(math.lcm(*f.orders)))
+    return _primes(math.lcm(*f.orders))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _primes(n: int) -> tuple[int, ...]:
+def _primes(n: int) -> list[int]:
     """The primes dividing n, ascending, by trial division."""
     primes, k = [], 2
     while k * k <= n:
@@ -346,7 +345,7 @@ def _primes(n: int) -> tuple[int, ...]:
         k += 1
     if n > 1:
         primes.append(n)
-    return tuple(primes)
+    return primes
 
 
 def is_elementary(f: FiniteQuadraticForm, p: int) -> bool:

@@ -225,34 +225,13 @@ def _en_gram(n: int) -> Matrix:
     return g
 
 
-@lru_cache(maxsize=256)
 def named(spec: str) -> Lattice:
-    """Catalog lattice by name: U, An (n>=1), Dn (n>=4), E6/E7/E8, <n> (n != 0)."""
-    spec = spec.strip()
-    if spec == "U":
-        return make_lattice([[0, 1], [1, 0]], "U")
-    m = re.fullmatch(r"A(\d+)", spec)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise ValueError(f"unknown lattice name {spec!r}")
-        return make_lattice(_an_gram(n), spec)
-    m = re.fullmatch(r"D(\d+)", spec)
-    if m:
-        n = int(m.group(1))
-        if n < 4:
-            raise ValueError(f"unknown lattice name {spec!r}")
-        return make_lattice(_dn_gram(n), spec)
-    m = re.fullmatch(r"E([678])", spec)
-    if m:
-        return make_lattice(_en_gram(int(m.group(1))), spec)
-    m = re.fullmatch(r"<(-?\d+)>", spec)
-    if m:
-        n = int(m.group(1))
-        if n == 0:
-            raise ValueError("rank-1 lattice <0> is degenerate")
-        return make_lattice([[n]], spec)
-    raise ValueError(f"unknown lattice name {spec!r}")
+    """Catalog lattice by name: one atom of the expression grammar, with no
+    count or scale, as `_atom_gram` builds it."""
+    m = _TERM.fullmatch(spec)
+    if m is None or m[1] or m[2] is None or m[3] or m[4]:
+        raise ValueError(f"unknown lattice name {spec.strip()!r}")
+    return make_lattice(_atom_gram(m[2]), m[2])
 
 
 def _block_gram(grams) -> tuple[tuple[int, ...], ...]:
@@ -421,8 +400,64 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-# one term with the whitespace around it; groups: count, atom, scale
-_TERM = re.compile(r"\s*([0-9]*)(U|[ADE][0-9]+|<-?[0-9]+>)(?:\((-?[0-9]+)\))?\s*")
+# one term with the whitespace around it; groups: count, atom, scale and the
+# rest of the text up to the next '+'.  Past the count, each part matches any
+# prefix of itself, so a match stops each part at its first fault, which
+# `_read` finds at the end of the part (at the start of the rest).
+_TERM = re.compile(r"\s*([0-9]*)(U|[ADE][0-9]*|<-?(?:[0-9]+>?)?)?(\(-?(?:[0-9]+\)?)?)?\s*([^+]*)")
+
+
+def _bracketed(text: str, no_int: str, unclosed: str, zero: str) -> int:
+    """The integer of a '<n>' or '(n)' part of `_TERM`; a ValueError names its fault."""
+    digits = text[1:].rstrip(">)")
+    if not digits.lstrip("-"):
+        raise ValueError(no_int)
+    if digits == text[1:]:
+        raise ValueError(unclosed)
+    if not int(digits):
+        raise ValueError(zero)
+    return int(digits)
+
+
+def _atom_gram(atom: str) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix of an atom part of `_TERM`, in the catalog: U, An
+    (n >= 1), Dn (n >= 4), E6/E7/E8, <n> (n != 0); a ValueError names its fault."""
+    letter = atom[0]
+    if atom == "U":
+        g = [[0, 1], [1, 0]]
+    elif letter == "<":
+        g = [[_bracketed(atom, "expected integer inside <>", "expected '>'", "<0> is degenerate")]]
+    elif len(atom) == 1:
+        raise ValueError(f"expected index after {atom!r}")
+    else:
+        n = int(atom[1:])
+        if n < {"A": 1, "D": 4, "E": 6}[letter] or letter == "E" and n > 8:
+            raise ValueError(f"unknown lattice name '{letter}{n}'")
+        g = {"A": _an_gram, "D": _dn_gram, "E": _en_gram}[letter](n)
+    return tuple(map(tuple, g))
+
+
+def _read(m: re.Match) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The atom Gram matrix and scale of a `_TERM` match, or the `ExprError`
+    of its first fault, at the end of the group that holds it (a missing
+    atom at the end of the count)."""
+    count, atom, scale, rest = m.groups()
+    group = 1
+    try:
+        if count and not int(count):
+            raise ValueError("zero repetition count")
+        if atom is None:
+            after = m.string[m.end(1):m.end(1) + 1]
+            raise ValueError(f"unexpected character {after!r}" if after else "expected lattice atom")
+        group = 2
+        gram = _atom_gram(atom)
+        group = 3
+        c = _bracketed(scale, "expected scale integer", "expected ')'", "zero scale") if scale else 1
+    except ValueError as e:
+        raise ExprError(str(e), m.end(group)) from None
+    if rest:
+        raise ExprError(f"unexpected character {rest[0]!r}", m.start(4))
+    return gram, c
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -434,114 +469,41 @@ def parse_lattice_expr(text: str) -> Lattice:
     so an expression costs its block sum.  Each atom, scaled or not, is
     connected, so the atoms are the blocks of the orthogonal split.  A text
     with a term `_term` rejects goes to `_reject`, which raises the
-    `ExprError` of its first fault.
+    `ExprError` of its first fault in the whole text.
     """
-    parts = []
-    for piece in text.split("+"):
-        term = _term(piece)
-        if term is None:
-            _reject(text)
-        parts += term
+    try:
+        parts = [part for piece in text.split("+") for part in _term(piece)]
+    except ExprError:
+        _reject(text)
     return _block_sum(parts, render_expr(text))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _term(text: str) -> tuple | None:
+def _term(text: str) -> tuple:
     """The (rank, det, split, Gram matrix) of a term's atom, scaled, once per
-    repetition; None for a text outside `_TERM`, a zero count or scale,
-    `<0>`, or an index outside the catalog."""
-    m = _TERM.fullmatch(text)
-    if m is None:
-        return None
-    count, atom, scale = m.groups()
-    reps, c = int(count or 1), int(scale or 1)
-    if reps == 0 or c == 0:
-        return None
-    try:
-        base = named(atom if atom[0] in "U<" else f"{atom[0]}{int(atom[1:])}")
-    except ValueError:
-        return None
-    gram = base.gram if c == 1 else tuple([tuple([c * x for x in row]) for row in base.gram])
-    return ((base.rank, base.det() * c**base.rank, ((tuple(range(base.rank)), gram),), gram),) * reps
+    repetition; the `ExprError` of a text with a fault.  A repeated atom
+    repeats the parts of the text after its count, from this memo."""
+    m = _TERM.match(text)
+    if m[1] and m[2] and int(m[1]):
+        return _term(text[m.end(1):]) * int(m[1])
+    gram, c = _read(m)
+    rank, det = len(gram), _block_elimination(gram)[3]
+    if c != 1:
+        gram = tuple([tuple([c * x for x in row]) for row in gram])
+    return ((rank, det * c**rank, ((tuple(range(rank)), gram),), gram),)
 
 
 def _reject(text: str) -> NoReturn:
-    """Raise the `ExprError` of a text `parse_lattice_expr` does not read:
-    a walk over its characters finds the first fault and its position."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_uint() -> int | None:
-        nonlocal pos
-        start = pos
-        while pos < n and "0" <= text[pos] <= "9":
-            pos += 1
-        return int(text[start:pos]) if pos > start else None
-
-    def parse_atom() -> None:
-        nonlocal pos
-        if pos >= n:
-            raise ExprError("expected lattice atom", pos)
-        ch = text[pos]
-        if ch not in "UADE<":
-            raise ExprError(f"unexpected character {ch!r}", pos)
-        pos += 1
-        if ch in "ADE":
-            idx = parse_uint()
-            if idx is None:
-                raise ExprError(f"expected index after '{ch}'", pos)
-            try:
-                named(f"{ch}{idx}")
-            except ValueError as e:
-                raise ExprError(str(e), pos) from None
-        elif ch == "<":
-            if pos < n and text[pos] == "-":
-                pos += 1
-            val = parse_uint()
-            if val is None:
-                raise ExprError("expected integer inside <>", pos)
-            if pos >= n or text[pos] != ">":
-                raise ExprError("expected '>'", pos)
-            pos += 1
-            if val == 0:
-                raise ExprError("<0> is degenerate", pos)
-
-    def parse_term() -> None:
-        nonlocal pos
-        skip_ws()
-        if parse_uint() == 0:
-            raise ExprError("zero repetition count", pos)
-        parse_atom()
-        if pos < n and text[pos] == "(":
-            pos += 1
-            if pos < n and text[pos] == "-":
-                pos += 1
-            scale = parse_uint()
-            if scale is None:
-                raise ExprError("expected scale integer", pos)
-            if pos >= n or text[pos] != ")":
-                raise ExprError("expected ')'", pos)
-            pos += 1
-            if scale == 0:
-                raise ExprError("zero scale", pos)
-
-    skip_ws()
-    if pos >= n:
+    """Raise the `ExprError` of a text `parse_lattice_expr` does not read,
+    reading it term by term with `_TERM`."""
+    if not text.split():
         raise ExprError("empty expression", 0)
-    parse_term()
-    skip_ws()
-    while pos < n:
-        if text[pos] != "+":
-            raise ExprError(f"unexpected character {text[pos]!r}", pos)
-        pos += 1
-        parse_term()
-        skip_ws()
-    raise AssertionError(f"the term pattern rejects {text!r}, which the walk reads")
+    pos = 0
+    while pos <= len(text):
+        m = _TERM.match(text, pos)
+        _read(m)
+        pos = m.end() + 1
+    raise AssertionError(f"{text!r} has no fault")
 
 
 def render_expr(text: str) -> str:

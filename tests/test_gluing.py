@@ -368,7 +368,7 @@ def test_extend_det_matches_bareiss(blocks, rng):
 
 
 def _eliminated_signature(l):
-    np_, nz, nm = exact.inertia(l.gram_rows())
+    np_, nz, nm = exact.inertia_det(l.gram_rows())[:3]
     assert nz == 0
     return np_, nm
 
@@ -450,9 +450,13 @@ def test_stage_c_rejects_a_wrong_block_signature(monkeypatch):
     # the blocks of S0 + T' read with their inertia reversed: (19, 3), not (3, 19)
     real = classify.glue_with_signature
 
+    def reversed_inertia(g):
+        np_, nz, nm, det = exact.inertia_det(g)
+        return nm, nz, np_, det
+
     def reversed_blocks(*args):
         with monkeypatch.context() as m:
-            m.setattr(lattice, "_block_elimination", lambda g: (*exact.inertia(g)[::-1], exact.inertia_det(g)[3]))
+            m.setattr(lattice, "_block_elimination", reversed_inertia)
             return real(*args)
 
     monkeypatch.setattr(classify, "glue_with_signature", reversed_blocks)

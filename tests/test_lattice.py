@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -43,7 +44,7 @@ def test_named_e8_unimodular_even_definite():
     assert e8.rank == 8
     assert e8.det() == 1
     assert e8.is_even
-    assert exact.inertia(e8.gram_rows()) == (0, 0, 8)
+    assert exact.inertia_det(e8.gram_rows())[:3] == (0, 0, 8)
 
 
 def test_catalog_classical_dets():
@@ -63,6 +64,27 @@ def test_named_unknown():
     for bad in ("A0", "D3", "E5", "E9", "<0>", "F4"):
         with pytest.raises(ValueError):
             named(bad)
+
+
+@pytest.mark.parametrize("spec, expr, rank", [("U", "U", 2), (" A2 ", "A2", 2), ("A01", "A01", 1), ("E06", "E06", 6),
+                                              ("<007>", "<007>", 1), ("<-6>", "<-6>", 1)])
+def test_named_reads_one_atom(spec, expr, rank):
+    l = named(spec)
+    assert (l.expr, l.rank) == (expr, rank)
+    assert l.gram == parse_lattice_expr(spec).gram
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("A0", "unknown lattice name 'A0'"), ("A00", "unknown lattice name 'A0'"), ("D3", "unknown lattice name 'D3'"),
+    ("E5", "unknown lattice name 'E5'"), ("E9", "unknown lattice name 'E9'"), ("<0>", "<0> is degenerate"),
+    ("<>", "unknown lattice name '<>'"), ("2A2", "unknown lattice name '2A2'"),
+    ("U(3)", "unknown lattice name 'U(3)'"), ("A1+A2", "unknown lattice name 'A1+A2'"),
+    ("", "unknown lattice name ''"), ("X", "unknown lattice name 'X'"),
+])
+def test_named_rejects_all_but_a_catalog_atom(spec, message):
+    with pytest.raises(ValueError) as err:
+        named(spec)
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_direct_sum_block():
@@ -251,6 +273,15 @@ def test_parse_matches_direct_sum_oracle(text):
 @settings(max_examples=300, deadline=None)
 def test_parse_errors_match_direct_sum_oracle(text):
     assert _parse_outcome(parse_lattice_expr, text) == _parse_outcome(lattice_oracle.parse_lattice_expr, text)
+
+
+def test_every_short_text_matches_direct_sum_oracle():
+    # every text of at most three fragments without adjacent digits, beside the samples above
+    texts = ["".join(t) for k in range(4) for t in itertools.product(_FRAGMENTS, repeat=k)]
+    texts = [text for text in texts if not re.search(r"\d\d", text)]
+    assert len(texts) == 8204
+    for text in texts:
+        assert _parse_outcome(parse_lattice_expr, text) == _parse_outcome(lattice_oracle.parse_lattice_expr, text)
 
 
 # multi-digit numbers, leading zeros and whitespace other than ' ', which the
