@@ -9,24 +9,25 @@ Every value lies in (1/n)Z for the exponent n = lcm(orders): b(e_i, e_j) has
 order dividing gcd(d_i, d_j) and q(e_i) = b(e_i, e_i) mod 1.  So a form is
 one symmetric integer matrix over n, its `gram`: n q(e_i) mod 2n on the
 diagonal and n b(e_i, e_j) mod n off it (Conway-Sloane, SPLAG ch. 15 §7).
-Then n b(x, y) = x gram y^T mod n and n q(x) = x gram x^T mod 2n.  For a
-discriminant form the lift of e_i to the lattice is lift_cols[i] / d_i.
+Then n b(x, y) = x gram y^T mod n and n q(x) = x gram x^T mod 2n, summed
+over `entries`, the nonzero entries of gram on and above the diagonal.  For
+a discriminant form the lift of e_i to the lattice is lift_cols[i] / d_i.
 No `Fraction` enters: every form is built from integers.  Fractions leave
 only through `b`, `q` and `fingerprint`; everything else reads the integers.
 Brown and the Jordan constituents of each p-part come from one memoized
 `jordan_record` per form value.  A form built as an orthogonal sum
 (`discriminant_form`, `direct_sum_forms`) keeps its summands and their lift
-places and builds its gram and its lifts, each on first read (a
-`lattice.LazyField`, no attribute hook); `brown` and `jordan_symbol` read
-the record of each summand, and a sum's p-parts and lift vectors are read
-off its summands too.  `brown` first splits a form without summands (raw input,
-`isotropic_quotient`, a p-part of one) into the components of its gram;
-`jordan_symbol` reads such a form's own record.
+places and builds its gram, lifts and entries (off its summands' grams) on
+first read (a `lattice.LazyField`, no attribute hook); `brown` and
+`jordan_symbol` read the record of each summand, and a sum's p-parts and lift
+vectors are read off its summands too.  `brown` first splits a form without
+summands (raw input, `isotropic_quotient`, a p-part of one) into the
+components of its gram; `jordan_symbol` reads such a form's own record.
 Anti-isomorphisms are memoized per form value too: `anti_iso_images` and
 the `GlueMap` check `_anti_iso_order` read orders, n and gram, which form
 equality compares, never lift_cols, which it ignores; they return elements
 and an order, never a form, so a form that recurs with other lifts shares
-their entries while every glue keeps its own lattice's lifts.
+their memo entries while every glue keeps its own lattice's lifts.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class FiniteQuadraticForm:
     summands: tuple[FiniteQuadraticForm, ...] = field(default=(), compare=False, repr=False)
     # of a sum with lifts, the lattice indices of each summand's lift columns
     places: tuple | None = field(default=None, compare=False, repr=False)
+    # the nonzero entries of gram on and above the diagonal, (diagonal, ((i, j, gram[i][j]) for i < j))
+    entries: tuple = field(init=False, compare=False, repr=False)
 
     @property
     def ngens(self) -> int:
@@ -87,11 +90,11 @@ class FiniteQuadraticForm:
         return math.lcm(*[d // math.gcd(c, d) for c, d in zip(x, self.orders)])
 
     def _pair(self, x, y) -> int:
-        """x gram y^T, unreduced, for integer vectors x and y."""
-        total = 0
-        for xi, row in zip(x, self.gram):
-            if xi:
-                total += xi * sum(map(mul, row, y))
+        """x gram y^T, unreduced, for integer vectors x and y, over `entries`."""
+        diag, offs = self.entries
+        total = sum(map(mul, diag, map(mul, x, y)))
+        for i, j, g in offs:
+            total += g * (x[i] * y[j] + x[j] * y[i])
         return total
 
     def b_numer(self, x, y) -> int:
@@ -103,10 +106,15 @@ class FiniteQuadraticForm:
         return self._pair(x, x) % (2 * self.n)
 
     def b(self, x, y) -> Fraction:
-        return _fraction(self.b_numer(x, y), self.n)
+        return _fraction(self._pair(x, y) % self.n, self.n)
 
     def q(self, x) -> Fraction:
-        return _fraction(self.q_numer(x), self.n)
+        """q(x) = (sum g_ii x_i^2 + 2 sum_{i<j} g_ij x_i x_j) / n mod 2, in one frame for the element walks."""
+        diag, offs = self.entries
+        total = sum(map(mul, diag, map(mul, x, x)))
+        for i, j, g in offs:
+            total += 2 * g * x[i] * x[j]
+        return _fraction(total % (2 * self.n), self.n)
 
     def lift_vector(self, x) -> tuple[list[int], int]:
         """(w, n): the lift of x to the source lattice is w / n (when lifts are
@@ -244,9 +252,21 @@ def _sum_lifts(f: FiniteQuadraticForm) -> None:
     object.__setattr__(f, "lift_cols", _summed(f, True))
 
 
-# a sum's gram and its lift columns are each built on first read (see `LazyField`)
+def _fill_entries(f: FiniteQuadraticForm) -> None:
+    """The summands' nonzero gram entries (a plain form's own), shifted and scaled as in `_summed`."""
+    diag, offs = [], []
+    for s in f.summands or (f,):
+        k, at, g = f.n // s.n, len(diag), s.gram
+        diag += [row[i] * k for i, row in enumerate(g)]
+        if len(g) > 1:
+            offs += [(i + at, j + at, x * k) for i, row in enumerate(g) for j, x in enumerate(row) if j > i and x]
+    object.__setattr__(f, "entries", (tuple(diag), tuple(offs)))
+
+
+# a sum's gram and lift columns, and every form's entries, are built on first read (see `LazyField`)
 FiniteQuadraticForm.gram = LazyField("gram", _sum_gram)
 FiniteQuadraticForm.lift_cols = LazyField("lift_cols", _sum_lifts)
+FiniteQuadraticForm.entries = LazyField("entries", _fill_entries)
 
 
 def _summed(f: FiniteQuadraticForm, lifts: bool):
@@ -826,7 +846,7 @@ def anti_iso_images(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) 
     cols, ws = [], []  # cols[i][k]: coordinate of generator k on the i-th basis vector, sent to ws[i]
     for (_kind, xs), (_kind, block_ws) in zip(src_blocks, tgt_blocks):
         bx = exact.mat_mul(xs, neg.gram)  # rows p*b(x, e_k) mod p over k
-        cols += [[c * neg.b_numer(xs[0], xs[0]) for c in bx[0]]] if len(xs) == 1 else bx[::-1]
+        cols += [[c * sum(map(mul, bx[0], xs[0])) for c in bx[0]]] if len(xs) == 1 else bx[::-1]
         ws += block_ws
     return tuple([tuple(x % p for x in row) for row in exact.mat_mul(exact.transpose(cols), ws)])
 

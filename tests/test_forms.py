@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -754,9 +755,9 @@ def test_numerators_match_loop_oracle(case):
 
 @given(evaluated_forms())
 @settings(max_examples=50, deadline=None)
-def test_equality_hash_and_repr_read_the_six_fields(case):
+def test_equality_hash_and_repr_read_the_seven_fields(case):
     f, x, y = case
-    fields = ("orders", "n", "gram", "lift_cols", "summands", "places")
+    fields = ("orders", "n", "gram", "lift_cols", "summands", "places", "entries")
     assert tuple(fl.name for fl in dataclasses.fields(FiniteQuadraticForm)) == fields
     fresh = FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols)
     other = FiniteQuadraticForm(f.orders, f.n, f.gram, None)
@@ -765,8 +766,8 @@ def test_equality_hash_and_repr_read_the_six_fields(case):
     plain = FiniteQuadraticForm(summed.orders, summed.n, summed.gram, summed.lift_cols)
     assert summed.summands and not plain.summands
     fresh.q(x), fresh.b(x, y), summed.q(x + (0, 0))
-    # evaluating leaves no state beside the fields; the lifts, summands and places are not compared
-    assert sorted(vars(fresh)) == sorted(vars(summed)) == sorted(fields)
+    # evaluating leaves no state beside the fields; the lifts, summands, places and entries are not compared
+    assert sorted(vars(fresh)) == sorted(vars(summed)) == sorted(fields) and "entries" not in vars(other)
     assert fresh == other and hash(fresh) == hash(other) and {fresh: 1}[other] == 1
     assert summed == plain and hash(summed) == hash(plain) and {summed: 1}[plain] == 1
     assert repr(fresh) == (f"FiniteQuadraticForm(orders={f.orders!r}, n={f.n!r}, gram={f.gram!r}, "
@@ -774,12 +775,13 @@ def test_equality_hash_and_repr_read_the_six_fields(case):
     assert repr(summed) == repr(plain) == (
         f"FiniteQuadraticForm(orders={summed.orders!r}, n={summed.n!r}, gram={summed.gram!r}, "
         f"lift_cols={summed.lift_cols!r})")
-    # a sum read first by equality, hash, repr or either dense field is the same value
-    for read in (plain.__eq__, lambda g: g == plain, hash, repr, lambda g: g.gram, lambda g: g.lift_cols):
+    # a sum read first by equality, hash, repr, either dense field or its entries is the same value
+    for read in (plain.__eq__, lambda g: g == plain, hash, repr, lambda g: g.gram, lambda g: g.lift_cols,
+                 lambda g: g.entries):
         lazy = direct_sum_forms(f, ATOMS["u2"])
         read(lazy)
-        assert (lazy, hash(lazy), repr(lazy), lazy.gram, lazy.lift_cols) == (
-            plain, hash(plain), repr(plain), plain.gram, plain.lift_cols)
+        assert (lazy, hash(lazy), repr(lazy), lazy.gram, lazy.lift_cols, lazy.entries) == (
+            plain, hash(plain), repr(plain), plain.gram, plain.lift_cols, plain.entries)
 
 
 # the integer representation against the Fraction oracle ----------------------
@@ -1298,21 +1300,93 @@ def test_a_sum_walks_no_whole_matrix(monkeypatch):
 
     sweep()  # builds the catalog atoms, each validated once
     calls = Counter()
-    # _block_gram lays out a block-built lattice's Gram matrix, _summed a sum form's gram and lifts
+    # _block_gram lays out a block-built lattice's Gram matrix, _summed a sum
+    # form's gram and lifts, and the fill of the lazy field entries a form's entries
     for module, name in ((exact, "components"), (exact, "is_symmetric"), (lattice, "_block_gram"),
-                         (forms, "_summed")):
+                         (forms, "_summed"), (vars(FiniteQuadraticForm)["entries"], "fill")):
         monkeypatch.setattr(module, name, counted(module, name))
     for memo in (lattice.parse_lattice_expr, jordan_record):
         memo.cache_clear()
     values = sweep()
     assert calls == Counter()
-    # nor by any other route: no sum holds a dense field
-    assert not [l for l, f in values if "gram" in vars(l) or {"gram", "lift_cols"} & set(vars(f))]
+    # nor by any other route: no sum holds a dense field or its entries
+    assert not [l for l, f in values if "gram" in vars(l) or {"gram", "lift_cols", "entries"} & set(vars(f))]
     with pytest.raises(ValueError, match="gram matrix not symmetric"):
         make_lattice([[2, 1], [0, 2]])
     with pytest.raises(ValueError, match="degenerate gram matrix"):
         make_lattice([[2, 2], [2, 2]])
     assert calls["is_symmetric"] == 2
+
+
+# b and q over the nonzero entries against the dense loops ---------------------
+
+
+@st.composite
+def entry_cases(draw):
+    """A form, two vectors with negative and unreduced coefficients, each a
+    tuple or a list, and whether the form is a sum whose gram was never read.
+    The forms: the discriminant form of an `oracle_lattices` lattice (a sum of
+    its blocks' forms), the same as raw input, a fresh `direct_sum_forms` of
+    it with an atom, a p-part of that, an isotropic quotient of it, its
+    negative (`forms._negated`), and sums of `ATOMS`."""
+    from zlat import forms
+
+    base = discriminant_form(draw(oracle_lattices()))
+    atoms = st.sampled_from(sorted(ATOMS.values(), key=repr))
+    isotropic = [x for x in itertools.islice(base.elements(), 200) if any(x) and base.q(x) == 0]
+    h = [draw(st.sampled_from(isotropic))] if isotropic and draw(st.booleans()) else []
+    builds = {"sum": lambda: base, "raw": lambda: _unsummed(base),
+              "fresh": lambda: direct_sum_forms(base, draw(atoms)),
+              "p-part": lambda: p_part(direct_sum_forms(base, draw(atoms)), draw(st.sampled_from((2, 3)))),
+              "quotient": lambda: isotropic_quotient(base, h), "negated": lambda: forms._negated(base),
+              "atoms": lambda: direct_sum_forms(*draw(st.lists(atoms, min_size=1, max_size=4)))}
+    f = builds[draw(st.sampled_from(sorted(builds)))]()
+    vector = st.tuples(*[st.integers(-3 * d, 3 * d) for d in f.orders]).flatmap(
+        lambda x: st.sampled_from((x, list(x))))
+    return f, draw(vector), draw(vector), bool(f.summands) and "gram" not in vars(f)
+
+
+@given(entry_cases())
+@settings(max_examples=300, deadline=None)
+def test_b_and_q_over_the_entries_match_the_dense_loops(case):
+    f, x, y, lazy = case
+    got = (f.q(x), f.b(x, y), f.q_numer(x), f.b_numer(x, y), f.b_numer(y, x))
+    # a sum whose gram was never read evaluates without laying it out
+    assert not lazy or "gram" not in vars(f)
+    q, b = oracle.q_numer(f, x), oracle.b_numer(f, x, y)
+    assert got == (F(q, f.n), F(b, f.n), q, b, oracle.b_numer(f, y, x))
+    diag, offs = f.entries
+    assert list(diag) == [row[i] for i, row in enumerate(f.gram)] and all(i < j and g for i, j, g in offs)
+    assert {(i, j): g for i, j, g in offs} == {
+        (i, j): g for i, row in enumerate(f.gram) for j, g in enumerate(row) if i < j and g}
+
+
+def test_b_and_q_over_the_entries_spot_values():
+    # u2 + A2(2): both off-diagonal terms of b and the factor 2 of q's
+    f = direct_sum_forms(ATOMS["u2"], discriminant_form(parse_lattice_expr("A2(2)")))
+    assert f.entries == ((0, 0, 6, 10), ((0, 1, 3), (2, 3, 3)))
+    assert "gram" not in vars(f)
+    assert (f.q((1, 1, 0, 0)), f.q([0, 0, 1, 1]), f.q((0, 0, -1, 7))) == (F(1), F(5, 3), F(5, 3))
+    assert (f.b((1, 0, 0, 0), [0, 1, 0, 0]), f.b((0, 0, 1, 0), (0, 0, 0, 1))) == (F(1, 2), F(1, 2))
+    assert (f.b_numer((0, 0, 0, 1), (0, 0, 1, 0)), f.q_numer((0, 0, 1, 1))) == (3, 10)
+
+
+def test_evaluating_a_form_fills_its_entries_once(monkeypatch):
+    lazy = vars(FiniteQuadraticForm)["entries"]
+    fills = Counter()
+    real = lazy.fill
+
+    def counted(f):
+        fills[id(f)] += 1
+        real(f)
+
+    monkeypatch.setattr(lazy, "fill", counted)
+    f = discriminant_form(parse_lattice_expr("4A2+A2(2)"))
+    evaluated = [direct_sum_forms(f, ATOMS["v2"]), _unsummed(f), standard_form("<1/2>+u2")]
+    for g in evaluated:
+        for x in itertools.islice(g.elements(), 50):
+            g.q(x), g.q_numer(x), g.b(x, x), g.b_numer(x, g.units[0]), is_isotropic_subgroup(g, [x])
+    assert fills == Counter({id(g): 1 for g in evaluated})
 
 
 def test_a_lazy_sum_is_a_value_like_any_other():

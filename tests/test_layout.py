@@ -111,9 +111,11 @@ def test_only_with_det_builds_a_lattice_past_its_constructor(matches):
 
 # the value types define no attribute hook: with a `__getattr__` the
 # interpreter stops specializing every attribute read of the type.  Only the
-# lazy dense fields are `LazyField`s, each filled by one of LAZY_FILLS
+# lazy fields (the dense layouts of a block sum and a form's nonzero entries) are
+# `LazyField`s, each filled by one of LAZY_FILLS
 LAZY_FILLS = {"lattice._lay_out": ("Lattice", {"gram"}), "forms._sum_gram": ("FiniteQuadraticForm", {"gram"}),
-              "forms._sum_lifts": ("FiniteQuadraticForm", {"lift_cols"})}
+              "forms._sum_lifts": ("FiniteQuadraticForm", {"lift_cols"}),
+              "forms._fill_entries": ("FiniteQuadraticForm", {"entries"})}
 HOOKS = ("__getattr__", "__getattribute__")
 
 
