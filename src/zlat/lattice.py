@@ -80,14 +80,17 @@ class Lattice:
         return self._hash
 
     def _validate(self, det: int | None, summed: bool = False) -> None:
-        """Check symmetry and nondegeneracy; when det is not known, it is the
-        product of the orthogonal blocks' determinants (`_block_elimination`).
-        A block sum (`summed`) of validated lattices is symmetric by
+        """Check symmetry and nondegeneracy.  When det is not known, the
+        `_gram_entry` of the Gram matrix checks its symmetry and gives its
+        orthogonal split and determinant, once per Gram value.  A constructor
+        that hands over det (`_with_det`) has the symmetry checked here, and
+        a block sum (`summed`) of validated lattices is symmetric by
         construction."""
-        if not summed and not exact.is_symmetric(self.gram):
-            raise ValueError("gram matrix not symmetric")
         if det is None:
-            det = math.prod(_block_elimination(g)[3] for _idx, g in self.orthogonal_split())
+            split, (_p, _z, _m, det) = _gram_entry(self.gram)
+            object.__setattr__(self, "_orthogonal", split)
+        elif not summed and not exact.is_symmetric(self.gram):
+            raise ValueError("gram matrix not symmetric")
         if det == 0:
             raise ValueError("degenerate gram matrix")
         object.__setattr__(self, "_det", det)
@@ -95,16 +98,13 @@ class Lattice:
     def orthogonal_split(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
         """The (indices, block Gram matrix) of the `exact.components` of the
         Gram matrix, by smallest index; a single block is the Gram matrix
-        itself.  Computed once per lattice, for the determinant, `signature`,
-        equality, the hash and `forms.discriminant_form`, unless the lattice
-        is a block sum (`direct_sum`, `parse_lattice_expr`), which holds the
-        blocks it placed."""
+        itself.  A lattice built from a raw Gram matrix holds the split of
+        its `_gram_entry`, a block sum (`direct_sum`, `parse_lattice_expr`)
+        the blocks it placed; a lattice whose constructor handed over its
+        determinant (`_with_det`) walks the components on first call.  It
+        serves `signature`, equality, the hash and `forms.discriminant_form`."""
         if self._orthogonal is None:
-            g = self.gram
-            blocks = exact.components(g)
-            split = ((tuple(range(self.rank)), g),) if len(blocks) == 1 else tuple((tuple(b), tuple(map(
-                itemgetter(*b), map(g.__getitem__, b))) if len(b) > 1 else ((g[b[0]][b[0]],),)) for b in blocks)
-            object.__setattr__(self, "_orthogonal", split)
+            object.__setattr__(self, "_orthogonal", _split(self.gram, exact.components(self.gram)))
         return self._orthogonal
 
     def gram_rows(self) -> Matrix:
@@ -168,6 +168,49 @@ def _with_det(gram: Matrix | None, det: int, expr: str | None = None, summed=Non
     object.__setattr__(l, "expr", expr)
     l._validate(det, summed is not None)
     return l
+
+
+class _Block(tuple):
+    """A connected block of a Gram matrix known to be symmetric: it equals
+    and hashes as the plain tuple, so `_gram_entry` files it under the same
+    key, and on a miss trusts it without a check or a component walk."""
+
+    __slots__ = ()
+
+
+def _split(g, blocks) -> tuple:
+    """The (indices, block Gram matrix) of the components `blocks` of the
+    symmetric g, each block a `_Block`; a single block is g itself."""
+    if len(blocks) == 1:
+        return ((tuple(range(len(g))), g),)
+    return tuple((tuple(b), _Block(map(itemgetter(*b), map(g.__getitem__, b))) if len(b) > 1
+                  else _Block(((g[b[0]][b[0]],),))) for b in blocks)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _gram_entry(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple[int, int, int, int]]:
+    """The orthogonal split of a Gram matrix and (n_plus, n_zero, n_minus,
+    det), summed over its blocks: once per Gram value, for
+    `Lattice._validate`, `signature` and `_term`.  A matrix that is not
+    square and symmetric raises, so no entry is kept for it.  The entry of
+    a connected block holds its own `exact.inertia_det`; that of a sum of
+    blocks sums its blocks' entries, each made without a second check."""
+    if gram.__class__ is _Block:
+        split = ((tuple(range(len(gram))), gram),)
+    elif exact.is_symmetric(gram):
+        split = _split(gram, exact.components(gram))
+    else:
+        raise ValueError("gram matrix not symmetric")
+    return split, exact.inertia_det(gram) if len(split) == 1 else _inertia(split)
+
+
+def _inertia(split) -> tuple[int, int, int, int]:
+    """(n_plus, n_zero, n_minus, det) summed over the blocks of a split, from their `_gram_entry`s."""
+    np_, nz, nm, det = 0, 0, 0, 1
+    for _idx, g in split:
+        p, z, m, d = _gram_entry(g)[1]
+        np_, nz, nm, det = np_ + p, nz + z, nm + m, det * d
+    return np_, nz, nm, det
 
 
 @dataclass(frozen=True)
@@ -273,14 +316,12 @@ def signature(l: Lattice) -> tuple[int, int]:
     """(n_plus, n_minus), the sum of the inertias of the orthogonal blocks of the Gram matrix.
 
     The blocks are those of `Lattice.orthogonal_split`, a lattice of one
-    block its own, each eliminated once (`_block_elimination`); no memo is
-    kept per lattice.  The product of the blocks' determinants must be
-    `det`, which a constructor may have handed over, of sign (-1)^n_minus.
+    block its own, each read from its `_gram_entry`, so a block is
+    eliminated once per Gram value; no memo is kept per lattice.  The
+    product of the blocks' determinants must be `det`, which a constructor
+    may have handed over, of sign (-1)^n_minus.
     """
-    np_, nz, nm, det = 0, 0, 0, 1
-    for _idx, g in l.orthogonal_split():
-        p, z, m, d = _block_elimination(g)
-        np_, nz, nm, det = np_ + p, nz + z, nm + m, det * d
+    np_, nz, nm, det = _inertia(l.orthogonal_split())
     if nz:
         raise ValueError("degenerate lattice")
     if det != l.det():
@@ -288,13 +329,6 @@ def signature(l: Lattice) -> tuple[int, int]:
     if (-1) ** nm != (1 if det > 0 else -1):
         raise ArithmeticError(f"signature {(np_, nm)} disagrees with det {l.det()}")
     return np_, nm
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _block_elimination(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int]:
-    """`exact.inertia_det` of one Gram matrix, memoized for `Lattice._validate`
-    and `signature`: a block that sums repeat, or a Gram built again, once."""
-    return exact.inertia_det(gram)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +455,8 @@ def _bracketed(text: str, no_int: str, unclosed: str, zero: str) -> int:
 
 def _atom_gram(atom: str) -> tuple[tuple[int, ...], ...]:
     """The Gram matrix of an atom part of `_TERM`, in the catalog: U, An
-    (n >= 1), Dn (n >= 4), E6/E7/E8, <n> (n != 0); a ValueError names its fault."""
+    (n >= 1), Dn (n >= 4), E6/E7/E8, <n> (n != 0), each connected (a
+    `_Block`); a ValueError names its fault."""
     letter = atom[0]
     if atom == "U":
         g = [[0, 1], [1, 0]]
@@ -434,7 +469,7 @@ def _atom_gram(atom: str) -> tuple[tuple[int, ...], ...]:
         if n < {"A": 1, "D": 4, "E": 6}[letter] or letter == "E" and n > 8:
             raise ValueError(f"unknown lattice name '{letter}{n}'")
         g = {"A": _an_gram, "D": _dn_gram, "E": _en_gram}[letter](n)
-    return tuple(map(tuple, g))
+    return _Block(map(tuple, g))
 
 
 def _read(m: re.Match) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -481,15 +516,16 @@ def parse_lattice_expr(text: str) -> Lattice:
 @lru_cache(maxsize=MEMO_SIZE)
 def _term(text: str) -> tuple:
     """The (rank, det, split, Gram matrix) of a term's atom, scaled, once per
-    repetition; the `ExprError` of a text with a fault.  A repeated atom
-    repeats the parts of the text after its count, from this memo."""
+    repetition, det read from the atom's `_gram_entry`; the `ExprError` of
+    a text with a fault.  A repeated atom repeats the parts of the text
+    after its count, from this memo."""
     m = _TERM.match(text)
     if m[1] and m[2] and int(m[1]):
         return _term(text[m.end(1):]) * int(m[1])
     gram, c = _read(m)
-    rank, det = len(gram), _block_elimination(gram)[3]
+    rank, det = len(gram), _gram_entry(gram)[1][3]
     if c != 1:
-        gram = tuple([tuple([c * x for x in row]) for row in gram])
+        gram = _Block([tuple([c * x for x in row]) for row in gram])
     return ((rank, det * c**rank, ((tuple(range(rank)), gram),), gram),)
 
 

@@ -269,7 +269,7 @@ def test_stage_c_k3_grams_have_signature_3_19(monkeypatch):
     real_inertia_det = exact.inertia_det
     _capture_stage_c(monkeypatch, built)
     monkeypatch.setattr(exact, "inertia_det", lambda g: eliminated.append(len(g)) or real_inertia_det(g))
-    lattice._block_elimination.cache_clear()  # every block Gram of the realizations reaches the spy
+    lattice._gram_entry.cache_clear()  # every block Gram of the realizations reaches the spy
     reports = [realize_pair(pair) for pair in enumerate_ascending_t_pairs()]
     assert len(reports) == len(built) == 68
     assert all(report["stage_c"] == "ok" for report in reports)
@@ -525,13 +525,13 @@ stability.isomorphic_in_genus = real
 
 real_inertia_det = exact.inertia_det
 exact.inertia_det = lambda g: (len(g), 0, 0, real_inertia_det(g)[3])  # <-2> read as positive definite
-lattice._block_elimination.cache_clear()  # realize_pair already memoized the true inertia of <-2>
+lattice._gram_entry.cache_clear()  # realize_pair already memoized the true inertia of <-2>
 try:
     signature(named("<-2>"))
 except ArithmeticError as e:
     print("signature:", e)
 exact.inertia_det = real_inertia_det
-lattice._block_elimination.cache_clear()  # drop the false inertia the patch left in the memo
+lattice._gram_entry.cache_clear()  # drop the false inertia the patch left in the memo
 
 l1, l2 = named("<2>"), named("<-2>")
 # phi records this order, which breaks det(l1 +_phi l2) |H|^2 = det(l1) det(l2)

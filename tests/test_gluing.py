@@ -448,15 +448,15 @@ def test_certificate_rejects_a_non_integral_back_substitution():
 
 def test_stage_c_rejects_a_wrong_block_signature(monkeypatch):
     # the blocks of S0 + T' read with their inertia reversed: (19, 3), not (3, 19)
-    real = classify.glue_with_signature
+    real, real_entry = classify.glue_with_signature, lattice._gram_entry
 
     def reversed_inertia(g):
-        np_, nz, nm, det = exact.inertia_det(g)
-        return nm, nz, np_, det
+        split, (np_, nz, nm, det) = real_entry(g)
+        return split, (nm, nz, np_, det)
 
     def reversed_blocks(*args):
         with monkeypatch.context() as m:
-            m.setattr(lattice, "_block_elimination", reversed_inertia)
+            m.setattr(lattice, "_gram_entry", reversed_inertia)
             return real(*args)
 
     monkeypatch.setattr(classify, "glue_with_signature", reversed_blocks)

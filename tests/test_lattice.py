@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import exact_oracle
 import lattice_oracle
@@ -354,7 +355,7 @@ def test_constructors_skip_bareiss(monkeypatch):
 
     monkeypatch.setattr(exact, "determinant", bareiss)
     monkeypatch.setattr(exact, "inertia_det", elimination)
-    lattice._block_elimination.cache_clear()  # a raw Gram matrix seen before would not be eliminated
+    lattice._gram_entry.cache_clear()  # a raw Gram matrix seen before would not be eliminated
     with pytest.raises(AssertionError, match="elimination called"):
         make_lattice([[2, 1], [1, 2]])
     for e in exprs:
@@ -369,37 +370,86 @@ def test_constructors_skip_bareiss(monkeypatch):
     assert abs(gluing.glue(l1, l2, gluing.GlueMap(f1, f2, (g1,), (g2,))).det()) == 4
 
 
+def test_handed_over_determinants_make_no_gram_entry(monkeypatch):
+    # a lattice whose constructor hands over its determinant keeps its plain
+    # split: no elimination, and no memo entry for the Gram matrix it builds
+    from zlat import classify, gluing
+
+    stage_c, real_glue, real_inertia_det = [], classify.glue_with_signature, exact.inertia_det
+    monkeypatch.setattr(classify, "glue_with_signature", lambda *args: stage_c.append(args) or real_glue(*args))
+    classify.realize_pair(classify.pair_by_ref("8B:1"))
+    s0, t_prime, phi = stage_c[0]
+    six, mixed = parse_lattice_expr("6A2"), parse_lattice_expr("U(6)+A2(2)+<-6>")
+    for l in (s0, t_prime, six, mixed):
+        signature(l)  # the blocks of the inputs have their entries
+    eliminated = []
+    monkeypatch.setattr(exact, "inertia_det", lambda g: eliminated.append(len(g)) or real_inertia_det(g))
+    size = lattice._gram_entry.cache_info().currsize
+    ext = gluing.extend(six, [(1,) * 6])
+    assert forms.discriminant_form(ext).size == 81 and abs(ext.det()) == 81
+    k3, sig = gluing.glue_with_signature(s0, t_prime, phi)
+    assert sig == (3, 19) and abs(k3.det()) == 1
+    assert divide(mixed, 2).det() * 2**5 == mixed.det()
+    assert eliminated == [] and lattice._gram_entry.cache_info().currsize == size
+
+
 def test_one_bareiss_per_block_gram(monkeypatch):
-    calls, inertia_det = [], exact.inertia_det
+    calls = Counter()
 
     def bareiss(m):
         raise AssertionError("Bareiss determinant called")
 
-    def elimination(m):
-        calls.append(m)
-        return inertia_det(m)
+    def counted(name):
+        real = getattr(exact, name)
+
+        def spy(m):
+            calls[name] += 1
+            return real(m)
+
+        return spy
 
     moved = random_basis_change(parse_lattice_expr("U+3A2+<-4>"), random.Random(5), 12)
     monkeypatch.setattr(exact, "determinant", bareiss)
-    monkeypatch.setattr(exact, "inertia_det", elimination)
-    lattice._block_elimination.cache_clear()
+    for name in ("is_symmetric", "components", "inertia_det"):
+        monkeypatch.setattr(exact, name, counted(name))
+    lattice._gram_entry.cache_clear()
     built = [make_lattice(moved.gram_rows()) for _ in range(4)]  # as tag, iso, control and brown build it
-    assert len(calls) == 1 and len(moved.orthogonal_split()) == 1
+    assert calls == Counter(is_symmetric=1, components=1, inertia_det=1)
+    assert len(moved.orthogonal_split()) == 1
+    assert all(l.orthogonal_split() == moved.orthogonal_split() for l in built)
     assert all(l.det() == moved.det() == 3 ** 3 * -4 * -1 for l in built)
     assert all(signature(l) == (1, 8) for l in built + [moved])  # the determinant's elimination serves it
-    assert len(calls) == 1
+    assert calls == Counter(is_symmetric=1, components=1, inertia_det=1)
     calls.clear()
     twelve = make_lattice(parse_lattice_expr("12A1").gram_rows())  # twelve equal blocks
-    assert len(calls) == 1 and twelve.det() == 2 ** 12 and signature(twelve) == (0, 12)
-    assert len(calls) == 1
+    assert len(twelve.orthogonal_split()) == 12 and twelve.det() == 2 ** 12 and signature(twelve) == (0, 12)
+    assert calls == Counter(is_symmetric=1, components=1, inertia_det=1)
 
 
 def test_degenerate_gram_raises_every_time():
-    lattice._block_elimination.cache_clear()
+    lattice._gram_entry.cache_clear()
     for gram in ([[2, 2], [2, 2]], lattice._block_gram([named("A2").gram, ((2, 2), (2, 2))])):
         for _ in range(2):
             with pytest.raises(ValueError, match="degenerate gram matrix"):
                 make_lattice(gram)
+
+
+def test_the_gram_memo_keeps_no_failure():
+    # with the memo warm, every build of a bad Gram matrix raises today's
+    # message, and one that is not square and symmetric leaves no entry
+    for text in ("U+3A2+<-4>", "A2+<-2>", "<1>", "2<2>"):
+        make_lattice(parse_lattice_expr(text).gram_rows())
+    builds = (make_lattice, lambda g: lattice.Lattice(tuple(map(tuple, g))))
+    for gram in ([[0, 1], [2, 0]], [[1, 2]], [[1], [2]], [[2, 1, 0], [1, 2, 0]], [[2, 0], [0, 2, 0]]):
+        size = lattice._gram_entry.cache_info().currsize
+        for build in builds * 2:
+            with pytest.raises(ValueError, match="^gram matrix not symmetric$"):
+                build(gram)
+        assert lattice._gram_entry.cache_info().currsize == size
+    for gram in ([[2, 2], [2, 2]], [[0]], lattice._block_gram([named("A2").gram, ((2, 2), (2, 2))])):
+        for build in builds * 2:
+            with pytest.raises(ValueError, match="^degenerate gram matrix$"):
+                build(gram)
 
 
 _RAW_GRAM_CHECKS = """
@@ -463,7 +513,7 @@ def test_invariants_memo_does_not_cache_errors():
 
 def test_memos_are_bounded():
     for fn in (stability.genus_tag, stability.invariants,
-               lattice._block_elimination, forms.jordan_record,
+               lattice._gram_entry, forms.jordan_record,
                lattice.parse_lattice_expr, lattice._term, tables._built, forms.normal_basis,
                forms.anti_iso_images, forms._anti_iso_order):
         assert fn.cache_info().maxsize == MEMO_SIZE == 1024
@@ -527,10 +577,10 @@ def test_signature_of_parsed_and_summed_lattices_matches_dense_inertia(text1, te
 
 
 def test_signature_of_a_block_and_of_a_sum_containing_it():
-    lattice._block_elimination.cache_clear()
+    lattice._gram_entry.cache_clear()
     assert signature(parse_lattice_expr("U+<-2>+A2")) == (1, 4)
     assert signature(named("<-2>")) == (0, 1)
-    lattice._block_elimination.cache_clear()
+    lattice._gram_entry.cache_clear()
     assert signature(named("<-2>")) == (0, 1)
     assert signature(parse_lattice_expr("2<-2>+U(3)")) == (1, 3)
 
