@@ -109,12 +109,8 @@ class FiniteQuadraticForm:
         return _fraction(self._pair(x, y) % self.n, self.n)
 
     def q(self, x) -> Fraction:
-        """q(x) = (sum g_ii x_i^2 + 2 sum_{i<j} g_ij x_i x_j) / n mod 2, in one frame for the element walks."""
-        diag, offs = self.entries
-        total = sum(map(mul, diag, map(mul, x, x)))
-        for i, j, g in offs:
-            total += 2 * g * x[i] * x[j]
-        return _fraction(total % (2 * self.n), self.n)
+        """q(x) = x gram x^T / n mod 2, the `q_numer` over n."""
+        return _fraction(self._pair(x, x) % (2 * self.n), self.n)
 
     def lift_vector(self, x) -> tuple[list[int], int]:
         """(w, n): the lift of x to the source lattice is w / n (when lifts are
@@ -704,7 +700,8 @@ def subgroup_order(f: FiniteQuadraticForm, gens) -> int:
 def is_isotropic_subgroup(f: FiniteQuadraticForm, gens) -> bool:
     """Whether q vanishes on <gens>: since q(sum c_i g_i) = sum c_i^2 q(g_i)
     + 2 sum_{i<j} c_i c_j b(g_i, g_j) mod 2, exactly when q does on each
-    generator and b on each pair."""
+    generator and b on each pair.  `_anti_iso_order` applies this rule to
+    the graph of a map, in the orthogonal sum of its two forms."""
     return all(f.q_numer(g) == 0 for g in gens) and all(
         f.b_numer(g, h) == 0 for g, h in itertools.combinations(gens, 2))
 
@@ -800,21 +797,15 @@ def _anti_iso_order(fsrc: FiniteQuadraticForm, src_gens: tuple[Element, ...], ft
     forms' values and the generators: the check reads orders, n and gram,
     never the lift columns, so forms that differ only in lifts share it.
 
-    Since q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j)
-    mod 2, q is negated on the whole span exactly when it is on each
-    generator and b is on each pair.  A generator of source order 1 only
-    enters the span with coefficient 0, so it is skipped.  With numerators
-    a over n_s and c over n_t, a/n_s + c/n_t vanishes mod 2 (for q) or mod 1
-    (for b) exactly when a*n_t + c*n_s does mod 2*n_s*n_t or mod n_s*n_t.
+    A map between subgroups negates q exactly when its graph is isotropic in
+    the orthogonal sum of the two forms (Nikulin 1979, §1.5), which
+    `is_isotropic_subgroup` checks on the graph's generators (g, t).  A
+    generator of source order 1 only enters the span with coefficient 0, so
+    it is skipped.
     """
-    ns, nt = fsrc.n, ftgt.n
-    pairs = [(g, t) for g, t in zip(src_gens, tgt_gens) if fsrc.element_order(g) > 1]
-    for i, (g, t) in enumerate(pairs):
-        if (fsrc.q_numer(g) * nt + ftgt.q_numer(t) * ns) % (2 * ns * nt):
-            return None
-        for g2, t2 in pairs[i + 1:]:
-            if (fsrc.b_numer(g, g2) * nt + ftgt.b_numer(t, t2) * ns) % (ns * nt):
-                return None
+    graph = [g + t for g, t in zip(src_gens, tgt_gens) if fsrc.element_order(g) > 1]
+    if not is_isotropic_subgroup(_orthogonal_sum((fsrc, ftgt), None), graph):
+        return None
     order = subgroup_order(fsrc, src_gens)
     return order if order == subgroup_order(ftgt, tgt_gens) else None
 
@@ -861,28 +852,14 @@ def build_anti_iso(src: FiniteQuadraticForm, tgt: FiniteQuadraticForm, p: int) -
 
 
 def render_form(f: FiniteQuadraticForm, ascii_mode: bool = False) -> str:
-    """Canonical text, prime by prime: an elementary 2- or 3-part as its
-    normal form, read off its p-adic symbol, else its orders, ascending.
-
-    (2, n, eps, 0, t) is a*u2 + b*v2 with a + b = n/2 and b = 1 exactly when
-    eps = -1; (2, n, eps, 1, t) is a*<1/2> + b*<-1/2> with a + b = n,
-    a - b = t mod 8 and a reduced mod 4; (3, n, eps) is a*<2/3> + b*<-2/3>
-    with a + b = n and a = 1 exactly when eps = -1.
-    """
+    """Canonical text, prime by prime: an elementary 2- or 3-part as the kinds
+    of its `normal_basis`, else its orders, ascending."""
+    names = {"e+": "⟨1/2⟩", "e-": "⟨-1/2⟩", "u2": "u2", "v2": "v2", "t+": "⟨2/3⟩", "t-": "⟨-2/3⟩"}
     parts = []
     for p in prime_factors_of_order(f):
         part = p_part(f, p)
         if p in (2, 3) and is_elementary(part, p):
-            ((_q, n, eps, *odd_t),) = jordan_symbol(f, p)
-            minus = int(eps == -1)
-            if p == 3:
-                names, a, b = ("⟨2/3⟩", "⟨-2/3⟩"), minus, n - minus
-            elif not odd_t[0]:
-                names, a, b = ("u2", "v2"), n // 2 - minus, minus
-            else:
-                a = (n + odd_t[1]) // 2 % 4
-                names, b = ("⟨1/2⟩", "⟨-1/2⟩"), n - a
-            parts += [names[0]] * a + [names[1]] * b
+            parts += [names[kind] for kind, _gens in normal_basis(part, p)]
         else:
             parts.append("+".join(f"Z/{d}" for d in sorted(part.orders)))
     text = "+".join(parts) if parts else "0"

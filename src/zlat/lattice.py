@@ -499,9 +499,10 @@ def _read(m: re.Match) -> tuple[tuple[tuple[int, ...], ...], int]:
 def parse_lattice_expr(text: str) -> Lattice:
     """Evaluate a lattice expression like "U(3)+2A2+A1" or "<2>+3<-6>".
 
-    Memoized on the text (a Lattice is immutable).  No term holds a '+': the
-    text splits into terms, and `_term` gives their parts, memoized per term,
-    so an expression costs its block sum.  Each atom, scaled or not, is
+    Memoized on the text (a Lattice is immutable), and named by the text
+    without its whitespace.  No term holds a '+': the text splits into
+    terms, and `_term` gives their parts, memoized per term, so an
+    expression costs its block sum.  Each atom, scaled or not, is
     connected, so the atoms are the blocks of the orthogonal split.  A text
     with a term `_term` rejects goes to `_reject`, which raises the
     `ExprError` of its first fault in the whole text.
@@ -510,7 +511,7 @@ def parse_lattice_expr(text: str) -> Lattice:
         parts = [part for piece in text.split("+") for part in _term(piece)]
     except ExprError:
         _reject(text)
-    return _block_sum(parts, render_expr(text))
+    return _block_sum(parts, "".join(text.split()))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -540,8 +541,3 @@ def _reject(text: str) -> NoReturn:
         _read(m)
         pos = m.end() + 1
     raise AssertionError(f"{text!r} has no fault")
-
-
-def render_expr(text: str) -> str:
-    """The text without its whitespace (`str.split` splits at every character `\\s` matches)."""
-    return "".join(text.split())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,21 +37,7 @@ def prettify_expr(expr: str) -> str:
 
 
 def prettify_code(code_text: str) -> str:
-    out = []
-    i = 0
-    while i < len(code_text):
-        ch = code_text[i]
-        if ch == "_":
-            i += 1
-            sub = ""
-            while i < len(code_text) and (code_text[i].isdigit() or code_text[i] == "-"):
-                sub += code_text[i]
-                i += 1
-            out.append(sub.translate(_SUBSCRIPTS))
-            continue
-        out.append({"<": "⟨", ">": "⟩"}.get(ch, ch))
-        i += 1
-    return "".join(out)
+    return prettify_expr(re.sub(r"_([0-9-]*)", lambda m: m[1].translate(_SUBSCRIPTS), code_text))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ integers.
 The element walkers go through every element of the (sub)group they are
 given, with `Fraction` arithmetic, exactly as the package did before it
 switched to Gram reduction mod p (for `is_anti_isomorphism`: to q on the
-generators and b on their pairs, as `forms._anti_iso_order` checks now).
+generators and b on their pairs, as `forms._anti_iso_order` now checks the
+map's graph in the orthogonal sum of its two forms).
 They are exponential in the rank, so tests call them on groups of size at
 most 2^8 or 3^5 only.
 
@@ -53,6 +54,10 @@ over the exponent: pairings, squares and lifts as reduced `Fraction`s.
 `discriminant_form` applies the package's block rule on its own: its own
 component search over the Gram matrix, a Smith form per block, lifts
 scattered back to the block's indices.
+
+`render_form` reads each elementary 2- or 3-part's normal form off its
+p-adic symbol, a count per kind, as the package did before it printed the
+kinds of `forms.normal_basis`.
 
 `block_form` is `forms.block_form` as the package had it before it took
 the pairings from the lift columns reduced mod their orders: the products
@@ -785,6 +790,37 @@ def jordan_brown(f) -> int:
     """Brown off the Jordan splitting of each whole p-part."""
     return sum(forms._block_brown(p, k, u) for p in prime_factors_of_order(f)
                for k, u, _rank in jordan_constituents(f, p)) % 8
+
+
+def render_form(f, ascii_mode: bool = False) -> str:
+    """`forms.render_form` with each elementary 2- or 3-part's normal form
+    read off its p-adic symbol.
+
+    (2, n, eps, 0, t) is a*u2 + b*v2 with a + b = n/2 and b = 1 exactly when
+    eps = -1; (2, n, eps, 1, t) is a*<1/2> + b*<-1/2> with a + b = n,
+    a - b = t mod 8 and a reduced mod 4; (3, n, eps) is a*<2/3> + b*<-2/3>
+    with a + b = n and a = 1 exactly when eps = -1.
+    """
+    parts = []
+    for p in prime_factors_of_order(f):
+        part = forms.p_part(f, p)
+        if p in (2, 3) and is_elementary(part, p):
+            ((_q, n, eps, *odd_t),) = forms.jordan_symbol(f, p)
+            minus = int(eps == -1)
+            if p == 3:
+                names, a, b = ("⟨2/3⟩", "⟨-2/3⟩"), minus, n - minus
+            elif not odd_t[0]:
+                names, a, b = ("u2", "v2"), n // 2 - minus, minus
+            else:
+                a = (n + odd_t[1]) // 2 % 4
+                names, b = ("⟨1/2⟩", "⟨-1/2⟩"), n - a
+            parts += [names[0]] * a + [names[1]] * b
+        else:
+            parts.append("+".join(f"Z/{d}" for d in sorted(part.orders)))
+    text = "+".join(parts) if parts else "0"
+    if ascii_mode:
+        text = text.replace("⟨", "q(").replace("⟩", ")")
+    return text
 
 
 def block_form(gram) -> FiniteQuadraticForm:

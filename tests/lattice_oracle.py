@@ -17,7 +17,7 @@ import math
 import re
 
 from zlat import exact
-from zlat.lattice import ExprError, Lattice, _with_det, direct_sum, make_lattice, named, render_expr, signature
+from zlat.lattice import ExprError, Lattice, _with_det, direct_sum, make_lattice, named, signature
 
 
 def rescale(l: Lattice, n: int) -> Lattice:
@@ -159,4 +159,4 @@ def parse_lattice_expr(text: str) -> Lattice:
         terms.append(parse_term())
         skip_ws()
     result = direct_sum(*terms)
-    return make_lattice(result.gram_rows(), render_expr(text))
+    return make_lattice(result.gram_rows(), "".join(text.split()))

@@ -584,6 +584,31 @@ def test_render_form_basis_invariant():
             assert render_form(discriminant_form(random_basis_change(l, rng, 2 * l.rank))) == want
 
 
+def test_render_form_matches_symbol_counts():
+    """The kinds of `normal_basis` print as the counts read off the p-adic
+    symbol (`oracle.render_form`), in both modes: every catalog sum of rank
+    <= 8, a seeded sample of random even lattices, and standard forms given
+    in normal form or not (4<1/2> prints as 4<-1/2>, 2v2 as 2u2)."""
+    from zlat.classify import block_multisets
+    from zlat.lattice import make_lattice
+
+    rng, grams = random.Random(36), []
+    while len(grams) < 300:
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        if 0 < abs(exact.determinant(g)) <= 5000:
+            grams.append(g)
+    fs = [discriminant_form(parse_lattice_expr("+".join(b))) for b in block_multisets(CATALOG, 8) if b]
+    fs += [discriminant_form(make_lattice(g)) for g in grams]
+    specs = ("4<1/2>", "5<1/2>", "3<1/2>+<-1/2>", "u2+<1/2>", "v2+<-1/2>", "2v2", "3v2+u2", "2<2/3>",
+             "3<2/3>+<-2/3>", "7<-1/2>", "6<1/2>+2<-1/2>")
+    fs += [standard_form(spec) for spec in specs]
+    for f in fs:
+        for ascii_mode in (False, True):
+            assert render_form(f, ascii_mode) == oracle.render_form(f, ascii_mode)
+
+
 # generator maps: subgroup orders and anti-isomorphisms against enumeration ----
 
 
