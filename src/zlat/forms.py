@@ -19,10 +19,11 @@ Brown and the Jordan constituents of each p-part come from one memoized
 (`discriminant_form`, `direct_sum_forms`) keeps its summands and their lift
 places and builds its gram, lifts and entries (off its summands' grams) on
 first read (a `lattice.LazyField`, no attribute hook); `brown` and
-`jordan_symbol` read the record of each summand, and a sum's p-parts and lift
-vectors are read off its summands too.  `brown` first splits a form without
-summands (raw input, `isotropic_quotient`, a p-part of one) into the
-components of its gram; `jordan_symbol` reads such a form's own record.
+`jordan_symbol` read the record of each summand, a form without summands
+(raw input, `isotropic_quotient`, a p-part of one) its own record.  A sum's
+p-parts and lift vectors are read off its summands too, and its lift
+columns off its lift vectors.  `p_part` checks a raw gram against its
+exponent, so `brown` and `jordan_symbol` reject the same malformed forms.
 Anti-isomorphisms are memoized per form value too: `anti_iso_images` and
 the `GlueMap` check `_anti_iso_order` read orders, n and gram, which form
 equality compares, never lift_cols, which it ignores; they return elements
@@ -216,7 +217,7 @@ def direct_sum_forms(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
 def _lift_width(f: FiniteQuadraticForm) -> int | None:
     """The length of f's lift columns, None when f records no lifts.  A sum's
     is read off its places, so that no lifts are built: it has lift columns
-    exactly when it has places and a generator (see `_summed`)."""
+    exactly when it has places and a generator (see `_sum_lifts`)."""
     if f.summands:
         return sum(map(len, f.places)) if f.places is not None and f.orders else None
     return None if f.lift_cols is None else len(f.lift_cols[0]) if f.lift_cols else 0
@@ -224,10 +225,10 @@ def _lift_width(f: FiniteQuadraticForm) -> int | None:
 
 def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
     """The orthogonal sum of the forms, held as its summands (those of a sum
-    in its place), their orders and n = lcm of theirs: `_summed` builds the
-    gram and the lifts, each on its first read.  places[i] lists the lattice
-    indices of form i's lift columns (together they index the whole
-    lattice), or is None."""
+    in its place), their orders and n = lcm of theirs: `_sum_gram` and
+    `_sum_lifts` build the gram and the lifts, each on its first read.
+    places[i] lists the lattice indices of form i's lift columns (together
+    they index the whole lattice), or is None."""
     summands, where = [], []
     for f, place in zip(forms, places or itertools.repeat(None)):
         summands += f.summands or (f,)
@@ -241,15 +242,29 @@ def _orthogonal_sum(forms, places) -> FiniteQuadraticForm:
 
 
 def _sum_gram(f: FiniteQuadraticForm) -> None:
-    object.__setattr__(f, "gram", _summed(f, False))
+    """A sum's gram: each summand's gram a diagonal block, rescaled by n / n_s
+    (which keeps it reduced), every row a tuple, the summand's own row (or
+    its rescaled copy) between two slices of one zero row."""
+    n, zeros, gram = f.n, (0,) * len(f.orders), []
+    for s in f.summands:
+        k, at = n // s.n, len(gram)
+        left, right = zeros[:at], zeros[at + len(s.orders):]
+        gram += [left + (row if k == 1 else tuple([x * k for x in row])) + right for row in s.gram]
+    object.__setattr__(f, "gram", tuple(gram))
 
 
 def _sum_lifts(f: FiniteQuadraticForm) -> None:
-    object.__setattr__(f, "lift_cols", _summed(f, True))
+    """A sum's lift columns, read off `lift_vector`: e_i lifts to
+    lift_cols[i] / d_i = w / n, so column i is w d_i / n.  None when the sum
+    has no generator (the empty sum too, which has no summands) or no lifts."""
+    cols = None
+    if f.orders and _lift_width(f) is not None:
+        cols = tuple([tuple([x // (f.n // d) for x in f.lift_vector(e)[0]]) for e, d in zip(f.units, f.orders)])
+    object.__setattr__(f, "lift_cols", cols)
 
 
 def _fill_entries(f: FiniteQuadraticForm) -> None:
-    """The summands' nonzero gram entries (a plain form's own), shifted and scaled as in `_summed`."""
+    """The summands' nonzero gram entries (a plain form's own), shifted and scaled as in `_sum_gram`."""
     diag, offs = [], []
     for s in f.summands or (f,):
         k, at, g = f.n // s.n, len(diag), s.gram
@@ -263,34 +278,6 @@ def _fill_entries(f: FiniteQuadraticForm) -> None:
 FiniteQuadraticForm.gram = LazyField("gram", _sum_gram)
 FiniteQuadraticForm.lift_cols = LazyField("lift_cols", _sum_lifts)
 FiniteQuadraticForm.entries = LazyField("entries", _fill_entries)
-
-
-def _summed(f: FiniteQuadraticForm, lifts: bool):
-    """The gram of a sum or, with `lifts`, its lift columns: each summand's
-    gram a diagonal block, rescaled by n / n_s (which keeps it reduced),
-    every row a tuple, the summand's own row (or its rescaled copy) between
-    two slices of one zero row; each lift column scattered to its summand's
-    place.  A sum of one summand in its own place shares the summand's gram
-    and lift columns."""
-    places = f.places
-    rank = sum(map(len, places)) if places else 0
-    if len(f.summands) == 1 and (not places or tuple(places[0]) == tuple(range(rank))):
-        return (places and f.summands[0].lift_cols or None) if lifts else f.summands[0].gram
-    if lifts:
-        cols = []
-        for s, place in zip(f.summands, places or ()):
-            for col in s.lift_cols or ():
-                w = [0] * rank
-                for i, x in zip(place, col):
-                    w[i] = x
-                cols.append(tuple(w))
-        return tuple(cols) or None
-    n, zeros, gram = f.n, (0,) * len(f.orders), []
-    for s in f.summands:
-        k, at = n // s.n, len(gram)
-        left, right = zeros[:at], zeros[at + len(s.orders):]
-        gram += [left + (row if k == 1 else tuple([x * k for x in row])) + right for row in s.gram]
-    return tuple(gram)
 
 
 # standard small forms -------------------------------------------------------
@@ -327,7 +314,10 @@ def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     c_i / p^k, so the lift columns are kept.  A p-group is its own p-part,
     and the p-part of a sum with a p-part is the sum of its summands' in
     their places (a summand of order prime to p adds the trivial form), so
-    it builds no dense gram or lifts."""
+    it builds no dense gram or lifts.  Otherwise its gram over the p-part pe
+    of n is m_a m_b g_ab / r for r = n / pe: on a valid form b and q on the
+    p-part lie in (1/pe)Z, so r divides each product; a gram off that
+    (malformed raw input) raises, naming p."""
     pe = math.gcd(f.n, p ** f.n.bit_length())  # the p-part of n
     idx = [i for i, d in enumerate(f.orders) if d % p == 0]
     if f.n == pe and len(idx) == f.ngens:
@@ -337,7 +327,10 @@ def p_part(f: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     orders = tuple([math.gcd(f.orders[i], pe) for i in idx])
     r = f.n // pe  # pe * x / f.n = x / r
     picked = [(i, f.orders[i] // pk) for i, pk in zip(idx, orders)]
-    gram = _reduced([[ma * mb * f.gram[i][j] // r for j, mb in picked] for i, ma in picked], pe)
+    products = [[ma * mb * f.gram[i][j] for j, mb in picked] for i, ma in picked]
+    if any(x % r for row in products for x in row):
+        raise ValueError(f"{p}-part gram is not divisible by n/{pe} = {r}")
+    gram = _reduced([[x // r for x in row] for row in products], pe)
     lift_cols = None if _lift_width(f) is None else tuple(f.lift_cols[i] for i in idx)
     return FiniteQuadraticForm(orders, pe, gram, lift_cols)
 
@@ -489,7 +482,8 @@ def jordan_record(orders: tuple[int, ...], n: int, gram: tuple[tuple[int, ...], 
     """(Brown, ((p, ((k, u, rank), ...)), ...)) of the form (orders, n, gram),
     memoized on that exact value, the one memo of Jordan data: per prime of
     n, ascending, the `_split` blocks of the p-part (a p-group is its own),
-    and the sum of their `_block_brown` in Z/8.  Raises on a degenerate form."""
+    and the sum of their `_block_brown` in Z/8.  Raises on a degenerate form
+    and, through `p_part`, on a gram off its exponent."""
     f = FiniteQuadraticForm(orders, n, gram)
     parts = tuple([(p, tuple([(k, u, len(idx)) for k, u, idx in _split(p_part(f, p), p, False)[1]]))
                    for p in _primes(n)])
@@ -627,27 +621,10 @@ def normal_basis(f: FiniteQuadraticForm, p: int) -> tuple[tuple[str, tuple[Eleme
 
 def brown(f: FiniteQuadraticForm) -> int:
     """The Brown invariant in Z/8, exact for every finite form: the sum of the
-    Brown fields of the `jordan_record`s of its orthogonal summands (Brown is
-    additive over orthogonal sums, Nikulin 1979, §1).  A form built as a sum
-    names its summands, each its own key.  A form without them is split into
-    the components of its gram, each restated over its own exponent n_c =
-    lcm of its orders, its gram divided by n/n_c (exactly, else ValueError),
-    so that equal summands of different forms share one record; a form of
-    one component is its own key."""
-    if f.summands:
-        return sum([jordan_record(s.orders, s.n, s.gram)[0] for s in f.summands]) % 8
-    n, orders, gram = f.n, f.orders, f.gram
-    comps = exact.components(gram)
-    if len(comps) == 1:
-        return jordan_record(orders, n, gram)[0]
-    total = 0
-    for c in comps:
-        sub = tuple([orders[i] for i in c])
-        s = n // math.lcm(*sub)
-        if s > 1 and math.gcd(*[gram[i][j] for i in c for j in c]) % s:
-            raise ValueError(f"summand gram is not divisible by n/n_c = {s}")
-        total += jordan_record(sub, n // s, tuple([tuple([gram[i][j] // s for j in c]) for i in c]))[0]
-    return total % 8
+    Brown fields of the `jordan_record`s of its orthogonal summands, or of
+    the form itself when it was not built as a sum (Brown is additive over
+    orthogonal sums, Nikulin 1979, §1): the records `jordan_symbol` reads."""
+    return sum([jordan_record(s.orders, s.n, s.gram)[0] for s in f.summands or (f,)]) % 8
 
 
 # element census and subgroups ---------------------------------------------------

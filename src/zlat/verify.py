@@ -64,7 +64,7 @@ def _random_even_lattice(rng, max_rank=6, bound=10, det_cap=4000):
             g[i][i] = 2 * rng.randint(-bound // 2, bound // 2)
             for j in range(i + 1, n):
                 g[i][j] = g[j][i] = rng.randint(-bound, bound)
-        d = exact.determinant(g)
+        d = exact.inertia_det(g)[3]  # g is symmetric
         if d != 0 and abs(d) <= det_cap:
             return make_lattice(g)
 

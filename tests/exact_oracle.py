@@ -6,6 +6,10 @@ divisions over Z, and Descartes' rule of signs on the (real-rooted)
 polynomial counts positive and negative eigenvalues.  It costs n products
 of integer matrices with growing entries.
 
+`determinant` is the Bareiss elimination the package kept for determinants
+before `inertia_det` carried them through the symmetric elimination: it
+also takes a matrix that is not symmetric.
+
 `dense_inertia` is the symmetric elimination the package used before its
 steps touched only the rows meeting the pivot: every step rebuilds the whole
 remainder as |d| times the Schur complement and divides it by its content.
@@ -73,6 +77,31 @@ def inertia(g) -> tuple[int, int, int]:
     if n_plus + n_minus + n_zero != n:
         raise ArithmeticError("characteristic polynomial is not real-rooted")
     return n_plus, n_zero, n_minus
+
+
+def determinant(m) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = copy_matrix(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def dense_inertia(g) -> tuple[int, int, int]:

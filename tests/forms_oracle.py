@@ -72,6 +72,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from exact_oracle import determinant
+
 from zlat import exact, forms
 from zlat.exact import identity, mat_mul, transpose
 from zlat.forms import (
@@ -619,7 +621,7 @@ def aut_g_delta_orders() -> tuple[int, int]:
     u = (1, 0, 0, 0, 0, 0)
     ws = [(1, 2, 0, 0, 0, 0), (1, 0, 2, 0, 0, 0), (1, 0, 0, 2, 0, 0), (1, 0, 0, 0, 2, 0)]
     mat = [list(delta), list(u)] + [list(w) for w in ws]
-    if dot(delta, u) == 0 or any(dot(w, delta) for w in ws) or exact.determinant(mat) % 3 == 0:
+    if dot(delta, u) == 0 or any(dot(w, delta) for w in ws) or determinant(mat) % 3 == 0:
         raise ValueError("(delta, u, w1..w4) is not a basis of (Z/3)^6 adapted to delta")
 
     elems = list(itertools.product(range(3), repeat=n))

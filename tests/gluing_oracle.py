@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from exact_oracle import determinant
+
 from zlat import exact
 from zlat.exact import hermite_normal_form
 from zlat.gluing import LatticeInvolution, eigenlattices
@@ -92,7 +94,7 @@ def glue_index_r2(inv: LatticeInvolution) -> int:
     n = inv.lattice.rank
     if len(h) != n:
         raise ValueError("eigenlattices do not span rationally")
-    det = exact.determinant(h)
+    det = determinant(h)
     index = abs(det)
     r2 = 0
     while index % 2 == 0:

@@ -4,6 +4,7 @@ import textwrap
 
 import exact_oracle
 import pytest
+from exact_oracle import determinant
 from forms_oracle import random_basis_change
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from zlat import exact
 from zlat.classify import BLOCK_RANK, CATALOG, block_multisets
 from zlat.exact import (
-    determinant,
     hermite_normal_form,
     hermite_normal_form_mod,
     identity,

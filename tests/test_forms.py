@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import exact_oracle
 import forms_oracle as oracle
 import pytest
 from forms_oracle import change_generators, form_on_generators, random_basis_change
@@ -303,7 +304,7 @@ def test_p_parts_orthogonal_and_sum():
             m[i][i] = 2 * rng.randint(-4, 4)
             for j in range(i + 1, n):
                 m[i][j] = m[j][i] = rng.randint(-4, 4)
-        if exact.determinant(m) == 0:
+        if exact_oracle.determinant(m) == 0:
             continue
         l = parse_lattice_expr("U")  # placeholder to reuse Lattice ctor
         from zlat.lattice import make_lattice
@@ -361,7 +362,7 @@ def test_quadratic_refinement_relations(m, xi, yi, n):
     g = [[m[i][j] + m[j][i] for j in range(3)] for i in range(3)]
     for i in range(3):
         g[i][i] = 2 * m[i][i]
-    if exact.determinant(g) == 0:
+    if exact_oracle.determinant(g) == 0:
         return
     f = discriminant_form(make_lattice(g))
     if f.size == 1:
@@ -557,7 +558,7 @@ def test_fingerprint_matches_oracle(m):
     from zlat.lattice import make_lattice
 
     g = [[m[i][j] + m[j][i] for j in range(3)] for i in range(3)]
-    det = exact.determinant(g)
+    det = exact_oracle.determinant(g)
     if det == 0 or abs(det) > 3000:
         return
     f = discriminant_form(make_lattice(g))
@@ -597,7 +598,7 @@ def test_render_form_matches_symbol_counts():
         n = rng.randint(1, 6)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-        if 0 < abs(exact.determinant(g)) <= 5000:
+        if 0 < abs(exact_oracle.determinant(g)) <= 5000:
             grams.append(g)
     fs = [discriminant_form(parse_lattice_expr("+".join(b))) for b in block_multisets(CATALOG, 8) if b]
     fs += [discriminant_form(make_lattice(g)) for g in grams]
@@ -823,7 +824,7 @@ def oracle_lattices(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
     g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-    det = exact.determinant(g)
+    det = exact_oracle.determinant(g)
     assume(det != 0 and abs(det) <= 3000)
     return make_lattice(g)
 
@@ -899,7 +900,7 @@ def test_block_form_matches_whole_matrix_smith_form(case):
     from zlat.forms import block_form
 
     l, names = case
-    assert l.det() == exact.determinant(l.gram_rows())
+    assert l.det() == exact_oracle.determinant(l.gram_rows())
     f, whole = discriminant_form(l), block_form(l.gram)
     assert f.size == whole.size == abs(l.det())
     for p in prime_factors_of_order(f):
@@ -1164,29 +1165,30 @@ def test_brown_rejects_a_degenerate_summand_of_a_sum():
                 brown(_permuted(f, perm))
 
 
-_INDIVISIBLE_SUMMAND = """
-from zlat.forms import FiniteQuadraticForm, brown
-# each summand on Z/3 or (Z/3)^2 has n/n_c = 6/3 = 2, but an odd entry: the square 5, the pairing 1
+_OFF_ITS_EXPONENT = """
+from zlat.forms import FiniteQuadraticForm, brown, jordan_symbol, p_part
+# the 3-part of each, on Z/3 or (Z/3)^2 with n/3 = 6/3 = 2, has an odd entry: the square 5, the pairing 1
 for f in (FiniteQuadraticForm((2, 3), 6, ((3, 0), (0, 5))),
           FiniteQuadraticForm((2, 3, 3), 6, ((3, 0, 0), (0, 4, 1), (0, 1, 4)))):
-    try:
-        brown(f)
-    except ValueError as e:
-        print(e)
+    for read in (brown, lambda f: jordan_symbol(f, 3), lambda f: p_part(f, 3)):
+        try:
+            print(read(f))
+        except ValueError as e:
+            print(e)
 """
 
 
-def test_brown_rejects_a_summand_off_its_exponent_under_python_O():
+def test_brown_and_the_symbols_reject_a_gram_off_its_exponent_under_python_O():
     import os
     import subprocess
     import sys
 
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     for flags in ([], ["-O"]):
-        out = subprocess.run([sys.executable, *flags, "-c", _INDIVISIBLE_SUMMAND], env=dict(os.environ, PYTHONPATH=src),
+        out = subprocess.run([sys.executable, *flags, "-c", _OFF_ITS_EXPONENT], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout == "summand gram is not divisible by n/n_c = 2\n" * 2
+        assert out.stdout == "3-part gram is not divisible by n/3 = 2\n" * 6
 
 
 @given(_PGROUPS, st.data())
@@ -1298,7 +1300,7 @@ def test_a_sum_walks_no_whole_matrix(monkeypatch):
     the benchmark's sweep runs them, never walk, check or build a whole Gram
     matrix, of the lattice or of its form, nor the form's lift columns: the
     blocks' memos answer.  Raw input is still checked in full."""
-    from zlat import forms, lattice
+    from zlat import lattice
     from zlat.classify import block_multisets
     from zlat.lattice import make_lattice
 
@@ -1325,10 +1327,12 @@ def test_a_sum_walks_no_whole_matrix(monkeypatch):
 
     sweep()  # builds the catalog atoms, each validated once
     calls = Counter()
-    # _block_gram lays out a block-built lattice's Gram matrix, _summed a sum
-    # form's gram and lifts, and the fill of the lazy field entries a form's entries
+    # _block_gram lays out a block-built lattice's Gram matrix, and the fills
+    # of the lazy fields gram, lift_cols and entries a sum form's gram and
+    # lifts and a form's entries
+    fields = vars(FiniteQuadraticForm)
     for module, name in ((exact, "components"), (exact, "is_symmetric"), (lattice, "_block_gram"),
-                         (forms, "_summed"), (vars(FiniteQuadraticForm)["entries"], "fill")):
+                         (fields["gram"], "fill"), (fields["lift_cols"], "fill"), (fields["entries"], "fill")):
         monkeypatch.setattr(module, name, counted(module, name))
     for memo in (lattice.parse_lattice_expr, jordan_record):
         memo.cache_clear()
@@ -1486,7 +1490,6 @@ def test_jordan_symbol_of_a_sum_reads_its_summands(monkeypatch):
     """The symbol of a sum, parsed or built by `direct_sum_forms` (flat or
     nested), is that of the whole form's own record and of the oracle's
     splitting of the whole p-part, and reading it builds no dense gram."""
-    from zlat import forms
     from zlat.classify import block_multisets
 
     texts = ["+".join(b) for b in block_multisets(CATALOG, 10)[5::89]] + [
@@ -1500,13 +1503,19 @@ def test_jordan_symbol_of_a_sum_reads_its_summands(monkeypatch):
         return parsed + flat + nested + [direct_sum_forms(nested[0], standard_form("<2/3>+u2"))]
 
     summed = Counter()
-    real = forms._summed
+    fields = vars(FiniteQuadraticForm)
 
-    def counted(f, lifts):
-        summed[len(f.orders), lifts] += 1
-        return real(f, lifts)
+    def counted(name):  # the fill of a sum's gram or lift columns
+        real = fields[name].fill
 
-    monkeypatch.setattr(forms, "_summed", counted)
+        def fill(f):
+            summed[len(f.orders), name] += 1
+            real(f)
+
+        return fill
+
+    for name in ("gram", "lift_cols"):
+        monkeypatch.setattr(fields[name], "fill", counted(name))
     jordan_record.cache_clear()
     lazy = sums()
     symbols = [{p: jordan_symbol(f, p) for p in (2, 3, 5, 7)} for f in lazy]
@@ -1522,7 +1531,6 @@ def test_p_parts_and_lifts_of_a_sum_read_its_summands(monkeypatch):
     places, and a sum's lift vectors add its summands' lift columns at their
     places: both equal the dense form's, and neither builds the sum's gram or
     lift columns."""
-    from zlat import forms
     from zlat.classify import block_multisets
     from zlat.lattice import direct_sum, make_lattice
 
@@ -1538,11 +1546,16 @@ def test_p_parts_and_lifts_of_a_sum_read_its_summands(monkeypatch):
     lazy = sums()
     elements = [[tuple(rng.randrange(d) for d in f.orders) for _ in range(3)] + list(f.units) for f in lazy]
     summed = Counter()
-    real = forms._summed
+    fields = vars(FiniteQuadraticForm)
 
-    def counted(f, lifts):
-        summed[lifts] += 1
-        return real(f, lifts)
+    def counted(name):  # the fill of a sum's gram or lift columns
+        real = fields[name].fill
+
+        def fill(f):
+            summed[name] += 1
+            real(f)
+
+        return fill
 
     def lifts(f, xs):
         try:
@@ -1550,7 +1563,8 @@ def test_p_parts_and_lifts_of_a_sum_read_its_summands(monkeypatch):
         except ValueError as e:
             return str(e)
 
-    monkeypatch.setattr(forms, "_summed", counted)
+    for name in ("gram", "lift_cols"):
+        monkeypatch.setattr(fields[name], "fill", counted(name))
     parts = [[p_part(f, p) for p in (2, 3, 5)] for f in lazy]
     vectors = [lifts(f, xs) for f, xs in zip(lazy, elements)]
     assert not summed and all(f.summands for f in lazy)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import exact_oracle
 import gluing_oracle
 import pytest
 from forms_oracle import random_basis_change
@@ -344,14 +345,14 @@ def test_overlattice_det_matches_bareiss(case):
     l, rows = case
     out = _outcome(_integer_overlattice, l, rows)
     if not isinstance(out, str):
-        assert out.det() == exact.determinant(out.gram_rows())
+        assert out.det() == exact_oracle.determinant(out.gram_rows())
 
 
 @given(two_elementary_glue_maps())
 @settings(max_examples=60, deadline=None)
 def test_glue_det_matches_bareiss(case):
     glued = glue(*case)
-    assert glued.det() == exact.determinant(glued.gram_rows())
+    assert glued.det() == exact_oracle.determinant(glued.gram_rows())
 
 
 @given(st.lists(st.sampled_from(CATALOG), min_size=1, max_size=4), st.randoms(use_true_random=False))
@@ -361,7 +362,7 @@ def test_extend_det_matches_bareiss(blocks, rng):
     f = forms.discriminant_form(l)
     isotropic = [x for x in f.elements() if f.q_numer(x) == 0] if f.size <= 5000 else [f.zero()]
     out = extend(l, [rng.choice(isotropic)] if f.ngens else [])
-    assert out.det() == exact.determinant(out.gram_rows())
+    assert out.det() == exact_oracle.determinant(out.gram_rows())
 
 
 # the signature of an overlattice by the congruence certificate ------------

@@ -2,11 +2,12 @@
 alone, only a listed few functions walk the elements of a group, every
 Lattice is validated, no module but `verify` calls the element fingerprints
 or uses floating point, no memo of a form reads its lifts, the memos stay
-under a ceiling, no module reads another module's private names, and no
-check is an `assert`."""
+under a ceiling, no module reads another module's private names, no
+check is an `assert`, and every function, class and method is used."""
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -434,3 +435,46 @@ def test_the_assert_rule_sees_nested_asserts():
     tree = ast.parse("assert x\nclass C:\n    def f(self):\n        if y:\n            assert y, 'm'\n"
                      "def g():\n    return lambda: None\n")
     assert _asserts(tree) == [1, 5]
+
+
+# every function, class and method the package defines is read somewhere in
+# the package or the benchmark (as a name, an attribute or an import) outside
+# its own definition; dunders are called by the interpreter
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "perfbench")
+
+
+def _reads(tree) -> Counter:
+    """The names the tree reads: names, attributes and imported names."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                   else node.name.split(".")[-1] for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def _unread_definitions(trees, defining):
+    """module.name of each function, class or method of the `defining`
+    modules whose name no tree reads outside its own definition."""
+    reads = sum(map(_reads, trees.values()), Counter())
+    return sorted(f"{module}.{node.name}" for module in defining for node in ast.walk(trees[module])
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and reads[node.name] == _reads(node)[node.name])
+
+
+def test_every_definition_is_read():
+    trees = {}
+    for where, prefix in ((SRC, ""), (PERFBENCH, "perfbench.")):
+        for fname in sorted(os.listdir(where)):
+            if fname.endswith(".py"):
+                with open(os.path.join(where, fname)) as fh:
+                    trees[prefix + fname[:-3]] = ast.parse(fh.read())
+    assert _unread_definitions(trees, [m for m in trees if not m.startswith("perfbench.")]) == []
+
+
+def test_the_unread_rule_sees_imports_and_self_reads():
+    trees = {"m": ast.parse("def f(x):\n    return f(x - 1) if x else g\ndef g():\n    return C().h\n"
+                            "class C:\n    def h(self):\n        return self.k\n    def k(self):\n        pass\n"
+                            "    def __eq__(self, other):\n        pass\ndef unused():\n    pass\n"),
+             "bench": ast.parse("from m import f\n")}
+    assert _unread_definitions(trees, ["m"]) == ["m.unused"]
+    del trees["bench"]
+    assert _unread_definitions(trees, ["m"]) == ["m.f", "m.unused"]

@@ -3,10 +3,10 @@ from functools import lru_cache
 
 import pytest
 import stability_oracle
+from exact_oracle import determinant
 
 from zlat import golden
 from zlat.classify import enumerate_ascending_t_pairs
-from zlat.exact import determinant
 from zlat.lattice import make_lattice, parse_lattice_expr, signature
 from zlat.stability import (
     _small_rank_certificate,
