@@ -93,6 +93,8 @@ def _half_rule(r: int, r2: int, d2: int, p: int, q: int) -> str | None:
         return "delta2 without 2-part"
     if r2 % 2 == 1 and d2 != 1:
         return "odd r2 forces delta2 = 1"
+    if d2 not in (0, 1):
+        return "delta2 out of range"
     if not (0 <= p <= 1 and 0 <= q <= 3):
         return "(p, q) out of range"
     if p + q > r:
@@ -130,12 +132,6 @@ def admissible_invariants() -> tuple[tuple[THalfInvariants, THalfInvariants], ..
                             inv = THalfInvariants(r, r2, d2, p, q)
                             out.append((inv, inv.complement()))
     return tuple(out)
-
-
-@lru_cache(maxsize=1)
-def admissible_first_halves() -> frozenset[THalfInvariants]:
-    """The first halves of `admissible_invariants`, as a set."""
-    return frozenset(pair[0] for pair in admissible_invariants())
 
 
 def admissible_rr2_pairs() -> list[tuple[int, int]]:
@@ -211,13 +207,13 @@ def _witness_index() -> MappingProxyType:
     return MappingProxyType(index)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def witness_lattice(inv: THalfInvariants) -> Lattice:
     """A hyperbolic even lattice over the block catalog with the given
     invariants: fewest summands first, then lexicographic on catalog order.
 
-    The winning candidate's invariants are recomputed from its Gram matrix
-    before it is returned.
+    The winning candidate is looked up in the `_witness_index` memo, and its
+    invariants are recomputed from its Gram matrix on every call (the parse
+    and `stability.invariants` memos make a repeat call cheap).
     """
     names = _witness_index().get((inv.r, 1, inv.r2, inv.delta2, inv.p, inv.q))
     if names is None:

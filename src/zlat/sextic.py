@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import TPair, admissible_first_halves, reversion_partner
+from .classify import TPair, half_violation
 
 OvalGroups = tuple[tuple[int, int], ...]  # (count, signed pair count)
 
@@ -63,12 +63,11 @@ def general_code(outer, ambient, inner) -> CompleteCode:
     return CompleteCode("general", _sorted_groups(outer), ambient, inner_t)
 
 
-def render_code(code: CompleteCode, ascii_mode: bool = False) -> str:
-    lo, hi = ("<", ">")
+def render_code(code: CompleteCode) -> str:
     if code.kind == "null":
         return "0"
     if code.kind == "nest3":
-        return f"1{lo}1{lo}1{hi}{hi}"
+        return "1<1<1>>"
 
     def group_text(count, k):
         return f"{count}" if k == 0 else f"{count}_{k}"
@@ -77,7 +76,7 @@ def render_code(code: CompleteCode, ascii_mode: bool = False) -> str:
     if code.ambient is not None:
         inner = "+".join(group_text(c, k) for c, k in code.inner)
         amb = "1" if code.ambient == 0 else f"1_{code.ambient}"
-        parts.append(f"{amb}{lo}{inner}{hi}")
+        parts.append(f"{amb}<{inner}>")
     return "+".join(parts)
 
 
@@ -115,9 +114,11 @@ class CubicTopology:
 def topology_from_t_half(inv) -> tuple[int, tuple, str, str, int]:
     """(oval count, shape, type, o, nu_r) of the sextic attached to T+.
 
-    shape is ("null",), ("nest3",) or ("general", alpha, beta).
+    shape is ("null",), ("nest3",) or ("general", alpha, beta).  The
+    invariants must be a census first half: they and their `complement`
+    pass `half_violation`, the rule `admissible_invariants` walks.
     """
-    if inv not in admissible_first_halves():
+    if half_violation(inv) is not None or half_violation(inv.complement()) is not None:
         raise ValueError(f"invariants {inv} are outside the enumerated census")
     r, r2, d2, p, q = inv.r, inv.r2, inv.delta2, inv.p, inv.q
     if (r, r2, d2) == (4, 4, 0) and (p, q) in ((1, 0), (0, 3)):
@@ -138,7 +139,7 @@ def topology_from_t_half(inv) -> tuple[int, tuple, str, str, int]:
 # ---------------------------------------------------------------------------
 # the cusp rule engine
 
-def cusp_distributions(shape, nu_r: int, o: str, curve_type: str) -> list[CompleteCode]:
+def cusp_distributions(shape, nu_r: int, o: str) -> list[CompleteCode]:
     """All assignments of nu_r cusp pairs to the ovals of the shape that
     satisfy the arrangement constraints; returned exhaustively, never
     resolved by guessing."""
@@ -167,7 +168,7 @@ def _general_distributions(alpha: int, beta: int, nu_r: int, o: str) -> list[Com
         for parts in _partitions(nu_r, n, 1, 3):  # all ovals cuspidal
             groups = [(parts.count(k), k) for k in set(parts)]
             out.append(general_code(tuple(groups), None, ()))
-        if n >= 1 and nu_r == alpha and nu_r >= 0:
+        if nu_r == alpha:
             for parts in _partitions(nu_r, n - 1, 1, 3):
                 groups = [(parts.count(k), k) for k in set(parts)] + [(1, 0)]
                 code = general_code(tuple(groups), None, ())
@@ -274,32 +275,24 @@ def _code_is_realizable(code: CompleteCode) -> bool:
 # IDs and cubic topology
 
 def id_from_t_pair(pair: TPair) -> SexticID:
-    """Compose the shape translation with the cusp engine; a non-singleton
-    distribution set is resolved by transferring the partner's ID through
-    reversion, and anything still ambiguous is an error."""
+    """Compose the shape translation of T+ with the cusp engine: the ID is
+    the engine's one distribution, and none or several raise.  The partner
+    is not read; every census pair has exactly one distribution."""
     _ell, shape, curve_type, o, nu_r = topology_from_t_half(pair.t_plus)
-    candidates = cusp_distributions(shape, nu_r, o, curve_type)
+    candidates = cusp_distributions(shape, nu_r, o)
     if len(candidates) == 1:
         return SexticID(candidates[0], curve_type, o)
     if not candidates:
         raise ValueError(f"no admissible cusp distribution for pair {pair.table_ref}")
-    partner = reversion_partner(pair)
-    if partner is not None:
-        _pe, pshape, ptype, po, pnu = topology_from_t_half(partner.t_plus)
-        pcands = cusp_distributions(pshape, pnu, po, ptype)
-        if len(pcands) == 1:
-            transferred = reversion_code(pcands[0])
-            if transferred in candidates:
-                return SexticID(transferred, curve_type, o)
     raise ValueError(
         f"ambiguous cusp distribution for pair {pair.table_ref}: "
         + ", ".join(render_code(c) for c in candidates)
     )
 
 
-def cubic_topology(sid: SexticID, nu_r: int) -> CubicTopology:
+def cubic_topology(sid: SexticID) -> CubicTopology:
     """Euler characteristic and handle count of the real cubic surface."""
-    code = sid.code
+    code, nu_r = sid.code, sid.nu_r
     if code.kind == "null":
         chi = 1 if sid.o == "-" else 3
     elif code.kind == "nest3":

@@ -76,7 +76,7 @@ def _code_tree(code) -> dict:
 
 def id_record(pair: TPair) -> dict:
     sid = id_from_t_pair(pair)
-    top = cubic_topology(sid, sid.nu_r)
+    top = cubic_topology(sid)
     return {
         "code": render_code(sid.code),
         "codeTree": _code_tree(sid.code),

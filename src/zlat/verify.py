@@ -483,13 +483,13 @@ def check_ids_match_golden():
 
 def check_distributions_singleton():
     for pair in enumerate_ascending_t_pairs():
-        _ell, shape, ctype, o, nur = topology_from_t_half(pair.t_plus)
-        cands = cusp_distributions(shape, nur, o, ctype)
+        _ell, shape, _ctype, o, nur = topology_from_t_half(pair.t_plus)
+        cands = cusp_distributions(shape, nur, o)
         if len(cands) != 1:
             partner = reversion_partner(pair)
             if partner is None:
                 return False, f"non-singleton without partner at {pair.table_ref}"
-            id_from_t_pair(pair)  # must resolve through the partner
+            id_from_t_pair(pair)  # raises "ambiguous cusp distribution": an ID reads T+ alone
     return True, "cusp distribution singleton or partner-resolvable on every census entry"
 
 

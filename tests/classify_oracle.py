@@ -115,6 +115,8 @@ def half_violation(inv: THalfInvariants) -> str | None:
         return "delta2 without 2-part"
     if r2 % 2 == 1 and d2 != 1:
         return "odd r2 forces delta2 = 1"
+    if d2 not in (0, 1):
+        return "delta2 out of range"
     if not (0 <= p <= 1 and 0 <= q <= 3):
         return "(p, q) out of range"
     if p + q > r:

@@ -148,7 +148,7 @@ def test_criterion_09_id_tables():
         got = (simple_code_text(sid.code), sid.nu_r, render_code(sid.code), sid.curve_type, sid.o)
         assert got == ref[pair.table_ref], (pair.table_ref, got)
         _ell, shape, ctype, o, nur = topology_from_t_half(pair.t_plus)
-        cands = cusp_distributions(shape, nur, o, ctype)
+        cands = cusp_distributions(shape, nur, o)
         assert len(cands) == 1 or reversion_partner(pair) is not None
         partner = reversion_partner(pair)
         if partner is not None and sid.code.kind != "null":

@@ -622,6 +622,15 @@ def test_admissible_invariants_match_the_object_loop():
         assert half_violation(inv.complement()) == classify_oracle.half_violation(inv.complement()), inv
 
 
+def test_delta2_outside_0_1_violates_the_half_rule():
+    assert half_violation(THalfInvariants(4, 2, 2, 0, 0)) == "delta2 out of range"
+    # no point with delta2 in {-1, 2, 3} passes on its half, whatever else it has
+    for key in itertools.product(range(1, 9), range(9), (-1, 2, 3), (0, 1), range(4)):
+        inv = THalfInvariants(*key)
+        assert half_violation(inv) is not None and pair_violation(inv) is not None, inv
+        assert half_violation(inv) == classify_oracle.half_violation(inv), inv
+
+
 def test_golden_rows_with_equal_invariants_are_rejected(monkeypatch):
     refs = classify._golden_row_lookup()
     assert len(refs) == len(golden.TABLE_8A) + len(golden.TABLE_8B) + len(golden.TABLE_8C) == 68
@@ -682,7 +691,7 @@ _IMPORT_ONLY = """
 import json
 import zlat.cli
 from zlat import classify
-memos = ("admissible_invariants", "_witness_index", "witness_lattice", "_block_data", "enumerate_ascending_t_pairs")
+memos = ("admissible_invariants", "_witness_index", "_block_data", "enumerate_ascending_t_pairs")
 print(json.dumps({name: getattr(classify, name).cache_info().currsize for name in memos}))
 """
 

@@ -1,11 +1,11 @@
+import itertools
 import re
 
 import pytest
 
-from zlat import golden
+from zlat import classify, golden, sextic
 from zlat.classify import (
     THalfInvariants,
-    admissible_first_halves,
     admissible_invariants,
     enumerate_ascending_t_pairs,
     pair_by_ref,
@@ -101,8 +101,8 @@ def test_topology_nest3():
 def test_topology_rejects_outside_census():
     with pytest.raises(ValueError, match="outside"):
         topology_from_t_half(THalfInvariants(8, 0, 0, 1, 0))
-    first = admissible_first_halves()
-    assert first == {pair[0] for pair in admissible_invariants()} and len(first) == 68
+    first = {pair[0] for pair in admissible_invariants()}
+    assert len(first) == 68
     # second halves that are no first half, and invariants no pair has
     outside = sorted({pair[1] for pair in admissible_invariants()} - first)
     assert outside
@@ -112,20 +112,55 @@ def test_topology_rejects_outside_census():
             topology_from_t_half(inv)
 
 
+def test_topology_raises_exactly_off_the_census_first_halves():
+    # a grid wider than the census on every coordinate: the rule answers as
+    # the set of first halves does
+    first = {pair[0] for pair in admissible_invariants()}
+    seen = 0
+    for key in itertools.product(range(10), range(-1, 10), range(-1, 4), range(-1, 3), range(-1, 5)):
+        inv = THalfInvariants(*key)
+        if inv in first:
+            topology_from_t_half(inv)
+            seen += 1
+        else:
+            with pytest.raises(ValueError, match="outside the enumerated census"):
+                topology_from_t_half(inv)
+    assert seen == 68
+
+
 def test_cusp_distribution_singletons_from_the_paper():
     # proofs of the missing cases: 1<2> with one pair must be 1_1<2>
-    dist = cusp_distributions(("general", 0, 2), 1, "-", "II")
+    dist = cusp_distributions(("general", 0, 2), 1, "-")
     assert [render_code(c) for c in dist] == ["1_1<2>"]
-    dist = cusp_distributions(("general", 2, 2), 2, "-", "II")
+    dist = cusp_distributions(("general", 2, 2), 2, "-")
     assert [render_code(c) for c in dist] == ["2_1+1<2>"]
-    dist = cusp_distributions(("general", 2, 0), 3, "-", "I")
+    dist = cusp_distributions(("general", 2, 0), 3, "-")
     assert [render_code(c) for c in dist] == ["3_1"]
 
 
 def test_cusp_distribution_nonsingleton_outside_census():
     # outside the census the full candidate set is returned, not resolved
-    dist = cusp_distributions(("general", 3, 0), 2, "-", "II")
+    dist = cusp_distributions(("general", 3, 0), 2, "-")
     assert len(dist) != 1 or dist == []
+
+
+def test_every_census_pair_has_one_cusp_distribution():
+    for pair in enumerate_ascending_t_pairs():
+        _ell, shape, _ctype, o, nu_r = topology_from_t_half(pair.t_plus)
+        assert len(cusp_distributions(shape, nu_r, o)) == 1, pair.table_ref
+
+
+def test_an_ambiguous_distribution_raises_without_a_root_search(monkeypatch):
+    # an ID reads T+ alone: two candidates raise, and no reversion root is sought
+    two = [parse_code("3_1+1<1>"), parse_code("2_1+1<1_1>")]
+    searched = []
+    monkeypatch.setattr(sextic, "cusp_distributions", lambda *args: two)
+    monkeypatch.setattr(classify, "find_reversion_root", lambda pair: searched.append(pair))
+    pair = pair_by_ref("8B:1")
+    assert pair.reversible
+    with pytest.raises(ValueError, match=re.escape("ambiguous cusp distribution for pair 8B:1: 3_1+1<1>, 2_1+1<1_1>")):
+        id_from_t_pair(pair)
+    assert searched == []
 
 
 def test_render_and_parse_roundtrip():
@@ -203,16 +238,16 @@ def test_lefschetz_reconstruction():
 
 
 def test_cubic_topology_cases():
-    assert cubic_topology(id_from_t_pair(pair_by_ref("8B:31")), 0).chi == 1  # null, o = -
-    assert cubic_topology(id_from_t_pair(pair_by_ref("8C:31")), 0).chi == 3  # null, o = +
+    assert cubic_topology(id_from_t_pair(pair_by_ref("8B:31"))).chi == 1  # null, o = -
+    assert cubic_topology(id_from_t_pair(pair_by_ref("8C:31"))).chi == 3  # null, o = +
     nest_minus = id_from_t_pair(pair_by_ref("8B:17"))
-    assert cubic_topology(nest_minus, 0).chi == 3
+    assert cubic_topology(nest_minus).chi == 3
     nest_plus = id_from_t_pair(pair_by_ref("8C:17"))
-    assert cubic_topology(nest_plus, 0) .chi == 1
-    assert cubic_topology(nest_plus, 0).handles == 0
+    assert cubic_topology(nest_plus).chi == 1
+    assert cubic_topology(nest_plus).handles == 0
     # code 3_1+1<1>: o = -, alpha 3, beta 1, nu_r 3 -> chi = 3 + 4 - 6 = 1
     sid = id_from_t_pair(pair_by_ref("8B:1"))
-    assert cubic_topology(sid, sid.nu_r).chi == 1
+    assert sid.nu_r == 3 and cubic_topology(sid).chi == 1
 
 
 def test_reversion_involution_on_census():
