@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from . import exact, forms, golden, stability
+from . import forms, golden, stability
 from .forms import GlueMap
 from .gluing import eigenlattices, glue, glue_involution, glue_with_signature
 from .lattice import (
@@ -21,6 +21,7 @@ from .lattice import (
     Lattice,
     direct_sum,
     extension_by_fraction,
+    make_lattice,
     named,
     orthogonal_complement,
     parse_lattice_expr,
@@ -296,7 +297,10 @@ def reversion_partner(pair: TPair) -> TPair | None:
 
     Existence is decided by the invariant lookup (the census is complete);
     for reversible pairs the reversion root is also found constructively in
-    the witness of the second half and the partnership relations checked.
+    the witness of the second half and the partnership relations checked:
+    the root's `_root_complement` has the invariants of the partner's first
+    half, and A1 + the first half those of its second half.  No
+    discriminant form is built.
     """
     if not pair.reversible:
         # the census is complete, so absence of the partner invariants proves
@@ -307,28 +311,48 @@ def reversion_partner(pair: TPair) -> TPair | None:
     root = find_reversion_root(pair)
     if root is None:
         raise ValueError(f"census says reversible but no root found for pair {pair.table_ref}")
-    t2 = pair.witness_minus
-    comp = orthogonal_complement(sublattice(t2, [list(root)]))
-    if stability.invariants(comp.as_lattice()) != partner.t_plus.key():
+    if stability.invariants(_root_complement(pair.witness_minus, root)) != partner.t_plus.key():
         raise ValueError(f"pair {pair.table_ref}: the root complement is not the partner's plus half")
     if stability.invariants(direct_sum(A1, pair.witness_plus)) != partner.t_minus.key():
         raise ValueError(f"pair {pair.table_ref}: A1 + plus half is not the partner's minus half")
     return partner
 
 
+def _root_complement(l: Lattice, v) -> Lattice:
+    """v-perp in l, on the blocks of `Lattice.orthogonal_split` that v meets.
+
+    With l = (+)B and v supported on the blocks S, v-perp is the complement
+    of v in the sum of S (its principal submatrix of l.gram) plus every
+    block outside S unchanged: a root inside one A1 has the other blocks
+    as its complement."""
+    met, rest = [], []
+    for idx, block in l.orthogonal_split():
+        if any(v[i] for i in idx):
+            met += idx
+        else:
+            rest.append(make_lattice(block))
+    met.sort()
+    g = l.gram
+    ambient = make_lattice([[g[i][j] for j in met] for i in met])
+    comp = orthogonal_complement(sublattice(ambient, [[v[i] for i in met]]))
+    return direct_sum(*([comp.as_lattice()] if comp.rank else []), *rest)
+
+
 def find_reversion_root(pair: TPair) -> tuple[int, ...] | None:
     """Search the witness of T2 for an even (-2)-element whose half-class is
-    characteristic in discr_2 exactly when delta2(T1) = 0.
+    characteristic on the 2-torsion of discr exactly when delta2(T1) = 0.
 
     Components are assembled block by block (the even-pairing condition is
     blockwise); the norm window widens when a presentation spreads its roots
-    out, e.g. U(3)+<-6>+D4 needs the split 24 - 6 - 20.
+    out, e.g. U(3)+<-6>+D4 needs the split 24 - 6 - 20.  The half-class
+    test reads the witness's Gram matrix mod 4 on one F_2-basis of the
+    kernel of its Gram matrix mod 2 (`_kernel_basis_mod2`), computed once
+    per call; no discriminant form is built.
     """
     t2 = pair.witness_minus
     want_char = pair.t_plus.delta2 == 0
     blocks = catalog_blocks(t2.expr)
-    f = forms.discriminant_form(t2)
-    gens2 = _two_part_generators(f)
+    basis = _kernel_basis_mod2(t2.gram)
     for cap, box in ((8, 2), (24, 3), (48, 4)):
         per_block = [_root_components(name, cap, box) for name in blocks]
         order = sorted(range(len(per_block)), key=lambda i: len(per_block[i]))
@@ -345,30 +369,33 @@ def find_reversion_root(pair: TPair) -> tuple[int, ...] | None:
                 g = math.gcd(g, c)
             if g != 1:
                 continue  # not primitive (also rejects the zero vector)
-            if _half_class_is_characteristic(f, t2, v, gens2) == want_char:
+            if _half_class_is_characteristic(t2, v, basis) == want_char:
                 return tuple(v)
     return None
 
 
 def _norm_assemblies(per_block, order, target):
-    """Yield tuples of (coords, norm) per block with total norm == target."""
+    """Yield tuples of (coords, norm) per block with total norm == target.
+
+    The blocks are chosen in `order`; the least and greatest norms the
+    blocks after the k-th can add are summed once per call."""
     n = len(per_block)
-    mins = [min(nrm for _c, nrm in cands) for cands in per_block]
-    maxs = [max(nrm for _c, nrm in cands) for cands in per_block]
+    cands = [per_block[i] for i in order]
+    mins = [min(nrm for _c, nrm in c) for c in cands]
+    maxs = [max(nrm for _c, nrm in c) for c in cands]
+    rest_min = [sum(mins[k:]) for k in range(n + 1)]
+    rest_max = [sum(maxs[k:]) for k in range(n + 1)]
 
     def rec(k, acc, chosen):
         if k == n:
             if acc == target:
                 yield tuple(chosen)
             return
-        i = order[k]
-        rest_min = sum(mins[order[j]] for j in range(k + 1, n))
-        rest_max = sum(maxs[order[j]] for j in range(k + 1, n))
-        for cand in per_block[i]:
-            total = acc + cand[1]
-            if total + rest_min <= target <= total + rest_max:
+        lo, hi = target - rest_max[k + 1], target - rest_min[k + 1]
+        for cand in cands[k]:
+            if lo <= acc + cand[1] <= hi:
                 chosen.append(cand)
-                yield from rec(k + 1, total, chosen)
+                yield from rec(k + 1, acc + cand[1], chosen)
                 chosen.pop()
 
     for combo_ordered in rec(0, 0, []):
@@ -399,33 +426,56 @@ def _root_components(name: str, cap: int = 8, box: int = 2):
     return tuple(out)
 
 
+def _kernel_basis_mod2(gram) -> list[tuple[int, ...]]:
+    """An F_2-basis of {u in F_2^n : u*G = 0 mod 2} for the symmetric G, one
+    vector per free column of the reduced row echelon form of G mod 2.
+
+    u/2 lies in L* exactly when u*G is even, and in L exactly when u is, so
+    u -> [u/2] maps this kernel onto the 2-torsion of discr(L)."""
+    n = len(gram)
+    rows = [[x % 2 for x in row] for row in gram]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        u = [0] * n
+        u[free] = 1
+        for row, c in zip(rows, pivots):
+            u[c] = row[free]
+        basis.append(tuple(u))
+    return basis
+
+
 def _kernel_mod2(l: Lattice) -> list[tuple[int, ...]]:
-    """Every u in F_2^n with u*G = 0 mod 2: u/2 then lies in L*, so u is
-    twice the lift of an element of the 2-torsion of discr(L) mod 2, and the
-    kernel is the F_2-span of twice the lifts of `_two_part_generators`."""
-    f = forms.discriminant_form(l)
+    """Every u in F_2^n with u*G = 0 mod 2: the F_2-span of `_kernel_basis_mod2`."""
     kernel = [(0,) * l.rank]
-    for h in _two_part_generators(f):
-        w, m = f.lift_vector(h)
-        u = [2 * x // m % 2 for x in w]
+    for u in _kernel_basis_mod2(l.gram):
         kernel += [tuple(a ^ b for a, b in zip(k, u)) for k in kernel]
     return kernel
 
 
-def _two_part_generators(f: forms.FiniteQuadraticForm):
-    return [f.smul(d // 2, e) for d, e in zip(f.orders, f.units) if d % 2 == 0]
+def _half_class_is_characteristic(l: Lattice, v, basis) -> bool:
+    """Whether [v/2] pairs as x -> q(x) mod Z on the 2-torsion of discr(l),
+    for v with v*G even and `basis` from `_kernel_basis_mod2`.
 
-
-def _half_class_is_characteristic(f, l: Lattice, v, gens2) -> bool:
-    """Whether [v/2] pairs as x -> q(x) mod Z on the 2-part of discr.
-
-    With lift(h) = w/n and q(h) = a/n, the test v.G.w / (2n) = a/n mod Z
-    reads v.G.w = 2a mod 2n.
+    For x = [u/2], b(v/2, x) - q(x) = (v.G.u - u.G.u) / 4 mod 1 (Nikulin
+    1979, §1), which depends on u mod 2 only and is additive in u, since
+    q(x + y) = q(x) + q(y) mod 1 on 2-torsion.  So the test is
+    (v - u).G.u = 0 mod 4 for each u of the basis.
     """
-    vg = exact.mat_mul([list(v)], l.gram_rows())[0]
-    for h in gens2:
-        w, n = f.lift_vector(h)
-        if (sum(a * x for a, x in zip(vg, w)) - 2 * f.q_numer(h)) % (2 * n):
+    g = l.gram
+    for u in basis:
+        gu = [sum(map(operator.mul, row, u)) for row in g]
+        if sum(map(operator.mul, map(operator.sub, v, u), gu)) % 4:
             return False
     return True
 

@@ -81,9 +81,6 @@ class FiniteQuadraticForm:
     def add(self, x, y) -> Element:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
-    def smul(self, n: int, x) -> Element:
-        return tuple((n * a) % d for a, d in zip(x, self.orders))
-
     def elements(self):
         return itertools.product(*[range(d) for d in self.orders])
 

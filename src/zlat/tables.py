@@ -75,7 +75,11 @@ def _code_tree(code) -> dict:
 
 
 def id_record(pair: TPair) -> dict:
-    sid = id_from_t_pair(pair)
+    return _id_fields(pair, id_from_t_pair(pair))
+
+
+def _id_fields(pair: TPair, sid) -> dict:
+    """`id_record` of the pair whose ID is sid."""
     top = cubic_topology(sid)
     return {
         "code": render_code(sid.code),
@@ -125,9 +129,9 @@ def _id_table(prefix: str, fixture, with_o: bool) -> Table:
     def build():
         rows, payload = [], []
         for pair in _census_refs(prefix):
-            rec = id_record(pair)
-            simple = simple_code_text(id_from_t_pair(pair).code)
-            rows.append([simple, str(rec["nuR"])] + [rec[c] for c in columns])
+            sid = id_from_t_pair(pair)
+            rec = _id_fields(pair, sid)
+            rows.append([simple_code_text(sid.code), str(rec["nuR"])] + [rec[c] for c in columns])
             payload.append(rec)
         return rows, payload
 

@@ -486,11 +486,8 @@ def check_distributions_singleton():
         _ell, shape, _ctype, o, nur = topology_from_t_half(pair.t_plus)
         cands = cusp_distributions(shape, nur, o)
         if len(cands) != 1:
-            partner = reversion_partner(pair)
-            if partner is None:
-                return False, f"non-singleton without partner at {pair.table_ref}"
-            id_from_t_pair(pair)  # raises "ambiguous cusp distribution": an ID reads T+ alone
-    return True, "cusp distribution singleton or partner-resolvable on every census entry"
+            return False, f"{len(cands)} cusp distributions at {pair.table_ref}"
+    return True, "one cusp distribution on every census entry"
 
 
 def check_reversion_involution_ids():

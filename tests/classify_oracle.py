@@ -19,13 +19,18 @@ rules, as the census does on integer keys.
 
 `golden_row_lookup` keys the golden T1 rows as the package did before it
 summed their blocks' data: each T1 text parsed and genus-tagged.
+
+`half_class_is_characteristic` is the half-class test of the reversion
+root search as the package ran it before the test moved to the Gram matrix
+mod 4: on the discriminant form of the lattice, v.G.w = 2a mod 2n for the
+lift w/n and the square a/n of each generator of its 2-torsion.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from zlat import classify, golden, stability
+from zlat import classify, exact, forms, golden, stability
 from zlat.classify import (
     BLOCK_RANK,
     CATALOG,
@@ -61,6 +66,17 @@ def root_components(name: str, cap: int = 8, box: int = 2):
             out.append((coords, norm))
     out.sort(key=lambda cn: (cn[1] != -2, cn[0] != tuple([0] * n), cn[0]))
     return tuple(out)
+
+
+def half_class_is_characteristic(l, v) -> bool:
+    """Whether [v/2] pairs as x -> q(x) mod Z on the 2-torsion of discr(l), for v with v*G even."""
+    f = forms.discriminant_form(l)
+    vg = exact.mat_mul([list(v)], l.gram_rows())[0]
+    for h in (tuple(d // 2 * c for c in e) for d, e in zip(f.orders, f.units) if d % 2 == 0):
+        w, n = f.lift_vector(h)
+        if (sum(a * x for a, x in zip(vg, w)) - 2 * f.q_numer(h)) % (2 * n):
+            return False
+    return True
 
 
 def combined_invariants(names: list[str]):

@@ -117,6 +117,11 @@ def form_on_generators(orders, bil, quad) -> FiniteQuadraticForm:
     return FiniteQuadraticForm(orders, n, _reduced(gram, n))
 
 
+def smul(f, n: int, x):
+    """n x in the group of f."""
+    return tuple((n * a) % d for a, d in zip(x, f.orders))
+
+
 # the integer representation, evaluated by loops --------------------------------
 
 def b_numer(f, x, y) -> int:
@@ -336,7 +341,7 @@ class Span:
         for coeffs in itertools.product(range(self.p), repeat=self.dim):
             x = f.zero()
             for c, g in zip(coeffs, self.gens):
-                x = f.add(x, f.smul(c, g))
+                x = f.add(x, smul(f, c, g))
             yield x
 
 
@@ -364,7 +369,7 @@ def complement_of(view: Span, block) -> Span:
         out.append(x)
         grown = set(grown_span)
         for mult in range(1, p):
-            step = f.smul(mult, x)
+            step = smul(f, mult, x)
             for e in list(grown_span):
                 grown.add(f.add(e, step))
         grown_span = grown
@@ -525,7 +530,7 @@ def subgroup_elements(f, gens) -> frozenset:
     """The span of gens, grown one generator at a time by all its multiples."""
     seen = {f.zero()}
     for g in gens:
-        steps = [f.smul(c, g) for c in range(1, f.element_order(g))]
+        steps = [smul(f, c, g) for c in range(1, f.element_order(g))]
         seen |= {f.add(e, s) for e in seen for s in steps}
     return frozenset(seen)
 
@@ -543,7 +548,7 @@ def coset_fingerprint(f, h_gens) -> tuple[tuple[int, Fraction], ...]:
         coset = frozenset(f.add(x, y) for y in h)
         if coset not in seen:
             seen.add(coset)
-            rows.append((next(k for k in itertools.count(1) if f.smul(k, x) in h), f.q(x)))
+            rows.append((next(k for k in itertools.count(1) if smul(f, k, x) in h), f.q(x)))
     return tuple(sorted(rows))
 
 
@@ -692,8 +697,8 @@ def is_anti_isomorphism(fsrc, src_gens, ftgt, tgt_gens) -> bool:
         x = fsrc.zero()
         y = ftgt.zero()
         for c, (g, t) in zip(coeffs, pairs):
-            x = fsrc.add(x, fsrc.smul(c, g))
-            y = ftgt.add(y, ftgt.smul(c, t))
+            x = fsrc.add(x, smul(fsrc, c, g))
+            y = ftgt.add(y, smul(ftgt, c, t))
         if (fsrc.q(x) + ftgt.q(y)) % 2 != 0:
             return False
     return len(subgroup_elements(fsrc, src_gens)) == len(subgroup_elements(ftgt, tgt_gens))
@@ -752,7 +757,7 @@ def isotropic_subgroups(f) -> list[frozenset]:
                     grown = set(sub)
                     order = f.element_order(x)
                     for mult in range(1, order):
-                        step = f.smul(mult, x)
+                        step = smul(f, mult, x)
                         for e in list(sub):
                             grown.add(f.add(e, step))
                     if any(f.q_numer(e) for e in grown):

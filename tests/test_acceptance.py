@@ -149,7 +149,7 @@ def test_criterion_09_id_tables():
         assert got == ref[pair.table_ref], (pair.table_ref, got)
         _ell, shape, ctype, o, nur = topology_from_t_half(pair.t_plus)
         cands = cusp_distributions(shape, nur, o)
-        assert len(cands) == 1 or reversion_partner(pair) is not None
+        assert len(cands) == 1, pair.table_ref
         partner = reversion_partner(pair)
         if partner is not None and sid.code.kind != "null":
             psid = id_from_t_pair(partner)
@@ -157,7 +157,7 @@ def test_criterion_09_id_tables():
             assert reversion_code(psid.code) == sid.code
             involution_count += 1
     report("criterion-9 id-tables", True,
-           f"all 68 IDs equal Tables 1A-C; distributions singleton or partner-resolved; "
+           f"all 68 IDs equal Tables 1A-C; one cusp distribution each; "
            f"reversion involutive on {involution_count} non-empty reversible IDs")
 
 

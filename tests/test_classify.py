@@ -169,6 +169,78 @@ def test_kernel_mod2_matches_scan(m):
     assert sorted(classify._kernel_mod2(make_lattice(g))) == _kernel_mod2_scan(g)
 
 
+# sha256 of the repr of the tuple of the 62 reversion roots (int tuples,
+# census order) that find_reversion_root returns on the reversible pairs, as
+# pinned when its half-class test read the discriminant form
+ROOTS_SHA256 = "5e4cd1e307c42b7b2d3b758152d6a84ee42055141c212386724c8bf5dad71d11"
+
+
+def _reversion_roots():
+    return tuple(find_reversion_root(pair) for pair in enumerate_ascending_t_pairs() if pair.reversible)
+
+
+def test_reversion_roots_are_pinned():
+    roots = _reversion_roots()
+    assert len(roots) == 62
+    assert hashlib.sha256(repr(roots).encode()).hexdigest() == ROOTS_SHA256
+
+
+def test_half_class_test_matches_the_form_oracle():
+    # every assembly of windows (8, 2) and (24, 3) of both witnesses of every
+    # pair, for four target norms, at most 300 per target
+    checked, verdicts = 0, Counter()
+    for pair in enumerate_ascending_t_pairs():
+        for w in (pair.witness_plus, pair.witness_minus):
+            blocks = catalog_blocks(w.expr)
+            basis = classify._kernel_basis_mod2(w.gram)
+            for cap, box in ((8, 2), (24, 3)):
+                per_block = [classify._root_components(name, cap, box) for name in blocks]
+                order = sorted(range(len(per_block)), key=lambda i: len(per_block[i]))
+                for target in (-4, -2, 0, 2):
+                    for combo in itertools.islice(classify._norm_assemblies(per_block, order, target), 300):
+                        v = [c for coords, _norm in combo for c in coords]
+                        got = classify._half_class_is_characteristic(w, v, basis)
+                        assert got == classify_oracle.half_class_is_characteristic(w, v), (pair.table_ref, w.expr, v)
+                        verdicts[got] += 1
+                        checked += 1
+    assert checked > 30000 and min(verdicts.values()) > 1000
+
+
+def test_norm_assemblies_match_a_product_scan():
+    # the pruned walk yields exactly the block choices of the target norm, in product order
+    per_block = [classify._root_components(name, 8, 2) for name in ("A2", "A1", "U(2)")]
+    order = [1, 2, 0]
+    for target in (-6, -2, 0, 4):
+        scan = [[combo[order.index(i)] for i in range(3)]
+                for combo in itertools.product(*(per_block[i] for i in order))
+                if sum(nrm for _c, nrm in combo) == target]
+        assert list(classify._norm_assemblies(per_block, order, target)) == scan
+
+
+def test_kernel_basis_mod2_is_a_basis():
+    for expr in ("E6", "D4", "U(2)", "U+A1+D4+A2(2)", "U(6)+<-6>+2A1"):
+        l = parse_lattice_expr(expr)
+        basis = classify._kernel_basis_mod2(l.gram)
+        span = classify._kernel_mod2(l)
+        assert len(set(span)) == len(span) == 2 ** len(basis) == len(_kernel_mod2_scan(l.gram)), expr
+        # u -> [u/2] is onto the 2-torsion of discr, one Z/2 per cyclic factor of even order
+        assert len(basis) == sum(d % 2 == 0 for d in forms.discriminant_form(l).orders), expr
+
+
+def test_root_complement_matches_the_full_complement():
+    # on the blocks the root meets, the complement is the full witness's, up to basis
+    met = Counter()
+    for pair, root in zip([p for p in enumerate_ascending_t_pairs() if p.reversible], _reversion_roots()):
+        t2 = pair.witness_minus
+        comp = classify._root_complement(t2, root)
+        full = lattice.orthogonal_complement(lattice.sublattice(t2, [list(root)])).as_lattice()
+        assert comp.rank == full.rank == t2.rank - 1
+        assert stability.invariants(comp) == stability.invariants(full), pair.table_ref
+        assert abs(comp.det()) == abs(full.det()), pair.table_ref
+        met[sum(any(root[i] for i in idx) for idx, _g in t2.orthogonal_split())] += 1
+    assert met == {1: 34, 2: 22, 3: 5, 4: 1}
+
+
 def test_pair_invariant_properties():
     for pair in enumerate_ascending_t_pairs():
         tp, tm = pair.t_plus, pair.t_minus
@@ -403,6 +475,48 @@ def test_census_and_realizations_lay_out_from_parts_and_keep_one_form_per_lattic
     assert 0 < total["_block_gram"] <= LAYOUTS and 0 < total["fill"] <= SUM_FORM_BUILDS
     assert 0 < total["_discriminant_form"] <= FORM_BUILDS
     assert work["forms_per_lattice"] == 1
+
+
+# the work of the 68 reversion_partner calls after a cold census, counted in
+# a fresh interpreter: the discriminant forms built and the forms whose
+# `entries` are filled
+_PARTNER_WORK = """
+import collections, json
+from zlat import classify, forms
+
+calls = collections.Counter()
+pairs = classify.enumerate_ascending_t_pairs()
+build_form, entries = forms._discriminant_form, vars(forms.FiniteQuadraticForm)["entries"]
+fill_entries = entries.fill
+
+
+def form_built(l):
+    calls["_discriminant_form"] += 1
+    return build_form(l)
+
+
+def entries_filled(f):
+    calls["entries"] += 1
+    fill_entries(f)
+
+
+forms._discriminant_form, entries.fill = form_built, entries_filled
+partners = [classify.reversion_partner(pair) for pair in pairs]
+print(json.dumps({"calls": len(partners), "partners": sum(p is not None for p in partners), "work": dict(calls)}))
+"""
+
+
+def test_partner_checks_build_no_discriminant_form():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", _PARTNER_WORK], capture_output=True, text=True, timeout=600,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0"))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"calls": 68, "partners": 62, "work": {}}
 
 
 def _clear_anti_iso_memos():

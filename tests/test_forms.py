@@ -371,7 +371,7 @@ def test_quadratic_refinement_relations(m, xi, yi, n):
     x = elems[xi % len(elems)]
     y = elems[yi % len(elems)]
     assert (f.q(f.add(x, y)) - f.q(x) - f.q(y) - 2 * f.b(x, y)) % 2 == 0
-    assert (f.q(f.smul(n, x)) - n * n * f.q(x)) % 2 == 0
+    assert (f.q(oracle.smul(f, n, x)) - n * n * f.q(x)) % 2 == 0
     # q refines b: q(x) = b(x, x) mod Z
     assert (f.q(x) - f.b(x, x)) % 1 == 0
 

@@ -329,6 +329,26 @@ def test_no_floating_point(module):
                 and n.value.id == "math" and n.attr in ("sqrt", "pi", "exp", "log")]
 
 
+# the reversion root search and the partner check read Gram matrices, blocks
+# and genus tags; they call nothing of `forms`
+ROOT_SEARCH = {"reversion_partner", "_root_complement", "find_reversion_root", "_norm_assemblies",
+               "_root_components", "_kernel_basis_mod2", "_kernel_mod2", "_half_class_is_characteristic"}
+
+
+def test_the_root_search_reads_no_form():
+    with open(os.path.join(SRC, "classify.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("forms")
+                for alias in node.names}
+    found = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in ROOT_SEARCH}
+    assert found == ROOT_SEARCH
+    readers = {(node.name, name.id) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in ROOT_SEARCH
+               for name in ast.walk(node) if isinstance(name, ast.Name) and name.id in imported | {"forms"}}
+    assert not readers, readers
+
+
 # every memo has an explicit bound: an int or `MEMO_SIZE`, never None
 def _unbounded_memos(module, tree):
     """module:line of every `functools.cache` and of every `lru_cache` that is
