@@ -11,6 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import forms, golden, stability
 from .forms import GlueMap
@@ -38,8 +39,9 @@ NEGATIVE_BLOCKS = tuple(name for name in CATALOG if name not in HYPERBOLIC_BLOCK
 A1, TWO = named("A1"), named("<2>")
 
 
-@dataclass(frozen=True, order=True)
-class THalfInvariants:
+class THalfInvariants(NamedTuple):
+    """The census key (r, r2, delta2, p, q): equal to, and hashed as, the tuple `stability.invariants` returns."""
+
     r: int
     r2: int
     delta2: int
@@ -48,10 +50,13 @@ class THalfInvariants:
 
     def complement(self) -> "THalfInvariants":
         """Invariants of the second half of an ascending pair."""
-        return THalfInvariants(9 - self.r, self.r2 + 1, 1, 1 - self.p, 3 - self.q)
+        return THalfInvariants(*_complement_key(*self))
 
-    def key(self):
-        return (self.r, self.r2, self.delta2, self.p, self.q)
+
+def _complement_key(r: int, r2: int, _d2: int, p: int, q: int) -> tuple[int, int, int, int, int]:
+    """The key of the second half of the ascending pair whose first half has the key
+    (r, r2, delta2, p, q): the one statement of the complement rule."""
+    return 9 - r, r2 + 1, 1, 1 - p, 3 - q
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,7 @@ class SPair:
 
 def half_violation(inv: THalfInvariants) -> str | None:
     """First violated T-half restriction, or None when all pass."""
-    return _half_rule(*inv.key())
+    return _half_rule(*inv)
 
 
 def _half_rule(r: int, r2: int, d2: int, p: int, q: int) -> str | None:
@@ -129,9 +134,10 @@ def admissible_invariants() -> tuple[tuple[THalfInvariants, THalfInvariants], ..
             for d2 in (0, 1):
                 for p in (0, 1):
                     for q in range(4):
-                        if _half_rule(r, r2, d2, p, q) is None and _half_rule(9 - r, r2 + 1, 1, 1 - p, 3 - q) is None:
-                            inv = THalfInvariants(r, r2, d2, p, q)
-                            out.append((inv, inv.complement()))
+                        if _half_rule(r, r2, d2, p, q) is None:
+                            comp = _complement_key(r, r2, d2, p, q)
+                            if _half_rule(*comp) is None:
+                                out.append((THalfInvariants(r, r2, d2, p, q), THalfInvariants(*comp)))
     return tuple(out)
 
 
@@ -175,20 +181,25 @@ def render_blocks(names) -> str:
     return "+".join(name if count == 1 else f"{count}{name}" for name, count in counts.items())
 
 
+def _sum_key(rk: int, n_plus: int, r2: int, d2: int, p3: int, r3: int) -> tuple[int, ...]:
+    """(r, n_+, r2, delta2, p, q) of a catalog sum from its blocks' summed `_block_data`: its 2- and
+    3-parts are the blocks' (delta2 is 1 when one is), and 2<2/3> = 2<-2/3> makes p their total p mod 2."""
+    p = p3 % 2
+    return rk, n_plus, r2, min(1, d2), p, r3 - p
+
+
 @lru_cache(maxsize=1)
 def _witness_index() -> MappingProxyType:
     """Invariants (r, n_+, r2, delta2, p, q) -> the first 'one hyperbolic
     block + negative blocks' multiset of rank <= 8 that has them: fewest
     blocks first, then lexicographic on catalog order.
 
-    The 2- and 3-parts of a sum are the sums of the blocks' parts (delta2 is
-    1 when one of them is), and 2<2/3> = 2<-2/3> makes p the blocks' total p
-    mod 2; so each tail of negative blocks adds its last block's `_block_data`
-    to the sums of its one-shorter prefix, met before it, and a candidate
-    adds its hyperbolic block's.  The walk meets the candidates
-    in key order, so the first with a key keeps it and nothing is sorted:
-    lengths ascending, then the hyperbolic blocks (all before the negative
-    ones in CATALOG), then the tails of that length in reversed
+    Each tail of negative blocks adds its last block's `_block_data` to the
+    sums of its one-shorter prefix, met before it, and a candidate adds its
+    hyperbolic block's and takes its `_sum_key`.  The walk meets the
+    candidates in key order, so the first with a key keeps it and nothing is
+    sorted: lengths ascending, then the hyperbolic blocks (all before the
+    negative ones in CATALOG), then the tails of that length in reversed
     `block_multisets` order, which is lexicographic."""
     sums = {}
     by_length: dict[int, list] = {}
@@ -201,8 +212,7 @@ def _witness_index() -> MappingProxyType:
             rk, n_plus, r2, d2, p3, r3 = _block_data(name)
             for tail, (t_rk, t_n_plus, t_r2, t_d2, t_p3, t_r3) in reversed(by_length[length]):
                 if rk + t_rk <= 8:
-                    p = (p3 + t_p3) % 2
-                    key = (rk + t_rk, n_plus + t_n_plus, r2 + t_r2, min(1, d2 + t_d2), p, r3 + t_r3 - p)
+                    key = _sum_key(rk + t_rk, n_plus + t_n_plus, r2 + t_r2, d2 + t_d2, p3 + t_p3, r3 + t_r3)
                     if key not in index:
                         index[key] = (name, *tail)
     return MappingProxyType(index)
@@ -218,10 +228,10 @@ def witness_lattice(inv: THalfInvariants) -> Lattice:
     """
     names = _witness_index().get((inv.r, 1, inv.r2, inv.delta2, inv.p, inv.q))
     if names is None:
-        raise ValueError(f"no witness lattice for invariants {inv.key()}")
+        raise ValueError(f"no witness lattice for invariants {tuple(inv)}")
     l = parse_lattice_expr(render_blocks(names))
-    if stability.invariants(l) != inv.key():
-        raise ValueError(f"witness recomputation mismatch for {inv.key()}")
+    if stability.invariants(l) != inv:
+        raise ValueError(f"witness recomputation mismatch for {tuple(inv)}")
     return l
 
 
@@ -232,7 +242,10 @@ def catalog_blocks(expr: str) -> list[str]:
         name = term.lstrip("0123456789")
         if name not in CATALOG_POS:
             raise ValueError(f"unknown block {name!r}")
-        out += [name] * int(term[:len(term) - len(name)] or 1)
+        count = int(term[:len(term) - len(name)] or 1)
+        if not count:
+            raise ValueError(f"zero repetition count in {term!r}")
+        out += [name] * count
     return out
 
 
@@ -240,16 +253,16 @@ def catalog_blocks(expr: str) -> list[str]:
 # the census
 
 def _golden_row_lookup():
-    """Invariants of each golden T1 -> its row ref, summed from its blocks' `_block_data` as in
+    """Invariants of each golden T1 -> its row ref: the `_sum_key` of its blocks' `_block_data`, as in
     `_witness_index`; a term outside CATALOG, a key of no admissible first half, or one met twice raise."""
-    admissible = {inv.key() for inv, _comp in admissible_invariants()}
+    admissible = {inv for inv, _comp in admissible_invariants()}
     refs = {}
     for table, rows in (("8A", golden.TABLE_8A), ("8B", golden.TABLE_8B), ("8C", golden.TABLE_8C)):
         for i, (*_row, t1, _t2) in enumerate(rows, start=1):
             ref = f"{table}:{i}"
             try:
-                rk, n_plus, r2, d2, p3, r3 = map(sum, zip(*map(_block_data, catalog_blocks(t1))))
-                key = (rk, r2, min(1, d2), p3 % 2, r3 - p3 % 2)
+                rk, n_plus, *rest = _sum_key(*map(sum, zip(*map(_block_data, catalog_blocks(t1)))))
+                key = (rk, *rest)
                 if n_plus != 1 or key not in admissible:
                     raise ValueError(f"invariants {key} are no admissible first half")
             except ValueError as e:
@@ -264,11 +277,11 @@ def enumerate_ascending_t_pairs() -> tuple[TPair, ...]:
     """The complete list of ascending pairs, with witnesses and table refs."""
     pairs = admissible_invariants()
     refs = _golden_row_lookup()
-    by_key = {inv.key(): idx for idx, (inv, _comp) in enumerate(pairs)}
+    by_key = {inv: idx for idx, (inv, _comp) in enumerate(pairs)}
     out = []
     for idx, (inv, comp) in enumerate(pairs):
-        if inv.key() not in refs:
-            raise ValueError(f"census pair {inv.key()} matches no golden T1 row")
+        if inv not in refs:
+            raise ValueError(f"census pair {tuple(inv)} matches no golden T1 row")
         partner_index = by_key.get((8 - inv.r, inv.r2, inv.delta2, 1 - inv.p, 3 - inv.q))
         out.append(
             TPair(
@@ -277,7 +290,7 @@ def enumerate_ascending_t_pairs() -> tuple[TPair, ...]:
                 t_minus=comp,
                 witness_plus=witness_lattice(inv),
                 witness_minus=witness_lattice(comp),
-                table_ref=refs[inv.key()],
+                table_ref=refs[inv],
                 reversible=partner_index is not None,
                 partner_index=partner_index,
             )
@@ -311,9 +324,9 @@ def reversion_partner(pair: TPair) -> TPair | None:
     root = find_reversion_root(pair)
     if root is None:
         raise ValueError(f"census says reversible but no root found for pair {pair.table_ref}")
-    if stability.invariants(_root_complement(pair.witness_minus, root)) != partner.t_plus.key():
+    if stability.invariants(_root_complement(pair.witness_minus, root)) != partner.t_plus:
         raise ValueError(f"pair {pair.table_ref}: the root complement is not the partner's plus half")
-    if stability.invariants(direct_sum(A1, pair.witness_plus)) != partner.t_minus.key():
+    if stability.invariants(direct_sum(A1, pair.witness_plus)) != partner.t_minus:
         raise ValueError(f"pair {pair.table_ref}: A1 + plus half is not the partner's minus half")
     return partner
 

@@ -136,7 +136,7 @@ def _cmd_pair(args) -> int:
         print(f"the lattice is outside the census ({e})", file=sys.stderr)
         return 2
     for pair in enumerate_ascending_t_pairs():
-        if pair.t_plus.key() == key:
+        if pair.t_plus == key:
             if stability.isomorphic_in_genus(probe, pair.witness_plus) != "yes":
                 break
             print(json.dumps(tables.t_pair_record(pair), indent=2))

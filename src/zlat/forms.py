@@ -13,7 +13,7 @@ Then n b(x, y) = x gram y^T mod n and n q(x) = x gram x^T mod 2n, summed
 over `entries`, the nonzero entries of gram on and above the diagonal.  For
 a discriminant form the lift of e_i to the lattice is lift_cols[i] / d_i.
 No `Fraction` enters: every form is built from integers.  Fractions leave
-only through `b`, `q` and `fingerprint`; everything else reads the integers.
+only through `q` and `fingerprint`; everything else reads the integers.
 Brown and the Jordan constituents of each p-part come from one memoized
 `jordan_record` per form value.  A form built as an orthogonal sum
 (`discriminant_form`, `direct_sum_forms`) keeps its summands and their lift
@@ -102,9 +102,6 @@ class FiniteQuadraticForm:
     def q_numer(self, x) -> int:
         """n * q(x), reduced mod 2n."""
         return self._pair(x, x) % (2 * self.n)
-
-    def b(self, x, y) -> Fraction:
-        return _fraction(self._pair(x, y) % self.n, self.n)
 
     def q(self, x) -> Fraction:
         """q(x) = x gram x^T / n mod 2, the `q_numer` over n."""
@@ -298,7 +295,10 @@ def standard_form(spec: str) -> FiniteQuadraticForm:
         atom = term.lstrip("0123456789")
         if atom not in ATOMS:
             raise ValueError(f"unknown form atom {term!r}")
-        parts += [ATOMS[atom]] * int(term[:len(term) - len(atom)] or 1)
+        count = int(term[:len(term) - len(atom)] or 1)
+        if not count:
+            raise ValueError(f"zero repetition count in {term!r}")
+        parts += [ATOMS[atom]] * count
     return direct_sum_forms(*parts) if parts else TRIVIAL_FORM
 
 

@@ -74,11 +74,9 @@ def genus_tag(l: Lattice) -> GenusTag:
 def invariants(l: Lattice):
     """(r, r2, delta2, p, q) of an even lattice with elementary 2/3 discriminant."""
     tag = genus_tag(l)
-    sym2, sym3 = tag.symbol(2), tag.symbol(3)
-    if any(e[0] != 2 for e in sym2) or any(e[0] != 3 for e in sym3):
+    if not (tag.is_elementary(2) and tag.is_elementary(3)):
         raise ValueError("discriminant is not elementary at 2 and 3")
-    p = int(any(e[2] == -1 for e in sym3))  # `p_rank`, `delta2` and `pq3` on symbols read once
-    return l.rank, sum(e[1] for e in sym2), int(any(e[3] for e in sym2)), p, sum(e[1] for e in sym3) - p
+    return (l.rank, tag.p_rank(2), tag.delta2, *tag.pq3)
 
 
 def nikulin_stable(l: Lattice) -> bool:

@@ -45,14 +45,7 @@ def prettify_code(code_text: str) -> str:
 
 def t_pair_record(pair: TPair) -> dict:
     def half(inv, lat):
-        return {
-            "expr": lat.expr,
-            "r": inv.r,
-            "r2": inv.r2,
-            "delta2": inv.delta2,
-            "p": inv.p,
-            "q": inv.q,
-        }
+        return {"expr": lat.expr, **inv._asdict()}
 
     return {
         "tPlus": half(pair.t_plus, pair.witness_plus),
@@ -100,14 +93,15 @@ def _id_fields(pair: TPair, sid) -> dict:
 class Table:
     """One published table.
 
-    `build()` returns the display rows and the JSON payload; `diff()` yields
-    (row, kind, detail) for each discrepancy with the golden fixture, row
-    1-based or None; `pretty` renders a display cell outside ascii mode.
+    `build()` returns the display rows and the JSON payload; `diff(rows,
+    payload)` reads them from `_built` and yields (row, kind, detail) for each
+    discrepancy with the golden fixture, row 1-based or None; `pretty`
+    renders a display cell outside ascii mode.
     """
 
     headers: tuple[str, ...]
     build: Callable[[], tuple[list[list[str]], list]]
-    diff: Callable[[], Iterator[tuple[int | None, str, str]]]
+    diff: Callable[[tuple, list], Iterator[tuple[int | None, str, str]]]
     pretty: Callable[[str], str] = prettify_expr
 
 
@@ -135,9 +129,8 @@ def _id_table(prefix: str, fixture, with_o: bool) -> Table:
             payload.append(rec)
         return rows, payload
 
-    def diff():
-        rows, _payload = build()
-        for i, (frow, crow) in enumerate(zip(fixture, rows), 1):
+    def diff(rows, _payload):
+        for i, (frow, crow) in enumerate(zip(fixture, map(list, rows)), 1):
             if [frow[0], str(frow[1]), *frow[2:]] != crow:
                 yield i, "id-mismatch", f"{frow} vs {crow}"
 
@@ -167,7 +160,7 @@ def _build_2():
     return rows, payload
 
 
-def _diff_2():
+def _diff_2(_rows, _payload):
     e6_2 = stability.genus_tag(parse_lattice_expr("E6(2)"))
     for i, (o, nu_i, _plus, _minus, sp) in enumerate(_s_pairs(), 1):
         # the printed identity [3A2(2)]_{sigma/3} = E6(2)
@@ -178,74 +171,62 @@ def _diff_2():
 def _geography_table(fixture, half: int) -> Table:
     """Tables 3A/3B: the delta2 options of each (r, r2) row group of one half."""
 
-    def delta2_options():
+    def build():
         options: dict[tuple[int, int], set[int]] = {}
         for pair in admissible_invariants():
             inv = pair[half]
             options.setdefault((inv.r, inv.r2), set()).add(inv.delta2)
-        return [tuple(sorted(set().union(*(options.get(rr2, set()) for rr2 in rr2s))))
-                for rr2s, _d2s in fixture]
-
-    def build():
-        rows = list(zip([rr2s for rr2s, _d2s in fixture], delta2_options()))
+        rows = [(rr2s, sorted(set().union(*(options.get(rr2, set()) for rr2 in rr2s)))) for rr2s, _d2s in fixture]
         return ([[", ".join(f"({r},{r2})" for r, r2 in rr2s), ",".join(map(str, d2s))] for rr2s, d2s in rows],
-                [{"rr2": [list(x) for x in rr2s], "delta2": list(d2s)} for rr2s, d2s in rows])
+                [{"rr2": [list(x) for x in rr2s], "delta2": d2s} for rr2s, d2s in rows])
 
-    def diff():
-        for i, ((_rr2s, want), got) in enumerate(zip(fixture, delta2_options()), 1):
+    def diff(_rows, payload):
+        for i, ((_rr2s, want), rec) in enumerate(zip(fixture, payload), 1):
+            got = tuple(rec["delta2"])
             if tuple(want) != got:
                 yield i, "delta2-mismatch", f"{want} vs {got}"
 
     return Table(("(r,r2)", "delta2"), build, diff)
 
 
-def _table4_rows():
-    cells: dict[tuple[int, int], dict[tuple[int, int], set[int]]] = {}
-    for inv, _comp in admissible_invariants():
-        cells.setdefault((inv.r, inv.r2), {}).setdefault((inv.p, inv.q), set()).add(inv.delta2)
-    rows = []
-    for (r, r2) in sorted(cells, key=lambda rr: (rr[1], rr[0])):
-        groups: dict[frozenset, list] = {}
-        for pq in sorted(cells[(r, r2)]):
-            groups.setdefault(frozenset(cells[(r, r2)][pq]), []).append(pq)
-        for d2set in (frozenset({0}), frozenset({0, 1}), frozenset({1})):
-            if d2set in groups:
-                rows.append((tuple(sorted(d2set)), (r, r2), groups[d2set]))
-    return rows
-
-
 def _build_4():
+    """Table 4: per (r, r2) and delta2 set, the (p, q) of the admitted first
+    halves, beside the (r, r2) and (p, q) their complements have."""
+    cells: dict = {}
+    for inv, comp in admissible_invariants():
+        cell = cells.setdefault((inv.r2, inv.r), ((comp.r, comp.r2), {}))[1]
+        cell.setdefault((inv.p, inv.q), (set(), (comp.p, comp.q)))[0].add(inv.delta2)
     rows, payload = [], []
-    for d2s, (r, r2), pqs in _table4_rows():
-        comp = [(1 - p, 3 - q) for p, q in pqs]
-        rows.append([
-            ",".join(map(str, d2s)),
-            f"({r},{r2})",
-            " ".join(f"({p},{q})" for p, q in pqs),
-            f"({9 - r},{r2 + 1})",
-            " ".join(f"({p},{q})" for p, q in comp),
-        ])
-        payload.append({"delta2": list(d2s), "rr2": [r, r2], "pq": [list(x) for x in pqs],
-                        "rr2Comp": [9 - r, r2 + 1], "pqComp": [list(x) for x in comp]})
+    for (r2, r), (rr2_comp, cell) in sorted(cells.items()):
+        groups: dict[tuple, list] = {}
+        for pq, (d2s, pq_comp) in sorted(cell.items()):
+            groups.setdefault(tuple(sorted(d2s)), []).append((pq, pq_comp))
+        for d2s in ((0,), (0, 1), (1,)):
+            if d2s in groups:
+                pqs, comp = zip(*groups[d2s])
+                rows.append([",".join(map(str, d2s)), f"({r},{r2})", " ".join(f"({p},{q})" for p, q in pqs),
+                             "({},{})".format(*rr2_comp), " ".join(f"({p},{q})" for p, q in comp)])
+                payload.append({"delta2": list(d2s), "rr2": [r, r2], "pq": [list(x) for x in pqs],
+                                "rr2Comp": list(rr2_comp), "pqComp": [list(x) for x in comp]})
     return rows, payload
 
 
-def _diff_4():
-    computed, fixture = _table4_rows(), golden.TABLE_4
-    if len(computed) != len(fixture):
-        yield None, "row-count", f"{len(fixture)} vs {len(computed)}"
-    for i, ((wd2, wrr2, wpq), (gd2, grr2, gpq)) in enumerate(zip(fixture, computed), 1):
-        if (tuple(wd2), wrr2, list(wpq)) != (tuple(gd2), grr2, list(gpq)):
-            yield i, "cell-mismatch", f"{(wd2, wrr2, wpq)} vs {(gd2, grr2, gpq)}"
+def _diff_4(_rows, payload):
+    if len(payload) != len(golden.TABLE_4):
+        yield None, "row-count", f"{len(golden.TABLE_4)} vs {len(payload)}"
+    for i, ((wd2, wrr2, wpq), rec) in enumerate(zip(golden.TABLE_4, payload), 1):
+        got = (tuple(rec["delta2"]), tuple(rec["rr2"]), list(map(tuple, rec["pq"])))
+        if (tuple(wd2), wrr2, list(wpq)) != got:
+            yield i, "cell-mismatch", f"{(wd2, wrr2, wpq)} vs {got}"
 
 
 def _t_half_table(p: int, layout) -> Table:
     """Tables 5A-J: per (delta2, (r, r2)) row and q, the witness of the T-half,
     "-" when the half is forbidden, "*" when only its complement is."""
 
-    def grid():
+    def build():
         census_halves = {half for pair in admissible_invariants() for half in pair}
-        out = []
+        rows, payload = [], []
         for d2, (r, r2), _cells in layout:
             cells = []
             for q in range(4):
@@ -256,17 +237,13 @@ def _t_half_table(p: int, layout) -> Table:
                     cells.append(witness_lattice(inv).expr)
                 else:
                     cells.append("*")
-            out.append((d2, (r, r2), cells))
-        return out
+            rows.append([str(d2), f"({r},{r2})"] + cells)
+            payload.append({"delta2": d2, "rr2": [r, r2], "cells": cells})
+        return rows, payload
 
-    def build():
-        rows = grid()
-        return ([[str(d2), f"({r},{r2})"] + cells for d2, (r, r2), cells in rows],
-                [{"delta2": d2, "rr2": [r, r2], "cells": cells} for d2, (r, r2), cells in rows])
-
-    def diff():
-        for i, ((_fd2, _frr2, fcells), (_cd2, _crr2, ccells)) in enumerate(zip(layout, grid()), 1):
-            for q, (want, got) in enumerate(zip(fcells, ccells)):
+    def diff(_rows, payload):
+        for i, ((_fd2, _frr2, fcells), rec) in enumerate(zip(layout, payload), 1):
+            for q, (want, got) in enumerate(zip(fcells, rec["cells"])):
                 if want in ("-", "*") or got in ("-", "*"):
                     if want != got:
                         yield i, "marker-mismatch", f"q={q}: {want} vs {got}"
@@ -287,10 +264,10 @@ def _ascending_table(fixture, p: int) -> Table:
     def match():
         # each printed row names the census pair with the invariants of its T+
         census = [pair for pair in enumerate_ascending_t_pairs() if pair.t_plus.p == p]
-        by_key = {pair.t_plus.key(): pair for pair in census}
+        by_key = {pair.t_plus: pair for pair in census}
         matched = [(row, by_key.get(_invariants_of(row[3]))) for row in fixture]
-        named = {pair.t_plus.key() for _row, pair in matched if pair is not None}
-        return matched, [pair for pair in census if pair.t_plus.key() not in named]
+        named = {pair.t_plus for _row, pair in matched if pair is not None}
+        return matched, [pair for pair in census if pair.t_plus not in named]
 
     def build():
         matched, omitted = match()
@@ -299,20 +276,20 @@ def _ascending_table(fixture, p: int) -> Table:
                   pair.witness_plus.expr, pair.witness_minus.expr] for pair in pairs],
                 [t_pair_record(pair) for pair in pairs])
 
-    def diff():
+    def diff(_rows, _payload):
         matched, omitted = match()
         for i, ((d2, (r, r2), q, t1, t2), pair) in enumerate(matched, 1):
             if pair is None:
                 yield i, "missing-pair", f"{t1} not in census"
                 continue
-            key = pair.t_plus.key()
-            if (d2, (r, r2), q) != (key[2], (key[0], key[1]), key[4]):
-                yield i, "label-mismatch", f"printed ({d2},({r},{r2}),q={q}) vs computed {key}"
+            t = pair.t_plus
+            if (d2, (r, r2), q) != (t.delta2, (t.r, t.r2), t.q):
+                yield i, "label-mismatch", f"printed ({d2},({r},{r2}),q={q}) vs computed {tuple(t)}"
             t2_key = _invariants_of(t2)
-            if t2_key != pair.t_minus.key():
-                yield i, "second-half-mismatch", f"{t2} has invariants {t2_key}, census has {pair.t_minus.key()}"
+            if t2_key != pair.t_minus:
+                yield i, "second-half-mismatch", f"{t2} has invariants {t2_key}, census has {tuple(pair.t_minus)}"
         for pair in omitted:
-            yield None, "missing-row", f"census pair {pair.t_plus.key()} absent from the printed table"
+            yield None, "missing-row", f"census pair {tuple(pair.t_plus)} absent from the printed table"
 
     return Table(("delta2", "(r,r2)", "q", "T+", "T-"), build, diff)
 
@@ -329,16 +306,16 @@ def _census_table(prefix: str, fixture, headers, cells, label) -> Table:
         pairs = _census_refs(prefix)
         return [cells(pair) for pair in pairs], [t_pair_record(pair) for pair in pairs]
 
-    def diff():
+    def diff(_rows, _payload):
         for i, row in enumerate(fixture, 1):
             pair = pair_by_ref(f"{prefix}:{i}")
             detail = label(i, row, pair.t_plus)
             if detail is not None:
                 yield i, "label-mismatch", detail
-            for expr, have in ((row[-2], pair.t_plus.key()), (row[-1], pair.t_minus.key())):
+            for expr, have in ((row[-2], pair.t_plus), (row[-1], pair.t_minus)):
                 got = _invariants_of(expr)
                 if got != have:
-                    yield i, "invariant-mismatch", f"{expr}: {got} vs {have}"
+                    yield i, "invariant-mismatch", f"{expr}: {got} vs {tuple(have)}"
 
     return Table(headers, build, diff)
 
@@ -363,7 +340,7 @@ def _label_8b(_i, row, t):
     (r, r2), q, d2 = row[:3]
     if (r, r2, d2, q) == (t.r, t.r2, t.delta2, t.q):
         return None
-    return f"printed ((r,r2)=({r},{r2}), q={q}, d2={d2}) vs computed {t.key()}"
+    return f"printed ((r,r2)=({r},{r2}), q={q}, d2={d2}) vs computed {tuple(t)}"
 
 
 def _label_8c(i, row, t):
@@ -403,8 +380,9 @@ def _table(table_id: str) -> Table:
 @lru_cache(maxsize=MEMO_SIZE)
 def _built(table_id: str) -> tuple:
     """(headers, display rows, JSON payload) of one table id, built once for
-    every format.  Only read here and in `emit_table`; `computed_table`
-    hands out copies, so no caller can change it."""
+    every format and the golden diff.  Only read here, in `emit_table` and in
+    `diff_golden`; `computed_table` hands out copies, so no caller can change
+    it."""
     table = _table(table_id)
     rows, payload = table.build()
     return table.headers, tuple(map(tuple, rows)), payload
@@ -452,6 +430,8 @@ def _disc(table, row, kind, detail):
 def diff_golden(table_id: str) -> list[dict]:
     """Discrepancies between computed content and the golden fixture.
 
+    The differ reads the content `emit_table` prints, from `_built`.
     Documented source-table misprints come back with documented = True.
     """
-    return [_disc(table_id, row, kind, detail) for row, kind, detail in _table(table_id).diff()]
+    _headers, rows, payload = _built(table_id)
+    return [_disc(table_id, row, kind, detail) for row, kind, detail in TABLES[table_id].diff(rows, payload)]

@@ -372,7 +372,7 @@ def check_tables5_cells():
                     return False, f"{tid} row {row_idx} q={q}: '*' but the half itself is forbidden"
                 if got not in ("-", "*"):
                     w = parse_lattice_expr(got)
-                    if stability.invariants(w) != inv.key():
+                    if stability.invariants(w) != inv:
                         return False, f"{tid} row {row_idx} q={q}: witness invariants wrong"
         for d in tables.diff_golden(tid):
             if not d["documented"]:
@@ -402,8 +402,8 @@ def check_pair_invariant_properties():
             (tp.p + tm.p, tp.q + tm.q) == (1, 3),
             tp.r2 <= min(tp.r, 8 - tp.r),
             tm.r2 <= min(tm.r, 10 - tm.r),
-            stability.invariants(pair.witness_plus) == tp.key(),
-            stability.invariants(pair.witness_minus) == tm.key(),
+            stability.invariants(pair.witness_plus) == tp,
+            stability.invariants(pair.witness_minus) == tm,
         ]
         if not all(checks):
             return False, f"pair property failed for {pair.table_ref}"

@@ -120,7 +120,7 @@ def witness_index() -> dict:
 
 def half_violation(inv: THalfInvariants) -> str | None:
     """First violated T-half restriction, or None when all pass."""
-    r, r2, d2, p, q = inv.key()
+    r, r2, d2, p, q = inv
     if not (1 <= r <= 8):
         return "rank out of range"
     if r2 < 0 or r2 > r:

@@ -193,6 +193,11 @@ class FractionForm:
         return out
 
 
+def b_value(f, x, y) -> Fraction:
+    """b(x, y) in [0, 1): a `FractionForm`'s own, a `FiniteQuadraticForm`'s `b_numer` over its n."""
+    return f.b(x, y) if isinstance(f, FractionForm) else Fraction(f.b_numer(x, y), f.n)
+
+
 def fraction_form(orders, bil, quad, lifts=None) -> FractionForm:
     orders = tuple(int(d) for d in orders)
     bil_t = tuple(tuple(Fraction(x) % 1 for x in row) for row in bil)
@@ -364,7 +369,7 @@ def complement_of(view: Span, block) -> Span:
     for x in view.elements():
         if x in block_elems or x in grown_span:
             continue
-        if any(f.b(x, g) != 0 for g in block):
+        if any(b_value(f, x, g) != 0 for g in block):
             continue
         out.append(x)
         grown = set(grown_span)
@@ -396,7 +401,7 @@ def decompose2(view: Span):
         _rest_d2, rest = decompose2(complement_of(view, [odd]))
         return 1, [(kind, [odd])] + rest
     x = next(e for e in view.elements() if any(e))
-    y = next(e for e in view.elements() if f.b(x, e) != 0)
+    y = next(e for e in view.elements() if b_value(f, x, e) != 0)
     kind, gens = normalize_2block(f, x, y)
     _d2, rest = decompose2(complement_of(view, gens))
     return 0, [(kind, gens)] + rest
@@ -442,14 +447,14 @@ def normal_form3(f_or_span):
 def parity2(f_or_span) -> int:
     view = span(f_or_span, 2)
     f = view.form
-    return 0 if all(f.b(x, x) == 0 for x in view.elements()) else 1
+    return 0 if all(b_value(f, x, x) == 0 for x in view.elements()) else 1
 
 
 def characteristic_element(f_or_span):
     view = span(f_or_span, 2)
     f = view.form
     for v in view.elements():
-        if all(f.b(v, g) == f.q(g) % 1 for g in view.gens):
+        if all(b_value(f, v, g) == f.q(g) % 1 for g in view.gens):
             return v
     raise ValueError("no characteristic element (degenerate input)")
 
@@ -488,7 +493,7 @@ def present_with(view: Span, kinds: list[str]):
     elems = [e for e in view.elements() if any(e) and f.q(e) % 1 == 0]
     for x in elems:
         for y in elems:
-            if y == x or f.b(x, y) == 0:
+            if y == x or b_value(f, x, y) == 0:
                 continue
             found_kind, gens = normalize_2block(f, x, y)
             if found_kind != kind:
@@ -536,7 +541,7 @@ def subgroup_elements(f, gens) -> frozenset:
 
 
 def orthogonal_of_subgroup(f, gens):
-    return [x for x in f.elements() if all(f.b(x, g) == 0 for g in gens)]
+    return [x for x in f.elements() if all(b_value(f, x, g) == 0 for g in gens)]
 
 
 def coset_fingerprint(f, h_gens) -> tuple[tuple[int, Fraction], ...]:
@@ -574,7 +579,7 @@ def isometries(f, g):
         e = basis[len(images)]
         order, q = f.element_order(e), f.q(e)
         for x, ox, qx in elems:
-            if ox == order and qx == q and all(g.b(x, y) == f.b(e, z) for y, z in zip(images, basis)):
+            if ox == order and qx == q and all(b_value(g, x, y) == b_value(f, e, z) for y, z in zip(images, basis)):
                 yield from rec(images + [x])
 
     return rec([])
@@ -672,7 +677,7 @@ def change_generators(f, p: int, ops):
             c *= max(1, d[j] // d[i])
             rows[i] = [(x + c * y) % o for x, y, o in zip(rows[i], rows[j], d)]
     gens = [tuple(r) for r in rows]
-    return form_on_generators(d, [[f.b(x, y) for y in gens] for x in gens], [f.q(x) for x in gens])
+    return form_on_generators(d, [[b_value(f, x, y) for y in gens] for x in gens], [f.q(x) for x in gens])
 
 
 def random_basis_change(l, rng, steps: int):

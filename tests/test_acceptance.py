@@ -44,8 +44,8 @@ def test_criterion_01_census_count():
         pair = pair_by_ref(f"8A:{i}")
         assert (pair.t_plus.delta2, (pair.t_plus.r, pair.t_plus.r2),
                 (pair.t_plus.p, pair.t_plus.q)) == (d2, rr2, pq)
-        assert stability.invariants(parse_lattice_expr(t1)) == pair.t_plus.key()
-        assert stability.invariants(parse_lattice_expr(t2)) == pair.t_minus.key()
+        assert stability.invariants(parse_lattice_expr(t1)) == pair.t_plus
+        assert stability.invariants(parse_lattice_expr(t2)) == pair.t_minus
     for i in range(1, 32):
         left, right = pair_by_ref(f"8B:{i}"), pair_by_ref(f"8C:{i}")
         partner = reversion_partner(left)
@@ -83,7 +83,7 @@ def test_criterion_03_tables5():
                 elif cell == "*":
                     ok = half_violation(inv) is None and inv not in census_halves
                 else:
-                    ok = stability.invariants(parse_lattice_expr(cell)) == inv.key()
+                    ok = stability.invariants(parse_lattice_expr(cell)) == inv
                 if not ok:
                     assert (tid, row_idx) in documented_rows, f"{tid} row {row_idx} q={q}: {cell}"
                     misprints.append((tid, row_idx, q))

@@ -75,6 +75,21 @@ def test_witness_error_outside_census():
         witness_lattice(THalfInvariants(1, 1, 1, 1, 3))  # r3 = 4 > r
 
 
+def test_census_keys_are_the_invariants_tuples_of_their_witnesses():
+    halves = [(pair.t_plus, pair.witness_plus) for pair in enumerate_ascending_t_pairs()]
+    halves += [(pair.t_minus, pair.witness_minus) for pair in enumerate_ascending_t_pairs()]
+    assert len(halves) == 136
+    for inv, witness in halves:
+        got = stability.invariants(witness)
+        assert type(got) is tuple and inv == got and hash(inv) == hash(got), (inv, witness.expr)
+    assert repr(THalfInvariants(7, 1, 1, 1, 0)) == "THalfInvariants(r=7, r2=1, delta2=1, p=1, q=0)"
+
+
+def test_a_zero_repetition_count_in_a_catalog_sum_raises():
+    with pytest.raises(ValueError, match="zero repetition count in '0A2'"):
+        catalog_blocks("0A2+U")
+
+
 def test_census_counts_and_refs():
     census = enumerate_ascending_t_pairs()
     assert len(census) == 68
@@ -94,8 +109,8 @@ def test_irreversible_match_table_8a_by_invariants():
         assert (pair.t_plus.p, pair.t_plus.q) == pq
         assert (pair.t_minus.r, pair.t_minus.r2) == rr2c
         assert (pair.t_minus.p, pair.t_minus.q) == pqc
-        assert stability.invariants(parse_lattice_expr(t1)) == pair.t_plus.key()
-        assert stability.invariants(parse_lattice_expr(t2)) == pair.t_minus.key()
+        assert stability.invariants(parse_lattice_expr(t1)) == pair.t_plus
+        assert stability.invariants(parse_lattice_expr(t2)) == pair.t_minus
 
 
 def test_partner_alignment_8b_8c():
@@ -781,7 +796,7 @@ def test_a_census_pair_without_a_golden_row_is_rejected(monkeypatch):
     last = pair_by_ref(f"8C:{len(golden.TABLE_8C)}")
     monkeypatch.setattr(golden, "TABLE_8C", golden.TABLE_8C[:-1])
     # the unmemoized census, so the memo keeps the published rows
-    with pytest.raises(ValueError, match=re.escape(f"census pair {last.t_plus.key()} matches no golden T1 row")):
+    with pytest.raises(ValueError, match=re.escape(f"census pair {tuple(last.t_plus)} matches no golden T1 row")):
         enumerate_ascending_t_pairs.__wrapped__()
 
 
@@ -841,12 +856,12 @@ def multisets(names, max_rank):
     return real_multisets(names, max_rank)
 
 
-real_init = classify.THalfInvariants.__init__
+real_new = classify.THalfInvariants.__new__
 
 
-def init(self, *args):
+def new(cls, *args):
     calls["THalfInvariants"] += 1
-    real_init(self, *args)
+    return real_new(cls, *args)
 
 
 real_rule = classify._half_rule
@@ -866,7 +881,7 @@ def parse(text):
 
 
 classify.block_multisets = multisets
-classify.THalfInvariants.__init__ = init
+classify.THalfInvariants.__new__ = new
 classify._half_rule = rule
 classify.parse_lattice_expr = parse
 pairs = classify.enumerate_ascending_t_pairs()

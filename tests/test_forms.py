@@ -127,10 +127,15 @@ def test_brown_two_groups():
 def test_brown_three_groups():
     for a in range(3):
         for b in range(3):
-            f = standard_form(f"{a}<2/3>+{b}<-2/3>") if a + b else standard_form("")
             if a + b == 0:
                 continue
+            f = standard_form("+".join(f"{k}{atom}" for k, atom in ((a, "<2/3>"), (b, "<-2/3>")) if k))
             assert brown(f) == (2 * (a - b)) % 8
+
+
+def test_a_zero_repetition_count_in_a_form_spec_raises():
+    with pytest.raises(ValueError, match="zero repetition count in '0u2'"):
+        standard_form("0u2")
 
 
 def test_brown_numeric_matches_exact():
@@ -205,7 +210,7 @@ def test_decompositions_are_orthogonal():
         for y in gens[i + 1:]:
             same_block = any(x in gs and y in gs for _k, gs in blocks)
             if not same_block:
-                assert f.b(x, y) == 0
+                assert F(f.b_numer(x, y), f.n) == 0
     f3 = standard_form("2<2/3>+2<-2/3>")
     blocks3 = _blocks(f3, 3)
     assert sorted(k for k, _ in blocks3) in (["t+", "t+", "t-", "t-"], ["t+", "t-", "t-", "t-"], ["t+", "t+", "t+", "t-"])
@@ -370,10 +375,10 @@ def test_quadratic_refinement_relations(m, xi, yi, n):
     elems = sorted(f.elements())
     x = elems[xi % len(elems)]
     y = elems[yi % len(elems)]
-    assert (f.q(f.add(x, y)) - f.q(x) - f.q(y) - 2 * f.b(x, y)) % 2 == 0
+    assert (f.q(f.add(x, y)) - f.q(x) - f.q(y) - 2 * F(f.b_numer(x, y), f.n)) % 2 == 0
     assert (f.q(oracle.smul(f, n, x)) - n * n * f.q(x)) % 2 == 0
     # q refines b: q(x) = b(x, x) mod Z
-    assert (f.q(x) - f.b(x, x)) % 1 == 0
+    assert (f.q(x) - F(f.b_numer(x, x), f.n)) % 1 == 0
 
 
 def test_elementary_checks():
@@ -424,13 +429,13 @@ def _check_blocks(f, blocks):
     for kind, gens in blocks:
         if kind in ("u2", "v2"):
             x, y = gens
-            assert f.b(x, y) == F(1, 2)
+            assert F(f.b_numer(x, y), f.n) == F(1, 2)
             assert f.q(x) == f.q(y) == (0 if kind == "u2" else 1)
         else:
             assert f.q(gens[0]) == {"e+": F(1, 2), "e-": F(3, 2), "t+": F(2, 3), "t-": F(4, 3)}[kind]
     for a, (_k, gens_a) in enumerate(blocks):
         for _k2, gens_b in blocks[a + 1:]:
-            assert all(f.b(x, y) == 0 for x in gens_a for y in gens_b)
+            assert all(F(f.b_numer(x, y), f.n) == 0 for x in gens_a for y in gens_b)
     assert len(oracle.subgroup_elements(f, [g for _k, gens in blocks for g in gens])) == f.size
     return standard_form("+".join(_KIND_ATOM[k] for k, _ in blocks))
 
@@ -616,7 +621,7 @@ def test_render_form_matches_symbol_counts():
 def _negated(f):
     """f with b and q negated, on the same generators."""
     gens = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
-    return form_on_generators(f.orders, [[-f.b(x, y) for y in gens] for x in gens], [-f.q(x) for x in gens])
+    return form_on_generators(f.orders, [[-F(f.b_numer(x, y), f.n) for y in gens] for x in gens], [-f.q(x) for x in gens])
 
 
 @st.composite
@@ -775,8 +780,8 @@ def test_numerators_match_loop_oracle(case):
     f, x, y = case
     assert f.q_numer(x) == oracle.q_numer(f, x)
     assert f.b_numer(x, y) == oracle.b_numer(f, x, y)
-    assert f.q(x) == F(oracle.q_numer(f, x), f.n) and f.b(x, y) == F(oracle.b_numer(f, x, y), f.n)
-    assert f.q(x) == f.q(x) and f.b(y, x) == F(f.b_numer(y, x), f.n)
+    assert f.q(x) == F(oracle.q_numer(f, x), f.n) and F(f.b_numer(x, y), f.n) == F(oracle.b_numer(f, x, y), f.n)
+    assert f.q(x) == f.q(x) and F(f.b_numer(y, x), f.n) == F(oracle.b_numer(f, y, x), f.n)
 
 
 @given(evaluated_forms())
@@ -791,7 +796,7 @@ def test_equality_hash_and_repr_read_the_seven_fields(case):
     assert sorted(vars(summed)) == ["n", "orders", "places", "summands"]  # gram and lifts not built yet
     plain = FiniteQuadraticForm(summed.orders, summed.n, summed.gram, summed.lift_cols)
     assert summed.summands and not plain.summands
-    fresh.q(x), fresh.b(x, y), summed.q(x + (0, 0))
+    fresh.q(x), F(fresh.b_numer(x, y), fresh.n), summed.q(x + (0, 0))
     # evaluating leaves no state beside the fields; the lifts, summands, places and entries are not compared
     assert sorted(vars(fresh)) == sorted(vars(summed)) == sorted(fields) and "entries" not in vars(other)
     assert fresh == other and hash(fresh) == hash(other) and {fresh: 1}[other] == 1
@@ -837,7 +842,7 @@ def _assert_same_form(f, o, data):
     picks = units + [data.draw(elem) for _ in range(6)]
     for x in picks:
         y = data.draw(st.sampled_from(picks))
-        assert f.b(x, y) == o.b(x, y)
+        assert F(f.b_numer(x, y), f.n) == o.b(x, y)
         assert f.q(x) == o.q(x)
         assert (f.lift_cols is None) == (o.lifts is None)
         if o.lifts is not None:  # a trivial form, or a `direct_sum_forms` with one, records no lifts
@@ -890,7 +895,7 @@ def _assert_lifts_exact(f, l):
         assert (F(sum(a * c for a, c in zip(wg, w)), n * n) - f.q(x)) % 2 == 0
         for y in f.units:
             v, _n = f.lift_vector(y)
-            assert (F(sum(a * c for a, c in zip(wg, v)), n * n) - f.b(x, y)) % 1 == 0
+            assert (F(sum(a * c for a, c in zip(wg, v)), n * n) - F(f.b_numer(x, y), f.n)) % 1 == 0
 
 
 @given(interleaved_sums())
@@ -1065,15 +1070,15 @@ def test_split_blocks_are_orthogonal_and_span(f):
         assert all(f.element_order(x) == p ** k for x in xs)
         if len(xs) == 2:
             x, y = xs
-            assert f.b(x, y).denominator == p ** k == 2 ** k
+            assert F(f.b_numer(x, y), f.n).denominator == p ** k == 2 ** k
             assert all(f.q(z) * 2 ** (k - 1) % 2 == (u == "v") for z in xs)
         elif p == 2:
             assert f.q(xs[0]) == F(u, p ** k) % 2
         else:
-            assert f.b(xs[0], xs[0]) == F(u, p ** k) % 1
+            assert F(f.b_numer(xs[0], xs[0]), f.n) == F(u, p ** k) % 1
     for a, (_k, _u, idx_a) in enumerate(blocks):
         for _k2, _u2, idx_b in blocks[a + 1:]:
-            assert all(f.b(vecs[i], vecs[j]) == 0 for i in idx_a for j in idx_b)
+            assert all(F(f.b_numer(vecs[i], vecs[j]), f.n) == 0 for i in idx_a for j in idx_b)
     assert len(oracle.subgroup_elements(f, [tuple(v) for v in vecs])) == f.size
 
 
@@ -1379,7 +1384,7 @@ def entry_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_b_and_q_over_the_entries_match_the_dense_loops(case):
     f, x, y, lazy = case
-    got = (f.q(x), f.b(x, y), f.q_numer(x), f.b_numer(x, y), f.b_numer(y, x))
+    got = (f.q(x), F(f.b_numer(x, y), f.n), f.q_numer(x), f.b_numer(x, y), f.b_numer(y, x))
     # a sum whose gram was never read evaluates without laying it out
     assert not lazy or "gram" not in vars(f)
     q, b = oracle.q_numer(f, x), oracle.b_numer(f, x, y)
@@ -1396,7 +1401,7 @@ def test_b_and_q_over_the_entries_spot_values():
     assert f.entries == ((0, 0, 6, 10), ((0, 1, 3), (2, 3, 3)))
     assert "gram" not in vars(f)
     assert (f.q((1, 1, 0, 0)), f.q([0, 0, 1, 1]), f.q((0, 0, -1, 7))) == (F(1), F(5, 3), F(5, 3))
-    assert (f.b((1, 0, 0, 0), [0, 1, 0, 0]), f.b((0, 0, 1, 0), (0, 0, 0, 1))) == (F(1, 2), F(1, 2))
+    assert (F(f.b_numer((1, 0, 0, 0), [0, 1, 0, 0]), f.n), F(f.b_numer((0, 0, 1, 0), (0, 0, 0, 1)), f.n)) == (F(1, 2), F(1, 2))
     assert (f.b_numer((0, 0, 0, 1), (0, 0, 1, 0)), f.q_numer((0, 0, 1, 1))) == (3, 10)
 
 
@@ -1414,7 +1419,7 @@ def test_evaluating_a_form_fills_its_entries_once(monkeypatch):
     evaluated = [direct_sum_forms(f, ATOMS["v2"]), _unsummed(f), standard_form("<1/2>+u2")]
     for g in evaluated:
         for x in itertools.islice(g.elements(), 50):
-            g.q(x), g.q_numer(x), g.b(x, x), g.b_numer(x, g.units[0]), is_isotropic_subgroup(g, [x])
+            g.q(x), g.q_numer(x), F(g.b_numer(x, x), g.n), g.b_numer(x, g.units[0]), is_isotropic_subgroup(g, [x])
     assert fills == Counter({id(g): 1 for g in evaluated})
 
 

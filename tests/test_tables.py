@@ -1,10 +1,11 @@
+import copy
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from zlat import verify
+from zlat import golden, tables, verify
 from zlat.classify import pair_by_ref
 from zlat.tables import (
     TABLE_IDS,
@@ -89,6 +90,21 @@ def test_documented_diff_inventory():
     assert ("7B", None) in known  # the omitted census row
     assert ("8B", 13) in known and ("8B", 21) in known  # q-label misprints
     assert ("7A", 32) in known and ("7B", 1) in known and ("8C", 3) in known
+
+
+def test_diff_golden_reads_the_built_table(monkeypatch):
+    # a witness cell of 5A printed as "-" is what the golden diff must see
+    headers, rows, payload = tables._built("5A")
+    _p, layout = golden.TABLE_5["5A"]
+    row, q, want = next((i, q, want) for i, ((*_rr2, fcells), rec) in enumerate(zip(layout, payload))
+                        for q, (want, cell) in enumerate(zip(fcells, rec["cells"]))
+                        if want not in ("-", "*") and cell not in ("-", "*"))
+    broken = copy.deepcopy(payload)
+    broken[row]["cells"][q] = "-"
+    built = tables._built
+    monkeypatch.setattr(tables, "_built", lambda tid: (headers, rows, broken) if tid == "5A" else built(tid))
+    got = [d for d in diff_golden("5A") if d["kind"] == "marker-mismatch"]
+    assert [(d["row"], d["detail"]) for d in got] == [(row + 1, f"q={q}: {want} vs -")]
 
 
 def test_prettify():
