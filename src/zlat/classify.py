@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -59,8 +58,7 @@ def _complement_key(r: int, r2: int, _d2: int, p: int, q: int) -> tuple[int, int
     return 9 - r, r2 + 1, 1, 1 - p, 3 - q
 
 
-@dataclass(frozen=True)
-class TPair:
+class TPair(NamedTuple):
     index: int
     t_plus: THalfInvariants
     t_minus: THalfInvariants
@@ -71,8 +69,7 @@ class TPair:
     partner_index: int | None
 
 
-@dataclass(frozen=True)
-class SPair:
+class SPair(NamedTuple):
     nu_i: int
     o: str
     s_plus: Lattice

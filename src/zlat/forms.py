@@ -36,30 +36,45 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
 from . import exact
-from .lattice import MEMO_SIZE, LazyField, Lattice, keep_form
+from .lattice import MEMO_SIZE, Frozen, LazyField, Lattice, keep_form
 
 Element = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(Frozen):
+    _fields = ("orders", "n", "gram", "lift_cols")  # the repr's; equality and the hash read orders, n and gram
     orders: tuple[int, ...]
     n: int
     gram: tuple[tuple[int, ...], ...]
-    lift_cols: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
+    lift_cols: tuple[tuple[int, ...], ...] | None
     # the forms it is the orthogonal sum of, in generator order, none a sum;
     # () if not built as one.  Cached data: no comparison, hash or key reads it
-    summands: tuple[FiniteQuadraticForm, ...] = field(default=(), compare=False, repr=False)
+    summands: tuple[FiniteQuadraticForm, ...]
     # of a sum with lifts, the lattice indices of each summand's lift columns
-    places: tuple | None = field(default=None, compare=False, repr=False)
+    places: tuple | None
     # the nonzero entries of gram on and above the diagonal, (diagonal, ((i, j, gram[i][j]) for i < j))
-    entries: tuple = field(init=False, compare=False, repr=False)
+    entries: tuple
+
+    def __init__(self, orders, n, gram, lift_cols=None):
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "lift_cols", lift_cols)
+        object.__setattr__(self, "summands", ())
+        object.__setattr__(self, "places", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteQuadraticForm:
+            return NotImplemented
+        return (self.orders, self.n, self.gram) == (other.orders, other.n, other.gram)
+
+    def __hash__(self):
+        return hash((self.orders, self.n, self.gram))
 
     @property
     def ngens(self) -> int:
@@ -741,18 +756,22 @@ def aut_order(f: FiniteQuadraticForm) -> int:
 
 # anti-isomorphisms ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GlueMap:
+class GlueMap(Frozen):
     """Anti-isomorphism between subgroups of two discriminant forms, on
     generators, with the order of the glued subgroup (found by the check)."""
 
+    _fields = ("source_form", "target_form", "source_gens", "target_gens")
     source_form: FiniteQuadraticForm
     target_form: FiniteQuadraticForm
     source_gens: tuple
     target_gens: tuple
 
-    def __post_init__(self):
-        if len(self.source_gens) != len(self.target_gens):
+    def __init__(self, source_form, target_form, source_gens, target_gens):
+        object.__setattr__(self, "source_form", source_form)
+        object.__setattr__(self, "target_form", target_form)
+        object.__setattr__(self, "source_gens", source_gens)
+        object.__setattr__(self, "target_gens", target_gens)
+        if len(source_gens) != len(target_gens):
             raise ValueError("generator lists differ in length")
         if self.subgroup_order is None:
             raise ValueError("not an anti-isomorphism")

@@ -5,26 +5,27 @@ involutions obtained by gluing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter, mul
 
 from . import exact, forms
 from .exact import Matrix
 from .forms import GlueMap
-from .lattice import Lattice, SublatticeRef, direct_sum, overlattice, signature
+from .lattice import Frozen, Lattice, SublatticeRef, direct_sum, overlattice, signature
 
 
-@dataclass(frozen=True)
-class LatticeInvolution:
+class LatticeInvolution(Frozen):
+    _fields = ("lattice", "action")
     lattice: Lattice
     action: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, lattice, action):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "action", action)
         # with C^2 = I, (C^T)^-1 = C^T, so C G C^T = G exactly when C G = G C^T = (C G)^T
         c = self.action_rows()
-        if exact.mat_mul(c, c) != exact.identity(self.lattice.rank):
+        if exact.mat_mul(c, c) != exact.identity(lattice.rank):
             raise ValueError("action is not an involution")
-        if not exact.is_symmetric(exact.mat_mul(c, self.lattice.gram)):
+        if not exact.is_symmetric(exact.mat_mul(c, lattice.gram)):
             raise ValueError("action does not preserve the inner product")
 
     def action_rows(self):

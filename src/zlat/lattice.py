@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter, mul
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import exact
 from .exact import Matrix
@@ -22,11 +21,39 @@ from .exact import Matrix
 MEMO_SIZE = 1024
 
 
+class Frozen:
+    """The base of the value types that are not tuples: their constructors and
+    lazy fills store each field once, through `object.__setattr__`, and any
+    other assignment or deletion raises.  The repr shows `_fields`; equality
+    and the hash compare them, unless the type says otherwise."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 class LazyField:
-    """A dataclass field that `fill(obj)` stores into the instance on its first
-    read.  A non-data descriptor on the class: once the instance holds the
-    field, the instance's own entry is read and the descriptor is not called
-    again.  Only the lazy fields have one; the value types define no
+    """A field of a value type that `fill(obj)` stores into the instance on
+    its first read.  A non-data descriptor on the class: once the instance
+    holds the field, the instance's own entry is read and the descriptor is
+    not called again.  Only the lazy fields have one; the value types define no
     `__getattr__`, so every other attribute stays a plain instance attribute
     whose reads the interpreter specializes."""
 
@@ -40,29 +67,29 @@ class LazyField:
         return getattr(obj, self.name)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
     """Its value is its `gram`.  A block sum holds its parts and its
     `orthogonal_split` and lays out `gram` on first read; equality and the
     hash read the split, which determines the Gram matrix."""
 
+    _fields = ("gram", "expr")
     gram: tuple[tuple[int, ...], ...]
-    expr: str | None = field(default=None, compare=False)
-    rank: int = field(default=0, init=False, compare=False, repr=False)
-    _det: int = field(default=0, init=False, compare=False, repr=False)
-    _orthogonal: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    expr: str | None
+    rank: int
+    _det: int
+    _orthogonal: tuple | None = None
     # of a block sum not yet laid out, its (rank, det, split, source) parts, in
     # order; its layout concatenates the Gram matrices of the sources, which
     # are Gram matrices (parsed atoms) or lattices (`direct_sum`)
-    _parts: tuple = field(default=(), init=False, compare=False, repr=False)
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    _parts: tuple = ()
+    _hash: int | None = None
     # its discriminant form (`keep_form`): cached data, never compared,
     # hashed or a key, as `_orthogonal` is
-    _form: object = field(default=None, init=False, compare=False, repr=False)
+    _form: object = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", len(self.gram))
-        self._validate(None)
+    def __new__(cls, gram, expr=None):
+        """Every lattice is built, and validated, by `_with_det`."""
+        return _with_det(gram, None, expr)
 
     def __eq__(self, other):
         """Equal Gram matrices: equal `orthogonal_split`s, which determine the
@@ -143,11 +170,12 @@ Lattice.gram = LazyField("gram", _lay_out)
 
 
 def make_lattice(gram: Matrix, expr: str | None = None) -> Lattice:
-    return Lattice(tuple(map(tuple, gram)), expr)
+    return _with_det(gram, None, expr)
 
 
-def _with_det(gram: Matrix | None, det: int, expr: str | None = None, summed=None) -> Lattice:
-    """A Lattice whose determinant its constructor already knows (no elimination).
+def _with_det(gram: Matrix | None, det: int | None, expr: str | None = None, summed=None) -> Lattice:
+    """A Lattice, validated: with det None (`Lattice(...)`, `make_lattice`)
+    `_validate` reads det off the Gram matrix, else it is known (no elimination).
 
     `_block_sum` hands over, instead of a gram, `summed` = (rank, parts,
     blocks): the parts it sums and their shifted (indices, Gram matrix)
@@ -213,8 +241,7 @@ def _inertia(split) -> tuple[int, int, int, int]:
     return np_, nz, nm, det
 
 
-@dataclass(frozen=True)
-class SublatticeRef:
+class SublatticeRef(NamedTuple):
     ambient: Lattice
     basis_rows: tuple[tuple[int, ...], ...]
 

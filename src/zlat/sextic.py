@@ -8,15 +8,14 @@ outward), and groups of empty ovals inside the ambient one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import TPair, half_violation
 
 OvalGroups = tuple[tuple[int, int], ...]  # (count, signed pair count)
 
 
-@dataclass(frozen=True)
-class CompleteCode:
+class CompleteCode(NamedTuple):
     kind: str  # "general" | "null" | "nest3"
     outer: OvalGroups = ()
     ambient: int | None = None
@@ -91,8 +90,7 @@ def simple_code_text(code: CompleteCode) -> str:
     return f"{alpha}+1<{beta}>" if alpha else f"1<{beta}>"
 
 
-@dataclass(frozen=True)
-class SexticID:
+class SexticID(NamedTuple):
     code: CompleteCode
     curve_type: str  # "I" | "II"
     o: str  # "+" | "-"
@@ -102,8 +100,7 @@ class SexticID:
         return self.code.cusp_pairs()
 
 
-@dataclass(frozen=True)
-class CubicTopology:
+class CubicTopology(NamedTuple):
     chi: int
     handles: int
 

@@ -11,15 +11,14 @@ failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import forms
 from .lattice import MEMO_SIZE, Lattice, divide, is_divisible_by, signature
 
 
-@dataclass(frozen=True)
-class GenusTag:
+class GenusTag(NamedTuple):
     sig: tuple[int, int]
     parts: tuple
 
@@ -31,25 +30,43 @@ class GenusTag:
         return ()
 
     def p_rank(self, p: int) -> int:
-        """l(A_p), the sum of the constituent ranks n_k."""
-        return sum(entry[1] for entry in self.symbol(p))
+        return _rank(self.symbol(p))
 
     def is_elementary(self, p: int) -> bool:
-        """Whether p kills the p-part: every entry has scale p."""
-        return all(entry[0] == p for entry in self.symbol(p))
+        return _elementary(self.symbol(p), p)
 
     @property
     def delta2(self) -> int:
-        """1 when the 2-part has an odd constituent, else 0."""
-        return int(any(entry[3] for entry in self.symbol(2)))
+        return _odd(self.symbol(2))
 
     @property
     def pq3(self) -> tuple[int, int]:
-        """(p, q) of the elementary 3-part p<2/3> + q<-2/3>: p = 1 exactly when eps = -1."""
-        if not self.is_elementary(3):
+        sym = self.symbol(3)
+        if not _elementary(sym, 3):
             raise ValueError("discriminant is not elementary at 3")
-        p = int(any(entry[2] == -1 for entry in self.symbol(3)))
-        return p, self.p_rank(3) - p
+        return _pq(sym)
+
+
+# the accessor rules, each on one p-adic symbol: `GenusTag` and `invariants` share them
+def _rank(sym: tuple) -> int:
+    """l(A_p), the sum of the constituent ranks n_k."""
+    return sum([entry[1] for entry in sym])
+
+
+def _elementary(sym: tuple, p: int) -> bool:
+    """Whether p kills the p-part: every entry has scale p."""
+    return all([entry[0] == p for entry in sym])
+
+
+def _odd(sym: tuple) -> int:
+    """delta2 of a 2-adic symbol: 1 when the 2-part has an odd constituent, else 0."""
+    return int(any([entry[3] for entry in sym]))
+
+
+def _pq(sym: tuple) -> tuple[int, int]:
+    """(p, q) of the elementary 3-part p<2/3> + q<-2/3> of a 3-adic symbol: p = 1 exactly when eps = -1."""
+    p = int(any([entry[2] == -1 for entry in sym]))
+    return p, _rank(sym) - p
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -74,9 +91,10 @@ def genus_tag(l: Lattice) -> GenusTag:
 def invariants(l: Lattice):
     """(r, r2, delta2, p, q) of an even lattice with elementary 2/3 discriminant."""
     tag = genus_tag(l)
-    if not (tag.is_elementary(2) and tag.is_elementary(3)):
+    two, three = tag.symbol(2), tag.symbol(3)
+    if not (_elementary(two, 2) and _elementary(three, 3)):
         raise ValueError("discriminant is not elementary at 2 and 3")
-    return (l.rank, tag.p_rank(2), tag.delta2, *tag.pq3)
+    return (l.rank, _rank(two), _odd(two), *_pq(three))
 
 
 def nikulin_stable(l: Lattice) -> bool:

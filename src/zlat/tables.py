@@ -12,8 +12,8 @@ import copy
 import json
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import golden, stability
 from .classify import (
@@ -89,8 +89,7 @@ def _id_fields(pair: TPair, sid) -> dict:
 # ---------------------------------------------------------------------------
 # the registry: each published table with how to compute, diff and prettify it
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """One published table.
 
     `build()` returns the display rows and the JSON payload; `diff(rows,

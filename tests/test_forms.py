@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -789,7 +788,7 @@ def test_numerators_match_loop_oracle(case):
 def test_equality_hash_and_repr_read_the_seven_fields(case):
     f, x, y = case
     fields = ("orders", "n", "gram", "lift_cols", "summands", "places", "entries")
-    assert tuple(fl.name for fl in dataclasses.fields(FiniteQuadraticForm)) == fields
+    assert tuple(FiniteQuadraticForm.__annotations__) == fields  # the class's annotated fields, in order
     fresh = FiniteQuadraticForm(f.orders, f.n, f.gram, f.lift_cols)
     other = FiniteQuadraticForm(f.orders, f.n, f.gram, None)
     summed = direct_sum_forms(f, ATOMS["u2"])  # a sum that records its summands

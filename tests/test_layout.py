@@ -2,12 +2,14 @@
 alone, only a listed few functions walk the elements of a group, every
 Lattice is validated, no module but `verify` calls the element fingerprints
 or uses floating point, no memo of a form reads its lifts, the memos stay
-under a ceiling, no module reads another module's private names, no
-check is an `assert`, every function, class and method is used, and
-every parameter is read."""
+under a ceiling, no module reads another module's private names or imports
+`dataclasses`, no check is an `assert`, every function, class and method is
+used, and every parameter is read."""
 
 import ast
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -15,15 +17,45 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "zlat")
 
 
+def _imported(tree):
+    """The top-level names of the absolute imports in the tree."""
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    return imported | {node.module.split(".")[0] for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+
+
 @pytest.mark.parametrize("module", ["exact", "lattice", "gluing", "classify", "stability"])
 def test_no_fractions_import(module):
     with open(os.path.join(SRC, f"{module}.py")) as fh:
-        tree = ast.parse(fh.read())
-    imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names}
-    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
-    assert "fractions" not in imported
+        assert "fractions" not in _imported(ast.parse(fh.read()))
+
+
+# the value types write their methods in their modules: `dataclasses`
+# generates and compiles code for each at import, and loads `inspect`, which
+# cost more than the rest of the package's import
+def test_no_module_imports_dataclasses():
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                if "dataclasses" in _imported(ast.parse(fh.read())):
+                    found.append(fname)
+    assert not found, found
+
+
+def test_the_import_rule_sees_both_spellings():
+    assert _imported(ast.parse("import dataclasses\n")) == {"dataclasses"}
+    assert _imported(ast.parse("from dataclasses import dataclass\nfrom . import forms\n")) == {"dataclasses"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(SRC)
+    code = "import sys, zlat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # exactly the functions whose walk over all elements of a form is their point
@@ -64,11 +96,13 @@ def test_only_listed_functions_enumerate_elements():
     assert walkers == ENUMERATING, (sorted(walkers - ENUMERATING), sorted(ENUMERATING - walkers))
 
 
-# every Lattice is checked by `_validate` (symmetry, det != 0): past the
-# dataclass constructor only `lattice._with_det` makes one and sets its gram,
-# and only the fills of the lazy fields (LAZY_FILLS) set a gram after it:
-# `lattice._lay_out` the one a block sum lays out from its validated parts,
-# `forms._sum_gram` a sum form's.  Nothing stores one through an instance dict
+# every Lattice is checked by `_validate` (symmetry, det != 0): only
+# `lattice._with_det` makes one and sets its gram (`Lattice(gram, expr)` is
+# `_with_det` too), the constructor of a finite quadratic form sets the form's
+# own gram, and only the fills of the lazy fields (LAZY_FILLS) set a gram
+# after it: `lattice._lay_out` the one a block sum lays out from its
+# validated parts, `forms._sum_gram` a sum form's.  Nothing stores one
+# through an instance dict
 def _new_lattice(call):
     """object.__new__(Lattice)"""
     func, args = call.func, call.args
@@ -106,7 +140,8 @@ def test_only_with_det_builds_a_lattice_past_its_constructor(matches):
             with open(os.path.join(SRC, fname)) as fh:
                 found |= _callers(fname[:-3], ast.parse(fh.read()), matches)
     gram_fills = {fill for fill, (_cls, names) in LAZY_FILLS.items() if "gram" in names}
-    expected = {_new_lattice: {"lattice._with_det"}, _sets_gram: {"lattice._with_det", *gram_fills},
+    expected = {_new_lattice: {"lattice._with_det"},
+                _sets_gram: {"lattice._with_det", "forms.FiniteQuadraticForm.__init__", *gram_fills},
                 _stores_gram: set()}
     assert found == expected[matches], sorted(found)
 
@@ -183,9 +218,10 @@ def test_the_gram_store_rule_sees_every_update():
     assert _callers("m", tree, _stores_gram) == {"m.C.h", "m.k"}
 
 
-# a finite quadratic form is its fields: what `forms` stores into an
-# instance past its constructor (a lazy sum) names one of them, by a
-# constant, and nothing stores through an instance dict
+# a value type of `forms` is its fields: what a method of a class stores
+# into an instance (a constructor) names a field of that class, what `forms`
+# stores into a form past its constructor (a lazy sum) names one of the
+# form's, each by a constant, and nothing stores through an instance dict
 def _object_setattrs(tree):
     """Every object.__setattr__(...) call in the tree."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -195,11 +231,13 @@ def _object_setattrs(tree):
 def test_forms_sets_no_hidden_attributes():
     with open(os.path.join(SRC, "forms.py")) as fh:
         tree = ast.parse(fh.read())
-    form = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "FiniteQuadraticForm")
-    fields = {node.target.id for node in form.body if isinstance(node, ast.AnnAssign)}
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    fields = {cls.name: {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)} for cls in classes}
+    owner = {id(node): cls.name for cls in classes for node in _object_setattrs(cls)}
     stores = _object_setattrs(tree)
     assert stores and not [node.lineno for node in stores if len(node.args) != 3
-                           or not isinstance(node.args[1], ast.Constant) or node.args[1].value not in fields], fields
+                           or not isinstance(node.args[1], ast.Constant)
+                           or node.args[1].value not in fields[owner.get(id(node), "FiniteQuadraticForm")]], fields
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _vars_updates(node)]
 
 
